@@ -8,6 +8,7 @@ and safe to share across threads.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 import numpy as np
@@ -62,7 +63,10 @@ class MarkovRewardProcess:
 
     Rows of the transition matrix must sum to 1 within 1e-9 on input and are
     renormalized exactly; the matrix is then frozen. ``r_bar`` is the largest
-    absolute reward, recomputed at construction.
+    absolute reward, recomputed at construction. Because the process is
+    immutable, its validation report and stationary law are computed once,
+    on first use (``validation``, ``stationary``); an invalid chain raises
+    from ``stationary`` on every access.
     """
 
     def __init__(self, P, R, gamma):
@@ -95,6 +99,14 @@ class MarkovRewardProcess:
         self.cum_P = np.cumsum(P, axis=1)
         for a in (self.P, self.R, self.cum_P):
             a.setflags(write=False)
+
+    @cached_property
+    def validation(self) -> "ValidationReport":
+        return validate_chain(self)
+
+    @cached_property
+    def stationary(self) -> "StationaryDistribution":
+        return stationary_distribution(self)
 
     def to_dict(self):
         return {
@@ -194,7 +206,7 @@ def stationary_distribution(mrp: MarkovRewardProcess) -> StationaryDistribution:
     Solves (P^T - I) pi = 0 with the last balance equation replaced by the
     normalization sum(pi) = 1. Requires the chain to pass validate_chain.
     """
-    report = validate_chain(mrp)
+    report = mrp.validation
     if not report.ok:
         raise ChainError(
             f"chain fails Assumption 1 ({report.describe()}); run validate_chain"
@@ -249,38 +261,64 @@ def _second_eigenvalue_magnitude(P) -> float:
     return float(mags[1]) if mags.shape[0] > 1 else 0.0
 
 
+class ChainPowers:
+    """The powers P^k of one chain and their worst-case total-variation
+    distances to stationarity, extended one step at a time.
+
+    Only the current power is held. ``tv_curve[k-1]`` is the distance at
+    P^k; once it drops below the rounding-noise floor the rest of the curve
+    is 0 and the clamp index is recorded, while the powers keep advancing for
+    callers that need them (the mixing oracle reads P^(k-1) before each step).
+    Unlike the other objects here it is mutable; the oracle serialises its use.
+    """
+
+    def __init__(self, mrp: MarkovRewardProcess):
+        self.mrp = mrp
+        self.power = np.eye(mrp.n)  # P^k after k steps; I @ P == P exactly
+        self.tv_curve = []
+        self.clamp_index = None
+        self.lambda2 = _second_eigenvalue_magnitude(mrp.P)
+
+    def step(self):
+        self.power = self.power @ self.mrp.P
+        tv = 0.0
+        if self.clamp_index is None:
+            pi = self.mrp.stationary.pi
+            tv = 0.5 * float(np.max(np.abs(self.power - pi[None, :]).sum(axis=1)))
+            if tv < _TV_CLAMP:
+                self.clamp_index = len(self.tv_curve) + 1
+                tv = 0.0
+        self.tv_curve.append(tv)
+
+    def profile(self, horizon: int) -> MixingProfile:
+        """The TV curve for k = 1..horizon with its certified envelope."""
+        if horizon < 2:
+            raise ChainError(f"horizon must be at least 2, got {horizon}")
+        while len(self.tv_curve) < horizon:
+            self.step()
+        curve = np.array(self.tv_curve[:horizon])
+        clamp_index = (self.clamp_index if self.clamp_index is not None
+                       and self.clamp_index <= horizon else None)
+        lambda2 = self.lambda2
+        if float(curve.max(initial=0.0)) <= 1e-15:
+            return MixingProfile(0.0, 0.0, curve, clamp_index, lambda2)
+
+        ks = np.arange(1, horizon + 1, dtype=float)
+        base = max(lambda2, 1e-6)
+        for j in range(5000):
+            rho = base * (1.0 + 0.01 * j)
+            if rho >= 1.0:
+                break
+            c0 = curve[0] / rho
+            if np.all(curve <= c0 * rho ** ks * (1.0 + 1e-12) + 1e-300):
+                return MixingProfile(float(rho), float(c0), curve, clamp_index, lambda2)
+        raise ChainError("could not fit a certified geometric envelope below rho = 1")
+
+
 def tv_mixing_profile(mrp: MarkovRewardProcess, horizon: int) -> MixingProfile:
     """Worst-case total-variation distance to stationarity for k = 1..horizon,
     from exact matrix powers, plus a fitted certified envelope."""
-    if horizon < 2:
-        raise ChainError(f"horizon must be at least 2, got {horizon}")
-    stat = stationary_distribution(mrp)
-    pi = stat.pi
-    curve = np.zeros(horizon)
-    clamp_index = None
-    Q = mrp.P.copy()
-    for k in range(1, horizon + 1):
-        tv = 0.5 * float(np.max(np.abs(Q - pi[None, :]).sum(axis=1)))
-        if tv < _TV_CLAMP:
-            clamp_index = k
-            break
-        curve[k - 1] = tv
-        Q = Q @ mrp.P
-
-    lambda2 = _second_eigenvalue_magnitude(mrp.P)
-    if float(curve.max(initial=0.0)) <= 1e-15:
-        return MixingProfile(0.0, 0.0, curve, clamp_index, lambda2)
-
-    ks = np.arange(1, horizon + 1, dtype=float)
-    base = max(lambda2, 1e-6)
-    for j in range(5000):
-        rho = base * (1.0 + 0.01 * j)
-        if rho >= 1.0:
-            break
-        c0 = curve[0] / rho
-        if np.all(curve <= c0 * rho ** ks * (1.0 + 1e-12) + 1e-300):
-            return MixingProfile(float(rho), float(c0), curve, clamp_index, lambda2)
-    raise ChainError("could not fit a certified geometric envelope below rho = 1")
+    return ChainPowers(mrp).profile(horizon)
 
 
 @dataclass(frozen=True)
@@ -366,7 +404,7 @@ def random_mrp(n: int, density: float, seed: int, gamma: float = 0.5,
             P[i, cols] = w / w.sum()
         R = rng.uniform(-1.0, 1.0, size=n)
         mrp = MarkovRewardProcess(P, R, gamma)
-        if validate_chain(mrp).ok:
+        if mrp.validation.ok:
             return mrp
     raise ChainError(
         f"no irreducible aperiodic chain found in {max_tries} tries "

@@ -20,21 +20,20 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .bundled import bundled_config, bundled_names
-from .chain import ChainError, mrp_from_dict, tv_mixing_profile, validate_chain
+from .chain import ChainError, mrp_from_dict
 from .oracle import (
     CertificationError,
     FeatureError,
     OracleError,
     build_steady_state,
-    envelope_mixing_time,
     features_from_dict,
-    mixing_time,
     oracle_report,
 )
 from .sa_core import (
     DelayProcess,
     StepSizeError,
     StepSizeSpec,
+    lipschitz_scale,
     resolve_step_size,
     LinearContractionProvider,
     SaturatingMonotoneProvider,
@@ -91,14 +90,6 @@ def _build_provider(prov_cfg: dict, model):
     raise ConfigError(f"unknown provider kind {kind!r}")
 
 
-def _tau_at(model, provider, mode, alpha):
-    if mode == "td0":
-        return mixing_time(model.mrp, model.features, alpha).tau
-    profile = tv_mixing_profile(model.mrp, 64)
-    return envelope_mixing_time(profile, model.stationary,
-                                provider.L * provider.sigma_const, alpha).tau
-
-
 def _build_spec(step_cfg: dict, model, provider, mode: str) -> StepSizeSpec:
     C = float(step_cfg.get("C", 8.0))
     if step_cfg.get("alpha") is not None:
@@ -106,14 +97,14 @@ def _build_spec(step_cfg: dict, model, provider, mode: str) -> StepSizeSpec:
         if step_cfg.get("tau") is not None:
             tau = int(step_cfg["tau"])
         else:
-            tau = _tau_at(model, provider, mode, alpha)
+            tau = model.mixing.tau(alpha, lipschitz_scale(mode, provider))
         return StepSizeSpec(C=C, alpha=alpha, tau_alpha=tau, mode=mode)
     spec = resolve_step_size(model, C=C, mode=mode,
                              provider=provider if mode == "nonlinear" else None)
     scale = float(step_cfg.get("alpha_scale", 1.0))
     if scale != 1.0:
         alpha = spec.alpha * scale
-        tau = _tau_at(model, provider, mode, alpha)
+        tau = model.mixing.tau(alpha, lipschitz_scale(mode, provider))
         spec = StepSizeSpec(C=C, alpha=alpha, tau_alpha=tau, mode=mode)
     return spec
 
@@ -228,7 +219,7 @@ def cmd_oracle(cfg: dict, out_dir: str, seed_override=None) -> int:
     if not inst or "chain" not in inst:
         raise ConfigError("config needs an instance with a chain")
     mrp = mrp_from_dict(inst["chain"])
-    report = validate_chain(mrp)
+    report = mrp.validation
     if not report.ok:
         print(f"Assumption 1 violated: {report.describe()}", file=sys.stderr)
         return EXIT_INVALID_INPUT
@@ -323,7 +314,7 @@ def cmd_sweep(cfg: dict, out_dir: str, sweep_arg: str, threads: int,
         base = resolve_step_size(config.model, C=config.spec.C, mode="td0")
         for i, tau_max in enumerate(values):
             alpha = base.alpha / (1 + tau_max)
-            tau = mixing_time(config.mrp, config.features, alpha).tau
+            tau = config.model.mixing.tau(alpha)
             spec = StepSizeSpec(C=base.C, alpha=alpha, tau_alpha=tau, mode="td0")
             T = int(math.ceil(10.0 / (alpha * config.model.contraction_rate)))
             delays = DelayProcess(kind=base_kind if tau_max > 0 else "none",

@@ -25,7 +25,6 @@ from .oracle import (
     FeatureMatrix,
     SteadyStateModel,
     build_steady_state,
-    mixing_time,
 )
 from .sa_core import (
     DIVERGENCE_GUARD,
@@ -255,10 +254,13 @@ def _simulate(config: ExperimentConfig, weight_A: float | None = None,
     use_delays = (config.delays is not None and config.delays.kind != "none"
                   and config.delays.tau_max > 0)
     if use_delays:
-        dmat = np.empty((trials, T), dtype=np.int16)
+        m = config.delays.tau_max + 1
+        # int16 keeps the trials x T schedule small; it cannot hold delays past 32767,
+        # and a step index past 32767 must not meet it in int16 arithmetic
+        fits = config.delays.tau_max <= np.iinfo(np.int16).max
+        dmat = np.empty((trials, T), dtype=np.int16 if fits else np.int64)
         for i in range(trials):
             dmat[i] = config.delays.spawn(i).sequence(T)
-        m = config.delays.tau_max + 1
         hist_theta = np.zeros((m, trials, K))
         hist_s = np.zeros((m, trials), dtype=np.int64)
         hist_sp = np.zeros((m, trials), dtype=np.int64)
@@ -304,7 +306,7 @@ def _simulate(config: ExperimentConfig, weight_A: float | None = None,
                 hist_s[slot] = s
                 hist_sp[slot] = sp
                 hist_r[slot] = r
-                back = (step - dmat[:, step]) % m
+                back = (step - dmat[:, step].astype(np.int64)) % m
                 stale = provider.direction(
                     hist_theta[back, lanes],
                     (hist_s[back, lanes], hist_sp[back, lanes], hist_r[back, lanes]))
@@ -676,7 +678,7 @@ def tune_weighted_average(model: SteadyStateModel, T: int,
         cap = min(model.contraction_rate / (C * tau_hat), 1.0 / (8.0 * tau_hat))
         case = 1 if alpha_case1 <= cap else 2
         alpha = alpha_case1 if case == 1 else cap
-        tau_new = mixing_time(model.mrp, model.features, alpha).tau
+        tau_new = model.mixing.tau(alpha)
         if tau_new == tau_hat:
             return WeightedAverageSpec(A=A, alpha=alpha, tau=tau_hat, T=T,
                                        lambda_tune=lam, C=C, case=case)
@@ -785,7 +787,7 @@ def alpha_sweep(config: ExperimentConfig, multipliers=(1.0, 0.5, 0.25),
     points = []
     for mult in multipliers:
         alpha = config.spec.alpha * float(mult)
-        tau = mixing_time(model.mrp, model.features, alpha).tau
+        tau = model.mixing.tau(alpha)
         spec = StepSizeSpec(C=config.spec.C, alpha=alpha, tau_alpha=tau,
                             mode=config.spec.mode)
         rate = model.contraction_rate

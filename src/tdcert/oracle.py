@@ -8,20 +8,20 @@ Monte Carlo.
 """
 
 import math
+import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .chain import (
     ChainError,
+    ChainPowers,
     MarkovRewardProcess,
     MixingProfile,
     StationaryDistribution,
     generator,
     derive_seed,
-    stationary_distribution,
-    tv_mixing_profile,
-    validate_chain,
     _inv_cdf,
 )
 
@@ -152,7 +152,8 @@ class SteadyStateModel:
     Holds the steady-state operator A_bar theta + b_neg, the Gram matrix and
     its smallest eigenvalue omega, the fixed point theta_star, the scale
     sigma = max(1, r_bar, ||theta_star||), and the mean-square iterate bound
-    B = 10 * max(||theta0 - theta_star||^2, sigma^2).
+    B = 10 * max(||theta0 - theta_star||^2, sigma^2). ``mixing`` is the
+    instance's mixing oracle, built on first use and extended on demand.
     """
 
     def __init__(self, mrp: MarkovRewardProcess, features: FeatureMatrix,
@@ -163,7 +164,7 @@ class SteadyStateModel:
             )
         self.mrp = mrp
         self.features = features
-        self.stationary = stationary_distribution(mrp)
+        self.stationary = mrp.stationary
         pi = self.stationary.pi
         A_bar, b_neg, Sigma = _steady_matrices(mrp, features, pi)
         omega = float(np.linalg.eigvalsh(Sigma)[0])
@@ -201,6 +202,10 @@ class SteadyStateModel:
     @property
     def K(self):
         return self.features.K
+
+    @cached_property
+    def mixing(self) -> "MixingOracle":
+        return MixingOracle(self.mrp, self.features)
 
     @property
     def contraction_rate(self) -> float:
@@ -283,21 +288,100 @@ class MixingTimeCertificate:
                     and self.tau >= 1 and tail_ok)
 
 
-def _deviation_curve(mrp, features, horizon, pi):
-    """Worst-case deviation max over initial tuples of
-    max(||Phi^T (D_k - D)(gamma P - I) Phi||_op, ||Phi^T (D_k - D) R||)."""
-    Phi = features.Phi
-    M = (mrp.gamma * mrp.P - np.eye(mrp.n)) @ Phi
-    dev = np.empty(horizon)
-    Q = np.eye(mrp.n)  # P^{k-1}; conditioning on X_0 reduces to the next state s_1
-    for k in range(1, horizon + 1):
-        W = Q - pi[None, :]
-        A_t = np.einsum("ts,sk,sj->tkj", W, Phi, M)
+class MixingOracle:
+    """Certified mixing times of one (chain, features) pair.
+
+    The worst-case deviation curve does not depend on epsilon, so it is
+    computed once and extended on demand: a query is a suffix-max lookup, and
+    a longer horizon continues the matrix powers where they stopped. The TV
+    profile is read off the same powers, and its fitted envelope is kept per
+    checked horizon. Only the current power and the 1-D curves are held.
+    """
+
+    def __init__(self, mrp: MarkovRewardProcess, features: FeatureMatrix):
+        report = mrp.validation
+        if not report.ok:
+            raise ChainError(f"chain fails Assumption 1 ({report.describe()})")
+        self.mrp = mrp
+        self.features = features
+        self._pi = mrp.stationary.pi
+        Phi = features.Phi
+        self._M = (mrp.gamma * mrp.P - np.eye(mrp.n)) @ Phi
+        phi_norms = np.linalg.norm(Phi, axis=1)
+        self._G_tail = float(max((phi_norms * np.linalg.norm(self._M, axis=1)).max(),
+                                 (phi_norms * np.abs(mrp.R)).max()))
+        self._powers = ChainPowers(mrp)
+        self._dev = []
+        self._at = {}  # horizon -> (dev curve, its suffix max, TV profile)
+        self._lock = threading.Lock()
+
+    def _deviation(self, Q) -> float:
+        """max(||Phi^T (D_k - D)(gamma P - I) Phi||_op, ||Phi^T (D_k - D) R||)
+        over initial tuples, with Q = P^(k-1): conditioning on X_0 reduces to
+        the next state s_1."""
+        Phi = self.features.Phi
+        W = Q - self._pi[None, :]
+        A_t = np.einsum("ts,sk,sj->tkj", W, Phi, self._M)
         op = np.linalg.svd(A_t, compute_uv=False)[:, 0]
-        vec = np.linalg.norm((W * mrp.R[None, :]) @ Phi, axis=1)
-        dev[k - 1] = max(float(op.max()), float(vec.max()))
-        Q = Q @ mrp.P
-    return dev
+        vec = np.linalg.norm((W * self.mrp.R[None, :]) @ Phi, axis=1)
+        return max(float(op.max()), float(vec.max()))
+
+    def _checked(self, H: int):
+        with self._lock:
+            if H not in self._at:
+                powers = self._powers
+                while len(self._dev) < H:
+                    self._dev.append(self._deviation(powers.power))
+                    powers.step()
+                dev = np.array(self._dev[:H])
+                suffix = np.maximum.accumulate(dev[::-1])[::-1]
+                self._at[H] = (dev, suffix, powers.profile(H))
+            return self._at[H]
+
+    def profile(self, horizon: int) -> MixingProfile:
+        """The chain's TV mixing profile over k = 1..horizon."""
+        return self._checked(horizon)[2]
+
+    def certify(self, epsilon: float, horizon: int | None = None,
+                max_horizon: int = 1 << 16) -> "MixingTimeCertificate":
+        """Smallest certified tau(epsilon); see ``mixing_time``."""
+        if epsilon <= 0.0:
+            raise ValueError(f"epsilon must be positive, got {epsilon}")
+        H = horizon if horizon is not None else 64
+        while True:
+            dev, suffix, profile = self._checked(H)
+            tail_coeff = 2.0 * self._G_tail * profile.c0
+            # worst deviation at any k > H is at most tail_coeff * rho^(k-1)
+            tail_ok = profile.rho <= 0.0 or tail_coeff * profile.rho ** H <= epsilon
+            ok = np.nonzero(suffix <= epsilon)[0]
+            if ok.size and tail_ok:
+                return MixingTimeCertificate(
+                    epsilon=float(epsilon), tau=int(ok[0]) + 1, horizon_checked=H,
+                    margin_curve=dev, tail_coeff=tail_coeff,
+                    tail_rho=profile.rho, method="exact-linear",
+                )
+            if horizon is not None or H >= max_horizon:
+                if profile.rho > 0.0 and tail_coeff > 0.0:
+                    needed = 1 + math.ceil(
+                        math.log(tail_coeff / epsilon) / math.log(1.0 / profile.rho)
+                    )
+                else:
+                    needed = H * 2
+                raise CertificationError(
+                    f"cannot certify epsilon={epsilon:.3e} within horizon {H}; "
+                    f"approximately {needed} steps required",
+                    required_horizon=needed,
+                )
+            H = min(H * 2, max_horizon)
+
+    def tau(self, epsilon: float, lipschitz_scale: float | None = None) -> int:
+        """tau(epsilon) for a step-size rule: the exact linear-TD certificate,
+        or, given an operator's Lipschitz scale G = L * sigma, the TV-envelope
+        over-estimate on the 64-step profile."""
+        if lipschitz_scale is None:
+            return self.certify(epsilon).tau
+        return envelope_mixing_time(self.profile(64), self.mrp.stationary,
+                                    lipschitz_scale, epsilon).tau
 
 
 def mixing_time(mrp: MarkovRewardProcess, features: FeatureMatrix,
@@ -310,49 +394,13 @@ def mixing_time(mrp: MarkovRewardProcess, features: FeatureMatrix,
     For linear TD the uniform-over-theta condition reduces exactly to an
     operator-norm condition per step, enumerated out to a finite horizon; the
     geometric envelope of the chain extends the certificate past the horizon.
+    The search starts at ``horizon`` (64 if None) and doubles up to
+    ``max_horizon`` unless a horizon is given. This computes from scratch on a
+    fresh oracle; a model's ``mixing`` oracle reuses its curves across queries.
     """
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    report = validate_chain(mrp)
-    if not report.ok:
-        raise ChainError(f"chain fails Assumption 1 ({report.describe()})")
-    stat = stationary_distribution(mrp)
-    Phi = features.Phi
-    M = (mrp.gamma * mrp.P - np.eye(mrp.n)) @ Phi
-    phi_norms = np.linalg.norm(Phi, axis=1)
-    G_tail = float(max((phi_norms * np.linalg.norm(M, axis=1)).max(),
-                       (phi_norms * np.abs(mrp.R)).max()))
-
-    H = horizon if horizon is not None else 64
-    while True:
-        dev = _deviation_curve(mrp, features, H, stat.pi)
-        profile = tv_mixing_profile(mrp, H)
-        tail_coeff = 2.0 * G_tail * profile.c0
-        # worst deviation at any k > H is at most tail_coeff * rho^(k-1)
-        tail_ok = profile.rho <= 0.0 or tail_coeff * profile.rho ** H <= epsilon
-
-        suffix = np.maximum.accumulate(dev[::-1])[::-1]
-        ok = np.nonzero(suffix <= epsilon)[0]
-        if ok.size and tail_ok:
-            tau = int(ok[0]) + 1
-            return MixingTimeCertificate(
-                epsilon=float(epsilon), tau=tau, horizon_checked=H,
-                margin_curve=dev, tail_coeff=tail_coeff,
-                tail_rho=profile.rho, method="exact-linear",
-            )
-        if horizon is not None or H >= max_horizon:
-            if profile.rho > 0.0 and tail_coeff > 0.0:
-                needed = 1 + math.ceil(
-                    math.log(tail_coeff / epsilon) / math.log(1.0 / profile.rho)
-                )
-            else:
-                needed = H * 2
-            raise CertificationError(
-                f"cannot certify epsilon={epsilon:.3e} within horizon {H}; "
-                f"approximately {needed} steps required",
-                required_horizon=needed,
-            )
-        H = min(H * 2, max_horizon)
+    return MixingOracle(mrp, features).certify(epsilon, horizon, max_horizon)
 
 
 def envelope_mixing_time(profile: MixingProfile, stationary: StationaryDistribution,
@@ -406,8 +454,7 @@ def lipschitz_audit(mrp: MarkovRewardProcess, features: FeatureMatrix,
                     sample_count: int, seed: int) -> LipschitzAudit:
     """Sampled audit of the 2-Lipschitz bounds and the norm envelope
     ||g(theta; X)|| <= 2 ||theta|| + 2 r_bar."""
-    stat = stationary_distribution(mrp)
-    A_bar, b_neg, _ = _steady_matrices(mrp, features, stat.pi)
+    A_bar, b_neg, _ = _steady_matrices(mrp, features, mrp.stationary.pi)
     rng = generator(derive_seed(seed, 0x11D5))
     m = int(sample_count)
     K = features.K
@@ -455,7 +502,7 @@ def oracle_report(model: SteadyStateModel, eps_grid=(1e-1, 1e-2, 1e-3, 1e-4)) ->
     """Full structured oracle summary for experiment provenance."""
     tau_table = []
     for eps in eps_grid:
-        cert = mixing_time(model.mrp, model.features, eps)
+        cert = model.mixing.certify(eps)
         tau_table.append({"epsilon": float(eps), "tau": cert.tau,
                           "horizon_checked": cert.horizon_checked})
     return {

@@ -18,15 +18,11 @@ from .chain import (
     MarkovRewardProcess,
     derive_seed,
     generator,
-    stationary_distribution,
-    tv_mixing_profile,
     _inv_cdf,
 )
 from .oracle import (
     FeatureMatrix,
     SteadyStateModel,
-    envelope_mixing_time,
-    mixing_time,
     steady_state_direction,
 )
 
@@ -228,34 +224,32 @@ def contraction_bound(mode: str, model: SteadyStateModel | None = None,
     raise ValueError(f"unknown step-size mode {mode!r}")
 
 
+def lipschitz_scale(mode: str, provider: UpdateDirectionProvider | None) -> float | None:
+    """The scale G = L sigma of nonlinear mode's envelope tau; None (exact
+    tau) for td0 mode."""
+    return provider.L * provider.sigma_const if mode == "nonlinear" else None
+
+
 def resolve_step_size(model: SteadyStateModel, C: float = 8.0, mode: str = "td0",
                       provider: UpdateDirectionProvider | None = None,
                       max_iter: int = 100) -> StepSizeSpec:
     """Solve the circular constraint alpha <= bound / (C tau(alpha)).
 
     Starts from alpha = bound / C and alternates with the certified mixing
-    time until the pair is self-consistent. tau is integer-valued and
-    non-increasing in alpha, so the iteration terminates.
+    time (from the model's mixing oracle) until the pair is self-consistent.
+    tau is integer-valued and non-increasing in alpha, so the iteration
+    terminates.
     """
     if C < 8.0:
         raise ValueError(f"the universal constant C must be at least 8, got {C}")
     if mode == "nonlinear" and provider is None:
         raise ValueError("nonlinear mode needs the provider's constants")
     bound = contraction_bound(mode, model=model, provider=provider)
-
-    profile = None
-    if mode == "nonlinear":
-        profile = tv_mixing_profile(model.mrp, 64)
-
-    def tau_of(alpha: float) -> int:
-        if mode == "td0":
-            return mixing_time(model.mrp, model.features, alpha).tau
-        return envelope_mixing_time(profile, model.stationary,
-                                    provider.L * provider.sigma_const, alpha).tau
+    scale = lipschitz_scale(mode, provider)
 
     alpha = bound / C
     for _ in range(max_iter):
-        tau = tau_of(alpha)
+        tau = model.mixing.tau(alpha, scale)
         candidate = min(bound / (C * tau), 1.0 / (8.0 * tau))
         if candidate == alpha:
             spec = StepSizeSpec(C=float(C), alpha=alpha, tau_alpha=tau, mode=mode)
@@ -347,8 +341,7 @@ class _TupleSampler:
         self.mrp = mrp
         self.rng = rng
         self.sampling = sampling
-        pi = stationary_distribution(mrp).pi
-        self.cum_pi = np.cumsum(pi)
+        self.cum_pi = np.cumsum(mrp.stationary.pi)
         if sampling == "markov":
             if start_state is None:
                 self.s = _inv_cdf(self.cum_pi, rng.random())

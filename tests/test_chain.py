@@ -96,8 +96,11 @@ class TestStationary:
         np.testing.assert_allclose(st_.pi, [2.0 / 3.0, 1.0 / 3.0], atol=1e-14)
 
     def test_periodic_chain_rejected_with_hint(self):
-        with pytest.raises(ChainError, match="validate_chain"):
-            stationary_distribution(make([[0.0, 1.0], [1.0, 0.0]]))
+        mrp = make([[0.0, 1.0], [1.0, 0.0]])
+        for solve in (stationary_distribution, lambda m: m.stationary) * 2:
+            with pytest.raises(ChainError, match="validate_chain"):
+                solve(mrp)
+        assert mrp.validation is mrp.validation
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 8))

@@ -98,6 +98,17 @@ class TestEstimate:
                                     delays.spawn(i), seed=derive_seed(11, i))
             assert np.array_equal(tr.thetas, single.thetas)
 
+    @pytest.mark.parametrize("tau_max", [3, 32768])
+    def test_delays_past_int16_range_match_single_trial(self, tau_max):
+        # step indices and (for tau_max = 32768) delays beyond int16
+        T = 32770
+        delays = DelayProcess("constant", tau_max)
+        estimate = estimate_dt_et(fast_config(trials=1, T=T, delays=delays))
+        single = run_delayed_sa(TD0Provider(FAST_MODEL), FAST, np.zeros(1), FAST_SPEC,
+                                T, delays.spawn(0), seed=derive_seed(11, 0))
+        d = ((single.thetas - FAST_MODEL.theta_star) ** 2).sum(axis=1)
+        assert np.array_equal(estimate.d_hat, d)
+
     def test_divergence_marks_estimate_invalid_with_abort_count(self):
         bad_spec = StepSizeSpec(C=8.0, alpha=1e8, tau_alpha=1, mode="td0")
         cfg = fast_config(spec=bad_spec, trials=150, T=2000, theta0=[1.0])

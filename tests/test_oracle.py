@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdcert.chain import MarkovRewardProcess, generator, random_mrp
+from tdcert.chain import ChainError, MarkovRewardProcess, generator, random_mrp
 from tdcert.oracle import (
     CertificationError,
     FeatureError,
     FeatureMatrix,
+    MixingOracle,
     build_steady_state,
     constant_features,
     dnorm_contraction_margin,
@@ -22,6 +23,7 @@ from tdcert.oracle import (
     steady_state_direction,
 )
 from tdcert.chain import stationary_distribution, tv_mixing_profile
+from tdcert.sa_core import resolve_step_size
 
 ONE_STATE = MarkovRewardProcess([[1.0]], [1.0], 0.5)
 TWO_STATE = MarkovRewardProcess([[0.9, 0.1], [0.2, 0.8]], [1.0, 0.0], 0.9)
@@ -197,6 +199,71 @@ class TestMixingTime:
             env = envelope_mixing_time(profile, model.stationary,
                                        2.0 * model.sigma_const, eps)
             assert env.tau >= exact.tau
+
+
+def _outcome(certify, eps):
+    try:
+        return certify(eps)
+    except (ChainError, CertificationError) as exc:
+        return (type(exc), str(exc))
+
+
+class TestMixingOracle:
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(2, 30), data=st.data())
+    def test_queries_equal_from_scratch_certificates(self, n, data):
+        seed = data.draw(st.integers(0, 2 ** 31 - 1), label="seed")
+        laziness = data.draw(st.floats(0.7, 0.9), label="laziness")
+        K = data.draw(st.integers(1, min(n, 5)), label="K")
+        base = random_mrp(n, data.draw(st.floats(0.2, 1.0), label="density"), seed)
+        mrp = MarkovRewardProcess(laziness * np.eye(n) + (1.0 - laziness) * base.P,
+                                  base.R, base.gamma)
+        model = build_steady_state(mrp, random_features(n, K, seed))
+        eps_list = data.draw(st.lists(st.floats(1e-10, 0.5), max_size=5), label="eps")
+        deep = None
+        try:  # half the 64th deviation forces the search past its first horizon
+            deep = 0.5 * mixing_time(mrp, model.features, 1e300).margin_curve[63]
+            eps_list.append(deep)
+        except ChainError:  # no certified envelope: both sides must refuse alike
+            pass
+        for eps in data.draw(st.permutations(eps_list), label="order"):
+            got = _outcome(model.mixing.certify, eps)
+            fresh = _outcome(lambda e: mixing_time(mrp, model.features, e), eps)
+            if isinstance(fresh, tuple):
+                assert got == fresh
+                continue
+            assert (got.tau, got.horizon_checked, got.tail_coeff, got.tail_rho) == (
+                fresh.tau, fresh.horizon_checked, fresh.tail_coeff, fresh.tail_rho)
+            assert got.margin_curve.tobytes() == fresh.margin_curve.tobytes()
+            assert got.recheck()
+            if eps == deep:
+                assert got.horizon_checked > 64
+
+    def test_report_then_step_size_never_restarts_the_powers(self, monkeypatch):
+        # one deviation step (one batched SVD) per matrix power: the second
+        # caller continues where the first stopped instead of starting at k=1
+        model = build_steady_state(random_mrp(12, 0.5, 3), random_features(12, 3, 4))
+        svd = np.linalg.svd
+        calls = []
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        report = oracle_report(model)
+        spec = resolve_step_size(model)
+        steps = len(calls)
+        monkeypatch.undo()
+        checked = [row["horizon_checked"] for row in report["tau_table"]]
+        checked.append(model.mixing.certify(spec.alpha).horizon_checked)
+        assert steps == max(checked)
+
+    def test_invalid_chain_refused(self):
+        periodic = MarkovRewardProcess([[0.0, 1.0], [1.0, 0.0]], [1.0, 0.0], 0.5)
+        for _ in range(2):
+            with pytest.raises(ChainError, match="Assumption 1"):
+                MixingOracle(periodic, TWO_FEATS)
 
 
 class TestLemma1:
