@@ -49,12 +49,57 @@ def generator(seed: int) -> np.random.Generator:
 
 
 def _inv_cdf(cum, u):
-    """Index of the CDF cell containing u. Works on one row or a row batch."""
-    if cum.ndim == 1:
-        idx = int(np.sum(cum <= u))
-        return min(idx, cum.shape[0] - 1)
-    idx = np.sum(cum <= np.asarray(u)[:, None], axis=1)
-    return np.minimum(idx, cum.shape[1] - 1)
+    """Index of the CDF cell of one row that contains the uniform u."""
+    idx = int(np.sum(cum <= u))
+    return min(idx, cum.shape[0] - 1)
+
+
+class InverseCdfTable:
+    """Exact inverse-CDF sampling for a batch of lanes, by table lookup.
+
+    ``pick(u, rows)`` returns ``min(#{j : cum[row, j] <= u}, n - 1)`` for
+    each lane, the same index as comparing u with its whole row. Each row's
+    count of cells at or below u is a step function of u; the table records
+    it per bucket of [0, 1), cut into B = 2^ceil(log2 16n) (at least 256)
+    equal buckets. B is a power of two, so ``u * B`` is exact and its floor
+    is the bucket that holds u. A bucket whose count (capped at n - 1) is
+    the same at both ends answers for every u in it; a bucket that a CDF
+    value splits is marked -1, and only the lanes that land in one compare u
+    with their row. Uniforms must lie in [0, 1), as ``Generator.random``
+    draws them.
+    """
+
+    def __init__(self, cum):
+        cum = np.asarray(cum, dtype=float)
+        m, n = cum.shape
+        B = max(256, 1 << (16 * n - 1).bit_length())
+        edges = np.arange(B + 1) / B
+        dtype = np.int8 if n <= 127 else np.int16 if n <= 32767 else np.int32
+        table = np.empty((m, B), dtype=dtype)
+        for i, row in enumerate(cum):
+            # count at the bucket's left edge and just below its right edge
+            lo = np.minimum(np.searchsorted(row, edges[:-1], side="right"), n - 1)
+            hi = np.minimum(np.searchsorted(row, edges[1:], side="left"), n - 1)
+            table[i] = np.where(lo == hi, lo, -1)
+        self.cum = cum
+        self.n = n
+        self.B = B
+        self.table = table.reshape(-1)
+        self.table.setflags(write=False)
+
+    def pick(self, u, rows=None):
+        """Sampled cell per lane for uniforms ``u`` in rows ``rows`` (integer
+        array aligned with u; None for a one-row table)."""
+        cell = (u * self.B).astype(np.intp)
+        if rows is not None:
+            cell += rows * self.B
+        idx = self.table.take(cell).astype(np.intp)
+        split = np.flatnonzero(idx < 0)
+        if split.size:
+            cum = self.cum[0] if rows is None else self.cum.take(rows.take(split), axis=0)
+            count = (cum <= u.take(split)[:, None]).sum(axis=1)
+            idx[split] = np.minimum(count, self.n - 1)
+        return idx
 
 
 class MarkovRewardProcess:
@@ -64,9 +109,9 @@ class MarkovRewardProcess:
     Rows of the transition matrix must sum to 1 within 1e-9 on input and are
     renormalized exactly; the matrix is then frozen. ``r_bar`` is the largest
     absolute reward, recomputed at construction. Because the process is
-    immutable, its validation report and stationary law are computed once,
-    on first use (``validation``, ``stationary``); an invalid chain raises
-    from ``stationary`` on every access.
+    immutable, its validation report, stationary law and batch transition
+    sampler are computed once, on first use (``validation``, ``stationary``,
+    ``sampler``); an invalid chain raises from ``stationary`` on every access.
     """
 
     def __init__(self, P, R, gamma):
@@ -107,6 +152,11 @@ class MarkovRewardProcess:
     @cached_property
     def stationary(self) -> "StationaryDistribution":
         return stationary_distribution(self)
+
+    @cached_property
+    def sampler(self) -> InverseCdfTable:
+        """Batch transition sampler over the rows of ``cum_P``."""
+        return InverseCdfTable(self.cum_P)
 
     def to_dict(self):
         return {

@@ -7,8 +7,12 @@ statements into pass/fail ledgers with explicit 3-standard-error slack.
 
 Every batch lane reproduces the corresponding single-trial run bit-exactly:
 the lanes consume the same per-trial streams and use the same arithmetic.
-Per-step aggregation reduces over the trial axis in a fixed order, so results
-do not depend on scheduling.
+Lanes are the rows of (trials, K) arrays; the uniforms are drawn in
+step-major blocks, transitions come from the chain's exact table sampler
+(``mrp.sampler``), and every K-wide row sum goes through ``rowsum``, which
+adds columns in the order numpy sums one row. Per-step aggregation reduces
+over the trial axis in a fixed order, so results do not depend on
+scheduling.
 """
 
 import math
@@ -17,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import (
+    InverseCdfTable,
     MarkovRewardProcess,
     derive_seed,
     generator,
@@ -37,7 +42,9 @@ from .sa_core import (
     audit_provider,
     contraction_bound,
     fingerprint,
+    lipschitz_scale,
     resolve_step_size,
+    rowsum,
 )
 
 _GUARD2 = DIVERGENCE_GUARD ** 2
@@ -176,7 +183,9 @@ class _TrialStreams:
     """One counter-based stream per trial, consumed in fixed blocks.
 
     Generator.random(n) consumes one 64-bit word per double, so chunked
-    draws reproduce the sequential single-trial stream exactly.
+    draws reproduce the sequential single-trial stream exactly. A block is
+    step-major: row j holds every trial's j-th draw, so a step reads one
+    contiguous row.
     """
 
     def __init__(self, master_seed: int, trials: int):
@@ -184,20 +193,10 @@ class _TrialStreams:
         self.trials = trials
 
     def uniform_block(self, count: int) -> np.ndarray:
-        U = np.empty((self.trials, count))
+        U = np.empty((count, self.trials))
         for i, g in enumerate(self.gens):
-            U[i] = g.random(count)
+            U[:, i] = g.random(count)
         return U
-
-
-def _pick_from_row(cum_row, u):
-    idx = (cum_row[None, :] <= u[:, None]).sum(axis=1)
-    return np.minimum(idx, cum_row.shape[0] - 1)
-
-
-def _pick_from_rows(cum_rows, u):
-    idx = (cum_rows <= u[:, None]).sum(axis=1)
-    return np.minimum(idx, cum_rows.shape[1] - 1)
 
 
 @dataclass
@@ -219,16 +218,33 @@ def _se_from_centered(sq_dev_total, count):
     return np.zeros_like(sq_dev_total)
 
 
+def _mean_and_dev(vals, trials):
+    """Cross-trial mean (``sum / trials`` is ``np.mean`` bit for bit) and
+    centered sum of squared deviations."""
+    mean = vals.sum() / trials
+    dev = vals - mean
+    dev *= dev
+    return mean, dev.sum()
+
+
 def _simulate(config: ExperimentConfig, weight_A: float | None = None,
               retain: bool = False) -> _SimResult:
-    """Vectorized batch of independent trials; the core of every experiment."""
+    """Vectorized batch of independent trials; the core of every experiment.
+
+    Each step samples every lane's transition, calls ``provider.direction``
+    and ``provider.steady`` once on the whole batch, updates, and reduces
+    d_t and e_t over the trials.
+    """
     mrp, provider = config.mrp, config.provider
     alpha = config.spec.alpha
     trials, T, K = config.trials, config.T, provider.dim
-    theta_star = provider.theta_star
-    cum_pi = np.cumsum(config.model.stationary.pi)
-    cum_P, R = mrp.cum_P, mrp.R
-    draws = 2 if config.sampling == "iid_restart" else 1
+    # theta* as full rows: subtracting a (K,) vector from (trials, K) rows
+    # runs one short loop per row, about 4x slower than a whole-array op
+    star = np.tile(provider.theta_star, (trials, 1))
+    pi_sampler = InverseCdfTable(np.cumsum(config.model.stationary.pi)[None, :])
+    sampler, R = mrp.sampler, mrp.R
+    iid = config.sampling == "iid_restart"
+    draws = 2 if iid else 1
 
     if retain and trials * (T + 1) * K > 2e8:
         raise ConfigError("iterate retention too large; lower trials or T")
@@ -255,12 +271,12 @@ def _simulate(config: ExperimentConfig, weight_A: float | None = None,
                   and config.delays.tau_max > 0)
     if use_delays:
         m = config.delays.tau_max + 1
-        # int16 keeps the trials x T schedule small; it cannot hold delays past 32767,
+        # int16 keeps the T x trials schedule small; it cannot hold delays past 32767,
         # and a step index past 32767 must not meet it in int16 arithmetic
         fits = config.delays.tau_max <= np.iinfo(np.int16).max
-        dmat = np.empty((trials, T), dtype=np.int16 if fits else np.int64)
+        dmat = np.empty((T, trials), dtype=np.int16 if fits else np.int64)
         for i in range(trials):
-            dmat[i] = config.delays.spawn(i).sequence(T)
+            dmat[:, i] = config.delays.spawn(i).sequence(T)
         hist_theta = np.zeros((m, trials, K))
         hist_s = np.zeros((m, trials), dtype=np.int64)
         hist_sp = np.zeros((m, trials), dtype=np.int64)
@@ -268,9 +284,9 @@ def _simulate(config: ExperimentConfig, weight_A: float | None = None,
         lanes = np.arange(trials)
 
     s = None
-    if config.sampling == "markov":
+    if not iid:
         if config.start_state is None:
-            s = _pick_from_row(cum_pi, streams.uniform_block(1)[:, 0])
+            s = pi_sampler.pick(streams.uniform_block(1)[0])
         else:
             s = np.full(trials, int(config.start_state), dtype=np.int64)
 
@@ -278,27 +294,24 @@ def _simulate(config: ExperimentConfig, weight_A: float | None = None,
     t0 = 0
     while t0 < T and abort_step is None:
         L = min(_BLOCK, T - t0)
-        U = streams.uniform_block(L * draws).reshape(trials, L, draws)
+        U = streams.uniform_block(L * draws)
         for j in range(L):
             step = t0 + j
-            diff = theta - theta_star
-            dvals = (diff * diff).sum(axis=1)
-            d_mean[step] = dvals.mean()
-            d_dev[step] = ((dvals - d_mean[step]) ** 2).sum()
+            diff = theta - star
+            d_mean[step], d_dev[step] = _mean_and_dev(rowsum(diff * diff), trials)
 
-            if config.sampling == "iid_restart":
-                s = _pick_from_row(cum_pi, U[:, j, 0])
-                sp = _pick_from_rows(cum_P[s], U[:, j, 1])
+            if iid:
+                s = pi_sampler.pick(U[2 * j])
+                sp = sampler.pick(U[2 * j + 1], s)
             else:
-                sp = _pick_from_rows(cum_P[s], U[:, j, 0])
-            r = R[s]
+                sp = sampler.pick(U[j], s)
+            r = R.take(s)
             X = (s, sp, r)
 
             g = provider.direction(theta, X)
             gbar = provider.steady(theta)
-            evals = (diff * (g - gbar)).sum(axis=1)
-            e_mean[step] = evals.mean()
-            e_dev[step] = ((evals - e_mean[step]) ** 2).sum()
+            e_mean[step], e_dev[step] = _mean_and_dev(
+                rowsum(diff * (g - gbar)), trials)
 
             if use_delays:
                 slot = step % m
@@ -306,7 +319,7 @@ def _simulate(config: ExperimentConfig, weight_A: float | None = None,
                 hist_s[slot] = s
                 hist_sp[slot] = sp
                 hist_r[slot] = r
-                back = (step - dmat[:, step].astype(np.int64)) % m
+                back = (step - dmat[step].astype(np.int64)) % m
                 stale = provider.direction(
                     hist_theta[back, lanes],
                     (hist_s[back, lanes], hist_sp[back, lanes], hist_r[back, lanes]))
@@ -314,11 +327,10 @@ def _simulate(config: ExperimentConfig, weight_A: float | None = None,
             else:
                 theta = theta + alpha * g
 
-            norms2 = (theta * theta).sum(axis=1)
-            finite = np.isfinite(norms2)
-            if not finite.all() or (norms2 > _GUARD2).any():
-                bad = (~finite) | (np.nan_to_num(norms2, nan=np.inf) > _GUARD2)
-                abort_count = int(bad.sum())
+            # NaN fails the comparison, so this is the finite check as well
+            inside = rowsum(theta * theta) <= _GUARD2
+            if not inside.all():
+                abort_count = trials - int(np.count_nonzero(inside))
                 abort_step = step + 1
                 break
 
@@ -327,15 +339,13 @@ def _simulate(config: ExperimentConfig, weight_A: float | None = None,
             if S is not None:
                 v = v * wrate + 1.0
                 S = S + (theta - S) / v
-            if config.sampling == "markov":
+            if not iid:
                 s = sp
         t0 += L
 
     if abort_step is None:
-        diff = theta - theta_star
-        dvals = (diff * diff).sum(axis=1)
-        d_mean[T] = dvals.mean()
-        d_dev[T] = ((dvals - d_mean[T]) ** 2).sum()
+        diff = theta - star
+        d_mean[T], d_dev[T] = _mean_and_dev(rowsum(diff * diff), trials)
 
     return _SimResult(
         d_hat=d_mean, d_se=_se_from_centered(d_dev, trials),
@@ -783,14 +793,15 @@ def alpha_sweep(config: ExperimentConfig, multipliers=(1.0, 0.5, 0.25),
     """Re-run the experiment across an alpha grid (multiples of the resolved
     alpha), recertifying tau per point, and fit the log-log slope of the
     asymptotic floor against alpha."""
-    model = config.model
+    model, mode = config.model, config.spec.mode
+    # tau and the auto horizon as parse_experiment resolves them for this mode
+    scale = lipschitz_scale(mode, config.provider)
+    rate = config.provider.beta if mode == "nonlinear" else model.contraction_rate
     points = []
     for mult in multipliers:
         alpha = config.spec.alpha * float(mult)
-        tau = model.mixing.tau(alpha)
-        spec = StepSizeSpec(C=config.spec.C, alpha=alpha, tau_alpha=tau,
-                            mode=config.spec.mode)
-        rate = model.contraction_rate
+        tau = model.mixing.tau(alpha, scale)
+        spec = StepSizeSpec(C=config.spec.C, alpha=alpha, tau_alpha=tau, mode=mode)
         T = int(math.ceil(10.0 / (alpha * rate)))
         points.append(config.copy_with(
             spec=spec, T=T, master_seed=derive_seed(config.master_seed, int(mult * 1e6))))

@@ -22,7 +22,6 @@ from .chain import (
     StationaryDistribution,
     generator,
     derive_seed,
-    _inv_cdf,
 )
 
 _OMEGA_TOL = 1e-10
@@ -462,7 +461,7 @@ def lipschitz_audit(mrp: MarkovRewardProcess, features: FeatureMatrix,
     theta1 = rng.normal(size=(m, K)) * scale
     theta2 = rng.normal(size=(m, K)) * scale
     s = rng.integers(0, mrp.n, size=m)
-    sp = _inv_cdf(mrp.cum_P[s], rng.random(m))
+    sp = mrp.sampler.pick(rng.random(m), s)
     X = (s, sp, mrp.R[s])
 
     from .sa_core import td0_direction  # local import to avoid a module cycle

@@ -48,6 +48,44 @@ def fingerprint(payload: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def _pairwise(x, lo, n):
+    """Sum of columns lo..lo+n-1 of x in the order of numpy's pairwise sum."""
+    if n < 8:
+        acc = x[..., lo]
+        for j in range(lo + 1, lo + n):
+            acc = acc + x[..., j]
+        return acc
+    if n <= 128:
+        part = [x[..., lo + j] for j in range(8)]
+        stop = lo + n - n % 8
+        for i in range(lo + 8, stop, 8):
+            part = [part[j] + x[..., i + j] for j in range(8)]
+        acc = ((part[0] + part[1]) + (part[2] + part[3])) + \
+              ((part[4] + part[5]) + (part[6] + part[7]))
+        for j in range(stop, lo + n):
+            acc = acc + x[..., j]
+        return acc
+    half = n // 2
+    half -= half % 8
+    return _pairwise(x, lo, half) + _pairwise(x, lo + half, n - half)
+
+
+def rowsum(x):
+    """``x.sum(axis=-1)`` of a C-contiguous array, bit for bit, from columns.
+
+    numpy reduces each row with its pairwise summation: one running sum below
+    8 terms, else 8 interleaved accumulators added as a tree (blocks of more
+    than 128 terms are halved first), on top of the identity 0.0. Adding
+    whole columns in that order gives the same bits with a few vector adds
+    instead of one short reduction per row, about 5x faster on (2000, 3).
+    The trailing ``+ 0.0`` is the identity; it only turns a -0.0 into 0.0.
+    """
+    x = np.asarray(x)
+    if x.shape[-1] == 0:
+        return x.sum(axis=-1)
+    return _pairwise(x, 0, x.shape[-1]) + 0.0
+
+
 def td0_direction(features: FeatureMatrix, gamma: float, theta, X):
     """The TD(0) update direction (r + gamma <phi(s'), theta> - <phi(s), theta>) phi(s).
 
@@ -55,10 +93,10 @@ def td0_direction(features: FeatureMatrix, gamma: float, theta, X):
     (s, s_next, r) triple of scalars or aligned arrays.
     """
     s, sp, r = X
-    phi_s = features.Phi[s]
-    phi_sp = features.Phi[sp]
-    td = np.asarray(r + gamma * np.sum(phi_sp * theta, axis=-1)
-                    - np.sum(phi_s * theta, axis=-1))
+    Phi = features.Phi
+    phi_s = Phi.take(s, axis=0)
+    td = np.asarray(r + gamma * rowsum(Phi.take(sp, axis=0) * theta)
+                    - rowsum(phi_s * theta))
     return td[..., None] * phi_s
 
 
@@ -130,7 +168,7 @@ class LinearContractionProvider(UpdateDirectionProvider):
 
     def direction(self, theta, X):
         s = X[0]
-        return -np.asarray(theta, dtype=float) + self.c_table[s]
+        return -np.asarray(theta, dtype=float) + self.c_table.take(s, axis=0)
 
     def steady(self, theta):
         return self.theta_star - np.asarray(theta, dtype=float)
@@ -174,7 +212,7 @@ class SaturatingMonotoneProvider(UpdateDirectionProvider):
 
     def direction(self, theta, X):
         s = X[0]
-        return self._drift(theta) + self.noise_table[s]
+        return self._drift(theta) + self.noise_table.take(s, axis=0)
 
     def steady(self, theta):
         return self._drift(theta)
@@ -466,7 +504,7 @@ def audit_provider(provider: UpdateDirectionProvider, mrp: MarkovRewardProcess,
     theta1 = rng.normal(size=(m, K)) * scale
     theta2 = rng.normal(size=(m, K)) * scale
     s = rng.integers(0, mrp.n, size=m)
-    sp = _inv_cdf(mrp.cum_P[s], rng.random(m))
+    sp = mrp.sampler.pick(rng.random(m), s)
     X = (s, sp, mrp.R[s])
 
     g1 = provider.direction(theta1, X)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from tdcert.chain import (
     ChainError,
+    InverseCdfTable,
     MarkovRewardProcess,
     cycle_mrp,
     derive_seed,
@@ -231,3 +232,67 @@ class TestGeneratorsAndConfig:
         assert derive_seed(7, 1) != base
         assert derive_seed(8, 0) != base
         assert derive_seed(7, 0, 1) != base
+
+
+@st.composite
+def _cdf_rows(draw):
+    """Cumulative rows with zero-probability cells (repeated CDF values) and
+    rounding: tenths sum to 0.9999999999999999, below 1."""
+    n = draw(st.one_of(st.integers(1, 12), st.sampled_from([1, 10, 300])))
+    m = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["weights", "tenths", "one_cell"]))
+        if kind == "tenths" and n == 10:
+            p = np.full(10, 0.1)
+        elif kind == "one_cell":
+            p = np.zeros(n)
+            p[draw(st.integers(0, n - 1))] = 1.0
+        else:
+            w = np.array(draw(st.lists(
+                st.one_of(st.just(0.0), st.floats(1e-9, 1.0)), min_size=n, max_size=n)))
+            if w.sum() == 0.0:
+                w[-1] = 1.0
+            p = w / w.sum()
+        rows.append(np.cumsum(p))
+    return np.array(rows)
+
+
+class TestInverseCdfTable:
+    @settings(max_examples=150, deadline=None)
+    @given(_cdf_rows(), st.data())
+    def test_matches_full_row_comparison(self, cum, data):
+        table = InverseCdfTable(cum)
+        m, n = cum.shape
+        B = table.B
+        # the uniforms a comparison is most sensitive to: 0, every CDF value
+        # below 1 and its neighbours, bucket edges k / B and their neighbours
+        edges = np.arange(B) / B
+        special = np.concatenate([[0.0], cum[cum < 1.0], edges])
+        special = np.concatenate([special, np.nextafter(special, 1.0),
+                                  np.nextafter(special, 0.0)])
+        special = special[(special >= 0.0) & (special < 1.0)]
+        extra = np.array(data.draw(st.lists(
+            st.floats(0.0, 1.0, exclude_max=True), max_size=20)))
+        u = np.concatenate([special, extra])
+        for row in range(m):
+            rows = np.full(u.shape[0], row, dtype=np.intp)
+            expected = np.minimum((cum[row][None, :] <= u[:, None]).sum(axis=1), n - 1)
+            assert np.array_equal(table.pick(u, rows), expected)
+        if m == 1:
+            expected = np.minimum((cum[0][None, :] <= u[:, None]).sum(axis=1), n - 1)
+            assert np.array_equal(table.pick(u), expected)
+
+    def test_bucket_count_scales_with_states(self):
+        assert InverseCdfTable(np.ones((1, 1))).B == 256
+        assert InverseCdfTable(np.ones((1, 16))).B == 256
+        assert InverseCdfTable(np.ones((1, 17))).B == 512
+        assert InverseCdfTable(np.ones((1, 150))).B == 4096
+
+    def test_chain_sampler_is_built_once(self):
+        mrp = make(TWO_STATE)
+        assert mrp.sampler is mrp.sampler
+        u = generator(9).random(1000)
+        s = np.repeat([0, 1], 500)
+        expected = np.minimum((mrp.cum_P[s] <= u[:, None]).sum(axis=1), 1)
+        assert np.array_equal(mrp.sampler.pick(u, s), expected)

@@ -4,8 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from tdcert.chain import MarkovRewardProcess, derive_seed, generator
-from tdcert.oracle import FeatureMatrix, build_steady_state, constant_features
+from tdcert import bundled
+from tdcert.chain import MarkovRewardProcess, derive_seed, generator, random_mrp
+from tdcert.cli import parse_experiment
+from tdcert.oracle import (
+    FeatureMatrix,
+    build_steady_state,
+    constant_features,
+    random_features,
+)
 from tdcert.sa_core import (
     DelayProcess,
     LinearContractionProvider,
@@ -62,6 +69,21 @@ def fast_config(**kw):
     return ExperimentConfig(**base)
 
 
+WIDE = random_mrp(12, 0.5, seed=31)
+WIDE_MODELS = {K: build_steady_state(WIDE, random_features(12, K, seed=32))
+               for K in (3, 9)}
+
+
+def wide_config(K, **kw):
+    model = WIDE_MODELS[K]
+    theta0 = generator(K).normal(size=K)
+    spec = StepSizeSpec(C=8.0, alpha=0.05, tau_alpha=1, mode="td0")
+    base = dict(mrp=WIDE, features=model.features, theta0=theta0, spec=spec,
+                T=90, trials=5, master_seed=17, model=model)
+    base.update(kw)
+    return ExperimentConfig(**base)
+
+
 class TestEstimate:
     def test_one_state_deterministic_closed_form(self):
         cfg = one_state_config(T=40)
@@ -108,6 +130,41 @@ class TestEstimate:
                                 T, delays.spawn(0), seed=derive_seed(11, 0))
         d = ((single.thetas - FAST_MODEL.theta_star) ** 2).sum(axis=1)
         assert np.array_equal(estimate.d_hat, d)
+
+    @pytest.mark.parametrize("K", [3, 9])
+    @pytest.mark.parametrize("sampling", ["markov", "iid_restart"])
+    def test_batch_lanes_equal_single_trials_multi_feature(self, K, sampling):
+        # K=9 row sums take numpy's 8-accumulator pairwise order
+        cfg = wide_config(K, sampling=sampling)
+        for i, tr in enumerate(simulate_trajectories(cfg)):
+            single = run_sa(cfg.provider, cfg.mrp, cfg.theta0, cfg.spec, cfg.T,
+                            seed=derive_seed(cfg.master_seed, i), sampling=sampling)
+            assert np.array_equal(tr.thetas, single.thetas)
+
+    def test_delayed_batch_lanes_equal_single_trials_k3(self):
+        delays = DelayProcess("uniform", 4, seed=8)
+        cfg = wide_config(3, delays=delays)
+        for i, tr in enumerate(simulate_trajectories(cfg)):
+            single = run_delayed_sa(cfg.provider, cfg.mrp, cfg.theta0, cfg.spec,
+                                    cfg.T, delays.spawn(i),
+                                    seed=derive_seed(cfg.master_seed, i))
+            assert np.array_equal(tr.thetas, single.thetas)
+
+    @pytest.mark.parametrize("kind", ["linear_contraction", "saturating"])
+    def test_generic_provider_lanes_equal_single_trials(self, kind):
+        model = WIDE_MODELS[3]
+        noise = generator(4).normal(size=(WIDE.n, 3))
+        if kind == "linear_contraction":
+            provider = LinearContractionProvider([0.5, -0.2, 0.1], noise,
+                                                 model.stationary.pi)
+        else:
+            provider = SaturatingMonotoneProvider([0.5, -0.2, 0.1], noise,
+                                                  model.stationary.pi, a=0.6, b=0.4)
+        cfg = wide_config(3, provider=provider)
+        for i, tr in enumerate(simulate_trajectories(cfg)):
+            single = run_sa(provider, WIDE, cfg.theta0, cfg.spec, cfg.T,
+                            seed=derive_seed(cfg.master_seed, i))
+            assert np.array_equal(tr.thetas, single.thetas)
 
     def test_divergence_marks_estimate_invalid_with_abort_count(self):
         bad_spec = StepSizeSpec(C=8.0, alpha=1e8, tau_alpha=1, mode="td0")
@@ -368,6 +425,14 @@ class TestSweeps:
         for a, b in zip(serial["points"], threaded["points"]):
             assert np.array_equal(a["estimate"].d_hat, b["estimate"].d_hat)
         assert serial["floor_slope"] == threaded["floor_slope"]
+
+    def test_nonlinear_sweep_resolves_tau_and_horizon_like_the_spec(self):
+        config, _ = parse_experiment(bundled.bundled_config("theorem4_saturating"))
+        assert (config.spec.tau_alpha, config.T) == (9, 1470)
+        result = alpha_sweep(config.copy_with(trials=100), multipliers=(1.0, 0.5))
+        first = result["points"][0]
+        assert first["alpha"] == config.spec.alpha
+        assert (first["tau"], first["T"]) == (9, 1470)
 
     def test_floor_needs_room_past_burn_in(self):
         cfg = fast_config(T=50)

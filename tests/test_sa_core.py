@@ -4,7 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdcert.chain import MarkovRewardProcess, generator
-from tdcert.oracle import FeatureMatrix, build_steady_state, constant_features
+from tdcert.oracle import (
+    FeatureMatrix,
+    build_steady_state,
+    constant_features,
+    random_features,
+)
 from tdcert.sa_core import (
     DelayProcess,
     DivergenceError,
@@ -15,6 +20,7 @@ from tdcert.sa_core import (
     audit_provider,
     resolve_step_size,
     run_delayed_sa,
+    rowsum,
     run_sa,
     td0_direction,
 )
@@ -53,6 +59,20 @@ class TestTD0Direction:
         for i in range(50):
             single = td0_direction(TWO_FEATS, 0.9, thetas[i],
                                    (int(s[i]), int(sp[i]), float(TWO_STATE.R[s[i]])))
+            assert np.array_equal(batch[i], single)
+
+    def test_batch_matches_scalar_calls_bitwise_k9(self):
+        # nine features take numpy's 8-accumulator pairwise order
+        feats = random_features(12, 9, seed=21)
+        rng = generator(6)
+        thetas = rng.normal(size=(40, 9)) * 3.0
+        s = rng.integers(0, 12, size=40)
+        sp = rng.integers(0, 12, size=40)
+        r = rng.uniform(-1.0, 1.0, size=40)
+        batch = td0_direction(feats, 0.7, thetas, (s, sp, r))
+        for i in range(40):
+            single = td0_direction(feats, 0.7, thetas[i],
+                                   (int(s[i]), int(sp[i]), float(r[i])))
             assert np.array_equal(batch[i], single)
 
     @settings(max_examples=200, deadline=None)
@@ -254,3 +274,32 @@ class TestTrajectorySerialization:
         assert lines[0].startswith(f"# fingerprint={tr.fingerprint}")
         assert lines[1] == "step,theta_0"
         assert len(lines) == 23
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+class TestRowsum:
+    # values spanning many magnitudes with both signs of zero, so every
+    # change of summation order or of the identity shows in the bits
+    _value = st.one_of(
+        st.floats(-1e30, 1e30, allow_nan=False, allow_infinity=False),
+        st.floats(-1e-3, 1e-3, allow_nan=False, allow_infinity=False),
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e16, -1e16]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 20), st.data())
+    def test_equals_numpy_sum_on_rows_and_vectors(self, K, data):
+        rows = data.draw(st.integers(1, 6))
+        x = np.array(data.draw(st.lists(self._value, min_size=rows * K,
+                                        max_size=rows * K))).reshape(rows, K)
+        assert np.array_equal(_bits(rowsum(x)), _bits(x.sum(axis=-1)))
+        assert np.array_equal(_bits(rowsum(x[0])), _bits(x[0].sum(axis=-1)))
+
+    @pytest.mark.parametrize("K", [1, 3, 7, 8, 9, 16, 17, 129, 300])
+    def test_equals_numpy_sum_on_trial_batches(self, K):
+        rng = generator(K)
+        x = rng.normal(size=(500, K)) * np.exp(rng.uniform(-20, 20, size=(500, K)))
+        x[rng.random((500, K)) < 0.1] = -0.0
+        assert np.array_equal(_bits(rowsum(x)), _bits(x.sum(axis=-1)))
