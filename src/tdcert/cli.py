@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import replace
 from datetime import datetime, timezone
 
 from . import __version__
@@ -33,8 +34,9 @@ from .sa_core import (
     DelayProcess,
     StepSizeError,
     StepSizeSpec,
-    lipschitz_scale,
+    drift_rate,
     resolve_step_size,
+    spec_at,
     LinearContractionProvider,
     SaturatingMonotoneProvider,
     TD0Provider,
@@ -95,17 +97,13 @@ def _build_spec(step_cfg: dict, model, provider, mode: str) -> StepSizeSpec:
     if step_cfg.get("alpha") is not None:
         alpha = float(step_cfg["alpha"])
         if step_cfg.get("tau") is not None:
-            tau = int(step_cfg["tau"])
-        else:
-            tau = model.mixing.tau(alpha, lipschitz_scale(mode, provider))
-        return StepSizeSpec(C=C, alpha=alpha, tau_alpha=tau, mode=mode)
-    spec = resolve_step_size(model, C=C, mode=mode,
-                             provider=provider if mode == "nonlinear" else None)
+            return StepSizeSpec(C=C, alpha=alpha, tau_alpha=int(step_cfg["tau"]),
+                                mode=mode)
+        return spec_at(model, provider, mode, alpha, C)
+    spec = resolve_step_size(model, C=C, mode=mode, provider=provider)
     scale = float(step_cfg.get("alpha_scale", 1.0))
     if scale != 1.0:
-        alpha = spec.alpha * scale
-        tau = model.mixing.tau(alpha, lipschitz_scale(mode, provider))
-        spec = StepSizeSpec(C=C, alpha=alpha, tau_alpha=tau, mode=mode)
+        spec = spec_at(model, provider, mode, spec.alpha * scale, C)
     return spec
 
 
@@ -130,8 +128,7 @@ def parse_experiment(cfg: dict, seed_override: int | None = None):
             f"trials must be at least 100 for a ledger-producing run, got {trials}")
     T = exp.get("T", "auto")
     if T == "auto":
-        rate = provider.beta if mode == "nonlinear" else model.contraction_rate
-        T = int(math.ceil(10.0 / (spec.alpha * rate)))
+        T = int(math.ceil(10.0 / (spec.alpha * drift_rate(mode, model, provider))))
     theta0 = inst.get("theta0")
     delays_cfg = exp.get("delays")
     delays = DelayProcess(**delays_cfg) if delays_cfg else None
@@ -302,7 +299,7 @@ def cmd_sweep(cfg: dict, out_dir: str, sweep_arg: str, threads: int,
     elif axis == "T":
         if not config.averaging_grid and kind != "weighted_average":
             raise ConfigError("a T sweep needs a weighted_average experiment")
-        sub = config.copy_with(averaging_grid=values)
+        sub = replace(config, averaging_grid=values)
         led = weighted_average_experiment(sub)
         ledgers_all["weighted_average"] = led
         summary["points"] = led.fitted["table"]
@@ -311,22 +308,22 @@ def cmd_sweep(cfg: dict, out_dir: str, sweep_arg: str, threads: int,
         base_kind = (config.delays.kind if config.delays is not None
                      else "uniform")
         base_seed = config.delays.seed if config.delays is not None else 77
-        base = resolve_step_size(config.model, C=config.spec.C, mode="td0")
-        for i, tau_max in enumerate(values):
-            alpha = base.alpha / (1 + tau_max)
-            tau = config.model.mixing.tau(alpha)
-            spec = StepSizeSpec(C=base.C, alpha=alpha, tau_alpha=tau, mode="td0")
-            T = int(math.ceil(10.0 / (alpha * config.model.contraction_rate)))
+        model, provider, mode = config.model, config.provider, config.spec.mode
+        base = resolve_step_size(model, C=config.spec.C, mode=mode, provider=provider)
+        rate = drift_rate(mode, model, provider)
+        for tau_max in values:
+            spec = spec_at(model, provider, mode, base.alpha / (1 + tau_max), base.C)
+            T = int(math.ceil(10.0 / (spec.alpha * rate)))
             delays = DelayProcess(kind=base_kind if tau_max > 0 else "none",
                                   tau_max=tau_max, seed=base_seed)
-            sub = config.copy_with(spec=spec, T=T, delays=delays)
+            sub = replace(config, spec=spec, T=T, delays=delays)
             est = estimate_dt_et(sub)
             led = check_boundedness(est)
             tag = f"tau_max_{tau_max}"
             write_columnar(os.path.join(out_dir, f"estimate_{tag}.csv"), est, led)
             ledgers_all[tag] = led
             summary["points"].append({
-                "tau_max": tau_max, "alpha": alpha, "tau": tau, "T": T,
+                "tau_max": tau_max, "alpha": spec.alpha, "tau": spec.tau_alpha, "T": T,
                 "verdict": led.verdict,
             })
 

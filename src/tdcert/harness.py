@@ -5,22 +5,25 @@ stream per trial), estimates the mean-square error path d_t and the Markov-
 noise disturbance e_t with standard errors, and turns the finite-time
 statements into pass/fail ledgers with explicit 3-standard-error slack.
 
-Every batch lane reproduces the corresponding single-trial run bit-exactly:
-the lanes consume the same per-trial streams and use the same arithmetic.
-Lanes are the rows of (trials, K) arrays; the uniforms are drawn in
-step-major blocks, transitions come from the chain's exact table sampler
-(``mrp.sampler``), and every K-wide row sum goes through ``rowsum``, which
-adds columns in the order numpy sums one row. Per-step aggregation reduces
-over the trial axis in a fixed order, so results do not depend on
+``_simulate`` is the one SA kernel: every experiment runs its trials as
+lanes of it, and ``run_sa`` is a one-lane run that retains its iterates, so
+a batch lane equals the single run on the same stream and delays by
+construction. Lanes are the rows of (trials, K) arrays; the uniforms are
+drawn in step-major blocks, transitions come from the chain's exact table
+sampler (``mrp.sampler``), and every K-wide row sum goes through
+``rowsum``, which adds columns in the order numpy sums one row, so a lane's
+bits do not depend on how many lanes run beside it. Per-step aggregation
+reduces over the trial axis in a fixed order, so results do not depend on
 scheduling.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .chain import (
+    ChainError,
     InverseCdfTable,
     MarkovRewardProcess,
     derive_seed,
@@ -34,6 +37,7 @@ from .oracle import (
 from .sa_core import (
     DIVERGENCE_GUARD,
     DelayProcess,
+    DivergenceError,
     StepSizeSpec,
     StepSizeError,
     Trajectory,
@@ -41,10 +45,11 @@ from .sa_core import (
     UpdateDirectionProvider,
     audit_provider,
     contraction_bound,
+    drift_rate,
     fingerprint,
-    lipschitz_scale,
     resolve_step_size,
     rowsum,
+    spec_at,
 )
 
 _GUARD2 = DIVERGENCE_GUARD ** 2
@@ -63,45 +68,53 @@ class AuditError(RuntimeError):
         self.audit = audit
 
 
+@dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     """Everything one Monte Carlo experiment needs, deterministically.
 
     The instance (chain + features + theta0), a resolved step-size spec, the
     horizon and trial count, the master seed all per-trial streams derive
     from, and the optional delay process / sampling mode / averaging grid.
+    Derive variants with ``dataclasses.replace``.
     """
 
-    def __init__(self, mrp: MarkovRewardProcess, features: FeatureMatrix,
-                 theta0, spec: StepSizeSpec, T: int, trials: int,
-                 master_seed: int, provider: UpdateDirectionProvider | None = None,
-                 delays: DelayProcess | None = None, sampling: str = "markov",
-                 start_state: int | None = None, averaging_grid=None,
-                 ceiling: float = 100.0, label: str = "",
-                 model: SteadyStateModel | None = None):
-        if T < 0:
+    mrp: MarkovRewardProcess
+    features: FeatureMatrix
+    theta0: np.ndarray | None
+    spec: StepSizeSpec
+    T: int
+    trials: int
+    master_seed: int
+    provider: UpdateDirectionProvider | None = None
+    delays: DelayProcess | None = None
+    sampling: str = "markov"
+    start_state: int | None = None
+    averaging_grid: list | None = None
+    ceiling: float = 100.0
+    label: str = ""
+    model: SteadyStateModel | None = None
+
+    def __post_init__(self):
+        if self.T < 0:
             raise ConfigError("T must be nonnegative")
-        if trials < 1:
+        if self.trials < 1:
             raise ConfigError("need at least one trial")
-        if sampling not in ("markov", "iid_restart"):
-            raise ConfigError(f"unknown sampling mode {sampling!r}")
-        self.mrp = mrp
-        self.features = features
-        self.model = model if model is not None else build_steady_state(mrp, features)
-        self.provider = provider if provider is not None else TD0Provider(self.model)
-        self.theta0 = (np.zeros(self.provider.dim) if theta0 is None
-                       else np.array(theta0, dtype=float).reshape(-1))
-        if self.theta0.shape[0] != self.provider.dim:
+        if self.sampling not in ("markov", "iid_restart"):
+            raise ConfigError(f"unknown sampling mode {self.sampling!r}")
+        model = (self.model if self.model is not None
+                 else build_steady_state(self.mrp, self.features))
+        provider = self.provider if self.provider is not None else TD0Provider(model)
+        theta0 = (np.zeros(provider.dim) if self.theta0 is None
+                  else np.array(self.theta0, dtype=float).reshape(-1))
+        if theta0.shape[0] != provider.dim:
             raise ConfigError("theta0 dimension does not match the provider")
-        self.spec = spec
-        self.T = int(T)
-        self.trials = int(trials)
-        self.master_seed = int(master_seed)
-        self.delays = delays
-        self.sampling = sampling
-        self.start_state = start_state
-        self.averaging_grid = list(averaging_grid) if averaging_grid else None
-        self.ceiling = float(ceiling)
-        self.label = label
+        normalized = dict(
+            model=model, provider=provider, theta0=theta0, T=int(self.T),
+            trials=int(self.trials), master_seed=int(self.master_seed),
+            averaging_grid=list(self.averaging_grid) if self.averaging_grid else None,
+            ceiling=float(self.ceiling))
+        for name, value in normalized.items():
+            object.__setattr__(self, name, value)
 
     @property
     def B(self) -> float:
@@ -147,18 +160,6 @@ class ExperimentConfig:
     def fingerprint(self) -> str:
         return fingerprint(self.to_dict())
 
-    def copy_with(self, **kw) -> "ExperimentConfig":
-        base = dict(
-            mrp=self.mrp, features=self.features, theta0=self.theta0,
-            spec=self.spec, T=self.T, trials=self.trials,
-            master_seed=self.master_seed, provider=self.provider,
-            delays=self.delays, sampling=self.sampling,
-            start_state=self.start_state, averaging_grid=self.averaging_grid,
-            ceiling=self.ceiling, label=self.label, model=self.model,
-        )
-        base.update(kw)
-        return ExperimentConfig(**base)
-
 
 @dataclass
 class MonteCarloEstimate:
@@ -180,17 +181,17 @@ class MonteCarloEstimate:
 
 
 class _TrialStreams:
-    """One counter-based stream per trial, consumed in fixed blocks.
+    """One counter-based stream per lane, consumed in fixed blocks.
 
     Generator.random(n) consumes one 64-bit word per double, so chunked
-    draws reproduce the sequential single-trial stream exactly. A block is
-    step-major: row j holds every trial's j-th draw, so a step reads one
-    contiguous row.
+    draws reproduce the sequential one-draw-at-a-time stream exactly. A
+    block is step-major: row j holds every lane's j-th draw, so a step reads
+    one contiguous row.
     """
 
-    def __init__(self, master_seed: int, trials: int):
-        self.gens = [generator(derive_seed(master_seed, i)) for i in range(trials)]
-        self.trials = trials
+    def __init__(self, seeds):
+        self.gens = [generator(seed) for seed in seeds]
+        self.trials = len(self.gens)
 
     def uniform_block(self, count: int) -> np.ndarray:
         U = np.empty((count, self.trials))
@@ -227,30 +228,38 @@ def _mean_and_dev(vals, trials):
     return mean, dev.sum()
 
 
-def _simulate(config: ExperimentConfig, weight_A: float | None = None,
+def _simulate(provider: UpdateDirectionProvider, mrp: MarkovRewardProcess,
+              theta0, alpha: float, T: int, seeds: list[int],
+              delays: list[DelayProcess] | None = None, sampling: str = "markov",
+              start_state: int | None = None, weight_A: float | None = None,
               retain: bool = False) -> _SimResult:
-    """Vectorized batch of independent trials; the core of every experiment.
+    """The SA recursion theta_{t+1} = theta_t + alpha g(theta_{t-d_t}; X_{t-d_t})
+    for a batch of independent lanes; the only code that advances theta.
 
-    Each step samples every lane's transition, calls ``provider.direction``
-    and ``provider.steady`` once on the whole batch, updates, and reduces
-    d_t and e_t over the trials.
+    Lane i draws from the stream ``seeds[i]`` and, when ``delays`` is given,
+    takes its delays from ``delays[i]``. Each step samples every lane's
+    transition, calls ``provider.direction`` and ``provider.steady`` once on
+    the whole batch, updates, and reduces d_t and e_t over the lanes.
+    markov sampling draws one uniform per step (plus one for the start state
+    when ``start_state`` is None); iid_restart draws the state fresh from pi
+    and then its successor, two uniforms per step.
     """
-    mrp, provider = config.mrp, config.provider
-    alpha = config.spec.alpha
-    trials, T, K = config.trials, config.T, provider.dim
+    if sampling not in ("markov", "iid_restart"):
+        raise ValueError(f"unknown sampling mode {sampling!r}")
+    trials, K = len(seeds), provider.dim
     # theta* as full rows: subtracting a (K,) vector from (trials, K) rows
     # runs one short loop per row, about 4x slower than a whole-array op
     star = np.tile(provider.theta_star, (trials, 1))
-    pi_sampler = InverseCdfTable(np.cumsum(config.model.stationary.pi)[None, :])
+    pi_sampler = InverseCdfTable(np.cumsum(mrp.stationary.pi)[None, :])
     sampler, R = mrp.sampler, mrp.R
-    iid = config.sampling == "iid_restart"
+    iid = sampling == "iid_restart"
     draws = 2 if iid else 1
 
     if retain and trials * (T + 1) * K > 2e8:
         raise ConfigError("iterate retention too large; lower trials or T")
 
-    streams = _TrialStreams(config.master_seed, trials)
-    theta = np.tile(np.asarray(config.theta0, dtype=float), (trials, 1))
+    streams = _TrialStreams(seeds)
+    theta = np.tile(np.asarray(theta0, dtype=float), (trials, 1))
 
     # per-step cross-trial mean and centered squared deviation (the centered
     # form keeps deterministic instances at exactly zero variance)
@@ -267,16 +276,17 @@ def _simulate(config: ExperimentConfig, weight_A: float | None = None,
     wrate = 1.0 - alpha * weight_A if weight_A is not None else None
     v = 1.0
 
-    use_delays = (config.delays is not None and config.delays.kind != "none"
-                  and config.delays.tau_max > 0)
+    use_delays = delays is not None and any(
+        d.kind != "none" and d.tau_max > 0 for d in delays)
     if use_delays:
-        m = config.delays.tau_max + 1
+        tau_max = max(d.tau_max for d in delays)
+        m = tau_max + 1
         # int16 keeps the T x trials schedule small; it cannot hold delays past 32767,
         # and a step index past 32767 must not meet it in int16 arithmetic
-        fits = config.delays.tau_max <= np.iinfo(np.int16).max
+        fits = tau_max <= np.iinfo(np.int16).max
         dmat = np.empty((T, trials), dtype=np.int16 if fits else np.int64)
-        for i in range(trials):
-            dmat[:, i] = config.delays.spawn(i).sequence(T)
+        for i, d in enumerate(delays):
+            dmat[:, i] = d.sequence(T)
         hist_theta = np.zeros((m, trials, K))
         hist_s = np.zeros((m, trials), dtype=np.int64)
         hist_sp = np.zeros((m, trials), dtype=np.int64)
@@ -285,10 +295,12 @@ def _simulate(config: ExperimentConfig, weight_A: float | None = None,
 
     s = None
     if not iid:
-        if config.start_state is None:
+        if start_state is None:
             s = pi_sampler.pick(streams.uniform_block(1)[0])
+        elif not 0 <= start_state < mrp.n:
+            raise ChainError(f"start_state {start_state} out of range")
         else:
-            s = np.full(trials, int(config.start_state), dtype=np.int64)
+            s = np.full(trials, int(start_state), dtype=np.int64)
 
     abort_count, abort_step = 0, None
     t0 = 0
@@ -355,6 +367,52 @@ def _simulate(config: ExperimentConfig, weight_A: float | None = None,
     )
 
 
+def _simulate_config(config: ExperimentConfig, **kw) -> _SimResult:
+    """The config's trials as kernel lanes: lane i runs on the stream
+    ``derive_seed(master_seed, i)`` with the delays ``delays.spawn(i)``."""
+    lanes = range(config.trials)
+    delays = (None if config.delays is None
+              else [config.delays.spawn(i) for i in lanes])
+    return _simulate(config.provider, config.mrp, config.theta0, config.spec.alpha,
+                     config.T, [derive_seed(config.master_seed, i) for i in lanes],
+                     delays, config.sampling, config.start_state, **kw)
+
+
+def run_sa(provider: UpdateDirectionProvider, mrp: MarkovRewardProcess,
+           theta0, spec: StepSizeSpec, T: int, seed: int,
+           sampling: str = "markov", start_state: int | None = None,
+           delays: DelayProcess | None = None) -> Trajectory:
+    """One SA trajectory theta_0..theta_T, deterministic given seed: a
+    one-lane run of the batch kernel that retains its iterates.
+
+    Without ``delays`` the update is theta_{t+1} = theta_t + alpha g(theta_t; X_t);
+    with them it applies the stale direction g(theta_{t-d_t}; X_{t-d_t}).
+    Raises DivergenceError at the first iterate that leaves the guard.
+    """
+    theta0 = np.array(theta0, dtype=float).reshape(provider.dim)
+    sim = _simulate(provider, mrp, theta0, spec.alpha, T, [seed],
+                    None if delays is None else [delays], sampling, start_state,
+                    retain=True)
+    if not sim.valid:
+        raise DivergenceError(sim.abort_step)
+    fp = _run_config_fingerprint(provider, mrp, theta0, spec, T, sampling, delays)
+    return Trajectory(thetas=sim.retained[0], seed=seed, fingerprint=fp,
+                      alpha=spec.alpha)
+
+
+def _run_config_fingerprint(provider, mrp, theta0, spec, T, sampling, delays):
+    payload = {
+        "mrp": mrp.to_dict(),
+        "provider": provider.describe(),
+        "theta0": np.asarray(theta0, dtype=float).tolist(),
+        "spec": spec.to_dict(),
+        "T": int(T),
+        "sampling": sampling,
+        "delays": delays.to_dict() if delays is not None else None,
+    }
+    return fingerprint(payload)
+
+
 def estimate_dt_et(config: ExperimentConfig) -> MonteCarloEstimate:
     """Estimate d_t = E ||theta_t - theta*||^2 and the disturbance inner
     product e_t across `trials` independent trajectories.
@@ -362,7 +420,7 @@ def estimate_dt_et(config: ExperimentConfig) -> MonteCarloEstimate:
     The e_t terms use the same sampled observation that produced each step,
     accumulated during the run rather than by replay.
     """
-    sim = _simulate(config)
+    sim = _simulate_config(config)
     return MonteCarloEstimate(
         d_hat=sim.d_hat, d_se=sim.d_se, e_hat=sim.e_hat, e_se=sim.e_se,
         trials=config.trials, valid=sim.valid, abort_count=sim.abort_count,
@@ -373,7 +431,7 @@ def estimate_dt_et(config: ExperimentConfig) -> MonteCarloEstimate:
 def simulate_trajectories(config: ExperimentConfig) -> list[Trajectory]:
     """Run the batch with full iterate retention and split it into per-trial
     replayable trajectories (lane i uses the stream derived for trial i)."""
-    sim = _simulate(config, retain=True)
+    sim = _simulate_config(config, retain=True)
     if not sim.valid:
         raise ConfigError(
             f"{sim.abort_count} trials hit the divergence guard at step "
@@ -452,18 +510,14 @@ def _gated(config: ExperimentConfig, theorem_id: str, n_steps: int,
     return None
 
 
-def check_boundedness(estimate: MonteCarloEstimate,
-                      model: SteadyStateModel | None = None,
-                      theta0=None) -> BoundLedger:
+def check_boundedness(estimate: MonteCarloEstimate) -> BoundLedger:
     """Verify d_hat(t) - 3 SE(t) <= B at every step.
 
-    B comes from the configured theta0 and the provider's scale constant;
-    passing a model/theta0 overrides only the reported B.
+    B comes from the configured theta0 and the provider's scale constant.
     """
     _require_ledger_grade(estimate)
     config = estimate.config
-    B = (model.bound_B(theta0) if model is not None and theta0 is not None
-         else config.B)
+    B = config.B
     gate = _gated(config, "theorem1-boundedness", estimate.T + 1,
                   f"B={B:.6g}")
     if gate is not None:
@@ -510,10 +564,7 @@ def check_recursion(estimate: MonteCarloEstimate, model: SteadyStateModel,
     alpha, tau = spec.alpha, spec.tau_alpha
     B = config.B
     if rate is None:
-        if spec.mode == "nonlinear":
-            rate = 1.0 - alpha * config.provider.beta
-        else:
-            rate = 1.0 - alpha * model.contraction_rate
+        rate = 1.0 - alpha * drift_rate(spec.mode, model, config.provider)
     if perturb_scale is None:
         L2 = config.provider.L ** 2 if spec.mode == "nonlinear" else 1.0
         perturb_scale = alpha ** 2 * L2 * tau * B
@@ -714,9 +765,9 @@ def weighted_average_experiment(config: ExperimentConfig,
         wspec = tune_weighted_average(model, T, C=config.spec.C)
         spec = StepSizeSpec(C=config.spec.C, alpha=wspec.alpha,
                             tau_alpha=wspec.tau, mode="td0")
-        sub = config.copy_with(T=T, spec=spec,
-                               master_seed=derive_seed(config.master_seed, T))
-        sim = _simulate(sub, weight_A=wspec.A)
+        sub = replace(config, T=T, spec=spec,
+                      master_seed=derive_seed(config.master_seed, T))
+        sim = _simulate_config(sub, weight_A=wspec.A)
         if not sim.valid:
             raise ConfigError(f"averaging run at T={T} hit the divergence guard")
         errs = model.value_error_D(sim.theta_bar)
@@ -757,7 +808,7 @@ def nonlinear_sa_experiment(provider: UpdateDirectionProvider,
     the step-size spec's mode, so routing TD(0) through this path with a
     td0-mode spec reproduces the TD(0)-specific ledgers exactly.
     """
-    cfg = config.copy_with(provider=provider)
+    cfg = replace(config, provider=provider)
     audit = audit_provider(provider, cfg.mrp, audit_samples,
                            derive_seed(cfg.master_seed, 0xA0D17))
     if not audit.ok:
@@ -776,10 +827,7 @@ def asymptotic_floor(estimate: MonteCarloEstimate, model: SteadyStateModel,
                      spec: StepSizeSpec) -> float:
     """Mean of d_hat over the final 10% of steps past the geometric burn-in
     t >= 5 / (alpha omega (1 - gamma))."""
-    if spec.mode == "nonlinear":
-        rate = estimate.config.provider.beta
-    else:
-        rate = model.contraction_rate
+    rate = drift_rate(spec.mode, model, estimate.config.provider)
     burn = int(math.ceil(5.0 / (spec.alpha * rate)))
     start = max(burn, int(math.floor(0.9 * estimate.T)))
     if start >= estimate.T:
@@ -795,16 +843,15 @@ def alpha_sweep(config: ExperimentConfig, multipliers=(1.0, 0.5, 0.25),
     asymptotic floor against alpha."""
     model, mode = config.model, config.spec.mode
     # tau and the auto horizon as parse_experiment resolves them for this mode
-    scale = lipschitz_scale(mode, config.provider)
-    rate = config.provider.beta if mode == "nonlinear" else model.contraction_rate
+    rate = drift_rate(mode, model, config.provider)
     points = []
     for mult in multipliers:
         alpha = config.spec.alpha * float(mult)
-        tau = model.mixing.tau(alpha, scale)
-        spec = StepSizeSpec(C=config.spec.C, alpha=alpha, tau_alpha=tau, mode=mode)
+        spec = spec_at(model, config.provider, mode, alpha, config.spec.C)
         T = int(math.ceil(10.0 / (alpha * rate)))
-        points.append(config.copy_with(
-            spec=spec, T=T, master_seed=derive_seed(config.master_seed, int(mult * 1e6))))
+        points.append(replace(
+            config, spec=spec, T=T,
+            master_seed=derive_seed(config.master_seed, int(mult * 1e6))))
 
     def run_point(sub):
         est = estimate_dt_et(sub)

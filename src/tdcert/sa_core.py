@@ -1,10 +1,11 @@
-"""Sampled update directions and the stochastic-approximation update loops.
+"""The pieces of the stochastic-approximation recursion
+theta_{t+1} = theta_t + alpha g(theta_{t-d_t}; X_{t-d_t}).
 
-Three loops ship: plain TD(0), generic SA for pluggable operators, and the
-delayed/inexact variant that applies a stale direction. The constant
-step-size is resolved jointly with the mixing time it depends on. Single-
-trial runs and the harness's batched runs share the same arithmetic, so a
-batch lane is bit-identical to the corresponding single-trial run.
+Sampled update directions (TD(0) and pluggable providers, with their audit),
+the constant step-size resolved jointly with the mixing time it depends on,
+bounded delay processes, and replayable trajectories. The recursion itself
+runs in one place, the harness's batch kernel; ``harness.run_sa`` is a
+one-lane run of it.
 """
 
 import hashlib
@@ -13,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import (
-    ChainError,
-    MarkovRewardProcess,
-    derive_seed,
-    generator,
-    _inv_cdf,
-)
+from .chain import MarkovRewardProcess, derive_seed, generator
 from .oracle import (
     FeatureMatrix,
     SteadyStateModel,
@@ -268,6 +263,20 @@ def lipschitz_scale(mode: str, provider: UpdateDirectionProvider | None) -> floa
     return provider.L * provider.sigma_const if mode == "nonlinear" else None
 
 
+def drift_rate(mode: str, model: SteadyStateModel | None = None,
+               provider: UpdateDirectionProvider | None = None) -> float:
+    """The contraction of the mean update, 1 - alpha * rate per step:
+    omega (1 - gamma) for td0 mode, the provider's beta for nonlinear mode."""
+    return provider.beta if mode == "nonlinear" else model.contraction_rate
+
+
+def spec_at(model: SteadyStateModel, provider: UpdateDirectionProvider | None,
+            mode: str, alpha: float, C: float) -> StepSizeSpec:
+    """The spec at a given alpha, with tau certified for it in ``mode``."""
+    tau = model.mixing.tau(alpha, lipschitz_scale(mode, provider))
+    return StepSizeSpec(C=C, alpha=alpha, tau_alpha=tau, mode=mode)
+
+
 def resolve_step_size(model: SteadyStateModel, C: float = 8.0, mode: str = "td0",
                       provider: UpdateDirectionProvider | None = None,
                       max_iter: int = 100) -> StepSizeSpec:
@@ -366,109 +375,6 @@ class Trajectory:
             for t in range(self.thetas.shape[0]):
                 row = ",".join(repr(float(v)) for v in self.thetas[t])
                 fh.write(f"{t},{row}\n")
-
-
-class _TupleSampler:
-    """Sequential observation sampler shared by the single-trial loops.
-
-    markov mode draws one uniform per step to advance the chain; iid_restart
-    draws the state fresh from pi and then its successor (two uniforms).
-    """
-
-    def __init__(self, mrp, rng, sampling, start_state):
-        self.mrp = mrp
-        self.rng = rng
-        self.sampling = sampling
-        self.cum_pi = np.cumsum(mrp.stationary.pi)
-        if sampling == "markov":
-            if start_state is None:
-                self.s = _inv_cdf(self.cum_pi, rng.random())
-            else:
-                if not 0 <= start_state < mrp.n:
-                    raise ChainError(f"start_state {start_state} out of range")
-                self.s = int(start_state)
-        elif sampling != "iid_restart":
-            raise ValueError(f"unknown sampling mode {sampling!r}")
-
-    def next(self):
-        if self.sampling == "markov":
-            s = self.s
-            sp = _inv_cdf(self.mrp.cum_P[s], self.rng.random())
-            self.s = sp
-        else:
-            s = _inv_cdf(self.cum_pi, self.rng.random())
-            sp = _inv_cdf(self.mrp.cum_P[s], self.rng.random())
-        return s, sp, float(self.mrp.R[s])
-
-
-def _run_config_fingerprint(provider, mrp, theta0, spec, T, sampling, delays):
-    payload = {
-        "mrp": mrp.to_dict(),
-        "provider": provider.describe(),
-        "theta0": np.asarray(theta0, dtype=float).tolist(),
-        "spec": spec.to_dict(),
-        "T": int(T),
-        "sampling": sampling,
-        "delays": delays.to_dict() if delays is not None else None,
-    }
-    return fingerprint(payload)
-
-
-def run_sa(provider: UpdateDirectionProvider, mrp: MarkovRewardProcess,
-           theta0, spec: StepSizeSpec, T: int, seed: int,
-           sampling: str = "markov", start_state: int | None = None) -> Trajectory:
-    """One stochastic-approximation trajectory
-    theta_{t+1} = theta_t + alpha g(theta_t; X_t), deterministic given seed."""
-    theta0 = np.array(theta0, dtype=float).reshape(provider.dim)
-    rng = generator(seed)
-    sampler = _TupleSampler(mrp, rng, sampling, start_state)
-    thetas = np.empty((T + 1, provider.dim))
-    theta = theta0.copy()
-    thetas[0] = theta
-    alpha = spec.alpha
-    for t in range(T):
-        X = sampler.next()
-        theta = theta + alpha * provider.direction(theta, X)
-        if not np.all(np.isfinite(theta)) or np.sum(theta ** 2) > DIVERGENCE_GUARD ** 2:
-            raise DivergenceError(t + 1)
-        thetas[t + 1] = theta
-    fp = _run_config_fingerprint(provider, mrp, theta0, spec, T, sampling, None)
-    return Trajectory(thetas=thetas, seed=seed, fingerprint=fp, alpha=alpha)
-
-
-def run_delayed_sa(provider: UpdateDirectionProvider, mrp: MarkovRewardProcess,
-                   theta0, spec: StepSizeSpec, T: int, delays: DelayProcess,
-                   seed: int, sampling: str = "markov",
-                   start_state: int | None = None) -> Trajectory:
-    """SA with stale directions: theta_{t+1} = theta_t + alpha g(theta_{t-d_t}; X_{t-d_t}).
-
-    Keeps a ring buffer of the last tau_max + 1 iterates and observations.
-    With delays of kind "none" this reproduces run_sa bit-exactly on the same
-    seed.
-    """
-    theta0 = np.array(theta0, dtype=float).reshape(provider.dim)
-    rng = generator(seed)
-    sampler = _TupleSampler(mrp, rng, sampling, start_state)
-    dseq = delays.sequence(T)
-    m = delays.tau_max + 1
-    hist_theta = np.zeros((m, provider.dim))
-    hist_X = [(0, 0, 0.0)] * m
-    thetas = np.empty((T + 1, provider.dim))
-    theta = theta0.copy()
-    thetas[0] = theta
-    alpha = spec.alpha
-    for t in range(T):
-        X = sampler.next()
-        slot = t % m
-        hist_theta[slot] = theta
-        hist_X[slot] = X
-        back = (t - int(dseq[t])) % m
-        theta = theta + alpha * provider.direction(hist_theta[back], hist_X[back])
-        if not np.all(np.isfinite(theta)) or np.sum(theta ** 2) > DIVERGENCE_GUARD ** 2:
-            raise DivergenceError(t + 1)
-        thetas[t + 1] = theta
-    fp = _run_config_fingerprint(provider, mrp, theta0, spec, T, sampling, delays)
-    return Trajectory(thetas=thetas, seed=seed, fingerprint=fp, alpha=alpha)
 
 
 @dataclass(frozen=True)

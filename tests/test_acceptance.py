@@ -22,6 +22,7 @@ from tdcert.harness import (
     check_recursion,
     estimate_dt_et,
     nonlinear_sa_experiment,
+    run_sa,
     weighted_average_experiment,
 )
 from tdcert.oracle import (
@@ -33,7 +34,7 @@ from tdcert.oracle import (
     random_features,
     steady_state_direction,
 )
-from tdcert.sa_core import DelayProcess, TD0Provider, run_delayed_sa, run_sa
+from tdcert.sa_core import DelayProcess, TD0Provider
 
 
 def report(criterion, ok, detail):
@@ -213,8 +214,8 @@ def test_criterion_8_delayed_sa():
     # tau_max = 0 reproduces the undelayed loop bit-exactly
     provider = TD0Provider(base.model)
     plain = run_sa(provider, base.mrp, np.zeros(1), base.spec, 400, seed=31)
-    delayed = run_delayed_sa(provider, base.mrp, np.zeros(1), base.spec, 400,
-                             DelayProcess("uniform", 0, seed=5), seed=31)
+    delayed = run_sa(provider, base.mrp, np.zeros(1), base.spec, 400, seed=31,
+                     delays=DelayProcess("uniform", 0, seed=5))
     bit_exact = np.array_equal(plain.thetas, delayed.thetas)
     elapsed = time.time() - start
     ok = ok and bit_exact and elapsed < 300.0

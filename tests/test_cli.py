@@ -125,6 +125,14 @@ class TestRunCommand:
     def test_missing_config_flag(self):
         assert main(["run"]) == EXIT_INVALID_INPUT
 
+    @pytest.mark.parametrize("start_state", [-1, 1])
+    def test_start_state_out_of_range_exits_invalid(self, tmp_path, start_state):
+        cfg = json.loads(json.dumps(ONE_STATE_CFG))
+        cfg["experiment"]["start_state"] = start_state
+        path = write_cfg(tmp_path, cfg)
+        assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) \
+            == EXIT_INVALID_INPUT
+
     def test_unknown_bundled_name(self, tmp_path):
         cfg = write_cfg(tmp_path, {"bundled": "nope"})
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) \
@@ -166,6 +174,18 @@ class TestSweepCommand:
         assert code == EXIT_PASS
         summary = json.loads((out / "sweep_summary.json").read_text())
         assert [p["tau_max"] for p in summary["points"]] == [0, 2]
+
+    def test_tau_max_sweep_follows_nonlinear_mode(self, tmp_path):
+        # the undelayed point runs at the configured nonlinear spec
+        path = write_cfg(tmp_path, {"bundled": "theorem4_saturating",
+                                    "experiment": {"trials": 100}})
+        out = tmp_path / "sweep"
+        main(["sweep", "--config", path, "--out", str(out), "--sweep", "tau_max=0"])
+        point = json.loads((out / "sweep_summary.json").read_text())["points"][0]
+        assert point["alpha"] == pytest.approx(0.009722, rel=1e-3)
+        assert (point["tau"], point["T"]) == (9, 1470)
+        ledgers = json.loads((out / "ledgers.json").read_text())["ledgers"]
+        assert ledgers["tau_max_0"]["hypothesis"]["mode"] == "nonlinear"
 
     def test_empty_grid_rejected(self, tmp_path):
         path = write_cfg(tmp_path, bundled_config("theorem2_base"))

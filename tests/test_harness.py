@@ -1,11 +1,13 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from scalar_reference import reference_sa
 from tdcert import bundled
-from tdcert.chain import MarkovRewardProcess, derive_seed, generator, random_mrp
+from tdcert.chain import ChainError, MarkovRewardProcess, derive_seed, generator, random_mrp
 from tdcert.cli import parse_experiment
 from tdcert.oracle import (
     FeatureMatrix,
@@ -20,8 +22,6 @@ from tdcert.sa_core import (
     StepSizeSpec,
     TD0Provider,
     resolve_step_size,
-    run_delayed_sa,
-    run_sa,
 )
 from tdcert.harness import (
     AuditError,
@@ -35,6 +35,7 @@ from tdcert.harness import (
     check_recursion,
     estimate_dt_et,
     nonlinear_sa_experiment,
+    run_sa,
     simulate_trajectories,
     tune_weighted_average,
     weighted_average_experiment,
@@ -109,6 +110,8 @@ class TestEstimate:
             single = run_sa(provider, FAST, np.zeros(1), FAST_SPEC, 80,
                             seed=derive_seed(11, i))
             assert np.array_equal(tr.thetas, single.thetas)
+            assert np.array_equal(tr.thetas, reference_sa(
+                provider, FAST, np.zeros(1), FAST_SPEC, 80, seed=derive_seed(11, i)))
 
     def test_delayed_batch_lanes_equal_single_trials(self):
         delays = DelayProcess("sawtooth", 3, seed=5)
@@ -116,9 +119,12 @@ class TestEstimate:
         trajectories = simulate_trajectories(cfg)
         provider = TD0Provider(FAST_MODEL)
         for i, tr in enumerate(trajectories):
-            single = run_delayed_sa(provider, FAST, np.zeros(1), FAST_SPEC, 70,
-                                    delays.spawn(i), seed=derive_seed(11, i))
+            single = run_sa(provider, FAST, np.zeros(1), FAST_SPEC, 70,
+                            seed=derive_seed(11, i), delays=delays.spawn(i))
             assert np.array_equal(tr.thetas, single.thetas)
+            assert np.array_equal(tr.thetas, reference_sa(
+                provider, FAST, np.zeros(1), FAST_SPEC, 70, seed=derive_seed(11, i),
+                delays=delays.spawn(i)))
 
     @pytest.mark.parametrize("tau_max", [3, 32768])
     def test_delays_past_int16_range_match_single_trial(self, tau_max):
@@ -126,10 +132,13 @@ class TestEstimate:
         T = 32770
         delays = DelayProcess("constant", tau_max)
         estimate = estimate_dt_et(fast_config(trials=1, T=T, delays=delays))
-        single = run_delayed_sa(TD0Provider(FAST_MODEL), FAST, np.zeros(1), FAST_SPEC,
-                                T, delays.spawn(0), seed=derive_seed(11, 0))
+        single = run_sa(TD0Provider(FAST_MODEL), FAST, np.zeros(1), FAST_SPEC,
+                        T, seed=derive_seed(11, 0), delays=delays.spawn(0))
         d = ((single.thetas - FAST_MODEL.theta_star) ** 2).sum(axis=1)
         assert np.array_equal(estimate.d_hat, d)
+        reference = reference_sa(TD0Provider(FAST_MODEL), FAST, np.zeros(1), FAST_SPEC,
+                                 T, seed=derive_seed(11, 0), delays=delays.spawn(0))
+        assert np.array_equal(single.thetas, reference)
 
     @pytest.mark.parametrize("K", [3, 9])
     @pytest.mark.parametrize("sampling", ["markov", "iid_restart"])
@@ -140,15 +149,21 @@ class TestEstimate:
             single = run_sa(cfg.provider, cfg.mrp, cfg.theta0, cfg.spec, cfg.T,
                             seed=derive_seed(cfg.master_seed, i), sampling=sampling)
             assert np.array_equal(tr.thetas, single.thetas)
+            assert np.array_equal(tr.thetas, reference_sa(
+                cfg.provider, cfg.mrp, cfg.theta0, cfg.spec, cfg.T,
+                seed=derive_seed(cfg.master_seed, i), sampling=sampling))
 
     def test_delayed_batch_lanes_equal_single_trials_k3(self):
         delays = DelayProcess("uniform", 4, seed=8)
         cfg = wide_config(3, delays=delays)
         for i, tr in enumerate(simulate_trajectories(cfg)):
-            single = run_delayed_sa(cfg.provider, cfg.mrp, cfg.theta0, cfg.spec,
-                                    cfg.T, delays.spawn(i),
-                                    seed=derive_seed(cfg.master_seed, i))
+            single = run_sa(cfg.provider, cfg.mrp, cfg.theta0, cfg.spec, cfg.T,
+                            seed=derive_seed(cfg.master_seed, i),
+                            delays=delays.spawn(i))
             assert np.array_equal(tr.thetas, single.thetas)
+            assert np.array_equal(tr.thetas, reference_sa(
+                cfg.provider, cfg.mrp, cfg.theta0, cfg.spec, cfg.T,
+                seed=derive_seed(cfg.master_seed, i), delays=delays.spawn(i)))
 
     @pytest.mark.parametrize("kind", ["linear_contraction", "saturating"])
     def test_generic_provider_lanes_equal_single_trials(self, kind):
@@ -165,6 +180,14 @@ class TestEstimate:
             single = run_sa(provider, WIDE, cfg.theta0, cfg.spec, cfg.T,
                             seed=derive_seed(cfg.master_seed, i))
             assert np.array_equal(tr.thetas, single.thetas)
+            assert np.array_equal(tr.thetas, reference_sa(
+                provider, WIDE, cfg.theta0, cfg.spec, cfg.T,
+                seed=derive_seed(cfg.master_seed, i)))
+
+    @pytest.mark.parametrize("start_state", [-1, 2])
+    def test_start_state_out_of_range_rejected(self, start_state):
+        with pytest.raises(ChainError, match="start_state"):
+            estimate_dt_et(fast_config(trials=3, T=10, start_state=start_state))
 
     def test_divergence_marks_estimate_invalid_with_abort_count(self):
         bad_spec = StepSizeSpec(C=8.0, alpha=1e8, tau_alpha=1, mode="td0")
@@ -335,7 +358,7 @@ class TestWeightedAveraging:
 
     def test_one_state_average_converges_geometrically(self):
         cfg = one_state_config(T=400, trials=100)
-        cfg = cfg.copy_with(averaging_grid=[50, 100, 200, 400])
+        cfg = replace(cfg, averaging_grid=[50, 100, 200, 400])
         led = weighted_average_experiment(cfg, slope_threshold=0.0, tail_points=3)
         errs = [row["err"] for row in led.fitted["table"]]
         assert all(a > b for a, b in zip(errs, errs[1:]))
@@ -429,7 +452,7 @@ class TestSweeps:
     def test_nonlinear_sweep_resolves_tau_and_horizon_like_the_spec(self):
         config, _ = parse_experiment(bundled.bundled_config("theorem4_saturating"))
         assert (config.spec.tau_alpha, config.T) == (9, 1470)
-        result = alpha_sweep(config.copy_with(trials=100), multipliers=(1.0, 0.5))
+        result = alpha_sweep(replace(config, trials=100), multipliers=(1.0, 0.5))
         first = result["points"][0]
         assert first["alpha"] == config.spec.alpha
         assert (first["tau"], first["T"]) == (9, 1470)

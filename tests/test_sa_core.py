@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdcert.chain import MarkovRewardProcess, generator
+from scalar_reference import reference_sa
+from tdcert.chain import ChainError, MarkovRewardProcess, generator
+from tdcert.harness import run_sa
 from tdcert.oracle import (
     FeatureMatrix,
     build_steady_state,
@@ -19,9 +21,7 @@ from tdcert.sa_core import (
     TD0Provider,
     audit_provider,
     resolve_step_size,
-    run_delayed_sa,
     rowsum,
-    run_sa,
     td0_direction,
 )
 
@@ -176,6 +176,23 @@ class TestRunSA:
         a = run_sa(provider, TWO_STATE, np.zeros(1), spec, 50, seed=6, start_state=1)
         b = run_sa(provider, TWO_STATE, np.zeros(1), spec, 50, seed=6, start_state=1)
         assert np.array_equal(a.thetas, b.thetas)
+        assert np.array_equal(a.thetas, reference_sa(
+            provider, TWO_STATE, np.zeros(1), spec, 50, seed=6, start_state=1))
+
+    @pytest.mark.parametrize("start_state", [-1, 2])
+    def test_start_state_out_of_range_rejected(self, start_state):
+        provider = TD0Provider(TWO_MODEL)
+        spec = resolve_step_size(TWO_MODEL, C=8.0)
+        with pytest.raises(ChainError, match="start_state"):
+            run_sa(provider, TWO_STATE, np.zeros(1), spec, 10, seed=6,
+                   start_state=start_state)
+
+    def test_unknown_sampling_rejected(self):
+        provider = TD0Provider(TWO_MODEL)
+        spec = resolve_step_size(TWO_MODEL, C=8.0)
+        with pytest.raises(ValueError, match="sampling"):
+            run_sa(provider, TWO_STATE, np.zeros(1), spec, 10, seed=6,
+                   sampling="bogus")
 
 
 class TestDelays:
@@ -195,9 +212,13 @@ class TestDelays:
         spec = resolve_step_size(TWO_MODEL, C=8.0)
         plain = run_sa(provider, TWO_STATE, np.zeros(1), spec, 300, seed=12)
         for kind in ("none", "uniform"):
-            delayed = run_delayed_sa(provider, TWO_STATE, np.zeros(1), spec, 300,
-                                     DelayProcess(kind, 0, seed=5), seed=12)
+            delays = DelayProcess(kind, 0, seed=5)
+            delayed = run_sa(provider, TWO_STATE, np.zeros(1), spec, 300, seed=12,
+                             delays=delays)
             assert np.array_equal(plain.thetas, delayed.thetas)
+            reference = reference_sa(provider, TWO_STATE, np.zeros(1), spec, 300,
+                                     seed=12, delays=delays)
+            assert np.array_equal(plain.thetas, reference)
 
     def test_constant_delay_one_state_two_term_recursion(self):
         # oracle: theta_{t+1} = theta_t + alpha (1 - 0.5 theta_{t-1}),
@@ -206,8 +227,8 @@ class TestDelays:
         spec = resolve_step_size(ONE_MODEL, C=8.0)
         a = spec.alpha
         T = 400
-        tr = run_delayed_sa(provider, ONE_STATE, np.zeros(1), spec, T,
-                            DelayProcess("constant", 1, seed=0), seed=1)
+        tr = run_sa(provider, ONE_STATE, np.zeros(1), spec, T, seed=1,
+                    delays=DelayProcess("constant", 1, seed=0))
         ref = np.zeros(T + 1)
         for t in range(T):
             back = max(t - min(t, 1), 0)
