@@ -24,7 +24,6 @@ from .oracle import (
     CertificationError,
     FeatureError,
     FeatureMatrix,
-    LipschitzAudit,
     MixingOracle,
     MixingTimeCertificate,
     OracleError,
@@ -36,7 +35,6 @@ from .oracle import (
     group_features,
     identity_features,
     lemma1_margin,
-    lipschitz_audit,
     mixing_time,
     oracle_report,
     random_features,

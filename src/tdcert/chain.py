@@ -240,14 +240,12 @@ def validate_chain(mrp: MarkovRewardProcess) -> ValidationReport:
 
 @dataclass(frozen=True)
 class StationaryDistribution:
-    """Stationary law pi and the diagonal weighting matrix D = diag(pi)."""
+    """Stationary law pi of a chain."""
 
     pi: np.ndarray
-    D: np.ndarray
 
     def __post_init__(self):
         self.pi.setflags(write=False)
-        self.D.setflags(write=False)
 
 
 def stationary_distribution(mrp: MarkovRewardProcess) -> StationaryDistribution:
@@ -279,7 +277,7 @@ def stationary_distribution(mrp: MarkovRewardProcess) -> StationaryDistribution:
     resid = float(np.max(np.abs(pi @ mrp.P - pi)))
     if resid > 1e-10:
         raise ChainError(f"stationary residual {resid:.3e} exceeds 1e-10")
-    return StationaryDistribution(pi=pi, D=np.diag(pi))
+    return StationaryDistribution(pi=pi)
 
 
 @dataclass(frozen=True)

@@ -274,8 +274,7 @@ def _parse_axis(sweep_arg: str):
     raise ConfigError(f"unknown sweep axis {axis!r} (alpha, T, tau_max)")
 
 
-def cmd_sweep(cfg: dict, out_dir: str, sweep_arg: str, threads: int,
-              seed_override=None) -> int:
+def cmd_sweep(cfg: dict, out_dir: str, sweep_arg: str, seed_override=None) -> int:
     started = time.time()
     axis, values = _parse_axis(sweep_arg)
     config, kind = parse_experiment(cfg, seed_override)
@@ -284,7 +283,7 @@ def cmd_sweep(cfg: dict, out_dir: str, sweep_arg: str, threads: int,
     ledgers_all = {}
 
     if axis == "alpha":
-        result = alpha_sweep(config, multipliers=values, max_workers=threads)
+        result = alpha_sweep(config, multipliers=values)
         for i, point in enumerate(result["points"]):
             tag = f"alpha_{i}"
             write_columnar(os.path.join(out_dir, f"estimate_{tag}.csv"),
@@ -352,7 +351,6 @@ def main(argv=None) -> int:
     parser.add_argument("--bundled", help="name of a bundled config "
                         f"({', '.join(bundled_names())})")
     parser.add_argument("--out", default="tdcert_out", help="output directory")
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config master seed")
     parser.add_argument("--sweep", default=None,
@@ -379,7 +377,7 @@ def main(argv=None) -> int:
         if args.sweep is None:
             print("sweep needs --sweep axis=v1,v2,...", file=sys.stderr)
             return EXIT_INVALID_INPUT
-        return cmd_sweep(cfg, args.out, args.sweep, args.threads, args.seed)
+        return cmd_sweep(cfg, args.out, args.sweep, args.seed)
     except (ConfigError, ChainError, FeatureError, OracleError,
             CertificationError, StepSizeError, AuditError, KeyError,
             FileNotFoundError, json.JSONDecodeError, ValueError) as exc:

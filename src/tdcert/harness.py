@@ -5,16 +5,17 @@ stream per trial), estimates the mean-square error path d_t and the Markov-
 noise disturbance e_t with standard errors, and turns the finite-time
 statements into pass/fail ledgers with explicit 3-standard-error slack.
 
-``_simulate`` is the one SA kernel: every experiment runs its trials as
-lanes of it, and ``run_sa`` is a one-lane run that retains its iterates, so
-a batch lane equals the single run on the same stream and delays by
-construction. Lanes are the rows of (trials, K) arrays; the uniforms are
-drawn in step-major blocks, transitions come from the chain's exact table
-sampler (``mrp.sampler``), and every K-wide row sum goes through
-``rowsum``, which adds columns in the order numpy sums one row, so a lane's
-bits do not depend on how many lanes run beside it. Per-step aggregation
-reduces over the trial axis in a fixed order, so results do not depend on
-scheduling.
+``_simulate`` is the one SA kernel and ``MonteCarloEstimate`` its one
+result: every experiment runs its trials as lanes of it, and ``run_sa`` is a
+one-lane run that retains its iterates, so a batch lane equals the single
+run on the same stream and delays by construction. Lanes are the rows of
+(trials, K) arrays; the uniforms are drawn in step-major blocks, transitions
+come from the chain's exact table sampler (``mrp.sampler``), and every
+K-wide row sum goes through ``rowsum``, which adds columns in the order
+numpy sums one row, so a lane's bits do not depend on how many lanes run
+beside it. Per-step aggregation reduces over the trial axis in a fixed
+order, so results do not depend on scheduling. A ledger that checks no claim
+(out of contract, or aborted trials) comes from ``_refused``.
 """
 
 import math
@@ -122,12 +123,9 @@ class ExperimentConfig:
         return 10.0 * max(float(np.sum((self.theta0 - p.theta_star) ** 2)),
                           p.sigma_const ** 2)
 
-    def contract_bound(self) -> float:
-        return contraction_bound(self.spec.mode, model=self.model,
-                                 provider=self.provider)
-
     def in_contract(self) -> bool:
-        return self.spec.in_contract(self.contract_bound())
+        return self.spec.in_contract(contraction_bound(
+            self.spec.mode, model=self.model, provider=self.provider))
 
     def hypothesis(self) -> dict:
         return {
@@ -163,7 +161,12 @@ class ExperimentConfig:
 
 @dataclass
 class MonteCarloEstimate:
-    """Per-step cross-trial estimates of d_t and e_t with standard errors."""
+    """Per-step cross-trial estimates of d_t and e_t with standard errors.
+
+    ``config`` is the experiment the lanes ran (None for bare kernel runs);
+    ``theta_bar`` holds each lane's weighted average when one was requested,
+    and ``retained`` each lane's iterates theta_0..theta_T when retained.
+    """
 
     d_hat: np.ndarray
     d_se: np.ndarray
@@ -173,7 +176,9 @@ class MonteCarloEstimate:
     valid: bool
     abort_count: int
     abort_step: int | None
-    config: ExperimentConfig
+    config: ExperimentConfig | None = None
+    theta_bar: np.ndarray | None = None
+    retained: np.ndarray | None = None
 
     @property
     def T(self) -> int:
@@ -200,19 +205,6 @@ class _TrialStreams:
         return U
 
 
-@dataclass
-class _SimResult:
-    d_hat: np.ndarray
-    d_se: np.ndarray
-    e_hat: np.ndarray
-    e_se: np.ndarray
-    valid: bool
-    abort_count: int
-    abort_step: int | None
-    theta_bar: np.ndarray | None
-    retained: np.ndarray | None
-
-
 def _se_from_centered(sq_dev_total, count):
     if count > 1:
         return np.sqrt(sq_dev_total / (count - 1) / count)
@@ -232,7 +224,7 @@ def _simulate(provider: UpdateDirectionProvider, mrp: MarkovRewardProcess,
               theta0, alpha: float, T: int, seeds: list[int],
               delays: list[DelayProcess] | None = None, sampling: str = "markov",
               start_state: int | None = None, weight_A: float | None = None,
-              retain: bool = False) -> _SimResult:
+              retain: bool = False) -> MonteCarloEstimate:
     """The SA recursion theta_{t+1} = theta_t + alpha g(theta_{t-d_t}; X_{t-d_t})
     for a batch of independent lanes; the only code that advances theta.
 
@@ -359,23 +351,24 @@ def _simulate(provider: UpdateDirectionProvider, mrp: MarkovRewardProcess,
         diff = theta - star
         d_mean[T], d_dev[T] = _mean_and_dev(rowsum(diff * diff), trials)
 
-    return _SimResult(
+    return MonteCarloEstimate(
         d_hat=d_mean, d_se=_se_from_centered(d_dev, trials),
         e_hat=e_mean[:T], e_se=_se_from_centered(e_dev[:T], trials),
-        valid=abort_step is None, abort_count=abort_count,
+        trials=trials, valid=abort_step is None, abort_count=abort_count,
         abort_step=abort_step, theta_bar=S, retained=retained,
     )
 
 
-def _simulate_config(config: ExperimentConfig, **kw) -> _SimResult:
+def _simulate_config(config: ExperimentConfig, **kw) -> MonteCarloEstimate:
     """The config's trials as kernel lanes: lane i runs on the stream
     ``derive_seed(master_seed, i)`` with the delays ``delays.spawn(i)``."""
     lanes = range(config.trials)
     delays = (None if config.delays is None
               else [config.delays.spawn(i) for i in lanes])
-    return _simulate(config.provider, config.mrp, config.theta0, config.spec.alpha,
-                     config.T, [derive_seed(config.master_seed, i) for i in lanes],
-                     delays, config.sampling, config.start_state, **kw)
+    sim = _simulate(config.provider, config.mrp, config.theta0, config.spec.alpha,
+                    config.T, [derive_seed(config.master_seed, i) for i in lanes],
+                    delays, config.sampling, config.start_state, **kw)
+    return replace(sim, config=config)
 
 
 def run_sa(provider: UpdateDirectionProvider, mrp: MarkovRewardProcess,
@@ -420,12 +413,7 @@ def estimate_dt_et(config: ExperimentConfig) -> MonteCarloEstimate:
     The e_t terms use the same sampled observation that produced each step,
     accumulated during the run rather than by replay.
     """
-    sim = _simulate_config(config)
-    return MonteCarloEstimate(
-        d_hat=sim.d_hat, d_se=sim.d_se, e_hat=sim.e_hat, e_se=sim.e_se,
-        trials=config.trials, valid=sim.valid, abort_count=sim.abort_count,
-        abort_step=sim.abort_step, config=config,
-    )
+    return _simulate_config(config)
 
 
 def simulate_trajectories(config: ExperimentConfig) -> list[Trajectory]:
@@ -497,17 +485,25 @@ def _require_ledger_grade(estimate: MonteCarloEstimate):
             f"{estimate.config.trials} (confidence intervals are meaningless below)")
 
 
-def _gated(config: ExperimentConfig, theorem_id: str, n_steps: int,
-           notes: str) -> BoundLedger | None:
-    """Out-of-contract short-circuit shared by every check."""
+def _refused(estimate: MonteCarloEstimate, theorem_id: str, n_steps: int,
+             notes: str) -> BoundLedger | None:
+    """The ledger of a check that claims nothing, or None if it may go on:
+    out-of-contract (the step-size hypothesis is violated) before invalid
+    (trials hit the divergence guard)."""
+    config = estimate.config
     if not config.in_contract():
-        return BoundLedger(
-            theorem_id=theorem_id, hypothesis=config.hypothesis(),
-            verdict="out-of-contract", worst_margin=float("nan"), worst_step=-1,
-            fitted={}, slack={"multiplier": SLACK_MULTIPLIER}, n_steps=n_steps,
-            notes=notes + " (step-size hypothesis violated; no claim checked)",
-        )
-    return None
+        verdict, margin, step = "out-of-contract", float("nan"), -1
+        notes += " (step-size hypothesis violated; no claim checked)"
+    elif not estimate.valid:
+        verdict, margin, step = "invalid", float("-inf"), estimate.abort_step or -1
+        notes = f"{estimate.abort_count} trials hit the divergence guard"
+    else:
+        return None
+    return BoundLedger(
+        theorem_id=theorem_id, hypothesis=config.hypothesis(), verdict=verdict,
+        worst_margin=margin, worst_step=step, fitted={},
+        slack={"multiplier": SLACK_MULTIPLIER}, n_steps=n_steps, notes=notes,
+    )
 
 
 def check_boundedness(estimate: MonteCarloEstimate) -> BoundLedger:
@@ -518,18 +514,10 @@ def check_boundedness(estimate: MonteCarloEstimate) -> BoundLedger:
     _require_ledger_grade(estimate)
     config = estimate.config
     B = config.B
-    gate = _gated(config, "theorem1-boundedness", estimate.T + 1,
-                  f"B={B:.6g}")
-    if gate is not None:
-        return gate
-    if not estimate.valid:
-        return BoundLedger(
-            theorem_id="theorem1-boundedness", hypothesis=config.hypothesis(),
-            verdict="invalid", worst_margin=float("-inf"),
-            worst_step=estimate.abort_step or -1, fitted={},
-            slack={"multiplier": SLACK_MULTIPLIER}, n_steps=estimate.T + 1,
-            notes=f"{estimate.abort_count} trials hit the divergence guard",
-        )
+    refused = _refused(estimate, "theorem1-boundedness", estimate.T + 1,
+                       f"B={B:.6g}")
+    if refused is not None:
+        return refused
     lower = estimate.d_hat - SLACK_MULTIPLIER * estimate.d_se
     margin = B - lower
     worst = int(np.argmin(margin))
@@ -565,23 +553,14 @@ def check_recursion(estimate: MonteCarloEstimate, model: SteadyStateModel,
     B = config.B
     if rate is None:
         rate = 1.0 - alpha * drift_rate(spec.mode, model, config.provider)
+    L2 = config.provider.L ** 2 if spec.mode == "nonlinear" else 1.0
     if perturb_scale is None:
-        L2 = config.provider.L ** 2 if spec.mode == "nonlinear" else 1.0
         perturb_scale = alpha ** 2 * L2 * tau * B
     if e_scale is None:
-        L2 = config.provider.L ** 2 if spec.mode == "nonlinear" else 1.0
         e_scale = alpha * L2 * tau * B
-    gate = _gated(config, "theorem2-recursion", estimate.T, "")
-    if gate is not None:
-        return gate
-    if not estimate.valid:
-        return BoundLedger(
-            theorem_id="theorem2-recursion", hypothesis=config.hypothesis(),
-            verdict="invalid", worst_margin=float("-inf"),
-            worst_step=estimate.abort_step or -1, fitted={},
-            slack={"multiplier": SLACK_MULTIPLIER}, n_steps=estimate.T,
-            notes=f"{estimate.abort_count} trials hit the divergence guard",
-        )
+    refused = _refused(estimate, "theorem2-recursion", estimate.T, "")
+    if refused is not None:
+        return refused
     T = estimate.T
     if T <= tau + 1:
         raise ConfigError(f"horizon T={T} leaves no steps at or beyond tau={tau}")
@@ -732,18 +711,18 @@ def tune_weighted_average(model: SteadyStateModel, T: int,
     that obeys the mixing cap, otherwise the cap itself; iterated until the
     mixing time it certifies is self-consistent."""
     A = 0.5 * model.contraction_rate
-    tau_hat = resolve_step_size(model, C=C, mode="td0").tau_alpha
+    spec = resolve_step_size(model, C=C, mode="td0")
     for _ in range(max_iter):
+        tau_hat = spec.tau_alpha
         lam = max(math.e, A * (T + 1) ** 2 / tau_hat)
         alpha_case1 = math.log(lam) / (A * (T + 1))
-        cap = min(model.contraction_rate / (C * tau_hat), 1.0 / (8.0 * tau_hat))
+        cap = spec.caps(model.contraction_rate)
         case = 1 if alpha_case1 <= cap else 2
         alpha = alpha_case1 if case == 1 else cap
-        tau_new = model.mixing.tau(alpha)
-        if tau_new == tau_hat:
+        spec = spec_at(model, None, "td0", alpha, C)
+        if spec.tau_alpha == tau_hat:
             return WeightedAverageSpec(A=A, alpha=alpha, tau=tau_hat, T=T,
                                        lambda_tune=lam, C=C, case=case)
-        tau_hat = tau_new
     raise StepSizeError("weighted-average tuning did not stabilize")
 
 
@@ -753,7 +732,14 @@ def weighted_average_experiment(config: ExperimentConfig,
     """For each horizon in the configured geometric grid, tune alpha, run the
     trials with an incrementally normalized weighted average (the raw weights
     are never materialized), and fit the tail log-log slope of the
-    stationary-weighted value error against T."""
+    stationary-weighted value error against T.
+
+    The tuning and the error metric are TD(0)'s, so other providers and
+    nonlinear step-size mode are refused."""
+    if not isinstance(config.provider, TD0Provider) or config.spec.mode != "td0":
+        kind = config.provider.describe()["kind"]
+        raise ConfigError("weighted averaging is certified for TD(0) only (the td0 "
+                          f"provider in td0 mode), got {kind} in {config.spec.mode} mode")
     if not config.averaging_grid:
         raise ConfigError("config has no averaging grid")
     grid = sorted(int(T) for T in config.averaging_grid)
@@ -836,41 +822,30 @@ def asymptotic_floor(estimate: MonteCarloEstimate, model: SteadyStateModel,
     return float(np.mean(estimate.d_hat[start:]))
 
 
-def alpha_sweep(config: ExperimentConfig, multipliers=(1.0, 0.5, 0.25),
-                max_workers: int = 1) -> dict:
+def alpha_sweep(config: ExperimentConfig, multipliers=(1.0, 0.5, 0.25)) -> dict:
     """Re-run the experiment across an alpha grid (multiples of the resolved
     alpha), recertifying tau per point, and fit the log-log slope of the
     asymptotic floor against alpha."""
     model, mode = config.model, config.spec.mode
     # tau and the auto horizon as parse_experiment resolves them for this mode
     rate = drift_rate(mode, model, config.provider)
-    points = []
+    results = []
     for mult in multipliers:
         alpha = config.spec.alpha * float(mult)
         spec = spec_at(model, config.provider, mode, alpha, config.spec.C)
         T = int(math.ceil(10.0 / (alpha * rate)))
-        points.append(replace(
-            config, spec=spec, T=T,
-            master_seed=derive_seed(config.master_seed, int(mult * 1e6))))
-
-    def run_point(sub):
+        sub = replace(config, spec=spec, T=T,
+                      master_seed=derive_seed(config.master_seed, int(mult * 1e6)))
         est = estimate_dt_et(sub)
-        return {
-            "alpha": sub.spec.alpha,
-            "tau": sub.spec.tau_alpha,
-            "T": sub.T,
+        results.append({
+            "alpha": alpha,
+            "tau": spec.tau_alpha,
+            "T": T,
             "in_contract": sub.in_contract(),
-            "floor": asymptotic_floor(est, model, sub.spec),
+            "floor": asymptotic_floor(est, model, spec),
             "boundedness": check_boundedness(est),
             "estimate": est,
-        }
-
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(run_point, points))
-    else:
-        results = [run_point(p) for p in points]
+        })
     x = np.log([r["alpha"] for r in results])
     y = np.log([r["floor"] for r in results])
     slope = float(np.polyfit(x, y, 1)[0])

@@ -432,56 +432,6 @@ def envelope_mixing_time(profile: MixingProfile, stationary: StationaryDistribut
     )
 
 
-@dataclass(frozen=True)
-class LipschitzAudit:
-    """Worst observed ratios for the sampled-direction regularity bounds."""
-
-    samples: int
-    max_direction_ratio: float
-    max_steady_ratio: float
-    max_norm_ratio: float
-
-    @property
-    def passed(self) -> bool:
-        tol = 1.0 + 1e-9
-        return (self.max_direction_ratio <= 2.0 * tol
-                and self.max_steady_ratio <= 2.0 * tol
-                and self.max_norm_ratio <= tol)
-
-
-def lipschitz_audit(mrp: MarkovRewardProcess, features: FeatureMatrix,
-                    sample_count: int, seed: int) -> LipschitzAudit:
-    """Sampled audit of the 2-Lipschitz bounds and the norm envelope
-    ||g(theta; X)|| <= 2 ||theta|| + 2 r_bar."""
-    A_bar, b_neg, _ = _steady_matrices(mrp, features, mrp.stationary.pi)
-    rng = generator(derive_seed(seed, 0x11D5))
-    m = int(sample_count)
-    K = features.K
-    scale = rng.uniform(0.1, 10.0, size=(m, 1))
-    theta1 = rng.normal(size=(m, K)) * scale
-    theta2 = rng.normal(size=(m, K)) * scale
-    s = rng.integers(0, mrp.n, size=m)
-    sp = mrp.sampler.pick(rng.random(m), s)
-    X = (s, sp, mrp.R[s])
-
-    from .sa_core import td0_direction  # local import to avoid a module cycle
-
-    g1 = td0_direction(features, mrp.gamma, theta1, X)
-    g2 = td0_direction(features, mrp.gamma, theta2, X)
-    dtheta = np.linalg.norm(theta1 - theta2, axis=1)
-    keep = dtheta > 1e-12
-    dir_ratio = float(np.max(
-        np.linalg.norm(g1 - g2, axis=1)[keep] / dtheta[keep], initial=0.0))
-    gbar1 = theta1 @ A_bar.T + b_neg
-    gbar2 = theta2 @ A_bar.T + b_neg
-    steady_ratio = float(np.max(
-        np.linalg.norm(gbar1 - gbar2, axis=1)[keep] / dtheta[keep], initial=0.0))
-    envelope = 2.0 * np.linalg.norm(theta1, axis=1) + 2.0 * mrp.r_bar
-    norm_ratio = float(np.max(np.linalg.norm(g1, axis=1) / envelope))
-    return LipschitzAudit(samples=m, max_direction_ratio=dir_ratio,
-                          max_steady_ratio=steady_ratio, max_norm_ratio=norm_ratio)
-
-
 def dnorm_contraction_margin(mrp: MarkovRewardProcess,
                              stationary: StationaryDistribution,
                              sample_count: int, seed: int) -> float:

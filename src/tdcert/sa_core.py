@@ -1,11 +1,11 @@
 """The pieces of the stochastic-approximation recursion
 theta_{t+1} = theta_t + alpha g(theta_{t-d_t}; X_{t-d_t}).
 
-Sampled update directions (TD(0) and pluggable providers, with their audit),
-the constant step-size resolved jointly with the mixing time it depends on,
-bounded delay processes, and replayable trajectories. The recursion itself
-runs in one place, the harness's batch kernel; ``harness.run_sa`` is a
-one-lane run of it.
+Sampled update directions (TD(0) and pluggable providers) with the one audit
+of their declared contract, the constant step-size resolved jointly with the
+mixing time it depends on, bounded delay processes, and replayable
+trajectories. The recursion itself runs in one place, the harness's batch
+kernel; ``harness.run_sa`` is a one-lane run of it.
 """
 
 import hashlib
@@ -100,7 +100,7 @@ class UpdateDirectionProvider:
 
     Concrete providers expose the sampled direction, its steady-state
     expectation, the solved-for fixed point, and the declared constants
-    (L, sigma_const, beta) that the audit verifies.
+    (L, sigma_const, beta, norm_offset) that ``audit_provider`` verifies.
     """
 
     dim: int
@@ -108,6 +108,11 @@ class UpdateDirectionProvider:
     sigma_const: float
     beta: float
     theta_star: np.ndarray
+
+    @property
+    def norm_offset(self) -> float:
+        """The c of the norm envelope ||g(theta; X)|| <= L (||theta|| + c)."""
+        return self.sigma_const
 
     def direction(self, theta, X):
         raise NotImplementedError
@@ -120,7 +125,8 @@ class UpdateDirectionProvider:
 
 
 class TD0Provider(UpdateDirectionProvider):
-    """TD(0) with linear function approximation: L = 2, beta = omega (1 - gamma)."""
+    """TD(0) with linear function approximation: L = 2, beta = omega (1 - gamma),
+    and the norm envelope 2 ||theta|| + 2 r_bar."""
 
     def __init__(self, model: SteadyStateModel):
         self.model = model
@@ -129,6 +135,10 @@ class TD0Provider(UpdateDirectionProvider):
         self.sigma_const = model.sigma_const
         self.beta = model.contraction_rate
         self.theta_star = model.theta_star
+
+    @property
+    def norm_offset(self) -> float:
+        return self.model.mrp.r_bar
 
     def direction(self, theta, X):
         return td0_direction(self.model.features, self.model.mrp.gamma, theta, X)
@@ -379,11 +389,12 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class ProviderAudit:
-    """Sampled verification of the declared (L, sigma, beta) constants."""
+    """Sampled verification of a provider's declared constants."""
 
     samples: int
     ok: bool
     max_lipschitz_ratio: float
+    max_steady_ratio: float
     max_norm_ratio: float
     min_monotone_ratio: float
     declared: dict
@@ -393,16 +404,17 @@ class ProviderAudit:
         if self.ok:
             return (f"audit passed over {self.samples} samples "
                     f"(lip {self.max_lipschitz_ratio:.4f} <= L, "
-                    f"norm {self.max_norm_ratio:.4f} <= L, "
+                    f"steady lip {self.max_steady_ratio:.4f} <= L, "
+                    f"norm {self.max_norm_ratio:.4f} <= 1, "
                     f"monotone {self.min_monotone_ratio:.4f} >= beta)")
         return f"audit FAILED with witness {self.witness}"
 
 
 def audit_provider(provider: UpdateDirectionProvider, mrp: MarkovRewardProcess,
                    sample_count: int, seed: int) -> ProviderAudit:
-    """Check the Lipschitz/norm contract of the sampled direction and the
-    strong-monotonicity contract of the steady-state operator against the
-    provider's declared constants, naming a witness on failure."""
+    """Check the declared contract, naming a witness on failure: the sampled
+    direction is L-Lipschitz with ||g(theta; X)|| <= L (||theta|| + norm_offset),
+    and the steady-state map is L-Lipschitz and beta-strongly monotone."""
     rng = generator(derive_seed(seed, 0xA0D1))
     m = int(sample_count)
     K = provider.dim
@@ -418,17 +430,20 @@ def audit_provider(provider: UpdateDirectionProvider, mrp: MarkovRewardProcess,
     dtheta = np.linalg.norm(theta1 - theta2, axis=1)
     keep = dtheta > 1e-12
     lip = np.linalg.norm(g1 - g2, axis=1)[keep] / dtheta[keep]
+    steady1 = provider.steady(theta1)
+    steady_lip = (np.linalg.norm(steady1 - provider.steady(theta2), axis=1)[keep]
+                  / dtheta[keep])
     norm_ratio = np.linalg.norm(g1, axis=1) / (
-        provider.L * (np.linalg.norm(theta1, axis=1) + provider.sigma_const))
+        provider.L * (np.linalg.norm(theta1, axis=1) + provider.norm_offset))
     diff = theta1 - provider.theta_star
     dist_sq = np.sum(diff ** 2, axis=1)
     keep_m = dist_sq > 1e-12
-    drift = np.sum(diff * (provider.steady(theta1)
-                           - provider.steady(provider.theta_star)), axis=1)
+    drift = np.sum(diff * (steady1 - provider.steady(provider.theta_star)), axis=1)
     monotone = -drift[keep_m] / dist_sq[keep_m]
 
     tol = 1.0 + 1e-9
     max_lip = float(lip.max(initial=0.0))
+    max_steady = float(steady_lip.max(initial=0.0))
     max_norm = float(norm_ratio.max(initial=0.0))
     min_mono = float(monotone.min(initial=np.inf))
     witness = None
@@ -437,6 +452,11 @@ def audit_provider(provider: UpdateDirectionProvider, mrp: MarkovRewardProcess,
         witness = {"check": "lipschitz", "ratio": max_lip,
                    "theta1": theta1[i].tolist(), "theta2": theta2[i].tolist(),
                    "X": (int(s[i]), int(sp[i]), float(mrp.R[s[i]]))}
+    elif max_steady > provider.L * tol:
+        i = int(np.nonzero(keep)[0][np.argmax(steady_lip)])
+        witness = {"check": "steady_lipschitz", "ratio": max_steady,
+                   "theta1": theta1[i].tolist(), "theta2": theta2[i].tolist(),
+                   "X": None}
     elif max_norm > tol:
         i = int(np.argmax(norm_ratio))
         witness = {"check": "norm", "ratio": max_norm,
@@ -448,8 +468,9 @@ def audit_provider(provider: UpdateDirectionProvider, mrp: MarkovRewardProcess,
                    "theta1": theta1[i].tolist(), "theta2": None, "X": None}
     return ProviderAudit(
         samples=m, ok=witness is None, max_lipschitz_ratio=max_lip,
-        max_norm_ratio=max_norm, min_monotone_ratio=min_mono,
+        max_steady_ratio=max_steady, max_norm_ratio=max_norm,
+        min_monotone_ratio=min_mono,
         declared={"L": provider.L, "sigma": provider.sigma_const,
-                  "beta": provider.beta},
+                  "beta": provider.beta, "norm_offset": provider.norm_offset},
         witness=witness,
     )

@@ -133,6 +133,14 @@ class TestRunCommand:
         assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) \
             == EXIT_INVALID_INPUT
 
+    def test_weighted_average_of_a_generic_provider_exits_invalid(self, tmp_path):
+        cfg = bundled_config("theorem4_linear_contraction")
+        cfg["experiment"].update(kind="weighted_average", trials=200,
+                                 averaging_grid=[64, 128, 256])
+        path = write_cfg(tmp_path, cfg)
+        assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) \
+            == EXIT_INVALID_INPUT
+
     def test_unknown_bundled_name(self, tmp_path):
         cfg = write_cfg(tmp_path, {"bundled": "nope"})
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) \
@@ -146,7 +154,7 @@ class TestSweepCommand:
         path = write_cfg(tmp_path, cfg)
         out = tmp_path / "sweep"
         code = main(["sweep", "--config", path, "--out", str(out),
-                     "--sweep", "alpha=1,0.5,0.25", "--threads", "2"])
+                     "--sweep", "alpha=1,0.5,0.25"])
         assert code == EXIT_PASS
         summary = json.loads((out / "sweep_summary.json").read_text())
         assert abs(summary["floor_slope"] - 1.0) <= 0.25

@@ -25,6 +25,7 @@ from tdcert.sa_core import (
 )
 from tdcert.harness import (
     AuditError,
+    BoundLedger,
     ConfigError,
     ExperimentConfig,
     alpha_sweep,
@@ -272,6 +273,64 @@ class TestRecursion:
             check_iid_noise(estimate_dt_et(fast_config()))
 
 
+def _ledger_json(led):
+    return json.dumps(led.to_dict(), sort_keys=True)  # NaN-safe comparison
+
+
+class TestRefusals:
+    """The two verdicts that refuse to check a claim, out-of-contract before
+    invalid, with their full ledger records."""
+
+    OUT = {"alpha": 6.0, "tau": 9, "C": 8.0, "B": 10.0, "mode": "td0",
+           "in_contract": False}
+    IN = dict(OUT, alpha=FAST_SPEC.alpha, in_contract=True)
+
+    def _out_of_contract(self):
+        # ten times the cap; the run also diverges, and out-of-contract wins
+        alpha = 10 * FAST_SPEC.alpha * FAST_SPEC.C * FAST_SPEC.tau_alpha
+        spec = replace(FAST_SPEC, alpha=alpha)
+        est = estimate_dt_et(fast_config(spec=spec, T=50, trials=100))
+        assert not est.valid
+        return est, spec
+
+    def _invalid(self):
+        est = estimate_dt_et(fast_config(T=50, trials=100))
+        return replace(est, valid=False, abort_count=3, abort_step=7)
+
+    def test_boundedness_out_of_contract_record(self):
+        est, _ = self._out_of_contract()
+        assert _ledger_json(check_boundedness(est)) == _ledger_json(BoundLedger(
+            theorem_id="theorem1-boundedness", hypothesis=self.OUT,
+            verdict="out-of-contract", worst_margin=float("nan"), worst_step=-1,
+            fitted={}, slack={"multiplier": 3.0}, n_steps=51,
+            notes="B=10 (step-size hypothesis violated; no claim checked)"))
+
+    def test_recursion_out_of_contract_record(self):
+        est, spec = self._out_of_contract()
+        assert _ledger_json(check_recursion(est, FAST_MODEL, spec)) == \
+            _ledger_json(BoundLedger(
+                theorem_id="theorem2-recursion", hypothesis=self.OUT,
+                verdict="out-of-contract", worst_margin=float("nan"),
+                worst_step=-1, fitted={}, slack={"multiplier": 3.0}, n_steps=50,
+                notes=" (step-size hypothesis violated; no claim checked)"))
+
+    def test_boundedness_invalid_record(self):
+        assert _ledger_json(check_boundedness(self._invalid())) == \
+            _ledger_json(BoundLedger(
+                theorem_id="theorem1-boundedness", hypothesis=self.IN,
+                verdict="invalid", worst_margin=float("-inf"), worst_step=7,
+                fitted={}, slack={"multiplier": 3.0}, n_steps=51,
+                notes="3 trials hit the divergence guard"))
+
+    def test_recursion_invalid_record(self):
+        led = check_recursion(self._invalid(), FAST_MODEL, FAST_SPEC)
+        assert _ledger_json(led) == _ledger_json(BoundLedger(
+            theorem_id="theorem2-recursion", hypothesis=self.IN,
+            verdict="invalid", worst_margin=float("-inf"), worst_step=7,
+            fitted={}, slack={"multiplier": 3.0}, n_steps=50,
+            notes="3 trials hit the divergence guard"))
+
+
 class TestDrift:
     def test_one_state_closed_form(self):
         cfg = one_state_config(T=50)
@@ -371,6 +430,24 @@ class TestWeightedAveraging:
         with pytest.raises(ConfigError, match="grid"):
             weighted_average_experiment(fast_config())
 
+    def test_generic_provider_refused(self):
+        # the averaging theory and its error metric are TD(0)'s; this
+        # provider's iterates converge to its own theta* = 0.7
+        cfg = bundled.bundled_config("theorem4_linear_contraction")
+        cfg["experiment"].update(kind="weighted_average", trials=200,
+                                 averaging_grid=[64, 128, 256])
+        config, kind = parse_experiment(cfg)
+        assert kind == "weighted_average"
+        with pytest.raises(ConfigError, match="TD\\(0\\)"):
+            weighted_average_experiment(config)
+
+    def test_td0_provider_in_nonlinear_mode_refused(self):
+        spec = resolve_step_size(FAST_MODEL, C=8.0, mode="nonlinear",
+                                 provider=TD0Provider(FAST_MODEL))
+        cfg = fast_config(spec=spec, averaging_grid=[50, 100])
+        with pytest.raises(ConfigError, match="td0"):
+            weighted_average_experiment(cfg)
+
 
 class TestNonlinearExperiments:
     def test_linear_contraction_matches_closed_form(self):
@@ -440,14 +517,6 @@ class TestSweeps:
         for point in result["points"]:
             assert point["in_contract"]
             assert point["boundedness"].verdict == "pass"
-
-    def test_threaded_sweep_matches_serial(self):
-        cfg = fast_config(trials=200, T=100, master_seed=33)
-        serial = alpha_sweep(cfg, multipliers=(1.0, 0.5), max_workers=1)
-        threaded = alpha_sweep(cfg, multipliers=(1.0, 0.5), max_workers=4)
-        for a, b in zip(serial["points"], threaded["points"]):
-            assert np.array_equal(a["estimate"].d_hat, b["estimate"].d_hat)
-        assert serial["floor_slope"] == threaded["floor_slope"]
 
     def test_nonlinear_sweep_resolves_tau_and_horizon_like_the_spec(self):
         config, _ = parse_experiment(bundled.bundled_config("theorem4_saturating"))

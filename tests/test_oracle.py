@@ -16,14 +16,13 @@ from tdcert.oracle import (
     group_features,
     identity_features,
     lemma1_margin,
-    lipschitz_audit,
     mixing_time,
     oracle_report,
     random_features,
     steady_state_direction,
 )
 from tdcert.chain import stationary_distribution, tv_mixing_profile
-from tdcert.sa_core import resolve_step_size
+from tdcert.sa_core import TD0Provider, audit_provider, resolve_step_size
 
 ONE_STATE = MarkovRewardProcess([[1.0]], [1.0], 0.5)
 TWO_STATE = MarkovRewardProcess([[0.9, 0.1], [0.2, 0.8]], [1.0, 0.0], 0.9)
@@ -294,17 +293,22 @@ class TestLemma1:
 
 
 class TestAudits:
-    def test_lipschitz_audit_bounds_hold(self):
-        audit = lipschitz_audit(TWO_STATE, TWO_FEATS, 100_000, seed=11)
-        assert audit.passed
-        assert audit.max_direction_ratio <= 2.0 + 1e-9
+    def test_td0_audit_bounds_hold(self):
+        # the TD(0) envelope is ||g|| <= 2 ||theta|| + 2 r_bar
+        model = build_steady_state(TWO_STATE, TWO_FEATS)
+        audit = audit_provider(TD0Provider(model), TWO_STATE, 100_000, seed=11)
+        assert audit.ok
+        assert audit.declared["L"] == 2.0
+        assert audit.declared["norm_offset"] == TWO_STATE.r_bar
+        assert audit.max_lipschitz_ratio <= 2.0 + 1e-9
         assert audit.max_steady_ratio <= 2.0 + 1e-9
         assert audit.max_norm_ratio <= 1.0 + 1e-9
 
     def test_one_state_lipschitz_constant_is_half(self):
         # g(theta; X) = 1 - 0.5 theta, so the ratio is exactly 0.5
-        audit = lipschitz_audit(ONE_STATE, constant_features(1), 1000, seed=3)
-        assert audit.max_direction_ratio == pytest.approx(0.5, abs=1e-12)
+        model = build_steady_state(ONE_STATE, constant_features(1))
+        audit = audit_provider(TD0Provider(model), ONE_STATE, 1000, seed=3)
+        assert audit.max_lipschitz_ratio == pytest.approx(0.5, abs=1e-12)
 
     def test_identical_parameters_give_identical_directions(self):
         from tdcert.sa_core import td0_direction

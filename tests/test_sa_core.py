@@ -277,6 +277,37 @@ class TestAuditProvider:
         assert audit.ok
         assert audit.min_monotone_ratio >= 0.7 - 1e-9
 
+    def test_steep_steady_map_fails_steady_lipschitz(self):
+        class Steep(LinearContractionProvider):
+            def steady(self, theta):
+                return 3.0 * (self.theta_star - np.asarray(theta, dtype=float))
+
+        provider = Steep([0.3], [[1.0], [-2.0]], TWO_MODEL.stationary.pi)
+        audit = audit_provider(provider, TWO_STATE, 20_000, seed=2)
+        assert not audit.ok
+        assert audit.witness["check"] == "steady_lipschitz"
+        assert audit.max_steady_ratio == pytest.approx(3.0, abs=1e-9)
+
+    def test_td0_norm_envelope_uses_r_bar(self):
+        # an offset of 0.5 phi(s) stays inside the generic 2 (||theta|| + sigma)
+        # but not inside TD(0)'s 2 ||theta|| + 2 r_bar with r_bar = 0.1
+        mrp = MarkovRewardProcess([[0.9, 0.1], [0.2, 0.8]], [0.1, 0.0], 0.9)
+        model = build_steady_state(mrp, TWO_FEATS)
+
+        class Offset(TD0Provider):
+            def direction(self, theta, X):
+                return (super().direction(theta, X)
+                        + 0.5 * self.model.features.Phi.take(X[0], axis=0))
+
+        class GenericOffset(Offset):
+            norm_offset = property(lambda self: self.sigma_const)
+
+        audit = audit_provider(Offset(model), mrp, 20_000, seed=4)
+        assert audit.declared["norm_offset"] == 0.1
+        assert not audit.ok
+        assert audit.witness["check"] == "norm"
+        assert audit_provider(GenericOffset(model), mrp, 20_000, seed=4).ok
+
     def test_centered_noise_means_steady_zero_at_fixed_point(self):
         pi = TWO_MODEL.stationary.pi
         provider = LinearContractionProvider([0.3], [[1.0], [-2.0]], pi)
