@@ -285,9 +285,9 @@ class MixingProfile:
     """Total-variation decay curve with a certified geometric envelope.
 
     The envelope satisfies tv_curve[k-1] <= c0 * rho**k for every recorded k;
-    rho is the smallest grid value (1% steps upward from |lambda_2|) for which
-    the anchored envelope dominates the whole recorded curve, so the bound is
-    certified rather than least-squares.
+    c0 = tv_1 / rho anchors it at k = 1, and rho is the smallest value from
+    |lambda_2| up for which it dominates the whole recorded curve, so the
+    bound is certified rather than least-squares.
     """
 
     rho: float
@@ -351,16 +351,16 @@ class ChainPowers:
         if float(curve.max(initial=0.0)) <= 1e-15:
             return MixingProfile(0.0, 0.0, curve, clamp_index, lambda2)
 
+        # the smallest rho >= |lambda_2| with tv_k <= tv_1 rho^(k-1) for every k
         ks = np.arange(1, horizon + 1, dtype=float)
-        base = max(lambda2, 1e-6)
-        for j in range(5000):
-            rho = base * (1.0 + 0.01 * j)
-            if rho >= 1.0:
-                break
-            c0 = curve[0] / rho
-            if np.all(curve <= c0 * rho ** ks * (1.0 + 1e-12) + 1e-300):
-                return MixingProfile(float(rho), float(c0), curve, clamp_index, lambda2)
-        raise ChainError("could not fit a certified geometric envelope below rho = 1")
+        rho = float(max(lambda2, 1e-6,
+                        ((curve[1:] / curve[0]) ** (1.0 / (ks[1:] - 1.0))).max()))
+        if rho >= 1.0:
+            raise ChainError("could not fit a certified geometric envelope below rho = 1")
+        c0 = float(curve[0] / rho)
+        if not np.all(curve <= c0 * rho ** ks * (1.0 + 1e-12) + 1e-300):
+            raise ChainError(f"envelope rho={rho!r} fails to dominate the TV curve")
+        return MixingProfile(rho, c0, curve, clamp_index, lambda2)
 
 
 def tv_mixing_profile(mrp: MarkovRewardProcess, horizon: int) -> MixingProfile:

@@ -57,6 +57,12 @@ _GUARD2 = DIVERGENCE_GUARD ** 2
 _BLOCK = 4096
 
 
+def _bound_B(provider: UpdateDirectionProvider, theta0) -> float:
+    """The mean-square iterate bound 10 max(||theta0 - theta*||^2, sigma^2)."""
+    return 10.0 * max(float(np.sum((theta0 - provider.theta_star) ** 2)),
+                      provider.sigma_const ** 2)
+
+
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
@@ -119,9 +125,7 @@ class ExperimentConfig:
 
     @property
     def B(self) -> float:
-        p = self.provider
-        return 10.0 * max(float(np.sum((self.theta0 - p.theta_star) ** 2)),
-                          p.sigma_const ** 2)
+        return _bound_B(self.provider, self.theta0)
 
     def in_contract(self) -> bool:
         return self.spec.in_contract(contraction_bound(
@@ -627,18 +631,26 @@ def check_iid_noise(estimate: MonteCarloEstimate) -> BoundLedger:
 
 
 def check_drift(trajectories: list[Trajectory], model: SteadyStateModel,
-                spec: StepSizeSpec, ceiling: float = 100.0) -> BoundLedger:
+                spec: StepSizeSpec, ceiling: float = 100.0,
+                provider: UpdateDirectionProvider | None = None) -> BoundLedger:
     """Fit the smallest c with E ||theta_t - theta_{t-tau}||^2 <= c alpha^2
-    tau^2 B over t >= tau, from retained per-trial iterate histories."""
+    tau^2 B over t >= tau, from retained per-trial iterate histories.
+
+    B and the step-size cap come from ``provider`` (TD(0) on ``model`` if
+    None, which nonlinear mode refuses)."""
     if not trajectories:
         raise ConfigError("need at least one trajectory")
+    if provider is None:
+        if spec.mode == "nonlinear":
+            raise ValueError("nonlinear mode needs the provider's constants")
+        provider = TD0Provider(model)
     thetas = np.stack([tr.thetas for tr in trajectories])  # (trials, T+1, K)
     trials, Tp1, _ = thetas.shape
     tau, alpha = spec.tau_alpha, spec.alpha
     if Tp1 - 1 < tau + 1:
         raise ConfigError(f"horizon {Tp1 - 1} too short for tau={tau}")
-    B = model.bound_B(thetas[0, 0])
-    if spec.mode == "td0" and not spec.in_contract(model.contraction_rate):
+    B = _bound_B(provider, thetas[0, 0])
+    if not spec.in_contract(contraction_bound(spec.mode, model=model, provider=provider)):
         return BoundLedger(
             theorem_id="lemma3-drift",
             hypothesis={"alpha": alpha, "tau": tau, "B": B, "in_contract": False},

@@ -305,9 +305,11 @@ class MixingOracle:
         self.features = features
         self._pi = mrp.stationary.pi
         Phi = features.Phi
-        self._M = (mrp.gamma * mrp.P - np.eye(mrp.n)) @ Phi
+        M = (mrp.gamma * mrp.P - np.eye(mrp.n)) @ Phi
+        # row s is phi(s) M[s]^T flattened, so a deviation step is one GEMM
+        self._Z = (Phi[:, :, None] * M[:, None, :]).reshape(mrp.n, -1)
         phi_norms = np.linalg.norm(Phi, axis=1)
-        self._G_tail = float(max((phi_norms * np.linalg.norm(self._M, axis=1)).max(),
+        self._G_tail = float(max((phi_norms * np.linalg.norm(M, axis=1)).max(),
                                  (phi_norms * np.abs(mrp.R)).max()))
         self._powers = ChainPowers(mrp)
         self._dev = []
@@ -320,7 +322,7 @@ class MixingOracle:
         the next state s_1."""
         Phi = self.features.Phi
         W = Q - self._pi[None, :]
-        A_t = np.einsum("ts,sk,sj->tkj", W, Phi, self._M)
+        A_t = (W @ self._Z).reshape(-1, self.features.K, self.features.K)
         op = np.linalg.svd(A_t, compute_uv=False)[:, 0]
         vec = np.linalg.norm((W * self.mrp.R[None, :]) @ Phi, axis=1)
         return max(float(op.max()), float(vec.max()))

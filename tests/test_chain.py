@@ -137,6 +137,21 @@ class TestMixingProfile:
         k = np.arange(1, 61)
         assert np.all(prof.tv_curve <= prof.c0 * prof.rho ** k * (1 + 1e-9) + 1e-300)
 
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 8), st.floats(0.0, 0.95))
+    def test_rate_is_the_smallest_anchored_envelope(self, seed, n, laziness):
+        base = random_mrp(n, 0.6, seed)
+        prof = tv_mixing_profile(
+            make(laziness * np.eye(n) + (1.0 - laziness) * base.P), 64)
+        curve, k = prof.tv_curve, np.arange(1, 65)
+        if prof.rho == 0.0:  # mixed to rounding noise in one step
+            return
+        assert prof.c0 == curve[0] / prof.rho
+        assert np.all(curve <= prof.c0 * prof.rho ** k * (1 + 1e-12) + 1e-300)
+        lower = prof.rho * (1.0 - 1e-9)
+        if lower > max(prof.lambda2, 1e-6):  # any smaller rate misses a point
+            assert np.any(curve > curve[0] * lower ** (k - 1.0) * (1 + 1e-12))
+
     def test_underflow_clamps_and_records_index(self):
         prof = tv_mixing_profile(make(TWO_STATE), 3000)
         assert prof.clamp_index is not None

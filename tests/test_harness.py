@@ -379,6 +379,29 @@ class TestDrift:
         led = check_drift(trajectories, FAST_MODEL, inflated)
         assert led.verdict == "out-of-contract"
 
+    def _linear_paths(self, spec):
+        provider = LinearContractionProvider([0.3], [[1.0], [-2.0]],
+                                             FAST.stationary.pi)
+        return provider, [run_sa(provider, FAST, np.zeros(1), spec, 40, seed=s)
+                          for s in range(20)]
+
+    def test_nonlinear_out_of_contract_gated(self):
+        # cap min(beta, 1/beta) / (C tau L^2) = 0.125, so alpha = 1.5 claims nothing
+        spec = StepSizeSpec(C=8.0, alpha=1.5, tau_alpha=1, mode="nonlinear")
+        provider, paths = self._linear_paths(spec)
+        led = check_drift(paths, FAST_MODEL, spec, provider=provider)
+        assert led.verdict == "out-of-contract"
+        with pytest.raises(ValueError, match="provider"):
+            check_drift(paths, FAST_MODEL, spec)
+
+    def test_nonlinear_bound_from_the_provider(self):
+        spec = StepSizeSpec(C=8.0, alpha=0.1, tau_alpha=1, mode="nonlinear")
+        provider, paths = self._linear_paths(spec)
+        led = check_drift(paths, FAST_MODEL, spec, provider=provider)
+        assert led.verdict == "pass"
+        assert led.hypothesis["B"] == 10.0 * max(0.3 ** 2, provider.sigma_const ** 2)
+        assert led.hypothesis["B"] != FAST_MODEL.B
+
 
 class TestWeightedAveraging:
     def test_weights_sanity_half_rate(self):

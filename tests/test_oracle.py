@@ -200,6 +200,49 @@ class TestMixingTime:
             assert env.tau >= exact.tau
 
 
+def einsum_deviation_curve(oracle, horizon):
+    """Reference for the oracle's deviation step: per k = 1..horizon the
+    three-operand einsum tensor sum_s (P^(k-1) - pi)[t, s] phi(s) m(s)^T and
+    the curve value built on it."""
+    mrp, Phi, pi = oracle.mrp, oracle.features.Phi, oracle.mrp.stationary.pi
+    M = (mrp.gamma * mrp.P - np.eye(mrp.n)) @ Phi
+    Q, curve, tensors = np.eye(mrp.n), [], []
+    for _ in range(horizon):
+        W = Q - pi[None, :]
+        A_t = np.einsum("ts,sk,sj->tkj", W, Phi, M)
+        vec = np.linalg.norm((W * mrp.R[None, :]) @ Phi, axis=1)
+        curve.append(max(np.linalg.svd(A_t, compute_uv=False)[:, 0].max(), vec.max()))
+        tensors.append(A_t)
+        Q = Q @ mrp.P
+    return np.array(curve), tensors
+
+
+class TestDeviationKernel:
+    @settings(max_examples=8, deadline=None)
+    @given(n=st.integers(2, 150), data=st.data())
+    def test_gemm_matches_einsum_reference(self, n, data):
+        seed = data.draw(st.integers(0, 2 ** 31 - 1), label="seed")
+        K = data.draw(st.integers(1, min(n, 8)), label="K")
+        mrp = random_mrp(n, data.draw(st.floats(0.2, 1.0), label="density"), seed)
+        oracle = MixingOracle(mrp, random_features(n, K, seed))
+        svd, seen = np.linalg.svd, []
+
+        def recording_svd(a, *args, **kwargs):
+            seen.append(np.array(a))
+            return svd(a, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "svd", recording_svd)
+            cert = oracle.certify(1e300, horizon=16)
+        ref_curve, ref_tensors = einsum_deviation_curve(oracle, 16)
+        assert len(seen) == 16
+        for got, ref in zip(seen, ref_tensors):
+            assert got.shape == (n, K, K)
+            scale = np.abs(ref).max()
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_allclose(cert.margin_curve, ref_curve, rtol=1e-12, atol=0.0)
+
+
 def _outcome(certify, eps):
     try:
         return certify(eps)
@@ -237,6 +280,28 @@ class TestMixingOracle:
             assert got.recheck()
             if eps == deep:
                 assert got.horizon_checked > 64
+
+    @pytest.mark.parametrize("n", [150, 300])
+    def test_large_chain_queries_equal_from_scratch_certificates(self, n):
+        mrp = random_mrp(n, 0.5, 1501)
+        model = build_steady_state(mrp, random_features(n, 8, 1502))
+        for eps in (1e-1, 1e-3, 1e-6, 1e-2):
+            got = model.mixing.certify(eps)
+            fresh = mixing_time(mrp, model.features, eps)
+            assert (got.tau, got.horizon_checked, got.tail_coeff, got.tail_rho) == (
+                fresh.tau, fresh.horizon_checked, fresh.tail_coeff, fresh.tail_rho)
+            assert got.margin_curve.tobytes() == fresh.margin_curve.tobytes()
+            assert got.recheck()
+
+    def test_slow_lazy_chain_certifies(self):
+        # |lambda_2| near 1: a 1% grid of rates skipped from below 1 to past it
+        base = random_mrp(5, 0.5, 5)
+        lazy = MarkovRewardProcess(0.9375 * np.eye(5) + 0.0625 * base.P,
+                                   base.R, base.gamma)
+        features = random_features(5, 1, 5)
+        for eps, tau in ((0.1, 69), (0.01, 143), (0.001, 214)):
+            cert = mixing_time(lazy, features, eps)
+            assert cert.tau == tau and cert.tail_rho < 1.0 and cert.recheck()
 
     def test_report_then_step_size_never_restarts_the_powers(self, monkeypatch):
         # one deviation step (one batched SVD) per matrix power: the second
