@@ -44,8 +44,14 @@ def derive_seed(master_seed: int, *indices: int) -> int:
 
 
 def generator(seed: int) -> np.random.Generator:
-    """Counter-based generator for the given stream seed."""
-    return np.random.Generator(np.random.Philox(key=seed & _MASK64))
+    """Counter-based generator for the given stream seed: Philox keyed by
+    ``stream_key(seed)``, its counter at zero."""
+    return np.random.Generator(np.random.Philox(key=stream_key(seed)))
+
+
+def stream_key(seed: int) -> int:
+    """The Philox key of the stream ``generator(seed)``."""
+    return seed & _MASK64
 
 
 def _inv_cdf(cum, u):

@@ -8,14 +8,15 @@ statements into pass/fail ledgers with explicit 3-standard-error slack.
 ``_simulate`` is the one SA kernel and ``MonteCarloEstimate`` its one
 result: every experiment runs its trials as lanes of it, and ``run_sa`` is a
 one-lane run that retains its iterates, so a batch lane equals the single
-run on the same stream and delays by construction. Lanes are the rows of
-(trials, K) arrays; the uniforms are drawn in step-major blocks, transitions
-come from the chain's exact table sampler (``mrp.sampler``), and every
-K-wide row sum goes through ``rowsum``, which adds columns in the order
-numpy sums one row, so a lane's bits do not depend on how many lanes run
-beside it. Per-step aggregation reduces over the trial axis in a fixed
-order, so results do not depend on scheduling. A ledger that checks no claim
-(out of contract, or aborted trials) comes from ``_refused``.
+run on the same stream and delays by construction. Lanes are the last axis
+of (K, trials) arrays, one column per lane; the uniforms are drawn from one
+re-keyed Philox in step-major blocks, transitions come from the chain's
+exact table sampler (``mrp.sampler``), and every K-wide sum goes through
+``rowsum``, which adds the K rows in the order numpy sums one vector, so a
+lane's bits do not depend on how many lanes run beside it. Per-step
+aggregation reduces over the trial axis in a fixed order, so results do not
+depend on scheduling. A ledger that checks no claim (out of contract, or
+aborted trials) comes from ``_refused``.
 """
 
 import math
@@ -29,6 +30,7 @@ from .chain import (
     MarkovRewardProcess,
     derive_seed,
     generator,
+    stream_key,
 )
 from .oracle import (
     FeatureMatrix,
@@ -55,6 +57,7 @@ from .sa_core import (
 
 _GUARD2 = DIVERGENCE_GUARD ** 2
 _BLOCK = 4096
+_LANE_CHUNK = 64
 
 
 def _bound_B(provider: UpdateDirectionProvider, theta0) -> float:
@@ -190,22 +193,44 @@ class MonteCarloEstimate:
 
 
 class _TrialStreams:
-    """One counter-based stream per lane, consumed in fixed blocks.
+    """Every lane's stream ``generator(seed)``, drawn from one re-keyed
+    Philox in step-major blocks.
 
-    Generator.random(n) consumes one 64-bit word per double, so chunked
-    draws reproduce the sequential one-draw-at-a-time stream exactly. A
-    block is step-major: row j holds every lane's j-th draw, so a step reads
-    one contiguous row.
+    Philox is counter-based: a stream is a key and a position, four 64-bit
+    words per counter step, and ``random`` takes one word per double. All
+    lanes stand at the same position ``pos``, so a lane's draws come from
+    writing its key and the counter ``pos // 4`` into the public state and
+    skipping ``pos % 4`` words: no generator (nor a seed sequence pulled from
+    OS entropy) is built per lane. Row j of a block holds every lane's j-th
+    draw, so a step reads one contiguous row; lanes are drawn
+    ``_LANE_CHUNK`` at a time and copied in as one transposed tile, about
+    twice as fast as writing one strided column per lane.
     """
 
     def __init__(self, seeds):
-        self.gens = [generator(seed) for seed in seeds]
-        self.trials = len(self.gens)
+        self.keys = [stream_key(seed) for seed in seeds]
+        self.gen = generator(0)
+        self.state = self.gen.bit_generator.state
+        self.pos = 0
 
     def uniform_block(self, count: int) -> np.ndarray:
-        U = np.empty((count, self.trials))
-        for i, g in enumerate(self.gens):
-            U[:, i] = g.random(count)
+        trials = len(self.keys)
+        U = np.empty((count, trials))
+        tile = np.empty((min(_LANE_CHUNK, trials), count))
+        bitgen, state = self.gen.bit_generator, self.state
+        key = state["state"]["key"]
+        state["state"]["counter"][0] = self.pos // 4
+        skip = self.pos % 4
+        for lo in range(0, trials, _LANE_CHUNK):
+            keys = self.keys[lo:lo + _LANE_CHUNK]
+            for row, k in zip(tile, keys):
+                key[0] = k
+                bitgen.state = state
+                if skip:
+                    bitgen.random_raw(skip)
+                self.gen.random(out=row)
+            U[:, lo:lo + len(keys)] = tile[:len(keys)].T
+        self.pos += count
         return U
 
 
@@ -235,17 +260,23 @@ def _simulate(provider: UpdateDirectionProvider, mrp: MarkovRewardProcess,
     Lane i draws from the stream ``seeds[i]`` and, when ``delays`` is given,
     takes its delays from ``delays[i]``. Each step samples every lane's
     transition, calls ``provider.direction`` and ``provider.steady`` once on
-    the whole batch, updates, and reduces d_t and e_t over the lanes.
-    markov sampling draws one uniform per step (plus one for the start state
-    when ``start_state`` is None); iid_restart draws the state fresh from pi
-    and then its successor, two uniforms per step.
+    the whole (K, trials) batch, updates, and reduces d_t and e_t over the
+    lanes. markov sampling draws one uniform per step (plus one for the start
+    state when ``start_state`` is None); iid_restart draws the state fresh
+    from pi and then its successor, two uniforms per step. A delayed lane
+    applies the direction its kernel computed d_t steps earlier, which is
+    g(theta_{t-d_t}; X_{t-d_t}) bit for bit.
     """
     if sampling not in ("markov", "iid_restart"):
         raise ValueError(f"unknown sampling mode {sampling!r}")
     trials, K = len(seeds), provider.dim
-    # theta* as full rows: subtracting a (K,) vector from (trials, K) rows
-    # runs one short loop per row, about 4x slower than a whole-array op
-    star = np.tile(provider.theta_star, (trials, 1))
+    # theta* as full (K, trials) rows: subtracting a (K, 1) column runs
+    # about 2x slower than a whole-array op
+    star = np.tile(provider.theta_star[:, None], (1, trials))
+    # with no coordinate above this, every lane's sum of squares is about
+    # G^2 / 2, inside the guard whatever the rounding; one max over the batch
+    # costs a third of the exact row sums
+    safe = DIVERGENCE_GUARD / math.sqrt(2 * K)
     pi_sampler = InverseCdfTable(np.cumsum(mrp.stationary.pi)[None, :])
     sampler, R = mrp.sampler, mrp.R
     iid = sampling == "iid_restart"
@@ -255,7 +286,7 @@ def _simulate(provider: UpdateDirectionProvider, mrp: MarkovRewardProcess,
         raise ConfigError("iterate retention too large; lower trials or T")
 
     streams = _TrialStreams(seeds)
-    theta = np.tile(np.asarray(theta0, dtype=float), (trials, 1))
+    theta = np.tile(np.asarray(theta0, dtype=float)[:, None], (1, trials))
 
     # per-step cross-trial mean and centered squared deviation (the centered
     # form keeps deterministic instances at exactly zero variance)
@@ -267,7 +298,7 @@ def _simulate(provider: UpdateDirectionProvider, mrp: MarkovRewardProcess,
     retained = None
     if retain:
         retained = np.empty((trials, T + 1, K))
-        retained[:, 0] = theta
+        retained[:, 0] = theta.T
     S = theta.copy() if weight_A is not None else None
     wrate = 1.0 - alpha * weight_A if weight_A is not None else None
     v = 1.0
@@ -283,26 +314,27 @@ def _simulate(provider: UpdateDirectionProvider, mrp: MarkovRewardProcess,
         dmat = np.empty((T, trials), dtype=np.int16 if fits else np.int64)
         for i, d in enumerate(delays):
             dmat[:, i] = d.sequence(T)
-        hist_theta = np.zeros((m, trials, K))
-        hist_s = np.zeros((m, trials), dtype=np.int64)
-        hist_sp = np.zeros((m, trials), dtype=np.int64)
-        hist_r = np.zeros((m, trials))
+        # the directions of the last m steps; lane i's slot-b direction is
+        # hist_g[:, b, i], so a (trials,) slot vector picks (K, trials)
+        hist_g = np.zeros((K, m, trials))
         lanes = np.arange(trials)
 
     s = None
-    if not iid:
-        if start_state is None:
-            s = pi_sampler.pick(streams.uniform_block(1)[0])
-        elif not 0 <= start_state < mrp.n:
+    draw_start = not iid and start_state is None
+    if not iid and not draw_start:
+        if not 0 <= start_state < mrp.n:
             raise ChainError(f"start_state {start_state} out of range")
-        else:
-            s = np.full(trials, int(start_state), dtype=np.int64)
+        s = np.full(trials, int(start_state), dtype=np.int64)
 
     abort_count, abort_step = 0, None
     t0 = 0
     while t0 < T and abort_step is None:
         L = min(_BLOCK, T - t0)
-        U = streams.uniform_block(L * draws)
+        U = streams.uniform_block(L * draws + draw_start)
+        if draw_start:  # the start state's draw leads the first block
+            s = pi_sampler.pick(U[0])
+            U = U[1:]
+            draw_start = False
         for j in range(L):
             step = t0 + j
             diff = theta - star
@@ -322,28 +354,21 @@ def _simulate(provider: UpdateDirectionProvider, mrp: MarkovRewardProcess,
                 rowsum(diff * (g - gbar)), trials)
 
             if use_delays:
-                slot = step % m
-                hist_theta[slot] = theta
-                hist_s[slot] = s
-                hist_sp[slot] = sp
-                hist_r[slot] = r
+                hist_g[:, step % m] = g
                 back = (step - dmat[step].astype(np.int64)) % m
-                stale = provider.direction(
-                    hist_theta[back, lanes],
-                    (hist_s[back, lanes], hist_sp[back, lanes], hist_r[back, lanes]))
-                theta = theta + alpha * stale
-            else:
-                theta = theta + alpha * g
+                g = hist_g[:, back, lanes]
+            theta += alpha * g
 
-            # NaN fails the comparison, so this is the finite check as well
-            inside = rowsum(theta * theta) <= _GUARD2
-            if not inside.all():
-                abort_count = trials - int(np.count_nonzero(inside))
-                abort_step = step + 1
-                break
+            # NaN fails every comparison, so this is the finite check as well
+            if not np.abs(theta).max() <= safe:
+                inside = rowsum(theta * theta) <= _GUARD2
+                if not inside.all():
+                    abort_count = trials - int(np.count_nonzero(inside))
+                    abort_step = step + 1
+                    break
 
             if retained is not None:
-                retained[:, step + 1] = theta
+                retained[:, step + 1] = theta.T
             if S is not None:
                 v = v * wrate + 1.0
                 S = S + (theta - S) / v
@@ -359,7 +384,8 @@ def _simulate(provider: UpdateDirectionProvider, mrp: MarkovRewardProcess,
         d_hat=d_mean, d_se=_se_from_centered(d_dev, trials),
         e_hat=e_mean[:T], e_se=_se_from_centered(e_dev[:T], trials),
         trials=trials, valid=abort_step is None, abort_count=abort_count,
-        abort_step=abort_step, theta_bar=S, retained=retained,
+        abort_step=abort_step, retained=retained,
+        theta_bar=None if S is None else np.ascontiguousarray(S.T),
     )
 
 

@@ -47,7 +47,8 @@ class FeatureMatrix:
     """Per-state feature rows phi(s), stacked into an n-by-K matrix.
 
     Columns must be linearly independent (smallest singular value > 1e-10)
-    and every row must satisfy ||phi(s)||^2 <= 1.
+    and every row must satisfy ||phi(s)||^2 <= 1. ``PhiT`` is the contiguous
+    K-by-n transpose, whose columns the lanes-last kernel gathers.
     """
 
     def __init__(self, Phi):
@@ -70,9 +71,11 @@ class FeatureMatrix:
                 f"row {worst} has squared norm {row_norms_sq[worst]:.6g} > 1"
             )
         self.Phi = Phi
+        self.PhiT = np.ascontiguousarray(Phi.T)
         self.n = n
         self.K = K
         self.Phi.setflags(write=False)
+        self.PhiT.setflags(write=False)
 
     def to_dict(self):
         return {"Phi": self.Phi.tolist()}
@@ -197,6 +200,7 @@ class SteadyStateModel:
         self.B = self.bound_B(self.theta0)
         for a in (self.A_bar, self.b_neg, self.Sigma, self.theta_star, self.theta0):
             a.setflags(write=False)
+        self._b_tile = b_neg[:, None]
 
     @property
     def K(self):
@@ -210,6 +214,16 @@ class SteadyStateModel:
     def contraction_rate(self) -> float:
         """The drift modulus omega * (1 - gamma)."""
         return self.omega * (1.0 - self.mrp.gamma)
+
+    def b_neg_lanes(self, lanes: int) -> np.ndarray:
+        """b_neg as (K, lanes) columns, kept for the last lane count: adding a
+        whole tile runs about 2x faster than broadcasting a (K, 1) column."""
+        tile = self._b_tile
+        if tile.shape[1] != lanes:
+            tile = np.tile(self.b_neg[:, None], (1, lanes))
+            tile.setflags(write=False)
+            self._b_tile = tile
+        return tile
 
     def bound_B(self, theta0) -> float:
         theta0 = np.asarray(theta0, dtype=float).reshape(self.features.K)
@@ -232,27 +246,32 @@ def build_steady_state(mrp: MarkovRewardProcess, features: FeatureMatrix,
 def steady_state_direction(model: SteadyStateModel, theta):
     """The expected update direction under the stationary law, A_bar theta + b_neg.
 
-    Accepts a single parameter vector or a batch with one row per parameter.
+    Accepts a single parameter vector or a (K, lanes) batch, one column per
+    parameter.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.ndim == 1:
         return model.A_bar @ theta + model.b_neg
-    return theta @ model.A_bar.T + model.b_neg
+    out = model.A_bar @ theta
+    out += model.b_neg_lanes(theta.shape[1])
+    return out
 
 
 def lemma1_margin(model: SteadyStateModel, theta):
     """Slack of the pseudo-gradient inequality at theta.
 
     Returns <theta* - theta, direction(theta)> - omega (1 - gamma)
-    ||theta* - theta||^2, which is nonnegative (within 1e-10) for every theta.
+    ||theta* - theta||^2, which is nonnegative (within 1e-10) for every theta;
+    one margin per column of a (K, lanes) batch.
     """
     theta = np.asarray(theta, dtype=float)
     gbar = steady_state_direction(model, theta)
-    diff = model.theta_star - theta
     rate = model.contraction_rate
     if theta.ndim == 1:
+        diff = model.theta_star - theta
         return float(diff @ gbar - rate * np.sum(diff ** 2))
-    return np.sum(diff * gbar, axis=1) - rate * np.sum(diff ** 2, axis=1)
+    diff = model.theta_star[:, None] - theta
+    return np.sum(diff * gbar, axis=0) - rate * np.sum(diff ** 2, axis=0)
 
 
 @dataclass(frozen=True)

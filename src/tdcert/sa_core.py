@@ -44,21 +44,21 @@ def fingerprint(payload: dict) -> str:
 
 
 def _pairwise(x, lo, n):
-    """Sum of columns lo..lo+n-1 of x in the order of numpy's pairwise sum."""
+    """Sum of rows lo..lo+n-1 of x in the order of numpy's pairwise sum."""
     if n < 8:
-        acc = x[..., lo]
+        acc = x[lo]
         for j in range(lo + 1, lo + n):
-            acc = acc + x[..., j]
+            acc = acc + x[j]
         return acc
     if n <= 128:
-        part = [x[..., lo + j] for j in range(8)]
+        part = [x[lo + j] for j in range(8)]
         stop = lo + n - n % 8
         for i in range(lo + 8, stop, 8):
-            part = [part[j] + x[..., i + j] for j in range(8)]
+            part = [part[j] + x[i + j] for j in range(8)]
         acc = ((part[0] + part[1]) + (part[2] + part[3])) + \
               ((part[4] + part[5]) + (part[6] + part[7]))
         for j in range(stop, lo + n):
-            acc = acc + x[..., j]
+            acc = acc + x[j]
         return acc
     half = n // 2
     half -= half % 8
@@ -66,33 +66,41 @@ def _pairwise(x, lo, n):
 
 
 def rowsum(x):
-    """``x.sum(axis=-1)`` of a C-contiguous array, bit for bit, from columns.
+    """The sum of the K rows of a (K, lanes) batch: each lane's K-vector
+    summed as numpy sums a contiguous vector, bit for bit
+    (``np.ascontiguousarray(x.T).sum(axis=-1)``); a (K,) vector gives its sum.
 
-    numpy reduces each row with its pairwise summation: one running sum below
-    8 terms, else 8 interleaved accumulators added as a tree (blocks of more
-    than 128 terms are halved first), on top of the identity 0.0. Adding
-    whole columns in that order gives the same bits with a few vector adds
-    instead of one short reduction per row, about 5x faster on (2000, 3).
-    The trailing ``+ 0.0`` is the identity; it only turns a -0.0 into 0.0.
+    numpy reduces a contiguous vector with its pairwise summation: one
+    running sum below 8 terms, else 8 interleaved accumulators added as a
+    tree (blocks of more than 128 terms are halved first), on top of the
+    identity 0.0. Adding whole rows in that order gives the same bits with a
+    few vector adds instead of one short reduction per lane. The trailing
+    ``+ 0.0`` is the identity; it only turns a -0.0 into 0.0.
     """
     x = np.asarray(x)
-    if x.shape[-1] == 0:
-        return x.sum(axis=-1)
-    return _pairwise(x, 0, x.shape[-1]) + 0.0
+    if x.shape[0] == 0:
+        return x.sum(axis=0)
+    return _pairwise(x, 0, x.shape[0]) + 0.0
 
 
 def td0_direction(features: FeatureMatrix, gamma: float, theta, X):
     """The TD(0) update direction (r + gamma <phi(s'), theta> - <phi(s), theta>) phi(s).
 
-    ``theta`` may be one parameter vector or a batch of rows; ``X`` is a
-    (s, s_next, r) triple of scalars or aligned arrays.
+    ``theta`` may be one parameter vector or a (K, lanes) batch with one
+    column per lane; ``X`` is a (s, s_next, r) triple of scalars or arrays
+    aligned with the lanes.
     """
     s, sp, r = X
-    Phi = features.Phi
-    phi_s = Phi.take(s, axis=0)
-    td = np.asarray(r + gamma * rowsum(Phi.take(sp, axis=0) * theta)
-                    - rowsum(phi_s * theta))
-    return td[..., None] * phi_s
+    PhiT = features.PhiT
+    phi_s = PhiT.take(s, axis=1)
+    td = (r + gamma * rowsum(PhiT.take(sp, axis=1) * theta)
+          - rowsum(phi_s * theta))
+    return td * phi_s
+
+
+def _lanes(v, theta):
+    """The (K,) vector v shaped to broadcast against theta, (K,) or (K, lanes)."""
+    return v if np.ndim(theta) == 1 else v[:, None]
 
 
 class UpdateDirectionProvider:
@@ -101,6 +109,8 @@ class UpdateDirectionProvider:
     Concrete providers expose the sampled direction, its steady-state
     expectation, the solved-for fixed point, and the declared constants
     (L, sigma_const, beta, norm_offset) that ``audit_provider`` verifies.
+    ``direction`` and ``steady`` take one parameter vector (K,) or a
+    (K, lanes) batch, one column per lane, and return the same shape.
     """
 
     dim: int
@@ -164,6 +174,7 @@ class LinearContractionProvider(UpdateDirectionProvider):
         noise = noise - pi @ noise  # recenter under the stationary law
         self.pi = pi
         self.c_table = theta_star[None, :] + noise
+        self._c_cols = np.ascontiguousarray(self.c_table.T)
         self.theta_star = theta_star
         self.dim = theta_star.shape[0]
         self.L = 1.0
@@ -172,11 +183,10 @@ class LinearContractionProvider(UpdateDirectionProvider):
                                      np.linalg.norm(theta_star)))
 
     def direction(self, theta, X):
-        s = X[0]
-        return -np.asarray(theta, dtype=float) + self.c_table.take(s, axis=0)
+        return -np.asarray(theta, dtype=float) + self._c_cols.take(X[0], axis=1)
 
     def steady(self, theta):
-        return self.theta_star - np.asarray(theta, dtype=float)
+        return _lanes(self.theta_star, theta) - np.asarray(theta, dtype=float)
 
     def noise_variance(self) -> float:
         """Stationary second moment E ||c(X) - theta_star||^2."""
@@ -200,6 +210,7 @@ class SaturatingMonotoneProvider(UpdateDirectionProvider):
         pi = np.asarray(pi, dtype=float)
         noise = noise - pi @ noise
         self.noise_table = noise
+        self._noise_cols = np.ascontiguousarray(noise.T)
         self.theta_star = theta_star
         self.dim = theta_star.shape[0]
         self.a = float(a)
@@ -212,12 +223,11 @@ class SaturatingMonotoneProvider(UpdateDirectionProvider):
         self.sigma_const = float(max(1.0, np.linalg.norm(theta_star), raw))
 
     def _drift(self, theta):
-        u = np.asarray(theta, dtype=float) - self.theta_star
+        u = np.asarray(theta, dtype=float) - _lanes(self.theta_star, theta)
         return -(self.a * u + self.b * np.tanh(u))
 
     def direction(self, theta, X):
-        s = X[0]
-        return self._drift(theta) + self.noise_table.take(s, axis=0)
+        return self._drift(theta) + self._noise_cols.take(X[0], axis=1)
 
     def steady(self, theta):
         return self._drift(theta)
@@ -425,13 +435,19 @@ def audit_provider(provider: UpdateDirectionProvider, mrp: MarkovRewardProcess,
     sp = mrp.sampler.pick(rng.random(m), s)
     X = (s, sp, mrp.R[s])
 
-    g1 = provider.direction(theta1, X)
-    g2 = provider.direction(theta2, X)
+    # the providers take and return (K, m) columns; the checks reduce (m, K)
+    # rows, in the order they always have
+    def flip(x):
+        return np.ascontiguousarray(x.T)
+
+    cols1, cols2 = flip(theta1), flip(theta2)
+    g1 = flip(provider.direction(cols1, X))
+    g2 = flip(provider.direction(cols2, X))
     dtheta = np.linalg.norm(theta1 - theta2, axis=1)
     keep = dtheta > 1e-12
     lip = np.linalg.norm(g1 - g2, axis=1)[keep] / dtheta[keep]
-    steady1 = provider.steady(theta1)
-    steady_lip = (np.linalg.norm(steady1 - provider.steady(theta2), axis=1)[keep]
+    steady1 = flip(provider.steady(cols1))
+    steady_lip = (np.linalg.norm(steady1 - flip(provider.steady(cols2)), axis=1)[keep]
                   / dtheta[keep])
     norm_ratio = np.linalg.norm(g1, axis=1) / (
         provider.L * (np.linalg.norm(theta1, axis=1) + provider.norm_offset))

@@ -100,7 +100,8 @@ def test_criterion_2_lemma1_margin(random_instances):
         raw = rng.normal(size=(10_000, model.K))
         radii = 10.0 * rng.random((10_000, 1)) ** (1.0 / model.K)
         thetas = raw / np.linalg.norm(raw, axis=1, keepdims=True) * radii
-        worst = min(worst, float(lemma1_margin(model, thetas).min()))
+        worst = min(worst, float(
+            lemma1_margin(model, np.ascontiguousarray(thetas.T)).min()))
     elapsed = time.time() - start
     ok = worst >= -1e-10 and elapsed < 30.0
     report(2, ok, f"50 instances x 10^4 parameters: min margin={worst:.2e}, "

@@ -24,6 +24,7 @@ from tdcert.sa_core import (
     resolve_step_size,
 )
 from tdcert.harness import (
+    _TrialStreams,
     AuditError,
     BoundLedger,
     ConfigError,
@@ -73,7 +74,7 @@ def fast_config(**kw):
 
 WIDE = random_mrp(12, 0.5, seed=31)
 WIDE_MODELS = {K: build_steady_state(WIDE, random_features(12, K, seed=32))
-               for K in (3, 9)}
+               for K in (3, 8, 9)}
 
 
 def wide_config(K, **kw):
@@ -141,15 +142,34 @@ class TestEstimate:
                                  T, seed=derive_seed(11, 0), delays=delays.spawn(0))
         assert np.array_equal(single.thetas, reference)
 
-    @pytest.mark.parametrize("K", [3, 9])
+    @pytest.mark.parametrize("K", [3, 8, 9])
     @pytest.mark.parametrize("sampling", ["markov", "iid_restart"])
     def test_batch_lanes_equal_single_trials_multi_feature(self, K, sampling):
-        # K=9 row sums take numpy's 8-accumulator pairwise order
+        # K=8 and K=9 row sums take numpy's 8-accumulator pairwise order
         cfg = wide_config(K, sampling=sampling)
         for i, tr in enumerate(simulate_trajectories(cfg)):
             single = run_sa(cfg.provider, cfg.mrp, cfg.theta0, cfg.spec, cfg.T,
                             seed=derive_seed(cfg.master_seed, i), sampling=sampling)
             assert np.array_equal(tr.thetas, single.thetas)
+            assert np.array_equal(tr.thetas, reference_sa(
+                cfg.provider, cfg.mrp, cfg.theta0, cfg.spec, cfg.T,
+                seed=derive_seed(cfg.master_seed, i), sampling=sampling))
+
+    @pytest.mark.parametrize("K", [8, 9])
+    def test_constant_delay_lanes_equal_reference_8_accumulators(self, K):
+        delays = DelayProcess("constant", 3)
+        cfg = wide_config(K, delays=delays)
+        for i, tr in enumerate(simulate_trajectories(cfg)):
+            assert np.array_equal(tr.thetas, reference_sa(
+                cfg.provider, cfg.mrp, cfg.theta0, cfg.spec, cfg.T,
+                seed=derive_seed(cfg.master_seed, i), delays=delays.spawn(i)))
+
+    @pytest.mark.parametrize("sampling", ["markov", "iid_restart"])
+    def test_lanes_equal_reference_across_stream_blocks(self, sampling):
+        # T = 4103 crosses a 4096-step block, so later draws start mid-way
+        # through a Philox counter block (markov's start draw leads block one)
+        cfg = wide_config(3, T=4103, trials=3, sampling=sampling)
+        for i, tr in enumerate(simulate_trajectories(cfg)):
             assert np.array_equal(tr.thetas, reference_sa(
                 cfg.provider, cfg.mrp, cfg.theta0, cfg.spec, cfg.T,
                 seed=derive_seed(cfg.master_seed, i), sampling=sampling))
@@ -184,6 +204,31 @@ class TestEstimate:
             assert np.array_equal(tr.thetas, reference_sa(
                 provider, WIDE, cfg.theta0, cfg.spec, cfg.T,
                 seed=derive_seed(cfg.master_seed, i)))
+
+    @pytest.mark.parametrize("blocks", [[1, 4096, 7], [4097, 7], [8192, 14]],
+                             ids=["markov_start", "markov_fused", "iid_restart"])
+    def test_keyed_streams_equal_per_lane_generators(self, blocks):
+        # 133 lanes fill two 64-lane chunks and part of a third
+        seeds = [derive_seed(3, i) for i in range(130)] + [0, 2 ** 64 - 1, -7]
+        streams = _TrialStreams(seeds)
+        drawn = np.concatenate([streams.uniform_block(n) for n in blocks])
+        for i, seed in enumerate(seeds):
+            assert np.array_equal(drawn[:, i], generator(seed).random(sum(blocks)))
+
+    def test_one_bit_generator_per_run(self, monkeypatch):
+        # re-keying replaces one Philox (and its entropy-seeded seed
+        # sequence) per lane; 500 lanes must not build 500 of them
+        built = []
+        philox = np.random.Philox
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        estimate = estimate_dt_et(fast_config(trials=500, T=20))
+        assert estimate.valid
+        assert 1 <= len(built) <= 2
 
     @pytest.mark.parametrize("start_state", [-1, 2])
     def test_start_state_out_of_range_rejected(self, start_state):

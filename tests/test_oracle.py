@@ -109,18 +109,33 @@ class TestSteadyStateDirection:
         cum_pi = np.cumsum(model.stationary.pi)
         s = np.minimum((cum_pi[None, :] <= rng.random(N)[:, None]).sum(1), 1)
         sp = np.minimum((TWO_STATE.cum_P[s] <= rng.random(N)[:, None]).sum(1), 1)
-        dirs = td0_direction(TWO_FEATS, TWO_STATE.gamma, theta, (s, sp, TWO_STATE.R[s]))
-        mc = dirs.mean(axis=0)
-        se = dirs.std(axis=0, ddof=1) / np.sqrt(N)
+        dirs = td0_direction(TWO_FEATS, TWO_STATE.gamma, theta[:, None],
+                             (s, sp, TWO_STATE.R[s]))
+        mc = dirs.mean(axis=1)
+        se = dirs.std(axis=1, ddof=1) / np.sqrt(N)
         exact = steady_state_direction(model, theta)
         assert np.all(np.abs(mc - exact) <= 3 * se)
 
     def test_batch_rows(self):
         model = build_steady_state(TWO_STATE, TWO_FEATS)
-        thetas = np.array([[0.0], [1.0], [5.0]])
+        thetas = np.array([[0.0, 1.0, 5.0]])
         batch = steady_state_direction(model, thetas)
-        for row, theta in zip(batch, thetas):
-            np.testing.assert_allclose(row, steady_state_direction(model, theta))
+        for col, theta in zip(batch.T, thetas.T):
+            np.testing.assert_allclose(col, steady_state_direction(model, theta))
+
+    @pytest.mark.parametrize("K", range(1, 10))
+    def test_lanes_last_map_has_the_row_major_bits(self, K):
+        # the kernel's (K, K) @ (K, lanes) gives the bits of the one-row-per-
+        # lane form theta^T @ A_bar^T + b_neg, lane count by lane count
+        mrp = random_mrp(12, 0.5, seed=40 + K)
+        model = build_steady_state(mrp, random_features(12, K, seed=50 + K))
+        rng = generator(60 + K)
+        for lanes in (1, 2, 7, 500, 2000):
+            rows = rng.normal(size=(lanes, K)) * np.exp(rng.uniform(-8, 8, (lanes, K)))
+            lanes_last = steady_state_direction(model, np.ascontiguousarray(rows.T))
+            row_major = rows @ model.A_bar.T + model.b_neg
+            assert np.array_equal(lanes_last.view(np.int64),
+                                  np.ascontiguousarray(row_major.T).view(np.int64))
 
 
 class TestMixingTime:
@@ -345,7 +360,7 @@ class TestLemma1:
         raw = rng.normal(size=(10_000, 1))
         radii = 10.0 * rng.random((10_000, 1)) ** (1.0 / model.K)
         thetas = raw / np.linalg.norm(raw, axis=1, keepdims=True) * radii
-        margins = lemma1_margin(model, thetas)
+        margins = lemma1_margin(model, np.ascontiguousarray(thetas.T))
         assert margins.min() >= -1e-10
 
     @settings(max_examples=200, deadline=None)

@@ -51,29 +51,29 @@ class TestTD0Direction:
 
     def test_batch_matches_scalar_calls_bitwise(self):
         rng = generator(5)
-        thetas = rng.normal(size=(50, 1))
+        thetas = rng.normal(size=(1, 50))
         s = rng.integers(0, 2, size=50)
         sp = rng.integers(0, 2, size=50)
         X = (s, sp, TWO_STATE.R[s])
         batch = td0_direction(TWO_FEATS, 0.9, thetas, X)
         for i in range(50):
-            single = td0_direction(TWO_FEATS, 0.9, thetas[i],
+            single = td0_direction(TWO_FEATS, 0.9, thetas[:, i],
                                    (int(s[i]), int(sp[i]), float(TWO_STATE.R[s[i]])))
-            assert np.array_equal(batch[i], single)
+            assert np.array_equal(batch[:, i], single)
 
     def test_batch_matches_scalar_calls_bitwise_k9(self):
         # nine features take numpy's 8-accumulator pairwise order
         feats = random_features(12, 9, seed=21)
         rng = generator(6)
-        thetas = rng.normal(size=(40, 9)) * 3.0
+        thetas = np.ascontiguousarray(rng.normal(size=(40, 9)).T) * 3.0
         s = rng.integers(0, 12, size=40)
         sp = rng.integers(0, 12, size=40)
         r = rng.uniform(-1.0, 1.0, size=40)
         batch = td0_direction(feats, 0.7, thetas, (s, sp, r))
         for i in range(40):
-            single = td0_direction(feats, 0.7, thetas[i],
+            single = td0_direction(feats, 0.7, thetas[:, i],
                                    (int(s[i]), int(sp[i]), float(r[i])))
-            assert np.array_equal(batch[i], single)
+            assert np.array_equal(batch[:, i], single)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(-10, 10, allow_nan=False), min_size=1, max_size=1),
@@ -92,15 +92,15 @@ class TestTD0Direction:
         # ||steady(theta)|| <= 2 ||theta - theta*||
         provider = TD0Provider(TWO_MODEL)
         rng = generator(17)
-        thetas = rng.normal(size=(5000, 1)) * 8.0
+        thetas = rng.normal(size=(1, 5000)) * 8.0
         s = rng.integers(0, 2, size=5000)
         sp = rng.integers(0, 2, size=5000)
         g = provider.direction(thetas, (s, sp, TWO_STATE.R[s]))
-        dist = np.linalg.norm(thetas - provider.theta_star, axis=1)
-        assert np.all(np.linalg.norm(g, axis=1)
+        dist = np.linalg.norm(thetas - provider.theta_star[:, None], axis=0)
+        assert np.all(np.linalg.norm(g, axis=0)
                       <= 2 * dist + 4 * provider.sigma_const + 1e-12)
         gbar = provider.steady(thetas)
-        assert np.all(np.linalg.norm(gbar, axis=1) <= 2 * dist + 1e-12)
+        assert np.all(np.linalg.norm(gbar, axis=0) <= 2 * dist + 1e-12)
 
 
 class TestResolveStepSize:
@@ -297,7 +297,7 @@ class TestAuditProvider:
         class Offset(TD0Provider):
             def direction(self, theta, X):
                 return (super().direction(theta, X)
-                        + 0.5 * self.model.features.Phi.take(X[0], axis=0))
+                        + 0.5 * self.model.features.PhiT.take(X[0], axis=1))
 
         class GenericOffset(Offset):
             norm_offset = property(lambda self: self.sigma_const)
@@ -340,18 +340,31 @@ class TestRowsum:
         st.floats(-1e-3, 1e-3, allow_nan=False, allow_infinity=False),
         st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e16, -1e16]))
 
+    @staticmethod
+    def _lane_sums(x):
+        # numpy's sum of each lane's contiguous K-vector
+        return np.ascontiguousarray(x.T).sum(axis=-1)
+
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 20), st.data())
     def test_equals_numpy_sum_on_rows_and_vectors(self, K, data):
-        rows = data.draw(st.integers(1, 6))
-        x = np.array(data.draw(st.lists(self._value, min_size=rows * K,
-                                        max_size=rows * K))).reshape(rows, K)
-        assert np.array_equal(_bits(rowsum(x)), _bits(x.sum(axis=-1)))
-        assert np.array_equal(_bits(rowsum(x[0])), _bits(x[0].sum(axis=-1)))
+        lanes = data.draw(st.integers(1, 6))
+        x = np.array(data.draw(st.lists(self._value, min_size=lanes * K,
+                                        max_size=lanes * K))).reshape(K, lanes)
+        assert np.array_equal(_bits(rowsum(x)), _bits(self._lane_sums(x)))
+        assert np.array_equal(_bits(rowsum(x[:, 0])), _bits(x[:, 0].sum()))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(21, 300), st.data())
+    def test_equals_numpy_sum_on_long_vectors(self, K, data):
+        lanes = data.draw(st.integers(1, 3))
+        x = np.array(data.draw(st.lists(self._value, min_size=lanes * K,
+                                        max_size=lanes * K))).reshape(K, lanes)
+        assert np.array_equal(_bits(rowsum(x)), _bits(self._lane_sums(x)))
 
     @pytest.mark.parametrize("K", [1, 3, 7, 8, 9, 16, 17, 129, 300])
     def test_equals_numpy_sum_on_trial_batches(self, K):
         rng = generator(K)
-        x = rng.normal(size=(500, K)) * np.exp(rng.uniform(-20, 20, size=(500, K)))
-        x[rng.random((500, K)) < 0.1] = -0.0
-        assert np.array_equal(_bits(rowsum(x)), _bits(x.sum(axis=-1)))
+        x = rng.normal(size=(K, 500)) * np.exp(rng.uniform(-20, 20, size=(K, 500)))
+        x[rng.random((K, 500)) < 0.1] = -0.0
+        assert np.array_equal(_bits(rowsum(x)), _bits(self._lane_sums(x)))
