@@ -9,13 +9,11 @@ from .chain import (
     MarkovRewardProcess,
     MixingProfile,
     StationaryDistribution,
-    TrajectorySample,
     ValidationReport,
     cycle_mrp,
     derive_seed,
     mrp_from_dict,
     random_mrp,
-    sample_trajectory,
     stationary_distribution,
     tv_mixing_profile,
     validate_chain,

@@ -2,7 +2,7 @@
 
 Validation of the irreducibility/aperiodicity assumption, exact stationary
 distributions, total-variation mixing profiles with certified geometric
-envelopes, and seeded Markovian trajectory sampling. Everything here is
+envelopes, and the exact table sampler of transitions. Everything here is
 deterministic given its seed; all objects are immutable after construction
 and safe to share across threads.
 """
@@ -52,12 +52,6 @@ def generator(seed: int) -> np.random.Generator:
 def stream_key(seed: int) -> int:
     """The Philox key of the stream ``generator(seed)``."""
     return seed & _MASK64
-
-
-def _inv_cdf(cum, u):
-    """Index of the CDF cell of one row that contains the uniform u."""
-    idx = int(np.sum(cum <= u))
-    return min(idx, cum.shape[0] - 1)
 
 
 class InverseCdfTable:
@@ -373,51 +367,6 @@ def tv_mixing_profile(mrp: MarkovRewardProcess, horizon: int) -> MixingProfile:
     """Worst-case total-variation distance to stationarity for k = 1..horizon,
     from exact matrix powers, plus a fitted certified envelope."""
     return ChainPowers(mrp).profile(horizon)
-
-
-@dataclass(frozen=True)
-class TrajectorySample:
-    """One sampled chain path as (s_t, s_{t+1}, r_t) observation triples.
-
-    Rewards are the expected per-state rewards; consecutive triples chain
-    (s_next[t] == s[t+1]). Bit-reproducible from (seed, start_state, length).
-    """
-
-    s: np.ndarray
-    s_next: np.ndarray
-    r: np.ndarray
-    seed: int
-    start_state: int
-
-    def __post_init__(self):
-        for a in (self.s, self.s_next, self.r):
-            a.setflags(write=False)
-
-    def __len__(self):
-        return self.s.shape[0]
-
-    def tuples(self):
-        return list(zip(self.s.tolist(), self.s_next.tolist(), self.r.tolist()))
-
-
-def sample_trajectory(mrp: MarkovRewardProcess, start_state: int, length: int,
-                      seed: int) -> TrajectorySample:
-    """Sample a single Markovian trajectory of observation tuples."""
-    if not 0 <= start_state < mrp.n:
-        raise ChainError(f"start_state {start_state} out of range for n={mrp.n}")
-    rng = generator(seed)
-    u = rng.random(length)
-    states = np.empty(length + 1, dtype=np.int64)
-    states[0] = start_state
-    cum = mrp.cum_P
-    cur = start_state
-    for t in range(length):
-        cur = _inv_cdf(cum[cur], u[t])
-        states[t + 1] = cur
-    s = states[:-1].copy()
-    s_next = states[1:].copy()
-    return TrajectorySample(s=s, s_next=s_next, r=mrp.R[s].copy(),
-                            seed=seed, start_state=start_state)
 
 
 # ---------------------------------------------------------------------------

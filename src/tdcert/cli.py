@@ -12,7 +12,6 @@ out of contract, 3 input/validation error.
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -34,7 +33,7 @@ from .sa_core import (
     DelayProcess,
     StepSizeError,
     StepSizeSpec,
-    drift_rate,
+    auto_horizon,
     resolve_step_size,
     spec_at,
     LinearContractionProvider,
@@ -128,7 +127,7 @@ def parse_experiment(cfg: dict, seed_override: int | None = None):
             f"trials must be at least 100 for a ledger-producing run, got {trials}")
     T = exp.get("T", "auto")
     if T == "auto":
-        T = int(math.ceil(10.0 / (spec.alpha * drift_rate(mode, model, provider))))
+        T = auto_horizon(spec, model, provider)
     theta0 = inst.get("theta0")
     delays_cfg = exp.get("delays")
     delays = DelayProcess(**delays_cfg) if delays_cfg else None
@@ -155,14 +154,14 @@ def _execute(config: ExperimentConfig, kind: str):
     elif kind == "recursion":
         estimate = estimate_dt_et(config)
         ledgers["boundedness"] = check_boundedness(estimate)
-        ledgers["recursion"] = check_recursion(estimate, config.model, config.spec)
+        ledgers["recursion"] = check_recursion(estimate)
     elif kind == "iid_control":
         estimate = estimate_dt_et(config)
         ledgers["iid_control"] = check_iid_noise(estimate)
     elif kind == "weighted_average":
         ledgers["weighted_average"] = weighted_average_experiment(config)
     elif kind == "nonlinear":
-        result = nonlinear_sa_experiment(config.provider, config)
+        result = nonlinear_sa_experiment(config)
         estimate = result["estimate"]
         ledgers["boundedness"] = result["boundedness"]
         ledgers["recursion"] = result["recursion"]
@@ -222,8 +221,7 @@ def cmd_oracle(cfg: dict, out_dir: str, seed_override=None) -> int:
         return EXIT_INVALID_INPUT
     features = features_from_dict(inst.get("features") or {"kind": "constant"},
                                   mrp.n)
-    model = build_steady_state(mrp, features, inst.get("theta0"))
-    doc = oracle_report(model)
+    doc = oracle_report(build_steady_state(mrp, features), inst.get("theta0"))
     os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "oracle_report.json"), doc)
     print(f"oracle report written to {out_dir}/oracle_report.json "
@@ -309,10 +307,9 @@ def cmd_sweep(cfg: dict, out_dir: str, sweep_arg: str, seed_override=None) -> in
         base_seed = config.delays.seed if config.delays is not None else 77
         model, provider, mode = config.model, config.provider, config.spec.mode
         base = resolve_step_size(model, C=config.spec.C, mode=mode, provider=provider)
-        rate = drift_rate(mode, model, provider)
         for tau_max in values:
             spec = spec_at(model, provider, mode, base.alpha / (1 + tau_max), base.C)
-            T = int(math.ceil(10.0 / (spec.alpha * rate)))
+            T = auto_horizon(spec, model, provider)
             delays = DelayProcess(kind=base_kind if tau_max > 0 else "none",
                                   tau_max=tau_max, seed=base_seed)
             sub = replace(config, spec=spec, T=T, delays=delays)

@@ -15,8 +15,10 @@ exact table sampler (``mrp.sampler``), and every K-wide sum goes through
 ``rowsum``, which adds the K rows in the order numpy sums one vector, so a
 lane's bits do not depend on how many lanes run beside it. Per-step
 aggregation reduces over the trial axis in a fixed order, so results do not
-depend on scheduling. A ledger that checks no claim (out of contract, or
-aborted trials) comes from ``_refused``.
+depend on scheduling. Every check takes only the estimate and reads alpha,
+tau, the mode, model, provider, ceiling and B from ``estimate.config``, so a
+ledger checks the hypothesis it reports; a ledger that checks no claim (out
+of contract, or aborted trials) comes from ``_refused``.
 """
 
 import math
@@ -47,6 +49,8 @@ from .sa_core import (
     TD0Provider,
     UpdateDirectionProvider,
     audit_provider,
+    auto_horizon,
+    bound_B,
     contraction_bound,
     drift_rate,
     fingerprint,
@@ -58,12 +62,6 @@ from .sa_core import (
 _GUARD2 = DIVERGENCE_GUARD ** 2
 _BLOCK = 4096
 _LANE_CHUNK = 64
-
-
-def _bound_B(provider: UpdateDirectionProvider, theta0) -> float:
-    """The mean-square iterate bound 10 max(||theta0 - theta*||^2, sigma^2)."""
-    return 10.0 * max(float(np.sum((theta0 - provider.theta_star) ** 2)),
-                      provider.sigma_const ** 2)
 
 
 class ConfigError(ValueError):
@@ -128,7 +126,7 @@ class ExperimentConfig:
 
     @property
     def B(self) -> float:
-        return _bound_B(self.provider, self.theta0)
+        return bound_B(self.provider, self.theta0)
 
     def in_contract(self) -> bool:
         return self.spec.in_contract(contraction_bound(
@@ -172,7 +170,8 @@ class MonteCarloEstimate:
 
     ``config`` is the experiment the lanes ran (None for bare kernel runs);
     ``theta_bar`` holds each lane's weighted average when one was requested,
-    and ``retained`` each lane's iterates theta_0..theta_T when retained.
+    and ``retained`` each lane's iterates theta_0..theta_T, (trials, T+1, K),
+    when retained.
     """
 
     d_hat: np.ndarray
@@ -446,21 +445,17 @@ def estimate_dt_et(config: ExperimentConfig) -> MonteCarloEstimate:
     return _simulate_config(config)
 
 
-def simulate_trajectories(config: ExperimentConfig) -> list[Trajectory]:
-    """Run the batch with full iterate retention and split it into per-trial
-    replayable trajectories (lane i uses the stream derived for trial i)."""
+def simulate_trajectories(config: ExperimentConfig) -> MonteCarloEstimate:
+    """The experiment's estimate with every lane's iterates retained:
+    ``retained[i]`` is trial i's theta_0..theta_T, from the stream derived
+    for trial i, so ``run_sa`` on that seed replays it. Raises ConfigError if
+    any lane hits the divergence guard."""
     sim = _simulate_config(config, retain=True)
     if not sim.valid:
         raise ConfigError(
             f"{sim.abort_count} trials hit the divergence guard at step "
             f"{sim.abort_step}; cannot retain trajectories")
-    fp = config.fingerprint()
-    return [
-        Trajectory(thetas=sim.retained[i].copy(),
-                   seed=derive_seed(config.master_seed, i),
-                   fingerprint=fp, alpha=config.spec.alpha)
-        for i in range(config.trials)
-    ]
+    return sim
 
 
 # ---------------------------------------------------------------------------
@@ -563,31 +558,24 @@ def check_boundedness(estimate: MonteCarloEstimate) -> BoundLedger:
     )
 
 
-def check_recursion(estimate: MonteCarloEstimate, model: SteadyStateModel,
-                    spec: StepSizeSpec, ceiling: float | None = None,
-                    rate: float | None = None,
-                    perturb_scale: float | None = None,
-                    e_scale: float | None = None) -> BoundLedger:
+def check_recursion(estimate: MonteCarloEstimate) -> BoundLedger:
     """Fit the smallest constants making the one-step recursion and the
     disturbance bound hold for t >= tau, with 3-SE slack.
 
-    d_hat(t+1) <= rate * d_hat(t) + c * perturb_scale  (default rate
-    1 - alpha omega (1-gamma), scale alpha^2 tau B), and
-    e_hat(t) <= c' * e_scale (default alpha tau B). Before tau the
-    disturbance is checked against its coarse 8B bound instead.
+    d_hat(t+1) <= rate * d_hat(t) + c * perturb_scale with rate
+    1 - alpha * drift rate and scale alpha^2 L^2 tau B, and
+    e_hat(t) <= c' * e_scale with e_scale alpha L^2 tau B (L^2 is 1 in td0
+    mode). Before tau the disturbance is checked against its coarse 8B bound
+    instead.
     """
     _require_ledger_grade(estimate)
     config = estimate.config
-    ceiling = config.ceiling if ceiling is None else float(ceiling)
+    spec, ceiling, B = config.spec, config.ceiling, config.B
     alpha, tau = spec.alpha, spec.tau_alpha
-    B = config.B
-    if rate is None:
-        rate = 1.0 - alpha * drift_rate(spec.mode, model, config.provider)
+    rate = 1.0 - alpha * drift_rate(spec.mode, config.model, config.provider)
     L2 = config.provider.L ** 2 if spec.mode == "nonlinear" else 1.0
-    if perturb_scale is None:
-        perturb_scale = alpha ** 2 * L2 * tau * B
-    if e_scale is None:
-        e_scale = alpha * L2 * tau * B
+    perturb_scale = alpha ** 2 * L2 * tau * B
+    e_scale = alpha * L2 * tau * B
     refused = _refused(estimate, "theorem2-recursion", estimate.T, "")
     if refused is not None:
         return refused
@@ -600,8 +588,7 @@ def check_recursion(estimate: MonteCarloEstimate, model: SteadyStateModel,
                 - rate * estimate.d_hat[t]) / perturb_scale
     c = float(max(needed_c.max(), 0.0))
 
-    te = np.arange(tau, T)
-    needed_cp = (estimate.e_hat[te] - SLACK_MULTIPLIER * estimate.e_se[te]) / e_scale
+    needed_cp = (estimate.e_hat[t] - SLACK_MULTIPLIER * estimate.e_se[t]) / e_scale
     c_prime = float(max(needed_cp.max(), 0.0))
 
     pre = np.arange(0, min(tau, T))
@@ -626,9 +613,7 @@ def check_recursion(estimate: MonteCarloEstimate, model: SteadyStateModel,
                 "pre_tau_ok": pre_tau_ok, "ceiling": ceiling},
         slack={"multiplier": SLACK_MULTIPLIER,
                "max_width": float(np.max(slack_rec))},
-        n_steps=T - tau,
-        bound_value=bound_value,
-        margin=margin,
+        n_steps=T - tau, bound_value=bound_value, margin=margin,
     )
 
 
@@ -656,47 +641,34 @@ def check_iid_noise(estimate: MonteCarloEstimate) -> BoundLedger:
     )
 
 
-def check_drift(trajectories: list[Trajectory], model: SteadyStateModel,
-                spec: StepSizeSpec, ceiling: float = 100.0,
-                provider: UpdateDirectionProvider | None = None) -> BoundLedger:
+def check_drift(estimate: MonteCarloEstimate) -> BoundLedger:
     """Fit the smallest c with E ||theta_t - theta_{t-tau}||^2 <= c alpha^2
-    tau^2 B over t >= tau, from retained per-trial iterate histories.
-
-    B and the step-size cap come from ``provider`` (TD(0) on ``model`` if
-    None, which nonlinear mode refuses)."""
-    if not trajectories:
-        raise ConfigError("need at least one trajectory")
-    if provider is None:
-        if spec.mode == "nonlinear":
-            raise ValueError("nonlinear mode needs the provider's constants")
-        provider = TD0Provider(model)
-    thetas = np.stack([tr.thetas for tr in trajectories])  # (trials, T+1, K)
+    tau^2 B over t >= tau, from the per-trial iterates the estimate retained
+    (``simulate_trajectories``)."""
+    thetas = estimate.retained  # (trials, T+1, K)
+    if thetas is None:
+        raise ConfigError("the drift check needs retained iterates; run the "
+                          "experiment with simulate_trajectories")
+    config = estimate.config
     trials, Tp1, _ = thetas.shape
-    tau, alpha = spec.tau_alpha, spec.alpha
+    tau, alpha, ceiling = config.spec.tau_alpha, config.spec.alpha, config.ceiling
     if Tp1 - 1 < tau + 1:
         raise ConfigError(f"horizon {Tp1 - 1} too short for tau={tau}")
-    B = _bound_B(provider, thetas[0, 0])
-    if not spec.in_contract(contraction_bound(spec.mode, model=model, provider=provider)):
-        return BoundLedger(
-            theorem_id="lemma3-drift",
-            hypothesis={"alpha": alpha, "tau": tau, "B": B, "in_contract": False},
-            verdict="out-of-contract", worst_margin=float("nan"), worst_step=-1,
-            fitted={}, slack={"multiplier": SLACK_MULTIPLIER}, n_steps=Tp1 - 1 - tau,
-            notes="step-size hypothesis violated; no claim checked",
-        )
+    refused = _refused(estimate, "lemma3-drift", Tp1 - tau, "")
+    if refused is not None:
+        return refused
+    B = config.B
     drift = thetas[:, tau:, :] - thetas[:, :Tp1 - tau, :]
     vals = (drift ** 2).sum(axis=2)  # (trials, T+1-tau)
     mean = vals.mean(axis=0)
-    if trials > 1:
-        se = vals.std(axis=0, ddof=1) / math.sqrt(trials)
-    else:
-        se = np.zeros_like(mean)
+    se = (vals.std(axis=0, ddof=1) / math.sqrt(trials) if trials > 1
+          else np.zeros_like(mean))
     scale = alpha ** 2 * tau ** 2 * B
     needed = (mean - SLACK_MULTIPLIER * se) / scale
     c = float(max(needed.max(), 0.0))
     worst = int(np.argmax(needed)) + tau
     return BoundLedger(
-        theorem_id="lemma3-drift", hypothesis={"alpha": alpha, "tau": tau, "B": B},
+        theorem_id="lemma3-drift", hypothesis=config.hypothesis(),
         verdict="pass" if c <= ceiling else "fail",
         worst_margin=float(ceiling - c), worst_step=worst,
         fitted={"c": c, "scale": scale, "ceiling": ceiling,
@@ -822,36 +794,33 @@ def weighted_average_experiment(config: ExperimentConfig,
 # ---------------------------------------------------------------------------
 # Generic-provider experiments and sweeps
 
-def nonlinear_sa_experiment(provider: UpdateDirectionProvider,
-                            config: ExperimentConfig,
-                            audit_samples: int = 20000) -> dict:
-    """Boundedness + recursion certification for a pluggable operator.
+def nonlinear_sa_experiment(config: ExperimentConfig) -> dict:
+    """Boundedness + recursion certification for the config's operator.
 
     The provider is audited against its declared constants first and the
     experiment refuses to run on failure. Rate and perturbation scale follow
     the step-size spec's mode, so routing TD(0) through this path with a
     td0-mode spec reproduces the TD(0)-specific ledgers exactly.
     """
-    cfg = replace(config, provider=provider)
-    audit = audit_provider(provider, cfg.mrp, audit_samples,
-                           derive_seed(cfg.master_seed, 0xA0D17))
+    audit = audit_provider(config.provider, config.mrp, 20000,
+                           derive_seed(config.master_seed, 0xA0D17))
     if not audit.ok:
         raise AuditError(audit)
-    estimate = estimate_dt_et(cfg)
-    ledgers = {
+    estimate = estimate_dt_et(config)
+    return {
         "audit": audit,
         "estimate": estimate,
         "boundedness": check_boundedness(estimate),
-        "recursion": check_recursion(estimate, cfg.model, cfg.spec),
+        "recursion": check_recursion(estimate),
     }
-    return ledgers
 
 
-def asymptotic_floor(estimate: MonteCarloEstimate, model: SteadyStateModel,
-                     spec: StepSizeSpec) -> float:
+def asymptotic_floor(estimate: MonteCarloEstimate) -> float:
     """Mean of d_hat over the final 10% of steps past the geometric burn-in
-    t >= 5 / (alpha omega (1 - gamma))."""
-    rate = drift_rate(spec.mode, model, estimate.config.provider)
+    t >= 5 / (alpha * drift rate)."""
+    config = estimate.config
+    spec = config.spec
+    rate = drift_rate(spec.mode, config.model, config.provider)
     burn = int(math.ceil(5.0 / (spec.alpha * rate)))
     start = max(burn, int(math.floor(0.9 * estimate.T)))
     if start >= estimate.T:
@@ -865,25 +834,18 @@ def alpha_sweep(config: ExperimentConfig, multipliers=(1.0, 0.5, 0.25)) -> dict:
     alpha), recertifying tau per point, and fit the log-log slope of the
     asymptotic floor against alpha."""
     model, mode = config.model, config.spec.mode
-    # tau and the auto horizon as parse_experiment resolves them for this mode
-    rate = drift_rate(mode, model, config.provider)
     results = []
     for mult in multipliers:
         alpha = config.spec.alpha * float(mult)
+        # tau and the auto horizon as parse_experiment resolves them
         spec = spec_at(model, config.provider, mode, alpha, config.spec.C)
-        T = int(math.ceil(10.0 / (alpha * rate)))
+        T = auto_horizon(spec, model, config.provider)
         sub = replace(config, spec=spec, T=T,
                       master_seed=derive_seed(config.master_seed, int(mult * 1e6)))
         est = estimate_dt_et(sub)
-        results.append({
-            "alpha": alpha,
-            "tau": spec.tau_alpha,
-            "T": T,
-            "in_contract": sub.in_contract(),
-            "floor": asymptotic_floor(est, model, spec),
-            "boundedness": check_boundedness(est),
-            "estimate": est,
-        })
+        results.append({"alpha": alpha, "tau": spec.tau_alpha, "T": T,
+                        "in_contract": sub.in_contract(), "floor": asymptotic_floor(est),
+                        "boundedness": check_boundedness(est), "estimate": est})
     x = np.log([r["alpha"] for r in results])
     y = np.log([r["floor"] for r in results])
     slope = float(np.polyfit(x, y, 1)[0])

@@ -149,17 +149,17 @@ def _steady_matrices(mrp: MarkovRewardProcess, features: FeatureMatrix,
 
 
 class SteadyStateModel:
-    """All closed-form quantities of one (chain, features, theta0) instance.
+    """All closed-form quantities of one (chain, features) pair.
 
     Holds the steady-state operator A_bar theta + b_neg, the Gram matrix and
-    its smallest eigenvalue omega, the fixed point theta_star, the scale
-    sigma = max(1, r_bar, ||theta_star||), and the mean-square iterate bound
-    B = 10 * max(||theta0 - theta_star||^2, sigma^2). ``mixing`` is the
-    instance's mixing oracle, built on first use and extended on demand.
+    its smallest eigenvalue omega, the fixed point theta_star and the scale
+    sigma = max(1, r_bar, ||theta_star||). The iterate bound B also depends
+    on theta0, so it belongs to the run: ``sa_core.bound_B``, read through
+    ``ExperimentConfig.B`` and ``oracle_report``. ``mixing`` is the pair's
+    mixing oracle, built on first use and extended on demand.
     """
 
-    def __init__(self, mrp: MarkovRewardProcess, features: FeatureMatrix,
-                 theta0=None):
+    def __init__(self, mrp: MarkovRewardProcess, features: FeatureMatrix):
         if features.n != mrp.n:
             raise FeatureError(
                 f"feature matrix has {features.n} rows for a {mrp.n}-state chain"
@@ -195,10 +195,7 @@ class SteadyStateModel:
         self.omega = omega
         self.theta_star = theta_star
         self.sigma_const = float(max(1.0, mrp.r_bar, np.linalg.norm(theta_star)))
-        self.theta0 = (np.zeros(features.K) if theta0 is None
-                       else np.array(theta0, dtype=float).reshape(features.K))
-        self.B = self.bound_B(self.theta0)
-        for a in (self.A_bar, self.b_neg, self.Sigma, self.theta_star, self.theta0):
+        for a in (self.A_bar, self.b_neg, self.Sigma, self.theta_star):
             a.setflags(write=False)
         self._b_tile = b_neg[:, None]
 
@@ -225,11 +222,6 @@ class SteadyStateModel:
             self._b_tile = tile
         return tile
 
-    def bound_B(self, theta0) -> float:
-        theta0 = np.asarray(theta0, dtype=float).reshape(self.features.K)
-        return 10.0 * max(float(np.sum((theta0 - self.theta_star) ** 2)),
-                          self.sigma_const ** 2)
-
     def value_error_D(self, theta):
         """Stationary-weighted squared value error (theta - theta*)^T Sigma (...)."""
         diff = np.asarray(theta, dtype=float) - self.theta_star
@@ -238,9 +230,8 @@ class SteadyStateModel:
         return np.einsum("ij,jk,ik->i", diff, self.Sigma, diff)
 
 
-def build_steady_state(mrp: MarkovRewardProcess, features: FeatureMatrix,
-                       theta0=None) -> SteadyStateModel:
-    return SteadyStateModel(mrp, features, theta0)
+def build_steady_state(mrp: MarkovRewardProcess, features: FeatureMatrix) -> SteadyStateModel:
+    return SteadyStateModel(mrp, features)
 
 
 def steady_state_direction(model: SteadyStateModel, theta):
@@ -468,13 +459,17 @@ def dnorm_contraction_margin(mrp: MarkovRewardProcess,
     return float(np.max(after - before))
 
 
-def oracle_report(model: SteadyStateModel, eps_grid=(1e-1, 1e-2, 1e-3, 1e-4)) -> dict:
-    """Full structured oracle summary for experiment provenance."""
-    tau_table = []
-    for eps in eps_grid:
-        cert = model.mixing.certify(eps)
-        tau_table.append({"epsilon": float(eps), "tau": cert.tau,
-                          "horizon_checked": cert.horizon_checked})
+def oracle_report(model: SteadyStateModel, theta0=None,
+                  eps_grid=(1e-1, 1e-2, 1e-3, 1e-4)) -> dict:
+    """Full structured oracle summary for experiment provenance: the model's
+    closed-form quantities, the certified tau per epsilon, and TD(0)'s
+    iterate bound B from ``theta0`` (zeros if None), which must have K
+    entries."""
+    from .sa_core import TD0Provider, bound_B  # sa_core builds on this module
+
+    theta0 = (np.zeros(model.K) if theta0 is None
+              else np.array(theta0, dtype=float).reshape(model.K))
+    certs = [(float(eps), model.mixing.certify(eps)) for eps in eps_grid]
     return {
         "n": model.mrp.n,
         "K": model.K,
@@ -487,7 +482,8 @@ def oracle_report(model: SteadyStateModel, eps_grid=(1e-1, 1e-2, 1e-3, 1e-4)) ->
         "omega": model.omega,
         "theta_star": model.theta_star.tolist(),
         "sigma": model.sigma_const,
-        "theta0": model.theta0.tolist(),
-        "B": model.B,
-        "tau_table": tau_table,
+        "theta0": theta0.tolist(),
+        "B": bound_B(TD0Provider(model), theta0),
+        "tau_table": [{"epsilon": eps, "tau": c.tau, "horizon_checked": c.horizon_checked}
+                      for eps, c in certs],
     }

@@ -3,13 +3,14 @@ theta_{t+1} = theta_t + alpha g(theta_{t-d_t}; X_{t-d_t}).
 
 Sampled update directions (TD(0) and pluggable providers) with the one audit
 of their declared contract, the constant step-size resolved jointly with the
-mixing time it depends on, bounded delay processes, and replayable
-trajectories. The recursion itself runs in one place, the harness's batch
-kernel; ``harness.run_sa`` is a one-lane run of it.
+mixing time it depends on, the one iterate bound B and auto horizon, bounded
+delay processes, and replayable trajectories. The recursion itself runs in
+one place, the harness's batch kernel; ``harness.run_sa`` is a one-lane run.
 """
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -288,6 +289,19 @@ def drift_rate(mode: str, model: SteadyStateModel | None = None,
     """The contraction of the mean update, 1 - alpha * rate per step:
     omega (1 - gamma) for td0 mode, the provider's beta for nonlinear mode."""
     return provider.beta if mode == "nonlinear" else model.contraction_rate
+
+
+def auto_horizon(spec: StepSizeSpec, model: SteadyStateModel,
+                 provider: UpdateDirectionProvider) -> int:
+    """The default horizon T = ceil(10 / (alpha * drift rate)), ten e-folds."""
+    return int(math.ceil(10.0 / (spec.alpha * drift_rate(spec.mode, model, provider))))
+
+
+def bound_B(provider: UpdateDirectionProvider, theta0) -> float:
+    """The mean-square iterate bound B = 10 max(||theta0 - theta*||^2, sigma^2)
+    of Theorem 1, from the provider's fixed point and scale constant."""
+    return 10.0 * max(float(np.sum((theta0 - provider.theta_star) ** 2)),
+                      provider.sigma_const ** 2)
 
 
 def spec_at(model: SteadyStateModel, provider: UpdateDirectionProvider | None,

@@ -9,8 +9,14 @@ direction g(theta_{t-d_t}; X_{t-d_t}); without delays d_t = 0.
 
 import numpy as np
 
-from tdcert.chain import _inv_cdf, generator
+from tdcert.chain import generator
 from tdcert.sa_core import DIVERGENCE_GUARD, DelayProcess, DivergenceError
+
+
+def _inv_cdf(cum, u):
+    """Index of the CDF cell of one row that contains the uniform u."""
+    idx = int(np.sum(cum <= u))
+    return min(idx, cum.shape[0] - 1)
 
 
 def reference_sa(provider, mrp, theta0, spec, T, seed, sampling="markov",

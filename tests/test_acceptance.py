@@ -128,7 +128,7 @@ def test_criterion_3_theorem1_boundedness():
 def test_criterion_4_theorem2_recursion_and_floor(theorem2_base_run):
     start = time.time()
     config, estimate = theorem2_base_run
-    led = check_recursion(estimate, config.model, config.spec)
+    led = check_recursion(estimate)
     c = led.fitted["c"]
     sweep = alpha_sweep(config, multipliers=(1.0, 0.5, 0.25))
     slope = sweep["floor_slope"]
@@ -142,7 +142,7 @@ def test_criterion_4_theorem2_recursion_and_floor(theorem2_base_run):
 def test_criterion_5_lemma4_mixing_bound(theorem2_base_run):
     start = time.time()
     config, estimate = theorem2_base_run
-    led = check_recursion(estimate, config.model, config.spec)
+    led = check_recursion(estimate)
     c_prime = led.fitted["c_prime"]
     iid_config, _ = parse_experiment(bundled_config("lemma4_iid_control"))
     iid_led = check_iid_noise(estimate_dt_et(iid_config))
@@ -170,7 +170,7 @@ def test_criterion_7_theorem4_nonlinear():
     # reproduce the closed-form variance recursion within 3 SE at every step
     config, _ = parse_experiment(bundled_config("theorem4_linear_contraction"))
     provider = config.provider
-    result = nonlinear_sa_experiment(provider, config)
+    result = nonlinear_sa_experiment(config)
     est = result["estimate"]
     a, V = config.spec.alpha, provider.noise_variance()
     d = np.zeros(config.T + 1)
@@ -185,7 +185,7 @@ def test_criterion_7_theorem4_nonlinear():
     sp, prov = sat_config.spec, sat_config.provider
     beta_bar = min(prov.beta, 1.0 / prov.beta)
     cap = beta_bar / (8.0 * sp.tau_alpha * prov.L ** 2)
-    sat_result = nonlinear_sa_experiment(prov, sat_config)
+    sat_result = nonlinear_sa_experiment(sat_config)
     sat_ok = (sp.alpha <= cap + 1e-15
               and sat_result["boundedness"].verdict == "pass"
               and sat_result["recursion"].verdict == "pass")

@@ -12,7 +12,6 @@ from tdcert.chain import (
     generator,
     mrp_from_dict,
     random_mrp,
-    sample_trajectory,
     stationary_distribution,
     tv_mixing_profile,
     validate_chain,
@@ -163,43 +162,37 @@ class TestMixingProfile:
 
 
 class TestSampling:
+    """The chain's one transition sampler, ``mrp.sampler``."""
+
     def test_single_state_chain(self):
         mrp = make([[1.0]], R=[1.5])
-        tr = sample_trajectory(mrp, 0, 3, seed=7)
-        assert tr.tuples() == [(0, 0, 1.5)] * 3
+        u = generator(7).random(3)
+        assert mrp.sampler.pick(u, np.zeros(3, dtype=np.intp)).tolist() == [0, 0, 0]
 
     def test_deterministic_two_cycle(self):
         mrp = make([[0.0, 1.0], [1.0, 0.0]], R=[2.0, 5.0])
-        tr = sample_trajectory(mrp, 0, 2, seed=1)
-        assert tr.tuples() == [(0, 1, 2.0), (1, 0, 5.0)]
+        u = generator(1).random(4)
+        assert mrp.sampler.pick(u, np.array([0, 1, 0, 1])).tolist() == [1, 0, 1, 0]
 
     def test_same_seed_identical(self):
         mrp = make(TWO_STATE)
-        a = sample_trajectory(mrp, 0, 500, seed=99)
-        b = sample_trajectory(mrp, 0, 500, seed=99)
-        assert np.array_equal(a.s, b.s) and np.array_equal(a.s_next, b.s_next)
-
-    def test_tuples_chain_and_rewards_exact(self):
-        mrp = make(TWO_STATE, R=[1.0, -2.0])
-        tr = sample_trajectory(mrp, 1, 300, seed=5)
-        assert np.array_equal(tr.s[1:], tr.s_next[:-1])
-        np.testing.assert_array_equal(tr.r, mrp.R[tr.s])
-
-    def test_start_state_out_of_range(self):
-        with pytest.raises(ChainError, match="start_state"):
-            sample_trajectory(make(TWO_STATE), 2, 5, seed=0)
+        rows = np.arange(500) % 2
+        a = mrp.sampler.pick(generator(99).random(500), rows)
+        b = mrp.sampler.pick(generator(99).random(500), rows)
+        assert np.array_equal(a, b)
 
     def test_occupancy_matches_stationary(self):
+        # one-step transition frequencies from each row lie within 3 binomial
+        # standard errors of that row of P
         mrp = make(TWO_STATE)
-        st_ = stationary_distribution(mrp)
         N = 100_000
-        tr = sample_trajectory(mrp, 0, N, seed=2024)
-        freq = np.bincount(tr.s, minlength=2) / N
-        # autocorrelation inflates the binomial standard error by
-        # sqrt((1 + lambda2) / (1 - lambda2)) for this reversible-ish chain
-        inflate = np.sqrt((1 + 0.7) / (1 - 0.7))
-        se = np.sqrt(st_.pi * (1 - st_.pi) / N) * inflate
-        assert np.all(np.abs(freq - st_.pi) <= 3 * se)
+        for row in range(2):
+            picks = mrp.sampler.pick(generator(2024 + row).random(N),
+                                     np.full(N, row, dtype=np.intp))
+            freq = np.bincount(picks, minlength=2) / N
+            p = mrp.P[row]
+            se = np.sqrt(p * (1 - p) / N)
+            assert np.all(np.abs(freq - p) <= 3 * se)
 
     def test_block_draws_match_scalar_draws(self):
         # the batch engine relies on random(n) consuming the stream like

@@ -50,6 +50,16 @@ class TestOracleCommand:
             == EXIT_INVALID_INPUT
         assert "not aperiodic" in capsys.readouterr().err
 
+    def test_theta0_of_wrong_length_exits_invalid(self, tmp_path, capsys):
+        # K = 1 features with a two-entry theta0; the report has no B for it
+        cfg = dict(ONE_STATE_CFG, instance=dict(ONE_STATE_CFG["instance"],
+                                                theta0=[1.0, 2.0]))
+        out = tmp_path / "o"
+        assert main(["oracle", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(out)]) == EXIT_INVALID_INPUT
+        assert "reshape" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bundled_oracle_matches_derived_values(self, tmp_path):
         cfg = write_cfg(tmp_path, {
             "instance": {

@@ -21,6 +21,7 @@ from tdcert.sa_core import (
     SaturatingMonotoneProvider,
     StepSizeSpec,
     TD0Provider,
+    bound_B,
     resolve_step_size,
 )
 from tdcert.harness import (
@@ -106,25 +107,25 @@ class TestEstimate:
 
     def test_batch_lanes_equal_single_trials_bitwise(self):
         cfg = fast_config(trials=6, T=80)
-        trajectories = simulate_trajectories(cfg)
+        est = simulate_trajectories(cfg)
         provider = TD0Provider(FAST_MODEL)
-        for i, tr in enumerate(trajectories):
+        for i in range(cfg.trials):
             single = run_sa(provider, FAST, np.zeros(1), FAST_SPEC, 80,
                             seed=derive_seed(11, i))
-            assert np.array_equal(tr.thetas, single.thetas)
-            assert np.array_equal(tr.thetas, reference_sa(
+            assert np.array_equal(est.retained[i], single.thetas)
+            assert np.array_equal(est.retained[i], reference_sa(
                 provider, FAST, np.zeros(1), FAST_SPEC, 80, seed=derive_seed(11, i)))
 
     def test_delayed_batch_lanes_equal_single_trials(self):
         delays = DelayProcess("sawtooth", 3, seed=5)
         cfg = fast_config(trials=5, T=70, delays=delays)
-        trajectories = simulate_trajectories(cfg)
+        est = simulate_trajectories(cfg)
         provider = TD0Provider(FAST_MODEL)
-        for i, tr in enumerate(trajectories):
+        for i in range(cfg.trials):
             single = run_sa(provider, FAST, np.zeros(1), FAST_SPEC, 70,
                             seed=derive_seed(11, i), delays=delays.spawn(i))
-            assert np.array_equal(tr.thetas, single.thetas)
-            assert np.array_equal(tr.thetas, reference_sa(
+            assert np.array_equal(est.retained[i], single.thetas)
+            assert np.array_equal(est.retained[i], reference_sa(
                 provider, FAST, np.zeros(1), FAST_SPEC, 70, seed=derive_seed(11, i),
                 delays=delays.spawn(i)))
 
@@ -147,11 +148,12 @@ class TestEstimate:
     def test_batch_lanes_equal_single_trials_multi_feature(self, K, sampling):
         # K=8 and K=9 row sums take numpy's 8-accumulator pairwise order
         cfg = wide_config(K, sampling=sampling)
-        for i, tr in enumerate(simulate_trajectories(cfg)):
+        est = simulate_trajectories(cfg)
+        for i in range(cfg.trials):
             single = run_sa(cfg.provider, cfg.mrp, cfg.theta0, cfg.spec, cfg.T,
                             seed=derive_seed(cfg.master_seed, i), sampling=sampling)
-            assert np.array_equal(tr.thetas, single.thetas)
-            assert np.array_equal(tr.thetas, reference_sa(
+            assert np.array_equal(est.retained[i], single.thetas)
+            assert np.array_equal(est.retained[i], reference_sa(
                 cfg.provider, cfg.mrp, cfg.theta0, cfg.spec, cfg.T,
                 seed=derive_seed(cfg.master_seed, i), sampling=sampling))
 
@@ -159,8 +161,9 @@ class TestEstimate:
     def test_constant_delay_lanes_equal_reference_8_accumulators(self, K):
         delays = DelayProcess("constant", 3)
         cfg = wide_config(K, delays=delays)
-        for i, tr in enumerate(simulate_trajectories(cfg)):
-            assert np.array_equal(tr.thetas, reference_sa(
+        est = simulate_trajectories(cfg)
+        for i in range(cfg.trials):
+            assert np.array_equal(est.retained[i], reference_sa(
                 cfg.provider, cfg.mrp, cfg.theta0, cfg.spec, cfg.T,
                 seed=derive_seed(cfg.master_seed, i), delays=delays.spawn(i)))
 
@@ -169,20 +172,22 @@ class TestEstimate:
         # T = 4103 crosses a 4096-step block, so later draws start mid-way
         # through a Philox counter block (markov's start draw leads block one)
         cfg = wide_config(3, T=4103, trials=3, sampling=sampling)
-        for i, tr in enumerate(simulate_trajectories(cfg)):
-            assert np.array_equal(tr.thetas, reference_sa(
+        est = simulate_trajectories(cfg)
+        for i in range(cfg.trials):
+            assert np.array_equal(est.retained[i], reference_sa(
                 cfg.provider, cfg.mrp, cfg.theta0, cfg.spec, cfg.T,
                 seed=derive_seed(cfg.master_seed, i), sampling=sampling))
 
     def test_delayed_batch_lanes_equal_single_trials_k3(self):
         delays = DelayProcess("uniform", 4, seed=8)
         cfg = wide_config(3, delays=delays)
-        for i, tr in enumerate(simulate_trajectories(cfg)):
+        est = simulate_trajectories(cfg)
+        for i in range(cfg.trials):
             single = run_sa(cfg.provider, cfg.mrp, cfg.theta0, cfg.spec, cfg.T,
                             seed=derive_seed(cfg.master_seed, i),
                             delays=delays.spawn(i))
-            assert np.array_equal(tr.thetas, single.thetas)
-            assert np.array_equal(tr.thetas, reference_sa(
+            assert np.array_equal(est.retained[i], single.thetas)
+            assert np.array_equal(est.retained[i], reference_sa(
                 cfg.provider, cfg.mrp, cfg.theta0, cfg.spec, cfg.T,
                 seed=derive_seed(cfg.master_seed, i), delays=delays.spawn(i)))
 
@@ -197,11 +202,12 @@ class TestEstimate:
             provider = SaturatingMonotoneProvider([0.5, -0.2, 0.1], noise,
                                                   model.stationary.pi, a=0.6, b=0.4)
         cfg = wide_config(3, provider=provider)
-        for i, tr in enumerate(simulate_trajectories(cfg)):
+        est = simulate_trajectories(cfg)
+        for i in range(cfg.trials):
             single = run_sa(provider, WIDE, cfg.theta0, cfg.spec, cfg.T,
                             seed=derive_seed(cfg.master_seed, i))
-            assert np.array_equal(tr.thetas, single.thetas)
-            assert np.array_equal(tr.thetas, reference_sa(
+            assert np.array_equal(est.retained[i], single.thetas)
+            assert np.array_equal(est.retained[i], reference_sa(
                 provider, WIDE, cfg.theta0, cfg.spec, cfg.T,
                 seed=derive_seed(cfg.master_seed, i)))
 
@@ -287,7 +293,7 @@ class TestRecursion:
     def test_one_state_no_markov_noise(self):
         cfg = one_state_config(T=60)
         est = estimate_dt_et(cfg)
-        led = check_recursion(est, ONE_MODEL, ONE_SPEC)
+        led = check_recursion(est)
         assert led.verdict == "pass"
         assert led.fitted["c"] == 0.0
         # e is zero up to one ulp of difference between the sampled and
@@ -298,7 +304,7 @@ class TestRecursion:
     def test_markov_instance_finite_constants(self):
         cfg = fast_config(trials=2000, T=2000)
         est = estimate_dt_et(cfg)
-        led = check_recursion(est, FAST_MODEL, FAST_SPEC)
+        led = check_recursion(est)
         assert led.verdict == "pass"
         assert led.fitted["c"] <= 100.0
         assert 0.0 <= led.fitted["c_prime"] <= 100.0
@@ -329,6 +335,7 @@ class TestRefusals:
     OUT = {"alpha": 6.0, "tau": 9, "C": 8.0, "B": 10.0, "mode": "td0",
            "in_contract": False}
     IN = dict(OUT, alpha=FAST_SPEC.alpha, in_contract=True)
+    REFUSED = " (step-size hypothesis violated; no claim checked)"
 
     def _out_of_contract(self):
         # ten times the cap; the run also diverges, and out-of-contract wins
@@ -339,7 +346,8 @@ class TestRefusals:
         return est, spec
 
     def _invalid(self):
-        est = estimate_dt_et(fast_config(T=50, trials=100))
+        # retained iterates, so the drift check reads the same estimate
+        est = simulate_trajectories(fast_config(T=50, trials=100))
         return replace(est, valid=False, abort_count=3, abort_step=7)
 
     def test_boundedness_out_of_contract_record(self):
@@ -348,16 +356,26 @@ class TestRefusals:
             theorem_id="theorem1-boundedness", hypothesis=self.OUT,
             verdict="out-of-contract", worst_margin=float("nan"), worst_step=-1,
             fitted={}, slack={"multiplier": 3.0}, n_steps=51,
-            notes="B=10 (step-size hypothesis violated; no claim checked)"))
+            notes="B=10" + self.REFUSED))
 
     def test_recursion_out_of_contract_record(self):
-        est, spec = self._out_of_contract()
-        assert _ledger_json(check_recursion(est, FAST_MODEL, spec)) == \
+        est, _ = self._out_of_contract()
+        assert _ledger_json(check_recursion(est)) == \
             _ledger_json(BoundLedger(
                 theorem_id="theorem2-recursion", hypothesis=self.OUT,
                 verdict="out-of-contract", worst_margin=float("nan"),
                 worst_step=-1, fitted={}, slack={"multiplier": 3.0}, n_steps=50,
-                notes=" (step-size hypothesis violated; no claim checked)"))
+                notes=self.REFUSED))
+
+    def test_drift_out_of_contract_record(self):
+        # alpha = 1 is far past the cap but stable, so the paths are retained
+        spec = replace(FAST_SPEC, alpha=1.0)
+        est = simulate_trajectories(fast_config(spec=spec, T=50, trials=100))
+        assert _ledger_json(check_drift(est)) == _ledger_json(BoundLedger(
+            theorem_id="lemma3-drift", hypothesis=dict(self.OUT, alpha=1.0),
+            verdict="out-of-contract", worst_margin=float("nan"), worst_step=-1,
+            fitted={}, slack={"multiplier": 3.0}, n_steps=42,
+            notes=self.REFUSED))
 
     def test_boundedness_invalid_record(self):
         assert _ledger_json(check_boundedness(self._invalid())) == \
@@ -368,25 +386,34 @@ class TestRefusals:
                 notes="3 trials hit the divergence guard"))
 
     def test_recursion_invalid_record(self):
-        led = check_recursion(self._invalid(), FAST_MODEL, FAST_SPEC)
+        led = check_recursion(self._invalid())
         assert _ledger_json(led) == _ledger_json(BoundLedger(
             theorem_id="theorem2-recursion", hypothesis=self.IN,
             verdict="invalid", worst_margin=float("-inf"), worst_step=7,
             fitted={}, slack={"multiplier": 3.0}, n_steps=50,
             notes="3 trials hit the divergence guard"))
 
+    def test_drift_invalid_record(self):
+        # n_steps counts the checked steps t = tau..T
+        led = check_drift(self._invalid())
+        assert _ledger_json(led) == _ledger_json(BoundLedger(
+            theorem_id="lemma3-drift", hypothesis=self.IN,
+            verdict="invalid", worst_margin=float("-inf"), worst_step=7,
+            fitted={}, slack={"multiplier": 3.0}, n_steps=42,
+            notes="3 trials hit the divergence guard"))
+
 
 class TestDrift:
     def test_one_state_closed_form(self):
         cfg = one_state_config(T=50)
-        trajectories = simulate_trajectories(cfg)
-        led = check_drift(trajectories, ONE_MODEL, ONE_SPEC)
+        est = simulate_trajectories(cfg)
+        led = check_drift(est)
         assert led.verdict == "pass"
         # tau = 1: drift equals one exact deterministic update
         rho = 1 - ONE_SPEC.alpha * 0.5
         t = np.arange(1, 51)
         expected = (rho ** t - rho ** (t - 1)) ** 2 * 4.0
-        thetas = trajectories[0].thetas[:, 0]
+        thetas = est.retained[0][:, 0]
         np.testing.assert_allclose((thetas[1:] - thetas[:-1]) ** 2, expected,
                                    rtol=1e-10)
 
@@ -399,8 +426,7 @@ class TestDrift:
                                 tau_alpha=FAST_SPEC.tau_alpha, mode="td0")
             cfg = fast_config(spec=spec, trials=300, T=1200,
                               master_seed=derive_seed(77, i))
-            trajectories = simulate_trajectories(cfg)
-            thetas = np.stack([tr.thetas for tr in trajectories])
+            thetas = simulate_trajectories(cfg).retained
             tau = spec.tau_alpha
             drift = ((thetas[:, tau:, :] - thetas[:, :-tau, :]) ** 2).sum(2)
             drifts.append(drift[:, 600:].mean())  # past burn-in
@@ -409,43 +435,44 @@ class TestDrift:
 
     def test_delayed_run_still_bounded_with_larger_constant(self):
         delays = DelayProcess("sawtooth", 4, seed=9)
-        plain = check_drift(simulate_trajectories(fast_config(trials=300, T=600)),
-                            FAST_MODEL, FAST_SPEC)
+        plain = check_drift(simulate_trajectories(fast_config(trials=300, T=600)))
         delayed = check_drift(
-            simulate_trajectories(fast_config(trials=300, T=600, delays=delays)),
-            FAST_MODEL, FAST_SPEC)
+            simulate_trajectories(fast_config(trials=300, T=600, delays=delays)))
         assert plain.verdict == "pass" and delayed.verdict == "pass"
         assert delayed.fitted["c"] >= plain.fitted["c"]
 
     def test_drift_out_of_contract_gating(self):
-        trajectories = simulate_trajectories(fast_config(trials=120, T=60))
         inflated = StepSizeSpec(C=8.0, alpha=1.0, tau_alpha=FAST_SPEC.tau_alpha,
                                 mode="td0")
-        led = check_drift(trajectories, FAST_MODEL, inflated)
+        led = check_drift(simulate_trajectories(
+            fast_config(spec=inflated, trials=120, T=60)))
         assert led.verdict == "out-of-contract"
+
+    def test_needs_retained_iterates(self):
+        est = estimate_dt_et(fast_config(trials=100, T=60))
+        with pytest.raises(ConfigError, match="retained iterates"):
+            check_drift(est)
 
     def _linear_paths(self, spec):
         provider = LinearContractionProvider([0.3], [[1.0], [-2.0]],
                                              FAST.stationary.pi)
-        return provider, [run_sa(provider, FAST, np.zeros(1), spec, 40, seed=s)
-                          for s in range(20)]
+        est = simulate_trajectories(fast_config(spec=spec, provider=provider,
+                                                trials=20, T=40))
+        return provider, est
 
     def test_nonlinear_out_of_contract_gated(self):
         # cap min(beta, 1/beta) / (C tau L^2) = 0.125, so alpha = 1.5 claims nothing
         spec = StepSizeSpec(C=8.0, alpha=1.5, tau_alpha=1, mode="nonlinear")
-        provider, paths = self._linear_paths(spec)
-        led = check_drift(paths, FAST_MODEL, spec, provider=provider)
-        assert led.verdict == "out-of-contract"
-        with pytest.raises(ValueError, match="provider"):
-            check_drift(paths, FAST_MODEL, spec)
+        _, est = self._linear_paths(spec)
+        assert check_drift(est).verdict == "out-of-contract"
 
     def test_nonlinear_bound_from_the_provider(self):
         spec = StepSizeSpec(C=8.0, alpha=0.1, tau_alpha=1, mode="nonlinear")
-        provider, paths = self._linear_paths(spec)
-        led = check_drift(paths, FAST_MODEL, spec, provider=provider)
+        provider, est = self._linear_paths(spec)
+        led = check_drift(est)
         assert led.verdict == "pass"
         assert led.hypothesis["B"] == 10.0 * max(0.3 ** 2, provider.sigma_const ** 2)
-        assert led.hypothesis["B"] != FAST_MODEL.B
+        assert led.hypothesis["B"] != bound_B(TD0Provider(FAST_MODEL), np.zeros(1))
 
 
 class TestWeightedAveraging:
@@ -528,7 +555,7 @@ class TestNonlinearExperiments:
         cfg = ExperimentConfig(uniform, feats, np.zeros(1), spec, T=250,
                                trials=2000, master_seed=401, provider=provider,
                                model=model)
-        result = nonlinear_sa_experiment(provider, cfg)
+        result = nonlinear_sa_experiment(cfg)
         est = result["estimate"]
         a, V = spec.alpha, provider.noise_variance()
         d = np.zeros(251)
@@ -545,9 +572,9 @@ class TestNonlinearExperiments:
         est = estimate_dt_et(cfg)
         direct = {
             "boundedness": check_boundedness(est),
-            "recursion": check_recursion(est, FAST_MODEL, FAST_SPEC),
+            "recursion": check_recursion(est),
         }
-        routed = nonlinear_sa_experiment(TD0Provider(FAST_MODEL), cfg)
+        routed = nonlinear_sa_experiment(cfg)
         assert np.array_equal(est.d_hat, routed["estimate"].d_hat)
         for key in ("boundedness", "recursion"):
             assert json.dumps(direct[key].to_dict(), sort_keys=True) == \
@@ -557,7 +584,7 @@ class TestNonlinearExperiments:
         provider = TD0Provider(FAST_MODEL)
         provider.L = 0.01
         with pytest.raises(AuditError):
-            nonlinear_sa_experiment(provider, fast_config())
+            nonlinear_sa_experiment(fast_config(provider=provider))
 
     def test_saturating_provider_ledgers_pass(self):
         three = MarkovRewardProcess(
@@ -572,7 +599,7 @@ class TestNonlinearExperiments:
         T = int(math.ceil(10.0 / (spec.alpha * provider.beta)))
         cfg = ExperimentConfig(three, feats, [2.0, -1.0], spec, T=T, trials=400,
                                master_seed=402, provider=provider, model=model)
-        result = nonlinear_sa_experiment(provider, cfg)
+        result = nonlinear_sa_experiment(cfg)
         assert result["boundedness"].verdict == "pass"
         assert result["recursion"].verdict == "pass"
 
@@ -598,7 +625,7 @@ class TestSweeps:
         cfg = fast_config(T=50)
         est = estimate_dt_et(cfg)
         with pytest.raises(ConfigError, match="burn-in"):
-            asymptotic_floor(est, FAST_MODEL, FAST_SPEC)
+            asymptotic_floor(est)
 
 
 class TestColumnarExport:

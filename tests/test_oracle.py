@@ -22,7 +22,8 @@ from tdcert.oracle import (
     steady_state_direction,
 )
 from tdcert.chain import stationary_distribution, tv_mixing_profile
-from tdcert.sa_core import TD0Provider, audit_provider, resolve_step_size
+from tdcert.sa_core import StepSizeSpec, TD0Provider, audit_provider, resolve_step_size
+from tdcert.harness import ExperimentConfig
 
 ONE_STATE = MarkovRewardProcess([[1.0]], [1.0], 0.5)
 TWO_STATE = MarkovRewardProcess([[0.9, 0.1], [0.2, 0.8]], [1.0, 0.0], 0.9)
@@ -55,7 +56,7 @@ class TestBuildSteadyState:
         assert model.Sigma[0, 0] == pytest.approx(1.0, abs=1e-15)
         assert model.omega == pytest.approx(1.0, abs=1e-12)
         assert model.sigma_const == pytest.approx(2.0)
-        assert model.B == pytest.approx(40.0)  # theta0 = 0
+        assert oracle_report(model)["B"] == pytest.approx(40.0)  # theta0 = 0
 
     def test_identity_features_give_gram_equal_to_D(self):
         mrp = MarkovRewardProcess([[0.9, 0.1], [0.2, 0.8]], [1.0, 0.0], 0.5)
@@ -412,8 +413,19 @@ class TestAudits:
 
 class TestReport:
     def test_report_contains_tau_table(self):
-        model = build_steady_state(TWO_STATE, TWO_FEATS, theta0=[0.0])
-        doc = oracle_report(model, eps_grid=(0.1, 0.01))
+        model = build_steady_state(TWO_STATE, TWO_FEATS)
+        doc = oracle_report(model, [0.0], eps_grid=(0.1, 0.01))
         assert doc["omega"] == pytest.approx(2.0 / 3.0, abs=1e-12)
         assert len(doc["tau_table"]) == 2
         assert doc["tau_table"][1]["tau"] >= doc["tau_table"][0]["tau"]
+
+    def test_report_B_is_the_experiment_B(self):
+        # one formula: theta0 = -20 puts B on ||theta0 - theta*||^2, not sigma^2
+        model = build_steady_state(TWO_STATE, TWO_FEATS)
+        spec = StepSizeSpec(C=8.0, alpha=0.01, tau_alpha=1, mode="td0")
+        config = ExperimentConfig(TWO_STATE, TWO_FEATS, [-20.0], spec, T=1,
+                                  trials=1, master_seed=0, model=model)
+        doc = oracle_report(model, [-20.0], eps_grid=(0.1,))
+        assert doc["theta0"] == [-20.0]
+        assert doc["B"] == config.B == 10.0 * (20.0 + model.theta_star[0]) ** 2
+        assert doc["B"] > oracle_report(model, eps_grid=(0.1,))["B"]
