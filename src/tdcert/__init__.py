@@ -40,14 +40,12 @@ from .oracle import (
 )
 from .sa_core import (
     DelayProcess,
-    DivergenceError,
     LinearContractionProvider,
     ProviderAudit,
     SaturatingMonotoneProvider,
     StepSizeError,
     StepSizeSpec,
     TD0Provider,
-    Trajectory,
     UpdateDirectionProvider,
     audit_provider,
     resolve_step_size,
@@ -68,7 +66,6 @@ from .harness import (
     check_recursion,
     estimate_dt_et,
     nonlinear_sa_experiment,
-    run_sa,
     simulate_trajectories,
     tune_weighted_average,
     weighted_average_experiment,

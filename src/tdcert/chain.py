@@ -299,9 +299,6 @@ class MixingProfile:
     def __post_init__(self):
         self.tv_curve.setflags(write=False)
 
-    def envelope(self, k):
-        return self.c0 * self.rho ** np.asarray(k, dtype=float)
-
 
 def _second_eigenvalue_magnitude(P) -> float:
     eig = np.linalg.eigvals(P)

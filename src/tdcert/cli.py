@@ -106,16 +106,28 @@ def _build_spec(step_cfg: dict, model, provider, mode: str) -> StepSizeSpec:
     return spec
 
 
-def parse_experiment(cfg: dict, seed_override: int | None = None):
-    """Turn a config document into an (ExperimentConfig, experiment kind) pair."""
+def _parse_instance(cfg: dict):
+    """The instance of a config document as (model, provider, theta0): the
+    chain (which must pass Assumption 1), its features and steady-state
+    model, the update-direction provider, and theta0 as given (None if
+    absent)."""
     inst = cfg.get("instance")
     if not inst or "chain" not in inst:
         raise ConfigError("config needs an instance with a chain")
     mrp = mrp_from_dict(inst["chain"])
+    report = mrp.validation
+    if not report.ok:
+        raise ChainError(f"Assumption 1 violated: {report.describe()}")
     features = features_from_dict(inst.get("features") or {"kind": "constant"},
                                   mrp.n)
     model = build_steady_state(mrp, features)
     provider = _build_provider(cfg.get("provider") or {"kind": "td0"}, model)
+    return model, provider, inst.get("theta0")
+
+
+def parse_experiment(cfg: dict, seed_override: int | None = None):
+    """Turn a config document into an (ExperimentConfig, experiment kind) pair."""
+    model, provider, theta0 = _parse_instance(cfg)
     mode = cfg.get("step_size", {}).get("mode", "td0")
     spec = _build_spec(cfg.get("step_size", {}), model, provider, mode)
 
@@ -128,14 +140,13 @@ def parse_experiment(cfg: dict, seed_override: int | None = None):
     T = exp.get("T", "auto")
     if T == "auto":
         T = auto_horizon(spec, model, provider)
-    theta0 = inst.get("theta0")
     delays_cfg = exp.get("delays")
     delays = DelayProcess(**delays_cfg) if delays_cfg else None
     master_seed = int(exp.get("master_seed", 0))
     if seed_override is not None:
         master_seed = int(seed_override)
     config = ExperimentConfig(
-        mrp=mrp, features=features, theta0=theta0, spec=spec, T=int(T),
+        mrp=model.mrp, features=model.features, theta0=theta0, spec=spec, T=int(T),
         trials=trials, master_seed=master_seed, provider=provider,
         delays=delays, sampling=exp.get("sampling", "markov"),
         start_state=exp.get("start_state"),
@@ -211,17 +222,8 @@ def _write_json(path, payload):
 
 
 def cmd_oracle(cfg: dict, out_dir: str, seed_override=None) -> int:
-    inst = cfg.get("instance")
-    if not inst or "chain" not in inst:
-        raise ConfigError("config needs an instance with a chain")
-    mrp = mrp_from_dict(inst["chain"])
-    report = mrp.validation
-    if not report.ok:
-        print(f"Assumption 1 violated: {report.describe()}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    features = features_from_dict(inst.get("features") or {"kind": "constant"},
-                                  mrp.n)
-    doc = oracle_report(build_steady_state(mrp, features), inst.get("theta0"))
+    model, provider, theta0 = _parse_instance(cfg)
+    doc = oracle_report(model, theta0, provider=provider)
     os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "oracle_report.json"), doc)
     print(f"oracle report written to {out_dir}/oracle_report.json "

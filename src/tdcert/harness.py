@@ -5,12 +5,12 @@ stream per trial), estimates the mean-square error path d_t and the Markov-
 noise disturbance e_t with standard errors, and turns the finite-time
 statements into pass/fail ledgers with explicit 3-standard-error slack.
 
-``_simulate`` is the one SA kernel and ``MonteCarloEstimate`` its one
-result: every experiment runs its trials as lanes of it, and ``run_sa`` is a
-one-lane run that retains its iterates, so a batch lane equals the single
-run on the same stream and delays by construction. Lanes are the last axis
-of (K, trials) arrays, one column per lane; the uniforms are drawn from one
-re-keyed Philox in step-major blocks, transitions come from the chain's
+``_simulate(config)`` is the one SA kernel and ``MonteCarloEstimate`` its
+one result: it runs the config's trials as lanes, lane i on the stream
+``derive_seed(master_seed, i)`` with the delays ``delays.spawn(i)``, and a
+rerun of the same config replays every lane bit for bit. Lanes are the
+last axis of (K, trials) arrays, one column per lane; the uniforms are drawn
+from one re-keyed Philox in step-major blocks, transitions come from the chain's
 exact table sampler (``mrp.sampler``), and every K-wide sum goes through
 ``rowsum``, which adds the K rows in the order numpy sums one vector, so a
 lane's bits do not depend on how many lanes run beside it. Per-step
@@ -42,10 +42,8 @@ from .oracle import (
 from .sa_core import (
     DIVERGENCE_GUARD,
     DelayProcess,
-    DivergenceError,
     StepSizeSpec,
     StepSizeError,
-    Trajectory,
     TD0Provider,
     UpdateDirectionProvider,
     audit_provider,
@@ -168,10 +166,9 @@ class ExperimentConfig:
 class MonteCarloEstimate:
     """Per-step cross-trial estimates of d_t and e_t with standard errors.
 
-    ``config`` is the experiment the lanes ran (None for bare kernel runs);
-    ``theta_bar`` holds each lane's weighted average when one was requested,
-    and ``retained`` each lane's iterates theta_0..theta_T, (trials, T+1, K),
-    when retained.
+    ``config`` is the experiment the lanes ran; ``theta_bar`` holds each
+    lane's weighted average when one was requested, and ``retained`` each
+    lane's iterates theta_0..theta_T, (trials, T+1, K), when retained.
     """
 
     d_hat: np.ndarray
@@ -182,7 +179,7 @@ class MonteCarloEstimate:
     valid: bool
     abort_count: int
     abort_step: int | None
-    config: ExperimentConfig | None = None
+    config: ExperimentConfig
     theta_bar: np.ndarray | None = None
     retained: np.ndarray | None = None
 
@@ -248,27 +245,26 @@ def _mean_and_dev(vals, trials):
     return mean, dev.sum()
 
 
-def _simulate(provider: UpdateDirectionProvider, mrp: MarkovRewardProcess,
-              theta0, alpha: float, T: int, seeds: list[int],
-              delays: list[DelayProcess] | None = None, sampling: str = "markov",
-              start_state: int | None = None, weight_A: float | None = None,
+def _simulate(config: ExperimentConfig, weight_A: float | None = None,
               retain: bool = False) -> MonteCarloEstimate:
     """The SA recursion theta_{t+1} = theta_t + alpha g(theta_{t-d_t}; X_{t-d_t})
-    for a batch of independent lanes; the only code that advances theta.
+    for the config's trials as a batch of lanes; the only code that advances
+    theta.
 
-    Lane i draws from the stream ``seeds[i]`` and, when ``delays`` is given,
-    takes its delays from ``delays[i]``. Each step samples every lane's
+    Lane i draws from the stream ``derive_seed(master_seed, i)`` and takes
+    its delays from ``delays.spawn(i)``. Each step samples every lane's
     transition, calls ``provider.direction`` and ``provider.steady`` once on
     the whole (K, trials) batch, updates, and reduces d_t and e_t over the
     lanes. markov sampling draws one uniform per step (plus one for the start
     state when ``start_state`` is None); iid_restart draws the state fresh
     from pi and then its successor, two uniforms per step. A delayed lane
     applies the direction its kernel computed d_t steps earlier, which is
-    g(theta_{t-d_t}; X_{t-d_t}) bit for bit.
+    g(theta_{t-d_t}; X_{t-d_t}) bit for bit. ``weight_A`` keeps each lane's
+    weighted average with weight rate 1 - alpha A; ``retain`` keeps every
+    lane's iterates.
     """
-    if sampling not in ("markov", "iid_restart"):
-        raise ValueError(f"unknown sampling mode {sampling!r}")
-    trials, K = len(seeds), provider.dim
+    provider, mrp, delays = config.provider, config.mrp, config.delays
+    alpha, T, trials, K = config.spec.alpha, config.T, config.trials, provider.dim
     # theta* as full (K, trials) rows: subtracting a (K, 1) column runs
     # about 2x slower than a whole-array op
     star = np.tile(provider.theta_star[:, None], (1, trials))
@@ -278,14 +274,14 @@ def _simulate(provider: UpdateDirectionProvider, mrp: MarkovRewardProcess,
     safe = DIVERGENCE_GUARD / math.sqrt(2 * K)
     pi_sampler = InverseCdfTable(np.cumsum(mrp.stationary.pi)[None, :])
     sampler, R = mrp.sampler, mrp.R
-    iid = sampling == "iid_restart"
+    iid = config.sampling == "iid_restart"
     draws = 2 if iid else 1
 
     if retain and trials * (T + 1) * K > 2e8:
         raise ConfigError("iterate retention too large; lower trials or T")
 
-    streams = _TrialStreams(seeds)
-    theta = np.tile(np.asarray(theta0, dtype=float)[:, None], (1, trials))
+    streams = _TrialStreams([derive_seed(config.master_seed, i) for i in range(trials)])
+    theta = np.tile(config.theta0[:, None], (1, trials))
 
     # per-step cross-trial mean and centered squared deviation (the centered
     # form keeps deterministic instances at exactly zero variance)
@@ -302,23 +298,22 @@ def _simulate(provider: UpdateDirectionProvider, mrp: MarkovRewardProcess,
     wrate = 1.0 - alpha * weight_A if weight_A is not None else None
     v = 1.0
 
-    use_delays = delays is not None and any(
-        d.kind != "none" and d.tau_max > 0 for d in delays)
+    use_delays = delays is not None and delays.kind != "none" and delays.tau_max > 0
     if use_delays:
-        tau_max = max(d.tau_max for d in delays)
-        m = tau_max + 1
+        m = delays.tau_max + 1
         # int16 keeps the T x trials schedule small; it cannot hold delays past 32767,
         # and a step index past 32767 must not meet it in int16 arithmetic
-        fits = tau_max <= np.iinfo(np.int16).max
+        fits = delays.tau_max <= np.iinfo(np.int16).max
         dmat = np.empty((T, trials), dtype=np.int16 if fits else np.int64)
-        for i, d in enumerate(delays):
-            dmat[:, i] = d.sequence(T)
+        for i in range(trials):
+            dmat[:, i] = delays.spawn(i).sequence(T)
         # the directions of the last m steps; lane i's slot-b direction is
         # hist_g[:, b, i], so a (trials,) slot vector picks (K, trials)
         hist_g = np.zeros((K, m, trials))
         lanes = np.arange(trials)
 
     s = None
+    start_state = config.start_state
     draw_start = not iid and start_state is None
     if not iid and not draw_start:
         if not 0 <= start_state < mrp.n:
@@ -383,56 +378,9 @@ def _simulate(provider: UpdateDirectionProvider, mrp: MarkovRewardProcess,
         d_hat=d_mean, d_se=_se_from_centered(d_dev, trials),
         e_hat=e_mean[:T], e_se=_se_from_centered(e_dev[:T], trials),
         trials=trials, valid=abort_step is None, abort_count=abort_count,
-        abort_step=abort_step, retained=retained,
+        abort_step=abort_step, config=config, retained=retained,
         theta_bar=None if S is None else np.ascontiguousarray(S.T),
     )
-
-
-def _simulate_config(config: ExperimentConfig, **kw) -> MonteCarloEstimate:
-    """The config's trials as kernel lanes: lane i runs on the stream
-    ``derive_seed(master_seed, i)`` with the delays ``delays.spawn(i)``."""
-    lanes = range(config.trials)
-    delays = (None if config.delays is None
-              else [config.delays.spawn(i) for i in lanes])
-    sim = _simulate(config.provider, config.mrp, config.theta0, config.spec.alpha,
-                    config.T, [derive_seed(config.master_seed, i) for i in lanes],
-                    delays, config.sampling, config.start_state, **kw)
-    return replace(sim, config=config)
-
-
-def run_sa(provider: UpdateDirectionProvider, mrp: MarkovRewardProcess,
-           theta0, spec: StepSizeSpec, T: int, seed: int,
-           sampling: str = "markov", start_state: int | None = None,
-           delays: DelayProcess | None = None) -> Trajectory:
-    """One SA trajectory theta_0..theta_T, deterministic given seed: a
-    one-lane run of the batch kernel that retains its iterates.
-
-    Without ``delays`` the update is theta_{t+1} = theta_t + alpha g(theta_t; X_t);
-    with them it applies the stale direction g(theta_{t-d_t}; X_{t-d_t}).
-    Raises DivergenceError at the first iterate that leaves the guard.
-    """
-    theta0 = np.array(theta0, dtype=float).reshape(provider.dim)
-    sim = _simulate(provider, mrp, theta0, spec.alpha, T, [seed],
-                    None if delays is None else [delays], sampling, start_state,
-                    retain=True)
-    if not sim.valid:
-        raise DivergenceError(sim.abort_step)
-    fp = _run_config_fingerprint(provider, mrp, theta0, spec, T, sampling, delays)
-    return Trajectory(thetas=sim.retained[0], seed=seed, fingerprint=fp,
-                      alpha=spec.alpha)
-
-
-def _run_config_fingerprint(provider, mrp, theta0, spec, T, sampling, delays):
-    payload = {
-        "mrp": mrp.to_dict(),
-        "provider": provider.describe(),
-        "theta0": np.asarray(theta0, dtype=float).tolist(),
-        "spec": spec.to_dict(),
-        "T": int(T),
-        "sampling": sampling,
-        "delays": delays.to_dict() if delays is not None else None,
-    }
-    return fingerprint(payload)
 
 
 def estimate_dt_et(config: ExperimentConfig) -> MonteCarloEstimate:
@@ -442,15 +390,15 @@ def estimate_dt_et(config: ExperimentConfig) -> MonteCarloEstimate:
     The e_t terms use the same sampled observation that produced each step,
     accumulated during the run rather than by replay.
     """
-    return _simulate_config(config)
+    return _simulate(config)
 
 
 def simulate_trajectories(config: ExperimentConfig) -> MonteCarloEstimate:
     """The experiment's estimate with every lane's iterates retained:
-    ``retained[i]`` is trial i's theta_0..theta_T, from the stream derived
-    for trial i, so ``run_sa`` on that seed replays it. Raises ConfigError if
-    any lane hits the divergence guard."""
-    sim = _simulate_config(config, retain=True)
+    ``retained[i]`` is trial i's theta_0..theta_T, and rerunning the same
+    config replays it bit for bit. Raises ConfigError if any lane hits the
+    divergence guard."""
+    sim = _simulate(config, retain=True)
     if not sim.valid:
         raise ConfigError(
             f"{sim.abort_count} trials hit the divergence guard at step "
@@ -710,10 +658,6 @@ class WeightedAverageSpec:
         w = np.exp(logw)
         return w / w.sum()
 
-    def to_dict(self) -> dict:
-        return {"A": self.A, "alpha": self.alpha, "tau": self.tau, "T": self.T,
-                "lambda": self.lambda_tune, "C": self.C, "case": self.case}
-
 
 def tune_weighted_average(model: SteadyStateModel, T: int,
                           C: float = 8.0, max_iter: int = 50) -> WeightedAverageSpec:
@@ -763,7 +707,7 @@ def weighted_average_experiment(config: ExperimentConfig,
                             tau_alpha=wspec.tau, mode="td0")
         sub = replace(config, T=T, spec=spec,
                       master_seed=derive_seed(config.master_seed, T))
-        sim = _simulate_config(sub, weight_A=wspec.A)
+        sim = _simulate(sub, weight_A=wspec.A)
         if not sim.valid:
             raise ConfigError(f"averaging run at T={T} hit the divergence guard")
         errs = model.value_error_D(sim.theta_bar)

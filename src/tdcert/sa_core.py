@@ -3,9 +3,10 @@ theta_{t+1} = theta_t + alpha g(theta_{t-d_t}; X_{t-d_t}).
 
 Sampled update directions (TD(0) and pluggable providers) with the one audit
 of their declared contract, the constant step-size resolved jointly with the
-mixing time it depends on, the one iterate bound B and auto horizon, bounded
-delay processes, and replayable trajectories. The recursion itself runs in
-one place, the harness's batch kernel; ``harness.run_sa`` is a one-lane run.
+mixing time it depends on, the one iterate bound B and auto horizon, and
+bounded delay processes. The recursion itself runs in one place, the
+harness's batch kernel ``_simulate(config)``, which takes an experiment and
+runs its trials as lanes.
 """
 
 import hashlib
@@ -27,15 +28,6 @@ DIVERGENCE_GUARD = 1e12
 
 class StepSizeError(RuntimeError):
     """Step-size resolution failed to reach a self-consistent fixed point."""
-
-
-class DivergenceError(RuntimeError):
-    """An iterate left the divergence guard; records the offending step."""
-
-    def __init__(self, step: int):
-        super().__init__(f"non-finite or oversized iterate at step {step}; "
-                         "check the configured step-size")
-        self.step = step
 
 
 def fingerprint(payload: dict) -> str:
@@ -382,33 +374,6 @@ class DelayProcess:
 
     def to_dict(self):
         return {"kind": self.kind, "tau_max": self.tau_max, "seed": self.seed}
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """One iterate path theta_0..theta_T, replayable from (fingerprint, seed)."""
-
-    thetas: np.ndarray
-    seed: int
-    fingerprint: str
-    alpha: float
-
-    def __post_init__(self):
-        self.thetas.setflags(write=False)
-
-    @property
-    def T(self) -> int:
-        return self.thetas.shape[0] - 1
-
-    def to_csv(self, path):
-        K = self.thetas.shape[1]
-        with open(path, "w") as fh:
-            fh.write(f"# fingerprint={self.fingerprint} seed={self.seed} "
-                     f"alpha={self.alpha!r}\n")
-            fh.write("step," + ",".join(f"theta_{k}" for k in range(K)) + "\n")
-            for t in range(self.thetas.shape[0]):
-                row = ",".join(repr(float(v)) for v in self.thetas[t])
-                fh.write(f"{t},{row}\n")
 
 
 @dataclass(frozen=True)

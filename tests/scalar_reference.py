@@ -10,7 +10,15 @@ direction g(theta_{t-d_t}; X_{t-d_t}); without delays d_t = 0.
 import numpy as np
 
 from tdcert.chain import generator
-from tdcert.sa_core import DIVERGENCE_GUARD, DelayProcess, DivergenceError
+from tdcert.sa_core import DIVERGENCE_GUARD, DelayProcess
+
+
+class ReferenceDivergence(RuntimeError):
+    """An iterate left the divergence guard at ``step``."""
+
+    def __init__(self, step: int):
+        super().__init__(f"iterate left the divergence guard at step {step}")
+        self.step = step
 
 
 def _inv_cdf(cum, u):
@@ -44,7 +52,7 @@ def reference_sa(provider, mrp, theta0, spec, T, seed, sampling="markov",
         back = (t - int(dseq[t])) % m
         theta = theta + spec.alpha * provider.direction(hist_theta[back], hist_X[back])
         if not np.all(np.isfinite(theta)) or np.sum(theta ** 2) > DIVERGENCE_GUARD ** 2:
-            raise DivergenceError(t + 1)
+            raise ReferenceDivergence(t + 1)
         thetas[t + 1] = theta
         s = sp
     return thetas

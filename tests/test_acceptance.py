@@ -8,6 +8,7 @@ deterministic. Stated runtime budgets are asserted.
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from tdcert.harness import (
     check_recursion,
     estimate_dt_et,
     nonlinear_sa_experiment,
-    run_sa,
+    simulate_trajectories,
     weighted_average_experiment,
 )
 from tdcert.oracle import (
@@ -34,7 +35,7 @@ from tdcert.oracle import (
     random_features,
     steady_state_direction,
 )
-from tdcert.sa_core import DelayProcess, TD0Provider
+from tdcert.sa_core import DelayProcess
 
 
 def report(criterion, ok, detail):
@@ -213,11 +214,11 @@ def test_criterion_8_delayed_sa():
     ok = ok and d5.spec.alpha == pytest.approx(base.spec.alpha / 6.0, rel=1e-12)
 
     # tau_max = 0 reproduces the undelayed loop bit-exactly
-    provider = TD0Provider(base.model)
-    plain = run_sa(provider, base.mrp, np.zeros(1), base.spec, 400, seed=31)
-    delayed = run_sa(provider, base.mrp, np.zeros(1), base.spec, 400, seed=31,
-                     delays=DelayProcess("uniform", 0, seed=5))
-    bit_exact = np.array_equal(plain.thetas, delayed.thetas)
+    short = replace(base, T=400, trials=4, master_seed=31)
+    plain = simulate_trajectories(short)
+    delayed = simulate_trajectories(
+        replace(short, delays=DelayProcess("uniform", 0, seed=5)))
+    bit_exact = np.array_equal(plain.retained, delayed.retained)
     elapsed = time.time() - start
     ok = ok and bit_exact and elapsed < 300.0
     report(8, ok, f"{'; '.join(lines)}; tau_max=0 bit-exact={bit_exact}; "

@@ -60,6 +60,16 @@ class TestOracleCommand:
         assert "reshape" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_nonlinear_provider_report_has_the_experiment_B(self, tmp_path):
+        # theta0 has the saturating provider's 2 entries; identity features give K = 3
+        out = tmp_path / "o"
+        assert main(["oracle", "--bundled", "theorem4_saturating",
+                     "--out", str(out)]) == EXIT_PASS
+        doc = json.loads((out / "oracle_report.json").read_text())
+        config, _ = parse_experiment(bundled_config("theorem4_saturating"))
+        assert doc["K"] == 3 and len(doc["theta0"]) == 2
+        assert doc["B"] == config.B
+
     def test_bundled_oracle_matches_derived_values(self, tmp_path):
         cfg = write_cfg(tmp_path, {
             "instance": {
@@ -101,6 +111,15 @@ class TestRunCommand:
                      "--out", str(out2)])
         assert code == EXIT_PASS
         assert (out1 / "estimate.csv").read_bytes() == (out2 / "estimate.csv").read_bytes()
+
+    def test_unknown_sampling_exits_invalid(self, tmp_path, capsys):
+        cfg = bundled_config("theorem1_near_uniform")
+        cfg["experiment"]["sampling"] = "bogus"
+        out = tmp_path / "o"
+        assert main(["run", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(out)]) == EXIT_INVALID_INPUT
+        assert "sampling" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_low_trial_count_rejected(self, tmp_path):
         cfg = bundled_config("theorem1_near_uniform")

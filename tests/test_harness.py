@@ -38,7 +38,6 @@ from tdcert.harness import (
     check_recursion,
     estimate_dt_et,
     nonlinear_sa_experiment,
-    run_sa,
     simulate_trajectories,
     tune_weighted_average,
     weighted_average_experiment,
@@ -110,9 +109,6 @@ class TestEstimate:
         est = simulate_trajectories(cfg)
         provider = TD0Provider(FAST_MODEL)
         for i in range(cfg.trials):
-            single = run_sa(provider, FAST, np.zeros(1), FAST_SPEC, 80,
-                            seed=derive_seed(11, i))
-            assert np.array_equal(est.retained[i], single.thetas)
             assert np.array_equal(est.retained[i], reference_sa(
                 provider, FAST, np.zeros(1), FAST_SPEC, 80, seed=derive_seed(11, i)))
 
@@ -122,9 +118,6 @@ class TestEstimate:
         est = simulate_trajectories(cfg)
         provider = TD0Provider(FAST_MODEL)
         for i in range(cfg.trials):
-            single = run_sa(provider, FAST, np.zeros(1), FAST_SPEC, 70,
-                            seed=derive_seed(11, i), delays=delays.spawn(i))
-            assert np.array_equal(est.retained[i], single.thetas)
             assert np.array_equal(est.retained[i], reference_sa(
                 provider, FAST, np.zeros(1), FAST_SPEC, 70, seed=derive_seed(11, i),
                 delays=delays.spawn(i)))
@@ -134,14 +127,12 @@ class TestEstimate:
         # step indices and (for tau_max = 32768) delays beyond int16
         T = 32770
         delays = DelayProcess("constant", tau_max)
-        estimate = estimate_dt_et(fast_config(trials=1, T=T, delays=delays))
-        single = run_sa(TD0Provider(FAST_MODEL), FAST, np.zeros(1), FAST_SPEC,
-                        T, seed=derive_seed(11, 0), delays=delays.spawn(0))
-        d = ((single.thetas - FAST_MODEL.theta_star) ** 2).sum(axis=1)
-        assert np.array_equal(estimate.d_hat, d)
+        estimate = simulate_trajectories(fast_config(trials=1, T=T, delays=delays))
         reference = reference_sa(TD0Provider(FAST_MODEL), FAST, np.zeros(1), FAST_SPEC,
                                  T, seed=derive_seed(11, 0), delays=delays.spawn(0))
-        assert np.array_equal(single.thetas, reference)
+        assert np.array_equal(estimate.retained[0], reference)
+        d = ((reference - FAST_MODEL.theta_star) ** 2).sum(axis=1)
+        assert np.array_equal(estimate.d_hat, d)
 
     @pytest.mark.parametrize("K", [3, 8, 9])
     @pytest.mark.parametrize("sampling", ["markov", "iid_restart"])
@@ -150,9 +141,6 @@ class TestEstimate:
         cfg = wide_config(K, sampling=sampling)
         est = simulate_trajectories(cfg)
         for i in range(cfg.trials):
-            single = run_sa(cfg.provider, cfg.mrp, cfg.theta0, cfg.spec, cfg.T,
-                            seed=derive_seed(cfg.master_seed, i), sampling=sampling)
-            assert np.array_equal(est.retained[i], single.thetas)
             assert np.array_equal(est.retained[i], reference_sa(
                 cfg.provider, cfg.mrp, cfg.theta0, cfg.spec, cfg.T,
                 seed=derive_seed(cfg.master_seed, i), sampling=sampling))
@@ -183,10 +171,6 @@ class TestEstimate:
         cfg = wide_config(3, delays=delays)
         est = simulate_trajectories(cfg)
         for i in range(cfg.trials):
-            single = run_sa(cfg.provider, cfg.mrp, cfg.theta0, cfg.spec, cfg.T,
-                            seed=derive_seed(cfg.master_seed, i),
-                            delays=delays.spawn(i))
-            assert np.array_equal(est.retained[i], single.thetas)
             assert np.array_equal(est.retained[i], reference_sa(
                 cfg.provider, cfg.mrp, cfg.theta0, cfg.spec, cfg.T,
                 seed=derive_seed(cfg.master_seed, i), delays=delays.spawn(i)))
@@ -204,9 +188,6 @@ class TestEstimate:
         cfg = wide_config(3, provider=provider)
         est = simulate_trajectories(cfg)
         for i in range(cfg.trials):
-            single = run_sa(provider, WIDE, cfg.theta0, cfg.spec, cfg.T,
-                            seed=derive_seed(cfg.master_seed, i))
-            assert np.array_equal(est.retained[i], single.thetas)
             assert np.array_equal(est.retained[i], reference_sa(
                 provider, WIDE, cfg.theta0, cfg.spec, cfg.T,
                 seed=derive_seed(cfg.master_seed, i)))

@@ -1,11 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scalar_reference import reference_sa
-from tdcert.chain import ChainError, MarkovRewardProcess, generator
-from tdcert.harness import run_sa
+from scalar_reference import ReferenceDivergence, reference_sa
+from tdcert.chain import ChainError, MarkovRewardProcess, derive_seed, generator
+from tdcert.harness import (
+    ConfigError,
+    ExperimentConfig,
+    estimate_dt_et,
+    simulate_trajectories,
+)
 from tdcert.oracle import (
     FeatureMatrix,
     build_steady_state,
@@ -14,7 +21,6 @@ from tdcert.oracle import (
 )
 from tdcert.sa_core import (
     DelayProcess,
-    DivergenceError,
     LinearContractionProvider,
     SaturatingMonotoneProvider,
     StepSizeSpec,
@@ -133,66 +139,73 @@ class TestResolveStepSize:
         assert spec.alpha <= 1.0 / (8.0 * spec.tau_alpha) + 1e-15
 
 
+def one_lane(model, T, seed=0, spec=None, theta0=None, **kw):
+    """A one-trial config on the model's chain at the resolved step-size (or
+    ``spec``); its one lane runs on the stream derive_seed(seed, 0)."""
+    spec = resolve_step_size(model, C=8.0) if spec is None else spec
+    return ExperimentConfig(model.mrp, model.features, theta0, spec, T=T, trials=1,
+                            master_seed=seed, model=model, **kw)
+
+
 class TestRunSA:
+    """One-trial runs of a config through the batch kernel."""
+
     def test_one_state_closed_form(self):
-        provider = TD0Provider(ONE_MODEL)
-        spec = resolve_step_size(ONE_MODEL, C=8.0)
-        tr = run_sa(provider, ONE_STATE, np.zeros(1), spec, 50, seed=3)
+        cfg = one_lane(ONE_MODEL, 50, seed=3)
+        thetas = simulate_trajectories(cfg).retained[0]
         t = np.arange(51)
-        closed = 2.0 + (0.0 - 2.0) * (1 - spec.alpha * 0.5) ** t
-        np.testing.assert_allclose(tr.thetas[:, 0], closed, atol=1e-12)
+        closed = 2.0 + (0.0 - 2.0) * (1 - cfg.spec.alpha * 0.5) ** t
+        np.testing.assert_allclose(thetas[:, 0], closed, atol=1e-12)
 
     def test_zero_horizon(self):
-        provider = TD0Provider(ONE_MODEL)
-        spec = resolve_step_size(ONE_MODEL, C=8.0)
-        tr = run_sa(provider, ONE_STATE, np.array([0.7]), spec, 0, seed=1)
-        np.testing.assert_array_equal(tr.thetas, [[0.7]])
+        est = simulate_trajectories(one_lane(ONE_MODEL, 0, seed=1, theta0=[0.7]))
+        np.testing.assert_array_equal(est.retained[0], [[0.7]])
 
     def test_replay_bitwise(self):
-        provider = TD0Provider(TWO_MODEL)
-        spec = resolve_step_size(TWO_MODEL, C=8.0)
-        a = run_sa(provider, TWO_STATE, np.zeros(1), spec, 200, seed=9)
-        b = run_sa(provider, TWO_STATE, np.zeros(1), spec, 200, seed=9)
-        assert np.array_equal(a.thetas, b.thetas)
-        assert a.fingerprint == b.fingerprint
+        a = simulate_trajectories(one_lane(TWO_MODEL, 200, seed=9))
+        b = simulate_trajectories(one_lane(TWO_MODEL, 200, seed=9))
+        assert np.array_equal(a.retained, b.retained)
+        assert a.config.fingerprint() == b.config.fingerprint()
 
     def test_divergence_guard_reports_step(self):
-        provider = TD0Provider(TWO_MODEL)
         bad = StepSizeSpec(C=8.0, alpha=1e9, tau_alpha=1, mode="td0")
-        with pytest.raises(DivergenceError) as exc:
-            run_sa(provider, TWO_STATE, np.array([1.0]), bad, 10_000, seed=2)
-        assert exc.value.step >= 1
+        cfg = one_lane(TWO_MODEL, 10_000, seed=2, spec=bad, theta0=[1.0])
+        est = estimate_dt_et(cfg)
+        with pytest.raises(ReferenceDivergence) as exc:
+            reference_sa(TD0Provider(TWO_MODEL), TWO_STATE, np.array([1.0]), bad,
+                         10_000, seed=derive_seed(2, 0))
+        assert not est.valid
+        assert est.abort_count == 1
+        assert est.abort_step == exc.value.step
+        with pytest.raises(ConfigError, match="divergence guard"):
+            simulate_trajectories(cfg)
 
     def test_iid_restart_sampling(self):
-        provider = TD0Provider(TWO_MODEL)
-        spec = resolve_step_size(TWO_MODEL, C=8.0)
-        tr = run_sa(provider, TWO_STATE, np.zeros(1), spec, 100, seed=4,
-                    sampling="iid_restart")
-        assert tr.thetas.shape == (101, 1)
+        cfg = one_lane(TWO_MODEL, 100, seed=4, sampling="iid_restart")
+        thetas = simulate_trajectories(cfg).retained[0]
+        assert thetas.shape == (101, 1)
+        assert np.array_equal(thetas, reference_sa(
+            cfg.provider, TWO_STATE, np.zeros(1), cfg.spec, 100,
+            seed=derive_seed(4, 0), sampling="iid_restart"))
 
     def test_fixed_start_state(self):
-        provider = TD0Provider(TWO_MODEL)
-        spec = resolve_step_size(TWO_MODEL, C=8.0)
-        a = run_sa(provider, TWO_STATE, np.zeros(1), spec, 50, seed=6, start_state=1)
-        b = run_sa(provider, TWO_STATE, np.zeros(1), spec, 50, seed=6, start_state=1)
-        assert np.array_equal(a.thetas, b.thetas)
-        assert np.array_equal(a.thetas, reference_sa(
-            provider, TWO_STATE, np.zeros(1), spec, 50, seed=6, start_state=1))
+        cfg = one_lane(TWO_MODEL, 50, seed=6, start_state=1)
+        a = simulate_trajectories(cfg).retained[0]
+        b = simulate_trajectories(cfg).retained[0]
+        assert np.array_equal(a, b)
+        assert np.array_equal(a, reference_sa(
+            cfg.provider, TWO_STATE, np.zeros(1), cfg.spec, 50,
+            seed=derive_seed(6, 0), start_state=1))
 
     @pytest.mark.parametrize("start_state", [-1, 2])
     def test_start_state_out_of_range_rejected(self, start_state):
-        provider = TD0Provider(TWO_MODEL)
-        spec = resolve_step_size(TWO_MODEL, C=8.0)
         with pytest.raises(ChainError, match="start_state"):
-            run_sa(provider, TWO_STATE, np.zeros(1), spec, 10, seed=6,
-                   start_state=start_state)
+            simulate_trajectories(one_lane(TWO_MODEL, 10, seed=6,
+                                           start_state=start_state))
 
     def test_unknown_sampling_rejected(self):
-        provider = TD0Provider(TWO_MODEL)
-        spec = resolve_step_size(TWO_MODEL, C=8.0)
-        with pytest.raises(ValueError, match="sampling"):
-            run_sa(provider, TWO_STATE, np.zeros(1), spec, 10, seed=6,
-                   sampling="bogus")
+        with pytest.raises(ConfigError, match="sampling"):
+            one_lane(TWO_MODEL, 10, seed=6, sampling="bogus")
 
 
 class TestDelays:
@@ -207,38 +220,35 @@ class TestDelays:
         with pytest.raises(ValueError, match="delay kind"):
             DelayProcess("weird", 2, 0)
 
-    def test_zero_delay_reproduces_run_sa_bitwise(self):
-        provider = TD0Provider(TWO_MODEL)
-        spec = resolve_step_size(TWO_MODEL, C=8.0)
-        plain = run_sa(provider, TWO_STATE, np.zeros(1), spec, 300, seed=12)
+    def test_zero_delay_reproduces_the_undelayed_run_bitwise(self):
+        cfg = one_lane(TWO_MODEL, 300, seed=12)
+        plain = simulate_trajectories(cfg).retained[0]
         for kind in ("none", "uniform"):
             delays = DelayProcess(kind, 0, seed=5)
-            delayed = run_sa(provider, TWO_STATE, np.zeros(1), spec, 300, seed=12,
-                             delays=delays)
-            assert np.array_equal(plain.thetas, delayed.thetas)
-            reference = reference_sa(provider, TWO_STATE, np.zeros(1), spec, 300,
-                                     seed=12, delays=delays)
-            assert np.array_equal(plain.thetas, reference)
+            delayed = simulate_trajectories(replace(cfg, delays=delays)).retained[0]
+            assert np.array_equal(plain, delayed)
+            reference = reference_sa(cfg.provider, TWO_STATE, np.zeros(1), cfg.spec,
+                                     300, seed=derive_seed(12, 0),
+                                     delays=delays.spawn(0))
+            assert np.array_equal(plain, reference)
 
     def test_constant_delay_one_state_two_term_recursion(self):
         # oracle: theta_{t+1} = theta_t + alpha (1 - 0.5 theta_{t-1}),
         # with theta_{-1} treated as theta_0 via the early clamp
-        provider = TD0Provider(ONE_MODEL)
-        spec = resolve_step_size(ONE_MODEL, C=8.0)
-        a = spec.alpha
         T = 400
-        tr = run_sa(provider, ONE_STATE, np.zeros(1), spec, T, seed=1,
-                    delays=DelayProcess("constant", 1, seed=0))
+        cfg = one_lane(ONE_MODEL, T, seed=1, delays=DelayProcess("constant", 1, seed=0))
+        a = cfg.spec.alpha
+        thetas = simulate_trajectories(cfg).retained[0]
         ref = np.zeros(T + 1)
         for t in range(T):
             back = max(t - min(t, 1), 0)
             ref[t + 1] = ref[t] + a * (1.0 - 0.5 * ref[back])
-        np.testing.assert_allclose(tr.thetas[:, 0], ref, atol=1e-12)
+        np.testing.assert_allclose(thetas[:, 0], ref, atol=1e-12)
         # companion matrix [[1, -0.5a], [1, 0]] has spectral radius < 1, so
         # the delayed recursion still converges to theta* = 2
         companion = np.array([[1.0, -0.5 * a], [1.0, 0.0]])
         assert np.max(np.abs(np.linalg.eigvals(companion))) < 1.0
-        assert abs(tr.thetas[-1, 0] - 2.0) < 1e-3
+        assert abs(thetas[-1, 0] - 2.0) < 1e-3
 
     def test_spawned_streams_differ(self):
         dp = DelayProcess("uniform", 4, seed=10)
@@ -313,19 +323,6 @@ class TestAuditProvider:
         provider = LinearContractionProvider([0.3], [[1.0], [-2.0]], pi)
         np.testing.assert_allclose(pi @ provider.c_table, provider.theta_star,
                                    atol=1e-14)
-
-
-class TestTrajectorySerialization:
-    def test_csv_roundtrip_headers(self, tmp_path):
-        provider = TD0Provider(TWO_MODEL)
-        spec = resolve_step_size(TWO_MODEL, C=8.0)
-        tr = run_sa(provider, TWO_STATE, np.zeros(1), spec, 20, seed=8)
-        path = tmp_path / "traj.csv"
-        tr.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith(f"# fingerprint={tr.fingerprint}")
-        assert lines[1] == "step,theta_0"
-        assert len(lines) == 23
 
 
 def _bits(x):
