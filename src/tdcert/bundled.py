@@ -60,13 +60,13 @@ _CONST = {"kind": "constant"}
 
 
 def _experiment(chain, features, *, kind="boundedness", T="auto", trials=2000,
-                seed=20240801, theta0=None, alpha_scale=1.0, mode="td0",
+                seed=20240801, theta0=None, alpha_scale=1.0,
                 sampling="markov", delays=None, grid=None, provider=None,
                 label=""):
     cfg = {
         "label": label,
         "instance": {"chain": chain, "features": features, "theta0": theta0},
-        "step_size": {"C": 8.0, "mode": mode, "alpha_scale": alpha_scale},
+        "step_size": {"C": 8.0, "alpha_scale": alpha_scale},
         "experiment": {
             "kind": kind,
             "T": T,
@@ -133,13 +133,12 @@ _REGISTRY = {
     # Generic-operator experiments.
     "theorem4_linear_contraction": _experiment(
         UNIFORM_TWO_STATE, _CONST, kind="nonlinear", T=300, seed=401,
-        mode="nonlinear",
         provider={"kind": "linear_contraction", "theta_star": [0.7],
                   "noise": [[0.6], [-0.6]]},
         label="linear contraction with iid tuples"),
     "theorem4_saturating": _experiment(
         THREE_STATE, {"kind": "identity"}, kind="nonlinear", T="auto", seed=402,
-        mode="nonlinear", theta0=[2.0, -1.0],
+        theta0=[2.0, -1.0],
         provider={"kind": "saturating", "theta_star": [0.5, -0.3],
                   "noise": [[0.4, -0.2], [-0.1, 0.3], [-0.3, -0.1]],
                   "a": 0.7, "b": 0.3},

@@ -91,18 +91,21 @@ def _build_provider(prov_cfg: dict, model):
     raise ConfigError(f"unknown provider kind {kind!r}")
 
 
-def _build_spec(step_cfg: dict, model, provider, mode: str) -> StepSizeSpec:
+def _build_spec(step_cfg: dict, model, provider) -> StepSizeSpec:
+    # the provider picks the constants; a legacy mode key must agree with it
+    if step_cfg.get("mode", provider.mode) != provider.mode:
+        raise ConfigError(f"step_size.mode {step_cfg['mode']!r} does not match "
+                          f"the provider's mode {provider.mode!r}")
     C = float(step_cfg.get("C", 8.0))
     if step_cfg.get("alpha") is not None:
         alpha = float(step_cfg["alpha"])
         if step_cfg.get("tau") is not None:
-            return StepSizeSpec(C=C, alpha=alpha, tau_alpha=int(step_cfg["tau"]),
-                                mode=mode)
-        return spec_at(model, provider, mode, alpha, C)
-    spec = resolve_step_size(model, C=C, mode=mode, provider=provider)
+            return StepSizeSpec(C=C, alpha=alpha, tau_alpha=int(step_cfg["tau"]))
+        return spec_at(model, provider, alpha, C)
+    spec = resolve_step_size(model, C=C, provider=provider)
     scale = float(step_cfg.get("alpha_scale", 1.0))
     if scale != 1.0:
-        spec = spec_at(model, provider, mode, spec.alpha * scale, C)
+        spec = spec_at(model, provider, spec.alpha * scale, C)
     return spec
 
 
@@ -128,8 +131,7 @@ def _parse_instance(cfg: dict):
 def parse_experiment(cfg: dict, seed_override: int | None = None):
     """Turn a config document into an (ExperimentConfig, experiment kind) pair."""
     model, provider, theta0 = _parse_instance(cfg)
-    mode = cfg.get("step_size", {}).get("mode", "td0")
-    spec = _build_spec(cfg.get("step_size", {}), model, provider, mode)
+    spec = _build_spec(cfg.get("step_size", {}), model, provider)
 
     exp = cfg.get("experiment", {})
     kind = exp.get("kind", "boundedness")
@@ -139,20 +141,20 @@ def parse_experiment(cfg: dict, seed_override: int | None = None):
             f"trials must be at least 100 for a ledger-producing run, got {trials}")
     T = exp.get("T", "auto")
     if T == "auto":
-        T = auto_horizon(spec, model, provider)
+        T = auto_horizon(spec, provider)
     delays_cfg = exp.get("delays")
     delays = DelayProcess(**delays_cfg) if delays_cfg else None
     master_seed = int(exp.get("master_seed", 0))
     if seed_override is not None:
         master_seed = int(seed_override)
     config = ExperimentConfig(
-        mrp=model.mrp, features=model.features, theta0=theta0, spec=spec, T=int(T),
+        model=model, theta0=theta0, spec=spec, T=int(T),
         trials=trials, master_seed=master_seed, provider=provider,
         delays=delays, sampling=exp.get("sampling", "markov"),
         start_state=exp.get("start_state"),
         averaging_grid=exp.get("averaging_grid"),
         ceiling=float(exp.get("ceiling", 100.0)),
-        label=cfg.get("label", ""), model=model,
+        label=cfg.get("label", ""),
     )
     return config, kind
 
@@ -307,11 +309,11 @@ def cmd_sweep(cfg: dict, out_dir: str, sweep_arg: str, seed_override=None) -> in
         base_kind = (config.delays.kind if config.delays is not None
                      else "uniform")
         base_seed = config.delays.seed if config.delays is not None else 77
-        model, provider, mode = config.model, config.provider, config.spec.mode
-        base = resolve_step_size(model, C=config.spec.C, mode=mode, provider=provider)
+        model, provider = config.model, config.provider
+        base = resolve_step_size(model, C=config.spec.C, provider=provider)
         for tau_max in values:
-            spec = spec_at(model, provider, mode, base.alpha / (1 + tau_max), base.C)
-            T = auto_horizon(spec, model, provider)
+            spec = spec_at(model, provider, base.alpha / (1 + tau_max), base.C)
+            T = auto_horizon(spec, provider)
             delays = DelayProcess(kind=base_kind if tau_max > 0 else "none",
                                   tau_max=tau_max, seed=base_seed)
             sub = replace(config, spec=spec, T=T, delays=delays)

@@ -16,9 +16,9 @@ exact table sampler (``mrp.sampler``), and every K-wide sum goes through
 lane's bits do not depend on how many lanes run beside it. Per-step
 aggregation reduces over the trial axis in a fixed order, so results do not
 depend on scheduling. Every check takes only the estimate and reads alpha,
-tau, the mode, model, provider, ceiling and B from ``estimate.config``, so a
-ledger checks the hypothesis it reports; a ledger that checks no claim (out
-of contract, or aborted trials) comes from ``_refused``.
+tau, model, provider (with its theorem's constants), ceiling and B from
+``estimate.config``, so a ledger checks the hypothesis it reports; one that
+checks no claim (out of contract, or aborted trials) comes from ``_refused``.
 """
 
 import math
@@ -29,18 +29,14 @@ import numpy as np
 from .chain import (
     ChainError,
     InverseCdfTable,
-    MarkovRewardProcess,
     derive_seed,
     generator,
     stream_key,
 )
-from .oracle import (
-    FeatureMatrix,
-    SteadyStateModel,
-    build_steady_state,
-)
+from .oracle import SteadyStateModel
 from .sa_core import (
     DIVERGENCE_GUARD,
+    ConfigError,
     DelayProcess,
     StepSizeSpec,
     StepSizeError,
@@ -49,9 +45,8 @@ from .sa_core import (
     audit_provider,
     auto_horizon,
     bound_B,
-    contraction_bound,
-    drift_rate,
     fingerprint,
+    initial_theta,
     resolve_step_size,
     rowsum,
     spec_at,
@@ -60,10 +55,6 @@ from .sa_core import (
 _GUARD2 = DIVERGENCE_GUARD ** 2
 _BLOCK = 4096
 _LANE_CHUNK = 64
-
-
-class ConfigError(ValueError):
-    """Invalid experiment configuration."""
 
 
 class AuditError(RuntimeError):
@@ -78,14 +69,13 @@ class AuditError(RuntimeError):
 class ExperimentConfig:
     """Everything one Monte Carlo experiment needs, deterministically.
 
-    The instance (chain + features + theta0), a resolved step-size spec, the
-    horizon and trial count, the master seed all per-trial streams derive
-    from, and the optional delay process / sampling mode / averaging grid.
-    Derive variants with ``dataclasses.replace``.
+    The instance (model of chain + features, theta0, provider: TD(0) if None),
+    a resolved step-size spec, the horizon and trial count, the master seed
+    all per-trial streams derive from, and the optional delay process /
+    sampling mode / averaging grid. Derive variants with ``dataclasses.replace``.
     """
 
-    mrp: MarkovRewardProcess
-    features: FeatureMatrix
+    model: SteadyStateModel
     theta0: np.ndarray | None
     spec: StepSizeSpec
     T: int
@@ -98,7 +88,6 @@ class ExperimentConfig:
     averaging_grid: list | None = None
     ceiling: float = 100.0
     label: str = ""
-    model: SteadyStateModel | None = None
 
     def __post_init__(self):
         if self.T < 0:
@@ -107,15 +96,9 @@ class ExperimentConfig:
             raise ConfigError("need at least one trial")
         if self.sampling not in ("markov", "iid_restart"):
             raise ConfigError(f"unknown sampling mode {self.sampling!r}")
-        model = (self.model if self.model is not None
-                 else build_steady_state(self.mrp, self.features))
-        provider = self.provider if self.provider is not None else TD0Provider(model)
-        theta0 = (np.zeros(provider.dim) if self.theta0 is None
-                  else np.array(self.theta0, dtype=float).reshape(-1))
-        if theta0.shape[0] != provider.dim:
-            raise ConfigError("theta0 dimension does not match the provider")
+        provider = self.provider if self.provider is not None else TD0Provider(self.model)
         normalized = dict(
-            model=model, provider=provider, theta0=theta0, T=int(self.T),
+            provider=provider, theta0=initial_theta(provider, self.theta0), T=int(self.T),
             trials=int(self.trials), master_seed=int(self.master_seed),
             averaging_grid=list(self.averaging_grid) if self.averaging_grid else None,
             ceiling=float(self.ceiling))
@@ -127,8 +110,7 @@ class ExperimentConfig:
         return bound_B(self.provider, self.theta0)
 
     def in_contract(self) -> bool:
-        return self.spec.in_contract(contraction_bound(
-            self.spec.mode, model=self.model, provider=self.provider))
+        return self.spec.in_contract(self.provider.contraction)
 
     def hypothesis(self) -> dict:
         return {
@@ -136,16 +118,17 @@ class ExperimentConfig:
             "tau": self.spec.tau_alpha,
             "C": self.spec.C,
             "B": self.B,
-            "mode": self.spec.mode,
+            "mode": self.provider.mode,
             "in_contract": self.in_contract(),
         }
 
     def to_dict(self) -> dict:
         return {
-            "mrp": self.mrp.to_dict(),
-            "features": self.features.to_dict(),
+            "mrp": self.model.mrp.to_dict(),
+            "features": self.model.features.to_dict(),
             "theta0": self.theta0.tolist(),
-            "spec": self.spec.to_dict(),
+            "spec": {"C": self.spec.C, "alpha": self.spec.alpha,
+                     "tau": self.spec.tau_alpha, "mode": self.provider.mode},
             "T": self.T,
             "trials": self.trials,
             "master_seed": self.master_seed,
@@ -263,7 +246,7 @@ def _simulate(config: ExperimentConfig, weight_A: float | None = None,
     weighted average with weight rate 1 - alpha A; ``retain`` keeps every
     lane's iterates.
     """
-    provider, mrp, delays = config.provider, config.mrp, config.delays
+    provider, mrp, delays = config.provider, config.model.mrp, config.delays
     alpha, T, trials, K = config.spec.alpha, config.T, config.trials, provider.dim
     # theta* as full (K, trials) rows: subtracting a (K, 1) column runs
     # about 2x slower than a whole-array op
@@ -511,17 +494,17 @@ def check_recursion(estimate: MonteCarloEstimate) -> BoundLedger:
     disturbance bound hold for t >= tau, with 3-SE slack.
 
     d_hat(t+1) <= rate * d_hat(t) + c * perturb_scale with rate
-    1 - alpha * drift rate and scale alpha^2 L^2 tau B, and
-    e_hat(t) <= c' * e_scale with e_scale alpha L^2 tau B (L^2 is 1 in td0
-    mode). Before tau the disturbance is checked against its coarse 8B bound
+    1 - alpha beta and scale alpha^2 L^2 tau B, and e_hat(t) <= c' * e_scale
+    with e_scale alpha L^2 tau B, beta and L^2 the provider's (L^2 is 1 for
+    TD(0)). Before tau the disturbance is checked against its coarse 8B bound
     instead.
     """
     _require_ledger_grade(estimate)
     config = estimate.config
     spec, ceiling, B = config.spec, config.ceiling, config.B
     alpha, tau = spec.alpha, spec.tau_alpha
-    rate = 1.0 - alpha * drift_rate(spec.mode, config.model, config.provider)
-    L2 = config.provider.L ** 2 if spec.mode == "nonlinear" else 1.0
+    rate = 1.0 - alpha * config.provider.beta
+    L2 = config.provider.recursion_L2
     perturb_scale = alpha ** 2 * L2 * tau * B
     e_scale = alpha * L2 * tau * B
     refused = _refused(estimate, "theorem2-recursion", estimate.T, "")
@@ -665,7 +648,8 @@ def tune_weighted_average(model: SteadyStateModel, T: int,
     that obeys the mixing cap, otherwise the cap itself; iterated until the
     mixing time it certifies is self-consistent."""
     A = 0.5 * model.contraction_rate
-    spec = resolve_step_size(model, C=C, mode="td0")
+    provider = TD0Provider(model)
+    spec = resolve_step_size(model, C=C, provider=provider)
     for _ in range(max_iter):
         tau_hat = spec.tau_alpha
         lam = max(math.e, A * (T + 1) ** 2 / tau_hat)
@@ -673,7 +657,7 @@ def tune_weighted_average(model: SteadyStateModel, T: int,
         cap = spec.caps(model.contraction_rate)
         case = 1 if alpha_case1 <= cap else 2
         alpha = alpha_case1 if case == 1 else cap
-        spec = spec_at(model, None, "td0", alpha, C)
+        spec = spec_at(model, provider, alpha, C)
         if spec.tau_alpha == tau_hat:
             return WeightedAverageSpec(A=A, alpha=alpha, tau=tau_hat, T=T,
                                        lambda_tune=lam, C=C, case=case)
@@ -688,12 +672,11 @@ def weighted_average_experiment(config: ExperimentConfig,
     are never materialized), and fit the tail log-log slope of the
     stationary-weighted value error against T.
 
-    The tuning and the error metric are TD(0)'s, so other providers and
-    nonlinear step-size mode are refused."""
-    if not isinstance(config.provider, TD0Provider) or config.spec.mode != "td0":
-        kind = config.provider.describe()["kind"]
-        raise ConfigError("weighted averaging is certified for TD(0) only (the td0 "
-                          f"provider in td0 mode), got {kind} in {config.spec.mode} mode")
+    The tuning and the error metric are TD(0)'s, so other providers are
+    refused."""
+    if not isinstance(config.provider, TD0Provider):
+        raise ConfigError("weighted averaging is certified for TD(0) only, got "
+                          f"{config.provider.describe()['kind']}")
     if not config.averaging_grid:
         raise ConfigError("config has no averaging grid")
     grid = sorted(int(T) for T in config.averaging_grid)
@@ -703,8 +686,7 @@ def weighted_average_experiment(config: ExperimentConfig,
     rows = []
     for T in grid:
         wspec = tune_weighted_average(model, T, C=config.spec.C)
-        spec = StepSizeSpec(C=config.spec.C, alpha=wspec.alpha,
-                            tau_alpha=wspec.tau, mode="td0")
+        spec = StepSizeSpec(C=config.spec.C, alpha=wspec.alpha, tau_alpha=wspec.tau)
         sub = replace(config, T=T, spec=spec,
                       master_seed=derive_seed(config.master_seed, T))
         sim = _simulate(sub, weight_A=wspec.A)
@@ -742,11 +724,11 @@ def nonlinear_sa_experiment(config: ExperimentConfig) -> dict:
     """Boundedness + recursion certification for the config's operator.
 
     The provider is audited against its declared constants first and the
-    experiment refuses to run on failure. Rate and perturbation scale follow
-    the step-size spec's mode, so routing TD(0) through this path with a
-    td0-mode spec reproduces the TD(0)-specific ledgers exactly.
+    experiment refuses to run on failure. Rate and perturbation scale are the
+    provider's, so routing TD(0) through this path reproduces the
+    TD(0)-specific ledgers exactly.
     """
-    audit = audit_provider(config.provider, config.mrp, 20000,
+    audit = audit_provider(config.provider, config.model.mrp, 20000,
                            derive_seed(config.master_seed, 0xA0D17))
     if not audit.ok:
         raise AuditError(audit)
@@ -761,11 +743,9 @@ def nonlinear_sa_experiment(config: ExperimentConfig) -> dict:
 
 def asymptotic_floor(estimate: MonteCarloEstimate) -> float:
     """Mean of d_hat over the final 10% of steps past the geometric burn-in
-    t >= 5 / (alpha * drift rate)."""
+    t >= 5 / (alpha * beta)."""
     config = estimate.config
-    spec = config.spec
-    rate = drift_rate(spec.mode, config.model, config.provider)
-    burn = int(math.ceil(5.0 / (spec.alpha * rate)))
+    burn = int(math.ceil(5.0 / (config.spec.alpha * config.provider.beta)))
     start = max(burn, int(math.floor(0.9 * estimate.T)))
     if start >= estimate.T:
         raise ConfigError(
@@ -777,13 +757,12 @@ def alpha_sweep(config: ExperimentConfig, multipliers=(1.0, 0.5, 0.25)) -> dict:
     """Re-run the experiment across an alpha grid (multiples of the resolved
     alpha), recertifying tau per point, and fit the log-log slope of the
     asymptotic floor against alpha."""
-    model, mode = config.model, config.spec.mode
     results = []
     for mult in multipliers:
         alpha = config.spec.alpha * float(mult)
         # tau and the auto horizon as parse_experiment resolves them
-        spec = spec_at(model, config.provider, mode, alpha, config.spec.C)
-        T = auto_horizon(spec, model, config.provider)
+        spec = spec_at(config.model, config.provider, alpha, config.spec.C)
+        T = auto_horizon(spec, config.provider)
         sub = replace(config, spec=spec, T=T,
                       master_seed=derive_seed(config.master_seed, int(mult * 1e6)))
         est = estimate_dt_et(sub)

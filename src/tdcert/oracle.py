@@ -462,14 +462,13 @@ def dnorm_contraction_margin(mrp: MarkovRewardProcess,
 def oracle_report(model: SteadyStateModel, theta0=None,
                   eps_grid=(1e-1, 1e-2, 1e-3, 1e-4), provider=None) -> dict:
     """Full structured oracle summary for experiment provenance: the model's
-    closed-form quantities, the certified tau per epsilon, and the iterate
-    bound B of ``provider`` (TD(0) on the model if None) from ``theta0``
-    (zeros if None), which must have the provider's dimension."""
-    from .sa_core import TD0Provider, bound_B  # sa_core builds on this module
+    closed-form quantities, the certified tau per epsilon, and theta_star,
+    sigma and the iterate bound B of ``provider`` (TD(0) on the model if
+    None) from ``theta0`` (zeros if None) of the provider's dimension."""
+    from .sa_core import TD0Provider, bound_B, initial_theta  # sa_core imports oracle
 
     provider = TD0Provider(model) if provider is None else provider
-    theta0 = (np.zeros(provider.dim) if theta0 is None
-              else np.array(theta0, dtype=float).reshape(provider.dim))
+    theta0 = initial_theta(provider, theta0)
     certs = [(float(eps), model.mixing.certify(eps)) for eps in eps_grid]
     return {
         "n": model.mrp.n,
@@ -481,8 +480,8 @@ def oracle_report(model: SteadyStateModel, theta0=None,
         "b_neg": model.b_neg.tolist(),
         "Sigma": model.Sigma.tolist(),
         "omega": model.omega,
-        "theta_star": model.theta_star.tolist(),
-        "sigma": model.sigma_const,
+        "theta_star": provider.theta_star.tolist(),
+        "sigma": provider.sigma_const,
         "theta0": theta0.tolist(),
         "B": bound_B(provider, theta0),
         "tau_table": [{"epsilon": eps, "tau": c.tau, "horizon_checked": c.horizon_checked}

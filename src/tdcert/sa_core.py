@@ -4,9 +4,10 @@ theta_{t+1} = theta_t + alpha g(theta_{t-d_t}; X_{t-d_t}).
 Sampled update directions (TD(0) and pluggable providers) with the one audit
 of their declared contract, the constant step-size resolved jointly with the
 mixing time it depends on, the one iterate bound B and auto horizon, and
-bounded delay processes. The recursion itself runs in one place, the
-harness's batch kernel ``_simulate(config)``, which takes an experiment and
-runs its trials as lanes.
+bounded delay processes. The provider carries its theorem's constants: TD(0)'s
+or generic SA's. The recursion itself runs in one place, the harness's batch
+kernel ``_simulate(config)``, which takes an experiment and runs its trials
+as lanes.
 """
 
 import hashlib
@@ -28,6 +29,10 @@ DIVERGENCE_GUARD = 1e12
 
 class StepSizeError(RuntimeError):
     """Step-size resolution failed to reach a self-consistent fixed point."""
+
+
+class ConfigError(ValueError):
+    """Invalid experiment configuration."""
 
 
 def fingerprint(payload: dict) -> str:
@@ -104,6 +109,8 @@ class UpdateDirectionProvider:
     (L, sigma_const, beta, norm_offset) that ``audit_provider`` verifies.
     ``direction`` and ``steady`` take one parameter vector (K,) or a
     (K, lanes) batch, one column per lane, and return the same shape.
+    It carries generic SA's constants (``contraction``, ``envelope_scale``,
+    ``recursion_L2``, drift rate ``beta``), named by ``mode`` in the output.
     """
 
     dim: int
@@ -111,11 +118,27 @@ class UpdateDirectionProvider:
     sigma_const: float
     beta: float
     theta_star: np.ndarray
+    mode = "nonlinear"
 
     @property
     def norm_offset(self) -> float:
         """The c of the norm envelope ||g(theta; X)|| <= L (||theta|| + c)."""
         return self.sigma_const
+
+    @property
+    def contraction(self) -> float:
+        """The step-size cap's numerator, min(beta, 1/beta) / L^2."""
+        return min(self.beta, 1.0 / self.beta) / self.L ** 2
+
+    @property
+    def envelope_scale(self) -> float | None:
+        """G = L sigma of the TV-envelope tau (None: exact linear-TD tau)."""
+        return self.L * self.sigma_const
+
+    @property
+    def recursion_L2(self) -> float:
+        """The L^2 in the recursion check's perturbation and disturbance scales."""
+        return self.L ** 2
 
     def direction(self, theta, X):
         raise NotImplementedError
@@ -129,7 +152,12 @@ class UpdateDirectionProvider:
 
 class TD0Provider(UpdateDirectionProvider):
     """TD(0) with linear function approximation: L = 2, beta = omega (1 - gamma),
-    and the norm envelope 2 ||theta|| + 2 r_bar."""
+    and the norm envelope 2 ||theta|| + 2 r_bar; step-size cap omega (1 - gamma)
+    at the exact tau, and no L^2 in the recursion scales."""
+
+    mode = "td0"
+    envelope_scale = None
+    recursion_L2 = 1.0
 
     def __init__(self, model: SteadyStateModel):
         self.model = model
@@ -142,6 +170,10 @@ class TD0Provider(UpdateDirectionProvider):
     @property
     def norm_offset(self) -> float:
         return self.model.mrp.r_bar
+
+    @property
+    def contraction(self) -> float:
+        return self.model.contraction_rate
 
     def direction(self, theta, X):
         return td0_direction(self.model.features, self.model.mrp.gamma, theta, X)
@@ -235,58 +267,28 @@ class SaturatingMonotoneProvider(UpdateDirectionProvider):
 class StepSizeSpec:
     """A resolved constant step-size with the mixing time it was certified at.
 
-    td0 mode requires alpha <= omega (1 - gamma) / (C tau) and
-    alpha <= 1 / (8 tau); nonlinear mode requires
-    alpha <= min(beta, 1/beta) / (C tau L^2).
+    In contract when alpha <= contraction / (C tau) and alpha <= 1 / (8 tau),
+    with the provider's ``contraction``: omega (1 - gamma) for TD(0),
+    min(beta, 1/beta) / L^2 for a generic provider.
     """
 
     C: float
     alpha: float
     tau_alpha: int
-    mode: str
 
     def caps(self, contraction: float) -> float:
-        """Largest admissible alpha for this mode's contraction bound."""
+        """Largest admissible alpha for a provider's contraction bound."""
         return min(contraction / (self.C * self.tau_alpha),
                    1.0 / (8.0 * self.tau_alpha))
 
     def in_contract(self, contraction: float) -> bool:
         return self.alpha <= self.caps(contraction) * (1.0 + 1e-12)
 
-    def to_dict(self):
-        return {"C": self.C, "alpha": self.alpha, "tau": self.tau_alpha,
-                "mode": self.mode}
 
-
-def contraction_bound(mode: str, model: SteadyStateModel | None = None,
-                      provider: UpdateDirectionProvider | None = None) -> float:
-    """The numerator of the step-size cap: omega (1 - gamma) for TD(0),
-    min(beta, 1/beta) / L^2 for a generic provider."""
-    if mode == "td0":
-        return model.contraction_rate
-    if mode == "nonlinear":
-        beta_bar = min(provider.beta, 1.0 / provider.beta)
-        return beta_bar / provider.L ** 2
-    raise ValueError(f"unknown step-size mode {mode!r}")
-
-
-def lipschitz_scale(mode: str, provider: UpdateDirectionProvider | None) -> float | None:
-    """The scale G = L sigma of nonlinear mode's envelope tau; None (exact
-    tau) for td0 mode."""
-    return provider.L * provider.sigma_const if mode == "nonlinear" else None
-
-
-def drift_rate(mode: str, model: SteadyStateModel | None = None,
-               provider: UpdateDirectionProvider | None = None) -> float:
-    """The contraction of the mean update, 1 - alpha * rate per step:
-    omega (1 - gamma) for td0 mode, the provider's beta for nonlinear mode."""
-    return provider.beta if mode == "nonlinear" else model.contraction_rate
-
-
-def auto_horizon(spec: StepSizeSpec, model: SteadyStateModel,
-                 provider: UpdateDirectionProvider) -> int:
-    """The default horizon T = ceil(10 / (alpha * drift rate)), ten e-folds."""
-    return int(math.ceil(10.0 / (spec.alpha * drift_rate(spec.mode, model, provider))))
+def auto_horizon(spec: StepSizeSpec, provider: UpdateDirectionProvider) -> int:
+    """The default horizon T = ceil(10 / (alpha * beta)), ten e-folds of the
+    provider's drift rate."""
+    return int(math.ceil(10.0 / (spec.alpha * provider.beta)))
 
 
 def bound_B(provider: UpdateDirectionProvider, theta0) -> float:
@@ -296,36 +298,45 @@ def bound_B(provider: UpdateDirectionProvider, theta0) -> float:
                       provider.sigma_const ** 2)
 
 
-def spec_at(model: SteadyStateModel, provider: UpdateDirectionProvider | None,
-            mode: str, alpha: float, C: float) -> StepSizeSpec:
-    """The spec at a given alpha, with tau certified for it in ``mode``."""
-    tau = model.mixing.tau(alpha, lipschitz_scale(mode, provider))
-    return StepSizeSpec(C=C, alpha=alpha, tau_alpha=tau, mode=mode)
+def initial_theta(provider: UpdateDirectionProvider, theta0) -> np.ndarray:
+    """theta0 as a float vector of the provider's dimension (zeros if None)."""
+    theta0 = (np.zeros(provider.dim) if theta0 is None
+              else np.array(theta0, dtype=float).reshape(-1))
+    if theta0.shape[0] != provider.dim:
+        raise ConfigError(f"theta0 has length {theta0.shape[0]} but the provider "
+                          f"has dimension {provider.dim}")
+    return theta0
 
 
-def resolve_step_size(model: SteadyStateModel, C: float = 8.0, mode: str = "td0",
+def spec_at(model: SteadyStateModel, provider: UpdateDirectionProvider,
+            alpha: float, C: float) -> StepSizeSpec:
+    """The spec at a given alpha, with tau certified for it by the provider's rule."""
+    return StepSizeSpec(C=C, alpha=alpha,
+                        tau_alpha=model.mixing.tau(alpha, provider.envelope_scale))
+
+
+def resolve_step_size(model: SteadyStateModel, C: float = 8.0,
                       provider: UpdateDirectionProvider | None = None,
                       max_iter: int = 100) -> StepSizeSpec:
-    """Solve the circular constraint alpha <= bound / (C tau(alpha)).
+    """Solve the circular constraint alpha <= contraction / (C tau(alpha)) for
+    ``provider`` (TD(0) on the model if None).
 
-    Starts from alpha = bound / C and alternates with the certified mixing
-    time (from the model's mixing oracle) until the pair is self-consistent.
-    tau is integer-valued and non-increasing in alpha, so the iteration
-    terminates.
+    Starts from alpha = contraction / C and alternates with the certified
+    mixing time (from the model's mixing oracle) until the pair is
+    self-consistent. tau is integer-valued and non-increasing in alpha, so
+    the iteration terminates.
     """
     if C < 8.0:
         raise ValueError(f"the universal constant C must be at least 8, got {C}")
-    if mode == "nonlinear" and provider is None:
-        raise ValueError("nonlinear mode needs the provider's constants")
-    bound = contraction_bound(mode, model=model, provider=provider)
-    scale = lipschitz_scale(mode, provider)
+    provider = TD0Provider(model) if provider is None else provider
+    bound, scale = provider.contraction, provider.envelope_scale
 
     alpha = bound / C
     for _ in range(max_iter):
         tau = model.mixing.tau(alpha, scale)
         candidate = min(bound / (C * tau), 1.0 / (8.0 * tau))
         if candidate == alpha:
-            spec = StepSizeSpec(C=float(C), alpha=alpha, tau_alpha=tau, mode=mode)
+            spec = StepSizeSpec(C=float(C), alpha=alpha, tau_alpha=tau)
             if not spec.in_contract(bound):
                 raise StepSizeError("resolved spec violates its own caps")
             return spec

@@ -235,7 +235,8 @@ def test_criterion_9_mixing_time_law():
     details, ok = [], True
     for cfg, lambda2 in cases:
         config, _ = parse_experiment(cfg)
-        taus = [mixing_time(config.mrp, config.features, e).tau for e in eps_grid]
+        model = config.model
+        taus = [mixing_time(model.mrp, model.features, e).tau for e in eps_grid]
         slope = float(np.polyfit(np.log(1.0 / eps_grid),
                                  np.array(taus, dtype=float), 1)[0])
         target = 1.0 / math.log(1.0 / lambda2)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tdcert.bundled import bundled_config, bundled_names, THEOREM1_NAMES
+from tdcert.harness import ConfigError
 from tdcert.cli import (
     EXIT_FAIL,
     EXIT_INVALID_INPUT,
@@ -51,14 +52,18 @@ class TestOracleCommand:
         assert "not aperiodic" in capsys.readouterr().err
 
     def test_theta0_of_wrong_length_exits_invalid(self, tmp_path, capsys):
-        # K = 1 features with a two-entry theta0; the report has no B for it
+        # K = 1 features with a two-entry theta0: the report has no B for it,
+        # and the run refuses it with the same message
         cfg = dict(ONE_STATE_CFG, instance=dict(ONE_STATE_CFG["instance"],
                                                 theta0=[1.0, 2.0]))
-        out = tmp_path / "o"
-        assert main(["oracle", "--config", write_cfg(tmp_path, cfg),
-                     "--out", str(out)]) == EXIT_INVALID_INPUT
-        assert "reshape" in capsys.readouterr().err
-        assert not out.exists()
+        path = write_cfg(tmp_path, cfg)
+        for command in ("oracle", "run"):
+            out = tmp_path / command
+            assert main([command, "--config", path, "--out", str(out)]) \
+                == EXIT_INVALID_INPUT
+            assert ("theta0 has length 2 but the provider has dimension 1"
+                    in capsys.readouterr().err)
+            assert not out.exists()
 
     def test_nonlinear_provider_report_has_the_experiment_B(self, tmp_path):
         # theta0 has the saturating provider's 2 entries; identity features give K = 3
@@ -69,6 +74,16 @@ class TestOracleCommand:
         config, _ = parse_experiment(bundled_config("theorem4_saturating"))
         assert doc["K"] == 3 and len(doc["theta0"]) == 2
         assert doc["B"] == config.B
+
+    def test_nonlinear_provider_report_has_its_fixed_point_and_scale(self, tmp_path):
+        # theta_star and sigma are the provider's, the same instance as its B
+        out = tmp_path / "o"
+        assert main(["oracle", "--bundled", "theorem4_saturating",
+                     "--out", str(out)]) == EXIT_PASS
+        doc = json.loads((out / "oracle_report.json").read_text())
+        config, _ = parse_experiment(bundled_config("theorem4_saturating"))
+        assert doc["theta_star"] == [0.5, -0.3]
+        assert doc["sigma"] == config.provider.sigma_const
 
     def test_bundled_oracle_matches_derived_values(self, tmp_path):
         cfg = write_cfg(tmp_path, {
@@ -243,6 +258,28 @@ class TestSweepCommand:
 class TestBundledRegistry:
     def test_ten_boundedness_instances(self):
         assert len(THEOREM1_NAMES) == 10
+
+    @pytest.mark.parametrize("name, mode", [("theorem4_saturating", "td0"),
+                                            ("theorem3_averaging", "nonlinear")])
+    def test_legacy_mode_key_must_match_the_provider(self, name, mode):
+        cfg = bundled_config(name)
+        cfg["step_size"]["mode"] = mode
+        provider_mode = {"td0": "nonlinear", "nonlinear": "td0"}[mode]
+        with pytest.raises(ConfigError,
+                           match=f"'{mode}' does not match .* '{provider_mode}'"):
+            parse_experiment(cfg)
+
+    @pytest.mark.parametrize("name, mode", [("theorem4_saturating", "nonlinear"),
+                                            ("theorem2_base", "td0")])
+    def test_matching_legacy_mode_key_keeps_the_fingerprint(self, name, mode):
+        cfg = bundled_config(name)
+        assert "mode" not in cfg["step_size"]
+        plain, _ = parse_experiment(cfg)
+        cfg["step_size"]["mode"] = mode
+        legacy, _ = parse_experiment(cfg)
+        assert legacy.fingerprint() == plain.fingerprint()
+        assert legacy.hypothesis() == plain.hypothesis()
+        assert plain.hypothesis()["mode"] == mode
 
     def test_all_names_parse(self):
         for name in bundled_names():

@@ -60,14 +60,13 @@ SLOW_SPEC = resolve_step_size(SLOW_MODEL, C=8.0)
 
 
 def one_state_config(T=60, trials=100, seed=1):
-    return ExperimentConfig(ONE_STATE, constant_features(1), None, ONE_SPEC,
-                            T=T, trials=trials, master_seed=seed,
-                            model=ONE_MODEL)
+    return ExperimentConfig(ONE_MODEL, None, ONE_SPEC,
+                            T=T, trials=trials, master_seed=seed)
 
 
 def fast_config(**kw):
-    base = dict(mrp=FAST, features=FAST_FEATS, theta0=None, spec=FAST_SPEC,
-                T=300, trials=400, master_seed=11, model=FAST_MODEL)
+    base = dict(model=FAST_MODEL, theta0=None, spec=FAST_SPEC,
+                T=300, trials=400, master_seed=11)
     base.update(kw)
     return ExperimentConfig(**base)
 
@@ -80,9 +79,9 @@ WIDE_MODELS = {K: build_steady_state(WIDE, random_features(12, K, seed=32))
 def wide_config(K, **kw):
     model = WIDE_MODELS[K]
     theta0 = generator(K).normal(size=K)
-    spec = StepSizeSpec(C=8.0, alpha=0.05, tau_alpha=1, mode="td0")
-    base = dict(mrp=WIDE, features=model.features, theta0=theta0, spec=spec,
-                T=90, trials=5, master_seed=17, model=model)
+    spec = StepSizeSpec(C=8.0, alpha=0.05, tau_alpha=1)
+    base = dict(model=model, theta0=theta0, spec=spec,
+                T=90, trials=5, master_seed=17)
     base.update(kw)
     return ExperimentConfig(**base)
 
@@ -142,7 +141,7 @@ class TestEstimate:
         est = simulate_trajectories(cfg)
         for i in range(cfg.trials):
             assert np.array_equal(est.retained[i], reference_sa(
-                cfg.provider, cfg.mrp, cfg.theta0, cfg.spec, cfg.T,
+                cfg.provider, cfg.model.mrp, cfg.theta0, cfg.spec, cfg.T,
                 seed=derive_seed(cfg.master_seed, i), sampling=sampling))
 
     @pytest.mark.parametrize("K", [8, 9])
@@ -152,7 +151,7 @@ class TestEstimate:
         est = simulate_trajectories(cfg)
         for i in range(cfg.trials):
             assert np.array_equal(est.retained[i], reference_sa(
-                cfg.provider, cfg.mrp, cfg.theta0, cfg.spec, cfg.T,
+                cfg.provider, cfg.model.mrp, cfg.theta0, cfg.spec, cfg.T,
                 seed=derive_seed(cfg.master_seed, i), delays=delays.spawn(i)))
 
     @pytest.mark.parametrize("sampling", ["markov", "iid_restart"])
@@ -163,7 +162,7 @@ class TestEstimate:
         est = simulate_trajectories(cfg)
         for i in range(cfg.trials):
             assert np.array_equal(est.retained[i], reference_sa(
-                cfg.provider, cfg.mrp, cfg.theta0, cfg.spec, cfg.T,
+                cfg.provider, cfg.model.mrp, cfg.theta0, cfg.spec, cfg.T,
                 seed=derive_seed(cfg.master_seed, i), sampling=sampling))
 
     def test_delayed_batch_lanes_equal_single_trials_k3(self):
@@ -172,7 +171,7 @@ class TestEstimate:
         est = simulate_trajectories(cfg)
         for i in range(cfg.trials):
             assert np.array_equal(est.retained[i], reference_sa(
-                cfg.provider, cfg.mrp, cfg.theta0, cfg.spec, cfg.T,
+                cfg.provider, cfg.model.mrp, cfg.theta0, cfg.spec, cfg.T,
                 seed=derive_seed(cfg.master_seed, i), delays=delays.spawn(i)))
 
     @pytest.mark.parametrize("kind", ["linear_contraction", "saturating"])
@@ -223,7 +222,7 @@ class TestEstimate:
             estimate_dt_et(fast_config(trials=3, T=10, start_state=start_state))
 
     def test_divergence_marks_estimate_invalid_with_abort_count(self):
-        bad_spec = StepSizeSpec(C=8.0, alpha=1e8, tau_alpha=1, mode="td0")
+        bad_spec = StepSizeSpec(C=8.0, alpha=1e8, tau_alpha=1)
         cfg = fast_config(spec=bad_spec, trials=150, T=2000, theta0=[1.0])
         est = estimate_dt_et(cfg)
         assert not est.valid
@@ -251,8 +250,7 @@ class TestBoundedness:
         # an alpha ten times the cap must be reported as out-of-contract,
         # never as a theorem failure
         alpha = 10 * FAST_SPEC.alpha * FAST_SPEC.C * FAST_SPEC.tau_alpha
-        bad = StepSizeSpec(C=8.0, alpha=alpha, tau_alpha=FAST_SPEC.tau_alpha,
-                           mode="td0")
+        bad = StepSizeSpec(C=8.0, alpha=alpha, tau_alpha=FAST_SPEC.tau_alpha)
         cfg = fast_config(spec=bad, T=50)
         led = check_boundedness(estimate_dt_et(cfg))
         assert led.verdict == "out-of-contract"
@@ -292,9 +290,9 @@ class TestRecursion:
         assert led.fitted["pre_tau_ok"]
 
     def test_iid_restart_control_noise_vanishes(self):
-        cfg = ExperimentConfig(SLOW, SLOW_FEATS, None, SLOW_SPEC, T=200,
+        cfg = ExperimentConfig(SLOW_MODEL, None, SLOW_SPEC, T=200,
                                trials=2000, master_seed=202,
-                               sampling="iid_restart", model=SLOW_MODEL)
+                               sampling="iid_restart")
         est = estimate_dt_et(cfg)
         led = check_iid_noise(est)
         assert led.verdict == "pass"
@@ -404,7 +402,7 @@ class TestDrift:
         alphas = [FAST_SPEC.alpha, FAST_SPEC.alpha / 2, FAST_SPEC.alpha / 4]
         for i, alpha in enumerate(alphas):
             spec = StepSizeSpec(C=8.0, alpha=alpha,
-                                tau_alpha=FAST_SPEC.tau_alpha, mode="td0")
+                                tau_alpha=FAST_SPEC.tau_alpha)
             cfg = fast_config(spec=spec, trials=300, T=1200,
                               master_seed=derive_seed(77, i))
             thetas = simulate_trajectories(cfg).retained
@@ -423,8 +421,7 @@ class TestDrift:
         assert delayed.fitted["c"] >= plain.fitted["c"]
 
     def test_drift_out_of_contract_gating(self):
-        inflated = StepSizeSpec(C=8.0, alpha=1.0, tau_alpha=FAST_SPEC.tau_alpha,
-                                mode="td0")
+        inflated = StepSizeSpec(C=8.0, alpha=1.0, tau_alpha=FAST_SPEC.tau_alpha)
         led = check_drift(simulate_trajectories(
             fast_config(spec=inflated, trials=120, T=60)))
         assert led.verdict == "out-of-contract"
@@ -443,12 +440,12 @@ class TestDrift:
 
     def test_nonlinear_out_of_contract_gated(self):
         # cap min(beta, 1/beta) / (C tau L^2) = 0.125, so alpha = 1.5 claims nothing
-        spec = StepSizeSpec(C=8.0, alpha=1.5, tau_alpha=1, mode="nonlinear")
+        spec = StepSizeSpec(C=8.0, alpha=1.5, tau_alpha=1)
         _, est = self._linear_paths(spec)
         assert check_drift(est).verdict == "out-of-contract"
 
     def test_nonlinear_bound_from_the_provider(self):
-        spec = StepSizeSpec(C=8.0, alpha=0.1, tau_alpha=1, mode="nonlinear")
+        spec = StepSizeSpec(C=8.0, alpha=0.1, tau_alpha=1)
         provider, est = self._linear_paths(spec)
         led = check_drift(est)
         assert led.verdict == "pass"
@@ -517,13 +514,6 @@ class TestWeightedAveraging:
         with pytest.raises(ConfigError, match="TD\\(0\\)"):
             weighted_average_experiment(config)
 
-    def test_td0_provider_in_nonlinear_mode_refused(self):
-        spec = resolve_step_size(FAST_MODEL, C=8.0, mode="nonlinear",
-                                 provider=TD0Provider(FAST_MODEL))
-        cfg = fast_config(spec=spec, averaging_grid=[50, 100])
-        with pytest.raises(ConfigError, match="td0"):
-            weighted_average_experiment(cfg)
-
 
 class TestNonlinearExperiments:
     def test_linear_contraction_matches_closed_form(self):
@@ -532,10 +522,9 @@ class TestNonlinearExperiments:
         model = build_steady_state(uniform, feats)
         provider = LinearContractionProvider([0.7], [[0.6], [-0.6]],
                                              model.stationary.pi)
-        spec = resolve_step_size(model, C=8.0, mode="nonlinear", provider=provider)
-        cfg = ExperimentConfig(uniform, feats, np.zeros(1), spec, T=250,
-                               trials=2000, master_seed=401, provider=provider,
-                               model=model)
+        spec = resolve_step_size(model, C=8.0, provider=provider)
+        cfg = ExperimentConfig(model, np.zeros(1), spec, T=250,
+                               trials=2000, master_seed=401, provider=provider)
         result = nonlinear_sa_experiment(cfg)
         est = result["estimate"]
         a, V = spec.alpha, provider.noise_variance()
@@ -576,10 +565,10 @@ class TestNonlinearExperiments:
         provider = SaturatingMonotoneProvider(
             [0.5, -0.3], [[0.4, -0.2], [-0.1, 0.3], [-0.3, -0.1]],
             model.stationary.pi, a=0.7, b=0.3)
-        spec = resolve_step_size(model, C=8.0, mode="nonlinear", provider=provider)
+        spec = resolve_step_size(model, C=8.0, provider=provider)
         T = int(math.ceil(10.0 / (spec.alpha * provider.beta)))
-        cfg = ExperimentConfig(three, feats, [2.0, -1.0], spec, T=T, trials=400,
-                               master_seed=402, provider=provider, model=model)
+        cfg = ExperimentConfig(model, [2.0, -1.0], spec, T=T, trials=400,
+                               master_seed=402, provider=provider)
         result = nonlinear_sa_experiment(cfg)
         assert result["boundedness"].verdict == "pass"
         assert result["recursion"].verdict == "pass"

@@ -422,9 +422,9 @@ class TestReport:
     def test_report_B_is_the_experiment_B(self):
         # one formula: theta0 = -20 puts B on ||theta0 - theta*||^2, not sigma^2
         model = build_steady_state(TWO_STATE, TWO_FEATS)
-        spec = StepSizeSpec(C=8.0, alpha=0.01, tau_alpha=1, mode="td0")
-        config = ExperimentConfig(TWO_STATE, TWO_FEATS, [-20.0], spec, T=1,
-                                  trials=1, master_seed=0, model=model)
+        spec = StepSizeSpec(C=8.0, alpha=0.01, tau_alpha=1)
+        config = ExperimentConfig(model, [-20.0], spec, T=1,
+                                  trials=1, master_seed=0)
         doc = oracle_report(model, [-20.0], eps_grid=(0.1,))
         assert doc["theta0"] == [-20.0]
         assert doc["B"] == config.B == 10.0 * (20.0 + model.theta_star[0]) ** 2

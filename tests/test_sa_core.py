@@ -132,19 +132,23 @@ class TestResolveStepSize:
 
     def test_nonlinear_mode_uses_beta_bar_over_L_squared(self):
         pi = ONE_MODEL.stationary.pi
-        provider = LinearContractionProvider([0.5], [[0.0]], pi)
-        spec = resolve_step_size(ONE_MODEL, C=8.0, mode="nonlinear",
-                                 provider=provider)
-        assert spec.mode == "nonlinear"
-        assert spec.alpha <= 1.0 / (8.0 * spec.tau_alpha) + 1e-15
+        provider = SaturatingMonotoneProvider([0.5], [[0.0]], pi, a=2.0, b=0.5)
+        spec = resolve_step_size(ONE_MODEL, C=8.0, provider=provider)
+        assert provider.mode == "nonlinear"
+        # L = a + b = 2.5, so min(beta, 1/beta) / L^2 = 0.5 / 6.25, and tau
+        # comes from the TV envelope at G = L sigma
+        assert provider.contraction == 0.5 / 6.25
+        tau = spec.tau_alpha
+        assert tau == ONE_MODEL.mixing.tau(spec.alpha, 2.5 * provider.sigma_const)
+        assert spec.alpha == provider.contraction / (8.0 * tau) < 1.0 / (8.0 * tau)
 
 
 def one_lane(model, T, seed=0, spec=None, theta0=None, **kw):
     """A one-trial config on the model's chain at the resolved step-size (or
     ``spec``); its one lane runs on the stream derive_seed(seed, 0)."""
     spec = resolve_step_size(model, C=8.0) if spec is None else spec
-    return ExperimentConfig(model.mrp, model.features, theta0, spec, T=T, trials=1,
-                            master_seed=seed, model=model, **kw)
+    return ExperimentConfig(model, theta0, spec, T=T, trials=1,
+                            master_seed=seed, **kw)
 
 
 class TestRunSA:
@@ -168,7 +172,7 @@ class TestRunSA:
         assert a.config.fingerprint() == b.config.fingerprint()
 
     def test_divergence_guard_reports_step(self):
-        bad = StepSizeSpec(C=8.0, alpha=1e9, tau_alpha=1, mode="td0")
+        bad = StepSizeSpec(C=8.0, alpha=1e9, tau_alpha=1)
         cfg = one_lane(TWO_MODEL, 10_000, seed=2, spec=bad, theta0=[1.0])
         est = estimate_dt_et(cfg)
         with pytest.raises(ReferenceDivergence) as exc:
