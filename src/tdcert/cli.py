@@ -80,18 +80,17 @@ def _build_provider(prov_cfg: dict, model):
     kind = prov_cfg.get("kind", "td0")
     if kind == "td0":
         return TD0Provider(model)
-    pi = model.stationary.pi
     if kind == "linear_contraction":
         return LinearContractionProvider(prov_cfg["theta_star"],
-                                         prov_cfg["noise"], pi)
+                                         prov_cfg["noise"], model)
     if kind == "saturating":
         return SaturatingMonotoneProvider(
-            prov_cfg["theta_star"], prov_cfg["noise"], pi,
+            prov_cfg["theta_star"], prov_cfg["noise"], model,
             a=prov_cfg.get("a", 0.7), b=prov_cfg.get("b", 0.3))
     raise ConfigError(f"unknown provider kind {kind!r}")
 
 
-def _build_spec(step_cfg: dict, model, provider) -> StepSizeSpec:
+def _build_spec(step_cfg: dict, provider) -> StepSizeSpec:
     # the provider picks the constants; a legacy mode key must agree with it
     if step_cfg.get("mode", provider.mode) != provider.mode:
         raise ConfigError(f"step_size.mode {step_cfg['mode']!r} does not match "
@@ -101,19 +100,19 @@ def _build_spec(step_cfg: dict, model, provider) -> StepSizeSpec:
         alpha = float(step_cfg["alpha"])
         if step_cfg.get("tau") is not None:
             return StepSizeSpec(C=C, alpha=alpha, tau_alpha=int(step_cfg["tau"]))
-        return spec_at(model, provider, alpha, C)
-    spec = resolve_step_size(model, C=C, provider=provider)
+        return spec_at(provider, alpha, C)
+    spec = resolve_step_size(provider, C=C)
     scale = float(step_cfg.get("alpha_scale", 1.0))
     if scale != 1.0:
-        spec = spec_at(model, provider, spec.alpha * scale, C)
+        spec = spec_at(provider, spec.alpha * scale, C)
     return spec
 
 
 def _parse_instance(cfg: dict):
-    """The instance of a config document as (model, provider, theta0): the
-    chain (which must pass Assumption 1), its features and steady-state
-    model, the update-direction provider, and theta0 as given (None if
-    absent)."""
+    """The instance of a config document as (provider, theta0): the
+    update-direction provider built on the chain (which must pass
+    Assumption 1), its features and steady-state model, and theta0 as given
+    (None if absent)."""
     inst = cfg.get("instance")
     if not inst or "chain" not in inst:
         raise ConfigError("config needs an instance with a chain")
@@ -125,13 +124,13 @@ def _parse_instance(cfg: dict):
                                   mrp.n)
     model = build_steady_state(mrp, features)
     provider = _build_provider(cfg.get("provider") or {"kind": "td0"}, model)
-    return model, provider, inst.get("theta0")
+    return provider, inst.get("theta0")
 
 
 def parse_experiment(cfg: dict, seed_override: int | None = None):
     """Turn a config document into an (ExperimentConfig, experiment kind) pair."""
-    model, provider, theta0 = _parse_instance(cfg)
-    spec = _build_spec(cfg.get("step_size", {}), model, provider)
+    provider, theta0 = _parse_instance(cfg)
+    spec = _build_spec(cfg.get("step_size", {}), provider)
 
     exp = cfg.get("experiment", {})
     kind = exp.get("kind", "boundedness")
@@ -148,10 +147,9 @@ def parse_experiment(cfg: dict, seed_override: int | None = None):
     if seed_override is not None:
         master_seed = int(seed_override)
     config = ExperimentConfig(
-        model=model, theta0=theta0, spec=spec, T=int(T),
-        trials=trials, master_seed=master_seed, provider=provider,
-        delays=delays, sampling=exp.get("sampling", "markov"),
-        start_state=exp.get("start_state"),
+        provider=provider, theta0=theta0, spec=spec, T=int(T),
+        trials=trials, master_seed=master_seed, delays=delays,
+        sampling=exp.get("sampling", "markov"), start_state=exp.get("start_state"),
         averaging_grid=exp.get("averaging_grid"),
         ceiling=float(exp.get("ceiling", 100.0)),
         label=cfg.get("label", ""),
@@ -224,8 +222,8 @@ def _write_json(path, payload):
 
 
 def cmd_oracle(cfg: dict, out_dir: str, seed_override=None) -> int:
-    model, provider, theta0 = _parse_instance(cfg)
-    doc = oracle_report(model, theta0, provider=provider)
+    provider, theta0 = _parse_instance(cfg)
+    doc = oracle_report(provider, theta0)
     os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "oracle_report.json"), doc)
     print(f"oracle report written to {out_dir}/oracle_report.json "
@@ -309,10 +307,10 @@ def cmd_sweep(cfg: dict, out_dir: str, sweep_arg: str, seed_override=None) -> in
         base_kind = (config.delays.kind if config.delays is not None
                      else "uniform")
         base_seed = config.delays.seed if config.delays is not None else 77
-        model, provider = config.model, config.provider
-        base = resolve_step_size(model, C=config.spec.C, provider=provider)
+        provider = config.provider
+        base = resolve_step_size(provider, C=config.spec.C)
         for tau_max in values:
-            spec = spec_at(model, provider, base.alpha / (1 + tau_max), base.C)
+            spec = spec_at(provider, base.alpha / (1 + tau_max), base.C)
             T = auto_horizon(spec, provider)
             delays = DelayProcess(kind=base_kind if tau_max > 0 else "none",
                                   tau_max=tau_max, seed=base_seed)

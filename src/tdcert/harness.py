@@ -16,7 +16,7 @@ exact table sampler (``mrp.sampler``), and every K-wide sum goes through
 lane's bits do not depend on how many lanes run beside it. Per-step
 aggregation reduces over the trial axis in a fixed order, so results do not
 depend on scheduling. Every check takes only the estimate and reads alpha,
-tau, model, provider (with its theorem's constants), ceiling and B from
+tau, the provider (its instance and theorem), ceiling and B from
 ``estimate.config``, so a ledger checks the hypothesis it reports; one that
 checks no claim (out of contract, or aborted trials) comes from ``_refused``.
 """
@@ -69,19 +69,18 @@ class AuditError(RuntimeError):
 class ExperimentConfig:
     """Everything one Monte Carlo experiment needs, deterministically.
 
-    The instance (model of chain + features, theta0, provider: TD(0) if None),
-    a resolved step-size spec, the horizon and trial count, the master seed
-    all per-trial streams derive from, and the optional delay process /
+    The instance (the provider, which holds its chain + features ``model``, and
+    theta0), a resolved step-size spec, the horizon and trial count, the master
+    seed all per-trial streams derive from, and the optional delay process /
     sampling mode / averaging grid. Derive variants with ``dataclasses.replace``.
     """
 
-    model: SteadyStateModel
+    provider: UpdateDirectionProvider
     theta0: np.ndarray | None
     spec: StepSizeSpec
     T: int
     trials: int
     master_seed: int
-    provider: UpdateDirectionProvider | None = None
     delays: DelayProcess | None = None
     sampling: str = "markov"
     start_state: int | None = None
@@ -96,14 +95,17 @@ class ExperimentConfig:
             raise ConfigError("need at least one trial")
         if self.sampling not in ("markov", "iid_restart"):
             raise ConfigError(f"unknown sampling mode {self.sampling!r}")
-        provider = self.provider if self.provider is not None else TD0Provider(self.model)
         normalized = dict(
-            provider=provider, theta0=initial_theta(provider, self.theta0), T=int(self.T),
+            theta0=initial_theta(self.provider, self.theta0), T=int(self.T),
             trials=int(self.trials), master_seed=int(self.master_seed),
             averaging_grid=list(self.averaging_grid) if self.averaging_grid else None,
             ceiling=float(self.ceiling))
         for name, value in normalized.items():
             object.__setattr__(self, name, value)
+
+    @property
+    def model(self) -> SteadyStateModel:
+        return self.provider.model
 
     @property
     def B(self) -> float:
@@ -557,6 +559,9 @@ def check_iid_noise(estimate: MonteCarloEstimate) -> BoundLedger:
         raise ConfigError("the i.i.d. control check needs sampling='iid_restart'")
     if estimate.T < 2:
         raise ConfigError("the control needs a horizon of at least 2 steps")
+    refused = _refused(estimate, "lemma4-iid-control", estimate.T - 1, "")
+    if refused is not None:
+        return refused
     t = np.arange(1, estimate.T)
     margin = SLACK_MULTIPLIER * estimate.e_se[t] - np.abs(estimate.e_hat[t])
     worst = int(np.argmin(margin))
@@ -576,6 +581,7 @@ def check_drift(estimate: MonteCarloEstimate) -> BoundLedger:
     """Fit the smallest c with E ||theta_t - theta_{t-tau}||^2 <= c alpha^2
     tau^2 B over t >= tau, from the per-trial iterates the estimate retained
     (``simulate_trajectories``)."""
+    _require_ledger_grade(estimate)
     thetas = estimate.retained  # (trials, T+1, K)
     if thetas is None:
         raise ConfigError("the drift check needs retained iterates; run the "
@@ -642,22 +648,21 @@ class WeightedAverageSpec:
         return w / w.sum()
 
 
-def tune_weighted_average(model: SteadyStateModel, T: int,
+def tune_weighted_average(provider: UpdateDirectionProvider, T: int,
                           C: float = 8.0, max_iter: int = 50) -> WeightedAverageSpec:
     """Resolve the horizon-aware step-size: alpha = ln(lambda)/(A (T+1)) when
     that obeys the mixing cap, otherwise the cap itself; iterated until the
     mixing time it certifies is self-consistent."""
-    A = 0.5 * model.contraction_rate
-    provider = TD0Provider(model)
-    spec = resolve_step_size(model, C=C, provider=provider)
+    A = 0.5 * provider.contraction
+    spec = resolve_step_size(provider, C=C)
     for _ in range(max_iter):
         tau_hat = spec.tau_alpha
         lam = max(math.e, A * (T + 1) ** 2 / tau_hat)
         alpha_case1 = math.log(lam) / (A * (T + 1))
-        cap = spec.caps(model.contraction_rate)
+        cap = spec.caps(provider.contraction)
         case = 1 if alpha_case1 <= cap else 2
         alpha = alpha_case1 if case == 1 else cap
-        spec = spec_at(model, provider, alpha, C)
+        spec = spec_at(provider, alpha, C)
         if spec.tau_alpha == tau_hat:
             return WeightedAverageSpec(A=A, alpha=alpha, tau=tau_hat, T=T,
                                        lambda_tune=lam, C=C, case=case)
@@ -685,7 +690,7 @@ def weighted_average_experiment(config: ExperimentConfig,
     model = config.model
     rows = []
     for T in grid:
-        wspec = tune_weighted_average(model, T, C=config.spec.C)
+        wspec = tune_weighted_average(config.provider, T, C=config.spec.C)
         spec = StepSizeSpec(C=config.spec.C, alpha=wspec.alpha, tau_alpha=wspec.tau)
         sub = replace(config, T=T, spec=spec,
                       master_seed=derive_seed(config.master_seed, T))
@@ -728,7 +733,7 @@ def nonlinear_sa_experiment(config: ExperimentConfig) -> dict:
     provider's, so routing TD(0) through this path reproduces the
     TD(0)-specific ledgers exactly.
     """
-    audit = audit_provider(config.provider, config.model.mrp, 20000,
+    audit = audit_provider(config.provider, 20000,
                            derive_seed(config.master_seed, 0xA0D17))
     if not audit.ok:
         raise AuditError(audit)
@@ -761,7 +766,7 @@ def alpha_sweep(config: ExperimentConfig, multipliers=(1.0, 0.5, 0.25)) -> dict:
     for mult in multipliers:
         alpha = config.spec.alpha * float(mult)
         # tau and the auto horizon as parse_experiment resolves them
-        spec = spec_at(config.model, config.provider, alpha, config.spec.C)
+        spec = spec_at(config.provider, alpha, config.spec.C)
         T = auto_horizon(spec, config.provider)
         sub = replace(config, spec=spec, T=T,
                       master_seed=derive_seed(config.master_seed, int(mult * 1e6)))

@@ -385,15 +385,6 @@ class MixingOracle:
                 )
             H = min(H * 2, max_horizon)
 
-    def tau(self, epsilon: float, lipschitz_scale: float | None = None) -> int:
-        """tau(epsilon) for a step-size rule: the exact linear-TD certificate,
-        or, given an operator's Lipschitz scale G = L * sigma, the TV-envelope
-        over-estimate on the 64-step profile."""
-        if lipschitz_scale is None:
-            return self.certify(epsilon).tau
-        return envelope_mixing_time(self.profile(64), self.mrp.stationary,
-                                    lipschitz_scale, epsilon).tau
-
 
 def mixing_time(mrp: MarkovRewardProcess, features: FeatureMatrix,
                 epsilon: float, horizon: int | None = None,
@@ -459,15 +450,14 @@ def dnorm_contraction_margin(mrp: MarkovRewardProcess,
     return float(np.max(after - before))
 
 
-def oracle_report(model: SteadyStateModel, theta0=None,
-                  eps_grid=(1e-1, 1e-2, 1e-3, 1e-4), provider=None) -> dict:
-    """Full structured oracle summary for experiment provenance: the model's
-    closed-form quantities, the certified tau per epsilon, and theta_star,
-    sigma and the iterate bound B of ``provider`` (TD(0) on the model if
-    None) from ``theta0`` (zeros if None) of the provider's dimension."""
-    from .sa_core import TD0Provider, bound_B, initial_theta  # sa_core imports oracle
+def oracle_report(provider, theta0=None, eps_grid=(1e-1, 1e-2, 1e-3, 1e-4)) -> dict:
+    """Full structured oracle summary for experiment provenance: the
+    closed-form quantities of the provider's model, its certified linear-TD
+    tau per epsilon, and the provider's theta_star, sigma and iterate bound B
+    from ``theta0`` (zeros if None) of the provider's dimension."""
+    from .sa_core import bound_B, initial_theta  # sa_core imports oracle
 
-    provider = TD0Provider(model) if provider is None else provider
+    model = provider.model
     theta0 = initial_theta(provider, theta0)
     certs = [(float(eps), model.mixing.certify(eps)) for eps in eps_grid]
     return {

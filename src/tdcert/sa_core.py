@@ -4,8 +4,9 @@ theta_{t+1} = theta_t + alpha g(theta_{t-d_t}; X_{t-d_t}).
 Sampled update directions (TD(0) and pluggable providers) with the one audit
 of their declared contract, the constant step-size resolved jointly with the
 mixing time it depends on, the one iterate bound B and auto horizon, and
-bounded delay processes. The provider carries its theorem's constants: TD(0)'s
-or generic SA's. The recursion itself runs in one place, the harness's batch
+bounded delay processes. A provider is the instance: it carries its model
+(chain and features), its theorem's constants (TD(0)'s or generic SA's) and
+its tau rule. The recursion itself runs in one place, the harness's batch
 kernel ``_simulate(config)``, which takes an experiment and runs its trials
 as lanes.
 """
@@ -17,10 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import MarkovRewardProcess, derive_seed, generator
+from .chain import derive_seed, generator
 from .oracle import (
     FeatureMatrix,
     SteadyStateModel,
+    envelope_mixing_time,
     steady_state_direction,
 )
 
@@ -104,15 +106,17 @@ def _lanes(v, theta):
 class UpdateDirectionProvider:
     """Interface for a sampled root-finding operator g(theta; X).
 
-    Concrete providers expose the sampled direction, its steady-state
-    expectation, the solved-for fixed point, and the declared constants
-    (L, sigma_const, beta, norm_offset) that ``audit_provider`` verifies.
-    ``direction`` and ``steady`` take one parameter vector (K,) or a
-    (K, lanes) batch, one column per lane, and return the same shape.
-    It carries generic SA's constants (``contraction``, ``envelope_scale``,
-    ``recursion_L2``, drift rate ``beta``), named by ``mode`` in the output.
+    Concrete providers hold the ``model`` (chain and features) they sample and
+    expose the sampled direction, its steady-state expectation, the solved-for
+    fixed point, and the declared constants (L, sigma_const, beta, norm_offset)
+    that ``audit_provider`` verifies. ``direction`` and ``steady`` take one
+    parameter vector (K,) or a (K, lanes) batch, one column per lane, and
+    return the same shape. It carries generic SA's constants (``contraction``,
+    ``recursion_L2``, drift rate ``beta``) and ``tau`` rule, named by ``mode``
+    in the output.
     """
 
+    model: SteadyStateModel
     dim: int
     L: float
     sigma_const: float
@@ -130,10 +134,12 @@ class UpdateDirectionProvider:
         """The step-size cap's numerator, min(beta, 1/beta) / L^2."""
         return min(self.beta, 1.0 / self.beta) / self.L ** 2
 
-    @property
-    def envelope_scale(self) -> float | None:
-        """G = L sigma of the TV-envelope tau (None: exact linear-TD tau)."""
-        return self.L * self.sigma_const
+    def tau(self, epsilon: float) -> int:
+        """The step-size rule's certified tau(epsilon): the TV-envelope
+        over-estimate on the model's 64-step profile at G = L sigma."""
+        model = self.model
+        return envelope_mixing_time(model.mixing.profile(64), model.stationary,
+                                    self.L * self.sigma_const, epsilon).tau
 
     @property
     def recursion_L2(self) -> float:
@@ -156,7 +162,6 @@ class TD0Provider(UpdateDirectionProvider):
     at the exact tau, and no L^2 in the recursion scales."""
 
     mode = "td0"
-    envelope_scale = None
     recursion_L2 = 1.0
 
     def __init__(self, model: SteadyStateModel):
@@ -175,6 +180,9 @@ class TD0Provider(UpdateDirectionProvider):
     def contraction(self) -> float:
         return self.model.contraction_rate
 
+    def tau(self, epsilon: float) -> int:
+        return self.model.mixing.certify(epsilon).tau
+
     def direction(self, theta, X):
         return td0_direction(self.model.features, self.model.mrp.gamma, theta, X)
 
@@ -187,17 +195,16 @@ class TD0Provider(UpdateDirectionProvider):
 
 
 class LinearContractionProvider(UpdateDirectionProvider):
-    """g(theta; X) = -theta + c(s) with the state table c centered so that
-    its stationary mean is theta_star. Exactly 1-Lipschitz and 1-monotone."""
+    """g(theta; X) = -theta + c(s) with the state table c centered so that its
+    mean under the model's pi is theta_star. Exactly 1-Lipschitz and 1-monotone."""
 
-    def __init__(self, theta_star, noise_table, pi):
+    def __init__(self, theta_star, noise_table, model):
         theta_star = np.array(theta_star, dtype=float).reshape(-1)
         noise = np.array(noise_table, dtype=float)
         if noise.ndim != 2 or noise.shape[1] != theta_star.shape[0]:
             raise ValueError("noise table must be n x K")
-        pi = np.asarray(pi, dtype=float)
-        noise = noise - pi @ noise  # recenter under the stationary law
-        self.pi = pi
+        noise = noise - model.stationary.pi @ noise  # recenter under pi
+        self.model = model
         self.c_table = theta_star[None, :] + noise
         self._c_cols = np.ascontiguousarray(self.c_table.T)
         self.theta_star = theta_star
@@ -216,24 +223,24 @@ class LinearContractionProvider(UpdateDirectionProvider):
     def noise_variance(self) -> float:
         """Stationary second moment E ||c(X) - theta_star||^2."""
         dev = self.c_table - self.theta_star[None, :]
-        return float(self.pi @ (dev ** 2).sum(axis=1))
+        return float(self.model.stationary.pi @ (dev ** 2).sum(axis=1))
 
     def describe(self):
         return {"kind": "linear_contraction", "c": self.c_table.tolist()}
 
 
 class SaturatingMonotoneProvider(UpdateDirectionProvider):
-    """A nonlinear monotone operator: -(a u + b tanh(u)) plus centered state
-    noise, where u = theta - theta_star. Strong monotonicity modulus a,
-    Lipschitz constant a + b."""
+    """A nonlinear monotone operator: -(a u + b tanh(u)) plus state noise
+    centered under the model's pi, where u = theta - theta_star. Strong
+    monotonicity modulus a, Lipschitz constant a + b."""
 
-    def __init__(self, theta_star, noise_table, pi, a=0.7, b=0.3):
+    def __init__(self, theta_star, noise_table, model, a=0.7, b=0.3):
         if a <= 0 or b < 0:
             raise ValueError("need a > 0 and b >= 0")
         theta_star = np.array(theta_star, dtype=float).reshape(-1)
         noise = np.array(noise_table, dtype=float)
-        pi = np.asarray(pi, dtype=float)
-        noise = noise - pi @ noise
+        noise = noise - model.stationary.pi @ noise
+        self.model = model
         self.noise_table = noise
         self._noise_cols = np.ascontiguousarray(noise.T)
         self.theta_star = theta_star
@@ -308,32 +315,28 @@ def initial_theta(provider: UpdateDirectionProvider, theta0) -> np.ndarray:
     return theta0
 
 
-def spec_at(model: SteadyStateModel, provider: UpdateDirectionProvider,
-            alpha: float, C: float) -> StepSizeSpec:
+def spec_at(provider: UpdateDirectionProvider, alpha: float, C: float) -> StepSizeSpec:
     """The spec at a given alpha, with tau certified for it by the provider's rule."""
-    return StepSizeSpec(C=C, alpha=alpha,
-                        tau_alpha=model.mixing.tau(alpha, provider.envelope_scale))
+    return StepSizeSpec(C=C, alpha=alpha, tau_alpha=provider.tau(alpha))
 
 
-def resolve_step_size(model: SteadyStateModel, C: float = 8.0,
-                      provider: UpdateDirectionProvider | None = None,
+def resolve_step_size(provider: UpdateDirectionProvider, C: float = 8.0,
                       max_iter: int = 100) -> StepSizeSpec:
     """Solve the circular constraint alpha <= contraction / (C tau(alpha)) for
-    ``provider`` (TD(0) on the model if None).
+    the provider's instance and theorem.
 
-    Starts from alpha = contraction / C and alternates with the certified
-    mixing time (from the model's mixing oracle) until the pair is
-    self-consistent. tau is integer-valued and non-increasing in alpha, so
-    the iteration terminates.
+    Starts from alpha = contraction / C and alternates with the provider's
+    certified mixing time (read off its model's mixing oracle) until the
+    pair is self-consistent. tau is integer-valued and non-increasing in
+    alpha, so the iteration terminates.
     """
     if C < 8.0:
         raise ValueError(f"the universal constant C must be at least 8, got {C}")
-    provider = TD0Provider(model) if provider is None else provider
-    bound, scale = provider.contraction, provider.envelope_scale
+    bound = provider.contraction
 
     alpha = bound / C
     for _ in range(max_iter):
-        tau = model.mixing.tau(alpha, scale)
+        tau = provider.tau(alpha)
         candidate = min(bound / (C * tau), 1.0 / (8.0 * tau))
         if candidate == alpha:
             spec = StepSizeSpec(C=float(C), alpha=alpha, tau_alpha=tau)
@@ -410,11 +413,13 @@ class ProviderAudit:
         return f"audit FAILED with witness {self.witness}"
 
 
-def audit_provider(provider: UpdateDirectionProvider, mrp: MarkovRewardProcess,
-                   sample_count: int, seed: int) -> ProviderAudit:
-    """Check the declared contract, naming a witness on failure: the sampled
-    direction is L-Lipschitz with ||g(theta; X)|| <= L (||theta|| + norm_offset),
-    and the steady-state map is L-Lipschitz and beta-strongly monotone."""
+def audit_provider(provider: UpdateDirectionProvider, sample_count: int,
+                   seed: int) -> ProviderAudit:
+    """Check the declared contract on the provider's chain, naming a witness
+    on failure: the sampled direction is L-Lipschitz with ||g(theta; X)|| <=
+    L (||theta|| + norm_offset), and the steady-state map is L-Lipschitz and
+    beta-strongly monotone."""
+    mrp = provider.model.mrp
     rng = generator(derive_seed(seed, 0xA0D1))
     m = int(sample_count)
     K = provider.dim

@@ -46,26 +46,26 @@ from tdcert.harness import (
 
 ONE_STATE = MarkovRewardProcess([[1.0]], [1.0], 0.5)
 ONE_MODEL = build_steady_state(ONE_STATE, constant_features(1))
-ONE_SPEC = resolve_step_size(ONE_MODEL, C=8.0)
+ONE_SPEC = resolve_step_size(TD0Provider(ONE_MODEL), C=8.0)
 
 FAST = MarkovRewardProcess([[0.8, 0.2], [0.3, 0.7]], [1.0, -1.0], 0.4)
 FAST_FEATS = constant_features(2)
 FAST_MODEL = build_steady_state(FAST, FAST_FEATS)
-FAST_SPEC = resolve_step_size(FAST_MODEL, C=8.0)
+FAST_SPEC = resolve_step_size(TD0Provider(FAST_MODEL), C=8.0)
 
 SLOW = MarkovRewardProcess([[0.9, 0.1], [0.2, 0.8]], [1.0, 0.0], 0.5)
 SLOW_FEATS = FeatureMatrix([[1.0], [0.0]])
 SLOW_MODEL = build_steady_state(SLOW, SLOW_FEATS)
-SLOW_SPEC = resolve_step_size(SLOW_MODEL, C=8.0)
+SLOW_SPEC = resolve_step_size(TD0Provider(SLOW_MODEL), C=8.0)
 
 
 def one_state_config(T=60, trials=100, seed=1):
-    return ExperimentConfig(ONE_MODEL, None, ONE_SPEC,
+    return ExperimentConfig(TD0Provider(ONE_MODEL), None, ONE_SPEC,
                             T=T, trials=trials, master_seed=seed)
 
 
 def fast_config(**kw):
-    base = dict(model=FAST_MODEL, theta0=None, spec=FAST_SPEC,
+    base = dict(provider=TD0Provider(FAST_MODEL), theta0=None, spec=FAST_SPEC,
                 T=300, trials=400, master_seed=11)
     base.update(kw)
     return ExperimentConfig(**base)
@@ -80,10 +80,27 @@ def wide_config(K, **kw):
     model = WIDE_MODELS[K]
     theta0 = generator(K).normal(size=K)
     spec = StepSizeSpec(C=8.0, alpha=0.05, tau_alpha=1)
-    base = dict(model=model, theta0=theta0, spec=spec,
+    base = dict(provider=TD0Provider(model), theta0=theta0, spec=spec,
                 T=90, trials=5, master_seed=17)
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+class TestProviderInstance:
+    """The provider is the instance: a config has no second model to pair
+    with it, so a provider built on one chain runs and reports that chain."""
+
+    def test_config_reads_the_providers_chain(self):
+        provider = TD0Provider(SLOW_MODEL)
+        config = fast_config(provider=provider, theta0=[-20.0])
+        assert config.model is provider.model is SLOW_MODEL
+        assert config.to_dict()["mrp"]["gamma"] == SLOW.gamma != FAST.gamma
+        assert config.B == 10.0 * (-20.0 - SLOW_MODEL.theta_star[0]) ** 2
+        assert config.B != bound_B(TD0Provider(FAST_MODEL), config.theta0)
+
+    def test_no_model_beside_the_provider(self):
+        with pytest.raises(TypeError):
+            replace(fast_config(), model=SLOW_MODEL)
 
 
 class TestEstimate:
@@ -179,11 +196,10 @@ class TestEstimate:
         model = WIDE_MODELS[3]
         noise = generator(4).normal(size=(WIDE.n, 3))
         if kind == "linear_contraction":
-            provider = LinearContractionProvider([0.5, -0.2, 0.1], noise,
-                                                 model.stationary.pi)
+            provider = LinearContractionProvider([0.5, -0.2, 0.1], noise, model)
         else:
-            provider = SaturatingMonotoneProvider([0.5, -0.2, 0.1], noise,
-                                                  model.stationary.pi, a=0.6, b=0.4)
+            provider = SaturatingMonotoneProvider([0.5, -0.2, 0.1], noise, model,
+                                                  a=0.6, b=0.4)
         cfg = wide_config(3, provider=provider)
         est = simulate_trajectories(cfg)
         for i in range(cfg.trials):
@@ -290,7 +306,7 @@ class TestRecursion:
         assert led.fitted["pre_tau_ok"]
 
     def test_iid_restart_control_noise_vanishes(self):
-        cfg = ExperimentConfig(SLOW_MODEL, None, SLOW_SPEC, T=200,
+        cfg = ExperimentConfig(TD0Provider(SLOW_MODEL), None, SLOW_SPEC, T=200,
                                trials=2000, master_seed=202,
                                sampling="iid_restart")
         est = estimate_dt_et(cfg)
@@ -372,6 +388,16 @@ class TestRefusals:
             fitted={}, slack={"multiplier": 3.0}, n_steps=50,
             notes="3 trials hit the divergence guard"))
 
+    def test_iid_control_invalid_record(self):
+        # aborted lanes leave NaN in e_hat; the control refuses, not fails
+        est = estimate_dt_et(fast_config(T=50, trials=100, sampling="iid_restart"))
+        est = replace(est, valid=False, abort_count=3, abort_step=7)
+        assert _ledger_json(check_iid_noise(est)) == _ledger_json(BoundLedger(
+            theorem_id="lemma4-iid-control", hypothesis=self.IN,
+            verdict="invalid", worst_margin=float("-inf"), worst_step=7,
+            fitted={}, slack={"multiplier": 3.0}, n_steps=49,
+            notes="3 trials hit the divergence guard"))
+
     def test_drift_invalid_record(self):
         # n_steps counts the checked steps t = tau..T
         led = check_drift(self._invalid())
@@ -426,16 +452,20 @@ class TestDrift:
             fast_config(spec=inflated, trials=120, T=60)))
         assert led.verdict == "out-of-contract"
 
+    def test_trials_floor_enforced(self):
+        est = simulate_trajectories(fast_config(trials=2, T=40))
+        with pytest.raises(ConfigError, match="100 trials"):
+            check_drift(est)
+
     def test_needs_retained_iterates(self):
         est = estimate_dt_et(fast_config(trials=100, T=60))
         with pytest.raises(ConfigError, match="retained iterates"):
             check_drift(est)
 
     def _linear_paths(self, spec):
-        provider = LinearContractionProvider([0.3], [[1.0], [-2.0]],
-                                             FAST.stationary.pi)
+        provider = LinearContractionProvider([0.3], [[1.0], [-2.0]], FAST_MODEL)
         est = simulate_trajectories(fast_config(spec=spec, provider=provider,
-                                                trials=20, T=40))
+                                                trials=100, T=40))
         return provider, est
 
     def test_nonlinear_out_of_contract_gated(self):
@@ -456,13 +486,13 @@ class TestDrift:
 class TestWeightedAveraging:
     def test_weights_sanity_half_rate(self):
         # (1 - alpha A) = 0.5 and T = 1 gives normalized weights [1/3, 2/3]
-        spec = tune_weighted_average(ONE_MODEL, 1)
+        spec = tune_weighted_average(TD0Provider(ONE_MODEL), 1)
         w = type(spec)(A=spec.A, alpha=0.5 / spec.A, tau=spec.tau, T=1,
                        lambda_tune=spec.lambda_tune, C=8.0, case=2).weights()
         np.testing.assert_allclose(w, [1 / 3, 2 / 3], atol=1e-12)
 
     def test_weights_invariants_large_horizon(self):
-        spec = tune_weighted_average(FAST_MODEL, 4096)
+        spec = tune_weighted_average(TD0Provider(FAST_MODEL), 4096)
         w = spec.weights()
         assert np.all(w > 0)
         assert np.all(np.diff(w) > 0)
@@ -483,7 +513,7 @@ class TestWeightedAveraging:
 
     def test_tuned_alpha_respects_cap(self):
         for T in (64, 512, 4096):
-            spec = tune_weighted_average(FAST_MODEL, T)
+            spec = tune_weighted_average(TD0Provider(FAST_MODEL), T)
             cap = FAST_MODEL.contraction_rate / (8.0 * spec.tau)
             assert spec.alpha <= cap + 1e-15
             assert spec.lambda_tune >= math.e
@@ -520,11 +550,10 @@ class TestNonlinearExperiments:
         uniform = MarkovRewardProcess([[0.5, 0.5], [0.5, 0.5]], [1.0, -0.5], 0.3)
         feats = constant_features(2)
         model = build_steady_state(uniform, feats)
-        provider = LinearContractionProvider([0.7], [[0.6], [-0.6]],
-                                             model.stationary.pi)
-        spec = resolve_step_size(model, C=8.0, provider=provider)
-        cfg = ExperimentConfig(model, np.zeros(1), spec, T=250,
-                               trials=2000, master_seed=401, provider=provider)
+        provider = LinearContractionProvider([0.7], [[0.6], [-0.6]], model)
+        spec = resolve_step_size(provider, C=8.0)
+        cfg = ExperimentConfig(provider, np.zeros(1), spec, T=250,
+                               trials=2000, master_seed=401)
         result = nonlinear_sa_experiment(cfg)
         est = result["estimate"]
         a, V = spec.alpha, provider.noise_variance()
@@ -564,11 +593,11 @@ class TestNonlinearExperiments:
         model = build_steady_state(three, feats)
         provider = SaturatingMonotoneProvider(
             [0.5, -0.3], [[0.4, -0.2], [-0.1, 0.3], [-0.3, -0.1]],
-            model.stationary.pi, a=0.7, b=0.3)
-        spec = resolve_step_size(model, C=8.0, provider=provider)
+            model, a=0.7, b=0.3)
+        spec = resolve_step_size(provider, C=8.0)
         T = int(math.ceil(10.0 / (spec.alpha * provider.beta)))
-        cfg = ExperimentConfig(model, [2.0, -1.0], spec, T=T, trials=400,
-                               master_seed=402, provider=provider)
+        cfg = ExperimentConfig(provider, [2.0, -1.0], spec, T=T, trials=400,
+                               master_seed=402)
         result = nonlinear_sa_experiment(cfg)
         assert result["boundedness"].verdict == "pass"
         assert result["recursion"].verdict == "pass"

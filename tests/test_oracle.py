@@ -56,7 +56,7 @@ class TestBuildSteadyState:
         assert model.Sigma[0, 0] == pytest.approx(1.0, abs=1e-15)
         assert model.omega == pytest.approx(1.0, abs=1e-12)
         assert model.sigma_const == pytest.approx(2.0)
-        assert oracle_report(model)["B"] == pytest.approx(40.0)  # theta0 = 0
+        assert oracle_report(TD0Provider(model))["B"] == pytest.approx(40.0)  # theta0 = 0
 
     def test_identity_features_give_gram_equal_to_D(self):
         mrp = MarkovRewardProcess([[0.9, 0.1], [0.2, 0.8]], [1.0, 0.0], 0.5)
@@ -331,8 +331,9 @@ class TestMixingOracle:
             return svd(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        report = oracle_report(model)
-        spec = resolve_step_size(model)
+        provider = TD0Provider(model)
+        report = oracle_report(provider)
+        spec = resolve_step_size(provider)
         steps = len(calls)
         monkeypatch.undo()
         checked = [row["horizon_checked"] for row in report["tau_table"]]
@@ -377,7 +378,7 @@ class TestAudits:
     def test_td0_audit_bounds_hold(self):
         # the TD(0) envelope is ||g|| <= 2 ||theta|| + 2 r_bar
         model = build_steady_state(TWO_STATE, TWO_FEATS)
-        audit = audit_provider(TD0Provider(model), TWO_STATE, 100_000, seed=11)
+        audit = audit_provider(TD0Provider(model), 100_000, seed=11)
         assert audit.ok
         assert audit.declared["L"] == 2.0
         assert audit.declared["norm_offset"] == TWO_STATE.r_bar
@@ -388,7 +389,7 @@ class TestAudits:
     def test_one_state_lipschitz_constant_is_half(self):
         # g(theta; X) = 1 - 0.5 theta, so the ratio is exactly 0.5
         model = build_steady_state(ONE_STATE, constant_features(1))
-        audit = audit_provider(TD0Provider(model), ONE_STATE, 1000, seed=3)
+        audit = audit_provider(TD0Provider(model), 1000, seed=3)
         assert audit.max_lipschitz_ratio == pytest.approx(0.5, abs=1e-12)
 
     def test_identical_parameters_give_identical_directions(self):
@@ -414,7 +415,7 @@ class TestAudits:
 class TestReport:
     def test_report_contains_tau_table(self):
         model = build_steady_state(TWO_STATE, TWO_FEATS)
-        doc = oracle_report(model, [0.0], eps_grid=(0.1, 0.01))
+        doc = oracle_report(TD0Provider(model), [0.0], eps_grid=(0.1, 0.01))
         assert doc["omega"] == pytest.approx(2.0 / 3.0, abs=1e-12)
         assert len(doc["tau_table"]) == 2
         assert doc["tau_table"][1]["tau"] >= doc["tau_table"][0]["tau"]
@@ -422,10 +423,11 @@ class TestReport:
     def test_report_B_is_the_experiment_B(self):
         # one formula: theta0 = -20 puts B on ||theta0 - theta*||^2, not sigma^2
         model = build_steady_state(TWO_STATE, TWO_FEATS)
+        provider = TD0Provider(model)
         spec = StepSizeSpec(C=8.0, alpha=0.01, tau_alpha=1)
-        config = ExperimentConfig(model, [-20.0], spec, T=1,
+        config = ExperimentConfig(provider, [-20.0], spec, T=1,
                                   trials=1, master_seed=0)
-        doc = oracle_report(model, [-20.0], eps_grid=(0.1,))
+        doc = oracle_report(provider, [-20.0], eps_grid=(0.1,))
         assert doc["theta0"] == [-20.0]
         assert doc["B"] == config.B == 10.0 * (20.0 + model.theta_star[0]) ** 2
-        assert doc["B"] > oracle_report(model, eps_grid=(0.1,))["B"]
+        assert doc["B"] > oracle_report(provider, eps_grid=(0.1,))["B"]

@@ -17,6 +17,7 @@ from tdcert.oracle import (
     FeatureMatrix,
     build_steady_state,
     constant_features,
+    envelope_mixing_time,
     random_features,
 )
 from tdcert.sa_core import (
@@ -111,7 +112,7 @@ class TestTD0Direction:
 
 class TestResolveStepSize:
     def test_one_state_example(self):
-        spec = resolve_step_size(ONE_MODEL, C=8.0)
+        spec = resolve_step_size(TD0Provider(ONE_MODEL), C=8.0)
         assert spec.alpha == pytest.approx(0.0625, abs=1e-15)
         assert spec.tau_alpha == 1
         # the base-case cap 1/(8*1) = 0.125 is not binding
@@ -119,35 +120,38 @@ class TestResolveStepSize:
 
     def test_small_C_rejected(self):
         with pytest.raises(ValueError, match="at least 8"):
-            resolve_step_size(ONE_MODEL, C=4.0)
+            resolve_step_size(TD0Provider(ONE_MODEL), C=4.0)
 
     def test_self_consistent_fixed_point(self):
         from tdcert.oracle import mixing_time
-        spec = resolve_step_size(TWO_MODEL, C=8.0)
+        spec = resolve_step_size(TD0Provider(TWO_MODEL), C=8.0)
         cert = mixing_time(TWO_STATE, TWO_FEATS, spec.alpha)
         assert cert.tau == spec.tau_alpha
         assert spec.in_contract(TWO_MODEL.contraction_rate)
-        again = resolve_step_size(TWO_MODEL, C=8.0)
+        again = resolve_step_size(TD0Provider(TWO_MODEL), C=8.0)
         assert again == spec
 
     def test_nonlinear_mode_uses_beta_bar_over_L_squared(self):
-        pi = ONE_MODEL.stationary.pi
-        provider = SaturatingMonotoneProvider([0.5], [[0.0]], pi, a=2.0, b=0.5)
-        spec = resolve_step_size(ONE_MODEL, C=8.0, provider=provider)
+        provider = SaturatingMonotoneProvider([0.5], [[0.0]], ONE_MODEL, a=2.0, b=0.5)
+        spec = resolve_step_size(provider, C=8.0)
         assert provider.mode == "nonlinear"
         # L = a + b = 2.5, so min(beta, 1/beta) / L^2 = 0.5 / 6.25, and tau
-        # comes from the TV envelope at G = L sigma
+        # comes from the TV envelope at G = L sigma on the 64-step profile
         assert provider.contraction == 0.5 / 6.25
         tau = spec.tau_alpha
-        assert tau == ONE_MODEL.mixing.tau(spec.alpha, 2.5 * provider.sigma_const)
+        profile = ONE_MODEL.mixing.profile(64)
+        envelope = envelope_mixing_time(profile, ONE_STATE.stationary,
+                                        2.5 * provider.sigma_const, spec.alpha)
+        assert tau == envelope.tau
         assert spec.alpha == provider.contraction / (8.0 * tau) < 1.0 / (8.0 * tau)
 
 
 def one_lane(model, T, seed=0, spec=None, theta0=None, **kw):
     """A one-trial config on the model's chain at the resolved step-size (or
     ``spec``); its one lane runs on the stream derive_seed(seed, 0)."""
-    spec = resolve_step_size(model, C=8.0) if spec is None else spec
-    return ExperimentConfig(model, theta0, spec, T=T, trials=1,
+    provider = TD0Provider(model)
+    spec = resolve_step_size(provider, C=8.0) if spec is None else spec
+    return ExperimentConfig(provider, theta0, spec, T=T, trials=1,
                             master_seed=seed, **kw)
 
 
@@ -263,31 +267,29 @@ class TestDelays:
 
 class TestAuditProvider:
     def test_td0_passes_with_declared_constants(self):
-        audit = audit_provider(TD0Provider(TWO_MODEL), TWO_STATE, 20_000, seed=1)
+        audit = audit_provider(TD0Provider(TWO_MODEL), 20_000, seed=1)
         assert audit.ok
         assert audit.max_lipschitz_ratio <= 2.0 + 1e-9
 
     def test_underdeclared_lipschitz_fails_with_witness(self):
         provider = TD0Provider(TWO_MODEL)
         provider.L = 0.1  # deliberate misdeclaration
-        audit = audit_provider(provider, TWO_STATE, 20_000, seed=1)
+        audit = audit_provider(provider, 20_000, seed=1)
         assert not audit.ok
         assert audit.witness["check"] == "lipschitz"
         assert audit.witness["theta1"] is not None
 
     def test_linear_contraction_is_exactly_one_monotone(self):
-        pi = TWO_MODEL.stationary.pi
-        provider = LinearContractionProvider([0.3], [[1.0], [-2.0]], pi)
-        audit = audit_provider(provider, TWO_STATE, 20_000, seed=2)
+        provider = LinearContractionProvider([0.3], [[1.0], [-2.0]], TWO_MODEL)
+        audit = audit_provider(provider, 20_000, seed=2)
         assert audit.ok
         assert audit.min_monotone_ratio == pytest.approx(1.0, abs=1e-9)
         assert audit.max_lipschitz_ratio == pytest.approx(1.0, abs=1e-9)
 
     def test_saturating_provider_contract(self):
-        pi = TWO_MODEL.stationary.pi
-        provider = SaturatingMonotoneProvider([0.5], [[0.3], [-0.6]], pi,
+        provider = SaturatingMonotoneProvider([0.5], [[0.3], [-0.6]], TWO_MODEL,
                                               a=0.7, b=0.3)
-        audit = audit_provider(provider, TWO_STATE, 20_000, seed=3)
+        audit = audit_provider(provider, 20_000, seed=3)
         assert audit.ok
         assert audit.min_monotone_ratio >= 0.7 - 1e-9
 
@@ -296,8 +298,8 @@ class TestAuditProvider:
             def steady(self, theta):
                 return 3.0 * (self.theta_star - np.asarray(theta, dtype=float))
 
-        provider = Steep([0.3], [[1.0], [-2.0]], TWO_MODEL.stationary.pi)
-        audit = audit_provider(provider, TWO_STATE, 20_000, seed=2)
+        provider = Steep([0.3], [[1.0], [-2.0]], TWO_MODEL)
+        audit = audit_provider(provider, 20_000, seed=2)
         assert not audit.ok
         assert audit.witness["check"] == "steady_lipschitz"
         assert audit.max_steady_ratio == pytest.approx(3.0, abs=1e-9)
@@ -316,15 +318,16 @@ class TestAuditProvider:
         class GenericOffset(Offset):
             norm_offset = property(lambda self: self.sigma_const)
 
-        audit = audit_provider(Offset(model), mrp, 20_000, seed=4)
+        audit = audit_provider(Offset(model), 20_000, seed=4)
         assert audit.declared["norm_offset"] == 0.1
         assert not audit.ok
         assert audit.witness["check"] == "norm"
-        assert audit_provider(GenericOffset(model), mrp, 20_000, seed=4).ok
+        assert audit_provider(GenericOffset(model), 20_000, seed=4).ok
 
     def test_centered_noise_means_steady_zero_at_fixed_point(self):
-        pi = TWO_MODEL.stationary.pi
-        provider = LinearContractionProvider([0.3], [[1.0], [-2.0]], pi)
+        # the table is centered under the stationary law of its model's chain
+        provider = LinearContractionProvider([0.3], [[1.0], [-2.0]], TWO_MODEL)
+        pi = provider.model.stationary.pi
         np.testing.assert_allclose(pi @ provider.c_table, provider.theta_star,
                                    atol=1e-14)
 
