@@ -65,7 +65,7 @@ from .harness import (
     check_iid_noise,
     check_recursion,
     estimate_dt_et,
-    nonlinear_sa_experiment,
+    run_experiment,
     simulate_trajectories,
     tune_weighted_average,
     weighted_average_experiment,

@@ -66,7 +66,7 @@ def _experiment(chain, features, *, kind="boundedness", T="auto", trials=2000,
     cfg = {
         "label": label,
         "instance": {"chain": chain, "features": features, "theta0": theta0},
-        "step_size": {"C": 8.0, "alpha_scale": alpha_scale},
+        "step_size": {"alpha_scale": alpha_scale},
         "experiment": {
             "kind": kind,
             "T": T,
@@ -75,7 +75,6 @@ def _experiment(chain, features, *, kind="boundedness", T="auto", trials=2000,
             "sampling": sampling,
             "delays": delays,
             "averaging_grid": grid,
-            "ceiling": 100.0,
         },
         "provider": provider or {"kind": "td0"},
     }
@@ -132,12 +131,12 @@ _REGISTRY = {
 
     # Generic-operator experiments.
     "theorem4_linear_contraction": _experiment(
-        UNIFORM_TWO_STATE, _CONST, kind="nonlinear", T=300, seed=401,
+        UNIFORM_TWO_STATE, _CONST, kind="recursion", T=300, seed=401,
         provider={"kind": "linear_contraction", "theta_star": [0.7],
                   "noise": [[0.6], [-0.6]]},
         label="linear contraction with iid tuples"),
     "theorem4_saturating": _experiment(
-        THREE_STATE, {"kind": "identity"}, kind="nonlinear", T="auto", seed=402,
+        THREE_STATE, {"kind": "identity"}, kind="recursion", T="auto", seed=402,
         theta0=[2.0, -1.0],
         provider={"kind": "saturating", "theta_star": [0.5, -0.3],
                   "noise": [[0.4, -0.2], [-0.1, 0.3], [-0.3, -0.1]],

@@ -30,6 +30,7 @@ from .oracle import (
     oracle_report,
 )
 from .sa_core import (
+    STEP_C,
     DelayProcess,
     StepSizeError,
     StepSizeSpec,
@@ -41,16 +42,12 @@ from .sa_core import (
     TD0Provider,
 )
 from .harness import (
+    CEILING,
     AuditError,
     ConfigError,
     ExperimentConfig,
     alpha_sweep,
-    check_boundedness,
-    check_iid_noise,
-    check_recursion,
-    estimate_dt_et,
-    nonlinear_sa_experiment,
-    weighted_average_experiment,
+    run_experiment,
     write_columnar,
 )
 
@@ -90,21 +87,27 @@ def _build_provider(prov_cfg: dict, model):
     raise ConfigError(f"unknown provider kind {kind!r}")
 
 
+def _check_derived(section: str, doc: dict, key: str, derived):
+    """A legacy key that names a value the code derives is accepted when it
+    equals that value, and refused otherwise."""
+    given = doc.get(key)
+    if given is not None and given != derived:
+        raise ConfigError(f"{section}.{key} {given!r} does not match the "
+                          f"derived value {derived!r}")
+
+
 def _build_spec(step_cfg: dict, provider) -> StepSizeSpec:
-    # the provider picks the constants; a legacy mode key must agree with it
-    if step_cfg.get("mode", provider.mode) != provider.mode:
-        raise ConfigError(f"step_size.mode {step_cfg['mode']!r} does not match "
-                          f"the provider's mode {provider.mode!r}")
-    C = float(step_cfg.get("C", 8.0))
+    # the provider picks the constants and certifies tau
     if step_cfg.get("alpha") is not None:
-        alpha = float(step_cfg["alpha"])
-        if step_cfg.get("tau") is not None:
-            return StepSizeSpec(C=C, alpha=alpha, tau_alpha=int(step_cfg["tau"]))
-        return spec_at(provider, alpha, C)
-    spec = resolve_step_size(provider, C=C)
-    scale = float(step_cfg.get("alpha_scale", 1.0))
-    if scale != 1.0:
-        spec = spec_at(provider, spec.alpha * scale, C)
+        spec = spec_at(provider, float(step_cfg["alpha"]))
+    else:
+        spec = resolve_step_size(provider)
+        scale = float(step_cfg.get("alpha_scale", 1.0))
+        if scale != 1.0:
+            spec = spec_at(provider, spec.alpha * scale)
+    for key, derived in (("mode", provider.mode), ("C", STEP_C),
+                         ("tau", spec.tau_alpha)):
+        _check_derived("step_size", step_cfg, key, derived)
     return spec
 
 
@@ -133,6 +136,7 @@ def parse_experiment(cfg: dict, seed_override: int | None = None):
     spec = _build_spec(cfg.get("step_size", {}), provider)
 
     exp = cfg.get("experiment", {})
+    _check_derived("experiment", exp, "ceiling", CEILING)
     kind = exp.get("kind", "boundedness")
     trials = int(exp.get("trials", 2000))
     if trials < 100:
@@ -151,34 +155,9 @@ def parse_experiment(cfg: dict, seed_override: int | None = None):
         trials=trials, master_seed=master_seed, delays=delays,
         sampling=exp.get("sampling", "markov"), start_state=exp.get("start_state"),
         averaging_grid=exp.get("averaging_grid"),
-        ceiling=float(exp.get("ceiling", 100.0)),
         label=cfg.get("label", ""),
     )
     return config, kind
-
-
-def _execute(config: ExperimentConfig, kind: str):
-    estimate, ledgers = None, {}
-    if kind == "boundedness":
-        estimate = estimate_dt_et(config)
-        ledgers["boundedness"] = check_boundedness(estimate)
-    elif kind == "recursion":
-        estimate = estimate_dt_et(config)
-        ledgers["boundedness"] = check_boundedness(estimate)
-        ledgers["recursion"] = check_recursion(estimate)
-    elif kind == "iid_control":
-        estimate = estimate_dt_et(config)
-        ledgers["iid_control"] = check_iid_noise(estimate)
-    elif kind == "weighted_average":
-        ledgers["weighted_average"] = weighted_average_experiment(config)
-    elif kind == "nonlinear":
-        result = nonlinear_sa_experiment(config)
-        estimate = result["estimate"]
-        ledgers["boundedness"] = result["boundedness"]
-        ledgers["recursion"] = result["recursion"]
-    else:
-        raise ConfigError(f"unknown experiment kind {kind!r}")
-    return estimate, ledgers
 
 
 def _verdict_exit(ledgers: dict) -> int:
@@ -234,7 +213,7 @@ def cmd_oracle(cfg: dict, out_dir: str, seed_override=None) -> int:
 def cmd_run(cfg: dict, out_dir: str, seed_override=None) -> int:
     started = time.time()
     config, kind = parse_experiment(cfg, seed_override)
-    estimate, ledgers = _execute(config, kind)
+    estimate, ledgers = run_experiment(config, kind)
     os.makedirs(out_dir, exist_ok=True)
     if estimate is not None:
         lead = ledgers.get("boundedness")
@@ -299,8 +278,8 @@ def cmd_sweep(cfg: dict, out_dir: str, sweep_arg: str, seed_override=None) -> in
         if not config.averaging_grid and kind != "weighted_average":
             raise ConfigError("a T sweep needs a weighted_average experiment")
         sub = replace(config, averaging_grid=values)
-        led = weighted_average_experiment(sub)
-        ledgers_all["weighted_average"] = led
+        _, ledgers_all = run_experiment(sub, "weighted_average")
+        led = ledgers_all["weighted_average"]
         summary["points"] = led.fitted["table"]
         summary["tail_slope"] = led.fitted["tail_slope"]
     else:  # tau_max
@@ -308,15 +287,15 @@ def cmd_sweep(cfg: dict, out_dir: str, sweep_arg: str, seed_override=None) -> in
                      else "uniform")
         base_seed = config.delays.seed if config.delays is not None else 77
         provider = config.provider
-        base = resolve_step_size(provider, C=config.spec.C)
+        base = resolve_step_size(provider)
         for tau_max in values:
-            spec = spec_at(provider, base.alpha / (1 + tau_max), base.C)
+            spec = spec_at(provider, base.alpha / (1 + tau_max))
             T = auto_horizon(spec, provider)
             delays = DelayProcess(kind=base_kind if tau_max > 0 else "none",
                                   tau_max=tau_max, seed=base_seed)
             sub = replace(config, spec=spec, T=T, delays=delays)
-            est = estimate_dt_et(sub)
-            led = check_boundedness(est)
+            est, ledgers = run_experiment(sub, "boundedness")
+            led = ledgers["boundedness"]
             tag = f"tau_max_{tau_max}"
             write_columnar(os.path.join(out_dir, f"estimate_{tag}.csv"), est, led)
             ledgers_all[tag] = led

@@ -16,9 +16,12 @@ exact table sampler (``mrp.sampler``), and every K-wide sum goes through
 lane's bits do not depend on how many lanes run beside it. Per-step
 aggregation reduces over the trial axis in a fixed order, so results do not
 depend on scheduling. Every check takes only the estimate and reads alpha,
-tau, the provider (its instance and theorem), ceiling and B from
-``estimate.config``, so a ledger checks the hypothesis it reports; one that
-checks no claim (out of contract, or aborted trials) comes from ``_refused``.
+tau, the provider (its instance and theorem) and B from ``estimate.config``,
+so a ledger checks the hypothesis it reports; one that checks no claim (out
+of contract, or aborted trials) comes from ``_refused``. The bars a ledger is
+held to (``CEILING``, ``SLOPE_THRESHOLD``, ``SLACK_MULTIPLIER``) are module
+constants, not settings. ``run_experiment(config, kind)`` audits the provider
+and runs the checks of one experiment kind.
 """
 
 import math
@@ -36,6 +39,7 @@ from .chain import (
 from .oracle import SteadyStateModel
 from .sa_core import (
     DIVERGENCE_GUARD,
+    STEP_C,
     ConfigError,
     DelayProcess,
     StepSizeSpec,
@@ -85,7 +89,6 @@ class ExperimentConfig:
     sampling: str = "markov"
     start_state: int | None = None
     averaging_grid: list | None = None
-    ceiling: float = 100.0
     label: str = ""
 
     def __post_init__(self):
@@ -98,8 +101,7 @@ class ExperimentConfig:
         normalized = dict(
             theta0=initial_theta(self.provider, self.theta0), T=int(self.T),
             trials=int(self.trials), master_seed=int(self.master_seed),
-            averaging_grid=list(self.averaging_grid) if self.averaging_grid else None,
-            ceiling=float(self.ceiling))
+            averaging_grid=list(self.averaging_grid) if self.averaging_grid else None)
         for name, value in normalized.items():
             object.__setattr__(self, name, value)
 
@@ -118,7 +120,7 @@ class ExperimentConfig:
         return {
             "alpha": self.spec.alpha,
             "tau": self.spec.tau_alpha,
-            "C": self.spec.C,
+            "C": STEP_C,
             "B": self.B,
             "mode": self.provider.mode,
             "in_contract": self.in_contract(),
@@ -129,7 +131,7 @@ class ExperimentConfig:
             "mrp": self.model.mrp.to_dict(),
             "features": self.model.features.to_dict(),
             "theta0": self.theta0.tolist(),
-            "spec": {"C": self.spec.C, "alpha": self.spec.alpha,
+            "spec": {"C": STEP_C, "alpha": self.spec.alpha,
                      "tau": self.spec.tau_alpha, "mode": self.provider.mode},
             "T": self.T,
             "trials": self.trials,
@@ -139,7 +141,7 @@ class ExperimentConfig:
             "sampling": self.sampling,
             "start_state": self.start_state,
             "averaging_grid": self.averaging_grid,
-            "ceiling": self.ceiling,
+            "ceiling": CEILING,
             "label": self.label,
         }
 
@@ -395,6 +397,9 @@ def simulate_trajectories(config: ExperimentConfig) -> MonteCarloEstimate:
 # Ledgers
 
 SLACK_MULTIPLIER = 3.0
+CEILING = 100.0          # the largest fitted recursion or drift constant that passes
+SLOPE_THRESHOLD = -0.8   # an averaging tail slope (log-log) at or below this passes
+TAIL_POINTS = 4          # horizons at the end of the grid the slope is fitted on
 
 
 @dataclass
@@ -503,7 +508,7 @@ def check_recursion(estimate: MonteCarloEstimate) -> BoundLedger:
     """
     _require_ledger_grade(estimate)
     config = estimate.config
-    spec, ceiling, B = config.spec, config.ceiling, config.B
+    spec, B = config.spec, config.B
     alpha, tau = spec.alpha, spec.tau_alpha
     rate = 1.0 - alpha * config.provider.beta
     L2 = config.provider.recursion_L2
@@ -533,17 +538,17 @@ def check_recursion(estimate: MonteCarloEstimate) -> BoundLedger:
     bound_value = np.full(T + 1, np.nan)
     margin = np.full(T + 1, np.nan)
     bound_value[t + 1] = rate * estimate.d_hat[t] + c * perturb_scale
-    margin[t + 1] = ceiling - needed_c
+    margin[t + 1] = CEILING - needed_c
     worst = int(np.argmax(needed_c))
-    ok = c <= ceiling and c_prime <= ceiling and pre_tau_ok
+    ok = c <= CEILING and c_prime <= CEILING and pre_tau_ok
     return BoundLedger(
         theorem_id="theorem2-recursion", hypothesis=config.hypothesis(),
         verdict="pass" if ok else "fail",
-        worst_margin=float(ceiling - max(c, c_prime)),
+        worst_margin=float(CEILING - max(c, c_prime)),
         worst_step=int(t[worst]),
         fitted={"c": c, "c_prime": c_prime, "rate": rate,
                 "perturb_scale": perturb_scale, "e_scale": e_scale,
-                "pre_tau_ok": pre_tau_ok, "ceiling": ceiling},
+                "pre_tau_ok": pre_tau_ok, "ceiling": CEILING},
         slack={"multiplier": SLACK_MULTIPLIER,
                "max_width": float(np.max(slack_rec))},
         n_steps=T - tau, bound_value=bound_value, margin=margin,
@@ -588,7 +593,7 @@ def check_drift(estimate: MonteCarloEstimate) -> BoundLedger:
                           "experiment with simulate_trajectories")
     config = estimate.config
     trials, Tp1, _ = thetas.shape
-    tau, alpha, ceiling = config.spec.tau_alpha, config.spec.alpha, config.ceiling
+    tau, alpha = config.spec.tau_alpha, config.spec.alpha
     if Tp1 - 1 < tau + 1:
         raise ConfigError(f"horizon {Tp1 - 1} too short for tau={tau}")
     refused = _refused(estimate, "lemma3-drift", Tp1 - tau, "")
@@ -606,9 +611,9 @@ def check_drift(estimate: MonteCarloEstimate) -> BoundLedger:
     worst = int(np.argmax(needed)) + tau
     return BoundLedger(
         theorem_id="lemma3-drift", hypothesis=config.hypothesis(),
-        verdict="pass" if c <= ceiling else "fail",
-        worst_margin=float(ceiling - c), worst_step=worst,
-        fitted={"c": c, "scale": scale, "ceiling": ceiling,
+        verdict="pass" if c <= CEILING else "fail",
+        worst_margin=float(CEILING - c), worst_step=worst,
+        fitted={"c": c, "scale": scale, "ceiling": CEILING,
                 "max_drift": float(mean.max())},
         slack={"multiplier": SLACK_MULTIPLIER,
                "max_width": float(np.max(SLACK_MULTIPLIER * se))},
@@ -633,7 +638,6 @@ class WeightedAverageSpec:
     tau: int
     T: int
     lambda_tune: float
-    C: float
     case: int
 
     def weight_rate(self) -> float:
@@ -648,34 +652,32 @@ class WeightedAverageSpec:
         return w / w.sum()
 
 
-def tune_weighted_average(provider: UpdateDirectionProvider, T: int,
-                          C: float = 8.0, max_iter: int = 50) -> WeightedAverageSpec:
+def tune_weighted_average(provider: UpdateDirectionProvider, T: int) -> WeightedAverageSpec:
     """Resolve the horizon-aware step-size: alpha = ln(lambda)/(A (T+1)) when
     that obeys the mixing cap, otherwise the cap itself; iterated until the
     mixing time it certifies is self-consistent."""
     A = 0.5 * provider.contraction
-    spec = resolve_step_size(provider, C=C)
-    for _ in range(max_iter):
+    spec = resolve_step_size(provider)
+    for _ in range(50):
         tau_hat = spec.tau_alpha
         lam = max(math.e, A * (T + 1) ** 2 / tau_hat)
         alpha_case1 = math.log(lam) / (A * (T + 1))
         cap = spec.caps(provider.contraction)
         case = 1 if alpha_case1 <= cap else 2
         alpha = alpha_case1 if case == 1 else cap
-        spec = spec_at(provider, alpha, C)
+        spec = spec_at(provider, alpha)
         if spec.tau_alpha == tau_hat:
             return WeightedAverageSpec(A=A, alpha=alpha, tau=tau_hat, T=T,
-                                       lambda_tune=lam, C=C, case=case)
+                                       lambda_tune=lam, case=case)
     raise StepSizeError("weighted-average tuning did not stabilize")
 
 
-def weighted_average_experiment(config: ExperimentConfig,
-                                slope_threshold: float = -0.8,
-                                tail_points: int = 4) -> BoundLedger:
+def weighted_average_experiment(config: ExperimentConfig) -> BoundLedger:
     """For each horizon in the configured geometric grid, tune alpha, run the
     trials with an incrementally normalized weighted average (the raw weights
-    are never materialized), and fit the tail log-log slope of the
-    stationary-weighted value error against T.
+    are never materialized), and fit the log-log slope of the
+    stationary-weighted value error against T over the last ``TAIL_POINTS``
+    horizons; it passes at ``SLOPE_THRESHOLD`` or steeper.
 
     The tuning and the error metric are TD(0)'s, so other providers are
     refused."""
@@ -690,8 +692,8 @@ def weighted_average_experiment(config: ExperimentConfig,
     model = config.model
     rows = []
     for T in grid:
-        wspec = tune_weighted_average(config.provider, T, C=config.spec.C)
-        spec = StepSizeSpec(C=config.spec.C, alpha=wspec.alpha, tau_alpha=wspec.tau)
+        wspec = tune_weighted_average(config.provider, T)
+        spec = StepSizeSpec(alpha=wspec.alpha, tau_alpha=wspec.tau)
         sub = replace(config, T=T, spec=spec,
                       master_seed=derive_seed(config.master_seed, T))
         sim = _simulate(sub, weight_A=wspec.A)
@@ -704,46 +706,56 @@ def weighted_average_experiment(config: ExperimentConfig,
             "err": float(errs.mean()),
             "se": float(errs.std(ddof=1) / math.sqrt(config.trials)),
         })
-    tail = rows[-tail_points:]
+    tail = rows[-TAIL_POINTS:]
     x = np.log([r["T"] for r in tail])
     y = np.log([max(r["err"], 1e-300) for r in tail])
     slope = float(np.polyfit(x, y, 1)[0])
-    verdict = "pass" if slope <= slope_threshold else "fail"
+    verdict = "pass" if slope <= SLOPE_THRESHOLD else "fail"
     return BoundLedger(
         theorem_id="theorem3-weighted-average",
-        hypothesis={"C": config.spec.C, "grid": grid,
+        hypothesis={"C": STEP_C, "grid": grid,
                     "in_contract": True},
-        verdict=verdict, worst_margin=float(slope_threshold - slope),
+        verdict=verdict, worst_margin=float(SLOPE_THRESHOLD - slope),
         worst_step=-1,
-        fitted={"tail_slope": slope, "threshold": slope_threshold,
-                "tail_points": tail_points, "table": rows},
+        fitted={"tail_slope": slope, "threshold": SLOPE_THRESHOLD,
+                "tail_points": TAIL_POINTS, "table": rows},
         slack={"multiplier": SLACK_MULTIPLIER},
         n_steps=len(grid),
     )
 
 
 # ---------------------------------------------------------------------------
-# Generic-provider experiments and sweeps
+# Experiments and sweeps
 
-def nonlinear_sa_experiment(config: ExperimentConfig) -> dict:
-    """Boundedness + recursion certification for the config's operator.
+# the ledgers of each experiment kind that checks one estimate, by name;
+# "nonlinear" is a legacy name for "recursion"
+CHECKS = {
+    "boundedness": {"boundedness": check_boundedness},
+    "recursion": {"boundedness": check_boundedness, "recursion": check_recursion},
+    "iid_control": {"iid_control": check_iid_noise},
+}
+CHECKS["nonlinear"] = CHECKS["recursion"]
 
-    The provider is audited against its declared constants first and the
-    experiment refuses to run on failure. Rate and perturbation scale are the
-    provider's, so routing TD(0) through this path reproduces the
-    TD(0)-specific ledgers exactly.
+
+def run_experiment(config: ExperimentConfig, kind: str):
+    """One experiment of the given kind as (estimate, ledgers by name).
+
+    Whatever the kind, the provider is first audited against its declared
+    constants, and the experiment refuses to run (``AuditError``) on failure.
+    ``weighted_average`` runs its horizon grid and has no estimate (None);
+    every other kind runs the config's trials once and applies its checks
+    from ``CHECKS``.
     """
+    if kind != "weighted_average" and kind not in CHECKS:
+        raise ConfigError(f"unknown experiment kind {kind!r}")
     audit = audit_provider(config.provider, 20000,
                            derive_seed(config.master_seed, 0xA0D17))
     if not audit.ok:
         raise AuditError(audit)
+    if kind == "weighted_average":
+        return None, {"weighted_average": weighted_average_experiment(config)}
     estimate = estimate_dt_et(config)
-    return {
-        "audit": audit,
-        "estimate": estimate,
-        "boundedness": check_boundedness(estimate),
-        "recursion": check_recursion(estimate),
-    }
+    return estimate, {name: check(estimate) for name, check in CHECKS[kind].items()}
 
 
 def asymptotic_floor(estimate: MonteCarloEstimate) -> float:
@@ -760,20 +772,20 @@ def asymptotic_floor(estimate: MonteCarloEstimate) -> float:
 
 def alpha_sweep(config: ExperimentConfig, multipliers=(1.0, 0.5, 0.25)) -> dict:
     """Re-run the experiment across an alpha grid (multiples of the resolved
-    alpha), recertifying tau per point, and fit the log-log slope of the
-    asymptotic floor against alpha."""
+    alpha) as boundedness experiments, recertifying tau per point, and fit
+    the log-log slope of the asymptotic floor against alpha."""
     results = []
     for mult in multipliers:
         alpha = config.spec.alpha * float(mult)
         # tau and the auto horizon as parse_experiment resolves them
-        spec = spec_at(config.provider, alpha, config.spec.C)
+        spec = spec_at(config.provider, alpha)
         T = auto_horizon(spec, config.provider)
         sub = replace(config, spec=spec, T=T,
                       master_seed=derive_seed(config.master_seed, int(mult * 1e6)))
-        est = estimate_dt_et(sub)
+        est, ledgers = run_experiment(sub, "boundedness")
         results.append({"alpha": alpha, "tau": spec.tau_alpha, "T": T,
                         "in_contract": sub.in_contract(), "floor": asymptotic_floor(est),
-                        "boundedness": check_boundedness(est), "estimate": est})
+                        "boundedness": ledgers["boundedness"], "estimate": est})
     x = np.log([r["alpha"] for r in results])
     y = np.log([r["floor"] for r in results])
     slope = float(np.polyfit(x, y, 1)[0])

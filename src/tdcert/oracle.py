@@ -452,14 +452,15 @@ def dnorm_contraction_margin(mrp: MarkovRewardProcess,
 
 def oracle_report(provider, theta0=None, eps_grid=(1e-1, 1e-2, 1e-3, 1e-4)) -> dict:
     """Full structured oracle summary for experiment provenance: the
-    closed-form quantities of the provider's model, its certified linear-TD
-    tau per epsilon, and the provider's theta_star, sigma and iterate bound B
-    from ``theta0`` (zeros if None) of the provider's dimension."""
+    closed-form quantities of the provider's model, the provider's certified
+    tau per epsilon (the certificate its step-size rule uses), and its
+    theta_star, sigma and iterate bound B from ``theta0`` (zeros if None) of
+    the provider's dimension."""
     from .sa_core import bound_B, initial_theta  # sa_core imports oracle
 
     model = provider.model
     theta0 = initial_theta(provider, theta0)
-    certs = [(float(eps), model.mixing.certify(eps)) for eps in eps_grid]
+    certs = [(float(eps), provider.certify(eps)) for eps in eps_grid]
     return {
         "n": model.mrp.n,
         "K": model.K,

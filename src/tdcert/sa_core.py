@@ -6,7 +6,7 @@ of their declared contract, the constant step-size resolved jointly with the
 mixing time it depends on, the one iterate bound B and auto horizon, and
 bounded delay processes. A provider is the instance: it carries its model
 (chain and features), its theorem's constants (TD(0)'s or generic SA's) and
-its tau rule. The recursion itself runs in one place, the harness's batch
+its tau certificate. The recursion itself runs in one place, the harness's batch
 kernel ``_simulate(config)``, which takes an experiment and runs its trials
 as lanes.
 """
@@ -21,12 +21,14 @@ import numpy as np
 from .chain import derive_seed, generator
 from .oracle import (
     FeatureMatrix,
+    MixingTimeCertificate,
     SteadyStateModel,
     envelope_mixing_time,
     steady_state_direction,
 )
 
 DIVERGENCE_GUARD = 1e12
+STEP_C = 8.0  # the universal constant C of the cap alpha <= contraction / (C tau)
 
 
 class StepSizeError(RuntimeError):
@@ -112,8 +114,8 @@ class UpdateDirectionProvider:
     that ``audit_provider`` verifies. ``direction`` and ``steady`` take one
     parameter vector (K,) or a (K, lanes) batch, one column per lane, and
     return the same shape. It carries generic SA's constants (``contraction``,
-    ``recursion_L2``, drift rate ``beta``) and ``tau`` rule, named by ``mode``
-    in the output.
+    ``recursion_L2``, drift rate ``beta``) and mixing-time certificate
+    (``certify``), named by ``mode`` in the output.
     """
 
     model: SteadyStateModel
@@ -134,12 +136,12 @@ class UpdateDirectionProvider:
         """The step-size cap's numerator, min(beta, 1/beta) / L^2."""
         return min(self.beta, 1.0 / self.beta) / self.L ** 2
 
-    def tau(self, epsilon: float) -> int:
-        """The step-size rule's certified tau(epsilon): the TV-envelope
-        over-estimate on the model's 64-step profile at G = L sigma."""
+    def certify(self, epsilon: float) -> MixingTimeCertificate:
+        """The certificate of the step-size rule's tau(epsilon): the
+        TV-envelope over-estimate on the model's 64-step profile at G = L sigma."""
         model = self.model
         return envelope_mixing_time(model.mixing.profile(64), model.stationary,
-                                    self.L * self.sigma_const, epsilon).tau
+                                    self.L * self.sigma_const, epsilon)
 
     @property
     def recursion_L2(self) -> float:
@@ -180,8 +182,8 @@ class TD0Provider(UpdateDirectionProvider):
     def contraction(self) -> float:
         return self.model.contraction_rate
 
-    def tau(self, epsilon: float) -> int:
-        return self.model.mixing.certify(epsilon).tau
+    def certify(self, epsilon: float) -> MixingTimeCertificate:
+        return self.model.mixing.certify(epsilon)
 
     def direction(self, theta, X):
         return td0_direction(self.model.features, self.model.mrp.gamma, theta, X)
@@ -275,17 +277,16 @@ class StepSizeSpec:
     """A resolved constant step-size with the mixing time it was certified at.
 
     In contract when alpha <= contraction / (C tau) and alpha <= 1 / (8 tau),
-    with the provider's ``contraction``: omega (1 - gamma) for TD(0),
-    min(beta, 1/beta) / L^2 for a generic provider.
+    with C = ``STEP_C`` and the provider's ``contraction``: omega (1 - gamma)
+    for TD(0), min(beta, 1/beta) / L^2 for a generic provider.
     """
 
-    C: float
     alpha: float
     tau_alpha: int
 
     def caps(self, contraction: float) -> float:
         """Largest admissible alpha for a provider's contraction bound."""
-        return min(contraction / (self.C * self.tau_alpha),
+        return min(contraction / (STEP_C * self.tau_alpha),
                    1.0 / (8.0 * self.tau_alpha))
 
     def in_contract(self, contraction: float) -> bool:
@@ -315,37 +316,34 @@ def initial_theta(provider: UpdateDirectionProvider, theta0) -> np.ndarray:
     return theta0
 
 
-def spec_at(provider: UpdateDirectionProvider, alpha: float, C: float) -> StepSizeSpec:
-    """The spec at a given alpha, with tau certified for it by the provider's rule."""
-    return StepSizeSpec(C=C, alpha=alpha, tau_alpha=provider.tau(alpha))
+def spec_at(provider: UpdateDirectionProvider, alpha: float) -> StepSizeSpec:
+    """The spec at a given alpha, with tau certified for it by the provider."""
+    return StepSizeSpec(alpha=alpha, tau_alpha=provider.certify(alpha).tau)
 
 
-def resolve_step_size(provider: UpdateDirectionProvider, C: float = 8.0,
-                      max_iter: int = 100) -> StepSizeSpec:
+def resolve_step_size(provider: UpdateDirectionProvider) -> StepSizeSpec:
     """Solve the circular constraint alpha <= contraction / (C tau(alpha)) for
-    the provider's instance and theorem.
+    the provider's instance and theorem, with C = ``STEP_C``.
 
     Starts from alpha = contraction / C and alternates with the provider's
     certified mixing time (read off its model's mixing oracle) until the
     pair is self-consistent. tau is integer-valued and non-increasing in
     alpha, so the iteration terminates.
     """
-    if C < 8.0:
-        raise ValueError(f"the universal constant C must be at least 8, got {C}")
     bound = provider.contraction
 
-    alpha = bound / C
-    for _ in range(max_iter):
-        tau = provider.tau(alpha)
-        candidate = min(bound / (C * tau), 1.0 / (8.0 * tau))
+    alpha = bound / STEP_C
+    for _ in range(100):
+        tau = provider.certify(alpha).tau
+        candidate = min(bound / (STEP_C * tau), 1.0 / (8.0 * tau))
         if candidate == alpha:
-            spec = StepSizeSpec(C=float(C), alpha=alpha, tau_alpha=tau)
+            spec = StepSizeSpec(alpha=alpha, tau_alpha=tau)
             if not spec.in_contract(bound):
                 raise StepSizeError("resolved spec violates its own caps")
             return spec
         alpha = candidate
     raise StepSizeError(
-        f"no self-consistent (alpha, tau) pair within {max_iter} iterations; "
+        "no self-consistent (alpha, tau) pair within 100 iterations; "
         "the mixing input looks pathological"
     )
 

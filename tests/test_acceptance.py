@@ -22,7 +22,7 @@ from tdcert.harness import (
     check_iid_noise,
     check_recursion,
     estimate_dt_et,
-    nonlinear_sa_experiment,
+    run_experiment,
     simulate_trajectories,
     weighted_average_experiment,
 )
@@ -171,8 +171,7 @@ def test_criterion_7_theorem4_nonlinear():
     # reproduce the closed-form variance recursion within 3 SE at every step
     config, _ = parse_experiment(bundled_config("theorem4_linear_contraction"))
     provider = config.provider
-    result = nonlinear_sa_experiment(config)
-    est = result["estimate"]
+    est, ledgers = run_experiment(config, "recursion")
     a, V = config.spec.alpha, provider.noise_variance()
     d = np.zeros(config.T + 1)
     d[0] = float(np.sum((config.theta0 - provider.theta_star) ** 2))
@@ -180,16 +179,16 @@ def test_criterion_7_theorem4_nonlinear():
         d[t + 1] = (1 - a) ** 2 * d[t] + a * a * V
     closed_gap = float((np.abs(est.d_hat - d) - 3 * est.d_se).max())
     linear_ok = (closed_gap <= 1e-12
-                 and result["boundedness"].verdict == "pass")
+                 and ledgers["boundedness"].verdict == "pass")
 
     sat_config, _ = parse_experiment(bundled_config("theorem4_saturating"))
     sp, prov = sat_config.spec, sat_config.provider
     beta_bar = min(prov.beta, 1.0 / prov.beta)
     cap = beta_bar / (8.0 * sp.tau_alpha * prov.L ** 2)
-    sat_result = nonlinear_sa_experiment(sat_config)
+    _, sat_ledgers = run_experiment(sat_config, "recursion")
     sat_ok = (sp.alpha <= cap + 1e-15
-              and sat_result["boundedness"].verdict == "pass"
-              and sat_result["recursion"].verdict == "pass")
+              and sat_ledgers["boundedness"].verdict == "pass"
+              and sat_ledgers["recursion"].verdict == "pass")
     elapsed = time.time() - start
     ok = linear_ok and sat_ok and elapsed < 300.0
     report(7, ok, f"max(|d_hat - closed form| - 3 SE)={closed_gap:.2e} (<=1e-12), "

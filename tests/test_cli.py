@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from tdcert import harness
 from tdcert.bundled import bundled_config, bundled_names, THEOREM1_NAMES
 from tdcert.harness import ConfigError
 from tdcert.cli import (
@@ -85,6 +86,18 @@ class TestOracleCommand:
         assert doc["theta_star"] == [0.5, -0.3]
         assert doc["sigma"] == config.provider.sigma_const
 
+    def test_nonlinear_provider_report_lists_the_tau_its_run_uses(self, tmp_path):
+        # the tau table is the provider's certificate, the TV-envelope
+        # over-estimate, not the linear-TD enumeration of its chain
+        out = tmp_path / "o"
+        assert main(["oracle", "--bundled", "theorem4_saturating",
+                     "--out", str(out)]) == EXIT_PASS
+        table = json.loads((out / "oracle_report.json").read_text())["tau_table"]
+        assert [row["tau"] for row in table] == [6, 9, 12, 16]
+        assert [row["horizon_checked"] for row in table] == [8, 9, 12, 16]
+        config, _ = parse_experiment(bundled_config("theorem4_saturating"))
+        assert config.provider.certify(0.01).tau == table[1]["tau"]
+
     def test_bundled_oracle_matches_derived_values(self, tmp_path):
         cfg = write_cfg(tmp_path, {
             "instance": {
@@ -151,9 +164,9 @@ class TestRunCommand:
         assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) \
             == EXIT_OUT_OF_CONTRACT
 
-    def test_ledger_failure_exit_code(self, tmp_path):
+    def test_ledger_failure_exit_code(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "CEILING", 1e-9)  # force the fitted c' over the bar
         cfg = bundled_config("theorem2_base")
-        cfg["experiment"]["ceiling"] = 1e-9  # force the fitted c' over the bar
         cfg["experiment"]["trials"] = 400
         path = write_cfg(tmp_path, cfg)
         assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) \
@@ -269,17 +282,46 @@ class TestBundledRegistry:
                            match=f"'{mode}' does not match .* '{provider_mode}'"):
             parse_experiment(cfg)
 
-    @pytest.mark.parametrize("name, mode", [("theorem4_saturating", "nonlinear"),
-                                            ("theorem2_base", "td0")])
-    def test_matching_legacy_mode_key_keeps_the_fingerprint(self, name, mode):
+    @pytest.mark.parametrize("name, section, key, value", [
+        ("theorem4_saturating", "step_size", "mode", "nonlinear"),
+        ("theorem2_base", "step_size", "mode", "td0"),
+        ("theorem2_base", "step_size", "C", 8),
+        ("theorem2_base", "experiment", "ceiling", 100),
+        ("theorem2_base", "step_size", "tau", 9),
+        ("theorem4_saturating", "experiment", "kind", "nonlinear"),
+    ])
+    def test_matching_legacy_mode_key_keeps_the_fingerprint(self, tmp_path, name,
+                                                           section, key, value):
+        # a legacy key that restates the derived value changes no written byte
         cfg = bundled_config(name)
-        assert "mode" not in cfg["step_size"]
-        plain, _ = parse_experiment(cfg)
-        cfg["step_size"]["mode"] = mode
-        legacy, _ = parse_experiment(cfg)
-        assert legacy.fingerprint() == plain.fingerprint()
-        assert legacy.hypothesis() == plain.hypothesis()
-        assert plain.hypothesis()["mode"] == mode
+        cfg["experiment"]["trials"] = 100
+        plain, legacy = tmp_path / "plain", tmp_path / "legacy"
+        code = main(["run", "--config", write_cfg(tmp_path, cfg, "plain.json"),
+                     "--out", str(plain)])
+        cfg[section][key] = value
+        assert main(["run", "--config", write_cfg(tmp_path, cfg, "legacy.json"),
+                     "--out", str(legacy)]) == code
+        for out in ("ledgers.json", "estimate.csv"):
+            assert (legacy / out).read_bytes() == (plain / out).read_bytes()
+
+    @pytest.mark.parametrize("section, key, value, derived", [
+        ("step_size", "C", 16, "8.0"),
+        ("experiment", "ceiling", 1e9, "100.0"),
+        ("step_size", "tau", 1, "5"),
+    ])
+    def test_legacy_key_naming_another_value_exits_invalid(self, tmp_path, capsys,
+                                                           section, key, value, derived):
+        # at three times the resolved alpha the certified tau is 5; a declared
+        # tau of 1 would put the run in contract
+        cfg = bundled_config("theorem1_random6")
+        cfg["step_size"]["alpha"] = 0.0079461
+        cfg[section][key] = value
+        out = tmp_path / "o"
+        assert main(["run", "--config", write_cfg(tmp_path, cfg),
+                     "--out", str(out)]) == EXIT_INVALID_INPUT
+        err = capsys.readouterr().err
+        assert f"{section}.{key} {value!r} does not match the derived value {derived}" in err
+        assert not out.exists()
 
     def test_all_names_parse(self):
         for name in bundled_names():

@@ -16,6 +16,7 @@ from tdcert.oracle import (
     random_features,
 )
 from tdcert.sa_core import (
+    STEP_C,
     DelayProcess,
     LinearContractionProvider,
     SaturatingMonotoneProvider,
@@ -37,7 +38,7 @@ from tdcert.harness import (
     check_iid_noise,
     check_recursion,
     estimate_dt_et,
-    nonlinear_sa_experiment,
+    run_experiment,
     simulate_trajectories,
     tune_weighted_average,
     weighted_average_experiment,
@@ -46,17 +47,17 @@ from tdcert.harness import (
 
 ONE_STATE = MarkovRewardProcess([[1.0]], [1.0], 0.5)
 ONE_MODEL = build_steady_state(ONE_STATE, constant_features(1))
-ONE_SPEC = resolve_step_size(TD0Provider(ONE_MODEL), C=8.0)
+ONE_SPEC = resolve_step_size(TD0Provider(ONE_MODEL))
 
 FAST = MarkovRewardProcess([[0.8, 0.2], [0.3, 0.7]], [1.0, -1.0], 0.4)
 FAST_FEATS = constant_features(2)
 FAST_MODEL = build_steady_state(FAST, FAST_FEATS)
-FAST_SPEC = resolve_step_size(TD0Provider(FAST_MODEL), C=8.0)
+FAST_SPEC = resolve_step_size(TD0Provider(FAST_MODEL))
 
 SLOW = MarkovRewardProcess([[0.9, 0.1], [0.2, 0.8]], [1.0, 0.0], 0.5)
 SLOW_FEATS = FeatureMatrix([[1.0], [0.0]])
 SLOW_MODEL = build_steady_state(SLOW, SLOW_FEATS)
-SLOW_SPEC = resolve_step_size(TD0Provider(SLOW_MODEL), C=8.0)
+SLOW_SPEC = resolve_step_size(TD0Provider(SLOW_MODEL))
 
 
 def one_state_config(T=60, trials=100, seed=1):
@@ -79,7 +80,7 @@ WIDE_MODELS = {K: build_steady_state(WIDE, random_features(12, K, seed=32))
 def wide_config(K, **kw):
     model = WIDE_MODELS[K]
     theta0 = generator(K).normal(size=K)
-    spec = StepSizeSpec(C=8.0, alpha=0.05, tau_alpha=1)
+    spec = StepSizeSpec(alpha=0.05, tau_alpha=1)
     base = dict(provider=TD0Provider(model), theta0=theta0, spec=spec,
                 T=90, trials=5, master_seed=17)
     base.update(kw)
@@ -238,7 +239,7 @@ class TestEstimate:
             estimate_dt_et(fast_config(trials=3, T=10, start_state=start_state))
 
     def test_divergence_marks_estimate_invalid_with_abort_count(self):
-        bad_spec = StepSizeSpec(C=8.0, alpha=1e8, tau_alpha=1)
+        bad_spec = StepSizeSpec(alpha=1e8, tau_alpha=1)
         cfg = fast_config(spec=bad_spec, trials=150, T=2000, theta0=[1.0])
         est = estimate_dt_et(cfg)
         assert not est.valid
@@ -265,8 +266,8 @@ class TestBoundedness:
     def test_out_of_contract_gating(self):
         # an alpha ten times the cap must be reported as out-of-contract,
         # never as a theorem failure
-        alpha = 10 * FAST_SPEC.alpha * FAST_SPEC.C * FAST_SPEC.tau_alpha
-        bad = StepSizeSpec(C=8.0, alpha=alpha, tau_alpha=FAST_SPEC.tau_alpha)
+        alpha = 10 * FAST_SPEC.alpha * STEP_C * FAST_SPEC.tau_alpha
+        bad = StepSizeSpec(alpha=alpha, tau_alpha=FAST_SPEC.tau_alpha)
         cfg = fast_config(spec=bad, T=50)
         led = check_boundedness(estimate_dt_et(cfg))
         assert led.verdict == "out-of-contract"
@@ -334,7 +335,7 @@ class TestRefusals:
 
     def _out_of_contract(self):
         # ten times the cap; the run also diverges, and out-of-contract wins
-        alpha = 10 * FAST_SPEC.alpha * FAST_SPEC.C * FAST_SPEC.tau_alpha
+        alpha = 10 * FAST_SPEC.alpha * STEP_C * FAST_SPEC.tau_alpha
         spec = replace(FAST_SPEC, alpha=alpha)
         est = estimate_dt_et(fast_config(spec=spec, T=50, trials=100))
         assert not est.valid
@@ -427,7 +428,7 @@ class TestDrift:
         drifts = []
         alphas = [FAST_SPEC.alpha, FAST_SPEC.alpha / 2, FAST_SPEC.alpha / 4]
         for i, alpha in enumerate(alphas):
-            spec = StepSizeSpec(C=8.0, alpha=alpha,
+            spec = StepSizeSpec(alpha=alpha,
                                 tau_alpha=FAST_SPEC.tau_alpha)
             cfg = fast_config(spec=spec, trials=300, T=1200,
                               master_seed=derive_seed(77, i))
@@ -447,7 +448,7 @@ class TestDrift:
         assert delayed.fitted["c"] >= plain.fitted["c"]
 
     def test_drift_out_of_contract_gating(self):
-        inflated = StepSizeSpec(C=8.0, alpha=1.0, tau_alpha=FAST_SPEC.tau_alpha)
+        inflated = StepSizeSpec(alpha=1.0, tau_alpha=FAST_SPEC.tau_alpha)
         led = check_drift(simulate_trajectories(
             fast_config(spec=inflated, trials=120, T=60)))
         assert led.verdict == "out-of-contract"
@@ -470,12 +471,12 @@ class TestDrift:
 
     def test_nonlinear_out_of_contract_gated(self):
         # cap min(beta, 1/beta) / (C tau L^2) = 0.125, so alpha = 1.5 claims nothing
-        spec = StepSizeSpec(C=8.0, alpha=1.5, tau_alpha=1)
+        spec = StepSizeSpec(alpha=1.5, tau_alpha=1)
         _, est = self._linear_paths(spec)
         assert check_drift(est).verdict == "out-of-contract"
 
     def test_nonlinear_bound_from_the_provider(self):
-        spec = StepSizeSpec(C=8.0, alpha=0.1, tau_alpha=1)
+        spec = StepSizeSpec(alpha=0.1, tau_alpha=1)
         provider, est = self._linear_paths(spec)
         led = check_drift(est)
         assert led.verdict == "pass"
@@ -488,7 +489,7 @@ class TestWeightedAveraging:
         # (1 - alpha A) = 0.5 and T = 1 gives normalized weights [1/3, 2/3]
         spec = tune_weighted_average(TD0Provider(ONE_MODEL), 1)
         w = type(spec)(A=spec.A, alpha=0.5 / spec.A, tau=spec.tau, T=1,
-                       lambda_tune=spec.lambda_tune, C=8.0, case=2).weights()
+                       lambda_tune=spec.lambda_tune, case=2).weights()
         np.testing.assert_allclose(w, [1 / 3, 2 / 3], atol=1e-12)
 
     def test_weights_invariants_large_horizon(self):
@@ -521,7 +522,7 @@ class TestWeightedAveraging:
     def test_one_state_average_converges_geometrically(self):
         cfg = one_state_config(T=400, trials=100)
         cfg = replace(cfg, averaging_grid=[50, 100, 200, 400])
-        led = weighted_average_experiment(cfg, slope_threshold=0.0, tail_points=3)
+        led = weighted_average_experiment(cfg)
         errs = [row["err"] for row in led.fitted["table"]]
         assert all(a > b for a, b in zip(errs, errs[1:]))
         # the transient term e^(-alpha A T) dominates this deterministic
@@ -551,11 +552,10 @@ class TestNonlinearExperiments:
         feats = constant_features(2)
         model = build_steady_state(uniform, feats)
         provider = LinearContractionProvider([0.7], [[0.6], [-0.6]], model)
-        spec = resolve_step_size(provider, C=8.0)
+        spec = resolve_step_size(provider)
         cfg = ExperimentConfig(provider, np.zeros(1), spec, T=250,
                                trials=2000, master_seed=401)
-        result = nonlinear_sa_experiment(cfg)
-        est = result["estimate"]
+        est, ledgers = run_experiment(cfg, "recursion")
         a, V = spec.alpha, provider.noise_variance()
         d = np.zeros(251)
         d[0] = 0.49
@@ -563,8 +563,8 @@ class TestNonlinearExperiments:
             d[t + 1] = (1 - a) ** 2 * d[t] + a * a * V
         gap = np.abs(est.d_hat - d) - 3 * est.d_se
         assert gap.max() <= 1e-12
-        assert result["boundedness"].verdict == "pass"
-        assert result["recursion"].verdict == "pass"
+        assert ledgers["boundedness"].verdict == "pass"
+        assert ledgers["recursion"].verdict == "pass"
 
     def test_td0_through_generic_path_identical_ledgers(self):
         cfg = fast_config(trials=400, T=300)
@@ -573,17 +573,22 @@ class TestNonlinearExperiments:
             "boundedness": check_boundedness(est),
             "recursion": check_recursion(est),
         }
-        routed = nonlinear_sa_experiment(cfg)
-        assert np.array_equal(est.d_hat, routed["estimate"].d_hat)
+        routed, ledgers = run_experiment(cfg, "recursion")
+        assert np.array_equal(est.d_hat, routed.d_hat)
         for key in ("boundedness", "recursion"):
             assert json.dumps(direct[key].to_dict(), sort_keys=True) == \
-                   json.dumps(routed[key].to_dict(), sort_keys=True)
+                   json.dumps(ledgers[key].to_dict(), sort_keys=True)
 
     def test_misdeclared_provider_refused(self):
+        # the audit reads the provider, whatever the experiment kind
         provider = TD0Provider(FAST_MODEL)
         provider.L = 0.01
-        with pytest.raises(AuditError):
-            nonlinear_sa_experiment(fast_config(provider=provider))
+        config = fast_config(provider=provider, sampling="iid_restart",
+                             averaging_grid=[64, 128])
+        for kind in ("boundedness", "recursion", "iid_control",
+                     "weighted_average", "nonlinear"):
+            with pytest.raises(AuditError):
+                run_experiment(config, kind)
 
     def test_saturating_provider_ledgers_pass(self):
         three = MarkovRewardProcess(
@@ -594,13 +599,13 @@ class TestNonlinearExperiments:
         provider = SaturatingMonotoneProvider(
             [0.5, -0.3], [[0.4, -0.2], [-0.1, 0.3], [-0.3, -0.1]],
             model, a=0.7, b=0.3)
-        spec = resolve_step_size(provider, C=8.0)
+        spec = resolve_step_size(provider)
         T = int(math.ceil(10.0 / (spec.alpha * provider.beta)))
         cfg = ExperimentConfig(provider, [2.0, -1.0], spec, T=T, trials=400,
                                master_seed=402)
-        result = nonlinear_sa_experiment(cfg)
-        assert result["boundedness"].verdict == "pass"
-        assert result["recursion"].verdict == "pass"
+        _, ledgers = run_experiment(cfg, "recursion")
+        assert ledgers["boundedness"].verdict == "pass"
+        assert ledgers["recursion"].verdict == "pass"
 
 
 class TestSweeps:

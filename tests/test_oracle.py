@@ -424,7 +424,7 @@ class TestReport:
         # one formula: theta0 = -20 puts B on ||theta0 - theta*||^2, not sigma^2
         model = build_steady_state(TWO_STATE, TWO_FEATS)
         provider = TD0Provider(model)
-        spec = StepSizeSpec(C=8.0, alpha=0.01, tau_alpha=1)
+        spec = StepSizeSpec(alpha=0.01, tau_alpha=1)
         config = ExperimentConfig(provider, [-20.0], spec, T=1,
                                   trials=1, master_seed=0)
         doc = oracle_report(provider, [-20.0], eps_grid=(0.1,))

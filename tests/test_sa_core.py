@@ -112,28 +112,24 @@ class TestTD0Direction:
 
 class TestResolveStepSize:
     def test_one_state_example(self):
-        spec = resolve_step_size(TD0Provider(ONE_MODEL), C=8.0)
+        spec = resolve_step_size(TD0Provider(ONE_MODEL))
         assert spec.alpha == pytest.approx(0.0625, abs=1e-15)
         assert spec.tau_alpha == 1
         # the base-case cap 1/(8*1) = 0.125 is not binding
         assert spec.alpha < 0.125
 
-    def test_small_C_rejected(self):
-        with pytest.raises(ValueError, match="at least 8"):
-            resolve_step_size(TD0Provider(ONE_MODEL), C=4.0)
-
     def test_self_consistent_fixed_point(self):
         from tdcert.oracle import mixing_time
-        spec = resolve_step_size(TD0Provider(TWO_MODEL), C=8.0)
+        spec = resolve_step_size(TD0Provider(TWO_MODEL))
         cert = mixing_time(TWO_STATE, TWO_FEATS, spec.alpha)
         assert cert.tau == spec.tau_alpha
         assert spec.in_contract(TWO_MODEL.contraction_rate)
-        again = resolve_step_size(TD0Provider(TWO_MODEL), C=8.0)
+        again = resolve_step_size(TD0Provider(TWO_MODEL))
         assert again == spec
 
     def test_nonlinear_mode_uses_beta_bar_over_L_squared(self):
         provider = SaturatingMonotoneProvider([0.5], [[0.0]], ONE_MODEL, a=2.0, b=0.5)
-        spec = resolve_step_size(provider, C=8.0)
+        spec = resolve_step_size(provider)
         assert provider.mode == "nonlinear"
         # L = a + b = 2.5, so min(beta, 1/beta) / L^2 = 0.5 / 6.25, and tau
         # comes from the TV envelope at G = L sigma on the 64-step profile
@@ -150,7 +146,7 @@ def one_lane(model, T, seed=0, spec=None, theta0=None, **kw):
     """A one-trial config on the model's chain at the resolved step-size (or
     ``spec``); its one lane runs on the stream derive_seed(seed, 0)."""
     provider = TD0Provider(model)
-    spec = resolve_step_size(provider, C=8.0) if spec is None else spec
+    spec = resolve_step_size(provider) if spec is None else spec
     return ExperimentConfig(provider, theta0, spec, T=T, trials=1,
                             master_seed=seed, **kw)
 
@@ -176,7 +172,7 @@ class TestRunSA:
         assert a.config.fingerprint() == b.config.fingerprint()
 
     def test_divergence_guard_reports_step(self):
-        bad = StepSizeSpec(C=8.0, alpha=1e9, tau_alpha=1)
+        bad = StepSizeSpec(alpha=1e9, tau_alpha=1)
         cfg = one_lane(TWO_MODEL, 10_000, seed=2, spec=bad, theta0=[1.0])
         est = estimate_dt_et(cfg)
         with pytest.raises(ReferenceDivergence) as exc:
