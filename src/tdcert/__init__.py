@@ -8,7 +8,6 @@ from .chain import (
     ChainError,
     MarkovRewardProcess,
     MixingProfile,
-    StationaryDistribution,
     ValidationReport,
     cycle_mrp,
     derive_seed,
@@ -57,7 +56,6 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     MonteCarloEstimate,
-    WeightedAverageSpec,
     alpha_sweep,
     asymptotic_floor,
     check_boundedness,

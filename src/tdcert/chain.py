@@ -110,8 +110,8 @@ class MarkovRewardProcess:
     renormalized exactly; the matrix is then frozen. ``r_bar`` is the largest
     absolute reward, recomputed at construction. Because the process is
     immutable, its validation report, stationary law and batch transition
-    sampler are computed once, on first use (``validation``, ``stationary``,
-    ``sampler``); an invalid chain raises from ``stationary`` on every access.
+    sampler are computed once, on first use (``validation``, ``pi``,
+    ``sampler``); an invalid chain raises from ``pi`` on every access.
     """
 
     def __init__(self, P, R, gamma):
@@ -150,7 +150,8 @@ class MarkovRewardProcess:
         return validate_chain(self)
 
     @cached_property
-    def stationary(self) -> "StationaryDistribution":
+    def pi(self) -> np.ndarray:
+        """The stationary law, read-only."""
         return stationary_distribution(self)
 
     @cached_property
@@ -238,18 +239,8 @@ def validate_chain(mrp: MarkovRewardProcess) -> ValidationReport:
     return ValidationReport(irreducible, aperiodic, period, not_reachable, not_coreachable)
 
 
-@dataclass(frozen=True)
-class StationaryDistribution:
-    """Stationary law pi of a chain."""
-
-    pi: np.ndarray
-
-    def __post_init__(self):
-        self.pi.setflags(write=False)
-
-
-def stationary_distribution(mrp: MarkovRewardProcess) -> StationaryDistribution:
-    """Exact stationary distribution via a direct linear solve.
+def stationary_distribution(mrp: MarkovRewardProcess) -> np.ndarray:
+    """Exact stationary distribution via a direct linear solve, read-only.
 
     Solves (P^T - I) pi = 0 with the last balance equation replaced by the
     normalization sum(pi) = 1. Requires the chain to pass validate_chain.
@@ -277,7 +268,8 @@ def stationary_distribution(mrp: MarkovRewardProcess) -> StationaryDistribution:
     resid = float(np.max(np.abs(pi @ mrp.P - pi)))
     if resid > 1e-10:
         raise ChainError(f"stationary residual {resid:.3e} exceeds 1e-10")
-    return StationaryDistribution(pi=pi)
+    pi.setflags(write=False)
+    return pi
 
 
 @dataclass(frozen=True)
@@ -328,7 +320,7 @@ class ChainPowers:
         self.power = self.power @ self.mrp.P
         tv = 0.0
         if self.clamp_index is None:
-            pi = self.mrp.stationary.pi
+            pi = self.mrp.pi
             tv = 0.5 * float(np.max(np.abs(self.power - pi[None, :]).sum(axis=1)))
             if tv < _TV_CLAMP:
                 self.clamp_index = len(self.tv_curve) + 1

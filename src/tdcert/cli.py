@@ -200,7 +200,7 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def cmd_oracle(cfg: dict, out_dir: str, seed_override=None) -> int:
+def cmd_oracle(cfg: dict, out_dir: str) -> int:
     provider, theta0 = _parse_instance(cfg)
     doc = oracle_report(provider, theta0)
     os.makedirs(out_dir, exist_ok=True)
@@ -349,7 +349,7 @@ def main(argv=None) -> int:
             return EXIT_INVALID_INPUT
 
         if args.command == "oracle":
-            return cmd_oracle(cfg, args.out, args.seed)
+            return cmd_oracle(cfg, args.out)
         if args.command == "run":
             return cmd_run(cfg, args.out, args.seed)
         if args.sweep is None:

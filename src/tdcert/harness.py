@@ -153,17 +153,17 @@ class ExperimentConfig:
 class MonteCarloEstimate:
     """Per-step cross-trial estimates of d_t and e_t with standard errors.
 
-    ``config`` is the experiment the lanes ran; ``theta_bar`` holds each
-    lane's weighted average when one was requested, and ``retained`` each
-    lane's iterates theta_0..theta_T, (trials, T+1, K), when retained.
+    ``config`` is the experiment the lanes ran; ``abort_step`` is None unless
+    ``abort_count`` lanes hit the divergence guard, which stops the run at
+    that step. ``theta_bar`` holds each lane's weighted average when one was
+    requested, and ``retained`` each lane's iterates theta_0..theta_T,
+    (trials, T+1, K), when retained.
     """
 
     d_hat: np.ndarray
     d_se: np.ndarray
     e_hat: np.ndarray
     e_se: np.ndarray
-    trials: int
-    valid: bool
     abort_count: int
     abort_step: int | None
     config: ExperimentConfig
@@ -259,7 +259,7 @@ def _simulate(config: ExperimentConfig, weight_A: float | None = None,
     # G^2 / 2, inside the guard whatever the rounding; one max over the batch
     # costs a third of the exact row sums
     safe = DIVERGENCE_GUARD / math.sqrt(2 * K)
-    pi_sampler = InverseCdfTable(np.cumsum(mrp.stationary.pi)[None, :])
+    pi_sampler = InverseCdfTable(np.cumsum(mrp.pi)[None, :])
     sampler, R = mrp.sampler, mrp.R
     iid = config.sampling == "iid_restart"
     draws = 2 if iid else 1
@@ -364,8 +364,8 @@ def _simulate(config: ExperimentConfig, weight_A: float | None = None,
     return MonteCarloEstimate(
         d_hat=d_mean, d_se=_se_from_centered(d_dev, trials),
         e_hat=e_mean[:T], e_se=_se_from_centered(e_dev[:T], trials),
-        trials=trials, valid=abort_step is None, abort_count=abort_count,
-        abort_step=abort_step, config=config, retained=retained,
+        abort_count=abort_count, abort_step=abort_step, config=config,
+        retained=retained,
         theta_bar=None if S is None else np.ascontiguousarray(S.T),
     )
 
@@ -386,7 +386,7 @@ def simulate_trajectories(config: ExperimentConfig) -> MonteCarloEstimate:
     config replays it bit for bit. Raises ConfigError if any lane hits the
     divergence guard."""
     sim = _simulate(config, retain=True)
-    if not sim.valid:
+    if sim.abort_step is not None:
         raise ConfigError(
             f"{sim.abort_count} trials hit the divergence guard at step "
             f"{sim.abort_step}; cannot retain trajectories")
@@ -420,8 +420,6 @@ class BoundLedger:
     slack: dict
     n_steps: int
     notes: str = ""
-    bound_value: np.ndarray | None = None
-    margin: np.ndarray | None = None
 
     @property
     def passed(self) -> bool:
@@ -457,8 +455,8 @@ def _refused(estimate: MonteCarloEstimate, theorem_id: str, n_steps: int,
     if not config.in_contract():
         verdict, margin, step = "out-of-contract", float("nan"), -1
         notes += " (step-size hypothesis violated; no claim checked)"
-    elif not estimate.valid:
-        verdict, margin, step = "invalid", float("-inf"), estimate.abort_step or -1
+    elif estimate.abort_step is not None:
+        verdict, margin, step = "invalid", float("-inf"), estimate.abort_step
         notes = f"{estimate.abort_count} trials hit the divergence guard"
     else:
         return None
@@ -492,7 +490,6 @@ def check_boundedness(estimate: MonteCarloEstimate) -> BoundLedger:
         slack={"multiplier": SLACK_MULTIPLIER,
                "max_width": float(np.max(SLACK_MULTIPLIER * estimate.d_se))},
         n_steps=estimate.T + 1,
-        bound_value=np.full(estimate.T + 1, B), margin=margin,
     )
 
 
@@ -534,11 +531,6 @@ def check_recursion(estimate: MonteCarloEstimate) -> BoundLedger:
                             - SLACK_MULTIPLIER * estimate.e_se[pre])
     pre_tau_ok = bool(np.all(pre_margin >= 0.0)) if pre.size else True
 
-    # full-length per-step columns, indexed by t+1 (the bounded side)
-    bound_value = np.full(T + 1, np.nan)
-    margin = np.full(T + 1, np.nan)
-    bound_value[t + 1] = rate * estimate.d_hat[t] + c * perturb_scale
-    margin[t + 1] = CEILING - needed_c
     worst = int(np.argmax(needed_c))
     ok = c <= CEILING and c_prime <= CEILING and pre_tau_ok
     return BoundLedger(
@@ -551,13 +543,20 @@ def check_recursion(estimate: MonteCarloEstimate) -> BoundLedger:
                 "pre_tau_ok": pre_tau_ok, "ceiling": CEILING},
         slack={"multiplier": SLACK_MULTIPLIER,
                "max_width": float(np.max(slack_rec))},
-        n_steps=T - tau, bound_value=bound_value, margin=margin,
+        n_steps=T - tau,
     )
 
 
 def check_iid_noise(estimate: MonteCarloEstimate) -> BoundLedger:
     """Control check: under i.i.d. restart sampling the disturbance e_t is
-    exactly zero in expectation, so e_hat must sit within 3 SE of 0 for t >= 1."""
+    exactly zero in expectation, so the pooled sum of e_hat over t >= 1 must
+    sit within 3 SE of 0, its SE sqrt(sum_t SE(t)^2).
+
+    Each lane's terms are martingale differences in t, uncorrelated across
+    steps, so the pooled SE is the SE of the sum, and the one comparison
+    keeps the nominal 3-SE false-fail rate; a band at every step would fail
+    some step of a long run by chance alone. ``fitted`` records the pooled
+    z-score and the number of steps pooled."""
     _require_ledger_grade(estimate)
     config = estimate.config
     if config.sampling != "iid_restart":
@@ -567,18 +566,18 @@ def check_iid_noise(estimate: MonteCarloEstimate) -> BoundLedger:
     refused = _refused(estimate, "lemma4-iid-control", estimate.T - 1, "")
     if refused is not None:
         return refused
-    t = np.arange(1, estimate.T)
-    margin = SLACK_MULTIPLIER * estimate.e_se[t] - np.abs(estimate.e_hat[t])
-    worst = int(np.argmin(margin))
-    verdict = "pass" if margin[worst] >= 0.0 else "fail"
+    steps = estimate.T - 1
+    total = float(estimate.e_hat[1:].sum())
+    se = math.sqrt(float(np.sum(estimate.e_se[1:] ** 2)))
+    margin = SLACK_MULTIPLIER * se - abs(total)
     return BoundLedger(
         theorem_id="lemma4-iid-control", hypothesis=config.hypothesis(),
-        verdict=verdict, worst_margin=float(margin[worst]),
-        worst_step=int(t[worst]),
-        fitted={"max_abs_e": float(np.max(np.abs(estimate.e_hat[t])))},
-        slack={"multiplier": SLACK_MULTIPLIER,
-               "max_width": float(np.max(SLACK_MULTIPLIER * estimate.e_se[t]))},
-        n_steps=t.size, margin=margin,
+        verdict="pass" if margin >= 0.0 else "fail", worst_margin=margin,
+        worst_step=-1,
+        fitted={"z": total / se if se > 0.0 else float("nan"),
+                "steps_pooled": steps},
+        slack={"multiplier": SLACK_MULTIPLIER, "max_width": SLACK_MULTIPLIER * se},
+        n_steps=steps,
     )
 
 
@@ -624,38 +623,14 @@ def check_drift(estimate: MonteCarloEstimate) -> BoundLedger:
 # ---------------------------------------------------------------------------
 # Weighted iterate averaging
 
-@dataclass(frozen=True)
-class WeightedAverageSpec:
-    """Exponentially increasing iterate weights with the two-case tuned alpha.
-
-    A = 0.5 omega (1 - gamma); unnormalized weights (1 - alpha A)^-(t+1);
-    lambda_tune = max(e, A (T+1)^2 / tau). The tuned alpha always satisfies
-    the constant-step-size cap, so boundedness applies.
-    """
-
-    A: float
-    alpha: float
-    tau: int
-    T: int
-    lambda_tune: float
-    case: int
-
-    def weight_rate(self) -> float:
-        return 1.0 - self.alpha * self.A
-
-    def weights(self) -> np.ndarray:
-        """Materialized normalized weights w_0..w_T (log-space, overflow-safe)."""
-        t = np.arange(self.T + 1, dtype=float)
-        logw = -(t + 1.0) * math.log(self.weight_rate())
-        logw -= logw.max()
-        w = np.exp(logw)
-        return w / w.sum()
-
-
-def tune_weighted_average(provider: UpdateDirectionProvider, T: int) -> WeightedAverageSpec:
-    """Resolve the horizon-aware step-size: alpha = ln(lambda)/(A (T+1)) when
-    that obeys the mixing cap, otherwise the cap itself; iterated until the
-    mixing time it certifies is self-consistent."""
+def tune_weighted_average(provider: UpdateDirectionProvider, T: int):
+    """The horizon-aware step-size of averaging with weights
+    (1 - alpha A)^-(t+1), A = 0.5 contraction, as (spec, lambda, case):
+    alpha = ln(lambda)/(A (T+1)) with lambda = max(e, A (T+1)^2 / tau) when
+    that obeys the mixing cap (case 1), otherwise the cap itself (case 2),
+    iterated until the mixing time it certifies is self-consistent. ``spec``
+    is ``spec_at(provider, alpha)``, so it always satisfies the cap and
+    boundedness applies."""
     A = 0.5 * provider.contraction
     spec = resolve_step_size(provider)
     for _ in range(50):
@@ -664,11 +639,9 @@ def tune_weighted_average(provider: UpdateDirectionProvider, T: int) -> Weighted
         alpha_case1 = math.log(lam) / (A * (T + 1))
         cap = spec.caps(provider.contraction)
         case = 1 if alpha_case1 <= cap else 2
-        alpha = alpha_case1 if case == 1 else cap
-        spec = spec_at(provider, alpha)
+        spec = spec_at(provider, alpha_case1 if case == 1 else cap)
         if spec.tau_alpha == tau_hat:
-            return WeightedAverageSpec(A=A, alpha=alpha, tau=tau_hat, T=T,
-                                       lambda_tune=lam, case=case)
+            return spec, lam, case
     raise StepSizeError("weighted-average tuning did not stabilize")
 
 
@@ -690,19 +663,19 @@ def weighted_average_experiment(config: ExperimentConfig) -> BoundLedger:
     if len(grid) < 2:
         raise ConfigError("averaging grid needs at least two horizons")
     model = config.model
+    weight_A = 0.5 * config.provider.contraction
     rows = []
     for T in grid:
-        wspec = tune_weighted_average(config.provider, T)
-        spec = StepSizeSpec(alpha=wspec.alpha, tau_alpha=wspec.tau)
+        spec, lam, case = tune_weighted_average(config.provider, T)
         sub = replace(config, T=T, spec=spec,
                       master_seed=derive_seed(config.master_seed, T))
-        sim = _simulate(sub, weight_A=wspec.A)
-        if not sim.valid:
+        sim = _simulate(sub, weight_A=weight_A)
+        if sim.abort_step is not None:
             raise ConfigError(f"averaging run at T={T} hit the divergence guard")
         errs = model.value_error_D(sim.theta_bar)
         rows.append({
-            "T": T, "alpha": wspec.alpha, "tau": wspec.tau, "case": wspec.case,
-            "lambda": wspec.lambda_tune,
+            "T": T, "alpha": spec.alpha, "tau": spec.tau_alpha, "case": case,
+            "lambda": lam,
             "err": float(errs.mean()),
             "se": float(errs.std(ddof=1) / math.sqrt(config.trials)),
         })
@@ -796,19 +769,20 @@ def write_columnar(path, estimate: MonteCarloEstimate,
                    ledger: BoundLedger | None = None):
     """Flat per-step export: t, d_hat, d_se, e_hat, e_se, bound_value, margin.
 
-    Floats are written with repr so reruns are byte-identical.
+    The last two columns are the boundedness ledger's B and its per-step
+    margin B - (d_hat - 3 SE); they are NaN when the ledger has no B (none
+    given, or refused: out of contract or invalid). Floats are written with
+    repr so reruns are byte-identical.
     """
     T = estimate.T
     nan = float("nan")
-    bound = ledger.bound_value if ledger is not None and ledger.bound_value is not None else None
-    marg = ledger.margin if ledger is not None and ledger.margin is not None else None
+    B = float(ledger.fitted.get("B", nan)) if ledger is not None else nan
+    margin = B - (estimate.d_hat - SLACK_MULTIPLIER * estimate.d_se)
     with open(path, "w") as fh:
         fh.write(f"# fingerprint={estimate.config.fingerprint()}\n")
         fh.write("t,d_hat,d_se,e_hat,e_se,bound_value,margin\n")
         for t in range(T + 1):
             e_h = float(estimate.e_hat[t]) if t < T else nan
             e_s = float(estimate.e_se[t]) if t < T else nan
-            b = float(bound[t]) if bound is not None and t < bound.shape[0] else nan
-            mg = float(marg[t]) if marg is not None and t < marg.shape[0] else nan
             fh.write(f"{t},{float(estimate.d_hat[t])!r},{float(estimate.d_se[t])!r},"
-                     f"{e_h!r},{e_s!r},{b!r},{mg!r}\n")
+                     f"{e_h!r},{e_s!r},{B!r},{float(margin[t])!r}\n")

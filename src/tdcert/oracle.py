@@ -19,12 +19,12 @@ from .chain import (
     ChainPowers,
     MarkovRewardProcess,
     MixingProfile,
-    StationaryDistribution,
     generator,
     derive_seed,
 )
 
 _OMEGA_TOL = 1e-10
+MAX_HORIZON = 1 << 16  # the longest horizon a mixing-time search doubles to
 
 
 class FeatureError(ValueError):
@@ -166,9 +166,7 @@ class SteadyStateModel:
             )
         self.mrp = mrp
         self.features = features
-        self.stationary = mrp.stationary
-        pi = self.stationary.pi
-        A_bar, b_neg, Sigma = _steady_matrices(mrp, features, pi)
+        A_bar, b_neg, Sigma = _steady_matrices(mrp, features, mrp.pi)
         omega = float(np.linalg.eigvalsh(Sigma)[0])
         if omega <= _OMEGA_TOL:
             raise FeatureError(
@@ -313,7 +311,6 @@ class MixingOracle:
             raise ChainError(f"chain fails Assumption 1 ({report.describe()})")
         self.mrp = mrp
         self.features = features
-        self._pi = mrp.stationary.pi
         Phi = features.Phi
         M = (mrp.gamma * mrp.P - np.eye(mrp.n)) @ Phi
         # row s is phi(s) M[s]^T flattened, so a deviation step is one GEMM
@@ -331,7 +328,7 @@ class MixingOracle:
         over initial tuples, with Q = P^(k-1): conditioning on X_0 reduces to
         the next state s_1."""
         Phi = self.features.Phi
-        W = Q - self._pi[None, :]
+        W = Q - self.mrp.pi[None, :]
         A_t = (W @ self._Z).reshape(-1, self.features.K, self.features.K)
         op = np.linalg.svd(A_t, compute_uv=False)[:, 0]
         vec = np.linalg.norm((W * self.mrp.R[None, :]) @ Phi, axis=1)
@@ -353,8 +350,8 @@ class MixingOracle:
         """The chain's TV mixing profile over k = 1..horizon."""
         return self._checked(horizon)[2]
 
-    def certify(self, epsilon: float, horizon: int | None = None,
-                max_horizon: int = 1 << 16) -> "MixingTimeCertificate":
+    def certify(self, epsilon: float,
+                horizon: int | None = None) -> "MixingTimeCertificate":
         """Smallest certified tau(epsilon); see ``mixing_time``."""
         if epsilon <= 0.0:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -371,7 +368,7 @@ class MixingOracle:
                     margin_curve=dev, tail_coeff=tail_coeff,
                     tail_rho=profile.rho, method="exact-linear",
                 )
-            if horizon is not None or H >= max_horizon:
+            if horizon is not None or H >= MAX_HORIZON:
                 if profile.rho > 0.0 and tail_coeff > 0.0:
                     needed = 1 + math.ceil(
                         math.log(tail_coeff / epsilon) / math.log(1.0 / profile.rho)
@@ -383,12 +380,11 @@ class MixingOracle:
                     f"approximately {needed} steps required",
                     required_horizon=needed,
                 )
-            H = min(H * 2, max_horizon)
+            H = min(H * 2, MAX_HORIZON)
 
 
 def mixing_time(mrp: MarkovRewardProcess, features: FeatureMatrix,
-                epsilon: float, horizon: int | None = None,
-                max_horizon: int = 1 << 16) -> MixingTimeCertificate:
+                epsilon: float, horizon: int | None = None) -> MixingTimeCertificate:
     """Smallest certified t such that the conditional expected TD direction is
     epsilon-close to steady state, uniformly over theta and the initial tuple,
     for every k >= t.
@@ -397,15 +393,15 @@ def mixing_time(mrp: MarkovRewardProcess, features: FeatureMatrix,
     operator-norm condition per step, enumerated out to a finite horizon; the
     geometric envelope of the chain extends the certificate past the horizon.
     The search starts at ``horizon`` (64 if None) and doubles up to
-    ``max_horizon`` unless a horizon is given. This computes from scratch on a
+    ``MAX_HORIZON`` unless a horizon is given. This computes from scratch on a
     fresh oracle; a model's ``mixing`` oracle reuses its curves across queries.
     """
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    return MixingOracle(mrp, features).certify(epsilon, horizon, max_horizon)
+    return MixingOracle(mrp, features).certify(epsilon, horizon)
 
 
-def envelope_mixing_time(profile: MixingProfile, stationary: StationaryDistribution,
+def envelope_mixing_time(profile: MixingProfile, pi: np.ndarray,
                          lipschitz_scale: float, epsilon: float) -> MixingTimeCertificate:
     """Certified over-estimate of the mixing time from the TV envelope alone.
 
@@ -417,7 +413,7 @@ def envelope_mixing_time(profile: MixingProfile, stationary: StationaryDistribut
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     G = float(lipschitz_scale)
-    tv0 = 1.0 - float(stationary.pi.min())
+    tv0 = 1.0 - float(pi.min())
     bound1 = 2.0 * G * tv0
     coeff = 2.0 * G * profile.c0
     if profile.rho <= 0.0 or coeff <= epsilon:
@@ -435,16 +431,16 @@ def envelope_mixing_time(profile: MixingProfile, stationary: StationaryDistribut
     )
 
 
-def dnorm_contraction_margin(mrp: MarkovRewardProcess,
-                             stationary: StationaryDistribution,
-                             sample_count: int, seed: int) -> float:
-    """Largest observed violation of ||P x||_D <= ||x||_D over random vectors.
+def dnorm_contraction_margin(mrp: MarkovRewardProcess, sample_count: int,
+                             seed: int) -> float:
+    """Largest observed violation of ||P x||_D <= ||x||_D over random vectors,
+    D the chain's own stationary law.
 
     Nonpositive (within 1e-12) for any valid chain.
     """
     rng = generator(derive_seed(seed, 0xD0A7))
     X = rng.normal(size=(int(sample_count), mrp.n))
-    pi = stationary.pi
+    pi = mrp.pi
     before = np.sqrt((X ** 2 * pi).sum(axis=1))
     after = np.sqrt(((X @ mrp.P.T) ** 2 * pi).sum(axis=1))
     return float(np.max(after - before))
@@ -466,7 +462,7 @@ def oracle_report(provider, theta0=None, eps_grid=(1e-1, 1e-2, 1e-3, 1e-4)) -> d
         "K": model.K,
         "gamma": model.mrp.gamma,
         "r_bar": model.mrp.r_bar,
-        "pi": model.stationary.pi.tolist(),
+        "pi": model.mrp.pi.tolist(),
         "A_bar": model.A_bar.tolist(),
         "b_neg": model.b_neg.tolist(),
         "Sigma": model.Sigma.tolist(),

@@ -140,7 +140,7 @@ class UpdateDirectionProvider:
         """The certificate of the step-size rule's tau(epsilon): the
         TV-envelope over-estimate on the model's 64-step profile at G = L sigma."""
         model = self.model
-        return envelope_mixing_time(model.mixing.profile(64), model.stationary,
+        return envelope_mixing_time(model.mixing.profile(64), model.mrp.pi,
                                     self.L * self.sigma_const, epsilon)
 
     @property
@@ -205,7 +205,7 @@ class LinearContractionProvider(UpdateDirectionProvider):
         noise = np.array(noise_table, dtype=float)
         if noise.ndim != 2 or noise.shape[1] != theta_star.shape[0]:
             raise ValueError("noise table must be n x K")
-        noise = noise - model.stationary.pi @ noise  # recenter under pi
+        noise = noise - model.mrp.pi @ noise  # recenter under pi
         self.model = model
         self.c_table = theta_star[None, :] + noise
         self._c_cols = np.ascontiguousarray(self.c_table.T)
@@ -225,7 +225,7 @@ class LinearContractionProvider(UpdateDirectionProvider):
     def noise_variance(self) -> float:
         """Stationary second moment E ||c(X) - theta_star||^2."""
         dev = self.c_table - self.theta_star[None, :]
-        return float(self.model.stationary.pi @ (dev ** 2).sum(axis=1))
+        return float(self.model.mrp.pi @ (dev ** 2).sum(axis=1))
 
     def describe(self):
         return {"kind": "linear_contraction", "c": self.c_table.tolist()}
@@ -241,7 +241,7 @@ class SaturatingMonotoneProvider(UpdateDirectionProvider):
             raise ValueError("need a > 0 and b >= 0")
         theta_star = np.array(theta_star, dtype=float).reshape(-1)
         noise = np.array(noise_table, dtype=float)
-        noise = noise - model.stationary.pi @ noise
+        noise = noise - model.mrp.pi @ noise
         self.model = model
         self.noise_table = noise
         self._noise_cols = np.ascontiguousarray(noise.T)
@@ -334,10 +334,9 @@ def resolve_step_size(provider: UpdateDirectionProvider) -> StepSizeSpec:
 
     alpha = bound / STEP_C
     for _ in range(100):
-        tau = provider.certify(alpha).tau
-        candidate = min(bound / (STEP_C * tau), 1.0 / (8.0 * tau))
+        spec = StepSizeSpec(alpha=alpha, tau_alpha=provider.certify(alpha).tau)
+        candidate = spec.caps(bound)
         if candidate == alpha:
-            spec = StepSizeSpec(alpha=alpha, tau_alpha=tau)
             if not spec.in_contract(bound):
                 raise StepSizeError("resolved spec violates its own caps")
             return spec

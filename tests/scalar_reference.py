@@ -31,7 +31,7 @@ def reference_sa(provider, mrp, theta0, spec, T, seed, sampling="markov",
                  start_state=None, delays=None):
     """Iterates theta_0..theta_T as a (T + 1, K) array."""
     rng = generator(seed)
-    cum_pi = np.cumsum(mrp.stationary.pi)
+    cum_pi = np.cumsum(mrp.pi)
     s = start_state
     if sampling == "markov" and start_state is None:
         s = _inv_cdf(cum_pi, rng.random())

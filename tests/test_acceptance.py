@@ -79,8 +79,8 @@ def test_criterion_1_oracle_exactness(random_instances):
         g_res = float(np.linalg.norm(
             steady_state_direction(model, model.theta_star)))
         pi_res = float(np.max(np.abs(
-            model.stationary.pi @ model.mrp.P - model.stationary.pi)))
-        con = dnorm_contraction_margin(model.mrp, model.stationary, 10_000,
+            model.mrp.pi @ model.mrp.P - model.mrp.pi)))
+        con = dnorm_contraction_margin(model.mrp, 10_000,
                                        seed=derive_seed(9000, i))
         worst_g = max(worst_g, g_res)
         worst_pi = max(worst_pi, pi_res)

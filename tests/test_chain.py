@@ -80,24 +80,24 @@ class TestValidateChain:
 
 class TestStationary:
     def test_single_state(self):
-        st_ = stationary_distribution(make([[1.0]]))
-        np.testing.assert_allclose(st_.pi, [1.0])
+        pi = stationary_distribution(make([[1.0]]))
+        np.testing.assert_allclose(pi, [1.0])
 
     def test_symmetric_doubly_stochastic(self):
-        st_ = stationary_distribution(make([[0.5, 0.5], [0.5, 0.5]]))
-        np.testing.assert_allclose(st_.pi, [0.5, 0.5], atol=1e-14)
+        pi = stationary_distribution(make([[0.5, 0.5], [0.5, 0.5]]))
+        np.testing.assert_allclose(pi, [0.5, 0.5], atol=1e-14)
 
     def test_two_state_exact_thirds(self):
         # independent oracle for a 2-state chain: pi_0 = p10 / (p01 + p10)
         p01, p10 = 0.1, 0.2
         expected = np.array([p10, p01]) / (p01 + p10)
-        st_ = stationary_distribution(make(TWO_STATE))
-        np.testing.assert_allclose(st_.pi, expected, atol=1e-14)
-        np.testing.assert_allclose(st_.pi, [2.0 / 3.0, 1.0 / 3.0], atol=1e-14)
+        pi = stationary_distribution(make(TWO_STATE))
+        np.testing.assert_allclose(pi, expected, atol=1e-14)
+        np.testing.assert_allclose(pi, [2.0 / 3.0, 1.0 / 3.0], atol=1e-14)
 
     def test_periodic_chain_rejected_with_hint(self):
         mrp = make([[0.0, 1.0], [1.0, 0.0]])
-        for solve in (stationary_distribution, lambda m: m.stationary) * 2:
+        for solve in (stationary_distribution, lambda m: m.pi) * 2:
             with pytest.raises(ChainError, match="validate_chain"):
                 solve(mrp)
         assert mrp.validation is mrp.validation
@@ -106,10 +106,10 @@ class TestStationary:
     @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 8))
     def test_random_chain_invariants(self, seed, n):
         mrp = random_mrp(n, 0.8, seed)
-        st_ = stationary_distribution(mrp)
-        assert np.max(np.abs(st_.pi @ mrp.P - st_.pi)) <= 1e-10
-        assert st_.pi.min() > 0.0
-        assert abs(st_.pi.sum() - 1.0) <= 1e-12
+        pi = stationary_distribution(mrp)
+        assert np.max(np.abs(pi @ mrp.P - pi)) <= 1e-10
+        assert pi.min() > 0.0
+        assert abs(pi.sum() - 1.0) <= 1e-12
 
 
 class TestMixingProfile:

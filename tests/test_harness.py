@@ -24,6 +24,7 @@ from tdcert.sa_core import (
     TD0Provider,
     bound_B,
     resolve_step_size,
+    spec_at,
 )
 from tdcert.harness import (
     _TrialStreams,
@@ -230,7 +231,7 @@ class TestEstimate:
 
         monkeypatch.setattr(np.random, "Philox", counting)
         estimate = estimate_dt_et(fast_config(trials=500, T=20))
-        assert estimate.valid
+        assert estimate.abort_step is None
         assert 1 <= len(built) <= 2
 
     @pytest.mark.parametrize("start_state", [-1, 2])
@@ -242,7 +243,7 @@ class TestEstimate:
         bad_spec = StepSizeSpec(alpha=1e8, tau_alpha=1)
         cfg = fast_config(spec=bad_spec, trials=150, T=2000, theta0=[1.0])
         est = estimate_dt_et(cfg)
-        assert not est.valid
+        assert est.abort_step is not None
         assert est.abort_count > 0
         assert est.abort_step is not None
         assert np.isnan(est.d_hat[-1])
@@ -315,6 +316,27 @@ class TestRecursion:
         assert led.verdict == "pass"
         assert led.worst_margin >= 0.0
 
+    def test_iid_control_passes_on_seeds_0_to_19(self):
+        # one pooled 3-SE comparison, not one per step: a 3-SE band at each of
+        # the 199 steps fails 10 of these 20 seeds by chance alone
+        config, _ = parse_experiment(bundled.bundled_config("lemma4_iid_control"))
+        for seed in range(20):
+            led = check_iid_noise(estimate_dt_et(replace(config, master_seed=seed)))
+            assert led.verdict == "pass", (seed, led.fitted)
+            assert abs(led.fitted["z"]) <= 3.0
+            assert led.fitted["steps_pooled"] == led.n_steps == config.T - 1
+
+    def test_iid_control_fails_a_biased_direction(self):
+        class Biased(TD0Provider):
+            def direction(self, theta, X):
+                return super().direction(theta, X) + 0.005
+
+        config, _ = parse_experiment(bundled.bundled_config("lemma4_iid_control"))
+        led = check_iid_noise(estimate_dt_et(
+            replace(config, provider=Biased(config.model))))
+        assert led.verdict == "fail"
+        assert led.fitted["z"] < -3.0 and led.worst_margin < 0.0
+
     def test_iid_check_requires_iid_sampling(self):
         with pytest.raises(ConfigError, match="iid_restart"):
             check_iid_noise(estimate_dt_et(fast_config()))
@@ -338,13 +360,13 @@ class TestRefusals:
         alpha = 10 * FAST_SPEC.alpha * STEP_C * FAST_SPEC.tau_alpha
         spec = replace(FAST_SPEC, alpha=alpha)
         est = estimate_dt_et(fast_config(spec=spec, T=50, trials=100))
-        assert not est.valid
+        assert est.abort_step is not None
         return est, spec
 
     def _invalid(self):
         # retained iterates, so the drift check reads the same estimate
         est = simulate_trajectories(fast_config(T=50, trials=100))
-        return replace(est, valid=False, abort_count=3, abort_step=7)
+        return replace(est, abort_count=3, abort_step=7)
 
     def test_boundedness_out_of_contract_record(self):
         est, _ = self._out_of_contract()
@@ -392,7 +414,7 @@ class TestRefusals:
     def test_iid_control_invalid_record(self):
         # aborted lanes leave NaN in e_hat; the control refuses, not fails
         est = estimate_dt_et(fast_config(T=50, trials=100, sampling="iid_restart"))
-        est = replace(est, valid=False, abort_count=3, abort_step=7)
+        est = replace(est, abort_count=3, abort_step=7)
         assert _ledger_json(check_iid_noise(est)) == _ledger_json(BoundLedger(
             theorem_id="lemma4-iid-control", hypothesis=self.IN,
             verdict="invalid", worst_margin=float("-inf"), worst_step=7,
@@ -485,20 +507,6 @@ class TestDrift:
 
 
 class TestWeightedAveraging:
-    def test_weights_sanity_half_rate(self):
-        # (1 - alpha A) = 0.5 and T = 1 gives normalized weights [1/3, 2/3]
-        spec = tune_weighted_average(TD0Provider(ONE_MODEL), 1)
-        w = type(spec)(A=spec.A, alpha=0.5 / spec.A, tau=spec.tau, T=1,
-                       lambda_tune=spec.lambda_tune, case=2).weights()
-        np.testing.assert_allclose(w, [1 / 3, 2 / 3], atol=1e-12)
-
-    def test_weights_invariants_large_horizon(self):
-        spec = tune_weighted_average(TD0Provider(FAST_MODEL), 4096)
-        w = spec.weights()
-        assert np.all(w > 0)
-        assert np.all(np.diff(w) > 0)
-        assert abs(w.sum() - 1.0) <= 1e-12
-
     def test_incremental_average_matches_direct(self):
         rng = generator(21)
         thetas = rng.normal(size=(30, 2))
@@ -514,10 +522,17 @@ class TestWeightedAveraging:
 
     def test_tuned_alpha_respects_cap(self):
         for T in (64, 512, 4096):
-            spec = tune_weighted_average(TD0Provider(FAST_MODEL), T)
-            cap = FAST_MODEL.contraction_rate / (8.0 * spec.tau)
+            spec, lam, _ = tune_weighted_average(TD0Provider(FAST_MODEL), T)
+            cap = FAST_MODEL.contraction_rate / (8.0 * spec.tau_alpha)
             assert spec.alpha <= cap + 1e-15
-            assert spec.lambda_tune >= math.e
+            assert lam >= math.e
+
+    @pytest.mark.parametrize("T, case", [(1, 2), (4096, 2), (16384, 1)])
+    def test_tuned_spec_is_the_certified_spec(self, T, case):
+        provider = TD0Provider(FAST_MODEL)
+        spec, _, tuned_case = tune_weighted_average(provider, T)
+        assert tuned_case == case
+        assert spec == spec_at(provider, spec.alpha)
 
     def test_one_state_average_converges_geometrically(self):
         cfg = one_state_config(T=400, trials=100)
@@ -646,3 +661,34 @@ class TestColumnarExport:
         assert len(lines) == 63
         last = lines[-1].split(",")
         assert last[3] == "nan" and last[4] == "nan"  # no e_T at the horizon
+
+    @staticmethod
+    def _ledger_columns(path):
+        rows = [line.split(",") for line in path.read_text().splitlines()[2:]]
+        return [r[5] for r in rows], [r[6] for r in rows]
+
+    def test_margin_column_is_the_boundedness_margin(self, tmp_path):
+        est = estimate_dt_et(fast_config(trials=150, T=60))
+        led = check_boundedness(est)
+        assert led.verdict == "pass"
+        write_columnar(tmp_path / "a.csv", est, led)
+        bound, margin = self._ledger_columns(tmp_path / "a.csv")
+        B = led.fitted["B"]
+        expected = B - (est.d_hat - 3.0 * est.d_se)
+        assert bound == [repr(B)] * 61
+        assert margin == [repr(float(m)) for m in expected]
+        assert float(margin[led.worst_step]) == led.worst_margin
+
+    def test_refused_ledgers_write_nan_columns(self, tmp_path):
+        # out of contract (ten times the cap) and invalid (aborted lanes)
+        alpha = 10 * FAST_SPEC.alpha * STEP_C * FAST_SPEC.tau_alpha
+        out = estimate_dt_et(fast_config(spec=replace(FAST_SPEC, alpha=alpha),
+                                         T=50, trials=100))
+        invalid = replace(estimate_dt_et(fast_config(T=50, trials=100)),
+                          abort_count=3, abort_step=7)
+        for est, verdict in ((out, "out-of-contract"), (invalid, "invalid")):
+            led = check_boundedness(est)
+            assert led.verdict == verdict
+            write_columnar(tmp_path / "a.csv", est, led)
+            bound, margin = self._ledger_columns(tmp_path / "a.csv")
+            assert bound == margin == ["nan"] * 51

@@ -61,15 +61,15 @@ class TestBuildSteadyState:
     def test_identity_features_give_gram_equal_to_D(self):
         mrp = MarkovRewardProcess([[0.9, 0.1], [0.2, 0.8]], [1.0, 0.0], 0.5)
         model = build_steady_state(mrp, identity_features(2))
-        np.testing.assert_allclose(model.Sigma, np.diag(model.stationary.pi),
+        np.testing.assert_allclose(model.Sigma, np.diag(model.mrp.pi),
                                    atol=1e-14)
-        assert model.omega == pytest.approx(model.stationary.pi.min(), abs=1e-12)
+        assert model.omega == pytest.approx(model.mrp.pi.min(), abs=1e-12)
 
     def test_theta_star_matches_projected_bellman_iteration(self):
         # independent oracle: iterate the D-weighted projected Bellman map
         # theta <- Sigma^{-1} Phi^T D (R + gamma P Phi theta), a contraction
         model = build_steady_state(TWO_STATE, TWO_FEATS)
-        pi = model.stationary.pi
+        pi = model.mrp.pi
         Phi = TWO_FEATS.Phi
         Sigma_inv = np.linalg.inv(Phi.T @ (pi[:, None] * Phi))
         theta = np.zeros(1)
@@ -107,7 +107,7 @@ class TestSteadyStateDirection:
         theta = np.array([1.7])
         rng = generator(424242)
         N = 1_000_000
-        cum_pi = np.cumsum(model.stationary.pi)
+        cum_pi = np.cumsum(model.mrp.pi)
         s = np.minimum((cum_pi[None, :] <= rng.random(N)[:, None]).sum(1), 1)
         sp = np.minimum((TWO_STATE.cum_P[s] <= rng.random(N)[:, None]).sum(1), 1)
         dirs = td0_direction(TWO_FEATS, TWO_STATE.gamma, theta[:, None],
@@ -211,7 +211,7 @@ class TestMixingTime:
         profile = tv_mixing_profile(mrp, 64)
         for eps in (0.05, 0.01):
             exact = mixing_time(mrp, model.features, eps)
-            env = envelope_mixing_time(profile, model.stationary,
+            env = envelope_mixing_time(profile, model.mrp.pi,
                                        2.0 * model.sigma_const, eps)
             assert env.tau >= exact.tau
 
@@ -220,7 +220,7 @@ def einsum_deviation_curve(oracle, horizon):
     """Reference for the oracle's deviation step: per k = 1..horizon the
     three-operand einsum tensor sum_s (P^(k-1) - pi)[t, s] phi(s) m(s)^T and
     the curve value built on it."""
-    mrp, Phi, pi = oracle.mrp, oracle.features.Phi, oracle.mrp.stationary.pi
+    mrp, Phi, pi = oracle.mrp, oracle.features.Phi, oracle.mrp.pi
     M = (mrp.gamma * mrp.P - np.eye(mrp.n)) @ Phi
     Q, curve, tensors = np.eye(mrp.n), [], []
     for _ in range(horizon):
@@ -400,16 +400,14 @@ class TestAudits:
         assert np.array_equal(a, b) and np.all(a - b == 0.0)
 
     def test_dnorm_contraction(self):
-        stat = stationary_distribution(TWO_STATE)
-        margin = dnorm_contraction_margin(TWO_STATE, stat, 10_000, seed=9)
+        margin = dnorm_contraction_margin(TWO_STATE, 10_000, seed=9)
         assert margin <= 1e-12
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1))
     def test_dnorm_contraction_random_chains(self, seed):
         mrp = random_mrp(5, 0.8, seed)
-        stat = stationary_distribution(mrp)
-        assert dnorm_contraction_margin(mrp, stat, 2000, seed=seed) <= 1e-12
+        assert dnorm_contraction_margin(mrp, 2000, seed=seed) <= 1e-12
 
 
 class TestReport:

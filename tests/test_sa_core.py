@@ -136,7 +136,7 @@ class TestResolveStepSize:
         assert provider.contraction == 0.5 / 6.25
         tau = spec.tau_alpha
         profile = ONE_MODEL.mixing.profile(64)
-        envelope = envelope_mixing_time(profile, ONE_STATE.stationary,
+        envelope = envelope_mixing_time(profile, ONE_STATE.pi,
                                         2.5 * provider.sigma_const, spec.alpha)
         assert tau == envelope.tau
         assert spec.alpha == provider.contraction / (8.0 * tau) < 1.0 / (8.0 * tau)
@@ -178,7 +178,7 @@ class TestRunSA:
         with pytest.raises(ReferenceDivergence) as exc:
             reference_sa(TD0Provider(TWO_MODEL), TWO_STATE, np.array([1.0]), bad,
                          10_000, seed=derive_seed(2, 0))
-        assert not est.valid
+        assert est.abort_step is not None
         assert est.abort_count == 1
         assert est.abort_step == exc.value.step
         with pytest.raises(ConfigError, match="divergence guard"):
@@ -323,7 +323,7 @@ class TestAuditProvider:
     def test_centered_noise_means_steady_zero_at_fixed_point(self):
         # the table is centered under the stationary law of its model's chain
         provider = LinearContractionProvider([0.3], [[1.0], [-2.0]], TWO_MODEL)
-        pi = provider.model.stationary.pi
+        pi = provider.model.mrp.pi
         np.testing.assert_allclose(pi @ provider.c_table, provider.theta_star,
                                    atol=1e-14)
 
