@@ -43,7 +43,6 @@ from .sa_core import (
     ProviderAudit,
     SaturatingMonotoneProvider,
     StepSizeError,
-    StepSizeSpec,
     TD0Provider,
     UpdateDirectionProvider,
     audit_provider,

@@ -33,10 +33,8 @@ from .sa_core import (
     STEP_C,
     DelayProcess,
     StepSizeError,
-    StepSizeSpec,
     auto_horizon,
     resolve_step_size,
-    spec_at,
     LinearContractionProvider,
     SaturatingMonotoneProvider,
     TD0Provider,
@@ -96,21 +94,6 @@ def _check_derived(section: str, doc: dict, key: str, derived):
                           f"derived value {derived!r}")
 
 
-def _build_spec(step_cfg: dict, provider) -> StepSizeSpec:
-    # the provider picks the constants and certifies tau
-    if step_cfg.get("alpha") is not None:
-        spec = spec_at(provider, float(step_cfg["alpha"]))
-    else:
-        spec = resolve_step_size(provider)
-        scale = float(step_cfg.get("alpha_scale", 1.0))
-        if scale != 1.0:
-            spec = spec_at(provider, spec.alpha * scale)
-    for key, derived in (("mode", provider.mode), ("C", STEP_C),
-                         ("tau", spec.tau_alpha)):
-        _check_derived("step_size", step_cfg, key, derived)
-    return spec
-
-
 def _parse_instance(cfg: dict):
     """The instance of a config document as (provider, theta0): the
     update-direction provider built on the chain (which must pass
@@ -133,10 +116,12 @@ def _parse_instance(cfg: dict):
 def parse_experiment(cfg: dict, seed_override: int | None = None):
     """Turn a config document into an (ExperimentConfig, experiment kind) pair."""
     provider, theta0 = _parse_instance(cfg)
-    spec = _build_spec(cfg.get("step_size", {}), provider)
+    step_cfg = cfg.get("step_size", {})
+    alpha = step_cfg.get("alpha")
+    if alpha is None:  # the provider's fixed point, optionally scaled
+        alpha = resolve_step_size(provider) * float(step_cfg.get("alpha_scale", 1.0))
 
     exp = cfg.get("experiment", {})
-    _check_derived("experiment", exp, "ceiling", CEILING)
     kind = exp.get("kind", "boundedness")
     trials = int(exp.get("trials", 2000))
     if trials < 100:
@@ -144,19 +129,23 @@ def parse_experiment(cfg: dict, seed_override: int | None = None):
             f"trials must be at least 100 for a ledger-producing run, got {trials}")
     T = exp.get("T", "auto")
     if T == "auto":
-        T = auto_horizon(spec, provider)
+        T = auto_horizon(alpha, provider)
     delays_cfg = exp.get("delays")
     delays = DelayProcess(**delays_cfg) if delays_cfg else None
     master_seed = int(exp.get("master_seed", 0))
     if seed_override is not None:
         master_seed = int(seed_override)
     config = ExperimentConfig(
-        provider=provider, theta0=theta0, spec=spec, T=int(T),
+        provider=provider, theta0=theta0, alpha=alpha, T=int(T),
         trials=trials, master_seed=master_seed, delays=delays,
         sampling=exp.get("sampling", "markov"), start_state=exp.get("start_state"),
         averaging_grid=exp.get("averaging_grid"),
         label=cfg.get("label", ""),
     )
+    # the provider picks the mode and the config certifies tau
+    for key, derived in (("mode", provider.mode), ("C", STEP_C), ("tau", config.tau)):
+        _check_derived("step_size", step_cfg, key, derived)
+    _check_derived("experiment", exp, "ceiling", CEILING)
     return config, kind
 
 
@@ -175,8 +164,8 @@ def _manifest(config: ExperimentConfig, cfg_doc: dict, out_dir: str,
         "config": cfg_doc,
         "resolved": {
             "omega": config.model.omega,
-            "tau": config.spec.tau_alpha,
-            "alpha": config.spec.alpha,
+            "tau": config.tau,
+            "alpha": config.alpha,
             "B": config.B,
             "theta_star": config.provider.theta_star.tolist(),
             "fingerprint": config.fingerprint(),
@@ -249,7 +238,11 @@ def _parse_axis(sweep_arg: str):
     if axis == "T":
         return axis, [int(v) for v in values]
     if axis == "tau_max":
-        return axis, [int(v) for v in values]
+        grid = [int(v) for v in values]
+        for tau_max in grid:
+            if tau_max < 0:
+                raise ConfigError(f"sweep value tau_max={tau_max} must be at least 0")
+        return axis, grid
     raise ConfigError(f"unknown sweep axis {axis!r} (alpha, T, tau_max)")
 
 
@@ -289,18 +282,18 @@ def cmd_sweep(cfg: dict, out_dir: str, sweep_arg: str, seed_override=None) -> in
         provider = config.provider
         base = resolve_step_size(provider)
         for tau_max in values:
-            spec = spec_at(provider, base.alpha / (1 + tau_max))
-            T = auto_horizon(spec, provider)
+            alpha = base / (1 + tau_max)
+            T = auto_horizon(alpha, provider)
             delays = DelayProcess(kind=base_kind if tau_max > 0 else "none",
                                   tau_max=tau_max, seed=base_seed)
-            sub = replace(config, spec=spec, T=T, delays=delays)
+            sub = replace(config, alpha=alpha, T=T, delays=delays)
             est, ledgers = run_experiment(sub, "boundedness")
             led = ledgers["boundedness"]
             tag = f"tau_max_{tau_max}"
             write_columnar(os.path.join(out_dir, f"estimate_{tag}.csv"), est, led)
             ledgers_all[tag] = led
             summary["points"].append({
-                "tau_max": tau_max, "alpha": spec.alpha, "tau": spec.tau_alpha, "T": T,
+                "tau_max": tau_max, "alpha": alpha, "tau": sub.tau, "T": T,
                 "verdict": led.verdict,
             })
 

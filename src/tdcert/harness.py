@@ -17,7 +17,8 @@ lane's bits do not depend on how many lanes run beside it. Per-step
 aggregation reduces over the trial axis in a fixed order, so results do not
 depend on scheduling. Every check takes only the estimate and reads alpha,
 tau, the provider (its instance and theorem) and B from ``estimate.config``,
-so a ledger checks the hypothesis it reports; one that checks no claim (out
+whose tau is certified for its alpha and cannot be restated, so a ledger
+checks the hypothesis it reports; one that checks no claim (out
 of contract, or aborted trials) comes from ``_refused``. The bars a ledger is
 held to (``CEILING``, ``SLOPE_THRESHOLD``, ``SLACK_MULTIPLIER``) are module
 constants, not settings. ``run_experiment(config, kind)`` audits the provider
@@ -25,7 +26,7 @@ and runs the checks of one experiment kind.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,7 +43,6 @@ from .sa_core import (
     STEP_C,
     ConfigError,
     DelayProcess,
-    StepSizeSpec,
     StepSizeError,
     TD0Provider,
     UpdateDirectionProvider,
@@ -51,9 +51,9 @@ from .sa_core import (
     bound_B,
     fingerprint,
     initial_theta,
+    positive_alpha,
     resolve_step_size,
     rowsum,
-    spec_at,
 )
 
 _GUARD2 = DIVERGENCE_GUARD ** 2
@@ -74,14 +74,18 @@ class ExperimentConfig:
     """Everything one Monte Carlo experiment needs, deterministically.
 
     The instance (the provider, which holds its chain + features ``model``, and
-    theta0), a resolved step-size spec, the horizon and trial count, the master
-    seed all per-trial streams derive from, and the optional delay process /
-    sampling mode / averaging grid. Derive variants with ``dataclasses.replace``.
+    theta0), the constant step-size alpha, the horizon and trial count, the
+    master seed all per-trial streams derive from, and the optional delay
+    process / sampling mode / averaging grid. ``tau`` is not an argument: it
+    is derived once as ``provider.certify(alpha).tau``, so a config cannot
+    restate the mixing time it is certified at. Derive variants with
+    ``dataclasses.replace``, which certifies a new alpha again.
     """
 
     provider: UpdateDirectionProvider
     theta0: np.ndarray | None
-    spec: StepSizeSpec
+    alpha: float
+    tau: int = field(init=False)
     T: int
     trials: int
     master_seed: int
@@ -92,6 +96,7 @@ class ExperimentConfig:
     label: str = ""
 
     def __post_init__(self):
+        alpha = positive_alpha(self.alpha)  # before any tau is certified
         if self.T < 0:
             raise ConfigError("T must be nonnegative")
         if self.trials < 1:
@@ -101,7 +106,8 @@ class ExperimentConfig:
         normalized = dict(
             theta0=initial_theta(self.provider, self.theta0), T=int(self.T),
             trials=int(self.trials), master_seed=int(self.master_seed),
-            averaging_grid=list(self.averaging_grid) if self.averaging_grid else None)
+            averaging_grid=list(self.averaging_grid) if self.averaging_grid else None,
+            alpha=alpha, tau=self.provider.certify(alpha).tau)
         for name, value in normalized.items():
             object.__setattr__(self, name, value)
 
@@ -114,12 +120,12 @@ class ExperimentConfig:
         return bound_B(self.provider, self.theta0)
 
     def in_contract(self) -> bool:
-        return self.spec.in_contract(self.provider.contraction)
+        return self.alpha <= self.provider.step_cap(self.tau) * (1.0 + 1e-12)
 
     def hypothesis(self) -> dict:
         return {
-            "alpha": self.spec.alpha,
-            "tau": self.spec.tau_alpha,
+            "alpha": self.alpha,
+            "tau": self.tau,
             "C": STEP_C,
             "B": self.B,
             "mode": self.provider.mode,
@@ -131,8 +137,8 @@ class ExperimentConfig:
             "mrp": self.model.mrp.to_dict(),
             "features": self.model.features.to_dict(),
             "theta0": self.theta0.tolist(),
-            "spec": {"C": STEP_C, "alpha": self.spec.alpha,
-                     "tau": self.spec.tau_alpha, "mode": self.provider.mode},
+            "spec": {"C": STEP_C, "alpha": self.alpha, "tau": self.tau,
+                     "mode": self.provider.mode},
             "T": self.T,
             "trials": self.trials,
             "master_seed": self.master_seed,
@@ -251,7 +257,7 @@ def _simulate(config: ExperimentConfig, weight_A: float | None = None,
     lane's iterates.
     """
     provider, mrp, delays = config.provider, config.model.mrp, config.delays
-    alpha, T, trials, K = config.spec.alpha, config.T, config.trials, provider.dim
+    alpha, T, trials, K = config.alpha, config.T, config.trials, provider.dim
     # theta* as full (K, trials) rows: subtracting a (K, 1) column runs
     # about 2x slower than a whole-array op
     star = np.tile(provider.theta_star[:, None], (1, trials))
@@ -505,8 +511,7 @@ def check_recursion(estimate: MonteCarloEstimate) -> BoundLedger:
     """
     _require_ledger_grade(estimate)
     config = estimate.config
-    spec, B = config.spec, config.B
-    alpha, tau = spec.alpha, spec.tau_alpha
+    alpha, tau, B = config.alpha, config.tau, config.B
     rate = 1.0 - alpha * config.provider.beta
     L2 = config.provider.recursion_L2
     perturb_scale = alpha ** 2 * L2 * tau * B
@@ -592,7 +597,7 @@ def check_drift(estimate: MonteCarloEstimate) -> BoundLedger:
                           "experiment with simulate_trajectories")
     config = estimate.config
     trials, Tp1, _ = thetas.shape
-    tau, alpha = config.spec.tau_alpha, config.spec.alpha
+    tau, alpha = config.tau, config.alpha
     if Tp1 - 1 < tau + 1:
         raise ConfigError(f"horizon {Tp1 - 1} too short for tau={tau}")
     refused = _refused(estimate, "lemma3-drift", Tp1 - tau, "")
@@ -625,23 +630,23 @@ def check_drift(estimate: MonteCarloEstimate) -> BoundLedger:
 
 def tune_weighted_average(provider: UpdateDirectionProvider, T: int):
     """The horizon-aware step-size of averaging with weights
-    (1 - alpha A)^-(t+1), A = 0.5 contraction, as (spec, lambda, case):
+    (1 - alpha A)^-(t+1), A = 0.5 contraction, as (alpha, lambda, case):
     alpha = ln(lambda)/(A (T+1)) with lambda = max(e, A (T+1)^2 / tau) when
     that obeys the mixing cap (case 1), otherwise the cap itself (case 2),
-    iterated until the mixing time it certifies is self-consistent. ``spec``
-    is ``spec_at(provider, alpha)``, so it always satisfies the cap and
+    iterated until the mixing time ``provider.certify(alpha)`` certifies is
+    the tau it was tuned at, so alpha always satisfies the cap and
     boundedness applies."""
     A = 0.5 * provider.contraction
-    spec = resolve_step_size(provider)
+    tau = provider.certify(resolve_step_size(provider)).tau
     for _ in range(50):
-        tau_hat = spec.tau_alpha
-        lam = max(math.e, A * (T + 1) ** 2 / tau_hat)
+        lam = max(math.e, A * (T + 1) ** 2 / tau)
         alpha_case1 = math.log(lam) / (A * (T + 1))
-        cap = spec.caps(provider.contraction)
+        cap = provider.step_cap(tau)
         case = 1 if alpha_case1 <= cap else 2
-        spec = spec_at(provider, alpha_case1 if case == 1 else cap)
-        if spec.tau_alpha == tau_hat:
-            return spec, lam, case
+        alpha = alpha_case1 if case == 1 else cap
+        tau_hat, tau = tau, provider.certify(alpha).tau
+        if tau == tau_hat:
+            return alpha, lam, case
     raise StepSizeError("weighted-average tuning did not stabilize")
 
 
@@ -662,19 +667,21 @@ def weighted_average_experiment(config: ExperimentConfig) -> BoundLedger:
     grid = sorted(int(T) for T in config.averaging_grid)
     if len(grid) < 2:
         raise ConfigError("averaging grid needs at least two horizons")
+    if grid[0] < 1:
+        raise ConfigError(f"averaging horizon T={grid[0]} must be at least 1")
     model = config.model
     weight_A = 0.5 * config.provider.contraction
     rows = []
     for T in grid:
-        spec, lam, case = tune_weighted_average(config.provider, T)
-        sub = replace(config, T=T, spec=spec,
+        alpha, lam, case = tune_weighted_average(config.provider, T)
+        sub = replace(config, T=T, alpha=alpha,
                       master_seed=derive_seed(config.master_seed, T))
         sim = _simulate(sub, weight_A=weight_A)
         if sim.abort_step is not None:
             raise ConfigError(f"averaging run at T={T} hit the divergence guard")
         errs = model.value_error_D(sim.theta_bar)
         rows.append({
-            "T": T, "alpha": spec.alpha, "tau": spec.tau_alpha, "case": case,
+            "T": T, "alpha": alpha, "tau": sub.tau, "case": case,
             "lambda": lam,
             "err": float(errs.mean()),
             "se": float(errs.std(ddof=1) / math.sqrt(config.trials)),
@@ -735,7 +742,7 @@ def asymptotic_floor(estimate: MonteCarloEstimate) -> float:
     """Mean of d_hat over the final 10% of steps past the geometric burn-in
     t >= 5 / (alpha * beta)."""
     config = estimate.config
-    burn = int(math.ceil(5.0 / (config.spec.alpha * config.provider.beta)))
+    burn = int(math.ceil(5.0 / (config.alpha * config.provider.beta)))
     start = max(burn, int(math.floor(0.9 * estimate.T)))
     if start >= estimate.T:
         raise ConfigError(
@@ -744,19 +751,22 @@ def asymptotic_floor(estimate: MonteCarloEstimate) -> float:
 
 
 def alpha_sweep(config: ExperimentConfig, multipliers=(1.0, 0.5, 0.25)) -> dict:
-    """Re-run the experiment across an alpha grid (multiples of the resolved
-    alpha) as boundedness experiments, recertifying tau per point, and fit
-    the log-log slope of the asymptotic floor against alpha."""
+    """Re-run the experiment across an alpha grid (positive multiples of the
+    config's alpha) as boundedness experiments, recertifying tau per point,
+    and fit the log-log slope of the asymptotic floor against alpha."""
+    for mult in multipliers:
+        if not (math.isfinite(mult) and mult > 0.0):
+            raise ConfigError(f"alpha multiplier {mult!r} must be a positive "
+                              "finite number")
     results = []
     for mult in multipliers:
-        alpha = config.spec.alpha * float(mult)
-        # tau and the auto horizon as parse_experiment resolves them
-        spec = spec_at(config.provider, alpha)
-        T = auto_horizon(spec, config.provider)
-        sub = replace(config, spec=spec, T=T,
+        alpha = config.alpha * float(mult)
+        # the auto horizon as parse_experiment resolves it; the config certifies tau
+        T = auto_horizon(alpha, config.provider)
+        sub = replace(config, alpha=alpha, T=T,
                       master_seed=derive_seed(config.master_seed, int(mult * 1e6)))
         est, ledgers = run_experiment(sub, "boundedness")
-        results.append({"alpha": alpha, "tau": spec.tau_alpha, "T": T,
+        results.append({"alpha": alpha, "tau": sub.tau, "T": T,
                         "in_contract": sub.in_contract(), "floor": asymptotic_floor(est),
                         "boundedness": ledgers["boundedness"], "estimate": est})
     x = np.log([r["alpha"] for r in results])

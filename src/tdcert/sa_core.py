@@ -5,10 +5,11 @@ Sampled update directions (TD(0) and pluggable providers) with the one audit
 of their declared contract, the constant step-size resolved jointly with the
 mixing time it depends on, the one iterate bound B and auto horizon, and
 bounded delay processes. A provider is the instance: it carries its model
-(chain and features), its theorem's constants (TD(0)'s or generic SA's) and
-its tau certificate. The recursion itself runs in one place, the harness's batch
-kernel ``_simulate(config)``, which takes an experiment and runs its trials
-as lanes.
+(chain and features), its theorem's constants (TD(0)'s or generic SA's), its
+tau certificate and its step-size cap at a given tau. A step-size is alpha
+alone; its tau is always ``provider.certify(alpha).tau``. The recursion
+itself runs in one place, the harness's batch kernel ``_simulate(config)``,
+which takes an experiment and runs its trials as lanes.
 """
 
 import hashlib
@@ -114,8 +115,9 @@ class UpdateDirectionProvider:
     that ``audit_provider`` verifies. ``direction`` and ``steady`` take one
     parameter vector (K,) or a (K, lanes) batch, one column per lane, and
     return the same shape. It carries generic SA's constants (``contraction``,
-    ``recursion_L2``, drift rate ``beta``) and mixing-time certificate
-    (``certify``), named by ``mode`` in the output.
+    ``recursion_L2``, drift rate ``beta``), mixing-time certificate
+    (``certify``) and step-size cap (``step_cap``), named by ``mode`` in the
+    output.
     """
 
     model: SteadyStateModel
@@ -142,6 +144,11 @@ class UpdateDirectionProvider:
         model = self.model
         return envelope_mixing_time(model.mixing.profile(64), model.mrp.pi,
                                     self.L * self.sigma_const, epsilon)
+
+    def step_cap(self, tau: int) -> float:
+        """The largest alpha in contract at mixing time tau:
+        min(contraction / (C tau), 1 / (8 tau)) with C = ``STEP_C``."""
+        return min(self.contraction / (STEP_C * tau), 1.0 / (8.0 * tau))
 
     @property
     def recursion_L2(self) -> float:
@@ -272,31 +279,22 @@ class SaturatingMonotoneProvider(UpdateDirectionProvider):
                 "noise": self.noise_table.tolist()}
 
 
-@dataclass(frozen=True)
-class StepSizeSpec:
-    """A resolved constant step-size with the mixing time it was certified at.
-
-    In contract when alpha <= contraction / (C tau) and alpha <= 1 / (8 tau),
-    with C = ``STEP_C`` and the provider's ``contraction``: omega (1 - gamma)
-    for TD(0), min(beta, 1/beta) / L^2 for a generic provider.
-    """
-
-    alpha: float
-    tau_alpha: int
-
-    def caps(self, contraction: float) -> float:
-        """Largest admissible alpha for a provider's contraction bound."""
-        return min(contraction / (STEP_C * self.tau_alpha),
-                   1.0 / (8.0 * self.tau_alpha))
-
-    def in_contract(self, contraction: float) -> bool:
-        return self.alpha <= self.caps(contraction) * (1.0 + 1e-12)
+def positive_alpha(alpha) -> float:
+    """alpha as a float, refused (ConfigError) unless it is a positive finite
+    number."""
+    try:
+        value = float(alpha)
+    except (TypeError, ValueError):  # a list or a word read from a config
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigError(f"alpha must be a positive finite number, got {alpha!r}")
+    return value
 
 
-def auto_horizon(spec: StepSizeSpec, provider: UpdateDirectionProvider) -> int:
+def auto_horizon(alpha: float, provider: UpdateDirectionProvider) -> int:
     """The default horizon T = ceil(10 / (alpha * beta)), ten e-folds of the
     provider's drift rate."""
-    return int(math.ceil(10.0 / (spec.alpha * provider.beta)))
+    return int(math.ceil(10.0 / (positive_alpha(alpha) * provider.beta)))
 
 
 def bound_B(provider: UpdateDirectionProvider, theta0) -> float:
@@ -316,30 +314,20 @@ def initial_theta(provider: UpdateDirectionProvider, theta0) -> np.ndarray:
     return theta0
 
 
-def spec_at(provider: UpdateDirectionProvider, alpha: float) -> StepSizeSpec:
-    """The spec at a given alpha, with tau certified for it by the provider."""
-    return StepSizeSpec(alpha=alpha, tau_alpha=provider.certify(alpha).tau)
-
-
-def resolve_step_size(provider: UpdateDirectionProvider) -> StepSizeSpec:
+def resolve_step_size(provider: UpdateDirectionProvider) -> float:
     """Solve the circular constraint alpha <= contraction / (C tau(alpha)) for
     the provider's instance and theorem, with C = ``STEP_C``.
 
     Starts from alpha = contraction / C and alternates with the provider's
-    certified mixing time (read off its model's mixing oracle) until the
-    pair is self-consistent. tau is integer-valued and non-increasing in
+    certified mixing time (read off its model's mixing oracle) until alpha is
+    the cap at its own tau. tau is integer-valued and non-increasing in
     alpha, so the iteration terminates.
     """
-    bound = provider.contraction
-
-    alpha = bound / STEP_C
+    alpha = provider.contraction / STEP_C
     for _ in range(100):
-        spec = StepSizeSpec(alpha=alpha, tau_alpha=provider.certify(alpha).tau)
-        candidate = spec.caps(bound)
+        candidate = provider.step_cap(provider.certify(alpha).tau)
         if candidate == alpha:
-            if not spec.in_contract(bound):
-                raise StepSizeError("resolved spec violates its own caps")
-            return spec
+            return alpha
         alpha = candidate
     raise StepSizeError(
         "no self-consistent (alpha, tau) pair within 100 iterations; "

@@ -27,7 +27,7 @@ def _inv_cdf(cum, u):
     return min(idx, cum.shape[0] - 1)
 
 
-def reference_sa(provider, mrp, theta0, spec, T, seed, sampling="markov",
+def reference_sa(provider, mrp, theta0, alpha, T, seed, sampling="markov",
                  start_state=None, delays=None):
     """Iterates theta_0..theta_T as a (T + 1, K) array."""
     rng = generator(seed)
@@ -50,7 +50,7 @@ def reference_sa(provider, mrp, theta0, spec, T, seed, sampling="markov",
         hist_theta[slot] = theta
         hist_X[slot] = (s, sp, float(mrp.R[s]))
         back = (t - int(dseq[t])) % m
-        theta = theta + spec.alpha * provider.direction(hist_theta[back], hist_X[back])
+        theta = theta + alpha * provider.direction(hist_theta[back], hist_X[back])
         if not np.all(np.isfinite(theta)) or np.sum(theta ** 2) > DIVERGENCE_GUARD ** 2:
             raise ReferenceDivergence(t + 1)
         thetas[t + 1] = theta

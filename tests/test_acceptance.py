@@ -115,7 +115,7 @@ def test_criterion_3_theorem1_boundedness():
     for name in THEOREM1_NAMES:
         config, _ = parse_experiment(bundled_config(name))
         assert config.trials == 2000
-        expected_T = math.ceil(10.0 / (config.spec.alpha
+        expected_T = math.ceil(10.0 / (config.alpha
                                        * config.model.contraction_rate))
         assert config.T == expected_T
         led = check_boundedness(estimate_dt_et(config))
@@ -172,7 +172,7 @@ def test_criterion_7_theorem4_nonlinear():
     config, _ = parse_experiment(bundled_config("theorem4_linear_contraction"))
     provider = config.provider
     est, ledgers = run_experiment(config, "recursion")
-    a, V = config.spec.alpha, provider.noise_variance()
+    a, V = config.alpha, provider.noise_variance()
     d = np.zeros(config.T + 1)
     d[0] = float(np.sum((config.theta0 - provider.theta_star) ** 2))
     for t in range(config.T):
@@ -182,17 +182,17 @@ def test_criterion_7_theorem4_nonlinear():
                  and ledgers["boundedness"].verdict == "pass")
 
     sat_config, _ = parse_experiment(bundled_config("theorem4_saturating"))
-    sp, prov = sat_config.spec, sat_config.provider
+    prov = sat_config.provider
     beta_bar = min(prov.beta, 1.0 / prov.beta)
-    cap = beta_bar / (8.0 * sp.tau_alpha * prov.L ** 2)
+    cap = beta_bar / (8.0 * sat_config.tau * prov.L ** 2)
     _, sat_ledgers = run_experiment(sat_config, "recursion")
-    sat_ok = (sp.alpha <= cap + 1e-15
+    sat_ok = (sat_config.alpha <= cap + 1e-15
               and sat_ledgers["boundedness"].verdict == "pass"
               and sat_ledgers["recursion"].verdict == "pass")
     elapsed = time.time() - start
     ok = linear_ok and sat_ok and elapsed < 300.0
     report(7, ok, f"max(|d_hat - closed form| - 3 SE)={closed_gap:.2e} (<=1e-12), "
-                  f"saturating ledgers pass at alpha={sp.alpha:.4g}<=cap={cap:.4g}, "
+                  f"saturating ledgers pass at alpha={sat_config.alpha:.4g}<=cap={cap:.4g}, "
                   f"{elapsed:.1f}s")
 
 
@@ -210,7 +210,7 @@ def test_criterion_8_delayed_sa():
     # the step-size really is the undelayed resolution shrunk by (1+tau_max)
     base, _ = parse_experiment(bundled_config("theorem1_two_state_fast"))
     d5, _ = parse_experiment(bundled_config("delayed_uniform_5"))
-    ok = ok and d5.spec.alpha == pytest.approx(base.spec.alpha / 6.0, rel=1e-12)
+    ok = ok and d5.alpha == pytest.approx(base.alpha / 6.0, rel=1e-12)
 
     # tau_max = 0 reproduces the undelayed loop bit-exactly
     short = replace(base, T=400, trials=4, master_seed=31)

@@ -164,6 +164,21 @@ class TestRunCommand:
         assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) \
             == EXIT_OUT_OF_CONTRACT
 
+    @pytest.mark.parametrize("key, value", [
+        ("alpha", "NaN"), ("alpha", "1e400"), ("alpha", "-0.1"), ("alpha", "0"),
+        ("alpha", "[0.1]"), ("alpha", '"fast"'), ("alpha_scale", "-1")])
+    def test_bad_alpha_exits_invalid(self, tmp_path, capsys, key, value):
+        # refused before any tau is certified, so a NaN never searches the
+        # mixing oracle out to its largest horizon
+        path = tmp_path / "cfg.json"
+        path.write_text('{"bundled": "theorem1_two_state_fast", '
+                        f'"step_size": {{"{key}": {value}}}}}')
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) \
+            == EXIT_INVALID_INPUT
+        assert "alpha must be a positive finite number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ledger_failure_exit_code(self, tmp_path, monkeypatch):
         monkeypatch.setattr(harness, "CEILING", 1e-9)  # force the fitted c' over the bar
         cfg = bundled_config("theorem2_base")
@@ -241,7 +256,7 @@ class TestSweepCommand:
         assert [p["tau_max"] for p in summary["points"]] == [0, 2]
 
     def test_tau_max_sweep_follows_nonlinear_mode(self, tmp_path):
-        # the undelayed point runs at the configured nonlinear spec
+        # the undelayed point runs at the configured nonlinear step-size
         path = write_cfg(tmp_path, {"bundled": "theorem4_saturating",
                                     "experiment": {"trials": 100}})
         out = tmp_path / "sweep"
@@ -251,6 +266,18 @@ class TestSweepCommand:
         assert (point["tau"], point["T"]) == (9, 1470)
         ledgers = json.loads((out / "ledgers.json").read_text())["ledgers"]
         assert ledgers["tau_max_0"]["hypothesis"]["mode"] == "nonlinear"
+
+    @pytest.mark.parametrize("name, sweep, message", [
+        ("theorem1_two_state_fast", "tau_max=-1", "tau_max=-1 must be at least 0"),
+        ("theorem3_averaging", "T=0,64", "averaging horizon T=0 must be at least 1"),
+        ("theorem2_base", "alpha=0,1", "alpha multiplier 0.0 must be"),
+        ("theorem2_base", "alpha=1,-1", "alpha multiplier -1.0 must be"),
+    ])
+    def test_out_of_range_sweep_value_exits_invalid(self, tmp_path, capsys, name,
+                                                    sweep, message):
+        assert main(["sweep", "--bundled", name, "--out", str(tmp_path / "o"),
+                     "--sweep", sweep]) == EXIT_INVALID_INPUT
+        assert message in capsys.readouterr().err
 
     def test_empty_grid_rejected(self, tmp_path):
         path = write_cfg(tmp_path, bundled_config("theorem2_base"))

@@ -20,11 +20,9 @@ from tdcert.sa_core import (
     DelayProcess,
     LinearContractionProvider,
     SaturatingMonotoneProvider,
-    StepSizeSpec,
     TD0Provider,
     bound_B,
     resolve_step_size,
-    spec_at,
 )
 from tdcert.harness import (
     _TrialStreams,
@@ -48,26 +46,27 @@ from tdcert.harness import (
 
 ONE_STATE = MarkovRewardProcess([[1.0]], [1.0], 0.5)
 ONE_MODEL = build_steady_state(ONE_STATE, constant_features(1))
-ONE_SPEC = resolve_step_size(TD0Provider(ONE_MODEL))
+ONE_ALPHA = resolve_step_size(TD0Provider(ONE_MODEL))
 
 FAST = MarkovRewardProcess([[0.8, 0.2], [0.3, 0.7]], [1.0, -1.0], 0.4)
 FAST_FEATS = constant_features(2)
 FAST_MODEL = build_steady_state(FAST, FAST_FEATS)
-FAST_SPEC = resolve_step_size(TD0Provider(FAST_MODEL))
+FAST_ALPHA = resolve_step_size(TD0Provider(FAST_MODEL))
+FAST_TAU = TD0Provider(FAST_MODEL).certify(FAST_ALPHA).tau  # 9
 
 SLOW = MarkovRewardProcess([[0.9, 0.1], [0.2, 0.8]], [1.0, 0.0], 0.5)
 SLOW_FEATS = FeatureMatrix([[1.0], [0.0]])
 SLOW_MODEL = build_steady_state(SLOW, SLOW_FEATS)
-SLOW_SPEC = resolve_step_size(TD0Provider(SLOW_MODEL))
+SLOW_ALPHA = resolve_step_size(TD0Provider(SLOW_MODEL))
 
 
 def one_state_config(T=60, trials=100, seed=1):
-    return ExperimentConfig(TD0Provider(ONE_MODEL), None, ONE_SPEC,
+    return ExperimentConfig(TD0Provider(ONE_MODEL), None, ONE_ALPHA,
                             T=T, trials=trials, master_seed=seed)
 
 
 def fast_config(**kw):
-    base = dict(provider=TD0Provider(FAST_MODEL), theta0=None, spec=FAST_SPEC,
+    base = dict(provider=TD0Provider(FAST_MODEL), theta0=None, alpha=FAST_ALPHA,
                 T=300, trials=400, master_seed=11)
     base.update(kw)
     return ExperimentConfig(**base)
@@ -81,8 +80,7 @@ WIDE_MODELS = {K: build_steady_state(WIDE, random_features(12, K, seed=32))
 def wide_config(K, **kw):
     model = WIDE_MODELS[K]
     theta0 = generator(K).normal(size=K)
-    spec = StepSizeSpec(alpha=0.05, tau_alpha=1)
-    base = dict(provider=TD0Provider(model), theta0=theta0, spec=spec,
+    base = dict(provider=TD0Provider(model), theta0=theta0, alpha=0.05,
                 T=90, trials=5, master_seed=17)
     base.update(kw)
     return ExperimentConfig(**base)
@@ -105,12 +103,51 @@ class TestProviderInstance:
             replace(fast_config(), model=SLOW_MODEL)
 
 
+class TestCertifiedTau:
+    """A config holds alpha and derives tau = provider.certify(alpha).tau, so
+    no config can claim the contract at a mixing time it is not certified at."""
+
+    def test_misstated_tau_cannot_put_a_run_in_contract(self):
+        # at alpha = 0.1 the provider certifies tau = 6, whose cap is 1/48;
+        # a tau of 1 (cap 1/8) would have put this run in contract
+        provider = LinearContractionProvider([0.3], [[1.0], [-2.0]], FAST_MODEL)
+        config = ExperimentConfig(provider, None, 0.1, T=300, trials=200,
+                                  master_seed=3)
+        assert config.tau == provider.certify(0.1).tau == 6
+        assert not config.in_contract()
+        _, ledgers = run_experiment(config, "recursion")
+        for name in ("boundedness", "recursion"):
+            assert ledgers[name].verdict == "out-of-contract"
+            assert ledgers[name].hypothesis["tau"] == 6
+
+    def test_replace_certifies_the_new_alpha(self):
+        config = fast_config()
+        assert config.tau == FAST_TAU
+        assert (replace(config, alpha=6.0).tau
+                == TD0Provider(FAST_MODEL).certify(6.0).tau == 1)
+
+    def test_tau_cannot_be_given(self):
+        with pytest.raises(ValueError, match="tau"):
+            replace(fast_config(), tau=1)
+        with pytest.raises(TypeError, match="tau"):
+            fast_config(tau=1)
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -0.1, 0.0])
+    def test_bad_alpha_refused_before_tau_is_certified(self, alpha):
+        class Uncertifiable(TD0Provider):
+            def certify(self, epsilon):
+                raise AssertionError(f"tau certified at alpha={epsilon}")
+
+        with pytest.raises(ConfigError, match="alpha must be a positive finite number"):
+            fast_config(provider=Uncertifiable(FAST_MODEL), alpha=alpha)
+
+
 class TestEstimate:
     def test_one_state_deterministic_closed_form(self):
         cfg = one_state_config(T=40)
         est = estimate_dt_et(cfg)
         t = np.arange(41)
-        closed = (1 - ONE_SPEC.alpha * 0.5) ** (2 * t) * 4.0  # d_0 = |0-2|^2
+        closed = (1 - ONE_ALPHA * 0.5) ** (2 * t) * 4.0  # d_0 = |0-2|^2
         np.testing.assert_allclose(est.d_hat, closed, rtol=1e-12)
         np.testing.assert_allclose(est.d_se, 0.0, atol=1e-12)
         np.testing.assert_allclose(est.e_hat, 0.0, atol=1e-12)
@@ -128,7 +165,7 @@ class TestEstimate:
         provider = TD0Provider(FAST_MODEL)
         for i in range(cfg.trials):
             assert np.array_equal(est.retained[i], reference_sa(
-                provider, FAST, np.zeros(1), FAST_SPEC, 80, seed=derive_seed(11, i)))
+                provider, FAST, np.zeros(1), FAST_ALPHA, 80, seed=derive_seed(11, i)))
 
     def test_delayed_batch_lanes_equal_single_trials(self):
         delays = DelayProcess("sawtooth", 3, seed=5)
@@ -137,7 +174,7 @@ class TestEstimate:
         provider = TD0Provider(FAST_MODEL)
         for i in range(cfg.trials):
             assert np.array_equal(est.retained[i], reference_sa(
-                provider, FAST, np.zeros(1), FAST_SPEC, 70, seed=derive_seed(11, i),
+                provider, FAST, np.zeros(1), FAST_ALPHA, 70, seed=derive_seed(11, i),
                 delays=delays.spawn(i)))
 
     @pytest.mark.parametrize("tau_max", [3, 32768])
@@ -146,7 +183,7 @@ class TestEstimate:
         T = 32770
         delays = DelayProcess("constant", tau_max)
         estimate = simulate_trajectories(fast_config(trials=1, T=T, delays=delays))
-        reference = reference_sa(TD0Provider(FAST_MODEL), FAST, np.zeros(1), FAST_SPEC,
+        reference = reference_sa(TD0Provider(FAST_MODEL), FAST, np.zeros(1), FAST_ALPHA,
                                  T, seed=derive_seed(11, 0), delays=delays.spawn(0))
         assert np.array_equal(estimate.retained[0], reference)
         d = ((reference - FAST_MODEL.theta_star) ** 2).sum(axis=1)
@@ -160,7 +197,7 @@ class TestEstimate:
         est = simulate_trajectories(cfg)
         for i in range(cfg.trials):
             assert np.array_equal(est.retained[i], reference_sa(
-                cfg.provider, cfg.model.mrp, cfg.theta0, cfg.spec, cfg.T,
+                cfg.provider, cfg.model.mrp, cfg.theta0, cfg.alpha, cfg.T,
                 seed=derive_seed(cfg.master_seed, i), sampling=sampling))
 
     @pytest.mark.parametrize("K", [8, 9])
@@ -170,7 +207,7 @@ class TestEstimate:
         est = simulate_trajectories(cfg)
         for i in range(cfg.trials):
             assert np.array_equal(est.retained[i], reference_sa(
-                cfg.provider, cfg.model.mrp, cfg.theta0, cfg.spec, cfg.T,
+                cfg.provider, cfg.model.mrp, cfg.theta0, cfg.alpha, cfg.T,
                 seed=derive_seed(cfg.master_seed, i), delays=delays.spawn(i)))
 
     @pytest.mark.parametrize("sampling", ["markov", "iid_restart"])
@@ -181,7 +218,7 @@ class TestEstimate:
         est = simulate_trajectories(cfg)
         for i in range(cfg.trials):
             assert np.array_equal(est.retained[i], reference_sa(
-                cfg.provider, cfg.model.mrp, cfg.theta0, cfg.spec, cfg.T,
+                cfg.provider, cfg.model.mrp, cfg.theta0, cfg.alpha, cfg.T,
                 seed=derive_seed(cfg.master_seed, i), sampling=sampling))
 
     def test_delayed_batch_lanes_equal_single_trials_k3(self):
@@ -190,7 +227,7 @@ class TestEstimate:
         est = simulate_trajectories(cfg)
         for i in range(cfg.trials):
             assert np.array_equal(est.retained[i], reference_sa(
-                cfg.provider, cfg.model.mrp, cfg.theta0, cfg.spec, cfg.T,
+                cfg.provider, cfg.model.mrp, cfg.theta0, cfg.alpha, cfg.T,
                 seed=derive_seed(cfg.master_seed, i), delays=delays.spawn(i)))
 
     @pytest.mark.parametrize("kind", ["linear_contraction", "saturating"])
@@ -206,7 +243,7 @@ class TestEstimate:
         est = simulate_trajectories(cfg)
         for i in range(cfg.trials):
             assert np.array_equal(est.retained[i], reference_sa(
-                provider, WIDE, cfg.theta0, cfg.spec, cfg.T,
+                provider, WIDE, cfg.theta0, cfg.alpha, cfg.T,
                 seed=derive_seed(cfg.master_seed, i)))
 
     @pytest.mark.parametrize("blocks", [[1, 4096, 7], [4097, 7], [8192, 14]],
@@ -240,8 +277,7 @@ class TestEstimate:
             estimate_dt_et(fast_config(trials=3, T=10, start_state=start_state))
 
     def test_divergence_marks_estimate_invalid_with_abort_count(self):
-        bad_spec = StepSizeSpec(alpha=1e8, tau_alpha=1)
-        cfg = fast_config(spec=bad_spec, trials=150, T=2000, theta0=[1.0])
+        cfg = fast_config(alpha=1e8, trials=150, T=2000, theta0=[1.0])
         est = estimate_dt_et(cfg)
         assert est.abort_step is not None
         assert est.abort_count > 0
@@ -267,9 +303,8 @@ class TestBoundedness:
     def test_out_of_contract_gating(self):
         # an alpha ten times the cap must be reported as out-of-contract,
         # never as a theorem failure
-        alpha = 10 * FAST_SPEC.alpha * STEP_C * FAST_SPEC.tau_alpha
-        bad = StepSizeSpec(alpha=alpha, tau_alpha=FAST_SPEC.tau_alpha)
-        cfg = fast_config(spec=bad, T=50)
+        alpha = 10 * FAST_ALPHA * STEP_C * FAST_TAU
+        cfg = fast_config(alpha=alpha, T=50)
         led = check_boundedness(estimate_dt_et(cfg))
         assert led.verdict == "out-of-contract"
         assert not led.hypothesis["in_contract"]
@@ -308,7 +343,7 @@ class TestRecursion:
         assert led.fitted["pre_tau_ok"]
 
     def test_iid_restart_control_noise_vanishes(self):
-        cfg = ExperimentConfig(TD0Provider(SLOW_MODEL), None, SLOW_SPEC, T=200,
+        cfg = ExperimentConfig(TD0Provider(SLOW_MODEL), None, SLOW_ALPHA, T=200,
                                trials=2000, master_seed=202,
                                sampling="iid_restart")
         est = estimate_dt_et(cfg)
@@ -350,18 +385,18 @@ class TestRefusals:
     """The two verdicts that refuse to check a claim, out-of-contract before
     invalid, with their full ledger records."""
 
-    OUT = {"alpha": 6.0, "tau": 9, "C": 8.0, "B": 10.0, "mode": "td0",
+    # tau is certified at each alpha: 1 at alpha = 6, 9 at the resolved alpha
+    OUT = {"alpha": 6.0, "tau": 1, "C": 8.0, "B": 10.0, "mode": "td0",
            "in_contract": False}
-    IN = dict(OUT, alpha=FAST_SPEC.alpha, in_contract=True)
+    IN = dict(OUT, alpha=FAST_ALPHA, tau=9, in_contract=True)
     REFUSED = " (step-size hypothesis violated; no claim checked)"
 
     def _out_of_contract(self):
         # ten times the cap; the run also diverges, and out-of-contract wins
-        alpha = 10 * FAST_SPEC.alpha * STEP_C * FAST_SPEC.tau_alpha
-        spec = replace(FAST_SPEC, alpha=alpha)
-        est = estimate_dt_et(fast_config(spec=spec, T=50, trials=100))
+        alpha = 10 * FAST_ALPHA * STEP_C * FAST_TAU
+        est = estimate_dt_et(fast_config(alpha=alpha, T=50, trials=100))
         assert est.abort_step is not None
-        return est, spec
+        return est
 
     def _invalid(self):
         # retained iterates, so the drift check reads the same estimate
@@ -369,7 +404,7 @@ class TestRefusals:
         return replace(est, abort_count=3, abort_step=7)
 
     def test_boundedness_out_of_contract_record(self):
-        est, _ = self._out_of_contract()
+        est = self._out_of_contract()
         assert _ledger_json(check_boundedness(est)) == _ledger_json(BoundLedger(
             theorem_id="theorem1-boundedness", hypothesis=self.OUT,
             verdict="out-of-contract", worst_margin=float("nan"), worst_step=-1,
@@ -377,7 +412,7 @@ class TestRefusals:
             notes="B=10" + self.REFUSED))
 
     def test_recursion_out_of_contract_record(self):
-        est, _ = self._out_of_contract()
+        est = self._out_of_contract()
         assert _ledger_json(check_recursion(est)) == \
             _ledger_json(BoundLedger(
                 theorem_id="theorem2-recursion", hypothesis=self.OUT,
@@ -386,13 +421,13 @@ class TestRefusals:
                 notes=self.REFUSED))
 
     def test_drift_out_of_contract_record(self):
-        # alpha = 1 is far past the cap but stable, so the paths are retained
-        spec = replace(FAST_SPEC, alpha=1.0)
-        est = simulate_trajectories(fast_config(spec=spec, T=50, trials=100))
+        # alpha = 1 is far past the cap but stable, so the paths are retained;
+        # its certified tau is 2, so the steps t = 2..50 are counted
+        est = simulate_trajectories(fast_config(alpha=1.0, T=50, trials=100))
         assert _ledger_json(check_drift(est)) == _ledger_json(BoundLedger(
-            theorem_id="lemma3-drift", hypothesis=dict(self.OUT, alpha=1.0),
+            theorem_id="lemma3-drift", hypothesis=dict(self.OUT, alpha=1.0, tau=2),
             verdict="out-of-contract", worst_margin=float("nan"), worst_step=-1,
-            fitted={}, slack={"multiplier": 3.0}, n_steps=42,
+            fitted={}, slack={"multiplier": 3.0}, n_steps=49,
             notes=self.REFUSED))
 
     def test_boundedness_invalid_record(self):
@@ -438,7 +473,7 @@ class TestDrift:
         led = check_drift(est)
         assert led.verdict == "pass"
         # tau = 1: drift equals one exact deterministic update
-        rho = 1 - ONE_SPEC.alpha * 0.5
+        rho = 1 - ONE_ALPHA * 0.5
         t = np.arange(1, 51)
         expected = (rho ** t - rho ** (t - 1)) ** 2 * 4.0
         thetas = est.retained[0][:, 0]
@@ -446,16 +481,14 @@ class TestDrift:
                                    rtol=1e-10)
 
     def test_alpha_squared_scaling(self):
-        # drift magnitude must scale like alpha^2 across a halving grid
+        # drift over one fixed lag must scale like alpha^2 across a halving grid
         drifts = []
-        alphas = [FAST_SPEC.alpha, FAST_SPEC.alpha / 2, FAST_SPEC.alpha / 4]
+        alphas = [FAST_ALPHA, FAST_ALPHA / 2, FAST_ALPHA / 4]
+        tau = FAST_TAU
         for i, alpha in enumerate(alphas):
-            spec = StepSizeSpec(alpha=alpha,
-                                tau_alpha=FAST_SPEC.tau_alpha)
-            cfg = fast_config(spec=spec, trials=300, T=1200,
+            cfg = fast_config(alpha=alpha, trials=300, T=1200,
                               master_seed=derive_seed(77, i))
             thetas = simulate_trajectories(cfg).retained
-            tau = spec.tau_alpha
             drift = ((thetas[:, tau:, :] - thetas[:, :-tau, :]) ** 2).sum(2)
             drifts.append(drift[:, 600:].mean())  # past burn-in
         slope = np.polyfit(np.log(alphas), np.log(drifts), 1)[0]
@@ -470,9 +503,8 @@ class TestDrift:
         assert delayed.fitted["c"] >= plain.fitted["c"]
 
     def test_drift_out_of_contract_gating(self):
-        inflated = StepSizeSpec(alpha=1.0, tau_alpha=FAST_SPEC.tau_alpha)
         led = check_drift(simulate_trajectories(
-            fast_config(spec=inflated, trials=120, T=60)))
+            fast_config(alpha=1.0, trials=120, T=60)))
         assert led.verdict == "out-of-contract"
 
     def test_trials_floor_enforced(self):
@@ -485,21 +517,20 @@ class TestDrift:
         with pytest.raises(ConfigError, match="retained iterates"):
             check_drift(est)
 
-    def _linear_paths(self, spec):
-        provider = LinearContractionProvider([0.3], [[1.0], [-2.0]], FAST_MODEL)
-        est = simulate_trajectories(fast_config(spec=spec, provider=provider,
-                                                trials=100, T=40))
-        return provider, est
+    LINEAR = LinearContractionProvider([0.3], [[1.0], [-2.0]], FAST_MODEL)
+
+    def _linear_paths(self, alpha):
+        return simulate_trajectories(fast_config(alpha=alpha, provider=self.LINEAR,
+                                                 trials=100, T=40))
 
     def test_nonlinear_out_of_contract_gated(self):
-        # cap min(beta, 1/beta) / (C tau L^2) = 0.125, so alpha = 1.5 claims nothing
-        spec = StepSizeSpec(alpha=1.5, tau_alpha=1)
-        _, est = self._linear_paths(spec)
+        # cap min(beta, 1/beta) / (C tau L^2) <= 0.125, so alpha = 1.5 claims nothing
+        est = self._linear_paths(1.5)
         assert check_drift(est).verdict == "out-of-contract"
 
     def test_nonlinear_bound_from_the_provider(self):
-        spec = StepSizeSpec(alpha=0.1, tau_alpha=1)
-        provider, est = self._linear_paths(spec)
+        provider = self.LINEAR
+        est = self._linear_paths(resolve_step_size(provider))
         led = check_drift(est)
         assert led.verdict == "pass"
         assert led.hypothesis["B"] == 10.0 * max(0.3 ** 2, provider.sigma_const ** 2)
@@ -522,17 +553,20 @@ class TestWeightedAveraging:
 
     def test_tuned_alpha_respects_cap(self):
         for T in (64, 512, 4096):
-            spec, lam, _ = tune_weighted_average(TD0Provider(FAST_MODEL), T)
-            cap = FAST_MODEL.contraction_rate / (8.0 * spec.tau_alpha)
-            assert spec.alpha <= cap + 1e-15
+            provider = TD0Provider(FAST_MODEL)
+            alpha, lam, _ = tune_weighted_average(provider, T)
+            cap = FAST_MODEL.contraction_rate / (8.0 * provider.certify(alpha).tau)
+            assert alpha <= cap + 1e-15
             assert lam >= math.e
 
     @pytest.mark.parametrize("T, case", [(1, 2), (4096, 2), (16384, 1)])
     def test_tuned_spec_is_the_certified_spec(self, T, case):
         provider = TD0Provider(FAST_MODEL)
-        spec, _, tuned_case = tune_weighted_average(provider, T)
+        alpha, _, tuned_case = tune_weighted_average(provider, T)
         assert tuned_case == case
-        assert spec == spec_at(provider, spec.alpha)
+        config = fast_config(provider=provider, alpha=alpha, T=T)
+        assert config.tau == provider.certify(alpha).tau
+        assert config.in_contract()
 
     def test_one_state_average_converges_geometrically(self):
         cfg = one_state_config(T=400, trials=100)
@@ -567,11 +601,10 @@ class TestNonlinearExperiments:
         feats = constant_features(2)
         model = build_steady_state(uniform, feats)
         provider = LinearContractionProvider([0.7], [[0.6], [-0.6]], model)
-        spec = resolve_step_size(provider)
-        cfg = ExperimentConfig(provider, np.zeros(1), spec, T=250,
-                               trials=2000, master_seed=401)
+        cfg = ExperimentConfig(provider, np.zeros(1), resolve_step_size(provider),
+                               T=250, trials=2000, master_seed=401)
         est, ledgers = run_experiment(cfg, "recursion")
-        a, V = spec.alpha, provider.noise_variance()
+        a, V = cfg.alpha, provider.noise_variance()
         d = np.zeros(251)
         d[0] = 0.49
         for t in range(250):
@@ -614,9 +647,9 @@ class TestNonlinearExperiments:
         provider = SaturatingMonotoneProvider(
             [0.5, -0.3], [[0.4, -0.2], [-0.1, 0.3], [-0.3, -0.1]],
             model, a=0.7, b=0.3)
-        spec = resolve_step_size(provider)
-        T = int(math.ceil(10.0 / (spec.alpha * provider.beta)))
-        cfg = ExperimentConfig(provider, [2.0, -1.0], spec, T=T, trials=400,
+        alpha = resolve_step_size(provider)
+        T = int(math.ceil(10.0 / (alpha * provider.beta)))
+        cfg = ExperimentConfig(provider, [2.0, -1.0], alpha, T=T, trials=400,
                                master_seed=402)
         _, ledgers = run_experiment(cfg, "recursion")
         assert ledgers["boundedness"].verdict == "pass"
@@ -634,10 +667,10 @@ class TestSweeps:
 
     def test_nonlinear_sweep_resolves_tau_and_horizon_like_the_spec(self):
         config, _ = parse_experiment(bundled.bundled_config("theorem4_saturating"))
-        assert (config.spec.tau_alpha, config.T) == (9, 1470)
+        assert (config.tau, config.T) == (9, 1470)
         result = alpha_sweep(replace(config, trials=100), multipliers=(1.0, 0.5))
         first = result["points"][0]
-        assert first["alpha"] == config.spec.alpha
+        assert first["alpha"] == config.alpha
         assert (first["tau"], first["T"]) == (9, 1470)
 
     def test_floor_needs_room_past_burn_in(self):
@@ -681,9 +714,8 @@ class TestColumnarExport:
 
     def test_refused_ledgers_write_nan_columns(self, tmp_path):
         # out of contract (ten times the cap) and invalid (aborted lanes)
-        alpha = 10 * FAST_SPEC.alpha * STEP_C * FAST_SPEC.tau_alpha
-        out = estimate_dt_et(fast_config(spec=replace(FAST_SPEC, alpha=alpha),
-                                         T=50, trials=100))
+        alpha = 10 * FAST_ALPHA * STEP_C * FAST_TAU
+        out = estimate_dt_et(fast_config(alpha=alpha, T=50, trials=100))
         invalid = replace(estimate_dt_et(fast_config(T=50, trials=100)),
                           abort_count=3, abort_step=7)
         for est, verdict in ((out, "out-of-contract"), (invalid, "invalid")):

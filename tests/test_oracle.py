@@ -22,7 +22,7 @@ from tdcert.oracle import (
     steady_state_direction,
 )
 from tdcert.chain import stationary_distribution, tv_mixing_profile
-from tdcert.sa_core import StepSizeSpec, TD0Provider, audit_provider, resolve_step_size
+from tdcert.sa_core import TD0Provider, audit_provider, resolve_step_size
 from tdcert.harness import ExperimentConfig
 
 ONE_STATE = MarkovRewardProcess([[1.0]], [1.0], 0.5)
@@ -333,11 +333,11 @@ class TestMixingOracle:
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         provider = TD0Provider(model)
         report = oracle_report(provider)
-        spec = resolve_step_size(provider)
+        alpha = resolve_step_size(provider)
         steps = len(calls)
         monkeypatch.undo()
         checked = [row["horizon_checked"] for row in report["tau_table"]]
-        checked.append(model.mixing.certify(spec.alpha).horizon_checked)
+        checked.append(model.mixing.certify(alpha).horizon_checked)
         assert steps == max(checked)
 
     def test_invalid_chain_refused(self):
@@ -422,8 +422,7 @@ class TestReport:
         # one formula: theta0 = -20 puts B on ||theta0 - theta*||^2, not sigma^2
         model = build_steady_state(TWO_STATE, TWO_FEATS)
         provider = TD0Provider(model)
-        spec = StepSizeSpec(alpha=0.01, tau_alpha=1)
-        config = ExperimentConfig(provider, [-20.0], spec, T=1,
+        config = ExperimentConfig(provider, [-20.0], 0.01, T=1,
                                   trials=1, master_seed=0)
         doc = oracle_report(provider, [-20.0], eps_grid=(0.1,))
         assert doc["theta0"] == [-20.0]

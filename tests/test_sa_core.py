@@ -24,7 +24,6 @@ from tdcert.sa_core import (
     DelayProcess,
     LinearContractionProvider,
     SaturatingMonotoneProvider,
-    StepSizeSpec,
     TD0Provider,
     audit_provider,
     resolve_step_size,
@@ -112,42 +111,46 @@ class TestTD0Direction:
 
 class TestResolveStepSize:
     def test_one_state_example(self):
-        spec = resolve_step_size(TD0Provider(ONE_MODEL))
-        assert spec.alpha == pytest.approx(0.0625, abs=1e-15)
-        assert spec.tau_alpha == 1
+        provider = TD0Provider(ONE_MODEL)
+        alpha = resolve_step_size(provider)
+        assert alpha == pytest.approx(0.0625, abs=1e-15)
+        assert provider.certify(alpha).tau == 1
         # the base-case cap 1/(8*1) = 0.125 is not binding
-        assert spec.alpha < 0.125
+        assert alpha < 0.125
 
     def test_self_consistent_fixed_point(self):
         from tdcert.oracle import mixing_time
-        spec = resolve_step_size(TD0Provider(TWO_MODEL))
-        cert = mixing_time(TWO_STATE, TWO_FEATS, spec.alpha)
-        assert cert.tau == spec.tau_alpha
-        assert spec.in_contract(TWO_MODEL.contraction_rate)
+        provider = TD0Provider(TWO_MODEL)
+        alpha = resolve_step_size(provider)
+        cert = mixing_time(TWO_STATE, TWO_FEATS, alpha)
+        assert cert.tau == provider.certify(alpha).tau
+        assert alpha == provider.step_cap(cert.tau)
+        assert ExperimentConfig(provider, None, alpha, T=1, trials=1,
+                                master_seed=0).in_contract()
         again = resolve_step_size(TD0Provider(TWO_MODEL))
-        assert again == spec
+        assert again == alpha
 
     def test_nonlinear_mode_uses_beta_bar_over_L_squared(self):
         provider = SaturatingMonotoneProvider([0.5], [[0.0]], ONE_MODEL, a=2.0, b=0.5)
-        spec = resolve_step_size(provider)
+        alpha = resolve_step_size(provider)
         assert provider.mode == "nonlinear"
         # L = a + b = 2.5, so min(beta, 1/beta) / L^2 = 0.5 / 6.25, and tau
         # comes from the TV envelope at G = L sigma on the 64-step profile
         assert provider.contraction == 0.5 / 6.25
-        tau = spec.tau_alpha
+        tau = provider.certify(alpha).tau
         profile = ONE_MODEL.mixing.profile(64)
         envelope = envelope_mixing_time(profile, ONE_STATE.pi,
-                                        2.5 * provider.sigma_const, spec.alpha)
+                                        2.5 * provider.sigma_const, alpha)
         assert tau == envelope.tau
-        assert spec.alpha == provider.contraction / (8.0 * tau) < 1.0 / (8.0 * tau)
+        assert alpha == provider.contraction / (8.0 * tau) < 1.0 / (8.0 * tau)
 
 
-def one_lane(model, T, seed=0, spec=None, theta0=None, **kw):
+def one_lane(model, T, seed=0, alpha=None, theta0=None, **kw):
     """A one-trial config on the model's chain at the resolved step-size (or
-    ``spec``); its one lane runs on the stream derive_seed(seed, 0)."""
+    ``alpha``); its one lane runs on the stream derive_seed(seed, 0)."""
     provider = TD0Provider(model)
-    spec = resolve_step_size(provider) if spec is None else spec
-    return ExperimentConfig(provider, theta0, spec, T=T, trials=1,
+    alpha = resolve_step_size(provider) if alpha is None else alpha
+    return ExperimentConfig(provider, theta0, alpha, T=T, trials=1,
                             master_seed=seed, **kw)
 
 
@@ -158,7 +161,7 @@ class TestRunSA:
         cfg = one_lane(ONE_MODEL, 50, seed=3)
         thetas = simulate_trajectories(cfg).retained[0]
         t = np.arange(51)
-        closed = 2.0 + (0.0 - 2.0) * (1 - cfg.spec.alpha * 0.5) ** t
+        closed = 2.0 + (0.0 - 2.0) * (1 - cfg.alpha * 0.5) ** t
         np.testing.assert_allclose(thetas[:, 0], closed, atol=1e-12)
 
     def test_zero_horizon(self):
@@ -172,8 +175,8 @@ class TestRunSA:
         assert a.config.fingerprint() == b.config.fingerprint()
 
     def test_divergence_guard_reports_step(self):
-        bad = StepSizeSpec(alpha=1e9, tau_alpha=1)
-        cfg = one_lane(TWO_MODEL, 10_000, seed=2, spec=bad, theta0=[1.0])
+        bad = 1e9
+        cfg = one_lane(TWO_MODEL, 10_000, seed=2, alpha=bad, theta0=[1.0])
         est = estimate_dt_et(cfg)
         with pytest.raises(ReferenceDivergence) as exc:
             reference_sa(TD0Provider(TWO_MODEL), TWO_STATE, np.array([1.0]), bad,
@@ -189,7 +192,7 @@ class TestRunSA:
         thetas = simulate_trajectories(cfg).retained[0]
         assert thetas.shape == (101, 1)
         assert np.array_equal(thetas, reference_sa(
-            cfg.provider, TWO_STATE, np.zeros(1), cfg.spec, 100,
+            cfg.provider, TWO_STATE, np.zeros(1), cfg.alpha, 100,
             seed=derive_seed(4, 0), sampling="iid_restart"))
 
     def test_fixed_start_state(self):
@@ -198,7 +201,7 @@ class TestRunSA:
         b = simulate_trajectories(cfg).retained[0]
         assert np.array_equal(a, b)
         assert np.array_equal(a, reference_sa(
-            cfg.provider, TWO_STATE, np.zeros(1), cfg.spec, 50,
+            cfg.provider, TWO_STATE, np.zeros(1), cfg.alpha, 50,
             seed=derive_seed(6, 0), start_state=1))
 
     @pytest.mark.parametrize("start_state", [-1, 2])
@@ -231,7 +234,7 @@ class TestDelays:
             delays = DelayProcess(kind, 0, seed=5)
             delayed = simulate_trajectories(replace(cfg, delays=delays)).retained[0]
             assert np.array_equal(plain, delayed)
-            reference = reference_sa(cfg.provider, TWO_STATE, np.zeros(1), cfg.spec,
+            reference = reference_sa(cfg.provider, TWO_STATE, np.zeros(1), cfg.alpha,
                                      300, seed=derive_seed(12, 0),
                                      delays=delays.spawn(0))
             assert np.array_equal(plain, reference)
@@ -241,7 +244,7 @@ class TestDelays:
         # with theta_{-1} treated as theta_0 via the early clamp
         T = 400
         cfg = one_lane(ONE_MODEL, T, seed=1, delays=DelayProcess("constant", 1, seed=0))
-        a = cfg.spec.alpha
+        a = cfg.alpha
         thetas = simulate_trajectories(cfg).retained[0]
         ref = np.zeros(T + 1)
         for t in range(T):
