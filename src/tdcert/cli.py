@@ -12,6 +12,7 @@ out of contract, 3 input/validation error.
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -113,34 +114,71 @@ def _parse_instance(cfg: dict):
     return provider, inst.get("theta0")
 
 
+def _number(name: str, value, integer: bool = False):
+    """A numeric config value as given, refused (ConfigError naming the key)
+    unless it is a finite JSON number, and integral if ``integer``."""
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if ok and isinstance(value, float):
+        ok = value.is_integer() if integer else math.isfinite(value)
+    if not ok:
+        kind = "an integer" if integer else "a finite number"
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    return value
+
+
+def _integer(name: str, value):
+    return _number(name, value, integer=True)
+
+
+def _parse_delays(exp: dict):
+    doc = exp.get("delays")
+    if not doc:
+        return None
+    if not isinstance(doc, dict) or not set(doc) <= {"kind", "tau_max", "seed"}:
+        raise ConfigError("experiment.delays must be an object with keys kind, "
+                          f"tau_max and seed, got {doc!r}")
+    tau_max = int(_integer("experiment.delays.tau_max", doc.get("tau_max", 0)))
+    seed = int(_integer("experiment.delays.seed", doc.get("seed", 0)))
+    return DelayProcess(doc.get("kind", "none"), tau_max, seed)
+
+
 def parse_experiment(cfg: dict, seed_override: int | None = None):
     """Turn a config document into an (ExperimentConfig, experiment kind) pair."""
     provider, theta0 = _parse_instance(cfg)
     step_cfg = cfg.get("step_size", {})
     alpha = step_cfg.get("alpha")
     if alpha is None:  # the provider's fixed point, optionally scaled
-        alpha = resolve_step_size(provider) * float(step_cfg.get("alpha_scale", 1.0))
+        scale = _number("step_size.alpha_scale", step_cfg.get("alpha_scale", 1.0))
+        alpha = resolve_step_size(provider) * float(scale)
 
     exp = cfg.get("experiment", {})
     kind = exp.get("kind", "boundedness")
-    trials = int(exp.get("trials", 2000))
+    trials = int(_integer("experiment.trials", exp.get("trials", 2000)))
     if trials < 100:
         raise ConfigError(
             f"trials must be at least 100 for a ledger-producing run, got {trials}")
     T = exp.get("T", "auto")
     if T == "auto":
         T = auto_horizon(alpha, provider)
-    delays_cfg = exp.get("delays")
-    delays = DelayProcess(**delays_cfg) if delays_cfg else None
-    master_seed = int(exp.get("master_seed", 0))
+    delays = _parse_delays(exp)
+    master_seed = int(_integer("experiment.master_seed", exp.get("master_seed", 0)))
     if seed_override is not None:
         master_seed = int(seed_override)
+    start_state = exp.get("start_state")  # null draws the start state
+    if start_state is not None:
+        _integer("experiment.start_state", start_state)
+    grid = exp.get("averaging_grid")
+    if grid is not None:
+        if not isinstance(grid, list):
+            raise ConfigError(f"experiment.averaging_grid must be a list, got {grid!r}")
+        for T_k in grid:
+            _integer("experiment.averaging_grid entry", T_k)
     config = ExperimentConfig(
-        provider=provider, theta0=theta0, alpha=alpha, T=int(T),
-        trials=trials, master_seed=master_seed, delays=delays,
-        sampling=exp.get("sampling", "markov"), start_state=exp.get("start_state"),
-        averaging_grid=exp.get("averaging_grid"),
-        label=cfg.get("label", ""),
+        provider=provider, theta0=theta0, alpha=alpha,
+        T=int(_integer("experiment.T", T)), trials=trials, master_seed=master_seed,
+        delays=delays, sampling=exp.get("sampling", "markov"),
+        start_state=start_state,
+        averaging_grid=grid, label=cfg.get("label", ""),
     )
     # the provider picks the mode and the config certifies tau
     for key, derived in (("mode", provider.mode), ("C", STEP_C), ("tau", config.tau)):
@@ -250,16 +288,14 @@ def cmd_sweep(cfg: dict, out_dir: str, sweep_arg: str, seed_override=None) -> in
     started = time.time()
     axis, values = _parse_axis(sweep_arg)
     config, kind = parse_experiment(cfg, seed_override)
-    os.makedirs(out_dir, exist_ok=True)
     summary = {"axis": axis, "values": values, "points": []}
-    ledgers_all = {}
+    ledgers_all, estimates = {}, {}
 
     if axis == "alpha":
         result = alpha_sweep(config, multipliers=values)
         for i, point in enumerate(result["points"]):
             tag = f"alpha_{i}"
-            write_columnar(os.path.join(out_dir, f"estimate_{tag}.csv"),
-                           point["estimate"], point["boundedness"])
+            estimates[tag] = point["estimate"]
             ledgers_all[tag] = point["boundedness"]
             summary["points"].append({
                 "alpha": point["alpha"], "tau": point["tau"], "T": point["T"],
@@ -290,13 +326,19 @@ def cmd_sweep(cfg: dict, out_dir: str, sweep_arg: str, seed_override=None) -> in
             est, ledgers = run_experiment(sub, "boundedness")
             led = ledgers["boundedness"]
             tag = f"tau_max_{tau_max}"
-            write_columnar(os.path.join(out_dir, f"estimate_{tag}.csv"), est, led)
+            estimates[tag] = est
             ledgers_all[tag] = led
             summary["points"].append({
                 "tau_max": tau_max, "alpha": alpha, "tau": sub.tau, "T": T,
                 "verdict": led.verdict,
             })
 
+    # nothing is written until every point has run: a refused sweep leaves no
+    # output directory, as a refused run does
+    os.makedirs(out_dir, exist_ok=True)
+    for tag, est in estimates.items():
+        write_columnar(os.path.join(out_dir, f"estimate_{tag}.csv"), est,
+                       ledgers_all[tag])
     code = _verdict_exit(ledgers_all) if ledgers_all else EXIT_INVALID_INPUT
     _write_json(os.path.join(out_dir, "ledgers.json"),
                 {"fingerprint": config.fingerprint(),

@@ -179,6 +179,54 @@ class TestRunCommand:
         assert "alpha must be a positive finite number" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("step_size", "alpha_scale", [1]), ("step_size", "alpha_scale", "half"),
+        ("experiment", "trials", [500]), ("experiment", "trials", None),
+        ("experiment", "trials", float("inf")), ("experiment", "T", [64]),
+        ("experiment", "T", "soon"), ("experiment", "master_seed", {"seed": 3}),
+        ("experiment", "master_seed", True), ("experiment", "start_state", [0]),
+        ("experiment", "start_state", "0"), ("experiment", "start_state", 0.5),
+        ("experiment", "trials", 150.5), ("delays", "tau_max", [1]),
+        ("delays", "tau_max", None), ("delays", "tau_max", 1.5),
+        ("delays", "seed", "77")])
+    def test_wrong_json_type_exits_invalid(self, tmp_path, capsys, section, key,
+                                           value):
+        # a value no number (or no whole number, where one is counted) can be
+        # read from is an input error (exit 3) that names its key, not a
+        # traceback with the ledger-failure exit code
+        cfg = bundled_config("delayed_uniform_1")
+        name = f"{section}.{key}"
+        if section == "delays":
+            cfg["experiment"]["delays"][key] = value
+            name = f"experiment.delays.{key}"
+        else:
+            cfg[section][key] = value
+        out = tmp_path / "o"
+        assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) \
+            == EXIT_INVALID_INPUT
+        kind = "a finite number" if key == "alpha_scale" else "an integer"
+        assert f"{name} must be {kind}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid, message", [
+        (64, "experiment.averaging_grid must be a list"),
+        ([64, "128"], "experiment.averaging_grid entry must be an integer"),
+        ([64, 128.5], "experiment.averaging_grid entry must be an integer")])
+    def test_malformed_averaging_grid_exits_invalid(self, tmp_path, capsys, grid,
+                                                    message):
+        cfg = bundled_config("theorem3_averaging")
+        cfg["experiment"]["averaging_grid"] = grid
+        assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out",
+                     str(tmp_path / "o")]) == EXIT_INVALID_INPUT
+        assert message in capsys.readouterr().err
+
+    def test_unknown_delay_key_exits_invalid(self, tmp_path, capsys):
+        cfg = bundled_config("delayed_uniform_1")
+        cfg["experiment"]["delays"]["tau"] = 1
+        assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out",
+                     str(tmp_path / "o")]) == EXIT_INVALID_INPUT
+        assert "experiment.delays must be an object" in capsys.readouterr().err
+
     def test_ledger_failure_exit_code(self, tmp_path, monkeypatch):
         monkeypatch.setattr(harness, "CEILING", 1e-9)  # force the fitted c' over the bar
         cfg = bundled_config("theorem2_base")
@@ -275,9 +323,11 @@ class TestSweepCommand:
     ])
     def test_out_of_range_sweep_value_exits_invalid(self, tmp_path, capsys, name,
                                                     sweep, message):
-        assert main(["sweep", "--bundled", name, "--out", str(tmp_path / "o"),
+        out = tmp_path / "o"
+        assert main(["sweep", "--bundled", name, "--out", str(out),
                      "--sweep", sweep]) == EXIT_INVALID_INPUT
         assert message in capsys.readouterr().err
+        assert not out.exists()  # refused before any output is written
 
     def test_empty_grid_rejected(self, tmp_path):
         path = write_cfg(tmp_path, bundled_config("theorem2_base"))

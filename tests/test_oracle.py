@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdcert.chain import ChainError, MarkovRewardProcess, generator, random_mrp
+import tdcert.oracle as oracle_module
+from tdcert.chain import (
+    ChainError,
+    ChainPowers,
+    MarkovRewardProcess,
+    generator,
+    random_mrp,
+)
 from tdcert.oracle import (
     CertificationError,
     FeatureError,
@@ -241,14 +248,14 @@ class TestDeviationKernel:
         K = data.draw(st.integers(1, min(n, 8)), label="K")
         mrp = random_mrp(n, data.draw(st.floats(0.2, 1.0), label="density"), seed)
         oracle = MixingOracle(mrp, random_features(n, K, seed))
-        svd, seen = np.linalg.svd, []
+        largest, seen = oracle_module._largest_singular_value, []
 
-        def recording_svd(a, *args, **kwargs):
-            seen.append(np.array(a))
-            return svd(a, *args, **kwargs)
+        def recording(A_t):  # the GEMM tensor as _deviation forms it
+            seen.append(np.array(A_t))
+            return largest(A_t)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(np.linalg, "svd", recording_svd)
+            mp.setattr(oracle_module, "_largest_singular_value", recording)
             cert = oracle.certify(1e300, horizon=16)
         ref_curve, ref_tensors = einsum_deviation_curve(oracle, 16)
         assert len(seen) == 16
@@ -257,6 +264,100 @@ class TestDeviationKernel:
             scale = np.abs(ref).max()
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * scale)
         np.testing.assert_allclose(cert.margin_curve, ref_curve, rtol=1e-12, atol=0.0)
+
+
+def full_batch_deviation(oracle, Q):
+    """Reference deviation step: every operator matrix through one batched
+    SVD, no pruning."""
+    K = oracle.features.K
+    W = Q - oracle.mrp.pi[None, :]
+    A_t = (W @ oracle._Z).reshape(-1, K, K)
+    vec = np.linalg.norm((W * oracle.mrp.R[None, :]) @ oracle.features.Phi, axis=1)
+    return max(float(np.linalg.svd(A_t, compute_uv=False)[:, 0].max()),
+               float(vec.max()))
+
+
+def _drawn_oracle(kind, n, K, seed, data):
+    """A mixing oracle on a chain of the given kind: random, lazy random, a
+    lazy cycle whose rotation-invariant features tie every matrix's norm, or
+    the rank-one chain P = 1 pi^T (n a power of two, so P^k = P and pi are
+    exact and every matrix is zero after k = 1)."""
+    if kind == "rank_one":
+        P = np.full((n, n), 1.0 / n)
+        mrp = MarkovRewardProcess(P, generator(seed).random(n), 0.9)
+        return MixingOracle(mrp, random_features(n, K, seed))
+    if kind == "cycle":
+        angle = 2.0 * np.pi * np.arange(n) / n
+        features = FeatureMatrix(0.9 * np.column_stack([np.cos(angle), np.sin(angle)]))
+        P = 0.5 * np.eye(n) + 0.5 * np.roll(np.eye(n), 1, axis=1)
+        return MixingOracle(MarkovRewardProcess(P, np.ones(n), 0.9), features)
+    base = random_mrp(n, data.draw(st.floats(0.2, 1.0), label="density"), seed)
+    if kind == "lazy":
+        lazy = data.draw(st.floats(0.5, 0.95), label="laziness")
+        base = MarkovRewardProcess(lazy * np.eye(n) + (1.0 - lazy) * base.P,
+                                   base.R, base.gamma)
+    return MixingOracle(base, random_features(n, K, seed))
+
+
+class TestPrunedDeviation:
+    @settings(max_examples=25, deadline=None)
+    @given(kind=st.sampled_from(["random", "lazy", "cycle", "rank_one"]),
+           prune_all=st.booleans(), data=st.data())
+    def test_bits_equal_the_full_batch_svd(self, kind, prune_all, data):
+        # every bit of the curve, on the pruned path (forced for small
+        # stacks) and on the plain one
+        seed = data.draw(st.integers(0, 2 ** 31 - 1), label="seed")
+        if kind == "rank_one":
+            n = 2 ** data.draw(st.integers(1, 7), label="log2 n")
+        elif kind == "cycle":
+            n = data.draw(st.integers(3, 200), label="n")
+        else:
+            n = data.draw(st.integers(2, 200), label="n")
+        K = 2 if kind == "cycle" else data.draw(st.integers(1, min(n, 8)), label="K")
+        oracle = _drawn_oracle(kind, n, K, seed, data)
+        Q = np.eye(n)
+        with pytest.MonkeyPatch.context() as mp:
+            if prune_all:
+                mp.setattr(oracle_module, "_PRUNE_ROWS", 0)
+            for k in range(1, 65):
+                got = oracle._deviation(Q)
+                ref = full_batch_deviation(oracle, Q)
+                assert np.float64(got).tobytes() == np.float64(ref).tobytes(), k
+                if kind == "rank_one" and k > 1:
+                    assert got == 0.0
+                Q = Q @ oracle.mrp.P
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 64), K=st.integers(1, 8), seed=st.integers(0, 2 ** 31 - 1))
+    def test_near_tied_rank_one_stack(self, n, K, seed):
+        # unit-norm rank-one matrices u v^T in random directions: the bound is
+        # tight there and its rounding and the SVD's disagree in the last
+        # bits, so only the bound's slack keeps the largest computed norm
+        rng = generator(seed)
+        u, v = rng.normal(size=(2, n, K))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        A = u[:, :, None] * v[:, None, :]
+        ref = np.linalg.svd(A, compute_uv=False)[:, 0].max()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle_module, "_PRUNE_ROWS", 0)
+            got = oracle_module._largest_singular_value(A)
+        assert np.float64(got).tobytes() == ref.tobytes()
+
+    def test_pruning_svds_few_matrices_at_scale(self, monkeypatch):
+        # n=150, K=8: of 150 matrices a step, the argmax bound's and at most
+        # about two more reach an SVD
+        oracle = MixingOracle(random_mrp(150, 0.5, 1501), random_features(150, 8, 1502))
+        svd, matrices = np.linalg.svd, []
+
+        def counting_svd(a, *args, **kwargs):
+            matrices.append(a.shape[0] if a.ndim == 3 else 1)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        oracle.certify(1e300, horizon=64)
+        assert len(matrices) >= 64
+        assert sum(matrices) <= 3 * 64
 
 
 def _outcome(certify, eps):
@@ -320,17 +421,17 @@ class TestMixingOracle:
             assert cert.tau == tau and cert.tail_rho < 1.0 and cert.recheck()
 
     def test_report_then_step_size_never_restarts_the_powers(self, monkeypatch):
-        # one deviation step (one batched SVD) per matrix power: the second
-        # caller continues where the first stopped instead of starting at k=1
+        # one deviation step (one ChainPowers.step) per matrix power: the
+        # second caller continues where the first stopped instead of at k=1
         model = build_steady_state(random_mrp(12, 0.5, 3), random_features(12, 3, 4))
-        svd = np.linalg.svd
+        step = ChainPowers.step
         calls = []
 
-        def counting_svd(*args, **kwargs):
+        def counting_step(self):
             calls.append(1)
-            return svd(*args, **kwargs)
+            return step(self)
 
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(ChainPowers, "step", counting_step)
         provider = TD0Provider(model)
         report = oracle_report(provider)
         alpha = resolve_step_size(provider)
