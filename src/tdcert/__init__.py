@@ -28,7 +28,6 @@ from .oracle import (
     build_steady_state,
     constant_features,
     dnorm_contraction_margin,
-    envelope_mixing_time,
     group_features,
     identity_features,
     lemma1_margin,

@@ -1,10 +1,11 @@
 """Finite Markov reward processes.
 
 Validation of the irreducibility/aperiodicity assumption, exact stationary
-distributions, total-variation mixing profiles with certified geometric
-envelopes, and the exact table sampler of transitions. Everything here is
-deterministic given its seed; all objects are immutable after construction
-and safe to share across threads.
+distributions, total-variation mixing profiles read off exact matrix powers
+(non-increasing, so the last recorded distance bounds every later step), and
+the exact table sampler of transitions. Everything here is deterministic
+given its seed; all objects are immutable after construction and safe to
+share across threads.
 """
 
 from dataclasses import dataclass
@@ -16,7 +17,8 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 _ROW_SUM_TOL = 1e-9
 # below this the matrix-power differences are dominated by rounding noise,
-# so the curve is clamped to 0 and the clamp index recorded
+# so the curve is clamped to 0 and the clamp index recorded; a clamped entry
+# is bounded by this value, never by 0
 _TV_CLAMP = 1e-13
 
 
@@ -274,28 +276,20 @@ def stationary_distribution(mrp: MarkovRewardProcess) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MixingProfile:
-    """Total-variation decay curve with a certified geometric envelope.
+    """The worst-case total-variation distance to stationarity,
+    ``tv_curve[k-1]`` = d(k) = max_x ||P^k(x, .) - pi||_TV for k = 1..H.
 
-    The envelope satisfies tv_curve[k-1] <= c0 * rho**k for every recorded k;
-    c0 = tv_1 / rho anchors it at k = 1, and rho is the smallest value from
-    |lambda_2| up for which it dominates the whole recorded curve, so the
-    bound is certified rather than least-squares.
+    d is non-increasing in k (Levin, Peres & Wilmer, *Markov Chains and
+    Mixing Times*, ch. 4), so the last recorded value d(H) bounds every step
+    past H. From ``clamp_index`` on (if set) the curve is below the rounding
+    noise floor and recorded as 0; such an entry is bounded by ``_TV_CLAMP``.
     """
 
-    rho: float
-    c0: float
     tv_curve: np.ndarray
     clamp_index: int | None
-    lambda2: float
 
     def __post_init__(self):
         self.tv_curve.setflags(write=False)
-
-
-def _second_eigenvalue_magnitude(P) -> float:
-    eig = np.linalg.eigvals(P)
-    mags = np.sort(np.abs(eig))[::-1]
-    return float(mags[1]) if mags.shape[0] > 1 else 0.0
 
 
 class ChainPowers:
@@ -314,7 +308,6 @@ class ChainPowers:
         self.power = np.eye(mrp.n)  # P^k after k steps; I @ P == P exactly
         self.tv_curve = []
         self.clamp_index = None
-        self.lambda2 = _second_eigenvalue_magnitude(mrp.P)
 
     def step(self):
         self.power = self.power @ self.mrp.P
@@ -328,33 +321,19 @@ class ChainPowers:
         self.tv_curve.append(tv)
 
     def profile(self, horizon: int) -> MixingProfile:
-        """The TV curve for k = 1..horizon with its certified envelope."""
+        """The TV curve for k = 1..horizon."""
         if horizon < 2:
             raise ChainError(f"horizon must be at least 2, got {horizon}")
         while len(self.tv_curve) < horizon:
             self.step()
-        curve = np.array(self.tv_curve[:horizon])
         clamp_index = (self.clamp_index if self.clamp_index is not None
                        and self.clamp_index <= horizon else None)
-        lambda2 = self.lambda2
-        if float(curve.max(initial=0.0)) <= 1e-15:
-            return MixingProfile(0.0, 0.0, curve, clamp_index, lambda2)
-
-        # the smallest rho >= |lambda_2| with tv_k <= tv_1 rho^(k-1) for every k
-        ks = np.arange(1, horizon + 1, dtype=float)
-        rho = float(max(lambda2, 1e-6,
-                        ((curve[1:] / curve[0]) ** (1.0 / (ks[1:] - 1.0))).max()))
-        if rho >= 1.0:
-            raise ChainError("could not fit a certified geometric envelope below rho = 1")
-        c0 = float(curve[0] / rho)
-        if not np.all(curve <= c0 * rho ** ks * (1.0 + 1e-12) + 1e-300):
-            raise ChainError(f"envelope rho={rho!r} fails to dominate the TV curve")
-        return MixingProfile(rho, c0, curve, clamp_index, lambda2)
+        return MixingProfile(np.array(self.tv_curve[:horizon]), clamp_index)
 
 
 def tv_mixing_profile(mrp: MarkovRewardProcess, horizon: int) -> MixingProfile:
     """Worst-case total-variation distance to stationarity for k = 1..horizon,
-    from exact matrix powers, plus a fitted certified envelope."""
+    from exact matrix powers."""
     return ChainPowers(mrp).profile(horizon)
 
 

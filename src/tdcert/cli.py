@@ -35,6 +35,7 @@ from .sa_core import (
     DelayProcess,
     StepSizeError,
     auto_horizon,
+    integer,
     resolve_step_size,
     LinearContractionProvider,
     SaturatingMonotoneProvider,
@@ -114,20 +115,14 @@ def _parse_instance(cfg: dict):
     return provider, inst.get("theta0")
 
 
-def _number(name: str, value, integer: bool = False):
+def _number(name: str, value):
     """A numeric config value as given, refused (ConfigError naming the key)
-    unless it is a finite JSON number, and integral if ``integer``."""
-    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if ok and isinstance(value, float):
-        ok = value.is_integer() if integer else math.isfinite(value)
-    if not ok:
-        kind = "an integer" if integer else "a finite number"
-        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    unless it is a finite JSON number. Keys that count are read with
+    ``sa_core.integer``, the check the library types make, under their key."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
     return value
-
-
-def _integer(name: str, value):
-    return _number(name, value, integer=True)
 
 
 def _parse_delays(exp: dict):
@@ -137,8 +132,8 @@ def _parse_delays(exp: dict):
     if not isinstance(doc, dict) or not set(doc) <= {"kind", "tau_max", "seed"}:
         raise ConfigError("experiment.delays must be an object with keys kind, "
                           f"tau_max and seed, got {doc!r}")
-    tau_max = int(_integer("experiment.delays.tau_max", doc.get("tau_max", 0)))
-    seed = int(_integer("experiment.delays.seed", doc.get("seed", 0)))
+    tau_max = integer("experiment.delays.tau_max", doc.get("tau_max", 0))
+    seed = integer("experiment.delays.seed", doc.get("seed", 0))
     return DelayProcess(doc.get("kind", "none"), tau_max, seed)
 
 
@@ -153,7 +148,7 @@ def parse_experiment(cfg: dict, seed_override: int | None = None):
 
     exp = cfg.get("experiment", {})
     kind = exp.get("kind", "boundedness")
-    trials = int(_integer("experiment.trials", exp.get("trials", 2000)))
+    trials = integer("experiment.trials", exp.get("trials", 2000))
     if trials < 100:
         raise ConfigError(
             f"trials must be at least 100 for a ledger-producing run, got {trials}")
@@ -161,21 +156,21 @@ def parse_experiment(cfg: dict, seed_override: int | None = None):
     if T == "auto":
         T = auto_horizon(alpha, provider)
     delays = _parse_delays(exp)
-    master_seed = int(_integer("experiment.master_seed", exp.get("master_seed", 0)))
+    master_seed = integer("experiment.master_seed", exp.get("master_seed", 0))
     if seed_override is not None:
-        master_seed = int(seed_override)
+        master_seed = seed_override
     start_state = exp.get("start_state")  # null draws the start state
     if start_state is not None:
-        _integer("experiment.start_state", start_state)
+        start_state = integer("experiment.start_state", start_state)
     grid = exp.get("averaging_grid")
     if grid is not None:
         if not isinstance(grid, list):
             raise ConfigError(f"experiment.averaging_grid must be a list, got {grid!r}")
         for T_k in grid:
-            _integer("experiment.averaging_grid entry", T_k)
+            integer("experiment.averaging_grid entry", T_k)
     config = ExperimentConfig(
         provider=provider, theta0=theta0, alpha=alpha,
-        T=int(_integer("experiment.T", T)), trials=trials, master_seed=master_seed,
+        T=integer("experiment.T", T), trials=trials, master_seed=master_seed,
         delays=delays, sampling=exp.get("sampling", "markov"),
         start_state=start_state,
         averaging_grid=grid, label=cfg.get("label", ""),

@@ -51,6 +51,7 @@ from .sa_core import (
     bound_B,
     fingerprint,
     initial_theta,
+    integer,
     positive_alpha,
     resolve_step_size,
     rowsum,
@@ -79,7 +80,9 @@ class ExperimentConfig:
     process / sampling mode / averaging grid. ``tau`` is not an argument: it
     is derived once as ``provider.certify(alpha).tau``, so a config cannot
     restate the mixing time it is certified at. Derive variants with
-    ``dataclasses.replace``, which certifies a new alpha again.
+    ``dataclasses.replace``, which certifies a new alpha again. Counted
+    fields (T, trials, master_seed, start_state, averaging_grid entries) are
+    refused unless whole numbers, and stored as ints.
     """
 
     provider: UpdateDirectionProvider
@@ -97,17 +100,21 @@ class ExperimentConfig:
 
     def __post_init__(self):
         alpha = positive_alpha(self.alpha)  # before any tau is certified
-        if self.T < 0:
+        whole = {name: integer(name, getattr(self, name))
+                 for name in ("T", "trials", "master_seed")}
+        if self.start_state is not None:
+            whole["start_state"] = integer("start_state", self.start_state)
+        whole["averaging_grid"] = [integer("averaging_grid entry", T_k)
+                                   for T_k in self.averaging_grid or ()] or None
+        if whole["T"] < 0:
             raise ConfigError("T must be nonnegative")
-        if self.trials < 1:
+        if whole["trials"] < 1:
             raise ConfigError("need at least one trial")
         if self.sampling not in ("markov", "iid_restart"):
             raise ConfigError(f"unknown sampling mode {self.sampling!r}")
         normalized = dict(
-            theta0=initial_theta(self.provider, self.theta0), T=int(self.T),
-            trials=int(self.trials), master_seed=int(self.master_seed),
-            averaging_grid=list(self.averaging_grid) if self.averaging_grid else None,
-            alpha=alpha, tau=self.provider.certify(alpha).tau)
+            theta0=initial_theta(self.provider, self.theta0),
+            alpha=alpha, tau=self.provider.certify(alpha).tau, **whole)
         for name, value in normalized.items():
             object.__setattr__(self, name, value)
 
@@ -311,7 +318,7 @@ def _simulate(config: ExperimentConfig, weight_A: float | None = None,
     if not iid and not draw_start:
         if not 0 <= start_state < mrp.n:
             raise ChainError(f"start_state {start_state} out of range")
-        s = np.full(trials, int(start_state), dtype=np.int64)
+        s = np.full(trials, start_state, dtype=np.int64)
 
     abort_count, abort_step = 0, None
     t0 = 0
@@ -664,7 +671,7 @@ def weighted_average_experiment(config: ExperimentConfig) -> BoundLedger:
                           f"{config.provider.describe()['kind']}")
     if not config.averaging_grid:
         raise ConfigError("config has no averaging grid")
-    grid = sorted(int(T) for T in config.averaging_grid)
+    grid = sorted(config.averaging_grid)
     if len(grid) < 2:
         raise ConfigError("averaging grid needs at least two horizons")
     if grid[0] < 1:

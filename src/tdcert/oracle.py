@@ -7,7 +7,6 @@ All computations are dense linear algebra on the exact chain; nothing here is
 Monte Carlo.
 """
 
-import math
 import threading
 from dataclasses import dataclass
 from functools import cached_property
@@ -15,15 +14,16 @@ from functools import cached_property
 import numpy as np
 
 from .chain import (
+    _TV_CLAMP,
     ChainError,
     ChainPowers,
     MarkovRewardProcess,
-    MixingProfile,
     generator,
     derive_seed,
 )
 
 _OMEGA_TOL = 1e-10
+FIRST_HORIZON = 8  # the horizon a mixing-time search starts at and doubles from
 MAX_HORIZON = 1 << 16  # the longest horizon a mixing-time search doubles to
 # A stack of at most this many rows (n matrices of K rows) takes the plain
 # batched SVD in `_largest_singular_value`: below it, measured on one core,
@@ -42,10 +42,6 @@ class OracleError(RuntimeError):
 
 class CertificationError(RuntimeError):
     """Mixing-time certification could not be completed at the given horizon."""
-
-    def __init__(self, message, required_horizon=None):
-        super().__init__(message)
-        self.required_horizon = required_horizon
 
 
 class FeatureMatrix:
@@ -305,42 +301,41 @@ def _largest_singular_value(A: np.ndarray) -> float:
 class MixingTimeCertificate:
     """Certified mixing time at one precision.
 
-    ``margin_curve[k-1]`` is the worst-case normalized deviation of the
-    k-step conditional expected direction from its steady-state value, so the
-    certificate can be re-checked: every entry from tau on is at most epsilon.
-    The tail beyond ``horizon_checked`` is covered by the geometric envelope
-    ``tail_coeff * tail_rho ** (k - 1)``, documented here rather than
-    enumerated (the envelope argument, not enumeration, certifies the
-    infinite tail).
+    ``margin_curve[k-1]`` bounds the worst-case normalized deviation of the
+    k-step conditional expected direction from its steady-state value for
+    k = 1..``horizon_checked`` = H, and ``tail_bound`` = 2 G d(H) bounds it
+    for every k > H: the deviation at step k is at most 2 G d(k-1), with G
+    its scale and d the chain's non-increasing TV curve (``MixingProfile``).
+    The certificate re-checks: every entry from tau on, and the tail bound,
+    are at most epsilon.
     """
 
     epsilon: float
     tau: int
     horizon_checked: int
     margin_curve: np.ndarray
-    tail_coeff: float
-    tail_rho: float
+    tail_bound: float
     method: str = "exact-linear"
 
     def __post_init__(self):
         self.margin_curve.setflags(write=False)
 
     def recheck(self) -> bool:
-        tail_ok = (self.tail_rho <= 0.0
-                   or self.tail_coeff * self.tail_rho ** self.horizon_checked
-                   <= self.epsilon)
-        return bool(np.all(self.margin_curve[self.tau - 1:] <= self.epsilon)
-                    and self.tau >= 1 and tail_ok)
+        return bool(self.tau >= 1
+                    and np.all(self.margin_curve[self.tau - 1:] <= self.epsilon)
+                    and self.tail_bound <= self.epsilon)
 
 
 class MixingOracle:
     """Certified mixing times of one (chain, features) pair.
 
-    The worst-case deviation curve does not depend on epsilon, so it is
-    computed once and extended on demand: a query is a suffix-max lookup, and
-    a longer horizon continues the matrix powers where they stopped. The TV
-    profile is read off the same powers, and its fitted envelope is kept per
-    checked horizon. Only the current power and the 1-D curves are held.
+    Two curves serve the queries, both independent of epsilon, so they are
+    computed once and extended on demand: linear TD's exact worst-case
+    deviation (``certify``) and the chain's TV curve d (``certify_tv``, for
+    operators with no closed conditional form). A query searches the curves
+    recorded out to a horizon H, starting at ``FIRST_HORIZON`` and doubling;
+    a longer horizon continues the matrix powers where they stopped. Only the
+    current power and the 1-D curves are held.
     """
 
     def __init__(self, mrp: MarkovRewardProcess, features: FeatureMatrix):
@@ -358,7 +353,6 @@ class MixingOracle:
                                  (phi_norms * np.abs(mrp.R)).max()))
         self._powers = ChainPowers(mrp)
         self._dev = []
-        self._at = {}  # horizon -> (dev curve, its suffix max, TV profile)
         self._lock = threading.Lock()
 
     def _deviation(self, Q) -> float:
@@ -373,52 +367,66 @@ class MixingOracle:
         vec = np.linalg.norm((W * self.mrp.R[None, :]) @ Phi, axis=1)
         return max(_largest_singular_value(A_t), float(vec.max()))
 
-    def _checked(self, H: int):
+    def _curves(self, H: int):
+        """The deviation curve for k = 1..H, d(0..H) with d(0) = 1 - min pi
+        and each clamped entry at ``_TV_CLAMP``, its upper bound, and whether
+        d(H) is clamped."""
         with self._lock:
-            if H not in self._at:
-                powers = self._powers
-                while len(self._dev) < H:
-                    self._dev.append(self._deviation(powers.power))
-                    powers.step()
-                dev = np.array(self._dev[:H])
-                suffix = np.maximum.accumulate(dev[::-1])[::-1]
-                self._at[H] = (dev, suffix, powers.profile(H))
-            return self._at[H]
-
-    def profile(self, horizon: int) -> MixingProfile:
-        """The chain's TV mixing profile over k = 1..horizon."""
-        return self._checked(horizon)[2]
+            powers = self._powers
+            while len(self._dev) < H:
+                self._dev.append(self._deviation(powers.power))
+                powers.step()
+            dev = np.array(self._dev[:H])
+            profile = powers.profile(H)
+        d = np.concatenate(([1.0 - float(self.mrp.pi.min())], profile.tv_curve))
+        if profile.clamp_index is not None:
+            d[profile.clamp_index:] = _TV_CLAMP
+        return dev, d, profile.clamp_index is not None
 
     def certify(self, epsilon: float,
                 horizon: int | None = None) -> "MixingTimeCertificate":
-        """Smallest certified tau(epsilon); see ``mixing_time``."""
+        """Smallest certified tau(epsilon) of linear TD; see ``mixing_time``."""
+        two_G = 2.0 * self._G_tail
+        return self._search(epsilon, horizon, "exact-linear",
+                            lambda dev, d: (dev, two_G * d[-1]))
+
+    def certify_tv(self, lipschitz_scale: float,
+                   epsilon: float) -> "MixingTimeCertificate":
+        """Smallest tau with 2 G d(k-1) <= epsilon for every k >= tau, G the
+        operator's Lipschitz scale (L sigma): the bound on the k-step
+        deviation of an operator with no closed conditional form. The search
+        is ``certify``'s; its curve is 2 G d(k-1) for k = 1..H."""
+        two_G = 2.0 * float(lipschitz_scale)
+        return self._search(epsilon, None, "tv-monotone",
+                            lambda dev, d: (two_G * d[:-1], two_G * d[-1]))
+
+    def _search(self, epsilon, horizon, method, bound) -> MixingTimeCertificate:
+        """The first tau whose suffix of the curve is at most epsilon, with
+        ``bound(dev, d)`` giving the curve for k = 1..H and the tail bound
+        2 G d(H) past H. Starts at ``horizon`` (``FIRST_HORIZON`` if None)
+        and doubles up to ``MAX_HORIZON`` unless a horizon is given; refuses
+        at once when the tail fails on a clamped d(H), which no longer
+        horizon can lower."""
         if epsilon <= 0.0:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
-        H = horizon if horizon is not None else 64
+        H = horizon if horizon is not None else FIRST_HORIZON
         while True:
-            dev, suffix, profile = self._checked(H)
-            tail_coeff = 2.0 * self._G_tail * profile.c0
-            # worst deviation at any k > H is at most tail_coeff * rho^(k-1)
-            tail_ok = profile.rho <= 0.0 or tail_coeff * profile.rho ** H <= epsilon
-            ok = np.nonzero(suffix <= epsilon)[0]
-            if ok.size and tail_ok:
+            dev, d, clamped = self._curves(H)
+            curve, tail = bound(dev, d)
+            ok = np.flatnonzero(np.maximum.accumulate(curve[::-1])[::-1] <= epsilon)
+            if ok.size and tail <= epsilon:
                 return MixingTimeCertificate(
                     epsilon=float(epsilon), tau=int(ok[0]) + 1, horizon_checked=H,
-                    margin_curve=dev, tail_coeff=tail_coeff,
-                    tail_rho=profile.rho, method="exact-linear",
+                    margin_curve=curve, tail_bound=float(tail), method=method,
                 )
-            if horizon is not None or H >= MAX_HORIZON:
-                if profile.rho > 0.0 and tail_coeff > 0.0:
-                    needed = 1 + math.ceil(
-                        math.log(tail_coeff / epsilon) / math.log(1.0 / profile.rho)
-                    )
-                else:
-                    needed = H * 2
+            if tail > epsilon and clamped:
                 raise CertificationError(
-                    f"cannot certify epsilon={epsilon:.3e} within horizon {H}; "
-                    f"approximately {needed} steps required",
-                    required_horizon=needed,
-                )
+                    f"cannot certify epsilon={epsilon:.3e}: the tail bound past "
+                    f"horizon {H} is {tail:.3e}, set by the TV rounding floor "
+                    f"{_TV_CLAMP:.0e}")
+            if horizon is not None or H >= MAX_HORIZON:
+                raise CertificationError(
+                    f"cannot certify epsilon={epsilon:.3e} within horizon {H}")
             H = min(H * 2, MAX_HORIZON)
 
 
@@ -429,45 +437,16 @@ def mixing_time(mrp: MarkovRewardProcess, features: FeatureMatrix,
     for every k >= t.
 
     For linear TD the uniform-over-theta condition reduces exactly to an
-    operator-norm condition per step, enumerated out to a finite horizon; the
-    geometric envelope of the chain extends the certificate past the horizon.
-    The search starts at ``horizon`` (64 if None) and doubles up to
-    ``MAX_HORIZON`` unless a horizon is given. This computes from scratch on a
-    fresh oracle; a model's ``mixing`` oracle reuses its curves across queries.
+    operator-norm condition per step, enumerated out to a finite horizon H;
+    past H the deviation is at most 2 G d(H), the recorded TV distance at H,
+    because d is non-increasing. The search starts at ``horizon``
+    (``FIRST_HORIZON`` if None) and doubles up to ``MAX_HORIZON`` unless a
+    horizon is given. This computes from scratch on a fresh oracle; a model's
+    ``mixing`` oracle reuses its curves across queries.
     """
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     return MixingOracle(mrp, features).certify(epsilon, horizon)
-
-
-def envelope_mixing_time(profile: MixingProfile, pi: np.ndarray,
-                         lipschitz_scale: float, epsilon: float) -> MixingTimeCertificate:
-    """Certified over-estimate of the mixing time from the TV envelope alone.
-
-    For operators with no closed conditional form, the deviation at step k is
-    at most 2 * G * tv(k-1) with G the operator's Lipschitz scale (L * sigma),
-    so tau = 1 + ceil(log(2 G c0 / eps) / log(1 / rho)). Over-estimating tau
-    only shrinks the admissible step-size, preserving every hypothesis.
-    """
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    G = float(lipschitz_scale)
-    tv0 = 1.0 - float(pi.min())
-    bound1 = 2.0 * G * tv0
-    coeff = 2.0 * G * profile.c0
-    if profile.rho <= 0.0 or coeff <= epsilon:
-        t2 = 2
-    else:
-        t2 = max(2, 1 + math.ceil(math.log(coeff / epsilon)
-                                  / math.log(1.0 / profile.rho)))
-    tau = 1 if (t2 == 2 and bound1 <= epsilon) else t2
-    ks = np.arange(1, max(tau, 8) + 1, dtype=float)
-    curve = np.where(ks == 1.0, bound1, coeff * profile.rho ** (ks - 1.0))
-    return MixingTimeCertificate(
-        epsilon=float(epsilon), tau=int(tau), horizon_checked=int(ks[-1]),
-        margin_curve=curve, tail_coeff=coeff, tail_rho=profile.rho,
-        method="tv-envelope",
-    )
 
 
 def dnorm_contraction_margin(mrp: MarkovRewardProcess, sample_count: int,

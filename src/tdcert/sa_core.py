@@ -15,6 +15,7 @@ which takes an experiment and runs its trials as lanes.
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,6 @@ from .oracle import (
     FeatureMatrix,
     MixingTimeCertificate,
     SteadyStateModel,
-    envelope_mixing_time,
     steady_state_direction,
 )
 
@@ -139,11 +139,9 @@ class UpdateDirectionProvider:
         return min(self.beta, 1.0 / self.beta) / self.L ** 2
 
     def certify(self, epsilon: float) -> MixingTimeCertificate:
-        """The certificate of the step-size rule's tau(epsilon): the
-        TV-envelope over-estimate on the model's 64-step profile at G = L sigma."""
-        model = self.model
-        return envelope_mixing_time(model.mixing.profile(64), model.mrp.pi,
-                                    self.L * self.sigma_const, epsilon)
+        """The certificate of the step-size rule's tau(epsilon): the model's
+        TV bound at G = L sigma (``MixingOracle.certify_tv``)."""
+        return self.model.mixing.certify_tv(self.L * self.sigma_const, epsilon)
 
     def step_cap(self, tau: int) -> float:
         """The largest alpha in contract at mixing time tau:
@@ -291,6 +289,15 @@ def positive_alpha(alpha) -> float:
     return value
 
 
+def integer(name: str, value) -> int:
+    """value as an int, refused (ConfigError naming ``name``) unless it is a
+    whole number: an integer other than a bool, or a float with no fraction."""
+    if (isinstance(value, float) and value.is_integer()
+            or isinstance(value, numbers.Integral) and not isinstance(value, bool)):
+        return int(value)
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 def auto_horizon(alpha: float, provider: UpdateDirectionProvider) -> int:
     """The default horizon T = ceil(10 / (alpha * beta)), ten e-folds of the
     provider's drift rate."""
@@ -350,6 +357,8 @@ class DelayProcess:
     def __post_init__(self):
         if self.kind not in ("none", "constant", "uniform", "sawtooth"):
             raise ValueError(f"unknown delay kind {self.kind!r}")
+        for name in ("tau_max", "seed"):
+            object.__setattr__(self, name, integer(name, getattr(self, name)))
         if self.tau_max < 0:
             raise ValueError("tau_max must be nonnegative")
 

@@ -113,43 +113,27 @@ class TestStationary:
 
 
 class TestMixingProfile:
-    def test_single_state_reports_rho_zero(self):
+    def test_single_state_curve_is_zero(self):
         prof = tv_mixing_profile(make([[1.0]]), 10)
-        assert prof.rho == 0.0
         np.testing.assert_allclose(prof.tv_curve, 0.0)
 
     def test_uniform_rows_mix_in_one_step(self):
         prof = tv_mixing_profile(make([[0.5, 0.5], [0.5, 0.5]]), 10)
         np.testing.assert_allclose(prof.tv_curve, 0.0, atol=1e-15)
-        assert prof.rho == 0.0
 
     def test_second_eigenvalue_governs_decay(self):
         # eigendecomposition oracle: eigenvalues of TWO_STATE are {1, 0.7}
         prof = tv_mixing_profile(make(TWO_STATE), 40)
-        assert prof.lambda2 == pytest.approx(0.7, abs=1e-12)
         ratios = prof.tv_curve[10:20] / prof.tv_curve[9:19]
         np.testing.assert_allclose(ratios, 0.7, atol=1e-9)
 
     def test_curve_non_increasing_and_enveloped(self):
+        # non-increasing, so the last recorded distance bounds every later one
         prof = tv_mixing_profile(make(TWO_STATE), 60)
         assert np.all(np.diff(prof.tv_curve) <= 1e-12)
-        k = np.arange(1, 61)
-        assert np.all(prof.tv_curve <= prof.c0 * prof.rho ** k * (1 + 1e-9) + 1e-300)
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 8), st.floats(0.0, 0.95))
-    def test_rate_is_the_smallest_anchored_envelope(self, seed, n, laziness):
-        base = random_mrp(n, 0.6, seed)
-        prof = tv_mixing_profile(
-            make(laziness * np.eye(n) + (1.0 - laziness) * base.P), 64)
-        curve, k = prof.tv_curve, np.arange(1, 65)
-        if prof.rho == 0.0:  # mixed to rounding noise in one step
-            return
-        assert prof.c0 == curve[0] / prof.rho
-        assert np.all(curve <= prof.c0 * prof.rho ** k * (1 + 1e-12) + 1e-300)
-        lower = prof.rho * (1.0 - 1e-9)
-        if lower > max(prof.lambda2, 1e-6):  # any smaller rate misses a point
-            assert np.any(curve > curve[0] * lower ** (k - 1.0) * (1 + 1e-12))
+        longer = tv_mixing_profile(make(TWO_STATE), 200).tv_curve
+        assert longer[:60].tobytes() == prof.tv_curve.tobytes()
+        assert np.all(longer[60:] <= prof.tv_curve[-1])
 
     def test_underflow_clamps_and_records_index(self):
         prof = tv_mixing_profile(make(TWO_STATE), 3000)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from mixing_reference import generic_tau
 from tdcert import harness
 from tdcert.bundled import bundled_config, bundled_names, THEOREM1_NAMES
 from tdcert.harness import ConfigError
@@ -87,16 +88,20 @@ class TestOracleCommand:
         assert doc["sigma"] == config.provider.sigma_const
 
     def test_nonlinear_provider_report_lists_the_tau_its_run_uses(self, tmp_path):
-        # the tau table is the provider's certificate, the TV-envelope
-        # over-estimate, not the linear-TD enumeration of its chain
+        # the tau table is the provider's certificate, the generic rule on
+        # the TV curve, not the linear-TD enumeration of its chain
         out = tmp_path / "o"
         assert main(["oracle", "--bundled", "theorem4_saturating",
                      "--out", str(out)]) == EXIT_PASS
         table = json.loads((out / "oracle_report.json").read_text())["tau_table"]
-        assert [row["tau"] for row in table] == [6, 9, 12, 16]
-        assert [row["horizon_checked"] for row in table] == [8, 9, 12, 16]
+        assert [row["tau"] for row in table] == [5, 9, 12, 15]
+        assert [row["horizon_checked"] for row in table] == [8, 16, 16, 16]
         config, _ = parse_experiment(bundled_config("theorem4_saturating"))
-        assert config.provider.certify(0.01).tau == table[1]["tau"]
+        provider = config.provider
+        assert [generic_tau(provider.model.mrp, provider.L * provider.sigma_const,
+                            row["epsilon"]) for row in table] == [
+            (row["tau"], row["horizon_checked"]) for row in table]
+        assert provider.certify(0.01).tau == table[1]["tau"]
 
     def test_bundled_oracle_matches_derived_values(self, tmp_path):
         cfg = write_cfg(tmp_path, {
@@ -310,8 +315,15 @@ class TestSweepCommand:
         out = tmp_path / "sweep"
         main(["sweep", "--config", path, "--out", str(out), "--sweep", "tau_max=0"])
         point = json.loads((out / "sweep_summary.json").read_text())["points"][0]
-        assert point["alpha"] == pytest.approx(0.009722, rel=1e-3)
-        assert (point["tau"], point["T"]) == (9, 1470)
+        # a = 0.7, b = 0.3: L = 1 and beta = 0.7, so the cap is 0.7 / (8 tau)
+        # and T = ceil(10 / (0.7 alpha))
+        assert point["alpha"] == 0.7 / (8.0 * 8) == 0.0109375
+        assert (point["tau"], point["T"]) == (8, 1307)
+        config, _ = parse_experiment(bundled_config("theorem4_saturating"))
+        provider = config.provider
+        assert generic_tau(provider.model.mrp, provider.L * provider.sigma_const,
+                           point["alpha"])[0] == 8
+        assert point["T"] == np.ceil(10.0 / (0.7 * point["alpha"]))
         ledgers = json.loads((out / "ledgers.json").read_text())["ledgers"]
         assert ledgers["tau_max_0"]["hypothesis"]["mode"] == "nonlinear"
 

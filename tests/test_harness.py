@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mixing_reference import generic_tau
 from scalar_reference import reference_sa
 from tdcert import bundled
 from tdcert.chain import ChainError, MarkovRewardProcess, derive_seed, generator, random_mrp
@@ -140,6 +141,38 @@ class TestCertifiedTau:
 
         with pytest.raises(ConfigError, match="alpha must be a positive finite number"):
             fast_config(provider=Uncertifiable(FAST_MODEL), alpha=alpha)
+
+
+class TestWholeNumberFields:
+    """A counted field is a whole number: a fractional one is refused by the
+    type, naming the field, instead of being truncated or carried as a float
+    (uniform delays of 1.5, lanes run from state 0 while 0.5 is recorded, or
+    an averaging horizon of 64.5 run as 64)."""
+
+    @pytest.mark.parametrize("field, build", [
+        ("tau_max", lambda: DelayProcess("uniform", 1.5, 77)),
+        ("seed", lambda: DelayProcess("uniform", 2, 7.5)),
+        ("tau_max", lambda: DelayProcess("constant", True, 0)),
+        ("trials", lambda: fast_config(trials=100.5)),
+        ("T", lambda: fast_config(T=300.5)),
+        ("master_seed", lambda: fast_config(master_seed=0.5)),
+        ("start_state", lambda: fast_config(start_state=0.5)),
+        ("start_state", lambda: fast_config(start_state="1")),
+        ("averaging_grid entry", lambda: fast_config(averaging_grid=[64.5, 128])),
+    ], ids=["delay_tau_max", "delay_seed", "delay_bool", "trials", "T",
+            "master_seed", "start_state", "start_state_text", "averaging_grid"])
+    def test_fractional_field_refused(self, field, build):
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer"):
+            build()
+
+    def test_whole_floats_are_stored_as_ints(self):
+        given = fast_config(T=300.0, trials=400.0, master_seed=11.0, start_state=1.0,
+                            delays=DelayProcess("uniform", 2.0, 77.0),
+                            averaging_grid=[64.0, 128])
+        plain = fast_config(start_state=1, delays=DelayProcess("uniform", 2, 77),
+                            averaging_grid=[64, 128])
+        assert given.fingerprint() == plain.fingerprint()
+        assert given.delays.sequence(50).tobytes() == plain.delays.sequence(50).tobytes()
 
 
 class TestEstimate:
@@ -667,11 +700,15 @@ class TestSweeps:
 
     def test_nonlinear_sweep_resolves_tau_and_horizon_like_the_spec(self):
         config, _ = parse_experiment(bundled.bundled_config("theorem4_saturating"))
-        assert (config.tau, config.T) == (9, 1470)
+        assert (config.alpha, config.tau, config.T) == (0.0109375, 8, 1307)
+        provider = config.provider
+        assert generic_tau(provider.model.mrp, provider.L * provider.sigma_const,
+                           config.alpha)[0] == 8
+        assert config.alpha == provider.contraction / (8.0 * 8)
         result = alpha_sweep(replace(config, trials=100), multipliers=(1.0, 0.5))
         first = result["points"][0]
         assert first["alpha"] == config.alpha
-        assert (first["tau"], first["T"]) == (9, 1470)
+        assert (first["tau"], first["T"]) == (8, 1307)
 
     def test_floor_needs_room_past_burn_in(self):
         cfg = fast_config(T=50)

@@ -19,7 +19,6 @@ from tdcert.oracle import (
     build_steady_state,
     constant_features,
     dnorm_contraction_margin,
-    envelope_mixing_time,
     group_features,
     identity_features,
     lemma1_margin,
@@ -28,9 +27,9 @@ from tdcert.oracle import (
     random_features,
     steady_state_direction,
 )
-from tdcert.chain import stationary_distribution, tv_mixing_profile
 from tdcert.sa_core import TD0Provider, audit_provider, resolve_step_size
 from tdcert.harness import ExperimentConfig
+from mixing_reference import first_horizon, first_tau, td0_reference, tv_reference
 
 ONE_STATE = MarkovRewardProcess([[1.0]], [1.0], 0.5)
 TWO_STATE = MarkovRewardProcess([[0.9, 0.1], [0.2, 0.8]], [1.0, 0.0], 0.9)
@@ -183,44 +182,49 @@ class TestMixingTime:
         assert slope <= target * 1.1  # never grows faster than the spectral rate
 
     def test_epsilon_beyond_horizon_reports_requirement(self):
-        with pytest.raises(CertificationError) as exc:
+        with pytest.raises(CertificationError, match="within horizon 8"):
             mixing_time(TWO_STATE, TWO_FEATS, 1e-4, horizon=8)
-        assert exc.value.required_horizon > 8
 
     def test_horizon_auto_extends_for_tiny_epsilon(self):
         slow = MarkovRewardProcess([[0.9, 0.1], [0.2, 0.8]], [1.0, 0.0], 0.5)
         cert = mixing_time(slow, TWO_FEATS, 1e-11)
-        assert cert.horizon_checked > 64  # default start is 64
+        assert cert.horizon_checked > 64
         assert cert.tau > 64 and cert.recheck()
 
+    def test_tail_on_the_rounding_floor_refuses_at_once(self, monkeypatch):
+        # d(H) clamped to 0 counts as the clamp bound 1e-13; when even that
+        # tail fails, no longer horizon can help, so no more powers are taken
+        steps = []
+        step = ChainPowers.step
+        monkeypatch.setattr(ChainPowers, "step", lambda self: steps.append(1) or step(self))
+        with pytest.raises(CertificationError, match="rounding floor"):
+            MixingOracle(UNIFORM, TWO_FEATS).certify_tv(1.0, 1e-13)
+        assert len(steps) == 8
+        assert MixingOracle(UNIFORM, TWO_FEATS).certify_tv(1.0, 2e-13).tau == 2
+
     def test_envelope_fallback_overestimates(self):
-        profile = tv_mixing_profile(TWO_STATE, 64)
-        stat = stationary_distribution(TWO_STATE)
         exact = mixing_time(TWO_STATE, TWO_FEATS, 0.01)
-        env = envelope_mixing_time(profile, stat, lipschitz_scale=2.0, epsilon=0.01)
-        assert env.tau >= exact.tau
-        assert env.method == "tv-envelope"
+        generic = MixingOracle(TWO_STATE, TWO_FEATS).certify_tv(2.0, 0.01)
+        assert generic.tau >= exact.tau
+        assert generic.method == "tv-monotone" and generic.recheck()
 
     def test_envelope_uniform_chain(self):
-        profile = tv_mixing_profile(UNIFORM, 16)
-        stat = stationary_distribution(UNIFORM)
-        cert = envelope_mixing_time(profile, stat, lipschitz_scale=2.0, epsilon=0.01)
+        cert = MixingOracle(UNIFORM, TWO_FEATS).certify_tv(2.0, 0.01)
         assert cert.tau == 2  # k=1 deviation positive, zero afterwards
+        assert cert.horizon_checked == 8
 
     @settings(max_examples=12, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1))
     def test_envelope_dominates_exact_tau_on_random_chains(self, seed):
-        # the fallback uses G = L sigma >= the exact per-step constants and
-        # the fitted TV envelope >= the true TV curve, so its tau can only
+        # the generic rule uses G = L sigma >= the exact per-step constants
+        # and the TV curve bounds the deviation, so its tau can only
         # over-estimate (which merely shrinks the admissible step-size)
         mrp = random_mrp(4, 0.9, seed, gamma=0.6)
         model = build_steady_state(mrp, group_features(4, 2))
-        profile = tv_mixing_profile(mrp, 64)
         for eps in (0.05, 0.01):
             exact = mixing_time(mrp, model.features, eps)
-            env = envelope_mixing_time(profile, model.mrp.pi,
-                                       2.0 * model.sigma_const, eps)
-            assert env.tau >= exact.tau
+            generic = model.mixing.certify_tv(2.0 * model.sigma_const, eps)
+            assert generic.tau >= exact.tau
 
 
 def einsum_deviation_curve(oracle, horizon):
@@ -379,20 +383,17 @@ class TestMixingOracle:
                                   base.R, base.gamma)
         model = build_steady_state(mrp, random_features(n, K, seed))
         eps_list = data.draw(st.lists(st.floats(1e-10, 0.5), max_size=5), label="eps")
-        deep = None
-        try:  # half the 64th deviation forces the search past its first horizon
-            deep = 0.5 * mixing_time(mrp, model.features, 1e300).margin_curve[63]
-            eps_list.append(deep)
-        except ChainError:  # no certified envelope: both sides must refuse alike
-            pass
+        # half the 64th deviation forces the search past k = 64
+        deep = 0.5 * mixing_time(mrp, model.features, 1e300, horizon=64).margin_curve[63]
+        eps_list.append(deep)
         for eps in data.draw(st.permutations(eps_list), label="order"):
             got = _outcome(model.mixing.certify, eps)
             fresh = _outcome(lambda e: mixing_time(mrp, model.features, e), eps)
             if isinstance(fresh, tuple):
                 assert got == fresh
                 continue
-            assert (got.tau, got.horizon_checked, got.tail_coeff, got.tail_rho) == (
-                fresh.tau, fresh.horizon_checked, fresh.tail_coeff, fresh.tail_rho)
+            assert (got.tau, got.horizon_checked, got.tail_bound) == (
+                fresh.tau, fresh.horizon_checked, fresh.tail_bound)
             assert got.margin_curve.tobytes() == fresh.margin_curve.tobytes()
             assert got.recheck()
             if eps == deep:
@@ -405,8 +406,8 @@ class TestMixingOracle:
         for eps in (1e-1, 1e-3, 1e-6, 1e-2):
             got = model.mixing.certify(eps)
             fresh = mixing_time(mrp, model.features, eps)
-            assert (got.tau, got.horizon_checked, got.tail_coeff, got.tail_rho) == (
-                fresh.tau, fresh.horizon_checked, fresh.tail_coeff, fresh.tail_rho)
+            assert (got.tau, got.horizon_checked, got.tail_bound) == (
+                fresh.tau, fresh.horizon_checked, fresh.tail_bound)
             assert got.margin_curve.tobytes() == fresh.margin_curve.tobytes()
             assert got.recheck()
 
@@ -418,7 +419,7 @@ class TestMixingOracle:
         features = random_features(5, 1, 5)
         for eps, tau in ((0.1, 69), (0.01, 143), (0.001, 214)):
             cert = mixing_time(lazy, features, eps)
-            assert cert.tau == tau and cert.tail_rho < 1.0 and cert.recheck()
+            assert cert.tau == tau and cert.tail_bound <= eps and cert.recheck()
 
     def test_report_then_step_size_never_restarts_the_powers(self, monkeypatch):
         # one deviation step (one ChainPowers.step) per matrix power: the
@@ -446,6 +447,83 @@ class TestMixingOracle:
         for _ in range(2):
             with pytest.raises(ChainError, match="Assumption 1"):
                 MixingOracle(periodic, TWO_FEATS)
+
+
+# Chains whose TV curve later crosses a geometric envelope c0 rho^k fitted to
+# its first 64 steps: a near-defective lambda_2 = 0.97 (double) and a
+# near-periodic 3-cycle with complex eigenvalues.
+NEAR_DEFECTIVE = MarkovRewardProcess(
+    [[0.99, 0.01, 0.0], [0.0, 0.99, 0.01], [0.04, 0.0, 0.96]], [1.0, 0.0, -1.0], 0.9)
+NEAR_PERIODIC = MarkovRewardProcess(
+    [[0.008, 0.992, 0.0], [0.0, 0.008, 0.992], [0.992, 0.0, 0.008]], [1.0, 0.0, -1.0], 0.9)
+COUNTEREXAMPLES = pytest.mark.parametrize(
+    "mrp", [NEAR_DEFECTIVE, NEAR_PERIODIC], ids=["near_defective", "near_periodic"])
+
+
+class TestMonotoneTail:
+    """Past the checked horizon H a certificate rests on d(H), the recorded TV
+    distance, which bounds d(k) for every k > H because d is non-increasing;
+    checked against curves recorded out to k = 3000."""
+
+    @COUNTEREXAMPLES
+    def test_chain_crosses_a_64_step_envelope(self, mrp):
+        # out to k = 400 the curve stays above 1e-5, far from rounding noise
+        d = tv_reference(mrp, 400)
+        k = np.arange(1, 65)
+        rho = ((d[2:65] / d[1]) ** (1.0 / (k[1:] - 1.0))).max()  # fit at k = 1
+        envelope = d[1] / rho * rho ** np.arange(-1, 400)
+        assert d.min() > 1e-5
+        assert np.any(d[65:] > envelope[65:])
+
+    @COUNTEREXAMPLES
+    def test_td0_certificates_cover_the_recorded_curve(self, mrp):
+        features = identity_features(3)
+        dev, d, G = td0_reference(mrp, features.Phi, 3000)
+        oracle = MixingOracle(mrp, features)
+        for eps in np.geomspace(1e-8, 1.0, 60):
+            cert = oracle.certify(eps)
+            H = cert.horizon_checked
+            assert cert.recheck()
+            assert np.all(cert.tail_bound >= 2.0 * G * d[H + 1:])
+            assert np.all(cert.tail_bound >= dev[H:])
+            assert np.all(dev[cert.tau - 1:] <= eps)
+
+    @COUNTEREXAMPLES
+    def test_generic_certificates_cover_the_recorded_curve(self, mrp):
+        d = tv_reference(mrp, 3000)
+        oracle = MixingOracle(mrp, identity_features(3))
+        for eps in np.geomspace(1e-8, 1.0, 400):
+            cert = oracle.certify_tv(1.0, eps)
+            H = cert.horizon_checked
+            assert cert.recheck()
+            assert np.all(cert.tail_bound >= 2.0 * d[H + 1:])
+            # the premise 2 G d(k-1) <= eps for every k >= tau
+            assert np.all(2.0 * d[cert.tau - 1:] <= eps)
+
+    @settings(max_examples=8, deadline=None)
+    @given(n=st.integers(2, 10), data=st.data())
+    def test_lazy_horizon_tau_equals_the_whole_curve(self, n, data):
+        # tau from the search that starts at H = 8 and doubles is the first t
+        # whose max of the exact deviation curve over [t, 4096] is <= eps, and
+        # the search stops at the first doubled H whose tail 2 G d(H) is too
+        seed = data.draw(st.integers(0, 2 ** 31 - 1), label="seed")
+        laziness = data.draw(st.floats(0.0, 0.95), label="laziness")
+        K = data.draw(st.integers(1, min(n, 4)), label="K")
+        base = random_mrp(n, data.draw(st.floats(0.2, 1.0), label="density"), seed)
+        mrp = MarkovRewardProcess(laziness * np.eye(n) + (1.0 - laziness) * base.P,
+                                  base.R, base.gamma)
+        features = random_features(n, K, seed)
+        dev, d, G = td0_reference(mrp, features.Phi, 4096)
+        oracle = MixingOracle(mrp, features)
+        eps_list = data.draw(st.lists(st.floats(1e-8, 1.0), min_size=1, max_size=6),
+                             label="eps")
+        for eps in eps_list:
+            cert = oracle.certify(eps)
+            assert cert.recheck()
+            if cert.horizon_checked <= 4096:
+                tau = first_tau(dev, eps)
+                assert (cert.tau, cert.horizon_checked) == (
+                    tau, first_horizon(tau, 2.0 * G * d, eps))
 
 
 class TestLemma1:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixing_reference import generic_tau
 from scalar_reference import ReferenceDivergence, reference_sa
 from tdcert.chain import ChainError, MarkovRewardProcess, derive_seed, generator
 from tdcert.harness import (
@@ -17,7 +18,6 @@ from tdcert.oracle import (
     FeatureMatrix,
     build_steady_state,
     constant_features,
-    envelope_mixing_time,
     random_features,
 )
 from tdcert.sa_core import (
@@ -135,13 +135,10 @@ class TestResolveStepSize:
         alpha = resolve_step_size(provider)
         assert provider.mode == "nonlinear"
         # L = a + b = 2.5, so min(beta, 1/beta) / L^2 = 0.5 / 6.25, and tau
-        # comes from the TV envelope at G = L sigma on the 64-step profile
+        # is the generic rule's on the TV curve at G = L sigma
         assert provider.contraction == 0.5 / 6.25
         tau = provider.certify(alpha).tau
-        profile = ONE_MODEL.mixing.profile(64)
-        envelope = envelope_mixing_time(profile, ONE_STATE.pi,
-                                        2.5 * provider.sigma_const, alpha)
-        assert tau == envelope.tau
+        assert tau == generic_tau(ONE_STATE, 2.5 * provider.sigma_const, alpha, 64)[0]
         assert alpha == provider.contraction / (8.0 * tau) < 1.0 / (8.0 * tau)
 
 
