@@ -10,11 +10,14 @@ share across threads.
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+# the most rows a caller draws from ``KeyedStreams`` at once (the Monte Carlo
+# kernel's step block), and the lanes drawn per transposed tile
+BLOCK = 4096
+_LANE_CHUNK = 64
 _ROW_SUM_TOL = 1e-9
 # below this the matrix-power differences are dominated by rounding noise,
 # so the curve is clamped to 0 and the clamp index recorded; a clamped entry
@@ -26,22 +29,34 @@ class ChainError(ValueError):
     """Malformed transition structure or a failed chain assumption."""
 
 
-def _splitmix64(z: int) -> int:
+def _splitmix64(z):
+    """splitmix64's mixer on an int or a uint64 array, modulo 2^64 (an array
+    wraps by itself, so the masks only bound an int)."""
     z = (z + 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
 
 
-def derive_seed(master_seed: int, *indices: int) -> int:
+def _word(x):
+    """x modulo 2^64: an int for an int, a uint64 array for an integer array."""
+    if isinstance(x, (int, np.integer)):
+        return int(x) & _MASK64
+    return np.array(x, ndmin=1).astype(np.uint64)
+
+
+def derive_seed(master_seed, *indices):
     """Hash a master seed and an index path into an independent stream seed.
 
     Used everywhere a per-trial or per-component stream is split off a master
-    seed, so parallel trials are independent by construction.
+    seed, so parallel trials are independent by construction. Each argument
+    is an int or an integer array, taken modulo 2^64. Ints give an int;
+    arrays broadcast and give a uint64 array whose entry i is the seed of the
+    ints at i, hashed in one pass.
     """
-    z = _splitmix64(master_seed & _MASK64)
+    z = _splitmix64(_word(master_seed))
     for ix in indices:
-        z = _splitmix64((z ^ _splitmix64(ix & _MASK64)) & _MASK64)
+        z = _splitmix64(z ^ _splitmix64(_word(ix)))
     return z
 
 
@@ -53,7 +68,58 @@ def generator(seed: int) -> np.random.Generator:
 
 def stream_key(seed: int) -> int:
     """The Philox key of the stream ``generator(seed)``."""
-    return seed & _MASK64
+    return int(seed) & _MASK64
+
+
+class KeyedStreams:
+    """The streams ``generator(seed)`` of many lanes, drawn from one re-keyed
+    Philox in step-major blocks.
+
+    Philox is counter-based: a stream is a key and a position, four 64-bit
+    words per counter step, and ``random`` takes one word per double. All
+    lanes stand at the same position ``pos``, so a lane's draws come from
+    writing its key and the counter ``pos // 4`` into the public state and
+    skipping ``pos % 4`` words: no generator (nor a seed sequence pulled from
+    OS entropy) is built per lane. Row j of a block holds every lane's j-th
+    draw, so a step reads one contiguous row; lanes are drawn
+    ``_LANE_CHUNK`` at a time into a lane-major tile and copied in as one
+    transposed tile, about twice as fast as writing one strided column per
+    lane. ``tiles`` hands out those tiles for a caller that writes its own
+    layout.
+    """
+
+    def __init__(self, seeds):
+        self.keys = [stream_key(seed) for seed in seeds]
+        self.gen = generator(0)
+        self.state = self.gen.bit_generator.state
+        self.pos = 0
+
+    def tiles(self, count: int):
+        """Every lane's next ``count`` uniforms, ``_LANE_CHUNK`` lanes at a
+        time: yields (lo, tile) where tile[k] holds lane lo + k's draws. The
+        tile's memory is reused, so each one is consumed before the next."""
+        tile = np.empty((min(_LANE_CHUNK, len(self.keys)), count))
+        bitgen, state = self.gen.bit_generator, self.state
+        key = state["state"]["key"]
+        state["state"]["counter"][0] = self.pos // 4
+        skip = self.pos % 4
+        self.pos += count
+        for lo in range(0, len(self.keys), _LANE_CHUNK):
+            keys = self.keys[lo:lo + _LANE_CHUNK]
+            for row, k in zip(tile, keys):
+                key[0] = k
+                bitgen.state = state
+                if skip:
+                    bitgen.random_raw(skip)
+                self.gen.random(out=row)
+            yield lo, tile[:len(keys)]
+
+    def uniform_block(self, count: int) -> np.ndarray:
+        """The next ``count`` uniforms of every lane, (count, lanes)."""
+        U = np.empty((count, len(self.keys)))
+        for lo, tile in self.tiles(count):
+            U[:, lo:lo + len(tile)] = tile.T
+        return U
 
 
 class InverseCdfTable:
@@ -199,19 +265,17 @@ class ValidationReport:
         return "; ".join(parts) if parts else "irreducible and aperiodic"
 
 
-def _bfs(adj_rows, start):
-    n = len(adj_rows)
-    dist = np.full(n, -1, dtype=np.int64)
-    dist[start] = 0
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adj_rows[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        frontier = nxt
+def _bfs(pos, start):
+    """Breadth-first distances from ``start`` over the boolean adjacency
+    ``pos`` (an edge u -> v where pos[u, v]); -1 where unreachable."""
+    dist = np.full(pos.shape[0], -1, dtype=np.int64)
+    frontier = np.zeros(pos.shape[0], dtype=bool)
+    frontier[start] = True
+    d = 0
+    while frontier.any():
+        dist[frontier] = d
+        d += 1
+        frontier = (frontier @ pos) & (dist < 0)
     return dist
 
 
@@ -219,24 +283,17 @@ def validate_chain(mrp: MarkovRewardProcess) -> ValidationReport:
     """Check Assumption-style chain structure: strong connectivity of the
     positive-transition graph and unit gcd of cycle lengths."""
     pos = mrp.P > 0.0
-    fwd = [np.nonzero(pos[u])[0] for u in range(mrp.n)]
-    rev = [np.nonzero(pos[:, u])[0] for u in range(mrp.n)]
-    dist_f = _bfs(fwd, 0)
-    dist_r = _bfs(rev, 0)
+    dist_f = _bfs(pos, 0)
+    dist_r = _bfs(pos.T, 0)
     not_reachable = tuple(int(s) for s in np.nonzero(dist_f < 0)[0])
     not_coreachable = tuple(int(s) for s in np.nonzero(dist_r < 0)[0])
     irreducible = not not_reachable and not not_coreachable
 
     # gcd of (dist[u] + 1 - dist[v]) over edges u->v equals the chain period
-    # on the strongly connected part containing state 0.
-    g = 0
-    for u in range(mrp.n):
-        if dist_f[u] < 0:
-            continue
-        for v in fwd[u]:
-            if dist_f[v] >= 0:
-                g = gcd(g, int(dist_f[u]) + 1 - int(dist_f[v]))
-    period = abs(g) if g != 0 else 0
+    # on the strongly connected part containing state 0; an edge out of a
+    # reachable state ends in one
+    u, v = np.nonzero(pos & (dist_f >= 0)[:, None])
+    period = int(np.gcd.reduce(dist_f[u] + 1 - dist_f[v]))
     aperiodic = period == 1
     return ValidationReport(irreducible, aperiodic, period, not_reachable, not_coreachable)
 

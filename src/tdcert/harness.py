@@ -8,34 +8,37 @@ statements into pass/fail ledgers with explicit 3-standard-error slack.
 ``_simulate(config)`` is the one SA kernel and ``MonteCarloEstimate`` its
 one result: it runs the config's trials as lanes, lane i on the stream
 ``derive_seed(master_seed, i)`` with the delays ``delays.spawn(i)``, and a
-rerun of the same config replays every lane bit for bit. Lanes are the
-last axis of (K, trials) arrays, one column per lane; the uniforms are drawn
-from one re-keyed Philox in step-major blocks, transitions come from the chain's
-exact table sampler (``mrp.sampler``), and every K-wide sum goes through
-``rowsum``, which adds the K rows in the order numpy sums one vector, so a
-lane's bits do not depend on how many lanes run beside it. Per-step
-aggregation reduces over the trial axis in a fixed order, so results do not
-depend on scheduling. Every check takes only the estimate and reads alpha,
-tau, the provider (its instance and theorem) and B from ``estimate.config``,
-whose tau is certified for its alpha and cannot be restated, so a ledger
-checks the hypothesis it reports; one that checks no claim (out
-of contract, or aborted trials) comes from ``_refused``. The bars a ledger is
-held to (``CEILING``, ``SLOPE_THRESHOLD``, ``SLACK_MULTIPLIER``) are module
-constants, not settings. ``run_experiment(config, kind)`` audits the provider
-and runs the checks of one experiment kind.
+rerun of the same config replays every lane bit for bit. Lanes are the last
+axis of (K, trials) arrays, one column per lane. The uniforms and the delay
+schedule are each drawn from one re-keyed Philox in step-major blocks
+(``chain.KeyedStreams``), transitions come from the chain's exact table
+sampler (``mrp.sampler``), and every K-wide sum goes through ``rowsum``,
+which adds the K rows in the order numpy sums one vector, so a lane's bits
+do not depend on how many lanes run beside it. Per-step aggregation reduces
+over the trial axis in a fixed order, so results do not depend on
+scheduling; an averaging run skips those reductions and keeps only each
+lane's weighted average. Every check takes only the estimate and reads
+alpha, tau, the provider (its instance and theorem) and B from
+``estimate.config``, whose tau is certified for its alpha and cannot be
+restated, so a ledger checks the hypothesis it reports; one that checks no
+claim (out of contract, or aborted trials) comes from ``_refused``. The bars
+a ledger is held to (``CEILING``, ``SLOPE_THRESHOLD``, ``SLACK_MULTIPLIER``)
+are module constants, not settings. ``run_experiment(config, kind)`` audits
+the provider and runs the checks of one experiment kind.
 """
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .chain import (
+    BLOCK,
     ChainError,
     InverseCdfTable,
+    KeyedStreams,
     derive_seed,
-    generator,
-    stream_key,
 )
 from .oracle import SteadyStateModel
 from .sa_core import (
@@ -58,8 +61,6 @@ from .sa_core import (
 )
 
 _GUARD2 = DIVERGENCE_GUARD ** 2
-_BLOCK = 4096
-_LANE_CHUNK = 64
 
 
 class AuditError(RuntimeError):
@@ -82,7 +83,9 @@ class ExperimentConfig:
     restate the mixing time it is certified at. Derive variants with
     ``dataclasses.replace``, which certifies a new alpha again. Counted
     fields (T, trials, master_seed, start_state, averaging_grid entries) are
-    refused unless whole numbers, and stored as ints.
+    refused unless whole numbers, and stored as ints. theta0 is stored
+    read-only and the averaging grid as a tuple, so the fingerprint, computed
+    once on first use, cannot go stale.
     """
 
     provider: UpdateDirectionProvider
@@ -95,7 +98,7 @@ class ExperimentConfig:
     delays: DelayProcess | None = None
     sampling: str = "markov"
     start_state: int | None = None
-    averaging_grid: list | None = None
+    averaging_grid: tuple | None = None
     label: str = ""
 
     def __post_init__(self):
@@ -104,8 +107,8 @@ class ExperimentConfig:
                  for name in ("T", "trials", "master_seed")}
         if self.start_state is not None:
             whole["start_state"] = integer("start_state", self.start_state)
-        whole["averaging_grid"] = [integer("averaging_grid entry", T_k)
-                                   for T_k in self.averaging_grid or ()] or None
+        whole["averaging_grid"] = tuple(integer("averaging_grid entry", T_k)
+                                        for T_k in self.averaging_grid or ()) or None
         if whole["T"] < 0:
             raise ConfigError("T must be nonnegative")
         if whole["trials"] < 1:
@@ -115,6 +118,7 @@ class ExperimentConfig:
         normalized = dict(
             theta0=initial_theta(self.provider, self.theta0),
             alpha=alpha, tau=self.provider.certify(alpha).tau, **whole)
+        normalized["theta0"].setflags(write=False)
         for name, value in normalized.items():
             object.__setattr__(self, name, value)
 
@@ -159,6 +163,11 @@ class ExperimentConfig:
         }
 
     def fingerprint(self) -> str:
+        return self._fingerprint
+
+    @cached_property
+    def _fingerprint(self) -> str:
+        # JSON-encoding the whole chain is the cost (23 ms at n = 150)
         return fingerprint(self.to_dict())
 
 
@@ -170,13 +179,14 @@ class MonteCarloEstimate:
     ``abort_count`` lanes hit the divergence guard, which stops the run at
     that step. ``theta_bar`` holds each lane's weighted average when one was
     requested, and ``retained`` each lane's iterates theta_0..theta_T,
-    (trials, T+1, K), when retained.
+    (trials, T+1, K), when retained. An averaging run computes only its
+    averages: its d_t/e_t curves are None.
     """
 
-    d_hat: np.ndarray
-    d_se: np.ndarray
-    e_hat: np.ndarray
-    e_se: np.ndarray
+    d_hat: np.ndarray | None
+    d_se: np.ndarray | None
+    e_hat: np.ndarray | None
+    e_se: np.ndarray | None
     abort_count: int
     abort_step: int | None
     config: ExperimentConfig
@@ -185,49 +195,7 @@ class MonteCarloEstimate:
 
     @property
     def T(self) -> int:
-        return self.d_hat.shape[0] - 1
-
-
-class _TrialStreams:
-    """Every lane's stream ``generator(seed)``, drawn from one re-keyed
-    Philox in step-major blocks.
-
-    Philox is counter-based: a stream is a key and a position, four 64-bit
-    words per counter step, and ``random`` takes one word per double. All
-    lanes stand at the same position ``pos``, so a lane's draws come from
-    writing its key and the counter ``pos // 4`` into the public state and
-    skipping ``pos % 4`` words: no generator (nor a seed sequence pulled from
-    OS entropy) is built per lane. Row j of a block holds every lane's j-th
-    draw, so a step reads one contiguous row; lanes are drawn
-    ``_LANE_CHUNK`` at a time and copied in as one transposed tile, about
-    twice as fast as writing one strided column per lane.
-    """
-
-    def __init__(self, seeds):
-        self.keys = [stream_key(seed) for seed in seeds]
-        self.gen = generator(0)
-        self.state = self.gen.bit_generator.state
-        self.pos = 0
-
-    def uniform_block(self, count: int) -> np.ndarray:
-        trials = len(self.keys)
-        U = np.empty((count, trials))
-        tile = np.empty((min(_LANE_CHUNK, trials), count))
-        bitgen, state = self.gen.bit_generator, self.state
-        key = state["state"]["key"]
-        state["state"]["counter"][0] = self.pos // 4
-        skip = self.pos % 4
-        for lo in range(0, trials, _LANE_CHUNK):
-            keys = self.keys[lo:lo + _LANE_CHUNK]
-            for row, k in zip(tile, keys):
-                key[0] = k
-                bitgen.state = state
-                if skip:
-                    bitgen.random_raw(skip)
-                self.gen.random(out=row)
-            U[:, lo:lo + len(keys)] = tile[:len(keys)].T
-        self.pos += count
-        return U
+        return self.config.T
 
 
 def _se_from_centered(sq_dev_total, count):
@@ -252,22 +220,23 @@ def _simulate(config: ExperimentConfig, weight_A: float | None = None,
     theta.
 
     Lane i draws from the stream ``derive_seed(master_seed, i)`` and takes
-    its delays from ``delays.spawn(i)``. Each step samples every lane's
-    transition, calls ``provider.direction`` and ``provider.steady`` once on
-    the whole (K, trials) batch, updates, and reduces d_t and e_t over the
-    lanes. markov sampling draws one uniform per step (plus one for the start
-    state when ``start_state`` is None); iid_restart draws the state fresh
-    from pi and then its successor, two uniforms per step. A delayed lane
-    applies the direction its kernel computed d_t steps earlier, which is
-    g(theta_{t-d_t}; X_{t-d_t}) bit for bit. ``weight_A`` keeps each lane's
-    weighted average with weight rate 1 - alpha A; ``retain`` keeps every
-    lane's iterates.
+    its delays from ``delays.spawn(i)``; the whole (T, trials) delay schedule
+    is drawn up front (``DelayProcess.schedule``). Each step samples every
+    lane's transition, calls ``provider.direction`` once on the whole
+    (K, trials) batch, and updates. markov sampling draws one uniform per step
+    (plus one for the start state when ``start_state`` is None); iid_restart
+    draws the state fresh from pi and then its successor, two uniforms per
+    step. A delayed lane applies the direction its kernel computed d_t steps
+    earlier, which is g(theta_{t-d_t}; X_{t-d_t}) bit for bit.
+
+    By default each step also calls ``provider.steady`` and reduces d_t and
+    e_t over the lanes. ``weight_A`` instead keeps only each lane's weighted
+    average, with weight rate 1 - alpha A, and the estimate has no curves;
+    ``retain`` keeps every lane's iterates as well.
     """
     provider, mrp, delays = config.provider, config.model.mrp, config.delays
     alpha, T, trials, K = config.alpha, config.T, config.trials, provider.dim
-    # theta* as full (K, trials) rows: subtracting a (K, 1) column runs
-    # about 2x slower than a whole-array op
-    star = np.tile(provider.theta_star[:, None], (1, trials))
+    curves = weight_A is None
     # with no coordinate above this, every lane's sum of squares is about
     # G^2 / 2, inside the guard whatever the rounding; one max over the batch
     # costs a third of the exact row sums
@@ -280,33 +249,33 @@ def _simulate(config: ExperimentConfig, weight_A: float | None = None,
     if retain and trials * (T + 1) * K > 2e8:
         raise ConfigError("iterate retention too large; lower trials or T")
 
-    streams = _TrialStreams([derive_seed(config.master_seed, i) for i in range(trials)])
+    streams = KeyedStreams(derive_seed(config.master_seed, np.arange(trials)))
     theta = np.tile(config.theta0[:, None], (1, trials))
 
-    # per-step cross-trial mean and centered squared deviation (the centered
-    # form keeps deterministic instances at exactly zero variance)
-    d_mean = np.full(T + 1, np.nan)
-    d_dev = np.full(T + 1, np.nan)
-    e_mean = np.full(max(T, 1), np.nan)
-    e_dev = np.full(max(T, 1), np.nan)
+    if curves:
+        # theta* as full (K, trials) rows: subtracting a (K, 1) column runs
+        # about 2x slower than a whole-array op
+        star = np.tile(provider.theta_star[:, None], (1, trials))
+        # per-step cross-trial mean and centered squared deviation (the
+        # centered form keeps deterministic instances at exactly zero variance)
+        d_mean = np.full(T + 1, np.nan)
+        d_dev = np.full(T + 1, np.nan)
+        e_mean = np.full(max(T, 1), np.nan)
+        e_dev = np.full(max(T, 1), np.nan)
+    else:
+        S = theta.copy()
+        wrate = 1.0 - alpha * weight_A
+        v = 1.0
 
     retained = None
     if retain:
         retained = np.empty((trials, T + 1, K))
         retained[:, 0] = theta.T
-    S = theta.copy() if weight_A is not None else None
-    wrate = 1.0 - alpha * weight_A if weight_A is not None else None
-    v = 1.0
 
     use_delays = delays is not None and delays.kind != "none" and delays.tau_max > 0
     if use_delays:
         m = delays.tau_max + 1
-        # int16 keeps the T x trials schedule small; it cannot hold delays past 32767,
-        # and a step index past 32767 must not meet it in int16 arithmetic
-        fits = delays.tau_max <= np.iinfo(np.int16).max
-        dmat = np.empty((T, trials), dtype=np.int16 if fits else np.int64)
-        for i in range(trials):
-            dmat[:, i] = delays.spawn(i).sequence(T)
+        dmat = delays.schedule(T, trials)
         # the directions of the last m steps; lane i's slot-b direction is
         # hist_g[:, b, i], so a (trials,) slot vector picks (K, trials)
         hist_g = np.zeros((K, m, trials))
@@ -323,7 +292,7 @@ def _simulate(config: ExperimentConfig, weight_A: float | None = None,
     abort_count, abort_step = 0, None
     t0 = 0
     while t0 < T and abort_step is None:
-        L = min(_BLOCK, T - t0)
+        L = min(BLOCK, T - t0)
         U = streams.uniform_block(L * draws + draw_start)
         if draw_start:  # the start state's draw leads the first block
             s = pi_sampler.pick(U[0])
@@ -331,8 +300,9 @@ def _simulate(config: ExperimentConfig, weight_A: float | None = None,
             draw_start = False
         for j in range(L):
             step = t0 + j
-            diff = theta - star
-            d_mean[step], d_dev[step] = _mean_and_dev(rowsum(diff * diff), trials)
+            if curves:
+                diff = theta - star
+                d_mean[step], d_dev[step] = _mean_and_dev(rowsum(diff * diff), trials)
 
             if iid:
                 s = pi_sampler.pick(U[2 * j])
@@ -343,12 +313,15 @@ def _simulate(config: ExperimentConfig, weight_A: float | None = None,
             X = (s, sp, r)
 
             g = provider.direction(theta, X)
-            gbar = provider.steady(theta)
-            e_mean[step], e_dev[step] = _mean_and_dev(
-                rowsum(diff * (g - gbar)), trials)
+            if curves:
+                gbar = provider.steady(theta)
+                e_mean[step], e_dev[step] = _mean_and_dev(
+                    rowsum(diff * (g - gbar)), trials)
 
             if use_delays:
                 hist_g[:, step % m] = g
+                # the schedule may be int16, which a step index past 32767
+                # must not meet in int16 arithmetic
                 back = (step - dmat[step].astype(np.int64)) % m
                 g = hist_g[:, back, lanes]
             theta += alpha * g
@@ -363,23 +336,28 @@ def _simulate(config: ExperimentConfig, weight_A: float | None = None,
 
             if retained is not None:
                 retained[:, step + 1] = theta.T
-            if S is not None:
+            if not curves:
                 v = v * wrate + 1.0
-                S = S + (theta - S) / v
+                gap = theta - S
+                gap /= v
+                S += gap
             if not iid:
                 s = sp
         t0 += L
 
+    if not curves:
+        return MonteCarloEstimate(
+            d_hat=None, d_se=None, e_hat=None, e_se=None, abort_count=abort_count,
+            abort_step=abort_step, config=config, retained=retained,
+            theta_bar=np.ascontiguousarray(S.T))
     if abort_step is None:
         diff = theta - star
         d_mean[T], d_dev[T] = _mean_and_dev(rowsum(diff * diff), trials)
-
     return MonteCarloEstimate(
         d_hat=d_mean, d_se=_se_from_centered(d_dev, trials),
         e_hat=e_mean[:T], e_se=_se_from_centered(e_dev[:T], trials),
         abort_count=abort_count, abort_step=abort_step, config=config,
         retained=retained,
-        theta_bar=None if S is None else np.ascontiguousarray(S.T),
     )
 
 

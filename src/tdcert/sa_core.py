@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import derive_seed, generator
+from .chain import BLOCK, KeyedStreams, derive_seed, generator
 from .oracle import (
     FeatureMatrix,
     MixingTimeCertificate,
@@ -363,17 +363,52 @@ class DelayProcess:
             raise ValueError("tau_max must be nonnegative")
 
     def sequence(self, T: int) -> np.ndarray:
+        """The delays tau_0..tau_{T-1} (int64): the one-lane case of
+        ``schedule``."""
+        return self._draw(T, self.seed)[:, 0].astype(np.int64)
+
+    def schedule(self, T: int, trials: int) -> np.ndarray:
+        """The (T, trials) delays of the replicas ``spawn(0..trials-1)``:
+        column i is ``spawn(i).sequence(T)``, bit for bit. int16 when tau_max
+        fits, else int64; constant and sawtooth delays are the same in every
+        lane, so they come as one read-only column broadcast across them."""
+        return self._draw(T, derive_seed(self.seed, np.arange(trials), 0xDE1A7))
+
+    def _draw(self, T: int, seeds) -> np.ndarray:
+        """The delays of the lanes whose process seeds are ``seeds`` (a
+        uint64 array, or an int for one lane).
+
+        A uniform lane floors its stream ``generator(derive_seed(seed,
+        0xDE1A))`` times tau_max + 1 (so the stream is chunk-stable), every
+        lane drawn through one ``KeyedStreams`` in ``BLOCK``-row tiles; all
+        kinds clamp to min(t, tau_max). The floor, the caps and the cast run
+        on each tile in place, as trunc(min(x, c)) = min(trunc(x), c) for an
+        integer c and x >= 0, and the tile is written straight into the
+        schedule."""
+        lanes = np.size(seeds)
+        fits = self.tau_max <= np.iinfo(np.int16).max
+        dtype = np.int16 if fits else np.int64
         t = np.arange(T, dtype=np.int64)
         if self.kind == "none" or self.tau_max == 0:
-            return np.zeros(T, dtype=np.int64)
-        if self.kind == "constant":
-            raw = np.full(T, self.tau_max, dtype=np.int64)
+            column = np.zeros(T, dtype=dtype)
+        elif self.kind == "constant":
+            column = np.minimum(self.tau_max, t).astype(dtype)
         elif self.kind == "sawtooth":
-            raw = t % (self.tau_max + 1)
-        else:  # uniform; floor of uniforms keeps the stream chunk-stable
-            u = generator(derive_seed(self.seed, 0xDE1A)).random(T)
-            raw = np.minimum((u * (self.tau_max + 1)).astype(np.int64), self.tau_max)
-        return np.minimum(raw, t)
+            column = (t % (self.tau_max + 1)).astype(dtype)
+        else:  # uniform
+            out = np.empty((T, lanes), dtype=dtype)
+            streams = KeyedStreams(np.atleast_1d(derive_seed(seeds, 0xDE1A)))
+            for t0 in range(0, T, BLOCK):
+                steps = t[t0:t0 + BLOCK]
+                for lo, u in streams.tiles(len(steps)):
+                    u *= self.tau_max + 1
+                    np.minimum(u, self.tau_max, out=u)
+                    early = u[:, :max(0, self.tau_max - t0)]
+                    np.minimum(early, steps[:early.shape[1]], out=early)
+                    np.copyto(out[t0:t0 + len(steps), lo:lo + len(u)], u.T,
+                              casting="unsafe")
+            return out
+        return np.broadcast_to(column[:, None], (T, lanes))
 
     def spawn(self, trial_index: int) -> "DelayProcess":
         """Per-trial replica with an independently derived stream."""

@@ -4,11 +4,13 @@ One trajectory, one draw at a time, with the full-row inverse CDF: the
 markov chain draws one uniform per step (plus one for a start state drawn
 from pi), iid_restart draws the state from pi and then its successor. A ring
 buffer of the last tau_max + 1 iterates and observations supplies the stale
-direction g(theta_{t-d_t}; X_{t-d_t}); without delays d_t = 0.
+direction g(theta_{t-d_t}; X_{t-d_t}); without delays d_t = 0. The delays
+come from ``reference_delays``, one generator per process.
 """
 
 import numpy as np
 
+from chain_reference import derive_seed
 from tdcert.chain import generator
 from tdcert.sa_core import DIVERGENCE_GUARD, DelayProcess
 
@@ -27,6 +29,23 @@ def _inv_cdf(cum, u):
     return min(idx, cum.shape[0] - 1)
 
 
+def reference_delays(process: DelayProcess, T: int) -> np.ndarray:
+    """The process's delays tau_0..tau_{T-1} (int64), each kind written out:
+    a uniform process floors its own stream generator(derive_seed(seed,
+    0xDE1A)) times tau_max + 1; every kind is clamped to min(t, tau_max)."""
+    t = np.arange(T, dtype=np.int64)
+    if process.kind == "none" or process.tau_max == 0:
+        return np.zeros(T, dtype=np.int64)
+    if process.kind == "constant":
+        raw = np.full(T, process.tau_max, dtype=np.int64)
+    elif process.kind == "sawtooth":
+        raw = t % (process.tau_max + 1)
+    else:
+        u = generator(derive_seed(process.seed, 0xDE1A)).random(T)
+        raw = np.minimum((u * (process.tau_max + 1)).astype(np.int64), process.tau_max)
+    return np.minimum(raw, t)
+
+
 def reference_sa(provider, mrp, theta0, alpha, T, seed, sampling="markov",
                  start_state=None, delays=None):
     """Iterates theta_0..theta_T as a (T + 1, K) array."""
@@ -36,7 +55,7 @@ def reference_sa(provider, mrp, theta0, alpha, T, seed, sampling="markov",
     if sampling == "markov" and start_state is None:
         s = _inv_cdf(cum_pi, rng.random())
     delays = delays if delays is not None else DelayProcess()
-    dseq = delays.sequence(T)
+    dseq = reference_delays(delays, T)
     m = delays.tau_max + 1
     hist_theta = np.zeros((m, provider.dim))
     hist_X = [(0, 0, 0.0)] * m

@@ -157,7 +157,7 @@ def test_criterion_6_theorem3_weighted_averaging():
     start = time.time()
     config, kind = parse_experiment(bundled_config("theorem3_averaging"))
     assert kind == "weighted_average"
-    assert config.averaging_grid == [2 ** k for k in range(6, 13)]
+    assert config.averaging_grid == tuple(2 ** k for k in range(6, 13))
     led = weighted_average_experiment(config)
     slope = led.fitted["tail_slope"]
     elapsed = time.time() - start

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chain_reference
 from tdcert.chain import (
     ChainError,
     InverseCdfTable,
@@ -76,6 +77,36 @@ class TestValidateChain:
         assert not rep.irreducible
         assert 1 in rep.not_reachable
         assert "unreachable" in rep.describe()
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 12])
+    def test_deterministic_cycle_has_its_length_as_period(self, n):
+        mrp = make(np.roll(np.eye(n), 1, axis=1))
+        rep = validate_chain(mrp)
+        assert rep.irreducible and rep.period == n
+        assert rep == chain_reference.validate_chain(mrp)
+
+    def test_cycles_of_four_and_six_through_one_state_have_period_two(self):
+        # 0 -> 1 -> 2 -> 3 -> 0 and 0 -> 4 -> ... -> 8 -> 0
+        P = np.zeros((9, 9))
+        for u, v in [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6),
+                     (6, 7), (7, 8), (8, 0)]:
+            P[u, v] = 1.0
+        P /= P.sum(axis=1, keepdims=True)
+        rep = validate_chain(make(P))
+        assert rep.irreducible and rep.period == 2
+        assert rep == chain_reference.validate_chain(make(P))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 60), st.floats(0.0, 0.5), st.integers(0, 2 ** 32 - 1))
+    def test_matches_python_bfs_reference(self, n, density, seed):
+        # sparse patterns give reducible and periodic chains as well as
+        # ergodic ones; every row keeps at least one positive entry
+        rng = generator(seed)
+        pos = rng.random((n, n)) < density
+        pos[np.arange(n), rng.integers(0, n, size=n)] = True
+        P = pos * (rng.random((n, n)) + 0.1)
+        mrp = make(P / P.sum(axis=1, keepdims=True))
+        assert validate_chain(mrp) == chain_reference.validate_chain(mrp)
 
 
 class TestStationary:
@@ -224,6 +255,40 @@ class TestGeneratorsAndConfig:
         assert derive_seed(7, 1) != base
         assert derive_seed(8, 0) != base
         assert derive_seed(7, 0, 1) != base
+
+
+_MASTERS = st.one_of(st.sampled_from([0, 2 ** 64 - 1, -7]),
+                     st.integers(-2 ** 70, 2 ** 70))
+
+
+class TestDeriveSeed:
+    """derive_seed runs splitmix64 on uint64 arrays; it must hash exactly as
+    the plain-Python splitmix64 on ints modulo 2^64."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_MASTERS, st.lists(st.integers(-2 ** 64, 2 ** 65), max_size=3))
+    def test_ints_match_python_splitmix(self, master, path):
+        seed = derive_seed(master, *path)
+        assert type(seed) is int
+        assert seed == chain_reference.derive_seed(master, *path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_MASTERS, st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=40),
+           st.lists(st.integers(0, 2 ** 64 - 1), max_size=2))
+    def test_index_array_matches_python_splitmix_per_entry(self, master, column, rest):
+        seeds = derive_seed(master, np.array(column, dtype=np.uint64), *rest)
+        assert seeds.dtype == np.uint64
+        assert [int(z) for z in seeds] == [
+            chain_reference.derive_seed(master, ix, *rest) for ix in column]
+
+    def test_signed_index_and_master_arrays_wrap_modulo_2_64(self):
+        ix = np.array([-7, -1, 0, 5], dtype=np.int64)
+        masters = np.array([3, -2], dtype=np.int64)[:, None]
+        seeds = derive_seed(masters, ix, 0xDE1A)
+        assert seeds.shape == (2, 4)
+        for m, row in zip((3, -2), seeds):
+            assert [int(z) for z in row] == [
+                chain_reference.derive_seed(m, int(i), 0xDE1A) for i in ix]
 
 
 @st.composite

@@ -8,7 +8,14 @@ import pytest
 from mixing_reference import generic_tau
 from scalar_reference import reference_sa
 from tdcert import bundled
-from tdcert.chain import ChainError, MarkovRewardProcess, derive_seed, generator, random_mrp
+from tdcert.chain import (
+    ChainError,
+    KeyedStreams,
+    MarkovRewardProcess,
+    derive_seed,
+    generator,
+    random_mrp,
+)
 from tdcert.cli import parse_experiment
 from tdcert.oracle import (
     FeatureMatrix,
@@ -23,10 +30,11 @@ from tdcert.sa_core import (
     SaturatingMonotoneProvider,
     TD0Provider,
     bound_B,
+    fingerprint,
     resolve_step_size,
 )
 from tdcert.harness import (
-    _TrialStreams,
+    _simulate,
     AuditError,
     BoundLedger,
     ConfigError,
@@ -102,6 +110,34 @@ class TestProviderInstance:
     def test_no_model_beside_the_provider(self):
         with pytest.raises(TypeError):
             replace(fast_config(), model=SLOW_MODEL)
+
+
+class TestFingerprint:
+    """The fingerprint JSON-encodes the whole chain, so a config computes it
+    once; theta0 is read-only and the grid a tuple, so the cached value
+    cannot go stale."""
+
+    def test_computed_once_per_config(self, monkeypatch):
+        config = fast_config()
+        expected = fingerprint(config.to_dict())
+        assert config.fingerprint() == expected
+        monkeypatch.setattr(ExperimentConfig, "to_dict",
+                            lambda self: pytest.fail("fingerprint re-encoded"))
+        assert config.fingerprint() == expected
+
+    def test_replace_fingerprints_the_new_config(self):
+        config = fast_config()
+        assert config.fingerprint() != replace(config, T=301).fingerprint()
+        assert replace(config, T=301).fingerprint() == fast_config(T=301).fingerprint()
+
+    def test_theta0_and_grid_are_read_only_copies(self):
+        given_theta0, given_grid = np.array([0.5]), [64, 128]
+        config = fast_config(theta0=given_theta0, averaging_grid=given_grid)
+        given_theta0[0] = 9.0
+        given_grid.append(256)
+        assert config.theta0[0] == 0.5 and config.averaging_grid == (64, 128)
+        with pytest.raises(ValueError, match="read-only"):
+            config.theta0[0] = 1.0
 
 
 class TestCertifiedTau:
@@ -284,14 +320,15 @@ class TestEstimate:
     def test_keyed_streams_equal_per_lane_generators(self, blocks):
         # 133 lanes fill two 64-lane chunks and part of a third
         seeds = [derive_seed(3, i) for i in range(130)] + [0, 2 ** 64 - 1, -7]
-        streams = _TrialStreams(seeds)
+        streams = KeyedStreams(seeds)
         drawn = np.concatenate([streams.uniform_block(n) for n in blocks])
         for i, seed in enumerate(seeds):
             assert np.array_equal(drawn[:, i], generator(seed).random(sum(blocks)))
 
     def test_one_bit_generator_per_run(self, monkeypatch):
         # re-keying replaces one Philox (and its entropy-seeded seed
-        # sequence) per lane; 500 lanes must not build 500 of them
+        # sequence) per lane, for the transitions and for the uniform delay
+        # schedule; 500 lanes must not build 500 of them
         built = []
         philox = np.random.Philox
 
@@ -300,9 +337,11 @@ class TestEstimate:
             return philox(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "Philox", counting)
-        estimate = estimate_dt_et(fast_config(trials=500, T=20))
-        assert estimate.abort_step is None
-        assert 1 <= len(built) <= 2
+        for delays in (None, DelayProcess("uniform", 5, 77)):
+            built.clear()
+            estimate = estimate_dt_et(fast_config(trials=500, T=20, delays=delays))
+            assert estimate.abort_step is None
+            assert 1 <= len(built) <= 2
 
     @pytest.mark.parametrize("start_state", [-1, 2])
     def test_start_state_out_of_range_rejected(self, start_state):
@@ -571,6 +610,44 @@ class TestDrift:
 
 
 class TestWeightedAveraging:
+    @pytest.mark.parametrize("delays", [None, DelayProcess("uniform", 4, seed=8)],
+                             ids=["undelayed", "uniform_delays"])
+    @pytest.mark.parametrize("sampling", ["markov", "iid_restart"])
+    @pytest.mark.parametrize("K", [1, 3])
+    def test_average_is_the_incremental_average_of_the_iterates(self, K, sampling,
+                                                                delays):
+        # the averaging run's theta_bar, bit for bit, is the incremental
+        # average of the same lanes' retained iterates in the same order
+        if K == 1:
+            cfg = fast_config(trials=7, T=150, sampling=sampling, delays=delays)
+        else:
+            cfg = wide_config(3, sampling=sampling, delays=delays)
+        weight_A = 0.5 * cfg.provider.contraction
+        averaged = _simulate(cfg, weight_A=weight_A)
+        path = simulate_trajectories(cfg).retained
+        wrate = 1.0 - cfg.alpha * weight_A
+        v, S = 1.0, path[:, 0].copy()
+        for t in range(1, cfg.T + 1):
+            v = v * wrate + 1.0
+            S = S + (path[:, t] - S) / v
+        assert averaged.abort_step is None
+        assert np.array_equal(averaged.theta_bar, S)
+
+    def test_averaging_estimate_has_no_curves(self):
+        # an averaging run reads only theta_bar and the abort fields, so it
+        # neither reduces d_t/e_t nor calls the steady-state map
+        class NoSteady(TD0Provider):
+            def steady(self, theta):
+                raise AssertionError("steady called on an averaging run")
+
+        cfg = fast_config(provider=NoSteady(FAST_MODEL), trials=50, T=40)
+        estimate = _simulate(cfg, weight_A=0.5 * cfg.provider.contraction)
+        assert (estimate.d_hat, estimate.d_se, estimate.e_hat, estimate.e_se) == \
+            (None, None, None, None)
+        assert estimate.T == cfg.T == 40
+        assert estimate.theta_bar.shape == (50, 1)
+        assert (estimate.abort_count, estimate.abort_step) == (0, None)
+
     def test_incremental_average_matches_direct(self):
         rng = generator(21)
         thetas = rng.normal(size=(30, 2))

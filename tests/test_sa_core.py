@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixing_reference import generic_tau
-from scalar_reference import ReferenceDivergence, reference_sa
-from tdcert.chain import ChainError, MarkovRewardProcess, derive_seed, generator
+from scalar_reference import ReferenceDivergence, reference_delays, reference_sa
+from tdcert.chain import BLOCK, ChainError, MarkovRewardProcess, derive_seed, generator
 from tdcert.harness import (
     ConfigError,
     ExperimentConfig,
@@ -259,6 +259,24 @@ class TestDelays:
         s0 = dp.spawn(0).sequence(100)
         s1 = dp.spawn(1).sequence(100)
         assert not np.array_equal(s0, s1)
+
+    @pytest.mark.parametrize("tau_max", [5, 40000], ids=["int16", "past_int16"])
+    @pytest.mark.parametrize("kind", ["none", "constant", "uniform", "sawtooth"])
+    def test_schedule_columns_are_the_spawned_sequences(self, kind, tau_max):
+        # the kernel's (T, trials) schedule: T crosses a BLOCK-row chunk and
+        # 70 lanes cross a 64-lane tile; each column is its lane's own
+        # process, drawn from one generator per lane in the reference
+        T, trials = BLOCK + 1, 70
+        process = DelayProcess(kind, tau_max, seed=77)
+        schedule = process.schedule(T, trials)
+        assert schedule.shape == (T, trials)
+        assert schedule.dtype == (np.int16 if tau_max == 5 else np.int64)
+        for i in range(trials):
+            lane = process.spawn(i)
+            expected = reference_delays(lane, T)
+            assert np.array_equal(schedule[:, i], expected)
+            assert np.array_equal(lane.sequence(T), expected)
+        assert np.array_equal(process.sequence(T), reference_delays(process, T))
 
 
 class TestAuditProvider:
