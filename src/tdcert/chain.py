@@ -15,8 +15,8 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 # the most rows a caller draws from ``KeyedStreams`` at once (the Monte Carlo
-# kernel's step block), and the lanes drawn per transposed tile
-BLOCK = 4096
+# kernel's reused word buffer), and the lanes drawn per transposed tile
+BLOCK = 1024
 _LANE_CHUNK = 64
 _ROW_SUM_TOL = 1e-9
 # below this the matrix-power differences are dominated by rounding noise,
@@ -71,35 +71,47 @@ def stream_key(seed: int) -> int:
     return int(seed) & _MASK64
 
 
+def unit(words):
+    """The doubles ``Generator.random`` makes of raw Philox words, bit for
+    bit: the top 53 bits times 2^-53, in [0, 1)."""
+    return (words >> 11) * 2.0 ** -53
+
+
 class KeyedStreams:
-    """The streams ``generator(seed)`` of many lanes, drawn from one re-keyed
-    Philox in step-major blocks.
+    """The streams ``generator(seed)`` of many lanes, drawn as raw 64-bit
+    words from one re-keyed Philox in step-major blocks.
 
     Philox is counter-based: a stream is a key and a position, four 64-bit
-    words per counter step, and ``random`` takes one word per double. All
-    lanes stand at the same position ``pos``, so a lane's draws come from
-    writing its key and the counter ``pos // 4`` into the public state and
-    skipping ``pos % 4`` words: no generator (nor a seed sequence pulled from
-    OS entropy) is built per lane. Row j of a block holds every lane's j-th
-    draw, so a step reads one contiguous row; lanes are drawn
-    ``_LANE_CHUNK`` at a time into a lane-major tile and copied in as one
-    transposed tile, about twice as fast as writing one strided column per
-    lane. ``tiles`` hands out those tiles for a caller that writes its own
-    layout.
+    words per counter step, and ``random`` turns one word into one double
+    (``unit``). All lanes stand at the same position ``pos``, so a lane's
+    words come from writing its key and the counter ``pos // 4`` into the
+    public state and dropping ``pos % 4`` words: no generator (nor a seed
+    sequence pulled from OS entropy) is built per lane, and a caller whose
+    blocks are multiples of 4 words never drops one. ``fill(out)`` writes
+    every lane's next ``len(out)`` words into a caller's (rows, lanes)
+    uint64 buffer, so row j holds every lane's j-th word and a step reads one
+    contiguous row; lanes are drawn ``_LANE_CHUNK`` at a time into a
+    lane-major tile and copied in as one transposed tile, about twice as fast
+    as writing one strided column per lane. ``tiles`` hands out those tiles
+    for a caller that writes its own layout. The tile is allocated once, at
+    the widest count drawn, and reused by every later draw.
     """
 
     def __init__(self, seeds):
         self.keys = [stream_key(seed) for seed in seeds]
-        self.gen = generator(0)
-        self.state = self.gen.bit_generator.state
+        self.bitgen = generator(0).bit_generator
+        self.state = self.bitgen.state
         self.pos = 0
+        self._tile = np.empty((min(_LANE_CHUNK, len(self.keys)), 0), dtype=np.uint64)
 
     def tiles(self, count: int):
-        """Every lane's next ``count`` uniforms, ``_LANE_CHUNK`` lanes at a
-        time: yields (lo, tile) where tile[k] holds lane lo + k's draws. The
+        """Every lane's next ``count`` words, ``_LANE_CHUNK`` lanes at a
+        time: yields (lo, tile) where tile[k] holds lane lo + k's words. The
         tile's memory is reused, so each one is consumed before the next."""
-        tile = np.empty((min(_LANE_CHUNK, len(self.keys)), count))
-        bitgen, state = self.gen.bit_generator, self.state
+        if self._tile.shape[1] < count:
+            self._tile = np.empty((self._tile.shape[0], count), dtype=np.uint64)
+        tile = self._tile[:, :count]
+        bitgen, state = self.bitgen, self.state
         key = state["state"]["key"]
         state["state"]["counter"][0] = self.pos // 4
         skip = self.pos % 4
@@ -109,32 +121,30 @@ class KeyedStreams:
             for row, k in zip(tile, keys):
                 key[0] = k
                 bitgen.state = state
-                if skip:
-                    bitgen.random_raw(skip)
-                self.gen.random(out=row)
+                row[:] = bitgen.random_raw(skip + count)[skip:]
             yield lo, tile[:len(keys)]
 
-    def uniform_block(self, count: int) -> np.ndarray:
-        """The next ``count`` uniforms of every lane, (count, lanes)."""
-        U = np.empty((count, len(self.keys)))
-        for lo, tile in self.tiles(count):
-            U[:, lo:lo + len(tile)] = tile.T
-        return U
+    def fill(self, out: np.ndarray):
+        """Write every lane's next ``len(out)`` words into the (rows, lanes)
+        uint64 array ``out``."""
+        for lo, tile in self.tiles(len(out)):
+            out[:, lo:lo + len(tile)] = tile.T
 
 
 class InverseCdfTable:
-    """Exact inverse-CDF sampling for a batch of lanes, by table lookup.
+    """Exact inverse-CDF sampling for a batch of lanes, by table lookup on
+    raw Philox words.
 
-    ``pick(u, rows)`` returns ``min(#{j : cum[row, j] <= u}, n - 1)`` for
-    each lane, the same index as comparing u with its whole row. Each row's
-    count of cells at or below u is a step function of u; the table records
-    it per bucket of [0, 1), cut into B = 2^ceil(log2 16n) (at least 256)
-    equal buckets. B is a power of two, so ``u * B`` is exact and its floor
-    is the bucket that holds u. A bucket whose count (capped at n - 1) is
-    the same at both ends answers for every u in it; a bucket that a CDF
-    value splits is marked -1, and only the lanes that land in one compare u
-    with their row. Uniforms must lie in [0, 1), as ``Generator.random``
-    draws them.
+    ``pick(words, rows)`` returns ``min(#{j : cum[row, j] <= u}, n - 1)`` for
+    each lane, with u = ``unit(word)`` the double ``Generator.random`` makes
+    of the word: the same index as comparing that u with its whole row. Each
+    row's count of cells at or below u is a step function of u; the table
+    records it per bucket of [0, 1), cut into B = 2^b = 2^ceil(log2 16n) (at
+    least 256) equal buckets. The bucket that holds u, floor(u B), is the
+    word's top b bits, ``word >> (64 - b)``, so no lane converts its word. A
+    bucket whose count (capped at n - 1) is the same at both ends answers for
+    every u in it; a bucket that a CDF value splits is marked -1, and only
+    the lanes that land in one make u and compare it with their row.
     """
 
     def __init__(self, cum):
@@ -152,20 +162,21 @@ class InverseCdfTable:
         self.cum = cum
         self.n = n
         self.B = B
+        self.shift = 64 - (B.bit_length() - 1)
         self.table = table.reshape(-1)
         self.table.setflags(write=False)
 
-    def pick(self, u, rows=None):
-        """Sampled cell per lane for uniforms ``u`` in rows ``rows`` (integer
-        array aligned with u; None for a one-row table)."""
-        cell = (u * self.B).astype(np.intp)
+    def pick(self, words, rows=None):
+        """Sampled cell per lane for the uint64 ``words`` in rows ``rows``
+        (integer array aligned with words; None for a one-row table)."""
+        cell = (words >> self.shift).view(np.intp)
         if rows is not None:
             cell += rows * self.B
         idx = self.table.take(cell).astype(np.intp)
         split = np.flatnonzero(idx < 0)
         if split.size:
             cum = self.cum[0] if rows is None else self.cum.take(rows.take(split), axis=0)
-            count = (cum <= u.take(split)[:, None]).sum(axis=1)
+            count = (cum <= unit(words.take(split))[:, None]).sum(axis=1)
             idx[split] = np.minimum(count, self.n - 1)
         return idx
 

@@ -9,10 +9,11 @@ statements into pass/fail ledgers with explicit 3-standard-error slack.
 one result: it runs the config's trials as lanes, lane i on the stream
 ``derive_seed(master_seed, i)`` with the delays ``delays.spawn(i)``, and a
 rerun of the same config replays every lane bit for bit. Lanes are the last
-axis of (K, trials) arrays, one column per lane. The uniforms and the delay
-schedule are each drawn from one re-keyed Philox in step-major blocks
-(``chain.KeyedStreams``), transitions come from the chain's exact table
-sampler (``mrp.sampler``), and every K-wide sum goes through ``rowsum``,
+axis of (K, trials) arrays, one column per lane. The raw words of the
+transitions and the delay schedule are each drawn from one re-keyed Philox
+in step-major blocks (``chain.KeyedStreams``), transitions come from the
+chain's exact table sampler on those words (``mrp.sampler``), and every
+K-wide sum goes through ``rowsum``,
 which adds the K rows in the order numpy sums one vector, so a lane's bits
 do not depend on how many lanes run beside it. Per-step aggregation reduces
 over the trial axis in a fixed order, so results do not depend on
@@ -199,8 +200,13 @@ class MonteCarloEstimate:
 
 
 def _se_from_centered(sq_dev_total, count):
+    """The standard error of the mean, computed in place in the array of
+    centered sums of squares, so the run's peak holds no second copy of its
+    curves."""
     if count > 1:
-        return np.sqrt(sq_dev_total / (count - 1) / count)
+        sq_dev_total /= count - 1
+        sq_dev_total /= count
+        return np.sqrt(sq_dev_total, out=sq_dev_total)
     return np.zeros_like(sq_dev_total)
 
 
@@ -221,13 +227,19 @@ def _simulate(config: ExperimentConfig, weight_A: float | None = None,
 
     Lane i draws from the stream ``derive_seed(master_seed, i)`` and takes
     its delays from ``delays.spawn(i)``; the whole (T, trials) delay schedule
-    is drawn up front (``DelayProcess.schedule``). Each step samples every
-    lane's transition, calls ``provider.direction`` once on the whole
-    (K, trials) batch, and updates. markov sampling draws one uniform per step
-    (plus one for the start state when ``start_state`` is None); iid_restart
-    draws the state fresh from pi and then its successor, two uniforms per
-    step. A delayed lane applies the direction its kernel computed d_t steps
-    earlier, which is g(theta_{t-d_t}; X_{t-d_t}) bit for bit.
+    is drawn up front (``DelayProcess.schedule``). The raw words go into one
+    (BLOCK * draws, trials) uint64 buffer, refilled every ``BLOCK`` steps, so
+    memory does not grow with T. markov sampling draws one word per step,
+    plus one for the start state when ``start_state`` is None, which takes
+    the first block's first step so that later blocks start on a Philox
+    counter boundary; iid_restart draws the state fresh from pi and then its
+    successor, two words per step. Each step samples every lane's
+    transition, gathers s' 's column of ``provider.state_table`` (in markov
+    sampling also the next step's F_s), calls ``provider.direction`` once on
+    the whole (K, trials) batch, and updates. A delayed lane applies the
+    direction its kernel computed d_t steps earlier, which is
+    g(theta_{t-d_t}; X_{t-d_t}) bit for bit, read with one gather from a
+    flat ring of the last tau_max + 1 directions.
 
     By default each step also calls ``provider.steady`` and reduces d_t and
     e_t over the lanes. ``weight_A`` instead keeps only each lane's weighted
@@ -242,7 +254,7 @@ def _simulate(config: ExperimentConfig, weight_A: float | None = None,
     # costs a third of the exact row sums
     safe = DIVERGENCE_GUARD / math.sqrt(2 * K)
     pi_sampler = InverseCdfTable(np.cumsum(mrp.pi)[None, :])
-    sampler, R = mrp.sampler, mrp.R
+    sampler, F = mrp.sampler, provider.state_table
     iid = config.sampling == "iid_restart"
     draws = 2 if iid else 1
 
@@ -250,6 +262,7 @@ def _simulate(config: ExperimentConfig, weight_A: float | None = None,
         raise ConfigError("iterate retention too large; lower trials or T")
 
     streams = KeyedStreams(derive_seed(config.master_seed, np.arange(trials)))
+    words = np.empty((min(BLOCK, T + 1) * draws, trials), dtype=np.uint64)
     theta = np.tile(config.theta0[:, None], (1, trials))
 
     if curves:
@@ -277,27 +290,40 @@ def _simulate(config: ExperimentConfig, weight_A: float | None = None,
         m = delays.tau_max + 1
         dmat = delays.schedule(T, trials)
         # the directions of the last m steps; lane i's slot-b direction is
-        # hist_g[:, b, i], so a (trials,) slot vector picks (K, trials)
-        hist_g = np.zeros((K, m, trials))
+        # ring[:, b * trials + i], and a block's index rows
+        # ((t - d_t) mod m) * trials + i go into one reused buffer
+        ring = np.zeros((K, m * trials))
+        slots = np.empty((min(BLOCK, T), trials), dtype=np.int64)
         lanes = np.arange(trials)
 
-    s = None
+    s = F_s = None
     start_state = config.start_state
-    draw_start = not iid and start_state is None
-    if not iid and not draw_start:
+    lead = not iid and start_state is None  # the start state's word leads
+    if not iid and not lead:
         if not 0 <= start_state < mrp.n:
             raise ChainError(f"start_state {start_state} out of range")
         s = np.full(trials, start_state, dtype=np.int64)
+        F_s = F.take(s, axis=1)
 
     abort_count, abort_step = 0, None
     t0 = 0
     while t0 < T and abort_step is None:
-        L = min(BLOCK, T - t0)
-        U = streams.uniform_block(L * draws + draw_start)
-        if draw_start:  # the start state's draw leads the first block
-            s = pi_sampler.pick(U[0])
-            U = U[1:]
-            draw_start = False
+        L = min(BLOCK - lead, T - t0)
+        W = words[:L * draws + lead]
+        streams.fill(W)
+        if lead:
+            s = pi_sampler.pick(W[0])
+            F_s = F.take(s, axis=1)
+            W = W[1:]
+            lead = False
+        if use_delays:
+            idx = slots[:L]
+            # int64 throughout: the schedule may be int16, which a step index
+            # past 32767 must not meet in int16 arithmetic
+            np.subtract(np.arange(t0, t0 + L)[:, None], dmat[t0:t0 + L], out=idx)
+            idx %= m
+            idx *= trials
+            idx += lanes
         for j in range(L):
             step = t0 + j
             if curves:
@@ -305,12 +331,13 @@ def _simulate(config: ExperimentConfig, weight_A: float | None = None,
                 d_mean[step], d_dev[step] = _mean_and_dev(rowsum(diff * diff), trials)
 
             if iid:
-                s = pi_sampler.pick(U[2 * j])
-                sp = sampler.pick(U[2 * j + 1], s)
+                s = pi_sampler.pick(W[2 * j])
+                F_s = F.take(s, axis=1)
+                sp = sampler.pick(W[2 * j + 1], s)
             else:
-                sp = sampler.pick(U[j], s)
-            r = R.take(s)
-            X = (s, sp, r)
+                sp = sampler.pick(W[j], s)
+            F_sp = F.take(sp, axis=1)
+            X = (F_s, F_sp)
 
             g = provider.direction(theta, X)
             if curves:
@@ -319,11 +346,9 @@ def _simulate(config: ExperimentConfig, weight_A: float | None = None,
                     rowsum(diff * (g - gbar)), trials)
 
             if use_delays:
-                hist_g[:, step % m] = g
-                # the schedule may be int16, which a step index past 32767
-                # must not meet in int16 arithmetic
-                back = (step - dmat[step].astype(np.int64)) % m
-                g = hist_g[:, back, lanes]
+                slot = step % m * trials
+                ring[:, slot:slot + trials] = g
+                g = ring.take(idx[j], axis=1)
             theta += alpha * g
 
             # NaN fails every comparison, so this is the finite check as well
@@ -342,7 +367,7 @@ def _simulate(config: ExperimentConfig, weight_A: float | None = None,
                 gap /= v
                 S += gap
             if not iid:
-                s = sp
+                s, F_s = sp, F_sp
         t0 += L
 
     if not curves:

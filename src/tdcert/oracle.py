@@ -48,8 +48,7 @@ class FeatureMatrix:
     """Per-state feature rows phi(s), stacked into an n-by-K matrix.
 
     Columns must be linearly independent (smallest singular value > 1e-10)
-    and every row must satisfy ||phi(s)||^2 <= 1. ``PhiT`` is the contiguous
-    K-by-n transpose, whose columns the lanes-last kernel gathers.
+    and every row must satisfy ||phi(s)||^2 <= 1.
     """
 
     def __init__(self, Phi):
@@ -72,11 +71,9 @@ class FeatureMatrix:
                 f"row {worst} has squared norm {row_norms_sq[worst]:.6g} > 1"
             )
         self.Phi = Phi
-        self.PhiT = np.ascontiguousarray(Phi.T)
         self.n = n
         self.K = K
         self.Phi.setflags(write=False)
-        self.PhiT.setflags(write=False)
 
     def to_dict(self):
         return {"Phi": self.Phi.tolist()}
@@ -334,8 +331,12 @@ class MixingOracle:
     deviation (``certify``) and the chain's TV curve d (``certify_tv``, for
     operators with no closed conditional form). A query searches the curves
     recorded out to a horizon H, starting at ``FIRST_HORIZON`` and doubling;
-    a longer horizon continues the matrix powers where they stopped. Only the
-    current power and the 1-D curves are held.
+    a longer horizon continues the matrix powers where they stopped, and
+    ``certify_tv`` extends only d. The deviation at k reads P^(k-1), so while
+    the two curves have the same length they step one shared power; once d
+    runs ahead, the deviation curve keeps the power it stopped at and catches
+    up on its own copy, rejoining the shared power when it is level. Only
+    those powers and the 1-D curves are held.
     """
 
     def __init__(self, mrp: MarkovRewardProcess, features: FeatureMatrix):
@@ -353,6 +354,7 @@ class MixingOracle:
                                  (phi_norms * np.abs(mrp.R)).max()))
         self._powers = ChainPowers(mrp)
         self._dev = []
+        self._dev_power = None  # P^len(_dev) while d is ahead, else None
         self._lock = threading.Lock()
 
     def _deviation(self, Q) -> float:
@@ -367,16 +369,26 @@ class MixingOracle:
         vec = np.linalg.norm((W * self.mrp.R[None, :]) @ Phi, axis=1)
         return max(_largest_singular_value(A_t), float(vec.max()))
 
-    def _curves(self, H: int):
-        """The deviation curve for k = 1..H, d(0..H) with d(0) = 1 - min pi
-        and each clamped entry at ``_TV_CLAMP``, its upper bound, and whether
-        d(H) is clamped."""
+    def _curves(self, H: int, deviation: bool = True):
+        """The deviation curve for k = 1..H (None unless ``deviation``),
+        d(0..H) with d(0) = 1 - min pi and each clamped entry at
+        ``_TV_CLAMP``, its upper bound, and whether d(H) is clamped."""
         with self._lock:
-            powers = self._powers
-            while len(self._dev) < H:
-                self._dev.append(self._deviation(powers.power))
-                powers.step()
-            dev = np.array(self._dev[:H])
+            powers, dev = self._powers, None
+            if deviation:
+                while len(self._dev) < H:
+                    if self._dev_power is None:  # level with d: share its power
+                        self._dev.append(self._deviation(powers.power))
+                        powers.step()
+                        continue
+                    self._dev.append(self._deviation(self._dev_power))
+                    self._dev_power = self._dev_power @ self.mrp.P
+                    if len(self._dev) == len(powers.tv_curve):
+                        self._dev_power = None
+                dev = np.array(self._dev[:H])
+            elif (self._dev_power is None and len(powers.tv_curve) < H
+                  and len(self._dev) == len(powers.tv_curve)):
+                self._dev_power = powers.power  # step() rebinds, never writes
             profile = powers.profile(H)
         d = np.concatenate(([1.0 - float(self.mrp.pi.min())], profile.tv_curve))
         if profile.clamp_index is not None:
@@ -398,9 +410,11 @@ class MixingOracle:
         is ``certify``'s; its curve is 2 G d(k-1) for k = 1..H."""
         two_G = 2.0 * float(lipschitz_scale)
         return self._search(epsilon, None, "tv-monotone",
-                            lambda dev, d: (two_G * d[:-1], two_G * d[-1]))
+                            lambda dev, d: (two_G * d[:-1], two_G * d[-1]),
+                            deviation=False)
 
-    def _search(self, epsilon, horizon, method, bound) -> MixingTimeCertificate:
+    def _search(self, epsilon, horizon, method, bound,
+                deviation=True) -> MixingTimeCertificate:
         """The first tau whose suffix of the curve is at most epsilon, with
         ``bound(dev, d)`` giving the curve for k = 1..H and the tail bound
         2 G d(H) past H. Starts at ``horizon`` (``FIRST_HORIZON`` if None)
@@ -411,7 +425,7 @@ class MixingOracle:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
         H = horizon if horizon is not None else FIRST_HORIZON
         while True:
-            dev, d, clamped = self._curves(H)
+            dev, d, clamped = self._curves(H, deviation)
             curve, tail = bound(dev, d)
             ok = np.flatnonzero(np.maximum.accumulate(curve[::-1])[::-1] <= epsilon)
             if ok.size and tail <= epsilon:

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import BLOCK, KeyedStreams, derive_seed, generator
+from .chain import BLOCK, KeyedStreams, derive_seed, generator, unit
 from .oracle import (
-    FeatureMatrix,
     MixingTimeCertificate,
     SteadyStateModel,
     steady_state_direction,
@@ -86,17 +85,17 @@ def rowsum(x):
     return _pairwise(x, 0, x.shape[0]) + 0.0
 
 
-def td0_direction(features: FeatureMatrix, gamma: float, theta, X):
+def td0_direction(gamma: float, theta, X):
     """The TD(0) update direction (r + gamma <phi(s'), theta> - <phi(s), theta>) phi(s).
 
     ``theta`` may be one parameter vector or a (K, lanes) batch with one
-    column per lane; ``X`` is a (s, s_next, r) triple of scalars or arrays
-    aligned with the lanes.
+    column per lane; ``X`` is the pair (F_s, F_s') of the states' columns of
+    the table [Phi^T; R] (``TD0Provider.state_table``): (K + 1,) vectors, or
+    (K + 1, lanes) arrays aligned with the lanes.
     """
-    s, sp, r = X
-    PhiT = features.PhiT
-    phi_s = PhiT.take(s, axis=1)
-    td = (r + gamma * rowsum(PhiT.take(sp, axis=1) * theta)
+    F_s, F_sp = X
+    phi_s = F_s[:-1]
+    td = (F_s[-1] + gamma * rowsum(F_sp[:-1] * theta)
           - rowsum(phi_s * theta))
     return td * phi_s
 
@@ -114,10 +113,14 @@ class UpdateDirectionProvider:
     fixed point, and the declared constants (L, sigma_const, beta, norm_offset)
     that ``audit_provider`` verifies. ``direction`` and ``steady`` take one
     parameter vector (K,) or a (K, lanes) batch, one column per lane, and
-    return the same shape. It carries generic SA's constants (``contraction``,
-    ``recursion_L2``, drift rate ``beta``), mixing-time certificate
-    (``certify``) and step-size cap (``step_cap``), named by ``mode`` in the
-    output.
+    return the same shape. The observation X of ``direction`` is the pair
+    (F_s, F_s') of columns s and s' of the provider's per-state table
+    ``state_table`` (rows, n), as vectors or (rows, lanes) arrays
+    (``observe``): the kernel gathers one column per lane and step, and in
+    markov sampling carries s' 's columns into the next step. It carries
+    generic SA's constants (``contraction``, ``recursion_L2``, drift rate
+    ``beta``), mixing-time certificate (``certify``) and step-size cap
+    (``step_cap``), named by ``mode`` in the output.
     """
 
     model: SteadyStateModel
@@ -126,7 +129,13 @@ class UpdateDirectionProvider:
     sigma_const: float
     beta: float
     theta_star: np.ndarray
+    state_table: np.ndarray
     mode = "nonlinear"
+
+    def observe(self, s, sp):
+        """The observation X = (F_s, F_s') of the transition s -> s' (ints or
+        lane arrays)."""
+        return self.state_table.take(s, axis=1), self.state_table.take(sp, axis=1)
 
     @property
     def norm_offset(self) -> float:
@@ -178,6 +187,9 @@ class TD0Provider(UpdateDirectionProvider):
         self.sigma_const = model.sigma_const
         self.beta = model.contraction_rate
         self.theta_star = model.theta_star
+        # column s is (phi(s), r(s))
+        self.state_table = np.vstack([model.features.Phi.T, model.mrp.R])
+        self.state_table.setflags(write=False)
 
     @property
     def norm_offset(self) -> float:
@@ -191,7 +203,7 @@ class TD0Provider(UpdateDirectionProvider):
         return self.model.mixing.certify(epsilon)
 
     def direction(self, theta, X):
-        return td0_direction(self.model.features, self.model.mrp.gamma, theta, X)
+        return td0_direction(self.model.mrp.gamma, theta, X)
 
     def steady(self, theta):
         return steady_state_direction(self.model, theta)
@@ -203,7 +215,8 @@ class TD0Provider(UpdateDirectionProvider):
 
 class LinearContractionProvider(UpdateDirectionProvider):
     """g(theta; X) = -theta + c(s) with the state table c centered so that its
-    mean under the model's pi is theta_star. Exactly 1-Lipschitz and 1-monotone."""
+    mean under the model's pi is theta_star; ``state_table`` holds the columns
+    c(s). Exactly 1-Lipschitz and 1-monotone."""
 
     def __init__(self, theta_star, noise_table, model):
         theta_star = np.array(theta_star, dtype=float).reshape(-1)
@@ -213,7 +226,7 @@ class LinearContractionProvider(UpdateDirectionProvider):
         noise = noise - model.mrp.pi @ noise  # recenter under pi
         self.model = model
         self.c_table = theta_star[None, :] + noise
-        self._c_cols = np.ascontiguousarray(self.c_table.T)
+        self.state_table = np.ascontiguousarray(self.c_table.T)
         self.theta_star = theta_star
         self.dim = theta_star.shape[0]
         self.L = 1.0
@@ -222,7 +235,7 @@ class LinearContractionProvider(UpdateDirectionProvider):
                                      np.linalg.norm(theta_star)))
 
     def direction(self, theta, X):
-        return -np.asarray(theta, dtype=float) + self._c_cols.take(X[0], axis=1)
+        return -np.asarray(theta, dtype=float) + X[0]
 
     def steady(self, theta):
         return _lanes(self.theta_star, theta) - np.asarray(theta, dtype=float)
@@ -238,8 +251,9 @@ class LinearContractionProvider(UpdateDirectionProvider):
 
 class SaturatingMonotoneProvider(UpdateDirectionProvider):
     """A nonlinear monotone operator: -(a u + b tanh(u)) plus state noise
-    centered under the model's pi, where u = theta - theta_star. Strong
-    monotonicity modulus a, Lipschitz constant a + b."""
+    centered under the model's pi, where u = theta - theta_star; ``state_table``
+    holds the noise columns. Strong monotonicity modulus a, Lipschitz
+    constant a + b."""
 
     def __init__(self, theta_star, noise_table, model, a=0.7, b=0.3):
         if a <= 0 or b < 0:
@@ -249,7 +263,7 @@ class SaturatingMonotoneProvider(UpdateDirectionProvider):
         noise = noise - model.mrp.pi @ noise
         self.model = model
         self.noise_table = noise
-        self._noise_cols = np.ascontiguousarray(noise.T)
+        self.state_table = np.ascontiguousarray(noise.T)
         self.theta_star = theta_star
         self.dim = theta_star.shape[0]
         self.a = float(a)
@@ -266,7 +280,7 @@ class SaturatingMonotoneProvider(UpdateDirectionProvider):
         return -(self.a * u + self.b * np.tanh(u))
 
     def direction(self, theta, X):
-        return self._drift(theta) + self._noise_cols.take(X[0], axis=1)
+        return self._drift(theta) + X[0]
 
     def steady(self, theta):
         return self._drift(theta)
@@ -380,11 +394,11 @@ class DelayProcess:
 
         A uniform lane floors its stream ``generator(derive_seed(seed,
         0xDE1A))`` times tau_max + 1 (so the stream is chunk-stable), every
-        lane drawn through one ``KeyedStreams`` in ``BLOCK``-row tiles; all
-        kinds clamp to min(t, tau_max). The floor, the caps and the cast run
-        on each tile in place, as trunc(min(x, c)) = min(trunc(x), c) for an
-        integer c and x >= 0, and the tile is written straight into the
-        schedule."""
+        lane drawn through one ``KeyedStreams`` in ``BLOCK``-row tiles of
+        words made doubles (``unit``); all kinds clamp to min(t, tau_max).
+        The floor, the caps and the cast run on each tile in place, as
+        trunc(min(x, c)) = min(trunc(x), c) for an integer c and x >= 0, and
+        the tile is written straight into the schedule."""
         lanes = np.size(seeds)
         fits = self.tau_max <= np.iinfo(np.int16).max
         dtype = np.int16 if fits else np.int64
@@ -400,7 +414,8 @@ class DelayProcess:
             streams = KeyedStreams(np.atleast_1d(derive_seed(seeds, 0xDE1A)))
             for t0 in range(0, T, BLOCK):
                 steps = t[t0:t0 + BLOCK]
-                for lo, u in streams.tiles(len(steps)):
+                for lo, words in streams.tiles(len(steps)):
+                    u = unit(words)
                     u *= self.tau_max + 1
                     np.minimum(u, self.tau_max, out=u)
                     early = u[:, :max(0, self.tau_max - t0)]
@@ -456,8 +471,8 @@ def audit_provider(provider: UpdateDirectionProvider, sample_count: int,
     theta1 = rng.normal(size=(m, K)) * scale
     theta2 = rng.normal(size=(m, K)) * scale
     s = rng.integers(0, mrp.n, size=m)
-    sp = mrp.sampler.pick(rng.random(m), s)
-    X = (s, sp, mrp.R[s])
+    sp = mrp.sampler.pick(rng.bit_generator.random_raw(m), s)
+    X = provider.observe(s, sp)
 
     # the providers take and return (K, m) columns; the checks reduce (m, K)
     # rows, in the order they always have

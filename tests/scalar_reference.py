@@ -4,8 +4,9 @@ One trajectory, one draw at a time, with the full-row inverse CDF: the
 markov chain draws one uniform per step (plus one for a start state drawn
 from pi), iid_restart draws the state from pi and then its successor. A ring
 buffer of the last tau_max + 1 iterates and observations supplies the stale
-direction g(theta_{t-d_t}; X_{t-d_t}); without delays d_t = 0. The delays
-come from ``reference_delays``, one generator per process.
+direction g(theta_{t-d_t}; X_{t-d_t}), X the states' columns of the
+provider's ``state_table``; without delays d_t = 0. The delays come from
+``reference_delays``, one generator per process.
 """
 
 import numpy as np
@@ -58,7 +59,7 @@ def reference_sa(provider, mrp, theta0, alpha, T, seed, sampling="markov",
     dseq = reference_delays(delays, T)
     m = delays.tau_max + 1
     hist_theta = np.zeros((m, provider.dim))
-    hist_X = [(0, 0, 0.0)] * m
+    hist_X = [None] * m
     thetas = np.empty((T + 1, provider.dim))
     theta = thetas[0] = np.array(theta0, dtype=float).reshape(provider.dim)
     for t in range(T):
@@ -67,7 +68,7 @@ def reference_sa(provider, mrp, theta0, alpha, T, seed, sampling="markov",
         sp = _inv_cdf(mrp.cum_P[s], rng.random())
         slot = t % m
         hist_theta[slot] = theta
-        hist_X[slot] = (s, sp, float(mrp.R[s]))
+        hist_X[slot] = (provider.state_table[:, s], provider.state_table[:, sp])
         back = (t - int(dseq[t])) % m
         theta = theta + alpha * provider.direction(hist_theta[back], hist_X[back])
         if not np.all(np.isfinite(theta)) or np.sum(theta ** 2) > DIVERGENCE_GUARD ** 2:

@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 
 import chain_reference
 from tdcert.chain import (
+    BLOCK,
     ChainError,
     InverseCdfTable,
+    KeyedStreams,
     MarkovRewardProcess,
     cycle_mrp,
     derive_seed,
@@ -15,10 +17,25 @@ from tdcert.chain import (
     random_mrp,
     stationary_distribution,
     tv_mixing_profile,
+    unit,
     validate_chain,
 )
 
 TWO_STATE = [[0.9, 0.1], [0.2, 0.8]]
+
+
+def words(seed, count):
+    """The first ``count`` raw words of the stream ``generator(seed)``."""
+    return generator(seed).bit_generator.random_raw(count)
+
+
+def full_row(cum, w):
+    """The sampled cell of each word by comparing its double with the whole
+    CDF row (one row, or one row per word)."""
+    cum = np.asarray(cum)
+    u = unit(np.asarray(w, dtype=np.uint64))
+    rows = cum if cum.ndim == 2 else cum[None, :]
+    return np.minimum((rows <= u[:, None]).sum(axis=1), cum.shape[-1] - 1)
 
 
 def make(P, R=None, gamma=0.5):
@@ -181,19 +198,17 @@ class TestSampling:
 
     def test_single_state_chain(self):
         mrp = make([[1.0]], R=[1.5])
-        u = generator(7).random(3)
-        assert mrp.sampler.pick(u, np.zeros(3, dtype=np.intp)).tolist() == [0, 0, 0]
+        assert mrp.sampler.pick(words(7, 3), np.zeros(3, dtype=np.intp)).tolist() == [0, 0, 0]
 
     def test_deterministic_two_cycle(self):
         mrp = make([[0.0, 1.0], [1.0, 0.0]], R=[2.0, 5.0])
-        u = generator(1).random(4)
-        assert mrp.sampler.pick(u, np.array([0, 1, 0, 1])).tolist() == [1, 0, 1, 0]
+        assert mrp.sampler.pick(words(1, 4), np.array([0, 1, 0, 1])).tolist() == [1, 0, 1, 0]
 
     def test_same_seed_identical(self):
         mrp = make(TWO_STATE)
         rows = np.arange(500) % 2
-        a = mrp.sampler.pick(generator(99).random(500), rows)
-        b = mrp.sampler.pick(generator(99).random(500), rows)
+        a = mrp.sampler.pick(words(99, 500), rows)
+        b = mrp.sampler.pick(words(99, 500), rows)
         assert np.array_equal(a, b)
 
     def test_occupancy_matches_stationary(self):
@@ -202,7 +217,7 @@ class TestSampling:
         mrp = make(TWO_STATE)
         N = 100_000
         for row in range(2):
-            picks = mrp.sampler.pick(generator(2024 + row).random(N),
+            picks = mrp.sampler.pick(words(2024 + row, N),
                                      np.full(N, row, dtype=np.intp))
             freq = np.bincount(picks, minlength=2) / N
             p = mrp.P[row]
@@ -217,6 +232,49 @@ class TestSampling:
         block = g1.random(64)
         singles = np.array([g2.random() for _ in range(64)])
         assert np.array_equal(block, singles)
+
+    def test_unit_of_raw_words_is_random(self):
+        # one word per double, whatever precedes it in the stream
+        g = generator(321)
+        w = words(321, 4099)
+        assert np.array_equal(unit(w[:3]), g.random(3))
+        assert np.array_equal(unit(w[3:4]), [g.random()])
+        assert np.array_equal(unit(w[4:]), g.random(4095))
+
+
+# 133 lanes fill two 64-lane tiles and part of a third
+_LANE_SEEDS = [derive_seed(3, i) for i in range(130)] + [0, 2 ** 64 - 1, -7]
+
+
+class TestKeyedStreams:
+    """Every lane's raw words are its own stream ``generator(seed)``, word
+    for word, at any position and across the kernel's block turns."""
+
+    @pytest.mark.parametrize("offset", range(8))
+    def test_words_are_each_lanes_doubles_at_any_offset(self, offset):
+        streams = KeyedStreams(_LANE_SEEDS)
+        buffer = np.empty((BLOCK, len(_LANE_SEEDS)), dtype=np.uint64)
+        streams.fill(buffer[:offset])
+        drawn = buffer[:offset].copy()
+        for count in (BLOCK - offset, BLOCK, 3):  # the buffer is reused
+            streams.fill(buffer[:count])
+            drawn = np.concatenate([drawn, buffer[:count]])
+        for i, seed in enumerate(_LANE_SEEDS):
+            assert np.array_equal(unit(drawn[:, i]), generator(seed).random(len(drawn)))
+
+    @pytest.mark.parametrize("blocks", [[BLOCK, BLOCK, 7], [1, BLOCK - 1, BLOCK, 5],
+                                        [2 * BLOCK, 2 * BLOCK, 14]],
+                             ids=["markov", "markov_start", "iid_restart"])
+    def test_kernel_blocks_equal_per_lane_generators(self, blocks):
+        streams = KeyedStreams(_LANE_SEEDS)
+        parts = []
+        for count in blocks:
+            out = np.empty((count, len(_LANE_SEEDS)), dtype=np.uint64)
+            streams.fill(out)
+            parts.append(out)
+        drawn = np.concatenate(parts)
+        for i, seed in enumerate(_LANE_SEEDS):
+            assert np.array_equal(drawn[:, i], words(seed, sum(blocks)))
 
 
 class TestGeneratorsAndConfig:
@@ -315,30 +373,58 @@ def _cdf_rows(draw):
     return np.array(rows)
 
 
+def _critical_words(cum, B):
+    """The words a comparison is most sensitive to: every bucket edge
+    k << (64 - b) and the word below it, and, for every CDF value below 1,
+    the first word whose double reaches it, the word below that and the last
+    word with the same double; plus 0 and 2^64 - 1."""
+    top = np.uint64(2 ** 64 - 1)
+    edges = np.arange(B, dtype=np.uint64) << np.uint64(64 - (B.bit_length() - 1))
+    # cum * 2^53 is exact, so its ceiling is the first 53-bit grid point at
+    # or above the value
+    grid = np.ceil(cum[cum < 1.0] * 2.0 ** 53).astype(np.uint64) << np.uint64(11)
+    w = np.concatenate([edges, grid, grid | np.uint64(2047),
+                        np.array([0, top], dtype=np.uint64)])
+    below = w[w > 0] - np.uint64(1)
+    return np.concatenate([w, below])
+
+
 class TestInverseCdfTable:
     @settings(max_examples=150, deadline=None)
     @given(_cdf_rows(), st.data())
     def test_matches_full_row_comparison(self, cum, data):
         table = InverseCdfTable(cum)
         m, n = cum.shape
-        B = table.B
-        # the uniforms a comparison is most sensitive to: 0, every CDF value
-        # below 1 and its neighbours, bucket edges k / B and their neighbours
-        edges = np.arange(B) / B
-        special = np.concatenate([[0.0], cum[cum < 1.0], edges])
-        special = np.concatenate([special, np.nextafter(special, 1.0),
-                                  np.nextafter(special, 0.0)])
-        special = special[(special >= 0.0) & (special < 1.0)]
-        extra = np.array(data.draw(st.lists(
-            st.floats(0.0, 1.0, exclude_max=True), max_size=20)))
-        u = np.concatenate([special, extra])
+        extra = np.array(data.draw(st.lists(st.integers(0, 2 ** 64 - 1), max_size=20)),
+                         dtype=np.uint64)
+        w = np.concatenate([_critical_words(cum, table.B), extra])
         for row in range(m):
-            rows = np.full(u.shape[0], row, dtype=np.intp)
-            expected = np.minimum((cum[row][None, :] <= u[:, None]).sum(axis=1), n - 1)
-            assert np.array_equal(table.pick(u, rows), expected)
+            rows = np.full(w.shape[0], row, dtype=np.intp)
+            assert np.array_equal(table.pick(w, rows), full_row(cum[row], w))
         if m == 1:
-            expected = np.minimum((cum[0][None, :] <= u[:, None]).sum(axis=1), n - 1)
-            assert np.array_equal(table.pick(u), expected)
+            assert np.array_equal(table.pick(w), full_row(cum[0], w))
+
+    @pytest.mark.parametrize("n", [1, 2, 6, 150])
+    def test_chain_sampler_matches_full_row_comparison(self, n):
+        # zero-probability cells repeat CDF values; the rows are mixed per word
+        mrp = random_mrp(n, 0.3, seed=n) if n > 1 else make([[1.0]])
+        table = mrp.sampler
+        w = _critical_words(mrp.cum_P, table.B)
+        w = np.concatenate([w, words(n, 5000)])
+        s = generator(n + 1).integers(0, n, size=w.shape[0])
+        assert np.array_equal(table.pick(w, s), full_row(mrp.cum_P[s], w))
+        pi_table = InverseCdfTable(np.cumsum(mrp.pi)[None, :])
+        assert np.array_equal(pi_table.pick(w), full_row(np.cumsum(mrp.pi), w))
+
+    def test_bucket_is_the_top_bits_of_the_word(self):
+        # floor(unit(w) * B) = w >> (64 - b) for every bucket edge and its
+        # neighbours
+        for B in (256, 4096, 8192):
+            table = InverseCdfTable(np.ones((1, B // 16)))
+            assert table.B == B
+            w = _critical_words(np.ones(1), B)
+            assert np.array_equal(w >> np.uint64(table.shift),
+                                  np.floor(unit(w) * B).astype(np.uint64))
 
     def test_bucket_count_scales_with_states(self):
         assert InverseCdfTable(np.ones((1, 1))).B == 256
@@ -349,7 +435,6 @@ class TestInverseCdfTable:
     def test_chain_sampler_is_built_once(self):
         mrp = make(TWO_STATE)
         assert mrp.sampler is mrp.sampler
-        u = generator(9).random(1000)
+        w = words(9, 1000)
         s = np.repeat([0, 1], 500)
-        expected = np.minimum((mrp.cum_P[s] <= u[:, None]).sum(axis=1), 1)
-        assert np.array_equal(mrp.sampler.pick(u, s), expected)
+        assert np.array_equal(mrp.sampler.pick(w, s), full_row(mrp.cum_P[s], w))

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,8 +10,8 @@ from mixing_reference import generic_tau
 from scalar_reference import reference_sa
 from tdcert import bundled
 from tdcert.chain import (
+    BLOCK,
     ChainError,
-    KeyedStreams,
     MarkovRewardProcess,
     derive_seed,
     generator,
@@ -84,6 +85,27 @@ def fast_config(**kw):
 WIDE = random_mrp(12, 0.5, seed=31)
 WIDE_MODELS = {K: build_steady_state(WIDE, random_features(12, K, seed=32))
                for K in (3, 8, 9)}
+
+
+def generic_provider(kind, K=3):
+    noise = generator(4).normal(size=(WIDE.n, K))
+    theta_star = [0.5, -0.2, 0.1][:K]
+    if kind == "linear_contraction":
+        return LinearContractionProvider(theta_star, noise, WIDE_MODELS[K])
+    return SaturatingMonotoneProvider(theta_star, noise, WIDE_MODELS[K], a=0.6, b=0.4)
+
+
+# the kernel paths a block turn can meet: the start state's word (drawn, or
+# fixed), two words per step, the delay ring, and the three provider kinds
+BLOCK_TURN_CASES = {
+    "markov": {},
+    "markov_start_state": {"start_state": 5},
+    "iid_restart": {"sampling": "iid_restart"},
+    "constant_delay": {"delays": DelayProcess("constant", 3)},
+    "uniform_delay": {"delays": DelayProcess("uniform", 4, seed=8)},
+    "linear_contraction": {"provider": "linear_contraction"},
+    "saturating_iid": {"provider": "saturating", "sampling": "iid_restart"},
+}
 
 
 def wide_config(K, **kw):
@@ -279,16 +301,44 @@ class TestEstimate:
                 cfg.provider, cfg.model.mrp, cfg.theta0, cfg.alpha, cfg.T,
                 seed=derive_seed(cfg.master_seed, i), delays=delays.spawn(i)))
 
-    @pytest.mark.parametrize("sampling", ["markov", "iid_restart"])
-    def test_lanes_equal_reference_across_stream_blocks(self, sampling):
-        # T = 4103 crosses a 4096-step block, so later draws start mid-way
-        # through a Philox counter block (markov's start draw leads block one)
-        cfg = wide_config(3, T=4103, trials=3, sampling=sampling)
+    @pytest.mark.parametrize("T", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 2])
+    @pytest.mark.parametrize("case", list(BLOCK_TURN_CASES))
+    def test_lanes_equal_reference_across_stream_blocks(self, case, T):
+        # the word buffer is refilled every BLOCK steps (markov's start-state
+        # word takes the first block's first step); every lane still replays
+        # the one-draw-at-a-time reference on its own stream
+        kw = dict(BLOCK_TURN_CASES[case])
+        if "provider" in kw:
+            kw["provider"] = generic_provider(kw["provider"])
+        cfg = wide_config(3, T=T, trials=2, **kw)
         est = simulate_trajectories(cfg)
         for i in range(cfg.trials):
+            delays = cfg.delays.spawn(i) if cfg.delays else None
             assert np.array_equal(est.retained[i], reference_sa(
                 cfg.provider, cfg.model.mrp, cfg.theta0, cfg.alpha, cfg.T,
-                seed=derive_seed(cfg.master_seed, i), sampling=sampling))
+                seed=derive_seed(cfg.master_seed, i), sampling=cfg.sampling,
+                start_state=cfg.start_state, delays=delays))
+
+    def test_memory_is_flat_in_T(self):
+        # the word buffer is reused: from one block turn to seven, a
+        # 2000-lane K=3 run grows by less than its d_t/e_t curve arrays
+        # (4 float arrays of T + 1), the only memory that depends on T
+        config, _ = parse_experiment(bundled.bundled_config("theorem1_random6"))
+        assert config.provider.dim == 3
+
+        def peak(T):
+            cfg = replace(config, T=T, trials=2000)
+            tracemalloc.start()
+            try:
+                _simulate(cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # one warm-up run, so first-use allocations land in neither peak
+        _simulate(replace(config, T=2, trials=2000))
+        curves = 4 * 8 * (8 * BLOCK + 1)
+        assert peak(8 * BLOCK) - peak(BLOCK + 1) < curves
 
     def test_delayed_batch_lanes_equal_single_trials_k3(self):
         delays = DelayProcess("uniform", 4, seed=8)
@@ -301,29 +351,13 @@ class TestEstimate:
 
     @pytest.mark.parametrize("kind", ["linear_contraction", "saturating"])
     def test_generic_provider_lanes_equal_single_trials(self, kind):
-        model = WIDE_MODELS[3]
-        noise = generator(4).normal(size=(WIDE.n, 3))
-        if kind == "linear_contraction":
-            provider = LinearContractionProvider([0.5, -0.2, 0.1], noise, model)
-        else:
-            provider = SaturatingMonotoneProvider([0.5, -0.2, 0.1], noise, model,
-                                                  a=0.6, b=0.4)
+        provider = generic_provider(kind)
         cfg = wide_config(3, provider=provider)
         est = simulate_trajectories(cfg)
         for i in range(cfg.trials):
             assert np.array_equal(est.retained[i], reference_sa(
                 provider, WIDE, cfg.theta0, cfg.alpha, cfg.T,
                 seed=derive_seed(cfg.master_seed, i)))
-
-    @pytest.mark.parametrize("blocks", [[1, 4096, 7], [4097, 7], [8192, 14]],
-                             ids=["markov_start", "markov_fused", "iid_restart"])
-    def test_keyed_streams_equal_per_lane_generators(self, blocks):
-        # 133 lanes fill two 64-lane chunks and part of a third
-        seeds = [derive_seed(3, i) for i in range(130)] + [0, 2 ** 64 - 1, -7]
-        streams = KeyedStreams(seeds)
-        drawn = np.concatenate([streams.uniform_block(n) for n in blocks])
-        for i, seed in enumerate(seeds):
-            assert np.array_equal(drawn[:, i], generator(seed).random(sum(blocks)))
 
     def test_one_bit_generator_per_run(self, monkeypatch):
         # re-keying replaces one Philox (and its entropy-seeded seed

@@ -116,8 +116,8 @@ class TestSteadyStateDirection:
         cum_pi = np.cumsum(model.mrp.pi)
         s = np.minimum((cum_pi[None, :] <= rng.random(N)[:, None]).sum(1), 1)
         sp = np.minimum((TWO_STATE.cum_P[s] <= rng.random(N)[:, None]).sum(1), 1)
-        dirs = td0_direction(TWO_FEATS, TWO_STATE.gamma, theta[:, None],
-                             (s, sp, TWO_STATE.R[s]))
+        dirs = td0_direction(TWO_STATE.gamma, theta[:, None],
+                             TD0Provider(model).observe(s, sp))
         mc = dirs.mean(axis=1)
         se = dirs.std(axis=1, ddof=1) / np.sqrt(N)
         exact = steady_state_direction(model, theta)
@@ -442,6 +442,52 @@ class TestMixingOracle:
         checked.append(model.mixing.certify(alpha).horizon_checked)
         assert steps == max(checked)
 
+    def test_tv_queries_compute_no_deviation_and_td0_catches_up(self, monkeypatch):
+        # certify_tv extends only d; a later certify computes the deviation
+        # curve on its own power until it is level with d, then shares d's
+        # power again; every certificate equals a fresh oracle's
+        base = random_mrp(5, 0.5, 5)
+        lazy = MarkovRewardProcess(0.9375 * np.eye(5) + 0.0625 * base.P,
+                                   base.R, base.gamma)
+        features = random_features(5, 2, 5)
+        oracle = MixingOracle(lazy, features)
+        deviation, step = MixingOracle._deviation, ChainPowers.step
+        calls = {"dev": 0, "step": 0}
+
+        def counting_deviation(self, Q):
+            calls["dev"] += self is oracle
+            return deviation(self, Q)
+
+        def counting_step(self):
+            calls["step"] += self is oracle._powers
+            return step(self)
+
+        monkeypatch.setattr(MixingOracle, "_deviation", counting_deviation)
+        monkeypatch.setattr(ChainPowers, "step", counting_step)
+        queries = [("tv", 1e-2), ("td0", 0.1), ("tv", 1e-4), ("td0", 1e-2),
+                   ("td0", 1e-4), ("tv", 1e-6), ("td0", 1e-6),
+                   ("td0", 1e-9), ("tv", 1e-9)]
+        horizons = {"tv": 0, "td0": 0}
+        for kind, eps in queries:
+            if kind == "tv":
+                got = oracle.certify_tv(1.0, eps)
+                fresh = MixingOracle(lazy, features).certify_tv(1.0, eps)
+            else:
+                got = oracle.certify(eps)
+                fresh = MixingOracle(lazy, features).certify(eps)
+            assert (got.tau, got.horizon_checked, got.tail_bound) == (
+                fresh.tau, fresh.horizon_checked, fresh.tail_bound)
+            assert got.margin_curve.tobytes() == fresh.margin_curve.tobytes()
+            horizons[kind] = max(horizons[kind], got.horizon_checked)
+            if kind == "tv" and horizons["td0"] == 0:
+                assert calls["dev"] == 0
+        monkeypatch.undo()
+        # one deviation per power the TD(0) queries read, and one shared
+        # step per entry of the longest curve: catching up costs one product
+        # per power and no TV distance
+        assert calls["dev"] == horizons["td0"]
+        assert calls["step"] == max(horizons.values())
+
     def test_invalid_chain_refused(self):
         periodic = MarkovRewardProcess([[0.0, 1.0], [1.0, 0.0]], [1.0, 0.0], 0.5)
         for _ in range(2):
@@ -574,8 +620,9 @@ class TestAudits:
     def test_identical_parameters_give_identical_directions(self):
         from tdcert.sa_core import td0_direction
         theta = np.array([1.3])
-        a = td0_direction(TWO_FEATS, 0.9, theta, (0, 1, 1.0))
-        b = td0_direction(TWO_FEATS, 0.9, theta, (0, 1, 1.0))
+        X = TD0Provider(build_steady_state(TWO_STATE, TWO_FEATS)).observe(0, 1)
+        a = td0_direction(0.9, theta, X)
+        b = td0_direction(0.9, theta, X)
         assert np.array_equal(a, b) and np.all(a - b == 0.0)
 
     def test_dnorm_contraction(self):

@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from mixing_reference import generic_tau
 from scalar_reference import ReferenceDivergence, reference_delays, reference_sa
-from tdcert.chain import BLOCK, ChainError, MarkovRewardProcess, derive_seed, generator
+from tdcert.chain import (
+    BLOCK,
+    ChainError,
+    MarkovRewardProcess,
+    derive_seed,
+    generator,
+    random_mrp,
+)
 from tdcert.harness import (
     ConfigError,
     ExperimentConfig,
@@ -39,20 +46,29 @@ ONE_MODEL = build_steady_state(ONE_STATE, constant_features(1))
 TWO_MODEL = build_steady_state(TWO_STATE, TWO_FEATS)
 
 
+def obs(features, s, sp, r):
+    """The TD(0) observation X = (F_s, F_s') of the table [Phi^T; R], with
+    reward r at s (the reward row at s' is never read)."""
+    r = np.asarray(r, dtype=float)[None]
+    PhiT = features.Phi.T
+    return (np.concatenate([PhiT.take(s, axis=1), r]),
+            np.concatenate([PhiT.take(sp, axis=1), np.zeros_like(r)]))
+
+
 class TestTD0Direction:
     def test_zero_parameter_gives_reward_times_feature(self):
-        g = td0_direction(TWO_FEATS, 0.9, np.zeros(1), (0, 1, 1.0))
+        g = td0_direction(0.9, np.zeros(1), obs(TWO_FEATS, 0, 1, 1.0))
         np.testing.assert_allclose(g, [1.0])
 
     def test_one_state_vanishes_at_fixed_point(self):
-        g = td0_direction(constant_features(1), 0.5, np.array([2.0]), (0, 0, 1.0))
+        g = td0_direction(0.5, np.array([2.0]), obs(constant_features(1), 0, 0, 1.0))
         np.testing.assert_allclose(g, [0.0], atol=1e-15)
 
     def test_hand_expansion_two_state(self):
         # phi(0) = 1, phi(1) = 0: td = r + 0.9 * phi(s') theta - phi(s) theta
-        g = td0_direction(TWO_FEATS, 0.9, np.array([2.0]), (0, 1, 1.0))
+        g = td0_direction(0.9, np.array([2.0]), obs(TWO_FEATS, 0, 1, 1.0))
         np.testing.assert_allclose(g, [1.0 + 0.9 * 0.0 - 2.0])
-        g = td0_direction(TWO_FEATS, 0.9, np.array([2.0]), (1, 0, 0.0))
+        g = td0_direction(0.9, np.array([2.0]), obs(TWO_FEATS, 1, 0, 0.0))
         np.testing.assert_allclose(g, [0.0])  # phi(1) = 0 kills the direction
 
     def test_batch_matches_scalar_calls_bitwise(self):
@@ -60,11 +76,11 @@ class TestTD0Direction:
         thetas = rng.normal(size=(1, 50))
         s = rng.integers(0, 2, size=50)
         sp = rng.integers(0, 2, size=50)
-        X = (s, sp, TWO_STATE.R[s])
-        batch = td0_direction(TWO_FEATS, 0.9, thetas, X)
+        provider = TD0Provider(TWO_MODEL)
+        batch = provider.direction(thetas, provider.observe(s, sp))
         for i in range(50):
-            single = td0_direction(TWO_FEATS, 0.9, thetas[:, i],
-                                   (int(s[i]), int(sp[i]), float(TWO_STATE.R[s[i]])))
+            single = provider.direction(thetas[:, i],
+                                        provider.observe(int(s[i]), int(sp[i])))
             assert np.array_equal(batch[:, i], single)
 
     def test_batch_matches_scalar_calls_bitwise_k9(self):
@@ -75,10 +91,10 @@ class TestTD0Direction:
         s = rng.integers(0, 12, size=40)
         sp = rng.integers(0, 12, size=40)
         r = rng.uniform(-1.0, 1.0, size=40)
-        batch = td0_direction(feats, 0.7, thetas, (s, sp, r))
+        batch = td0_direction(0.7, thetas, obs(feats, s, sp, r))
         for i in range(40):
-            single = td0_direction(feats, 0.7, thetas[:, i],
-                                   (int(s[i]), int(sp[i]), float(r[i])))
+            single = td0_direction(0.7, thetas[:, i],
+                                   obs(feats, int(s[i]), int(sp[i]), float(r[i])))
             assert np.array_equal(batch[:, i], single)
 
     @settings(max_examples=200, deadline=None)
@@ -87,10 +103,10 @@ class TestTD0Direction:
            st.floats(0.0, 1.0, allow_nan=False))
     def test_affine_consistency(self, t1, t2, lam):
         theta1, theta2 = np.array(t1), np.array(t2)
-        X = (0, 1, 1.0)
-        mix = td0_direction(TWO_FEATS, 0.9, lam * theta1 + (1 - lam) * theta2, X)
-        combo = (lam * td0_direction(TWO_FEATS, 0.9, theta1, X)
-                 + (1 - lam) * td0_direction(TWO_FEATS, 0.9, theta2, X))
+        X = obs(TWO_FEATS, 0, 1, 1.0)
+        mix = td0_direction(0.9, lam * theta1 + (1 - lam) * theta2, X)
+        combo = (lam * td0_direction(0.9, theta1, X)
+                 + (1 - lam) * td0_direction(0.9, theta2, X))
         np.testing.assert_allclose(mix, combo, atol=1e-12)
 
     def test_norm_envelopes(self):
@@ -101,7 +117,7 @@ class TestTD0Direction:
         thetas = rng.normal(size=(1, 5000)) * 8.0
         s = rng.integers(0, 2, size=5000)
         sp = rng.integers(0, 2, size=5000)
-        g = provider.direction(thetas, (s, sp, TWO_STATE.R[s]))
+        g = provider.direction(thetas, provider.observe(s, sp))
         dist = np.linalg.norm(thetas - provider.theta_star[:, None], axis=0)
         assert np.all(np.linalg.norm(g, axis=0)
                       <= 2 * dist + 4 * provider.sigma_const + 1e-12)
@@ -280,6 +296,33 @@ class TestDelays:
 
 
 class TestAuditProvider:
+    def test_observations_are_the_float_paths(self):
+        # the audit picks s' from raw words; every observation it passes is
+        # the one the doubles random() makes of those words would pick by a
+        # whole-row comparison, so the audit is the one drawn from doubles
+        seen = []
+
+        class Recording(TD0Provider):
+            def direction(self, theta, X):
+                seen.append(X)
+                return super().direction(theta, X)
+
+        mrp = random_mrp(6, 0.5, seed=3)
+        provider = Recording(build_steady_state(mrp, random_features(6, 3, seed=4)))
+        m = 4000
+        assert audit_provider(provider, m, seed=9).ok
+        rng = generator(derive_seed(9, 0xA0D1))
+        rng.uniform(0.1, 10.0, size=(m, 1))
+        rng.normal(size=(m, 3))
+        rng.normal(size=(m, 3))
+        s = rng.integers(0, 6, size=m)
+        u = rng.random(m)
+        sp = np.minimum((mrp.cum_P[s] <= u[:, None]).sum(axis=1), 5)
+        expected = provider.observe(s, sp)
+        assert len(seen) == 2
+        for X in seen:
+            assert all(np.array_equal(a, b) for a, b in zip(X, expected))
+
     def test_td0_passes_with_declared_constants(self):
         audit = audit_provider(TD0Provider(TWO_MODEL), 20_000, seed=1)
         assert audit.ok
@@ -326,8 +369,7 @@ class TestAuditProvider:
 
         class Offset(TD0Provider):
             def direction(self, theta, X):
-                return (super().direction(theta, X)
-                        + 0.5 * self.model.features.PhiT.take(X[0], axis=1))
+                return super().direction(theta, X) + 0.5 * X[0][:-1]
 
         class GenericOffset(Offset):
             norm_offset = property(lambda self: self.sigma_const)
