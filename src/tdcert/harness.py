@@ -10,8 +10,8 @@ one result: it runs the config's trials as lanes, lane i on the stream
 ``derive_seed(master_seed, i)`` with the delays ``delays.spawn(i)``, and a
 rerun of the same config replays every lane bit for bit. Lanes are the last
 axis of (K, trials) arrays, one column per lane. The raw words of the
-transitions and the delay schedule are each drawn from one re-keyed Philox
-in step-major blocks (``chain.KeyedStreams``), transitions come from the
+transitions and the delays are each drawn from one re-keyed Philox in
+step-major blocks (``chain.KeyedStreams``), transitions come from the
 chain's exact table sampler on those words (``mrp.sampler``), and every
 K-wide sum goes through ``rowsum``,
 which adds the K rows in the order numpy sums one vector, so a lane's bits
@@ -226,14 +226,15 @@ def _simulate(config: ExperimentConfig, weight_A: float | None = None,
     theta.
 
     Lane i draws from the stream ``derive_seed(master_seed, i)`` and takes
-    its delays from ``delays.spawn(i)``; the whole (T, trials) delay schedule
-    is drawn up front (``DelayProcess.schedule``). The raw words go into one
-    (BLOCK * draws, trials) uint64 buffer, refilled every ``BLOCK`` steps, so
-    memory does not grow with T. markov sampling draws one word per step,
-    plus one for the start state when ``start_state`` is None, which takes
-    the first block's first step so that later blocks start on a Philox
-    counter boundary; iid_restart draws the state fresh from pi and then its
-    successor, two words per step. Each step samples every lane's
+    its delays from ``delays.spawn(i)``. Both are drawn ``BLOCK`` steps at a
+    time into reused buffers, so memory does not grow with T: the raw words
+    into one (BLOCK * draws + 1, trials) uint64 buffer, the delays into one
+    (BLOCK, trials) int64 buffer (``DelayProcess.blocks``). markov sampling
+    draws one word per step, plus one for the start state when
+    ``start_state`` is None, which rides in the first block beside its
+    BLOCK steps, so a run fills ceil(T / BLOCK) times; iid_restart draws the
+    state fresh from pi and then its successor, two words per step. Each
+    step samples every lane's
     transition, gathers s' 's column of ``provider.state_table`` (in markov
     sampling also the next step's F_s), calls ``provider.direction`` once on
     the whole (K, trials) batch, and updates. A delayed lane applies the
@@ -262,7 +263,10 @@ def _simulate(config: ExperimentConfig, weight_A: float | None = None,
         raise ConfigError("iterate retention too large; lower trials or T")
 
     streams = KeyedStreams(derive_seed(config.master_seed, np.arange(trials)))
-    words = np.empty((min(BLOCK, T + 1) * draws, trials), dtype=np.uint64)
+    s = F_s = None
+    start_state = config.start_state
+    lead = not iid and start_state is None  # the start state's word leads
+    words = np.empty((min(BLOCK, T) * draws + lead, trials), dtype=np.uint64)
     theta = np.tile(config.theta0[:, None], (1, trials))
 
     if curves:
@@ -288,17 +292,18 @@ def _simulate(config: ExperimentConfig, weight_A: float | None = None,
     use_delays = delays is not None and delays.kind != "none" and delays.tau_max > 0
     if use_delays:
         m = delays.tau_max + 1
-        dmat = delays.schedule(T, trials)
         # the directions of the last m steps; lane i's slot-b direction is
-        # ring[:, b * trials + i], and a block's index rows
-        # ((t - d_t) mod m) * trials + i go into one reused buffer
+        # ring[:, b * trials + i]. Each block's delays d_t are drawn into one
+        # reused buffer and turned there into the index rows
+        # ((t - d_t) mod m) * trials + i, looked up in ``wrap`` at
+        # (t mod m) - d_t + tau_max, in [0, 2 tau_max], in place of a
+        # division per lane-step (always in range, so ``take`` needs no
+        # checked copy: mode="clip")
         ring = np.zeros((K, m * trials))
-        slots = np.empty((min(BLOCK, T), trials), dtype=np.int64)
+        slots = delays.blocks(T, np.empty((min(BLOCK, T), trials), dtype=np.int64))
+        wrap = np.arange(-delays.tau_max, m) % m * trials
         lanes = np.arange(trials)
 
-    s = F_s = None
-    start_state = config.start_state
-    lead = not iid and start_state is None  # the start state's word leads
     if not iid and not lead:
         if not 0 <= start_state < mrp.n:
             raise ChainError(f"start_state {start_state} out of range")
@@ -308,7 +313,7 @@ def _simulate(config: ExperimentConfig, weight_A: float | None = None,
     abort_count, abort_step = 0, None
     t0 = 0
     while t0 < T and abort_step is None:
-        L = min(BLOCK - lead, T - t0)
+        L = min(BLOCK, T - t0)
         W = words[:L * draws + lead]
         streams.fill(W)
         if lead:
@@ -317,12 +322,10 @@ def _simulate(config: ExperimentConfig, weight_A: float | None = None,
             W = W[1:]
             lead = False
         if use_delays:
-            idx = slots[:L]
-            # int64 throughout: the schedule may be int16, which a step index
-            # past 32767 must not meet in int16 arithmetic
-            np.subtract(np.arange(t0, t0 + L)[:, None], dmat[t0:t0 + L], out=idx)
-            idx %= m
-            idx *= trials
+            _, idx = next(slots)
+            phase = np.arange(t0, t0 + L)[:, None] % m + delays.tau_max
+            np.subtract(phase, idx, out=idx)
+            wrap.take(idx, out=idx, mode="clip")
             idx += lanes
         for j in range(L):
             step = t0 + j

@@ -379,51 +379,62 @@ class DelayProcess:
     def sequence(self, T: int) -> np.ndarray:
         """The delays tau_0..tau_{T-1} (int64): the one-lane case of
         ``schedule``."""
-        return self._draw(T, self.seed)[:, 0].astype(np.int64)
+        return self._collect(T, 1, self.seed)[:, 0]
 
     def schedule(self, T: int, trials: int) -> np.ndarray:
-        """The (T, trials) delays of the replicas ``spawn(0..trials-1)``:
-        column i is ``spawn(i).sequence(T)``, bit for bit. int16 when tau_max
-        fits, else int64; constant and sawtooth delays are the same in every
-        lane, so they come as one read-only column broadcast across them."""
-        return self._draw(T, derive_seed(self.seed, np.arange(trials), 0xDE1A7))
+        """The (T, trials) int64 delays of the replicas ``spawn(0..trials-1)``:
+        column i is ``spawn(i).sequence(T)``, bit for bit, gathered from
+        ``blocks``."""
+        return self._collect(T, trials)
 
-    def _draw(self, T: int, seeds) -> np.ndarray:
-        """The delays of the lanes whose process seeds are ``seeds`` (a
-        uint64 array, or an int for one lane).
+    def _collect(self, T: int, lanes: int, seeds=None) -> np.ndarray:
+        out = np.empty((T, lanes), dtype=np.int64)
+        buffer = np.empty((min(BLOCK, T), lanes), dtype=np.int64)
+        for t0, block in self.blocks(T, buffer, seeds):
+            out[t0:t0 + len(block)] = block
+        return out
+
+    def blocks(self, T: int, out: np.ndarray, seeds=None):
+        """The delays of steps 0..T-1, ``BLOCK`` steps at a time, written
+        into the reused (BLOCK, lanes) int64 buffer ``out``: yields (t0,
+        block) where block = out[:L] holds the delays of steps t0..t0+L-1,
+        consumed before the next. Lane i is ``spawn(i)``, or the process
+        whose seed is ``seeds`` (an int for one lane, or a uint64 array) when
+        given; memory does not grow with T.
 
         A uniform lane floors its stream ``generator(derive_seed(seed,
         0xDE1A))`` times tau_max + 1 (so the stream is chunk-stable), every
-        lane drawn through one ``KeyedStreams`` in ``BLOCK``-row tiles of
-        words made doubles (``unit``); all kinds clamp to min(t, tau_max).
-        The floor, the caps and the cast run on each tile in place, as
-        trunc(min(x, c)) = min(trunc(x), c) for an integer c and x >= 0, and
-        the tile is written straight into the schedule."""
-        lanes = np.size(seeds)
-        fits = self.tau_max <= np.iinfo(np.int16).max
-        dtype = np.int16 if fits else np.int64
-        t = np.arange(T, dtype=np.int64)
-        if self.kind == "none" or self.tau_max == 0:
-            column = np.zeros(T, dtype=dtype)
-        elif self.kind == "constant":
-            column = np.minimum(self.tau_max, t).astype(dtype)
-        elif self.kind == "sawtooth":
-            column = (t % (self.tau_max + 1)).astype(dtype)
-        else:  # uniform
-            out = np.empty((T, lanes), dtype=dtype)
+        lane drawn through one ``KeyedStreams`` in 64-lane word tiles that
+        are made doubles (``unit``) in one reused float tile; all kinds clamp
+        to min(t, tau_max). The floor, the caps and the cast run on that tile
+        in place, as trunc(min(x, c)) = min(trunc(x), c) for an integer c and
+        x >= 0, and the tile is written straight into the block."""
+        cap = self.tau_max
+        if seeds is None:
+            seeds = derive_seed(self.seed, np.arange(out.shape[1]), 0xDE1A7)
+        if self.kind == "uniform" and cap > 0:
             streams = KeyedStreams(np.atleast_1d(derive_seed(seeds, 0xDE1A)))
-            for t0 in range(0, T, BLOCK):
-                steps = t[t0:t0 + BLOCK]
-                for lo, words in streams.tiles(len(steps)):
-                    u = unit(words)
-                    u *= self.tau_max + 1
-                    np.minimum(u, self.tau_max, out=u)
-                    early = u[:, :max(0, self.tau_max - t0)]
-                    np.minimum(early, steps[:early.shape[1]], out=early)
-                    np.copyto(out[t0:t0 + len(steps), lo:lo + len(u)], u.T,
-                              casting="unsafe")
-            return out
-        return np.broadcast_to(column[:, None], (T, lanes))
+            tile = None
+        for t0 in range(0, T, BLOCK):
+            block = out[:min(BLOCK, T - t0)]
+            L = len(block)
+            if self.kind == "none" or cap == 0:
+                block.fill(0)
+            elif self.kind == "constant":
+                block[:] = np.minimum(cap, np.arange(t0, t0 + L))[:, None]
+            elif self.kind == "sawtooth":
+                block[:] = (np.arange(t0, t0 + L) % (cap + 1))[:, None]
+            else:
+                for lo, words in streams.tiles(L):
+                    if tile is None:
+                        tile = np.empty(words.shape)
+                    u = unit(words, out=tile[:len(words), :L])
+                    u *= cap + 1
+                    np.minimum(u, cap, out=u)
+                    early = u[:, :max(0, cap - t0)]
+                    np.minimum(early, np.arange(t0, t0 + early.shape[1]), out=early)
+                    np.copyto(block[:, lo:lo + len(u)], u.T, casting="unsafe")
+            yield t0, block
 
     def spawn(self, trial_index: int) -> "DelayProcess":
         """Per-trial replica with an independently derived stream."""

@@ -263,8 +263,10 @@ class TestKeyedStreams:
             assert np.array_equal(unit(drawn[:, i]), generator(seed).random(len(drawn)))
 
     @pytest.mark.parametrize("blocks", [[BLOCK, BLOCK, 7], [1, BLOCK - 1, BLOCK, 5],
-                                        [2 * BLOCK, 2 * BLOCK, 14]],
-                             ids=["markov", "markov_start", "iid_restart"])
+                                        [2 * BLOCK, 2 * BLOCK, 14],
+                                        [BLOCK + 1, BLOCK, BLOCK, 7]],
+                             ids=["markov", "markov_start", "iid_restart",
+                                  "markov_start_word"])
     def test_kernel_blocks_equal_per_lane_generators(self, blocks):
         streams = KeyedStreams(_LANE_SEEDS)
         parts = []

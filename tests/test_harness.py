@@ -12,6 +12,7 @@ from tdcert import bundled
 from tdcert.chain import (
     BLOCK,
     ChainError,
+    KeyedStreams,
     MarkovRewardProcess,
     derive_seed,
     generator,
@@ -106,6 +107,26 @@ BLOCK_TURN_CASES = {
     "linear_contraction": {"provider": "linear_contraction"},
     "saturating_iid": {"provider": "saturating", "sampling": "iid_restart"},
 }
+
+
+def assert_peak_flat_in_T(config):
+    """From one block turn to seven, a 2000-lane run of ``config`` grows by
+    less than its d_t/e_t curve arrays (4 float arrays of T + 1), the only
+    memory that may depend on T."""
+
+    def peak(T):
+        cfg = replace(config, T=T, trials=2000)
+        tracemalloc.start()
+        try:
+            _simulate(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # one warm-up run, so first-use allocations land in neither peak
+    _simulate(replace(config, T=2, trials=2000))
+    curves = 4 * 8 * (8 * BLOCK + 1)
+    assert peak(8 * BLOCK) - peak(BLOCK + 1) < curves
 
 
 def wide_config(K, **kw):
@@ -320,25 +341,38 @@ class TestEstimate:
                 start_state=cfg.start_state, delays=delays))
 
     def test_memory_is_flat_in_T(self):
-        # the word buffer is reused: from one block turn to seven, a
-        # 2000-lane K=3 run grows by less than its d_t/e_t curve arrays
-        # (4 float arrays of T + 1), the only memory that depends on T
+        # the word buffer is reused
         config, _ = parse_experiment(bundled.bundled_config("theorem1_random6"))
         assert config.provider.dim == 3
+        assert_peak_flat_in_T(config)
 
-        def peak(T):
-            cfg = replace(config, T=T, trials=2000)
-            tracemalloc.start()
-            try:
-                _simulate(cfg)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+    def test_memory_is_flat_in_T_under_uniform_delays(self):
+        # the delays are drawn block by block into one reused buffer, so a
+        # (T, trials) schedule (2 bytes a trial-step even as int16) never
+        # exists
+        config, _ = parse_experiment(bundled.bundled_config("delayed_uniform_5"))
+        assert config.delays.kind == "uniform" and config.delays.tau_max == 5
+        assert_peak_flat_in_T(config)
 
-        # one warm-up run, so first-use allocations land in neither peak
-        _simulate(replace(config, T=2, trials=2000))
-        curves = 4 * 8 * (8 * BLOCK + 1)
-        assert peak(8 * BLOCK) - peak(BLOCK + 1) < curves
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("case", ["markov", "markov_start_state", "iid_restart"])
+    def test_a_run_fills_once_per_block(self, case, k, monkeypatch):
+        # markov's start-state word rides in the first block beside a full
+        # BLOCK steps, so no run spends a fill on a tail of one row
+        fills = []
+        fill = KeyedStreams.fill
+
+        def counting(streams, out):
+            fills.append(len(out))
+            return fill(streams, out)
+
+        monkeypatch.setattr(KeyedStreams, "fill", counting)
+        kw = dict(BLOCK_TURN_CASES[case])
+        for T in (k * BLOCK - 1, k * BLOCK, k * BLOCK + 1):
+            fills.clear()
+            estimate = estimate_dt_et(wide_config(3, T=T, trials=3, **kw))
+            assert estimate.abort_step is None
+            assert len(fills) == -(-T // BLOCK)
 
     def test_delayed_batch_lanes_equal_single_trials_k3(self):
         delays = DelayProcess("uniform", 4, seed=8)

@@ -279,14 +279,15 @@ class TestDelays:
     @pytest.mark.parametrize("tau_max", [5, 40000], ids=["int16", "past_int16"])
     @pytest.mark.parametrize("kind", ["none", "constant", "uniform", "sawtooth"])
     def test_schedule_columns_are_the_spawned_sequences(self, kind, tau_max):
-        # the kernel's (T, trials) schedule: T crosses a BLOCK-row chunk and
-        # 70 lanes cross a 64-lane tile; each column is its lane's own
-        # process, drawn from one generator per lane in the reference
+        # the kernel's delays, gathered from its BLOCK-step blocks: T crosses
+        # a block turn and 70 lanes cross a 64-lane tile; each column is its
+        # lane's own process, drawn from one generator per lane in the
+        # reference
         T, trials = BLOCK + 1, 70
         process = DelayProcess(kind, tau_max, seed=77)
         schedule = process.schedule(T, trials)
         assert schedule.shape == (T, trials)
-        assert schedule.dtype == (np.int16 if tau_max == 5 else np.int64)
+        assert schedule.dtype == np.int64
         for i in range(trials):
             lane = process.spawn(i)
             expected = reference_delays(lane, T)
