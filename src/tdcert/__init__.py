@@ -54,7 +54,6 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     MonteCarloEstimate,
-    alpha_sweep,
     asymptotic_floor,
     check_boundedness,
     check_drift,
@@ -63,6 +62,7 @@ from .harness import (
     estimate_dt_et,
     run_experiment,
     simulate_trajectories,
+    sweep,
     tune_weighted_average,
     weighted_average_experiment,
     write_columnar,

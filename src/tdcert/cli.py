@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
 from datetime import datetime, timezone
 
 from . import __version__
@@ -46,8 +45,8 @@ from .harness import (
     AuditError,
     ConfigError,
     ExperimentConfig,
-    alpha_sweep,
     run_experiment,
+    sweep,
     write_columnar,
 )
 
@@ -260,90 +259,36 @@ def cmd_run(cfg: dict, out_dir: str, seed_override=None) -> int:
 
 
 def _parse_axis(sweep_arg: str):
+    """The axis and values of ``--sweep axis=v1,v2,...``, each value read as a
+    float; ``sweep`` checks them and counts tau_max and T in whole numbers."""
     if "=" not in sweep_arg:
         raise ConfigError("sweep axis must look like alpha=1,0.5,0.25")
     axis, _, raw = sweep_arg.partition("=")
-    values = [v for v in raw.split(",") if v]
-    if not values:
-        raise ConfigError("sweep grid is empty")
-    if axis == "alpha":
-        return axis, [float(v) for v in values]
-    if axis == "T":
-        return axis, [int(v) for v in values]
-    if axis == "tau_max":
-        grid = [int(v) for v in values]
-        for tau_max in grid:
-            if tau_max < 0:
-                raise ConfigError(f"sweep value tau_max={tau_max} must be at least 0")
-        return axis, grid
-    raise ConfigError(f"unknown sweep axis {axis!r} (alpha, T, tau_max)")
+    return axis, [float(v) for v in raw.split(",") if v]
 
 
 def cmd_sweep(cfg: dict, out_dir: str, sweep_arg: str, seed_override=None) -> int:
     started = time.time()
     axis, values = _parse_axis(sweep_arg)
     config, kind = parse_experiment(cfg, seed_override)
-    summary = {"axis": axis, "values": values, "points": []}
-    ledgers_all, estimates = {}, {}
-
-    if axis == "alpha":
-        result = alpha_sweep(config, multipliers=values)
-        for i, point in enumerate(result["points"]):
-            tag = f"alpha_{i}"
-            estimates[tag] = point["estimate"]
-            ledgers_all[tag] = point["boundedness"]
-            summary["points"].append({
-                "alpha": point["alpha"], "tau": point["tau"], "T": point["T"],
-                "in_contract": point["in_contract"], "floor": point["floor"],
-                "verdict": point["boundedness"].verdict,
-            })
-        summary["floor_slope"] = result["floor_slope"]
-    elif axis == "T":
-        if not config.averaging_grid and kind != "weighted_average":
-            raise ConfigError("a T sweep needs a weighted_average experiment")
-        sub = replace(config, averaging_grid=values)
-        _, ledgers_all = run_experiment(sub, "weighted_average")
-        led = ledgers_all["weighted_average"]
-        summary["points"] = led.fitted["table"]
-        summary["tail_slope"] = led.fitted["tail_slope"]
-    else:  # tau_max
-        base_kind = (config.delays.kind if config.delays is not None
-                     else "uniform")
-        base_seed = config.delays.seed if config.delays is not None else 77
-        provider = config.provider
-        base = resolve_step_size(provider)
-        for tau_max in values:
-            alpha = base / (1 + tau_max)
-            T = auto_horizon(alpha, provider)
-            delays = DelayProcess(kind=base_kind if tau_max > 0 else "none",
-                                  tau_max=tau_max, seed=base_seed)
-            sub = replace(config, alpha=alpha, T=T, delays=delays)
-            est, ledgers = run_experiment(sub, "boundedness")
-            led = ledgers["boundedness"]
-            tag = f"tau_max_{tau_max}"
-            estimates[tag] = est
-            ledgers_all[tag] = led
-            summary["points"].append({
-                "tau_max": tau_max, "alpha": alpha, "tau": sub.tau, "T": T,
-                "verdict": led.verdict,
-            })
-
+    if axis == "T" and not config.averaging_grid and kind != "weighted_average":
+        raise ConfigError("a T sweep needs a weighted_average experiment")
+    summary = sweep(config, axis, values)
+    ledgers, estimates = summary.pop("ledgers"), summary.pop("estimates")
     # nothing is written until every point has run: a refused sweep leaves no
     # output directory, as a refused run does
     os.makedirs(out_dir, exist_ok=True)
     for tag, est in estimates.items():
-        write_columnar(os.path.join(out_dir, f"estimate_{tag}.csv"), est,
-                       ledgers_all[tag])
-    code = _verdict_exit(ledgers_all) if ledgers_all else EXIT_INVALID_INPUT
+        write_columnar(os.path.join(out_dir, f"estimate_{tag}.csv"), est, ledgers[tag])
+    code = _verdict_exit(ledgers)
     _write_json(os.path.join(out_dir, "ledgers.json"),
                 {"fingerprint": config.fingerprint(),
-                 "ledgers": {name: led.to_dict() for name, led in ledgers_all.items()}})
-    summary["fingerprint"] = config.fingerprint()
-    summary["exit_code"] = code
+                 "ledgers": {name: led.to_dict() for name, led in ledgers.items()}})
+    summary.update(fingerprint=config.fingerprint(), exit_code=code)
     _write_json(os.path.join(out_dir, "sweep_summary.json"), summary)
     _write_json(os.path.join(out_dir, "manifest.json"),
                 _manifest(config, cfg, out_dir, started, code))
-    for name, led in ledgers_all.items():
+    for name, led in ledgers.items():
         print(f"[{name}] verdict={led.verdict}")
     return code
 

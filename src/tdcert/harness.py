@@ -25,7 +25,8 @@ restated, so a ledger checks the hypothesis it reports; one that checks no
 claim (out of contract, or aborted trials) comes from ``_refused``. The bars
 a ledger is held to (``CEILING``, ``SLOPE_THRESHOLD``, ``SLACK_MULTIPLIER``)
 are module constants, not settings. ``run_experiment(config, kind)`` audits
-the provider and runs the checks of one experiment kind.
+the provider and runs the checks of one experiment kind, and
+``sweep(config, axis, values)`` runs one along an alpha, tau_max or T grid.
 """
 
 import math
@@ -678,6 +679,8 @@ def weighted_average_experiment(config: ExperimentConfig) -> BoundLedger:
     if not config.averaging_grid:
         raise ConfigError("config has no averaging grid")
     grid = sorted(config.averaging_grid)
+    if len(set(grid)) < len(grid):
+        raise ConfigError(f"averaging grid repeats a horizon: {grid}")
     if len(grid) < 2:
         raise ConfigError("averaging grid needs at least two horizons")
     if grid[0] < 1:
@@ -763,29 +766,80 @@ def asymptotic_floor(estimate: MonteCarloEstimate) -> float:
     return float(np.mean(estimate.d_hat[start:]))
 
 
-def alpha_sweep(config: ExperimentConfig, multipliers=(1.0, 0.5, 0.25)) -> dict:
-    """Re-run the experiment across an alpha grid (positive multiples of the
-    config's alpha) as boundedness experiments, recertifying tau per point,
-    and fit the log-log slope of the asymptotic floor against alpha."""
-    for mult in multipliers:
-        if not (math.isfinite(mult) and mult > 0.0):
-            raise ConfigError(f"alpha multiplier {mult!r} must be a positive "
+def _sweep_grid(axis: str, values) -> list:
+    """The values of a sweep, checked before any point runs: alpha multipliers
+    positive finite floats, tau_max (at least 0) and T whole numbers, all
+    distinct, and at least two multipliers."""
+    if axis not in ("alpha", "T", "tau_max"):
+        raise ConfigError(f"unknown sweep axis {axis!r} (alpha, T, tau_max)")
+    grid = ([float(mult) for mult in values] if axis == "alpha"
+            else [integer(f"sweep value {axis}", value) for value in values])
+    if not grid:
+        raise ConfigError("sweep grid is empty")
+    for value in grid:
+        if axis == "alpha" and not (math.isfinite(value) and value > 0.0):
+            raise ConfigError(f"alpha multiplier {value!r} must be a positive "
                               "finite number")
-    results = []
-    for mult in multipliers:
-        alpha = config.alpha * float(mult)
-        # the auto horizon as parse_experiment resolves it; the config certifies tau
-        T = auto_horizon(alpha, config.provider)
-        sub = replace(config, alpha=alpha, T=T,
-                      master_seed=derive_seed(config.master_seed, int(mult * 1e6)))
+        if axis == "tau_max" and value < 0:
+            raise ConfigError(f"sweep value tau_max={value} must be at least 0")
+    if len(set(grid)) < len(grid):
+        raise ConfigError(f"sweep values must be distinct, got {axis}={grid}")
+    if axis == "alpha" and len(grid) < 2:
+        raise ConfigError("an alpha sweep needs at least two multipliers")
+    return grid
+
+
+def sweep(config: ExperimentConfig, axis: str, values) -> dict:
+    """The experiment re-run along one axis, as a dict of the ``axis``, its
+    checked ``values``, a summary dict per point (``points``), the ``ledgers``
+    and ``estimates`` by tag, and the axis's slope. Every point goes through
+    ``run_experiment``, so each is audited.
+
+    - ``alpha``: multiples of the config's alpha, on the seeds
+      ``derive_seed(master_seed, int(mult * 1e6))``; ``floor_slope`` is the
+      log-log slope of the asymptotic floor against alpha.
+    - ``tau_max``: the provider's step size over 1 + tau_max, under the
+      config's delay kind and seed (uniform and 77 if it has none).
+    - ``T``: the horizons of one weighted-average experiment, whose table
+      rows are the points; ``tail_slope`` is its ledger's.
+
+    An alpha or tau_max point is a boundedness experiment at the auto horizon.
+    """
+    grid = _sweep_grid(axis, values)
+    result = {"axis": axis, "values": grid, "ledgers": {}, "estimates": {}}
+    if axis == "T":
+        _, result["ledgers"] = run_experiment(replace(config, averaging_grid=grid),
+                                              "weighted_average")
+        fitted = result["ledgers"]["weighted_average"].fitted
+        return {**result, "points": fitted["table"], "tail_slope": fitted["tail_slope"]}
+    if axis == "tau_max":
+        base = resolve_step_size(config.provider)
+        kind, seed = ((config.delays.kind, config.delays.seed) if config.delays
+                      else ("uniform", 77))
+    points = result["points"] = []
+    for i, value in enumerate(grid):
+        if axis == "alpha":
+            tag, alpha = f"alpha_{i}", config.alpha * value
+            changes = {"master_seed": derive_seed(config.master_seed, int(value * 1e6))}
+        else:
+            tag, alpha = f"tau_max_{value}", base / (1 + value)
+            changes = {"delays": DelayProcess(kind if value > 0 else "none", value, seed)}
+        sub = replace(config, alpha=alpha, T=auto_horizon(alpha, config.provider),
+                      **changes)
         est, ledgers = run_experiment(sub, "boundedness")
-        results.append({"alpha": alpha, "tau": sub.tau, "T": T,
-                        "in_contract": sub.in_contract(), "floor": asymptotic_floor(est),
-                        "boundedness": ledgers["boundedness"], "estimate": est})
-    x = np.log([r["alpha"] for r in results])
-    y = np.log([r["floor"] for r in results])
-    slope = float(np.polyfit(x, y, 1)[0])
-    return {"points": results, "floor_slope": slope}
+        led = result["ledgers"][tag] = ledgers["boundedness"]
+        result["estimates"][tag] = est
+        point = {"alpha": alpha, "tau": sub.tau, "T": sub.T, "verdict": led.verdict}
+        if axis == "alpha":
+            point.update(in_contract=sub.in_contract(), floor=asymptotic_floor(est))
+        else:
+            point["tau_max"] = value
+        points.append(point)
+    if axis == "alpha":
+        x = np.log([p["alpha"] for p in points])
+        y = np.log([p["floor"] for p in points])
+        result["floor_slope"] = float(np.polyfit(x, y, 1)[0])
+    return result
 
 
 def write_columnar(path, estimate: MonteCarloEstimate,

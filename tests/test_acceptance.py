@@ -17,13 +17,13 @@ from tdcert.bundled import THEOREM1_NAMES, bundled_config
 from tdcert.chain import derive_seed, generator, random_mrp
 from tdcert.cli import main, parse_experiment
 from tdcert.harness import (
-    alpha_sweep,
     check_boundedness,
     check_iid_noise,
     check_recursion,
     estimate_dt_et,
     run_experiment,
     simulate_trajectories,
+    sweep,
     weighted_average_experiment,
 )
 from tdcert.oracle import (
@@ -131,8 +131,7 @@ def test_criterion_4_theorem2_recursion_and_floor(theorem2_base_run):
     config, estimate = theorem2_base_run
     led = check_recursion(estimate)
     c = led.fitted["c"]
-    sweep = alpha_sweep(config, multipliers=(1.0, 0.5, 0.25))
-    slope = sweep["floor_slope"]
+    slope = sweep(config, "alpha", (1.0, 0.5, 0.25))["floor_slope"]
     elapsed = time.time() - start
     ok = (led.verdict == "pass" and np.isfinite(c) and c <= 100.0
           and abs(slope - 1.0) <= 0.25 and elapsed < 600.0)

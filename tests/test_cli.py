@@ -297,6 +297,17 @@ class TestSweepCommand:
         assert "tail_slope" in summary
         assert code in (EXIT_PASS, EXIT_FAIL)  # slope verdict over a short grid
 
+    def test_T_sweep_values_are_counted(self, tmp_path):
+        cfg = {**ONE_STATE_CFG, "experiment": {"kind": "weighted_average",
+                                               "trials": 100, "master_seed": 3}}
+        out = tmp_path / "sweep"
+        main(["sweep", "--config", write_cfg(tmp_path, cfg), "--out", str(out),
+              "--sweep", "T=50.0,100,200,400"])
+        summary = json.loads((out / "sweep_summary.json").read_text())
+        assert summary["values"] == [r["T"] for r in summary["points"]] == \
+            [50, 100, 200, 400]
+        assert '"values": [\n    50,\n    100,' in (out / "sweep_summary.json").read_text()
+
     def test_tau_max_sweep(self, tmp_path):
         cfg = bundled_config("theorem1_uniform_two_state")
         cfg["experiment"]["trials"] = 300
@@ -332,6 +343,11 @@ class TestSweepCommand:
         ("theorem3_averaging", "T=0,64", "averaging horizon T=0 must be at least 1"),
         ("theorem2_base", "alpha=0,1", "alpha multiplier 0.0 must be"),
         ("theorem2_base", "alpha=1,-1", "alpha multiplier -1.0 must be"),
+        ("theorem1_two_state_fast", "tau_max=1,1", "sweep values must be distinct"),
+        ("theorem2_base", "alpha=1", "an alpha sweep needs at least two multipliers"),
+        ("theorem3_averaging", "T=64,64,128", "sweep values must be distinct"),
+        ("theorem1_two_state_fast", "tau_max=1.5",
+         "sweep value tau_max must be an integer, got 1.5"),
     ])
     def test_out_of_range_sweep_value_exits_invalid(self, tmp_path, capsys, name,
                                                     sweep, message):

@@ -31,6 +31,7 @@ from tdcert.sa_core import (
     LinearContractionProvider,
     SaturatingMonotoneProvider,
     TD0Provider,
+    auto_horizon,
     bound_B,
     fingerprint,
     resolve_step_size,
@@ -41,7 +42,6 @@ from tdcert.harness import (
     BoundLedger,
     ConfigError,
     ExperimentConfig,
-    alpha_sweep,
     asymptotic_floor,
     check_boundedness,
     check_drift,
@@ -50,6 +50,7 @@ from tdcert.harness import (
     estimate_dt_et,
     run_experiment,
     simulate_trajectories,
+    sweep,
     tune_weighted_average,
     weighted_average_experiment,
     write_columnar,
@@ -761,6 +762,12 @@ class TestWeightedAveraging:
         with pytest.raises(ConfigError, match="grid"):
             weighted_average_experiment(fast_config())
 
+    def test_repeated_horizon_refused(self):
+        # a repeated horizon reruns the same derived seed, so the tail slope
+        # would be fitted over a double-counted point
+        with pytest.raises(ConfigError, match="repeats a horizon"):
+            weighted_average_experiment(fast_config(averaging_grid=[64, 64, 128]))
+
     def test_generic_provider_refused(self):
         # the averaging theory and its error metric are TD(0)'s; this
         # provider's iterates converge to its own theta* = 0.7
@@ -837,11 +844,12 @@ class TestNonlinearExperiments:
 class TestSweeps:
     def test_floor_scaling_slope_near_one(self):
         cfg = fast_config(trials=1500, T=100, master_seed=201)
-        result = alpha_sweep(cfg, multipliers=(1.0, 0.5, 0.25))
+        result = sweep(cfg, "alpha", (1.0, 0.5, 0.25))
         assert abs(result["floor_slope"] - 1.0) <= 0.25
         for point in result["points"]:
             assert point["in_contract"]
-            assert point["boundedness"].verdict == "pass"
+            assert point["verdict"] == "pass"
+        assert [led.verdict for led in result["ledgers"].values()] == ["pass"] * 3
 
     def test_nonlinear_sweep_resolves_tau_and_horizon_like_the_spec(self):
         config, _ = parse_experiment(bundled.bundled_config("theorem4_saturating"))
@@ -850,10 +858,69 @@ class TestSweeps:
         assert generic_tau(provider.model.mrp, provider.L * provider.sigma_const,
                            config.alpha)[0] == 8
         assert config.alpha == provider.contraction / (8.0 * 8)
-        result = alpha_sweep(replace(config, trials=100), multipliers=(1.0, 0.5))
+        result = sweep(replace(config, trials=100), "alpha", (1.0, 0.5))
         first = result["points"][0]
         assert first["alpha"] == config.alpha
         assert (first["tau"], first["T"]) == (8, 1307)
+
+    def test_tau_max_axis_divides_the_step_size(self):
+        # without delays in the config the points draw uniform delays on seed 77
+        config = fast_config(trials=100)
+        result = sweep(config, "tau_max", (0, 2.0))
+        assert result["values"] == [0, 2]
+        assert list(result["ledgers"]) == list(result["estimates"]) == \
+            ["tau_max_0", "tau_max_2"]
+        for point, est in zip(result["points"], result["estimates"].values()):
+            alpha = FAST_ALPHA / (1 + point["tau_max"])
+            assert point["alpha"] == est.config.alpha == alpha
+            assert point["T"] == est.config.T == auto_horizon(alpha, config.provider)
+            assert point["tau"] == est.config.tau
+            assert point["verdict"] == "pass"
+        assert result["estimates"]["tau_max_0"].config.delays == DelayProcess("none", 0, 77)
+        assert result["estimates"]["tau_max_2"].config.delays == \
+            DelayProcess("uniform", 2, 77)
+        alone = estimate_dt_et(result["estimates"]["tau_max_2"].config)
+        assert np.array_equal(alone.d_hat, result["estimates"]["tau_max_2"].d_hat)
+
+    def test_tau_max_axis_keeps_the_config_delay_process(self):
+        config = fast_config(trials=100, delays=DelayProcess("sawtooth", 5, 9))
+        result = sweep(config, "tau_max", (1,))
+        assert result["estimates"]["tau_max_1"].config.delays == \
+            DelayProcess("sawtooth", 1, 9)
+        assert "floor_slope" not in result and "tail_slope" not in result
+
+    def test_T_axis_is_one_averaging_experiment(self):
+        config = one_state_config(T=400, trials=100)
+        result = sweep(config, "T", (50.0, 100, 200, 400))
+        assert result["values"] == [50, 100, 200, 400]
+        assert all(type(T) is int for T in result["values"])
+        led = weighted_average_experiment(replace(config,
+                                                  averaging_grid=[50, 100, 200, 400]))
+        assert list(result["ledgers"]) == ["weighted_average"]
+        assert result["ledgers"]["weighted_average"].to_dict() == led.to_dict()
+        assert result["points"] == led.fitted["table"]
+        assert result["tail_slope"] == led.fitted["tail_slope"]
+        assert result["estimates"] == {}
+
+    @pytest.mark.parametrize("axis, values, message", [
+        ("alpha", (1.0,), "at least two multipliers"),
+        ("alpha", (1.0, 1), "distinct"),
+        ("alpha", (1.0, float("inf")), "alpha multiplier inf must be"),
+        ("tau_max", (1, 1), "distinct"),
+        ("tau_max", (1.5,), "sweep value tau_max must be an integer, got 1.5"),
+        ("tau_max", (0, -1), "tau_max=-1 must be at least 0"),
+        ("T", (64, 64.0, 128), "distinct"),
+        ("T", (64, 128.5), "sweep value T must be an integer"),
+        ("T", (), "empty"),
+        ("gamma", (1,), "unknown sweep axis"),
+    ])
+    def test_values_refused_before_any_point_runs(self, monkeypatch, axis, values,
+                                                  message):
+        def no_point(*args):
+            raise AssertionError("a point ran")
+        monkeypatch.setattr("tdcert.harness.run_experiment", no_point)
+        with pytest.raises(ConfigError, match=message):
+            sweep(fast_config(), axis, values)
 
     def test_floor_needs_room_past_burn_in(self):
         cfg = fast_config(T=50)
