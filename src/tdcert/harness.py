@@ -30,7 +30,7 @@ the provider and runs the checks of one experiment kind, and
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -446,17 +446,7 @@ class BoundLedger:
         return self.verdict == "pass"
 
     def to_dict(self) -> dict:
-        return {
-            "theorem_id": self.theorem_id,
-            "hypothesis": self.hypothesis,
-            "verdict": self.verdict,
-            "worst_margin": self.worst_margin,
-            "worst_step": self.worst_step,
-            "fitted": self.fitted,
-            "slack": self.slack,
-            "n_steps": self.n_steps,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 def _require_ledger_grade(estimate: MonteCarloEstimate):
@@ -769,7 +759,7 @@ def asymptotic_floor(estimate: MonteCarloEstimate) -> float:
 def _sweep_grid(axis: str, values) -> list:
     """The values of a sweep, checked before any point runs: alpha multipliers
     positive finite floats, tau_max (at least 0) and T whole numbers, all
-    distinct, and at least two multipliers."""
+    distinct, and at least two multipliers with distinct seed indices."""
     if axis not in ("alpha", "T", "tau_max"):
         raise ConfigError(f"unknown sweep axis {axis!r} (alpha, T, tau_max)")
     grid = ([float(mult) for mult in values] if axis == "alpha"
@@ -786,6 +776,14 @@ def _sweep_grid(axis: str, values) -> list:
         raise ConfigError(f"sweep values must be distinct, got {axis}={grid}")
     if axis == "alpha" and len(grid) < 2:
         raise ConfigError("an alpha sweep needs at least two multipliers")
+    if axis == "alpha":  # a point's seed index is int(mult * 1e6)
+        seen = {}
+        for value in grid:
+            other = seen.setdefault(int(value * 1e6), value)
+            if other != value:
+                raise ConfigError(
+                    f"alpha multipliers {other!r} and {value!r} share the seed "
+                    f"index {int(value * 1e6)}, so they would draw the same streams")
     return grid
 
 

@@ -134,10 +134,9 @@ def features_from_dict(cfg: dict, n: int) -> FeatureMatrix:
     raise FeatureError(f"unknown feature kind {kind!r}")
 
 
-def _steady_matrices(mrp: MarkovRewardProcess, features: FeatureMatrix,
-                     pi: np.ndarray):
+def _steady_matrices(mrp: MarkovRewardProcess, features: FeatureMatrix):
     """The steady-state affine map: direction(theta) = A_bar theta + b_neg."""
-    Phi = features.Phi
+    Phi, pi = features.Phi, mrp.pi
     G = (mrp.gamma * mrp.P - np.eye(mrp.n)) @ Phi
     A_bar = Phi.T @ (pi[:, None] * G)
     b_neg = Phi.T @ (pi * mrp.R)
@@ -164,7 +163,7 @@ class SteadyStateModel:
             )
         self.mrp = mrp
         self.features = features
-        A_bar, b_neg, Sigma = _steady_matrices(mrp, features, mrp.pi)
+        A_bar, b_neg, Sigma = _steady_matrices(mrp, features)
         omega = float(np.linalg.eigvalsh(Sigma)[0])
         if omega <= _OMEGA_TOL:
             raise FeatureError(
@@ -219,10 +218,9 @@ class SteadyStateModel:
         return tile
 
     def value_error_D(self, theta):
-        """Stationary-weighted squared value error (theta - theta*)^T Sigma (...)."""
+        """Stationary-weighted squared value error (theta - theta*)^T Sigma (...)
+        of each row of a (lanes, K) batch."""
         diff = np.asarray(theta, dtype=float) - self.theta_star
-        if diff.ndim == 1:
-            return float(diff @ self.Sigma @ diff)
         return np.einsum("ij,jk,ik->i", diff, self.Sigma, diff)
 
 
@@ -303,8 +301,7 @@ class MixingTimeCertificate:
     k = 1..``horizon_checked`` = H, and ``tail_bound`` = 2 G d(H) bounds it
     for every k > H: the deviation at step k is at most 2 G d(k-1), with G
     its scale and d the chain's non-increasing TV curve (``MixingProfile``).
-    The certificate re-checks: every entry from tau on, and the tail bound,
-    are at most epsilon.
+    Every entry from tau on, and the tail bound, are at most epsilon.
     """
 
     epsilon: float
@@ -317,11 +314,6 @@ class MixingTimeCertificate:
     def __post_init__(self):
         self.margin_curve.setflags(write=False)
 
-    def recheck(self) -> bool:
-        return bool(self.tau >= 1
-                    and np.all(self.margin_curve[self.tau - 1:] <= self.epsilon)
-                    and self.tail_bound <= self.epsilon)
-
 
 class MixingOracle:
     """Certified mixing times of one (chain, features) pair.
@@ -331,12 +323,11 @@ class MixingOracle:
     deviation (``certify``) and the chain's TV curve d (``certify_tv``, for
     operators with no closed conditional form). A query searches the curves
     recorded out to a horizon H, starting at ``FIRST_HORIZON`` and doubling;
-    a longer horizon continues the matrix powers where they stopped, and
-    ``certify_tv`` extends only d. The deviation at k reads P^(k-1), so while
-    the two curves have the same length they step one shared power; once d
-    runs ahead, the deviation curve keeps the power it stopped at and catches
-    up on its own copy, rejoining the shared power when it is level. Only
-    those powers and the 1-D curves are held.
+    a longer horizon continues the matrix powers where they stopped. Each
+    query kind steps its own ``ChainPowers``: ``certify`` reads P^(k-1) for
+    the deviation at k and d from the same powers, and ``certify_tv`` steps
+    a TV-only power built on its first call. A run queries a model one way,
+    so only one n-by-n power and the 1-D curves are held.
     """
 
     def __init__(self, mrp: MarkovRewardProcess, features: FeatureMatrix):
@@ -354,8 +345,11 @@ class MixingOracle:
                                  (phi_norms * np.abs(mrp.R)).max()))
         self._powers = ChainPowers(mrp)
         self._dev = []
-        self._dev_power = None  # P^len(_dev) while d is ahead, else None
         self._lock = threading.Lock()
+
+    @cached_property
+    def _tv_powers(self) -> ChainPowers:
+        return ChainPowers(self.mrp)
 
     def _deviation(self, Q) -> float:
         """max(||Phi^T (D_k - D)(gamma P - I) Phi||_op, ||Phi^T (D_k - D) R||)
@@ -374,32 +368,22 @@ class MixingOracle:
         d(0..H) with d(0) = 1 - min pi and each clamped entry at
         ``_TV_CLAMP``, its upper bound, and whether d(H) is clamped."""
         with self._lock:
-            powers, dev = self._powers, None
+            dev = None
             if deviation:
                 while len(self._dev) < H:
-                    if self._dev_power is None:  # level with d: share its power
-                        self._dev.append(self._deviation(powers.power))
-                        powers.step()
-                        continue
-                    self._dev.append(self._deviation(self._dev_power))
-                    self._dev_power = self._dev_power @ self.mrp.P
-                    if len(self._dev) == len(powers.tv_curve):
-                        self._dev_power = None
+                    self._dev.append(self._deviation(self._powers.power))
+                    self._powers.step()
                 dev = np.array(self._dev[:H])
-            elif (self._dev_power is None and len(powers.tv_curve) < H
-                  and len(self._dev) == len(powers.tv_curve)):
-                self._dev_power = powers.power  # step() rebinds, never writes
-            profile = powers.profile(H)
+            profile = (self._powers if deviation else self._tv_powers).profile(H)
         d = np.concatenate(([1.0 - float(self.mrp.pi.min())], profile.tv_curve))
         if profile.clamp_index is not None:
             d[profile.clamp_index:] = _TV_CLAMP
         return dev, d, profile.clamp_index is not None
 
-    def certify(self, epsilon: float,
-                horizon: int | None = None) -> "MixingTimeCertificate":
+    def certify(self, epsilon: float) -> "MixingTimeCertificate":
         """Smallest certified tau(epsilon) of linear TD; see ``mixing_time``."""
         two_G = 2.0 * self._G_tail
-        return self._search(epsilon, horizon, "exact-linear",
+        return self._search(epsilon, "exact-linear",
                             lambda dev, d: (dev, two_G * d[-1]))
 
     def certify_tv(self, lipschitz_scale: float,
@@ -409,21 +393,19 @@ class MixingOracle:
         deviation of an operator with no closed conditional form. The search
         is ``certify``'s; its curve is 2 G d(k-1) for k = 1..H."""
         two_G = 2.0 * float(lipschitz_scale)
-        return self._search(epsilon, None, "tv-monotone",
+        return self._search(epsilon, "tv-monotone",
                             lambda dev, d: (two_G * d[:-1], two_G * d[-1]),
                             deviation=False)
 
-    def _search(self, epsilon, horizon, method, bound,
-                deviation=True) -> MixingTimeCertificate:
+    def _search(self, epsilon, method, bound, deviation=True) -> MixingTimeCertificate:
         """The first tau whose suffix of the curve is at most epsilon, with
         ``bound(dev, d)`` giving the curve for k = 1..H and the tail bound
-        2 G d(H) past H. Starts at ``horizon`` (``FIRST_HORIZON`` if None)
-        and doubles up to ``MAX_HORIZON`` unless a horizon is given; refuses
-        at once when the tail fails on a clamped d(H), which no longer
-        horizon can lower."""
+        2 G d(H) past H. Starts at ``FIRST_HORIZON`` and doubles up to
+        ``MAX_HORIZON``; refuses at once when the tail fails on a clamped
+        d(H), which no longer horizon can lower."""
         if epsilon <= 0.0:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
-        H = horizon if horizon is not None else FIRST_HORIZON
+        H = FIRST_HORIZON
         while True:
             dev, d, clamped = self._curves(H, deviation)
             curve, tail = bound(dev, d)
@@ -438,14 +420,14 @@ class MixingOracle:
                     f"cannot certify epsilon={epsilon:.3e}: the tail bound past "
                     f"horizon {H} is {tail:.3e}, set by the TV rounding floor "
                     f"{_TV_CLAMP:.0e}")
-            if horizon is not None or H >= MAX_HORIZON:
+            if H >= MAX_HORIZON:
                 raise CertificationError(
                     f"cannot certify epsilon={epsilon:.3e} within horizon {H}")
             H = min(H * 2, MAX_HORIZON)
 
 
 def mixing_time(mrp: MarkovRewardProcess, features: FeatureMatrix,
-                epsilon: float, horizon: int | None = None) -> MixingTimeCertificate:
+                epsilon: float) -> MixingTimeCertificate:
     """Smallest certified t such that the conditional expected TD direction is
     epsilon-close to steady state, uniformly over theta and the initial tuple,
     for every k >= t.
@@ -453,14 +435,11 @@ def mixing_time(mrp: MarkovRewardProcess, features: FeatureMatrix,
     For linear TD the uniform-over-theta condition reduces exactly to an
     operator-norm condition per step, enumerated out to a finite horizon H;
     past H the deviation is at most 2 G d(H), the recorded TV distance at H,
-    because d is non-increasing. The search starts at ``horizon``
-    (``FIRST_HORIZON`` if None) and doubles up to ``MAX_HORIZON`` unless a
-    horizon is given. This computes from scratch on a fresh oracle; a model's
-    ``mixing`` oracle reuses its curves across queries.
+    because d is non-increasing. The search starts at ``FIRST_HORIZON`` and
+    doubles up to ``MAX_HORIZON``. This computes from scratch on a fresh
+    oracle; a model's ``mixing`` oracle reuses its curves across queries.
     """
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    return MixingOracle(mrp, features).certify(epsilon, horizon)
+    return MixingOracle(mrp, features).certify(epsilon)
 
 
 def dnorm_contraction_margin(mrp: MarkovRewardProcess, sample_count: int,

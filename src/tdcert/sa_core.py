@@ -377,21 +377,11 @@ class DelayProcess:
             raise ValueError("tau_max must be nonnegative")
 
     def sequence(self, T: int) -> np.ndarray:
-        """The delays tau_0..tau_{T-1} (int64): the one-lane case of
-        ``schedule``."""
-        return self._collect(T, 1, self.seed)[:, 0]
-
-    def schedule(self, T: int, trials: int) -> np.ndarray:
-        """The (T, trials) int64 delays of the replicas ``spawn(0..trials-1)``:
-        column i is ``spawn(i).sequence(T)``, bit for bit, gathered from
-        ``blocks``."""
-        return self._collect(T, trials)
-
-    def _collect(self, T: int, lanes: int, seeds=None) -> np.ndarray:
-        out = np.empty((T, lanes), dtype=np.int64)
-        buffer = np.empty((min(BLOCK, T), lanes), dtype=np.int64)
-        for t0, block in self.blocks(T, buffer, seeds):
-            out[t0:t0 + len(block)] = block
+        """This one lane's int64 delays tau_0..tau_{T-1}, from ``blocks``."""
+        out = np.empty(T, dtype=np.int64)
+        buffer = np.empty((min(BLOCK, T), 1), dtype=np.int64)
+        for t0, block in self.blocks(T, buffer, self.seed):
+            out[t0:t0 + len(block)] = block[:, 0]
         return out
 
     def blocks(self, T: int, out: np.ndarray, seeds=None):

@@ -59,3 +59,11 @@ def generic_tau(mrp, lipschitz_scale, epsilon, horizon=2048):
     bound = 2.0 * lipschitz_scale * tv_reference(mrp, horizon)
     tau = first_tau(bound, epsilon)
     return tau, first_horizon(tau, bound, epsilon)
+
+
+def rechecks(cert):
+    """Whether a certificate holds on its own record: tau >= 1, and every
+    entry of its curve from tau on and its tail bound are at most epsilon."""
+    return bool(cert.tau >= 1
+                and np.all(cert.margin_curve[cert.tau - 1:] <= cert.epsilon)
+                and cert.tail_bound <= cert.epsilon)

@@ -345,6 +345,8 @@ class TestSweepCommand:
         ("theorem2_base", "alpha=1,-1", "alpha multiplier -1.0 must be"),
         ("theorem1_two_state_fast", "tau_max=1,1", "sweep values must be distinct"),
         ("theorem2_base", "alpha=1", "an alpha sweep needs at least two multipliers"),
+        ("theorem2_base", "alpha=1,1.0000001",
+         "alpha multipliers 1.0 and 1.0000001 share the seed index 1000000"),
         ("theorem3_averaging", "T=64,64,128", "sweep values must be distinct"),
         ("theorem1_two_state_fast", "tau_max=1.5",
          "sweep value tau_max must be an integer, got 1.5"),

@@ -906,6 +906,9 @@ class TestSweeps:
         ("alpha", (1.0,), "at least two multipliers"),
         ("alpha", (1.0, 1), "distinct"),
         ("alpha", (1.0, float("inf")), "alpha multiplier inf must be"),
+        ("alpha", (1, 0.5, 1.0000001),
+         r"multipliers 1\.0 and 1\.0000001 share the seed index 1000000,"),
+        ("alpha", (1e-7, 2e-7), r"multipliers 1e-07 and 2e-07 share the seed index 0,"),
         ("tau_max", (1, 1), "distinct"),
         ("tau_max", (1.5,), "sweep value tau_max must be an integer, got 1.5"),
         ("tau_max", (0, -1), "tau_max=-1 must be at least 0"),

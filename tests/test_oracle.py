@@ -29,7 +29,13 @@ from tdcert.oracle import (
 )
 from tdcert.sa_core import TD0Provider, audit_provider, resolve_step_size
 from tdcert.harness import ExperimentConfig
-from mixing_reference import first_horizon, first_tau, td0_reference, tv_reference
+from mixing_reference import (
+    first_horizon,
+    first_tau,
+    rechecks,
+    td0_reference,
+    tv_reference,
+)
 
 ONE_STATE = MarkovRewardProcess([[1.0]], [1.0], 0.5)
 TWO_STATE = MarkovRewardProcess([[0.9, 0.1], [0.2, 0.8]], [1.0, 0.0], 0.9)
@@ -162,7 +168,7 @@ class TestMixingTime:
 
     def test_certificate_rechecks(self):
         cert = mixing_time(TWO_STATE, TWO_FEATS, 0.01)
-        assert cert.recheck()
+        assert rechecks(cert)
         assert np.all(cert.margin_curve[cert.tau - 1:] <= 0.01)
 
     def test_monotone_in_epsilon(self):
@@ -181,15 +187,16 @@ class TestMixingTime:
         assert abs(slope - target) / target <= 0.1
         assert slope <= target * 1.1  # never grows faster than the spectral rate
 
-    def test_epsilon_beyond_horizon_reports_requirement(self):
+    def test_epsilon_beyond_horizon_reports_requirement(self, monkeypatch):
+        monkeypatch.setattr(oracle_module, "MAX_HORIZON", 8)
         with pytest.raises(CertificationError, match="within horizon 8"):
-            mixing_time(TWO_STATE, TWO_FEATS, 1e-4, horizon=8)
+            mixing_time(TWO_STATE, TWO_FEATS, 1e-4)
 
     def test_horizon_auto_extends_for_tiny_epsilon(self):
         slow = MarkovRewardProcess([[0.9, 0.1], [0.2, 0.8]], [1.0, 0.0], 0.5)
         cert = mixing_time(slow, TWO_FEATS, 1e-11)
         assert cert.horizon_checked > 64
-        assert cert.tau > 64 and cert.recheck()
+        assert cert.tau > 64 and rechecks(cert)
 
     def test_tail_on_the_rounding_floor_refuses_at_once(self, monkeypatch):
         # d(H) clamped to 0 counts as the clamp bound 1e-13; when even that
@@ -206,7 +213,7 @@ class TestMixingTime:
         exact = mixing_time(TWO_STATE, TWO_FEATS, 0.01)
         generic = MixingOracle(TWO_STATE, TWO_FEATS).certify_tv(2.0, 0.01)
         assert generic.tau >= exact.tau
-        assert generic.method == "tv-monotone" and generic.recheck()
+        assert generic.method == "tv-monotone" and rechecks(generic)
 
     def test_envelope_uniform_chain(self):
         cert = MixingOracle(UNIFORM, TWO_FEATS).certify_tv(2.0, 0.01)
@@ -260,14 +267,14 @@ class TestDeviationKernel:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle_module, "_largest_singular_value", recording)
-            cert = oracle.certify(1e300, horizon=16)
+            dev, _, _ = oracle._curves(16)
         ref_curve, ref_tensors = einsum_deviation_curve(oracle, 16)
         assert len(seen) == 16
         for got, ref in zip(seen, ref_tensors):
             assert got.shape == (n, K, K)
             scale = np.abs(ref).max()
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * scale)
-        np.testing.assert_allclose(cert.margin_curve, ref_curve, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(dev, ref_curve, rtol=1e-12, atol=0.0)
 
 
 def full_batch_deviation(oracle, Q):
@@ -359,7 +366,7 @@ class TestPrunedDeviation:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
-        oracle.certify(1e300, horizon=64)
+        oracle._curves(64)
         assert len(matrices) >= 64
         assert sum(matrices) <= 3 * 64
 
@@ -384,7 +391,7 @@ class TestMixingOracle:
         model = build_steady_state(mrp, random_features(n, K, seed))
         eps_list = data.draw(st.lists(st.floats(1e-10, 0.5), max_size=5), label="eps")
         # half the 64th deviation forces the search past k = 64
-        deep = 0.5 * mixing_time(mrp, model.features, 1e300, horizon=64).margin_curve[63]
+        deep = 0.5 * MixingOracle(mrp, model.features)._curves(64)[0][63]
         eps_list.append(deep)
         for eps in data.draw(st.permutations(eps_list), label="order"):
             got = _outcome(model.mixing.certify, eps)
@@ -395,7 +402,7 @@ class TestMixingOracle:
             assert (got.tau, got.horizon_checked, got.tail_bound) == (
                 fresh.tau, fresh.horizon_checked, fresh.tail_bound)
             assert got.margin_curve.tobytes() == fresh.margin_curve.tobytes()
-            assert got.recheck()
+            assert rechecks(got)
             if eps == deep:
                 assert got.horizon_checked > 64
 
@@ -409,7 +416,7 @@ class TestMixingOracle:
             assert (got.tau, got.horizon_checked, got.tail_bound) == (
                 fresh.tau, fresh.horizon_checked, fresh.tail_bound)
             assert got.margin_curve.tobytes() == fresh.margin_curve.tobytes()
-            assert got.recheck()
+            assert rechecks(got)
 
     def test_slow_lazy_chain_certifies(self):
         # |lambda_2| near 1: a 1% grid of rates skipped from below 1 to past it
@@ -419,7 +426,7 @@ class TestMixingOracle:
         features = random_features(5, 1, 5)
         for eps, tau in ((0.1, 69), (0.01, 143), (0.001, 214)):
             cert = mixing_time(lazy, features, eps)
-            assert cert.tau == tau and cert.tail_bound <= eps and cert.recheck()
+            assert cert.tau == tau and cert.tail_bound <= eps and rechecks(cert)
 
     def test_report_then_step_size_never_restarts_the_powers(self, monkeypatch):
         # one deviation step (one ChainPowers.step) per matrix power: the
@@ -442,24 +449,26 @@ class TestMixingOracle:
         checked.append(model.mixing.certify(alpha).horizon_checked)
         assert steps == max(checked)
 
-    def test_tv_queries_compute_no_deviation_and_td0_catches_up(self, monkeypatch):
-        # certify_tv extends only d; a later certify computes the deviation
-        # curve on its own power until it is level with d, then shares d's
-        # power again; every certificate equals a fresh oracle's
+    def test_each_query_kind_steps_its_own_power(self, monkeypatch):
+        # certify steps the deviation's power and certify_tv a TV-only one:
+        # interleaved queries equal a fresh oracle's bit for bit, a TV query
+        # computes no deviation, and each power steps exactly its own longest
+        # horizon
         base = random_mrp(5, 0.5, 5)
         lazy = MarkovRewardProcess(0.9375 * np.eye(5) + 0.0625 * base.P,
                                    base.R, base.gamma)
         features = random_features(5, 2, 5)
         oracle = MixingOracle(lazy, features)
         deviation, step = MixingOracle._deviation, ChainPowers.step
-        calls = {"dev": 0, "step": 0}
+        calls = {"dev": 0, "td0": 0, "tv": 0}
 
         def counting_deviation(self, Q):
             calls["dev"] += self is oracle
             return deviation(self, Q)
 
         def counting_step(self):
-            calls["step"] += self is oracle._powers
+            calls["td0"] += self is oracle._powers
+            calls["tv"] += self is vars(oracle).get("_tv_powers")
             return step(self)
 
         monkeypatch.setattr(MixingOracle, "_deviation", counting_deviation)
@@ -469,24 +478,31 @@ class TestMixingOracle:
                    ("td0", 1e-9), ("tv", 1e-9)]
         horizons = {"tv": 0, "td0": 0}
         for kind, eps in queries:
+            before = calls["dev"]
             if kind == "tv":
-                got = oracle.certify_tv(1.0, eps)
-                fresh = MixingOracle(lazy, features).certify_tv(1.0, eps)
+                got = oracle.certify_tv(1e-3, eps)
+                assert calls["dev"] == before
+                fresh = MixingOracle(lazy, features).certify_tv(1e-3, eps)
             else:
                 got = oracle.certify(eps)
                 fresh = MixingOracle(lazy, features).certify(eps)
-            assert (got.tau, got.horizon_checked, got.tail_bound) == (
-                fresh.tau, fresh.horizon_checked, fresh.tail_bound)
+            assert (got.tau, got.horizon_checked, got.tail_bound, got.method) == (
+                fresh.tau, fresh.horizon_checked, fresh.tail_bound, fresh.method)
             assert got.margin_curve.tobytes() == fresh.margin_curve.tobytes()
             horizons[kind] = max(horizons[kind], got.horizon_checked)
-            if kind == "tv" and horizons["td0"] == 0:
-                assert calls["dev"] == 0
         monkeypatch.undo()
-        # one deviation per power the TD(0) queries read, and one shared
-        # step per entry of the longest curve: catching up costs one product
-        # per power and no TV distance
-        assert calls["dev"] == horizons["td0"]
-        assert calls["step"] == max(horizons.values())
+        assert horizons == {"tv": 512, "td0": 1024}
+        assert calls["dev"] == calls["td0"] == horizons["td0"]
+        assert calls["tv"] == horizons["tv"]
+
+    def test_td0_queries_never_build_the_tv_power(self):
+        model = build_steady_state(random_mrp(12, 0.5, 3), random_features(12, 3, 4))
+        provider = TD0Provider(model)
+        oracle_report(provider)
+        resolve_step_size(provider)
+        assert "_tv_powers" not in vars(model.mixing)
+        model.mixing.certify_tv(1.0, 0.1)
+        assert "_tv_powers" in vars(model.mixing)
 
     def test_invalid_chain_refused(self):
         periodic = MarkovRewardProcess([[0.0, 1.0], [1.0, 0.0]], [1.0, 0.0], 0.5)
@@ -529,7 +545,7 @@ class TestMonotoneTail:
         for eps in np.geomspace(1e-8, 1.0, 60):
             cert = oracle.certify(eps)
             H = cert.horizon_checked
-            assert cert.recheck()
+            assert rechecks(cert)
             assert np.all(cert.tail_bound >= 2.0 * G * d[H + 1:])
             assert np.all(cert.tail_bound >= dev[H:])
             assert np.all(dev[cert.tau - 1:] <= eps)
@@ -541,7 +557,7 @@ class TestMonotoneTail:
         for eps in np.geomspace(1e-8, 1.0, 400):
             cert = oracle.certify_tv(1.0, eps)
             H = cert.horizon_checked
-            assert cert.recheck()
+            assert rechecks(cert)
             assert np.all(cert.tail_bound >= 2.0 * d[H + 1:])
             # the premise 2 G d(k-1) <= eps for every k >= tau
             assert np.all(2.0 * d[cert.tau - 1:] <= eps)
@@ -565,7 +581,7 @@ class TestMonotoneTail:
                              label="eps")
         for eps in eps_list:
             cert = oracle.certify(eps)
-            assert cert.recheck()
+            assert rechecks(cert)
             if cert.horizon_checked <= 4096:
                 tau = first_tau(dev, eps)
                 assert (cert.tau, cert.horizon_checked) == (

@@ -285,9 +285,9 @@ class TestDelays:
         # reference
         T, trials = BLOCK + 1, 70
         process = DelayProcess(kind, tau_max, seed=77)
-        schedule = process.schedule(T, trials)
+        buffer = np.empty((BLOCK, trials), dtype=np.int64)
+        schedule = np.concatenate([block.copy() for _, block in process.blocks(T, buffer)])
         assert schedule.shape == (T, trials)
-        assert schedule.dtype == np.int64
         for i in range(trials):
             lane = process.spawn(i)
             expected = reference_delays(lane, T)
