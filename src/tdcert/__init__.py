@@ -61,7 +61,6 @@ from .harness import (
     check_recursion,
     estimate_dt_et,
     run_experiment,
-    simulate_trajectories,
     sweep,
     tune_weighted_average,
     weighted_average_experiment,

@@ -86,6 +86,30 @@ def _build_provider(prov_cfg: dict, model):
     raise ConfigError(f"unknown provider kind {kind!r}")
 
 
+# the keys each config section may carry; step_size's mode, C and tau and
+# experiment's ceiling are legacy keys that name a derived value
+KNOWN_KEYS = {
+    "": {"label", "instance", "step_size", "experiment", "provider"},
+    "instance": {"chain", "features", "theta0"},
+    "step_size": {"alpha", "alpha_scale", "mode", "C", "tau"},
+    "experiment": {"kind", "T", "trials", "master_seed", "sampling", "start_state",
+                   "delays", "averaging_grid", "ceiling"},
+}
+
+
+def _refuse_unknown_keys(section: str, doc: dict):
+    """A section that is not an object, or a key it does not know, is
+    refused, naming it, so a misspelt key cannot leave its default in place."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config section {section or 'top level'!r} must be an "
+                          f"object, got {doc!r}")
+    unknown = sorted(set(doc) - KNOWN_KEYS[section])
+    if unknown:
+        name = f"{section}.{unknown[0]}" if section else unknown[0]
+        raise ConfigError(f"unknown config key {name!r} (known: "
+                          f"{', '.join(sorted(KNOWN_KEYS[section]))})")
+
+
 def _check_derived(section: str, doc: dict, key: str, derived):
     """A legacy key that names a value the code derives is accepted when it
     equals that value, and refused otherwise."""
@@ -100,9 +124,11 @@ def _parse_instance(cfg: dict):
     update-direction provider built on the chain (which must pass
     Assumption 1), its features and steady-state model, and theta0 as given
     (None if absent)."""
+    _refuse_unknown_keys("", cfg)
     inst = cfg.get("instance")
     if not inst or "chain" not in inst:
         raise ConfigError("config needs an instance with a chain")
+    _refuse_unknown_keys("instance", inst)
     mrp = mrp_from_dict(inst["chain"])
     report = mrp.validation
     if not report.ok:
@@ -140,12 +166,14 @@ def parse_experiment(cfg: dict, seed_override: int | None = None):
     """Turn a config document into an (ExperimentConfig, experiment kind) pair."""
     provider, theta0 = _parse_instance(cfg)
     step_cfg = cfg.get("step_size", {})
+    _refuse_unknown_keys("step_size", step_cfg)
     alpha = step_cfg.get("alpha")
     if alpha is None:  # the provider's fixed point, optionally scaled
         scale = _number("step_size.alpha_scale", step_cfg.get("alpha_scale", 1.0))
         alpha = resolve_step_size(provider) * float(scale)
 
     exp = cfg.get("experiment", {})
+    _refuse_unknown_keys("experiment", exp)
     kind = exp.get("kind", "boundedness")
     trials = integer("experiment.trials", exp.get("trials", 2000))
     if trials < 100:

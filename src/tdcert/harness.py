@@ -180,9 +180,10 @@ class MonteCarloEstimate:
     ``config`` is the experiment the lanes ran; ``abort_step`` is None unless
     ``abort_count`` lanes hit the divergence guard, which stops the run at
     that step. ``theta_bar`` holds each lane's weighted average when one was
-    requested, and ``retained`` each lane's iterates theta_0..theta_T,
-    (trials, T+1, K), when retained. An averaging run computes only its
-    averages: its d_t/e_t curves are None.
+    requested, and ``drift_hat``/``drift_se`` the tau-step drift
+    ||theta_t - theta_{t-tau}||^2 at t = tau..T (entry t - tau) when it was
+    reduced. An averaging run computes only its averages: its d_t/e_t curves
+    are None.
     """
 
     d_hat: np.ndarray | None
@@ -193,7 +194,8 @@ class MonteCarloEstimate:
     abort_step: int | None
     config: ExperimentConfig
     theta_bar: np.ndarray | None = None
-    retained: np.ndarray | None = None
+    drift_hat: np.ndarray | None = None
+    drift_se: np.ndarray | None = None
 
     @property
     def T(self) -> int:
@@ -221,7 +223,7 @@ def _mean_and_dev(vals, trials):
 
 
 def _simulate(config: ExperimentConfig, weight_A: float | None = None,
-              retain: bool = False) -> MonteCarloEstimate:
+              drift: bool = False) -> MonteCarloEstimate:
     """The SA recursion theta_{t+1} = theta_t + alpha g(theta_{t-d_t}; X_{t-d_t})
     for the config's trials as a batch of lanes; the only code that advances
     theta.
@@ -245,8 +247,10 @@ def _simulate(config: ExperimentConfig, weight_A: float | None = None,
 
     By default each step also calls ``provider.steady`` and reduces d_t and
     e_t over the lanes. ``weight_A`` instead keeps only each lane's weighted
-    average, with weight rate 1 - alpha A, and the estimate has no curves;
-    ``retain`` keeps every lane's iterates as well.
+    average, with weight rate 1 - alpha A, and the estimate has no curves.
+    ``drift`` also keeps each lane's last tau iterates in a (K, tau * trials)
+    ring and reduces the drift ||theta_t - theta_{t-tau}||^2 over the lanes
+    for t = tau..T, as d_t is reduced.
     """
     provider, mrp, delays = config.provider, config.model.mrp, config.delays
     alpha, T, trials, K = config.alpha, config.T, config.trials, provider.dim
@@ -260,9 +264,6 @@ def _simulate(config: ExperimentConfig, weight_A: float | None = None,
     iid = config.sampling == "iid_restart"
     draws = 2 if iid else 1
 
-    if retain and trials * (T + 1) * K > 2e8:
-        raise ConfigError("iterate retention too large; lower trials or T")
-
     streams = KeyedStreams(derive_seed(config.master_seed, np.arange(trials)))
     s = F_s = None
     start_state = config.start_state
@@ -275,7 +276,8 @@ def _simulate(config: ExperimentConfig, weight_A: float | None = None,
         # about 2x slower than a whole-array op
         star = np.tile(provider.theta_star[:, None], (1, trials))
         # per-step cross-trial mean and centered squared deviation (the
-        # centered form keeps deterministic instances at exactly zero variance)
+        # centered form keeps a deterministic instance's variance at rounding
+        # level: the mean of identical lanes can miss them by an ulp)
         d_mean = np.full(T + 1, np.nan)
         d_dev = np.full(T + 1, np.nan)
         e_mean = np.full(max(T, 1), np.nan)
@@ -285,10 +287,14 @@ def _simulate(config: ExperimentConfig, weight_A: float | None = None,
         wrate = 1.0 - alpha * weight_A
         v = 1.0
 
-    retained = None
-    if retain:
-        retained = np.empty((trials, T + 1, K))
-        retained[:, 0] = theta.T
+    if drift:
+        # lane i's theta_{t-tau} is lag[:, (t mod tau) * trials + i] until
+        # theta_t replaces it
+        tau = config.tau
+        lag = np.empty((K, tau * trials))
+        lag[:, :trials] = theta
+        drift_mean = np.full(max(T + 1 - tau, 0), np.nan)
+        drift_dev = np.full(max(T + 1 - tau, 0), np.nan)
 
     use_delays = delays is not None and delays.kind != "none" and delays.tau_max > 0
     if use_delays:
@@ -363,8 +369,15 @@ def _simulate(config: ExperimentConfig, weight_A: float | None = None,
                     abort_step = step + 1
                     break
 
-            if retained is not None:
-                retained[:, step + 1] = theta.T
+            if drift:
+                t = step + 1  # theta is theta_t
+                back = t % tau * trials
+                past = lag[:, back:back + trials]
+                if t >= tau:
+                    gap = theta - past
+                    drift_mean[t - tau], drift_dev[t - tau] = _mean_and_dev(
+                        rowsum(gap * gap), trials)
+                past[...] = theta
             if not curves:
                 v = v * wrate + 1.0
                 gap = theta - S
@@ -374,19 +387,22 @@ def _simulate(config: ExperimentConfig, weight_A: float | None = None,
                 s, F_s = sp, F_sp
         t0 += L
 
+    streamed = {}
+    if drift:
+        streamed = dict(drift_hat=drift_mean,
+                        drift_se=_se_from_centered(drift_dev, trials))
     if not curves:
         return MonteCarloEstimate(
             d_hat=None, d_se=None, e_hat=None, e_se=None, abort_count=abort_count,
-            abort_step=abort_step, config=config, retained=retained,
-            theta_bar=np.ascontiguousarray(S.T))
+            abort_step=abort_step, config=config,
+            theta_bar=np.ascontiguousarray(S.T), **streamed)
     if abort_step is None:
         diff = theta - star
         d_mean[T], d_dev[T] = _mean_and_dev(rowsum(diff * diff), trials)
     return MonteCarloEstimate(
         d_hat=d_mean, d_se=_se_from_centered(d_dev, trials),
         e_hat=e_mean[:T], e_se=_se_from_centered(e_dev[:T], trials),
-        abort_count=abort_count, abort_step=abort_step, config=config,
-        retained=retained,
+        abort_count=abort_count, abort_step=abort_step, config=config, **streamed,
     )
 
 
@@ -398,19 +414,6 @@ def estimate_dt_et(config: ExperimentConfig) -> MonteCarloEstimate:
     accumulated during the run rather than by replay.
     """
     return _simulate(config)
-
-
-def simulate_trajectories(config: ExperimentConfig) -> MonteCarloEstimate:
-    """The experiment's estimate with every lane's iterates retained:
-    ``retained[i]`` is trial i's theta_0..theta_T, and rerunning the same
-    config replays it bit for bit. Raises ConfigError if any lane hits the
-    divergence guard."""
-    sim = _simulate(config, retain=True)
-    if sim.abort_step is not None:
-        raise ConfigError(
-            f"{sim.abort_count} trials hit the divergence guard at step "
-            f"{sim.abort_step}; cannot retain trajectories")
-    return sim
 
 
 # ---------------------------------------------------------------------------
@@ -592,29 +595,20 @@ def check_iid_noise(estimate: MonteCarloEstimate) -> BoundLedger:
 
 def check_drift(estimate: MonteCarloEstimate) -> BoundLedger:
     """Fit the smallest c with E ||theta_t - theta_{t-tau}||^2 <= c alpha^2
-    tau^2 B over t >= tau, from the per-trial iterates the estimate retained
-    (``simulate_trajectories``)."""
+    tau^2 B over t >= tau, with 3-SE slack, from the drift the kernel
+    reduced over the lanes (``drift_hat``, ``drift_se``)."""
     _require_ledger_grade(estimate)
-    thetas = estimate.retained  # (trials, T+1, K)
-    if thetas is None:
-        raise ConfigError("the drift check needs retained iterates; run the "
-                          "experiment with simulate_trajectories")
+    if estimate.drift_hat is None:
+        raise ConfigError("the drift check needs an estimate run with drift=True")
     config = estimate.config
-    trials, Tp1, _ = thetas.shape
-    tau, alpha = config.tau, config.alpha
-    if Tp1 - 1 < tau + 1:
-        raise ConfigError(f"horizon {Tp1 - 1} too short for tau={tau}")
-    refused = _refused(estimate, "lemma3-drift", Tp1 - tau, "")
+    T, tau, alpha = estimate.T, config.tau, config.alpha
+    if T < tau + 1:
+        raise ConfigError(f"horizon {T} too short for tau={tau}")
+    refused = _refused(estimate, "lemma3-drift", T + 1 - tau, "")
     if refused is not None:
         return refused
-    B = config.B
-    drift = thetas[:, tau:, :] - thetas[:, :Tp1 - tau, :]
-    vals = (drift ** 2).sum(axis=2)  # (trials, T+1-tau)
-    mean = vals.mean(axis=0)
-    se = (vals.std(axis=0, ddof=1) / math.sqrt(trials) if trials > 1
-          else np.zeros_like(mean))
-    scale = alpha ** 2 * tau ** 2 * B
-    needed = (mean - SLACK_MULTIPLIER * se) / scale
+    scale = alpha ** 2 * tau ** 2 * config.B
+    needed = (estimate.drift_hat - SLACK_MULTIPLIER * estimate.drift_se) / scale
     c = float(max(needed.max(), 0.0))
     worst = int(np.argmax(needed)) + tau
     return BoundLedger(
@@ -622,10 +616,10 @@ def check_drift(estimate: MonteCarloEstimate) -> BoundLedger:
         verdict="pass" if c <= CEILING else "fail",
         worst_margin=float(CEILING - c), worst_step=worst,
         fitted={"c": c, "scale": scale, "ceiling": CEILING,
-                "max_drift": float(mean.max())},
+                "max_drift": float(estimate.drift_hat.max())},
         slack={"multiplier": SLACK_MULTIPLIER,
-               "max_width": float(np.max(SLACK_MULTIPLIER * se))},
-        n_steps=mean.size,
+               "max_width": float(np.max(SLACK_MULTIPLIER * estimate.drift_se))},
+        n_steps=T + 1 - tau,
     )
 
 
@@ -717,7 +711,8 @@ def weighted_average_experiment(config: ExperimentConfig) -> BoundLedger:
 # "nonlinear" is a legacy name for "recursion"
 CHECKS = {
     "boundedness": {"boundedness": check_boundedness},
-    "recursion": {"boundedness": check_boundedness, "recursion": check_recursion},
+    "recursion": {"boundedness": check_boundedness, "recursion": check_recursion,
+                  "drift": check_drift},
     "iid_control": {"iid_control": check_iid_noise},
 }
 CHECKS["nonlinear"] = CHECKS["recursion"]
@@ -730,7 +725,7 @@ def run_experiment(config: ExperimentConfig, kind: str):
     constants, and the experiment refuses to run (``AuditError``) on failure.
     ``weighted_average`` runs its horizon grid and has no estimate (None);
     every other kind runs the config's trials once and applies its checks
-    from ``CHECKS``.
+    from ``CHECKS``, reducing the drift in the kernel when they include it.
     """
     if kind != "weighted_average" and kind not in CHECKS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
@@ -740,8 +735,9 @@ def run_experiment(config: ExperimentConfig, kind: str):
         raise AuditError(audit)
     if kind == "weighted_average":
         return None, {"weighted_average": weighted_average_experiment(config)}
-    estimate = estimate_dt_et(config)
-    return estimate, {name: check(estimate) for name, check in CHECKS[kind].items()}
+    checks = CHECKS[kind]
+    estimate = _simulate(config, drift="drift" in checks)
+    return estimate, {name: check(estimate) for name, check in checks.items()}
 
 
 def asymptotic_floor(estimate: MonteCarloEstimate) -> float:

@@ -7,12 +7,19 @@ buffer of the last tau_max + 1 iterates and observations supplies the stale
 direction g(theta_{t-d_t}; X_{t-d_t}), X the states' columns of the
 provider's ``state_table``; without delays d_t = 0. The delays come from
 ``reference_delays``, one generator per process.
+
+``kernel_paths`` records the iterates the batch kernel itself computes, so
+tests can compare them with this loop.
 """
+
+import copy
+from dataclasses import replace
 
 import numpy as np
 
 from chain_reference import derive_seed
 from tdcert.chain import generator
+from tdcert.harness import estimate_dt_et
 from tdcert.sa_core import DIVERGENCE_GUARD, DelayProcess
 
 
@@ -76,3 +83,24 @@ def reference_sa(provider, mrp, theta0, alpha, T, seed, sampling="markov",
         thetas[t + 1] = theta
         s = sp
     return thetas
+
+
+def kernel_paths(config) -> np.ndarray:
+    """Every lane's iterates theta_0..theta_T as the batch kernel computes
+    them, as a (trials, T + 1, K) array: the theta each step passes to
+    ``provider.direction``, recorded over a run one step longer (a lane's
+    words and delays are prefix-stable, so its first T steps are the
+    config's). Raises ReferenceDivergence if a lane leaves the divergence
+    guard by step T."""
+    provider = copy.copy(config.provider)
+    direction, seen = provider.direction, []
+
+    def recording(theta, X):
+        seen.append(theta.T.copy())
+        return direction(theta, X)
+
+    provider.direction = recording
+    estimate = estimate_dt_et(replace(config, provider=provider, T=config.T + 1))
+    if estimate.abort_step is not None and estimate.abort_step <= config.T:
+        raise ReferenceDivergence(estimate.abort_step)
+    return np.stack(seen, axis=1)

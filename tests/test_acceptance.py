@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from scalar_reference import kernel_paths
 from tdcert.bundled import THEOREM1_NAMES, bundled_config
 from tdcert.chain import derive_seed, generator, random_mrp
 from tdcert.cli import main, parse_experiment
@@ -22,7 +23,6 @@ from tdcert.harness import (
     check_recursion,
     estimate_dt_et,
     run_experiment,
-    simulate_trajectories,
     sweep,
     weighted_average_experiment,
 )
@@ -213,10 +213,9 @@ def test_criterion_8_delayed_sa():
 
     # tau_max = 0 reproduces the undelayed loop bit-exactly
     short = replace(base, T=400, trials=4, master_seed=31)
-    plain = simulate_trajectories(short)
-    delayed = simulate_trajectories(
-        replace(short, delays=DelayProcess("uniform", 0, seed=5)))
-    bit_exact = np.array_equal(plain.retained, delayed.retained)
+    plain = kernel_paths(short)
+    delayed = kernel_paths(replace(short, delays=DelayProcess("uniform", 0, seed=5)))
+    bit_exact = np.array_equal(plain, delayed)
     elapsed = time.time() - start
     ok = ok and bit_exact and elapsed < 300.0
     report(8, ok, f"{'; '.join(lines)}; tau_max=0 bit-exact={bit_exact}; "

@@ -225,6 +225,29 @@ class TestRunCommand:
                      str(tmp_path / "o")]) == EXIT_INVALID_INPUT
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key", [
+        ("", "lable"), ("instance", "theta_0"), ("step_size", "alpha_scal"),
+        ("experiment", "trails")])
+    def test_unknown_config_key_exits_invalid(self, tmp_path, capsys, section, key):
+        # a misspelt key would otherwise leave its default in place
+        cfg = bundled_config("theorem2_base")
+        (cfg[section] if section else cfg)[key] = 150
+        out = tmp_path / "o"
+        assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) \
+            == EXIT_INVALID_INPUT
+        name = f"{section}.{key}" if section else key
+        assert f"unknown config key {name!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section", ["step_size", "experiment"])
+    def test_section_that_is_no_object_exits_invalid(self, tmp_path, capsys, section):
+        # not a traceback, whose exit code 1 would read as a ledger failure
+        cfg = bundled_config("theorem2_base")
+        cfg[section] = None
+        assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out",
+                     str(tmp_path / "o")]) == EXIT_INVALID_INPUT
+        assert f"config section '{section}' must be an object" in capsys.readouterr().err
+
     def test_unknown_delay_key_exits_invalid(self, tmp_path, capsys):
         cfg = bundled_config("delayed_uniform_1")
         cfg["experiment"]["delays"]["tau"] = 1

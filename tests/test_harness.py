@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mixing_reference import generic_tau
-from scalar_reference import reference_sa
+from scalar_reference import kernel_paths, reference_sa
 from tdcert import bundled
 from tdcert.chain import (
     BLOCK,
@@ -49,7 +49,6 @@ from tdcert.harness import (
     check_recursion,
     estimate_dt_et,
     run_experiment,
-    simulate_trajectories,
     sweep,
     tune_weighted_average,
     weighted_average_experiment,
@@ -110,23 +109,24 @@ BLOCK_TURN_CASES = {
 }
 
 
-def assert_peak_flat_in_T(config):
+def assert_peak_flat_in_T(config, drift=False):
     """From one block turn to seven, a 2000-lane run of ``config`` grows by
-    less than its d_t/e_t curve arrays (4 float arrays of T + 1), the only
-    memory that may depend on T."""
+    less than its per-step curve arrays (4 float arrays of T + 1, 6 with the
+    drift), the only memory that may depend on T; a drift run's ring of the
+    last tau iterates (K tau trials doubles) does not."""
 
     def peak(T):
         cfg = replace(config, T=T, trials=2000)
         tracemalloc.start()
         try:
-            _simulate(cfg)
+            _simulate(cfg, drift=drift)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     # one warm-up run, so first-use allocations land in neither peak
-    _simulate(replace(config, T=2, trials=2000))
-    curves = 4 * 8 * (8 * BLOCK + 1)
+    _simulate(replace(config, T=2, trials=2000), drift=drift)
+    curves = (6 if drift else 4) * 8 * (8 * BLOCK + 1)
     assert peak(8 * BLOCK) - peak(BLOCK + 1) < curves
 
 
@@ -274,19 +274,19 @@ class TestEstimate:
 
     def test_batch_lanes_equal_single_trials_bitwise(self):
         cfg = fast_config(trials=6, T=80)
-        est = simulate_trajectories(cfg)
+        paths = kernel_paths(cfg)
         provider = TD0Provider(FAST_MODEL)
         for i in range(cfg.trials):
-            assert np.array_equal(est.retained[i], reference_sa(
+            assert np.array_equal(paths[i], reference_sa(
                 provider, FAST, np.zeros(1), FAST_ALPHA, 80, seed=derive_seed(11, i)))
 
     def test_delayed_batch_lanes_equal_single_trials(self):
         delays = DelayProcess("sawtooth", 3, seed=5)
         cfg = fast_config(trials=5, T=70, delays=delays)
-        est = simulate_trajectories(cfg)
+        paths = kernel_paths(cfg)
         provider = TD0Provider(FAST_MODEL)
         for i in range(cfg.trials):
-            assert np.array_equal(est.retained[i], reference_sa(
+            assert np.array_equal(paths[i], reference_sa(
                 provider, FAST, np.zeros(1), FAST_ALPHA, 70, seed=derive_seed(11, i),
                 delays=delays.spawn(i)))
 
@@ -295,10 +295,11 @@ class TestEstimate:
         # step indices and (for tau_max = 32768) delays beyond int16
         T = 32770
         delays = DelayProcess("constant", tau_max)
-        estimate = simulate_trajectories(fast_config(trials=1, T=T, delays=delays))
+        cfg = fast_config(trials=1, T=T, delays=delays)
+        estimate = estimate_dt_et(cfg)
         reference = reference_sa(TD0Provider(FAST_MODEL), FAST, np.zeros(1), FAST_ALPHA,
                                  T, seed=derive_seed(11, 0), delays=delays.spawn(0))
-        assert np.array_equal(estimate.retained[0], reference)
+        assert np.array_equal(kernel_paths(cfg)[0], reference)
         d = ((reference - FAST_MODEL.theta_star) ** 2).sum(axis=1)
         assert np.array_equal(estimate.d_hat, d)
 
@@ -307,9 +308,9 @@ class TestEstimate:
     def test_batch_lanes_equal_single_trials_multi_feature(self, K, sampling):
         # K=8 and K=9 row sums take numpy's 8-accumulator pairwise order
         cfg = wide_config(K, sampling=sampling)
-        est = simulate_trajectories(cfg)
+        paths = kernel_paths(cfg)
         for i in range(cfg.trials):
-            assert np.array_equal(est.retained[i], reference_sa(
+            assert np.array_equal(paths[i], reference_sa(
                 cfg.provider, cfg.model.mrp, cfg.theta0, cfg.alpha, cfg.T,
                 seed=derive_seed(cfg.master_seed, i), sampling=sampling))
 
@@ -317,9 +318,9 @@ class TestEstimate:
     def test_constant_delay_lanes_equal_reference_8_accumulators(self, K):
         delays = DelayProcess("constant", 3)
         cfg = wide_config(K, delays=delays)
-        est = simulate_trajectories(cfg)
+        paths = kernel_paths(cfg)
         for i in range(cfg.trials):
-            assert np.array_equal(est.retained[i], reference_sa(
+            assert np.array_equal(paths[i], reference_sa(
                 cfg.provider, cfg.model.mrp, cfg.theta0, cfg.alpha, cfg.T,
                 seed=derive_seed(cfg.master_seed, i), delays=delays.spawn(i)))
 
@@ -333,10 +334,10 @@ class TestEstimate:
         if "provider" in kw:
             kw["provider"] = generic_provider(kw["provider"])
         cfg = wide_config(3, T=T, trials=2, **kw)
-        est = simulate_trajectories(cfg)
+        paths = kernel_paths(cfg)
         for i in range(cfg.trials):
             delays = cfg.delays.spawn(i) if cfg.delays else None
-            assert np.array_equal(est.retained[i], reference_sa(
+            assert np.array_equal(paths[i], reference_sa(
                 cfg.provider, cfg.model.mrp, cfg.theta0, cfg.alpha, cfg.T,
                 seed=derive_seed(cfg.master_seed, i), sampling=cfg.sampling,
                 start_state=cfg.start_state, delays=delays))
@@ -354,6 +355,13 @@ class TestEstimate:
         config, _ = parse_experiment(bundled.bundled_config("delayed_uniform_5"))
         assert config.delays.kind == "uniform" and config.delays.tau_max == 5
         assert_peak_flat_in_T(config)
+
+    def test_memory_is_flat_in_T_with_the_drift(self):
+        # the drift reads theta_{t-tau} from a ring of the last tau iterates,
+        # so no (trials, T + 1, K) path array exists
+        config, kind = parse_experiment(bundled.bundled_config("theorem2_base"))
+        assert kind == "recursion" and config.tau > 1
+        assert_peak_flat_in_T(config, drift=True)
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("case", ["markov", "markov_start_state", "iid_restart"])
@@ -378,9 +386,9 @@ class TestEstimate:
     def test_delayed_batch_lanes_equal_single_trials_k3(self):
         delays = DelayProcess("uniform", 4, seed=8)
         cfg = wide_config(3, delays=delays)
-        est = simulate_trajectories(cfg)
+        paths = kernel_paths(cfg)
         for i in range(cfg.trials):
-            assert np.array_equal(est.retained[i], reference_sa(
+            assert np.array_equal(paths[i], reference_sa(
                 cfg.provider, cfg.model.mrp, cfg.theta0, cfg.alpha, cfg.T,
                 seed=derive_seed(cfg.master_seed, i), delays=delays.spawn(i)))
 
@@ -388,9 +396,9 @@ class TestEstimate:
     def test_generic_provider_lanes_equal_single_trials(self, kind):
         provider = generic_provider(kind)
         cfg = wide_config(3, provider=provider)
-        est = simulate_trajectories(cfg)
+        paths = kernel_paths(cfg)
         for i in range(cfg.trials):
-            assert np.array_equal(est.retained[i], reference_sa(
+            assert np.array_equal(paths[i], reference_sa(
                 provider, WIDE, cfg.theta0, cfg.alpha, cfg.T,
                 seed=derive_seed(cfg.master_seed, i)))
 
@@ -540,8 +548,8 @@ class TestRefusals:
         return est
 
     def _invalid(self):
-        # retained iterates, so the drift check reads the same estimate
-        est = simulate_trajectories(fast_config(T=50, trials=100))
+        # a drift run, so the drift check reads the same estimate
+        est = _simulate(fast_config(T=50, trials=100), drift=True)
         return replace(est, abort_count=3, abort_step=7)
 
     def test_boundedness_out_of_contract_record(self):
@@ -562,9 +570,9 @@ class TestRefusals:
                 notes=self.REFUSED))
 
     def test_drift_out_of_contract_record(self):
-        # alpha = 1 is far past the cap but stable, so the paths are retained;
-        # its certified tau is 2, so the steps t = 2..50 are counted
-        est = simulate_trajectories(fast_config(alpha=1.0, T=50, trials=100))
+        # alpha = 1 is far past the cap but stable; its certified tau is 2,
+        # so the steps t = 2..50 are counted
+        est = _simulate(fast_config(alpha=1.0, T=50, trials=100), drift=True)
         assert _ledger_json(check_drift(est)) == _ledger_json(BoundLedger(
             theorem_id="lemma3-drift", hypothesis=dict(self.OUT, alpha=1.0, tau=2),
             verdict="out-of-contract", worst_margin=float("nan"), worst_step=-1,
@@ -607,62 +615,104 @@ class TestRefusals:
             notes="3 trials hit the divergence guard"))
 
 
+def drift_of(paths, tau):
+    """Cross-lane mean and SE of ||theta_t - theta_{t-tau}||^2 at t = tau..T
+    from whole (trials, T + 1, K) paths."""
+    vals = ((paths[:, tau:, :] - paths[:, :paths.shape[1] - tau, :]) ** 2).sum(axis=2)
+    return vals.mean(axis=0), vals.std(axis=0, ddof=1) / math.sqrt(vals.shape[0])
+
+
+def drift_run(config):
+    return _simulate(config, drift=True)
+
+
 class TestDrift:
+    @pytest.mark.parametrize("case", ["K1", "K3", "K3_sawtooth"])
+    def test_streamed_drift_equals_the_paths(self, case):
+        # the kernel's per-step reduction against the drift of its own paths
+        if case == "K1":
+            cfg = fast_config(trials=40, T=150)
+        else:
+            delays = DelayProcess("sawtooth", 3, seed=5) if "sawtooth" in case else None
+            cfg = wide_config(3, trials=30, T=150, delays=delays)
+        est = drift_run(cfg)
+        mean, se = drift_of(kernel_paths(cfg), cfg.tau)
+        assert est.drift_hat.shape == est.drift_se.shape == (cfg.T + 1 - cfg.tau,)
+        np.testing.assert_allclose(est.drift_hat, mean, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(est.drift_se, se, rtol=1e-12, atol=1e-300)
+
+    def test_drift_leaves_the_curves_unchanged(self):
+        cfg = wide_config(3, trials=30, T=150, delays=DelayProcess("uniform", 4, seed=8))
+        plain, drifted = estimate_dt_et(cfg), drift_run(cfg)
+        for name in ("d_hat", "d_se", "e_hat", "e_se"):
+            assert np.array_equal(getattr(plain, name), getattr(drifted, name))
+        assert plain.drift_hat is None and plain.drift_se is None
+
     def test_one_state_closed_form(self):
-        cfg = one_state_config(T=50)
-        est = simulate_trajectories(cfg)
+        est = drift_run(one_state_config(T=50))
         led = check_drift(est)
         assert led.verdict == "pass"
-        # tau = 1: drift equals one exact deterministic update
+        # tau = 1: drift equals one exact deterministic update, alike in every
+        # lane, so its SE is zero up to the rounding of the cross-lane mean
         rho = 1 - ONE_ALPHA * 0.5
         t = np.arange(1, 51)
         expected = (rho ** t - rho ** (t - 1)) ** 2 * 4.0
-        thetas = est.retained[0][:, 0]
-        np.testing.assert_allclose((thetas[1:] - thetas[:-1]) ** 2, expected,
-                                   rtol=1e-10)
+        np.testing.assert_allclose(est.drift_hat, expected, rtol=1e-10)
+        assert np.all(est.drift_se <= 1e-12 * est.drift_hat)
+        assert led.n_steps == 50
 
     def test_alpha_squared_scaling(self):
         # drift over one fixed lag must scale like alpha^2 across a halving grid
         drifts = []
         alphas = [FAST_ALPHA, FAST_ALPHA / 2, FAST_ALPHA / 4]
-        tau = FAST_TAU
         for i, alpha in enumerate(alphas):
             cfg = fast_config(alpha=alpha, trials=300, T=1200,
                               master_seed=derive_seed(77, i))
-            thetas = simulate_trajectories(cfg).retained
-            drift = ((thetas[:, tau:, :] - thetas[:, :-tau, :]) ** 2).sum(2)
-            drifts.append(drift[:, 600:].mean())  # past burn-in
+            mean, _ = drift_of(kernel_paths(cfg), FAST_TAU)
+            drifts.append(mean[600 - FAST_TAU:].mean())  # past burn-in
         slope = np.polyfit(np.log(alphas), np.log(drifts), 1)[0]
         assert abs(slope - 2.0) <= 0.2
 
     def test_delayed_run_still_bounded_with_larger_constant(self):
         delays = DelayProcess("sawtooth", 4, seed=9)
-        plain = check_drift(simulate_trajectories(fast_config(trials=300, T=600)))
-        delayed = check_drift(
-            simulate_trajectories(fast_config(trials=300, T=600, delays=delays)))
+        plain = check_drift(drift_run(fast_config(trials=300, T=600)))
+        delayed = check_drift(drift_run(fast_config(trials=300, T=600, delays=delays)))
         assert plain.verdict == "pass" and delayed.verdict == "pass"
         assert delayed.fitted["c"] >= plain.fitted["c"]
 
     def test_drift_out_of_contract_gating(self):
-        led = check_drift(simulate_trajectories(
-            fast_config(alpha=1.0, trials=120, T=60)))
+        led = check_drift(drift_run(fast_config(alpha=1.0, trials=120, T=60)))
         assert led.verdict == "out-of-contract"
 
     def test_trials_floor_enforced(self):
-        est = simulate_trajectories(fast_config(trials=2, T=40))
+        est = drift_run(fast_config(trials=2, T=40))
         with pytest.raises(ConfigError, match="100 trials"):
             check_drift(est)
 
-    def test_needs_retained_iterates(self):
+    def test_needs_a_drift_run(self):
         est = estimate_dt_et(fast_config(trials=100, T=60))
-        with pytest.raises(ConfigError, match="retained iterates"):
+        assert est.drift_hat is None
+        with pytest.raises(ConfigError, match="drift=True"):
             check_drift(est)
+
+    def test_recursion_experiment_reduces_a_passing_drift(self):
+        config, kind = parse_experiment(bundled.bundled_config("theorem2_base"))
+        est, ledgers = run_experiment(replace(config, trials=200), kind)
+        assert list(ledgers) == ["boundedness", "recursion", "drift"]
+        led = ledgers["drift"]
+        assert led.verdict == "pass" and led.theorem_id == "lemma3-drift"
+        assert led.n_steps == est.T + 1 - config.tau == est.drift_hat.size
+
+    def test_boundedness_experiment_takes_no_drift(self):
+        est, ledgers = run_experiment(fast_config(trials=100, T=60), "boundedness")
+        assert list(ledgers) == ["boundedness"]
+        assert est.drift_hat is None and est.drift_se is None
 
     LINEAR = LinearContractionProvider([0.3], [[1.0], [-2.0]], FAST_MODEL)
 
     def _linear_paths(self, alpha):
-        return simulate_trajectories(fast_config(alpha=alpha, provider=self.LINEAR,
-                                                 trials=100, T=40))
+        return drift_run(fast_config(alpha=alpha, provider=self.LINEAR,
+                                     trials=100, T=40))
 
     def test_nonlinear_out_of_contract_gated(self):
         # cap min(beta, 1/beta) / (C tau L^2) <= 0.125, so alpha = 1.5 claims nothing
@@ -686,14 +736,14 @@ class TestWeightedAveraging:
     def test_average_is_the_incremental_average_of_the_iterates(self, K, sampling,
                                                                 delays):
         # the averaging run's theta_bar, bit for bit, is the incremental
-        # average of the same lanes' retained iterates in the same order
+        # average of the same lanes' iterates in the same order
         if K == 1:
             cfg = fast_config(trials=7, T=150, sampling=sampling, delays=delays)
         else:
             cfg = wide_config(3, sampling=sampling, delays=delays)
         weight_A = 0.5 * cfg.provider.contraction
         averaged = _simulate(cfg, weight_A=weight_A)
-        path = simulate_trajectories(cfg).retained
+        path = kernel_paths(cfg)
         wrate = 1.0 - cfg.alpha * weight_A
         v, S = 1.0, path[:, 0].copy()
         for t in range(1, cfg.T + 1):

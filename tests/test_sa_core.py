@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixing_reference import generic_tau
-from scalar_reference import ReferenceDivergence, reference_delays, reference_sa
+from scalar_reference import (
+    ReferenceDivergence,
+    kernel_paths,
+    reference_delays,
+    reference_sa,
+)
 from tdcert.chain import (
     BLOCK,
     ChainError,
@@ -19,7 +24,6 @@ from tdcert.harness import (
     ConfigError,
     ExperimentConfig,
     estimate_dt_et,
-    simulate_trajectories,
 )
 from tdcert.oracle import (
     FeatureMatrix,
@@ -172,20 +176,21 @@ class TestRunSA:
 
     def test_one_state_closed_form(self):
         cfg = one_lane(ONE_MODEL, 50, seed=3)
-        thetas = simulate_trajectories(cfg).retained[0]
+        thetas = kernel_paths(cfg)[0]
         t = np.arange(51)
         closed = 2.0 + (0.0 - 2.0) * (1 - cfg.alpha * 0.5) ** t
         np.testing.assert_allclose(thetas[:, 0], closed, atol=1e-12)
 
     def test_zero_horizon(self):
-        est = simulate_trajectories(one_lane(ONE_MODEL, 0, seed=1, theta0=[0.7]))
-        np.testing.assert_array_equal(est.retained[0], [[0.7]])
+        paths = kernel_paths(one_lane(ONE_MODEL, 0, seed=1, theta0=[0.7]))
+        np.testing.assert_array_equal(paths[0], [[0.7]])
 
     def test_replay_bitwise(self):
-        a = simulate_trajectories(one_lane(TWO_MODEL, 200, seed=9))
-        b = simulate_trajectories(one_lane(TWO_MODEL, 200, seed=9))
-        assert np.array_equal(a.retained, b.retained)
-        assert a.config.fingerprint() == b.config.fingerprint()
+        a, b = one_lane(TWO_MODEL, 200, seed=9), one_lane(TWO_MODEL, 200, seed=9)
+        assert np.array_equal(kernel_paths(a), kernel_paths(b))
+        ea, eb = estimate_dt_et(a), estimate_dt_et(b)
+        assert np.array_equal(ea.d_hat, eb.d_hat) and np.array_equal(ea.e_hat, eb.e_hat)
+        assert ea.config.fingerprint() == eb.config.fingerprint()
 
     def test_divergence_guard_reports_step(self):
         bad = 1e9
@@ -197,12 +202,13 @@ class TestRunSA:
         assert est.abort_step is not None
         assert est.abort_count == 1
         assert est.abort_step == exc.value.step
-        with pytest.raises(ConfigError, match="divergence guard"):
-            simulate_trajectories(cfg)
+        with pytest.raises(ReferenceDivergence, match="divergence guard") as exc:
+            kernel_paths(cfg)
+        assert exc.value.step == est.abort_step
 
     def test_iid_restart_sampling(self):
         cfg = one_lane(TWO_MODEL, 100, seed=4, sampling="iid_restart")
-        thetas = simulate_trajectories(cfg).retained[0]
+        thetas = kernel_paths(cfg)[0]
         assert thetas.shape == (101, 1)
         assert np.array_equal(thetas, reference_sa(
             cfg.provider, TWO_STATE, np.zeros(1), cfg.alpha, 100,
@@ -210,8 +216,8 @@ class TestRunSA:
 
     def test_fixed_start_state(self):
         cfg = one_lane(TWO_MODEL, 50, seed=6, start_state=1)
-        a = simulate_trajectories(cfg).retained[0]
-        b = simulate_trajectories(cfg).retained[0]
+        a = kernel_paths(cfg)[0]
+        b = kernel_paths(cfg)[0]
         assert np.array_equal(a, b)
         assert np.array_equal(a, reference_sa(
             cfg.provider, TWO_STATE, np.zeros(1), cfg.alpha, 50,
@@ -220,8 +226,7 @@ class TestRunSA:
     @pytest.mark.parametrize("start_state", [-1, 2])
     def test_start_state_out_of_range_rejected(self, start_state):
         with pytest.raises(ChainError, match="start_state"):
-            simulate_trajectories(one_lane(TWO_MODEL, 10, seed=6,
-                                           start_state=start_state))
+            estimate_dt_et(one_lane(TWO_MODEL, 10, seed=6, start_state=start_state))
 
     def test_unknown_sampling_rejected(self):
         with pytest.raises(ConfigError, match="sampling"):
@@ -242,10 +247,10 @@ class TestDelays:
 
     def test_zero_delay_reproduces_the_undelayed_run_bitwise(self):
         cfg = one_lane(TWO_MODEL, 300, seed=12)
-        plain = simulate_trajectories(cfg).retained[0]
+        plain = kernel_paths(cfg)[0]
         for kind in ("none", "uniform"):
             delays = DelayProcess(kind, 0, seed=5)
-            delayed = simulate_trajectories(replace(cfg, delays=delays)).retained[0]
+            delayed = kernel_paths(replace(cfg, delays=delays))[0]
             assert np.array_equal(plain, delayed)
             reference = reference_sa(cfg.provider, TWO_STATE, np.zeros(1), cfg.alpha,
                                      300, seed=derive_seed(12, 0),
@@ -258,7 +263,7 @@ class TestDelays:
         T = 400
         cfg = one_lane(ONE_MODEL, T, seed=1, delays=DelayProcess("constant", 1, seed=0))
         a = cfg.alpha
-        thetas = simulate_trajectories(cfg).retained[0]
+        thetas = kernel_paths(cfg)[0]
         ref = np.zeros(T + 1)
         for t in range(T):
             back = max(t - min(t, 1), 0)
