@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .chain import (
     ChainError,
     MarkovRewardProcess,
-    MixingProfile,
     ValidationReport,
     cycle_mrp,
     derive_seed,
@@ -27,7 +26,6 @@ from .oracle import (
     SteadyStateModel,
     build_steady_state,
     constant_features,
-    dnorm_contraction_margin,
     group_features,
     identity_features,
     lemma1_margin,

@@ -1,7 +1,7 @@
 """Finite Markov reward processes.
 
 Validation of the irreducibility/aperiodicity assumption, exact stationary
-distributions, total-variation mixing profiles read off exact matrix powers
+distributions, the total-variation curve read off exact matrix powers
 (non-increasing, so the last recorded distance bounds every later step), and
 the exact table sampler of transitions. Everything here is deterministic
 given its seed; all objects are immutable after construction and safe to
@@ -19,9 +19,9 @@ _MASK64 = (1 << 64) - 1
 BLOCK = 512
 _LANE_CHUNK = 64
 _ROW_SUM_TOL = 1e-9
-# below this the matrix-power differences are dominated by rounding noise,
-# so the curve is clamped to 0 and the clamp index recorded; a clamped entry
-# is bounded by this value, never by 0
+# below this the matrix-power differences are dominated by rounding noise, so
+# from the first step under it on the TV curve is stored as this value, its
+# upper bound
 _TV_CLAMP = 1e-13
 
 
@@ -352,67 +352,54 @@ def stationary_distribution(mrp: MarkovRewardProcess) -> np.ndarray:
     return pi
 
 
-@dataclass(frozen=True)
-class MixingProfile:
-    """The worst-case total-variation distance to stationarity,
-    ``tv_curve[k-1]`` = d(k) = max_x ||P^k(x, .) - pi||_TV for k = 1..H.
-
-    d is non-increasing in k (Levin, Peres & Wilmer, *Markov Chains and
-    Mixing Times*, ch. 4), so the last recorded value d(H) bounds every step
-    past H. From ``clamp_index`` on (if set) the curve is below the rounding
-    noise floor and recorded as 0; such an entry is bounded by ``_TV_CLAMP``.
-    """
-
-    tv_curve: np.ndarray
-    clamp_index: int | None
-
-    def __post_init__(self):
-        self.tv_curve.setflags(write=False)
-
-
 class ChainPowers:
-    """The powers P^k of one chain and their worst-case total-variation
-    distances to stationarity, extended one step at a time.
+    """The powers P^k of one chain and its TV curve d, extended one step at
+    a time.
 
-    Only the current power is held. ``tv_curve[k-1]`` is the distance at
-    P^k; once it drops below the rounding-noise floor the rest of the curve
-    is 0 and the clamp index is recorded, while the powers keep advancing for
-    callers that need them (the mixing oracle reads P^(k-1) before each step).
-    Unlike the other objects here it is mutable; the oracle serialises its use.
+    ``d[k]`` = d(k) = max_x ||P^k(x, .) - pi||_TV for k = 0, 1, ..., with
+    d(0) = 1 - min pi. d is non-increasing in k (Levin, Peres & Wilmer,
+    *Markov Chains and Mixing Times*, ch. 4), so the last recorded value
+    bounds every later step. Once a step's distance drops below the
+    rounding-noise floor ``_TV_CLAMP``, its index is recorded as
+    ``clamp_index`` and that entry and every later one are stored as
+    ``_TV_CLAMP``, their upper bound; the powers keep advancing for callers
+    that need them (the mixing oracle reads P^(k-1) before each step). Only
+    the current power is held. Reading ``mrp.pi`` refuses a chain that fails
+    Assumption 1. Unlike the other objects here it is mutable; the oracle
+    serialises its use.
     """
 
     def __init__(self, mrp: MarkovRewardProcess):
         self.mrp = mrp
+        self.d = [1.0 - float(mrp.pi.min())]
         self.power = np.eye(mrp.n)  # P^k after k steps; I @ P == P exactly
-        self.tv_curve = []
         self.clamp_index = None
 
     def step(self):
         self.power = self.power @ self.mrp.P
-        tv = 0.0
+        tv = _TV_CLAMP
         if self.clamp_index is None:
             pi = self.mrp.pi
             tv = 0.5 * float(np.max(np.abs(self.power - pi[None, :]).sum(axis=1)))
             if tv < _TV_CLAMP:
-                self.clamp_index = len(self.tv_curve) + 1
-                tv = 0.0
-        self.tv_curve.append(tv)
+                self.clamp_index = len(self.d)
+                tv = _TV_CLAMP
+        self.d.append(tv)
 
-    def profile(self, horizon: int) -> MixingProfile:
-        """The TV curve for k = 1..horizon."""
+    def curve(self, horizon: int):
+        """d(0..horizon), and whether d(horizon) is clamped."""
         if horizon < 2:
             raise ChainError(f"horizon must be at least 2, got {horizon}")
-        while len(self.tv_curve) < horizon:
+        while len(self.d) <= horizon:
             self.step()
-        clamp_index = (self.clamp_index if self.clamp_index is not None
-                       and self.clamp_index <= horizon else None)
-        return MixingProfile(np.array(self.tv_curve[:horizon]), clamp_index)
+        clamped = self.clamp_index is not None and self.clamp_index <= horizon
+        return np.array(self.d[:horizon + 1]), clamped
 
 
-def tv_mixing_profile(mrp: MarkovRewardProcess, horizon: int) -> MixingProfile:
-    """Worst-case total-variation distance to stationarity for k = 1..horizon,
-    from exact matrix powers."""
-    return ChainPowers(mrp).profile(horizon)
+def tv_mixing_profile(mrp: MarkovRewardProcess, horizon: int):
+    """d(0..horizon) from exact matrix powers, and whether d(horizon) is
+    clamped; see ``ChainPowers``."""
+    return ChainPowers(mrp).curve(horizon)
 
 
 # ---------------------------------------------------------------------------

@@ -64,8 +64,13 @@ def load_config(path: str) -> dict:
         for key, value in cfg.items():
             if key == "bundled":
                 continue
-            if isinstance(value, dict) and isinstance(base.get(key), dict):
-                base[key].update(value)
+            section = base.get(key)
+            # a provider's keys depend on its kind, so one of another kind
+            # replaces the bundled provider rather than merging into it
+            if (isinstance(value, dict) and isinstance(section, dict)
+                    and (key != "provider"
+                         or value.get("kind", section["kind"]) == section["kind"])):
+                section.update(value)
             else:
                 base[key] = value
         cfg = base
@@ -87,27 +92,46 @@ def _build_provider(prov_cfg: dict, model):
 
 
 # the keys each config section may carry; step_size's mode, C and tau and
-# experiment's ceiling are legacy keys that name a derived value
+# experiment's ceiling are legacy keys that name a derived value. A section
+# that names its kind maps each kind to its keys.
 KNOWN_KEYS = {
     "": {"label", "instance", "step_size", "experiment", "provider"},
     "instance": {"chain", "features", "theta0"},
+    "instance.chain": {
+        "explicit": {"kind", "states", "transitions", "rewards", "gamma"},
+        "cycle": {"kind", "n", "epsilon", "gamma", "rewards"},
+        "random": {"kind", "n", "density", "seed", "gamma"}},
+    "instance.features": {
+        "explicit": {"kind", "Phi"}, "constant": {"kind"}, "identity": {"kind"},
+        "groups": {"kind", "K"}, "random": {"kind", "K", "seed"}},
+    "provider": {
+        "td0": {"kind"}, "linear_contraction": {"kind", "theta_star", "noise"},
+        "saturating": {"kind", "theta_star", "noise", "a", "b"}},
     "step_size": {"alpha", "alpha_scale", "mode", "C", "tau"},
     "experiment": {"kind", "T", "trials", "master_seed", "sampling", "start_state",
                    "delays", "averaging_grid", "ceiling"},
+    "experiment.delays": {"kind", "tau_max", "seed"},
 }
 
 
-def _refuse_unknown_keys(section: str, doc: dict):
+def _refuse_unknown_keys(section: str, doc: dict, default_kind=None):
     """A section that is not an object, or a key it does not know, is
-    refused, naming it, so a misspelt key cannot leave its default in place."""
+    refused, naming it, so a misspelt key cannot leave its default in place.
+    A section that names its kind (``default_kind`` if it names none) takes
+    that kind's keys; an unknown kind is left to the section's builder."""
     if not isinstance(doc, dict):
         raise ConfigError(f"config section {section or 'top level'!r} must be an "
                           f"object, got {doc!r}")
-    unknown = sorted(set(doc) - KNOWN_KEYS[section])
+    known = KNOWN_KEYS[section]
+    if default_kind is not None:
+        known = known.get(doc.get("kind", default_kind))
+        if known is None:
+            return
+    unknown = sorted(set(doc) - known)
     if unknown:
         name = f"{section}.{unknown[0]}" if section else unknown[0]
         raise ConfigError(f"unknown config key {name!r} (known: "
-                          f"{', '.join(sorted(KNOWN_KEYS[section]))})")
+                          f"{', '.join(sorted(known))})")
 
 
 def _check_derived(section: str, doc: dict, key: str, derived):
@@ -129,15 +153,17 @@ def _parse_instance(cfg: dict):
     if not inst or "chain" not in inst:
         raise ConfigError("config needs an instance with a chain")
     _refuse_unknown_keys("instance", inst)
+    features_cfg = inst.get("features") or {"kind": "constant"}
+    prov_cfg = cfg.get("provider") or {"kind": "td0"}
+    _refuse_unknown_keys("instance.chain", inst["chain"], "explicit")
+    _refuse_unknown_keys("instance.features", features_cfg, "explicit")
+    _refuse_unknown_keys("provider", prov_cfg, "td0")
     mrp = mrp_from_dict(inst["chain"])
     report = mrp.validation
     if not report.ok:
         raise ChainError(f"Assumption 1 violated: {report.describe()}")
-    features = features_from_dict(inst.get("features") or {"kind": "constant"},
-                                  mrp.n)
-    model = build_steady_state(mrp, features)
-    provider = _build_provider(cfg.get("provider") or {"kind": "td0"}, model)
-    return provider, inst.get("theta0")
+    model = build_steady_state(mrp, features_from_dict(features_cfg, mrp.n))
+    return _build_provider(prov_cfg, model), inst.get("theta0")
 
 
 def _number(name: str, value):
@@ -154,9 +180,7 @@ def _parse_delays(exp: dict):
     doc = exp.get("delays")
     if not doc:
         return None
-    if not isinstance(doc, dict) or not set(doc) <= {"kind", "tau_max", "seed"}:
-        raise ConfigError("experiment.delays must be an object with keys kind, "
-                          f"tau_max and seed, got {doc!r}")
+    _refuse_unknown_keys("experiment.delays", doc)
     tau_max = integer("experiment.delays.tau_max", doc.get("tau_max", 0))
     seed = integer("experiment.delays.seed", doc.get("seed", 0))
     return DelayProcess(doc.get("kind", "none"), tau_max, seed)

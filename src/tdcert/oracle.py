@@ -15,7 +15,6 @@ import numpy as np
 
 from .chain import (
     _TV_CLAMP,
-    ChainError,
     ChainPowers,
     MarkovRewardProcess,
     generator,
@@ -300,7 +299,7 @@ class MixingTimeCertificate:
     k-step conditional expected direction from its steady-state value for
     k = 1..``horizon_checked`` = H, and ``tail_bound`` = 2 G d(H) bounds it
     for every k > H: the deviation at step k is at most 2 G d(k-1), with G
-    its scale and d the chain's non-increasing TV curve (``MixingProfile``).
+    its scale and d the chain's non-increasing TV curve (``ChainPowers``).
     Every entry from tau on, and the tail bound, are at most epsilon.
     """
 
@@ -323,17 +322,14 @@ class MixingOracle:
     deviation (``certify``) and the chain's TV curve d (``certify_tv``, for
     operators with no closed conditional form). A query searches the curves
     recorded out to a horizon H, starting at ``FIRST_HORIZON`` and doubling;
-    a longer horizon continues the matrix powers where they stopped. Each
-    query kind steps its own ``ChainPowers``: ``certify`` reads P^(k-1) for
-    the deviation at k and d from the same powers, and ``certify_tv`` steps
-    a TV-only power built on its first call. A run queries a model one way,
-    so only one n-by-n power and the 1-D curves are held.
+    a longer horizon continues the matrix powers where they stopped. One
+    ``ChainPowers`` advances both curves in step, whichever kind asked: each
+    step records the deviation at k, read off P^(k-1), and then d(k). So
+    one n-by-n power and the 1-D curves are held.
     """
 
     def __init__(self, mrp: MarkovRewardProcess, features: FeatureMatrix):
-        report = mrp.validation
-        if not report.ok:
-            raise ChainError(f"chain fails Assumption 1 ({report.describe()})")
+        self._powers = ChainPowers(mrp)  # refuses a chain failing Assumption 1
         self.mrp = mrp
         self.features = features
         Phi = features.Phi
@@ -343,13 +339,8 @@ class MixingOracle:
         phi_norms = np.linalg.norm(Phi, axis=1)
         self._G_tail = float(max((phi_norms * np.linalg.norm(M, axis=1)).max(),
                                  (phi_norms * np.abs(mrp.R)).max()))
-        self._powers = ChainPowers(mrp)
         self._dev = []
         self._lock = threading.Lock()
-
-    @cached_property
-    def _tv_powers(self) -> ChainPowers:
-        return ChainPowers(self.mrp)
 
     def _deviation(self, Q) -> float:
         """max(||Phi^T (D_k - D)(gamma P - I) Phi||_op, ||Phi^T (D_k - D) R||)
@@ -363,22 +354,14 @@ class MixingOracle:
         vec = np.linalg.norm((W * self.mrp.R[None, :]) @ Phi, axis=1)
         return max(_largest_singular_value(A_t), float(vec.max()))
 
-    def _curves(self, H: int, deviation: bool = True):
-        """The deviation curve for k = 1..H (None unless ``deviation``),
-        d(0..H) with d(0) = 1 - min pi and each clamped entry at
-        ``_TV_CLAMP``, its upper bound, and whether d(H) is clamped."""
+    def _curves(self, H: int):
+        """The deviation curve for k = 1..H, and ``ChainPowers.curve(H)``:
+        d(0..H) and whether d(H) is clamped."""
         with self._lock:
-            dev = None
-            if deviation:
-                while len(self._dev) < H:
-                    self._dev.append(self._deviation(self._powers.power))
-                    self._powers.step()
-                dev = np.array(self._dev[:H])
-            profile = (self._powers if deviation else self._tv_powers).profile(H)
-        d = np.concatenate(([1.0 - float(self.mrp.pi.min())], profile.tv_curve))
-        if profile.clamp_index is not None:
-            d[profile.clamp_index:] = _TV_CLAMP
-        return dev, d, profile.clamp_index is not None
+            while len(self._dev) < H:
+                self._dev.append(self._deviation(self._powers.power))
+                self._powers.step()
+            return (np.array(self._dev[:H]), *self._powers.curve(H))
 
     def certify(self, epsilon: float) -> "MixingTimeCertificate":
         """Smallest certified tau(epsilon) of linear TD; see ``mixing_time``."""
@@ -394,10 +377,9 @@ class MixingOracle:
         is ``certify``'s; its curve is 2 G d(k-1) for k = 1..H."""
         two_G = 2.0 * float(lipschitz_scale)
         return self._search(epsilon, "tv-monotone",
-                            lambda dev, d: (two_G * d[:-1], two_G * d[-1]),
-                            deviation=False)
+                            lambda dev, d: (two_G * d[:-1], two_G * d[-1]))
 
-    def _search(self, epsilon, method, bound, deviation=True) -> MixingTimeCertificate:
+    def _search(self, epsilon, method, bound) -> MixingTimeCertificate:
         """The first tau whose suffix of the curve is at most epsilon, with
         ``bound(dev, d)`` giving the curve for k = 1..H and the tail bound
         2 G d(H) past H. Starts at ``FIRST_HORIZON`` and doubles up to
@@ -407,7 +389,7 @@ class MixingOracle:
             raise ValueError(f"epsilon must be positive, got {epsilon}")
         H = FIRST_HORIZON
         while True:
-            dev, d, clamped = self._curves(H, deviation)
+            dev, d, clamped = self._curves(H)
             curve, tail = bound(dev, d)
             ok = np.flatnonzero(np.maximum.accumulate(curve[::-1])[::-1] <= epsilon)
             if ok.size and tail <= epsilon:
@@ -440,21 +422,6 @@ def mixing_time(mrp: MarkovRewardProcess, features: FeatureMatrix,
     oracle; a model's ``mixing`` oracle reuses its curves across queries.
     """
     return MixingOracle(mrp, features).certify(epsilon)
-
-
-def dnorm_contraction_margin(mrp: MarkovRewardProcess, sample_count: int,
-                             seed: int) -> float:
-    """Largest observed violation of ||P x||_D <= ||x||_D over random vectors,
-    D the chain's own stationary law.
-
-    Nonpositive (within 1e-12) for any valid chain.
-    """
-    rng = generator(derive_seed(seed, 0xD0A7))
-    X = rng.normal(size=(int(sample_count), mrp.n))
-    pi = mrp.pi
-    before = np.sqrt((X ** 2 * pi).sum(axis=1))
-    after = np.sqrt(((X @ mrp.P.T) ** 2 * pi).sum(axis=1))
-    return float(np.max(after - before))
 
 
 def oracle_report(provider, theta0=None, eps_grid=(1e-1, 1e-2, 1e-3, 1e-4)) -> dict:

@@ -1,5 +1,5 @@
 """Plain-Python references for the chain module's seed hashing and chain
-validation.
+validation, and a sampled check of the chain's D-norm contraction.
 
 ``derive_seed`` hashes Python ints one at a time with splitmix64 masked to 64
 bits, and ``validate_chain`` walks adjacency lists breadth first and folds
@@ -11,6 +11,7 @@ from math import gcd
 
 import numpy as np
 
+from tdcert import chain
 from tdcert.chain import ValidationReport
 
 _MASK64 = (1 << 64) - 1
@@ -64,3 +65,17 @@ def validate_chain(mrp) -> ValidationReport:
     period = abs(g) if g != 0 else 0
     return ValidationReport(irreducible, period == 1, period, not_reachable,
                             not_coreachable)
+
+
+def dnorm_contraction_margin(mrp, sample_count: int, seed: int) -> float:
+    """Largest observed violation of ||P x||_D <= ||x||_D over random vectors,
+    D the chain's own stationary law.
+
+    Nonpositive (within 1e-12) for any valid chain.
+    """
+    rng = chain.generator(chain.derive_seed(seed, 0xD0A7))
+    X = rng.normal(size=(int(sample_count), mrp.n))
+    pi = mrp.pi
+    before = np.sqrt((X ** 2 * pi).sum(axis=1))
+    after = np.sqrt(((X @ mrp.P.T) ** 2 * pi).sum(axis=1))
+    return float(np.max(after - before))

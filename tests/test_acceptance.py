@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from chain_reference import dnorm_contraction_margin
 from scalar_reference import kernel_paths
 from tdcert.bundled import THEOREM1_NAMES, bundled_config
 from tdcert.chain import derive_seed, generator, random_mrp
@@ -29,7 +30,6 @@ from tdcert.harness import (
 from tdcert.oracle import (
     FeatureError,
     build_steady_state,
-    dnorm_contraction_margin,
     lemma1_margin,
     mixing_time,
     random_features,

@@ -4,9 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chain_reference
+from mixing_reference import tv_reference
 from tdcert.chain import (
+    _TV_CLAMP,
     BLOCK,
     ChainError,
+    ChainPowers,
     InverseCdfTable,
     KeyedStreams,
     MarkovRewardProcess,
@@ -160,37 +163,71 @@ class TestStationary:
         assert abs(pi.sum() - 1.0) <= 1e-12
 
 
-class TestMixingProfile:
-    def test_single_state_curve_is_zero(self):
-        prof = tv_mixing_profile(make([[1.0]]), 10)
-        np.testing.assert_allclose(prof.tv_curve, 0.0)
+class TestTvCurve:
+    """``ChainPowers.curve``: d(0..H), clamped entries stored as their bound."""
+
+    def test_single_state_curve_is_clamped_at_once(self):
+        d, clamped = tv_mixing_profile(make([[1.0]]), 10)
+        assert d[0] == 0.0 and clamped
+        assert np.all(d[1:] == _TV_CLAMP)
 
     def test_uniform_rows_mix_in_one_step(self):
-        prof = tv_mixing_profile(make([[0.5, 0.5], [0.5, 0.5]]), 10)
-        np.testing.assert_allclose(prof.tv_curve, 0.0, atol=1e-15)
+        mrp = make([[0.5, 0.5], [0.5, 0.5]])
+        d, clamped = tv_mixing_profile(mrp, 10)
+        assert d[0] == 1.0 - mrp.pi.min() and clamped
+        assert np.all(d[1:] == _TV_CLAMP)
+
+    def test_starts_at_one_minus_min_pi(self):
+        mrp = make(TWO_STATE)
+        d, clamped = tv_mixing_profile(mrp, 8)
+        assert d.shape == (9,) and not clamped
+        assert np.float64(d[0]).tobytes() == np.float64(1.0 - float(mrp.pi.min())).tobytes()
+        np.testing.assert_allclose(d[0], 2.0 / 3.0, rtol=1e-12)  # pi = (2/3, 1/3)
 
     def test_second_eigenvalue_governs_decay(self):
         # eigendecomposition oracle: eigenvalues of TWO_STATE are {1, 0.7}
-        prof = tv_mixing_profile(make(TWO_STATE), 40)
-        ratios = prof.tv_curve[10:20] / prof.tv_curve[9:19]
-        np.testing.assert_allclose(ratios, 0.7, atol=1e-9)
+        d, _ = tv_mixing_profile(make(TWO_STATE), 40)
+        np.testing.assert_allclose(d[11:21] / d[10:20], 0.7, atol=1e-9)
 
-    def test_curve_non_increasing_and_enveloped(self):
+    def test_curve_non_increasing_and_prefix_stable(self):
         # non-increasing, so the last recorded distance bounds every later one
-        prof = tv_mixing_profile(make(TWO_STATE), 60)
-        assert np.all(np.diff(prof.tv_curve) <= 1e-12)
-        longer = tv_mixing_profile(make(TWO_STATE), 200).tv_curve
-        assert longer[:60].tobytes() == prof.tv_curve.tobytes()
-        assert np.all(longer[60:] <= prof.tv_curve[-1])
+        d, _ = tv_mixing_profile(make(TWO_STATE), 60)
+        assert np.all(np.diff(d) <= 1e-12)
+        longer, _ = tv_mixing_profile(make(TWO_STATE), 3000)
+        assert np.all(np.diff(longer) <= 1e-12)
+        assert longer[:61].tobytes() == d.tobytes()
+        assert np.all(longer[61:] <= d[-1])
 
-    def test_underflow_clamps_and_records_index(self):
-        prof = tv_mixing_profile(make(TWO_STATE), 3000)
-        assert prof.clamp_index is not None
-        assert np.all(prof.tv_curve[prof.clamp_index:] == 0.0)
+    def test_underflow_stores_the_clamp_bound_from_its_index(self):
+        powers = ChainPowers(make(TWO_STATE))
+        d, clamped = powers.curve(3000)
+        k = powers.clamp_index
+        assert clamped and k is not None
+        assert np.all(d[k:] == _TV_CLAMP) and np.all(d[:k] > _TV_CLAMP)
+        # clamped exactly from the clamp index on, prefix-stable either side
+        before, clamped = powers.curve(k - 1)
+        assert not clamped and before.tobytes() == d[:k].tobytes()
+        at, clamped = powers.curve(k)
+        assert clamped and at.tobytes() == d[:k + 1].tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(2, 10), horizon=st.integers(2, 200),
+           density=st.floats(0.2, 1.0), seed=st.integers(0, 2 ** 31 - 1))
+    def test_matches_matrix_power_reference(self, n, horizon, density, seed):
+        mrp = random_mrp(n, density, seed)
+        powers = ChainPowers(mrp)
+        d, clamped = powers.curve(horizon)
+        ref = tv_reference(mrp, horizon)
+        k = powers.clamp_index if clamped else horizon + 1
+        assert d.shape == ref.shape
+        np.testing.assert_allclose(d[:k], ref[:k], rtol=0.0, atol=1e-12)
+        assert np.all(d[k:] == _TV_CLAMP)
 
     def test_horizon_precondition(self):
         with pytest.raises(ChainError, match="horizon"):
             tv_mixing_profile(make(TWO_STATE), 1)
+        with pytest.raises(ChainError, match="horizon"):
+            ChainPowers(make(TWO_STATE)).curve(1)
 
 
 class TestSampling:

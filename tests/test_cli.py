@@ -225,35 +225,65 @@ class TestRunCommand:
                      str(tmp_path / "o")]) == EXIT_INVALID_INPUT
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("section, key", [
-        ("", "lable"), ("instance", "theta_0"), ("step_size", "alpha_scal"),
-        ("experiment", "trails")])
-    def test_unknown_config_key_exits_invalid(self, tmp_path, capsys, section, key):
+    @pytest.mark.parametrize("name, section, key", [
+        ("theorem2_base", "", "lable"), ("theorem2_base", "instance", "theta_0"),
+        ("theorem2_base", "step_size", "alpha_scal"),
+        ("theorem2_base", "experiment", "trails"),
+        # the kind-dependent sections take their own kind's keys only
+        ("theorem4_saturating", "provider", "aa"),
+        ("theorem4_linear_contraction", "provider", "a"),
+        ("theorem2_base", "provider", "noise"),
+        ("theorem1_cycle4", "instance.chain", "gama"),
+        ("theorem2_base", "instance.chain", "density"),
+        ("theorem1_random6", "instance.features", "seeed"),
+        ("theorem1_cycle4", "instance.features", "seed"),
+        ("delayed_uniform_1", "experiment.delays", "tau")])
+    def test_unknown_config_key_exits_invalid(self, tmp_path, capsys, name, section,
+                                              key):
         # a misspelt key would otherwise leave its default in place
-        cfg = bundled_config("theorem2_base")
-        (cfg[section] if section else cfg)[key] = 150
-        out = tmp_path / "o"
-        assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) \
-            == EXIT_INVALID_INPUT
-        name = f"{section}.{key}" if section else key
-        assert f"unknown config key {name!r}" in capsys.readouterr().err
-        assert not out.exists()
+        cfg = bundled_config(name)
+        doc = cfg
+        for part in filter(None, section.split(".")):
+            doc = doc[part]
+        doc[key] = 150
+        for command in ("oracle", "run"):
+            if command == "oracle" and section.startswith(("step_size", "experiment")):
+                continue  # the oracle reads the instance alone
+            out = tmp_path / command
+            assert main([command, "--config", write_cfg(tmp_path, cfg), "--out",
+                         str(out)]) == EXIT_INVALID_INPUT
+            err = capsys.readouterr().err
+            assert f"unknown config key {'.'.join(filter(None, (section, key)))!r}" in err
+            assert not out.exists()
 
-    @pytest.mark.parametrize("section", ["step_size", "experiment"])
-    def test_section_that_is_no_object_exits_invalid(self, tmp_path, capsys, section):
-        # not a traceback, whose exit code 1 would read as a ledger failure
+    def test_unknown_key_message_lists_the_kinds_keys(self, tmp_path, capsys):
+        cfg = bundled_config("theorem4_saturating")
+        cfg["provider"]["aa"] = 0.9
+        assert main(["oracle", "--config", write_cfg(tmp_path, cfg), "--out",
+                     str(tmp_path / "o")]) == EXIT_INVALID_INPUT
+        assert ("unknown config key 'provider.aa' (known: a, b, kind, noise, "
+                "theta_star)") in capsys.readouterr().err
+
+    def test_unknown_kind_is_left_to_its_builder(self, tmp_path, capsys):
         cfg = bundled_config("theorem2_base")
-        cfg[section] = None
+        cfg["instance"]["chain"] = {"kind": "ring", "n": 4}
+        assert main(["oracle", "--config", write_cfg(tmp_path, cfg), "--out",
+                     str(tmp_path / "o")]) == EXIT_INVALID_INPUT
+        assert "unknown chain kind 'ring'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["step_size", "experiment", "instance.chain",
+                                         "instance.features", "provider",
+                                         "experiment.delays"])
+    def test_section_that_is_no_object_exits_invalid(self, tmp_path, capsys, section):
+        # not a traceback, whose exit code 1 would read as a ledger failure (a
+        # null features, provider or delays section takes its default)
+        cfg = bundled_config("delayed_uniform_1")
+        head, _, tail = section.rpartition(".")
+        value = None if section in ("step_size", "experiment") else [1]
+        (cfg[head] if head else cfg)[tail] = value
         assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out",
                      str(tmp_path / "o")]) == EXIT_INVALID_INPUT
         assert f"config section '{section}' must be an object" in capsys.readouterr().err
-
-    def test_unknown_delay_key_exits_invalid(self, tmp_path, capsys):
-        cfg = bundled_config("delayed_uniform_1")
-        cfg["experiment"]["delays"]["tau"] = 1
-        assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out",
-                     str(tmp_path / "o")]) == EXIT_INVALID_INPUT
-        assert "experiment.delays must be an object" in capsys.readouterr().err
 
     def test_ledger_failure_exit_code(self, tmp_path, monkeypatch):
         monkeypatch.setattr(harness, "CEILING", 1e-9)  # force the fitted c' over the bar
@@ -474,3 +504,14 @@ class TestBundledRegistry:
         # untouched sibling keys survive the section merge
         assert cfg["experiment"]["master_seed"] == 110
         assert cfg["instance"]["chain"]["gamma"] == 0.1
+
+    def test_provider_of_another_kind_replaces_the_bundled_one(self, tmp_path):
+        from tdcert.cli import load_config
+        saturating = bundled_config("theorem4_saturating")["provider"]
+        linear = {"kind": "linear_contraction", "theta_star": [0.5, -0.3],
+                  "noise": saturating["noise"]}
+        path = write_cfg(tmp_path, {"bundled": "theorem4_saturating", "provider": linear})
+        assert load_config(path)["provider"] == linear  # no saturating a, b
+        assert main(["oracle", "--config", path, "--out", str(tmp_path / "o")]) == EXIT_PASS
+        path = write_cfg(tmp_path, {"bundled": "theorem4_saturating", "provider": {"a": 0.9}})
+        assert load_config(path)["provider"] == {**saturating, "a": 0.9}

@@ -18,7 +18,6 @@ from tdcert.oracle import (
     MixingOracle,
     build_steady_state,
     constant_features,
-    dnorm_contraction_margin,
     group_features,
     identity_features,
     lemma1_margin,
@@ -29,6 +28,7 @@ from tdcert.oracle import (
 )
 from tdcert.sa_core import TD0Provider, audit_provider, resolve_step_size
 from tdcert.harness import ExperimentConfig
+from chain_reference import dnorm_contraction_margin
 from mixing_reference import (
     first_horizon,
     first_tau,
@@ -449,26 +449,25 @@ class TestMixingOracle:
         checked.append(model.mixing.certify(alpha).horizon_checked)
         assert steps == max(checked)
 
-    def test_each_query_kind_steps_its_own_power(self, monkeypatch):
-        # certify steps the deviation's power and certify_tv a TV-only one:
-        # interleaved queries equal a fresh oracle's bit for bit, a TV query
-        # computes no deviation, and each power steps exactly its own longest
-        # horizon
+    def test_both_query_kinds_step_one_power(self, monkeypatch):
+        # certify and certify_tv read the curves of one shared power:
+        # interleaved queries equal a fresh oracle's bit for bit, and the power
+        # steps, and the deviation runs, exactly once per step of the longest
+        # horizon any query reached, whichever kind asked for it
         base = random_mrp(5, 0.5, 5)
         lazy = MarkovRewardProcess(0.9375 * np.eye(5) + 0.0625 * base.P,
                                    base.R, base.gamma)
         features = random_features(5, 2, 5)
         oracle = MixingOracle(lazy, features)
         deviation, step = MixingOracle._deviation, ChainPowers.step
-        calls = {"dev": 0, "td0": 0, "tv": 0}
+        calls = {"dev": 0, "step": 0}
 
         def counting_deviation(self, Q):
             calls["dev"] += self is oracle
             return deviation(self, Q)
 
         def counting_step(self):
-            calls["td0"] += self is oracle._powers
-            calls["tv"] += self is vars(oracle).get("_tv_powers")
+            calls["step"] += self is oracle._powers
             return step(self)
 
         monkeypatch.setattr(MixingOracle, "_deviation", counting_deviation)
@@ -478,10 +477,8 @@ class TestMixingOracle:
                    ("td0", 1e-9), ("tv", 1e-9)]
         horizons = {"tv": 0, "td0": 0}
         for kind, eps in queries:
-            before = calls["dev"]
             if kind == "tv":
                 got = oracle.certify_tv(1e-3, eps)
-                assert calls["dev"] == before
                 fresh = MixingOracle(lazy, features).certify_tv(1e-3, eps)
             else:
                 got = oracle.certify(eps)
@@ -490,19 +487,10 @@ class TestMixingOracle:
                 fresh.tau, fresh.horizon_checked, fresh.tail_bound, fresh.method)
             assert got.margin_curve.tobytes() == fresh.margin_curve.tobytes()
             horizons[kind] = max(horizons[kind], got.horizon_checked)
+            assert calls["dev"] == calls["step"] == max(horizons.values())
         monkeypatch.undo()
         assert horizons == {"tv": 512, "td0": 1024}
-        assert calls["dev"] == calls["td0"] == horizons["td0"]
-        assert calls["tv"] == horizons["tv"]
-
-    def test_td0_queries_never_build_the_tv_power(self):
-        model = build_steady_state(random_mrp(12, 0.5, 3), random_features(12, 3, 4))
-        provider = TD0Provider(model)
-        oracle_report(provider)
-        resolve_step_size(provider)
-        assert "_tv_powers" not in vars(model.mixing)
-        model.mixing.certify_tv(1.0, 0.1)
-        assert "_tv_powers" in vars(model.mixing)
+        assert calls["dev"] == calls["step"] == 1024
 
     def test_invalid_chain_refused(self):
         periodic = MarkovRewardProcess([[0.0, 1.0], [1.0, 0.0]], [1.0, 0.0], 0.5)
