@@ -53,9 +53,7 @@ from .sa_core import (
     UpdateDirectionProvider,
     audit_provider,
     auto_horizon,
-    bound_B,
     fingerprint,
-    initial_theta,
     integer,
     positive_alpha,
     resolve_step_size,
@@ -63,13 +61,16 @@ from .sa_core import (
 )
 
 _GUARD2 = DIVERGENCE_GUARD ** 2
+# the rate A of the averaging weights (1 - alpha A)^-(t+1), as a share of the
+# provider's contraction
+AVERAGE_SHARE = 0.5
 
 
 class AuditError(RuntimeError):
     """A provider failed its constants audit; the experiment refuses to run."""
 
     def __init__(self, audit):
-        super().__init__(audit.describe())
+        super().__init__(f"audit FAILED with witness {audit.witness}")
         self.audit = audit
 
 
@@ -118,7 +119,7 @@ class ExperimentConfig:
         if self.sampling not in ("markov", "iid_restart"):
             raise ConfigError(f"unknown sampling mode {self.sampling!r}")
         normalized = dict(
-            theta0=initial_theta(self.provider, self.theta0),
+            theta0=self.provider.initial_theta(self.theta0),
             alpha=alpha, tau=self.provider.certify(alpha).tau, **whole)
         normalized["theta0"].setflags(write=False)
         for name, value in normalized.items():
@@ -130,7 +131,7 @@ class ExperimentConfig:
 
     @property
     def B(self) -> float:
-        return bound_B(self.provider, self.theta0)
+        return self.provider.bound_B(self.theta0)
 
     def in_contract(self) -> bool:
         return self.alpha <= self.provider.step_cap(self.tau) * (1.0 + 1e-12)
@@ -186,13 +187,13 @@ class MonteCarloEstimate:
     are None.
     """
 
-    d_hat: np.ndarray | None
-    d_se: np.ndarray | None
-    e_hat: np.ndarray | None
-    e_se: np.ndarray | None
     abort_count: int
     abort_step: int | None
     config: ExperimentConfig
+    d_hat: np.ndarray | None = None
+    d_se: np.ndarray | None = None
+    e_hat: np.ndarray | None = None
+    e_se: np.ndarray | None = None
     theta_bar: np.ndarray | None = None
     drift_hat: np.ndarray | None = None
     drift_se: np.ndarray | None = None
@@ -202,15 +203,19 @@ class MonteCarloEstimate:
         return self.config.T
 
 
-def _se_from_centered(sq_dev_total, count):
-    """The standard error of the mean, computed in place in the array of
-    centered sums of squares, so the run's peak holds no second copy of its
-    curves."""
+def _mean_se(curve, count):
+    """A reduced curve's (2, n) block of per-step cross-trial means and
+    centered sums of squares as (mean, standard error of the mean), the SE
+    computed in place in the second row, so the run's peak holds no second
+    copy of its curves; (None, None) for a curve the run did not keep."""
+    if curve is None:
+        return None, None
+    mean, sq_dev_total = curve
     if count > 1:
         sq_dev_total /= count - 1
         sq_dev_total /= count
-        return np.sqrt(sq_dev_total, out=sq_dev_total)
-    return np.zeros_like(sq_dev_total)
+        return mean, np.sqrt(sq_dev_total, out=sq_dev_total)
+    return mean, np.zeros_like(sq_dev_total)
 
 
 def _mean_and_dev(vals, trials):
@@ -222,7 +227,7 @@ def _mean_and_dev(vals, trials):
     return mean, dev.sum()
 
 
-def _simulate(config: ExperimentConfig, weight_A: float | None = None,
+def _simulate(config: ExperimentConfig, average: bool = False,
               drift: bool = False) -> MonteCarloEstimate:
     """The SA recursion theta_{t+1} = theta_t + alpha g(theta_{t-d_t}; X_{t-d_t})
     for the config's trials as a batch of lanes; the only code that advances
@@ -246,15 +251,16 @@ def _simulate(config: ExperimentConfig, weight_A: float | None = None,
     flat ring of the last tau_max + 1 directions.
 
     By default each step also calls ``provider.steady`` and reduces d_t and
-    e_t over the lanes. ``weight_A`` instead keeps only each lane's weighted
-    average, with weight rate 1 - alpha A, and the estimate has no curves.
-    ``drift`` also keeps each lane's last tau iterates in a (K, tau * trials)
-    ring and reduces the drift ||theta_t - theta_{t-tau}||^2 over the lanes
-    for t = tau..T, as d_t is reduced.
+    e_t over the lanes. ``average`` instead keeps only each lane's weighted
+    average, with weight rate 1 - alpha A, A = ``AVERAGE_SHARE`` times the
+    provider's contraction, and the estimate has no curves. ``drift`` also
+    keeps each lane's last tau iterates in a (K, tau * trials) ring and
+    reduces the drift ||theta_t - theta_{t-tau}||^2 over the lanes for
+    t = tau..T, as d_t is reduced.
     """
     provider, mrp, delays = config.provider, config.model.mrp, config.delays
     alpha, T, trials, K = config.alpha, config.T, config.trials, provider.dim
-    curves = weight_A is None
+    d = e = drifts = None
     # with no coordinate above this, every lane's sum of squares is about
     # G^2 / 2, inside the guard whatever the rounding; one max over the batch
     # costs a third of the exact row sums
@@ -271,21 +277,19 @@ def _simulate(config: ExperimentConfig, weight_A: float | None = None,
     words = np.empty((min(BLOCK, T) * draws + lead, trials), dtype=np.uint64)
     theta = np.tile(config.theta0[:, None], (1, trials))
 
-    if curves:
+    if average:
+        S = theta.copy()
+        wrate = 1.0 - alpha * (AVERAGE_SHARE * provider.contraction)
+        v = 1.0
+    else:
         # theta* as full (K, trials) rows: subtracting a (K, 1) column runs
         # about 2x slower than a whole-array op
         star = np.tile(provider.theta_star[:, None], (1, trials))
         # per-step cross-trial mean and centered squared deviation (the
         # centered form keeps a deterministic instance's variance at rounding
         # level: the mean of identical lanes can miss them by an ulp)
-        d_mean = np.full(T + 1, np.nan)
-        d_dev = np.full(T + 1, np.nan)
-        e_mean = np.full(max(T, 1), np.nan)
-        e_dev = np.full(max(T, 1), np.nan)
-    else:
-        S = theta.copy()
-        wrate = 1.0 - alpha * weight_A
-        v = 1.0
+        d = np.full((2, T + 1), np.nan)
+        e = np.full((2, T), np.nan)
 
     if drift:
         # lane i's theta_{t-tau} is lag[:, (t mod tau) * trials + i] until
@@ -293,8 +297,7 @@ def _simulate(config: ExperimentConfig, weight_A: float | None = None,
         tau = config.tau
         lag = np.empty((K, tau * trials))
         lag[:, :trials] = theta
-        drift_mean = np.full(max(T + 1 - tau, 0), np.nan)
-        drift_dev = np.full(max(T + 1 - tau, 0), np.nan)
+        drifts = np.full((2, max(T + 1 - tau, 0)), np.nan)
 
     use_delays = delays is not None and delays.kind != "none" and delays.tau_max > 0
     if use_delays:
@@ -336,9 +339,9 @@ def _simulate(config: ExperimentConfig, weight_A: float | None = None,
             idx += lanes
         for j in range(L):
             step = t0 + j
-            if curves:
+            if not average:
                 diff = theta - star
-                d_mean[step], d_dev[step] = _mean_and_dev(rowsum(diff * diff), trials)
+                d[0, step], d[1, step] = _mean_and_dev(rowsum(diff * diff), trials)
 
             if iid:
                 s = pi_sampler.pick(W[2 * j])
@@ -350,9 +353,9 @@ def _simulate(config: ExperimentConfig, weight_A: float | None = None,
             X = (F_s, F_sp)
 
             g = provider.direction(theta, X)
-            if curves:
+            if not average:
                 gbar = provider.steady(theta)
-                e_mean[step], e_dev[step] = _mean_and_dev(
+                e[0, step], e[1, step] = _mean_and_dev(
                     rowsum(diff * (g - gbar)), trials)
 
             if use_delays:
@@ -375,10 +378,10 @@ def _simulate(config: ExperimentConfig, weight_A: float | None = None,
                 past = lag[:, back:back + trials]
                 if t >= tau:
                     gap = theta - past
-                    drift_mean[t - tau], drift_dev[t - tau] = _mean_and_dev(
+                    drifts[0, t - tau], drifts[1, t - tau] = _mean_and_dev(
                         rowsum(gap * gap), trials)
                 past[...] = theta
-            if not curves:
+            if average:
                 v = v * wrate + 1.0
                 gap = theta - S
                 gap /= v
@@ -387,23 +390,17 @@ def _simulate(config: ExperimentConfig, weight_A: float | None = None,
                 s, F_s = sp, F_sp
         t0 += L
 
-    streamed = {}
-    if drift:
-        streamed = dict(drift_hat=drift_mean,
-                        drift_se=_se_from_centered(drift_dev, trials))
-    if not curves:
-        return MonteCarloEstimate(
-            d_hat=None, d_se=None, e_hat=None, e_se=None, abort_count=abort_count,
-            abort_step=abort_step, config=config,
-            theta_bar=np.ascontiguousarray(S.T), **streamed)
-    if abort_step is None:
+    if not average and abort_step is None:
         diff = theta - star
-        d_mean[T], d_dev[T] = _mean_and_dev(rowsum(diff * diff), trials)
+        d[0, T], d[1, T] = _mean_and_dev(rowsum(diff * diff), trials)
+    d_hat, d_se = _mean_se(d, trials)
+    e_hat, e_se = _mean_se(e, trials)
+    drift_hat, drift_se = _mean_se(drifts, trials)
     return MonteCarloEstimate(
-        d_hat=d_mean, d_se=_se_from_centered(d_dev, trials),
-        e_hat=e_mean[:T], e_se=_se_from_centered(e_dev[:T], trials),
-        abort_count=abort_count, abort_step=abort_step, config=config, **streamed,
-    )
+        abort_count=abort_count, abort_step=abort_step, config=config,
+        d_hat=d_hat, d_se=d_se, e_hat=e_hat, e_se=e_se,
+        theta_bar=np.ascontiguousarray(S.T) if average else None,
+        drift_hat=drift_hat, drift_se=drift_se)
 
 
 def estimate_dt_et(config: ExperimentConfig) -> MonteCarloEstimate:
@@ -628,13 +625,13 @@ def check_drift(estimate: MonteCarloEstimate) -> BoundLedger:
 
 def tune_weighted_average(provider: UpdateDirectionProvider, T: int):
     """The horizon-aware step-size of averaging with weights
-    (1 - alpha A)^-(t+1), A = 0.5 contraction, as (alpha, lambda, case):
-    alpha = ln(lambda)/(A (T+1)) with lambda = max(e, A (T+1)^2 / tau) when
-    that obeys the mixing cap (case 1), otherwise the cap itself (case 2),
-    iterated until the mixing time ``provider.certify(alpha)`` certifies is
-    the tau it was tuned at, so alpha always satisfies the cap and
-    boundedness applies."""
-    A = 0.5 * provider.contraction
+    (1 - alpha A)^-(t+1), A = ``AVERAGE_SHARE`` * contraction, as (alpha,
+    lambda, case): alpha = ln(lambda)/(A (T+1)) with lambda = max(e,
+    A (T+1)^2 / tau) when that obeys the mixing cap (case 1), otherwise the
+    cap itself (case 2), iterated until the mixing time
+    ``provider.certify(alpha)`` certifies is the tau it was tuned at, so
+    alpha always satisfies the cap and boundedness applies."""
+    A = AVERAGE_SHARE * provider.contraction
     tau = provider.certify(resolve_step_size(provider)).tau
     for _ in range(50):
         lam = max(math.e, A * (T + 1) ** 2 / tau)
@@ -670,13 +667,12 @@ def weighted_average_experiment(config: ExperimentConfig) -> BoundLedger:
     if grid[0] < 1:
         raise ConfigError(f"averaging horizon T={grid[0]} must be at least 1")
     model = config.model
-    weight_A = 0.5 * config.provider.contraction
     rows = []
     for T in grid:
         alpha, lam, case = tune_weighted_average(config.provider, T)
         sub = replace(config, T=T, alpha=alpha,
                       master_seed=derive_seed(config.master_seed, T))
-        sim = _simulate(sub, weight_A=weight_A)
+        sim = _simulate(sub, average=True)
         if sim.abort_step is not None:
             raise ConfigError(f"averaging run at T={T} hit the divergence guard")
         errs = model.value_error_D(sim.theta_bar)

@@ -150,7 +150,7 @@ class SteadyStateModel:
     Holds the steady-state operator A_bar theta + b_neg, the Gram matrix and
     its smallest eigenvalue omega, the fixed point theta_star and the scale
     sigma = max(1, r_bar, ||theta_star||). The iterate bound B also depends
-    on theta0, so it belongs to the run: ``sa_core.bound_B``, read through
+    on theta0, so it belongs to the run: ``provider.bound_B``, read through
     ``ExperimentConfig.B`` and ``oracle_report``. ``mixing`` is the pair's
     mixing oracle, built on first use and extended on demand.
     """
@@ -230,12 +230,9 @@ def build_steady_state(mrp: MarkovRewardProcess, features: FeatureMatrix) -> Ste
 def steady_state_direction(model: SteadyStateModel, theta):
     """The expected update direction under the stationary law, A_bar theta + b_neg.
 
-    Accepts a single parameter vector or a (K, lanes) batch, one column per
-    parameter.
+    Takes a float (K, lanes) batch, one column per parameter (a single
+    vector v is the one-lane batch ``v[:, None]``), and returns its shape.
     """
-    theta = np.asarray(theta, dtype=float)
-    if theta.ndim == 1:
-        return model.A_bar @ theta + model.b_neg
     out = model.A_bar @ theta
     out += model.b_neg_lanes(theta.shape[1])
     return out
@@ -245,17 +242,13 @@ def lemma1_margin(model: SteadyStateModel, theta):
     """Slack of the pseudo-gradient inequality at theta.
 
     Returns <theta* - theta, direction(theta)> - omega (1 - gamma)
-    ||theta* - theta||^2, which is nonnegative (within 1e-10) for every theta;
-    one margin per column of a (K, lanes) batch.
+    ||theta* - theta||^2, which is nonnegative (within 1e-10) for every theta:
+    one margin per column of a float (K, lanes) batch, as a (lanes,) array.
     """
-    theta = np.asarray(theta, dtype=float)
     gbar = steady_state_direction(model, theta)
-    rate = model.contraction_rate
-    if theta.ndim == 1:
-        diff = model.theta_star - theta
-        return float(diff @ gbar - rate * np.sum(diff ** 2))
     diff = model.theta_star[:, None] - theta
-    return np.sum(diff * gbar, axis=0) - rate * np.sum(diff ** 2, axis=0)
+    return (np.sum(diff * gbar, axis=0)
+            - model.contraction_rate * np.sum(diff ** 2, axis=0))
 
 
 def _largest_singular_value(A: np.ndarray) -> float:
@@ -428,12 +421,10 @@ def oracle_report(provider, theta0=None, eps_grid=(1e-1, 1e-2, 1e-3, 1e-4)) -> d
     """Full structured oracle summary for experiment provenance: the
     closed-form quantities of the provider's model, the provider's certified
     tau per epsilon (the certificate its step-size rule uses), and its
-    theta_star, sigma and iterate bound B from ``theta0`` (zeros if None) of
-    the provider's dimension."""
-    from .sa_core import bound_B, initial_theta  # sa_core imports oracle
-
+    theta_star, sigma and iterate bound B (``provider.bound_B``) from
+    ``theta0`` (zeros if None) of the provider's dimension."""
     model = provider.model
-    theta0 = initial_theta(provider, theta0)
+    theta0 = provider.initial_theta(theta0)
     certs = [(float(eps), provider.certify(eps)) for eps in eps_grid]
     return {
         "n": model.mrp.n,
@@ -448,7 +439,7 @@ def oracle_report(provider, theta0=None, eps_grid=(1e-1, 1e-2, 1e-3, 1e-4)) -> d
         "theta_star": provider.theta_star.tolist(),
         "sigma": provider.sigma_const,
         "theta0": theta0.tolist(),
-        "B": bound_B(provider, theta0),
+        "B": provider.bound_B(theta0),
         "tau_table": [{"epsilon": eps, "tau": c.tau, "horizon_checked": c.horizon_checked}
                       for eps, c in certs],
     }

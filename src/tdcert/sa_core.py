@@ -88,10 +88,9 @@ def rowsum(x):
 def td0_direction(gamma: float, theta, X):
     """The TD(0) update direction (r + gamma <phi(s'), theta> - <phi(s), theta>) phi(s).
 
-    ``theta`` may be one parameter vector or a (K, lanes) batch with one
-    column per lane; ``X`` is the pair (F_s, F_s') of the states' columns of
-    the table [Phi^T; R] (``TD0Provider.state_table``): (K + 1,) vectors, or
-    (K + 1, lanes) arrays aligned with the lanes.
+    ``theta`` is a (K, lanes) batch with one column per lane; ``X`` is the
+    pair (F_s, F_s') of the states' columns of the table [Phi^T; R]
+    (``TD0Provider.state_table``), (K + 1, lanes) arrays aligned with them.
     """
     F_s, F_sp = X
     phi_s = F_s[:-1]
@@ -100,27 +99,23 @@ def td0_direction(gamma: float, theta, X):
     return td * phi_s
 
 
-def _lanes(v, theta):
-    """The (K,) vector v shaped to broadcast against theta, (K,) or (K, lanes)."""
-    return v if np.ndim(theta) == 1 else v[:, None]
-
-
 class UpdateDirectionProvider:
     """Interface for a sampled root-finding operator g(theta; X).
 
     Concrete providers hold the ``model`` (chain and features) they sample and
     expose the sampled direction, its steady-state expectation, the solved-for
     fixed point, and the declared constants (L, sigma_const, beta, norm_offset)
-    that ``audit_provider`` verifies. ``direction`` and ``steady`` take one
-    parameter vector (K,) or a (K, lanes) batch, one column per lane, and
-    return the same shape. The observation X of ``direction`` is the pair
-    (F_s, F_s') of columns s and s' of the provider's per-state table
-    ``state_table`` (rows, n), as vectors or (rows, lanes) arrays
-    (``observe``): the kernel gathers one column per lane and step, and in
-    markov sampling carries s' 's columns into the next step. It carries
-    generic SA's constants (``contraction``, ``recursion_L2``, drift rate
-    ``beta``), mixing-time certificate (``certify``) and step-size cap
-    (``step_cap``), named by ``mode`` in the output.
+    that ``audit_provider`` verifies. ``direction`` and ``steady`` take a
+    float (K, lanes) batch, one column per lane, and return the same shape;
+    a single vector v is the one-lane batch ``v[:, None]``. The observation
+    X of ``direction`` is the pair (F_s, F_s') of columns s and s' of the
+    provider's per-state table ``state_table`` (rows, n), as (rows, lanes)
+    arrays (``observe``): the kernel gathers one column per lane and step,
+    and in markov sampling carries s' 's columns into the next step. It
+    carries generic SA's constants (``contraction``, ``recursion_L2``, drift
+    rate ``beta``), mixing-time certificate (``certify``), step-size cap
+    (``step_cap``) and iterate bound (``bound_B``), named by ``mode`` in the
+    output.
     """
 
     model: SteadyStateModel
@@ -133,8 +128,8 @@ class UpdateDirectionProvider:
     mode = "nonlinear"
 
     def observe(self, s, sp):
-        """The observation X = (F_s, F_s') of the transition s -> s' (ints or
-        lane arrays)."""
+        """The observation X = (F_s, F_s') of the transitions s -> s', one per
+        lane of the int arrays s and sp."""
         return self.state_table.take(s, axis=1), self.state_table.take(sp, axis=1)
 
     @property
@@ -161,6 +156,21 @@ class UpdateDirectionProvider:
     def recursion_L2(self) -> float:
         """The L^2 in the recursion check's perturbation and disturbance scales."""
         return self.L ** 2
+
+    def bound_B(self, theta0) -> float:
+        """The mean-square iterate bound B = 10 max(||theta0 - theta*||^2,
+        sigma^2) of Theorem 1, from the fixed point and scale constant."""
+        return 10.0 * max(float(np.sum((theta0 - self.theta_star) ** 2)),
+                          self.sigma_const ** 2)
+
+    def initial_theta(self, theta0) -> np.ndarray:
+        """theta0 as a float vector of the provider's dimension (zeros if None)."""
+        theta0 = (np.zeros(self.dim) if theta0 is None
+                  else np.array(theta0, dtype=float).reshape(-1))
+        if theta0.shape[0] != self.dim:
+            raise ConfigError(f"theta0 has length {theta0.shape[0]} but the "
+                              f"provider has dimension {self.dim}")
+        return theta0
 
     def direction(self, theta, X):
         raise NotImplementedError
@@ -235,10 +245,10 @@ class LinearContractionProvider(UpdateDirectionProvider):
                                      np.linalg.norm(theta_star)))
 
     def direction(self, theta, X):
-        return -np.asarray(theta, dtype=float) + X[0]
+        return -theta + X[0]
 
     def steady(self, theta):
-        return _lanes(self.theta_star, theta) - np.asarray(theta, dtype=float)
+        return self.theta_star[:, None] - theta
 
     def noise_variance(self) -> float:
         """Stationary second moment E ||c(X) - theta_star||^2."""
@@ -276,7 +286,7 @@ class SaturatingMonotoneProvider(UpdateDirectionProvider):
         self.sigma_const = float(max(1.0, np.linalg.norm(theta_star), raw))
 
     def _drift(self, theta):
-        u = np.asarray(theta, dtype=float) - _lanes(self.theta_star, theta)
+        u = theta - self.theta_star[:, None]
         return -(self.a * u + self.b * np.tanh(u))
 
     def direction(self, theta, X):
@@ -316,23 +326,6 @@ def auto_horizon(alpha: float, provider: UpdateDirectionProvider) -> int:
     """The default horizon T = ceil(10 / (alpha * beta)), ten e-folds of the
     provider's drift rate."""
     return int(math.ceil(10.0 / (positive_alpha(alpha) * provider.beta)))
-
-
-def bound_B(provider: UpdateDirectionProvider, theta0) -> float:
-    """The mean-square iterate bound B = 10 max(||theta0 - theta*||^2, sigma^2)
-    of Theorem 1, from the provider's fixed point and scale constant."""
-    return 10.0 * max(float(np.sum((theta0 - provider.theta_star) ** 2)),
-                      provider.sigma_const ** 2)
-
-
-def initial_theta(provider: UpdateDirectionProvider, theta0) -> np.ndarray:
-    """theta0 as a float vector of the provider's dimension (zeros if None)."""
-    theta0 = (np.zeros(provider.dim) if theta0 is None
-              else np.array(theta0, dtype=float).reshape(-1))
-    if theta0.shape[0] != provider.dim:
-        raise ConfigError(f"theta0 has length {theta0.shape[0]} but the provider "
-                          f"has dimension {provider.dim}")
-    return theta0
 
 
 def resolve_step_size(provider: UpdateDirectionProvider) -> float:
@@ -448,15 +441,6 @@ class ProviderAudit:
     declared: dict
     witness: dict | None
 
-    def describe(self) -> str:
-        if self.ok:
-            return (f"audit passed over {self.samples} samples "
-                    f"(lip {self.max_lipschitz_ratio:.4f} <= L, "
-                    f"steady lip {self.max_steady_ratio:.4f} <= L, "
-                    f"norm {self.max_norm_ratio:.4f} <= 1, "
-                    f"monotone {self.min_monotone_ratio:.4f} >= beta)")
-        return f"audit FAILED with witness {self.witness}"
-
 
 def audit_provider(provider: UpdateDirectionProvider, sample_count: int,
                    seed: int) -> ProviderAudit:
@@ -469,32 +453,28 @@ def audit_provider(provider: UpdateDirectionProvider, sample_count: int,
     m = int(sample_count)
     K = provider.dim
     scale = rng.uniform(0.1, 10.0, size=(m, 1))
-    theta1 = rng.normal(size=(m, K)) * scale
-    theta2 = rng.normal(size=(m, K)) * scale
+    # drawn as (m, K) rows, checked as (K, m) columns reduced by ``rowsum``
+    theta1 = np.ascontiguousarray((rng.normal(size=(m, K)) * scale).T)
+    theta2 = np.ascontiguousarray((rng.normal(size=(m, K)) * scale).T)
     s = rng.integers(0, mrp.n, size=m)
     sp = mrp.sampler.pick(rng.bit_generator.random_raw(m), s)
     X = provider.observe(s, sp)
 
-    # the providers take and return (K, m) columns; the checks reduce (m, K)
-    # rows, in the order they always have
-    def flip(x):
-        return np.ascontiguousarray(x.T)
-
-    cols1, cols2 = flip(theta1), flip(theta2)
-    g1 = flip(provider.direction(cols1, X))
-    g2 = flip(provider.direction(cols2, X))
-    dtheta = np.linalg.norm(theta1 - theta2, axis=1)
+    g1 = provider.direction(theta1, X)
+    g2 = provider.direction(theta2, X)
+    dtheta = np.sqrt(rowsum((theta1 - theta2) ** 2))
     keep = dtheta > 1e-12
-    lip = np.linalg.norm(g1 - g2, axis=1)[keep] / dtheta[keep]
-    steady1 = flip(provider.steady(cols1))
-    steady_lip = (np.linalg.norm(steady1 - flip(provider.steady(cols2)), axis=1)[keep]
+    lip = np.sqrt(rowsum((g1 - g2) ** 2))[keep] / dtheta[keep]
+    steady1 = provider.steady(theta1)
+    steady_lip = (np.sqrt(rowsum((steady1 - provider.steady(theta2)) ** 2))[keep]
                   / dtheta[keep])
-    norm_ratio = np.linalg.norm(g1, axis=1) / (
-        provider.L * (np.linalg.norm(theta1, axis=1) + provider.norm_offset))
-    diff = theta1 - provider.theta_star
-    dist_sq = np.sum(diff ** 2, axis=1)
+    norm_ratio = np.sqrt(rowsum(g1 ** 2)) / (
+        provider.L * (np.sqrt(rowsum(theta1 ** 2)) + provider.norm_offset))
+    star = provider.theta_star[:, None]
+    diff = theta1 - star
+    dist_sq = rowsum(diff ** 2)
     keep_m = dist_sq > 1e-12
-    drift = np.sum(diff * (steady1 - provider.steady(provider.theta_star)), axis=1)
+    drift = rowsum(diff * (steady1 - provider.steady(star)))
     monotone = -drift[keep_m] / dist_sq[keep_m]
 
     tol = 1.0 + 1e-9
@@ -506,22 +486,22 @@ def audit_provider(provider: UpdateDirectionProvider, sample_count: int,
     if max_lip > provider.L * tol:
         i = int(np.nonzero(keep)[0][np.argmax(lip)])
         witness = {"check": "lipschitz", "ratio": max_lip,
-                   "theta1": theta1[i].tolist(), "theta2": theta2[i].tolist(),
+                   "theta1": theta1[:, i].tolist(), "theta2": theta2[:, i].tolist(),
                    "X": (int(s[i]), int(sp[i]), float(mrp.R[s[i]]))}
     elif max_steady > provider.L * tol:
         i = int(np.nonzero(keep)[0][np.argmax(steady_lip)])
         witness = {"check": "steady_lipschitz", "ratio": max_steady,
-                   "theta1": theta1[i].tolist(), "theta2": theta2[i].tolist(),
+                   "theta1": theta1[:, i].tolist(), "theta2": theta2[:, i].tolist(),
                    "X": None}
     elif max_norm > tol:
         i = int(np.argmax(norm_ratio))
         witness = {"check": "norm", "ratio": max_norm,
-                   "theta1": theta1[i].tolist(), "theta2": None,
+                   "theta1": theta1[:, i].tolist(), "theta2": None,
                    "X": (int(s[i]), int(sp[i]), float(mrp.R[s[i]]))}
     elif min_mono < provider.beta * (1.0 - 1e-9) - 1e-12:
         i = int(np.nonzero(keep_m)[0][np.argmin(monotone)])
         witness = {"check": "monotone", "ratio": min_mono,
-                   "theta1": theta1[i].tolist(), "theta2": None, "X": None}
+                   "theta1": theta1[:, i].tolist(), "theta2": None, "X": None}
     return ProviderAudit(
         samples=m, ok=witness is None, max_lipschitz_ratio=max_lip,
         max_steady_ratio=max_steady, max_norm_ratio=max_norm,

@@ -5,7 +5,8 @@ markov chain draws one uniform per step (plus one for a start state drawn
 from pi), iid_restart draws the state from pi and then its successor. A ring
 buffer of the last tau_max + 1 iterates and observations supplies the stale
 direction g(theta_{t-d_t}; X_{t-d_t}), X the states' columns of the
-provider's ``state_table``; without delays d_t = 0. The delays come from
+provider's ``state_table``; without delays d_t = 0. The provider is called
+on one-lane batches: (K, 1) theta and (rows, 1) X. The delays come from
 ``reference_delays``, one generator per process.
 
 ``kernel_paths`` records the iterates the batch kernel itself computes, so
@@ -75,9 +76,10 @@ def reference_sa(provider, mrp, theta0, alpha, T, seed, sampling="markov",
         sp = _inv_cdf(mrp.cum_P[s], rng.random())
         slot = t % m
         hist_theta[slot] = theta
-        hist_X[slot] = (provider.state_table[:, s], provider.state_table[:, sp])
+        hist_X[slot] = (provider.state_table[:, [s]], provider.state_table[:, [sp]])
         back = (t - int(dseq[t])) % m
-        theta = theta + alpha * provider.direction(hist_theta[back], hist_X[back])
+        g = provider.direction(hist_theta[back][:, None], hist_X[back])
+        theta = theta + alpha * g[:, 0]
         if not np.all(np.isfinite(theta)) or np.sum(theta ** 2) > DIVERGENCE_GUARD ** 2:
             raise ReferenceDivergence(t + 1)
         thetas[t + 1] = theta

@@ -77,7 +77,7 @@ def test_criterion_1_oracle_exactness(random_instances):
     worst_g = worst_pi = worst_contraction = -np.inf
     for i, model in enumerate(random_instances):
         g_res = float(np.linalg.norm(
-            steady_state_direction(model, model.theta_star)))
+            steady_state_direction(model, model.theta_star[:, None])))
         pi_res = float(np.max(np.abs(
             model.mrp.pi @ model.mrp.P - model.mrp.pi)))
         con = dnorm_contraction_margin(model.mrp, 10_000,

@@ -32,7 +32,6 @@ from tdcert.sa_core import (
     SaturatingMonotoneProvider,
     TD0Provider,
     auto_horizon,
-    bound_B,
     fingerprint,
     resolve_step_size,
 )
@@ -149,7 +148,7 @@ class TestProviderInstance:
         assert config.model is provider.model is SLOW_MODEL
         assert config.to_dict()["mrp"]["gamma"] == SLOW.gamma != FAST.gamma
         assert config.B == 10.0 * (-20.0 - SLOW_MODEL.theta_star[0]) ** 2
-        assert config.B != bound_B(TD0Provider(FAST_MODEL), config.theta0)
+        assert config.B != TD0Provider(FAST_MODEL).bound_B(config.theta0)
 
     def test_no_model_beside_the_provider(self):
         with pytest.raises(TypeError):
@@ -725,7 +724,7 @@ class TestDrift:
         led = check_drift(est)
         assert led.verdict == "pass"
         assert led.hypothesis["B"] == 10.0 * max(0.3 ** 2, provider.sigma_const ** 2)
-        assert led.hypothesis["B"] != bound_B(TD0Provider(FAST_MODEL), np.zeros(1))
+        assert led.hypothesis["B"] != TD0Provider(FAST_MODEL).bound_B(np.zeros(1))
 
 
 class TestWeightedAveraging:
@@ -742,7 +741,7 @@ class TestWeightedAveraging:
         else:
             cfg = wide_config(3, sampling=sampling, delays=delays)
         weight_A = 0.5 * cfg.provider.contraction
-        averaged = _simulate(cfg, weight_A=weight_A)
+        averaged = _simulate(cfg, average=True)
         path = kernel_paths(cfg)
         wrate = 1.0 - cfg.alpha * weight_A
         v, S = 1.0, path[:, 0].copy()
@@ -760,7 +759,7 @@ class TestWeightedAveraging:
                 raise AssertionError("steady called on an averaging run")
 
         cfg = fast_config(provider=NoSteady(FAST_MODEL), trials=50, T=40)
-        estimate = _simulate(cfg, weight_A=0.5 * cfg.provider.contraction)
+        estimate = _simulate(cfg, average=True)
         assert (estimate.d_hat, estimate.d_se, estimate.e_hat, estimate.e_se) == \
             (None, None, None, None)
         assert estimate.T == cfg.T == 40

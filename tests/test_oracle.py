@@ -105,11 +105,13 @@ class TestBuildSteadyState:
 class TestSteadyStateDirection:
     def test_zero_at_fixed_point(self):
         model = build_steady_state(TWO_STATE, TWO_FEATS)
-        assert np.linalg.norm(steady_state_direction(model, model.theta_star)) <= 1e-10
+        assert np.linalg.norm(
+            steady_state_direction(model, model.theta_star[:, None])) <= 1e-10
 
     def test_one_state_at_origin(self):
         model = build_steady_state(ONE_STATE, constant_features(1))
-        np.testing.assert_allclose(steady_state_direction(model, np.zeros(1)), [1.0])
+        np.testing.assert_allclose(steady_state_direction(model, np.zeros((1, 1))),
+                                   [[1.0]])
 
     def test_monte_carlo_consistency(self):
         # oracle: sample s ~ pi and s' ~ P(s, .) iid, average the sampled
@@ -126,7 +128,7 @@ class TestSteadyStateDirection:
                              TD0Provider(model).observe(s, sp))
         mc = dirs.mean(axis=1)
         se = dirs.std(axis=1, ddof=1) / np.sqrt(N)
-        exact = steady_state_direction(model, theta)
+        exact = steady_state_direction(model, theta[:, None])[:, 0]
         assert np.all(np.abs(mc - exact) <= 3 * se)
 
     def test_batch_rows(self):
@@ -134,7 +136,8 @@ class TestSteadyStateDirection:
         thetas = np.array([[0.0, 1.0, 5.0]])
         batch = steady_state_direction(model, thetas)
         for col, theta in zip(batch.T, thetas.T):
-            np.testing.assert_allclose(col, steady_state_direction(model, theta))
+            np.testing.assert_allclose(
+                col, steady_state_direction(model, theta[:, None])[:, 0])
 
     @pytest.mark.parametrize("K", range(1, 10))
     def test_lanes_last_map_has_the_row_major_bits(self, K):
@@ -579,11 +582,13 @@ class TestMonotoneTail:
 class TestLemma1:
     def test_zero_margin_at_fixed_point(self):
         model = build_steady_state(TWO_STATE, TWO_FEATS)
-        assert lemma1_margin(model, model.theta_star) == pytest.approx(0.0, abs=1e-12)
+        margin = lemma1_margin(model, model.theta_star[:, None])[0]
+        assert margin == pytest.approx(0.0, abs=1e-12)
 
     def test_one_state_exactly_tight(self):
         model = build_steady_state(ONE_STATE, constant_features(1))
-        assert lemma1_margin(model, np.zeros(1)) == pytest.approx(0.0, abs=1e-12)
+        margin = lemma1_margin(model, np.zeros((1, 1)))[0]
+        assert margin == pytest.approx(0.0, abs=1e-12)
 
     def test_random_ball_nonnegative(self):
         model = build_steady_state(TWO_STATE, TWO_FEATS)
@@ -600,7 +605,7 @@ class TestLemma1:
         model = build_steady_state(
             MarkovRewardProcess([[0.7, 0.3], [0.4, 0.6]], [0.5, -1.0], 0.6),
             group_features(2, 2))
-        assert lemma1_margin(model, np.array(theta)) >= -1e-10
+        assert lemma1_margin(model, np.array(theta)[:, None])[0] >= -1e-10
 
 
 class TestAudits:
@@ -623,8 +628,8 @@ class TestAudits:
 
     def test_identical_parameters_give_identical_directions(self):
         from tdcert.sa_core import td0_direction
-        theta = np.array([1.3])
-        X = TD0Provider(build_steady_state(TWO_STATE, TWO_FEATS)).observe(0, 1)
+        theta = np.array([[1.3]])
+        X = TD0Provider(build_steady_state(TWO_STATE, TWO_FEATS)).observe([0], [1])
         a = td0_direction(0.9, theta, X)
         b = td0_direction(0.9, theta, X)
         assert np.array_equal(a, b) and np.all(a - b == 0.0)

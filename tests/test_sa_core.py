@@ -51,9 +51,11 @@ TWO_MODEL = build_steady_state(TWO_STATE, TWO_FEATS)
 
 
 def obs(features, s, sp, r):
-    """The TD(0) observation X = (F_s, F_s') of the table [Phi^T; R], with
-    reward r at s (the reward row at s' is never read)."""
-    r = np.asarray(r, dtype=float)[None]
+    """The TD(0) observation X = (F_s, F_s') of the table [Phi^T; R] for the
+    lanes s -> sp (an int is one lane), with reward r at s (the reward row at
+    s' is never read)."""
+    s, sp = np.atleast_1d(s), np.atleast_1d(sp)
+    r = np.atleast_1d(np.asarray(r, dtype=float))[None]
     PhiT = features.Phi.T
     return (np.concatenate([PhiT.take(s, axis=1), r]),
             np.concatenate([PhiT.take(sp, axis=1), np.zeros_like(r)]))
@@ -61,31 +63,51 @@ def obs(features, s, sp, r):
 
 class TestTD0Direction:
     def test_zero_parameter_gives_reward_times_feature(self):
-        g = td0_direction(0.9, np.zeros(1), obs(TWO_FEATS, 0, 1, 1.0))
-        np.testing.assert_allclose(g, [1.0])
+        g = td0_direction(0.9, np.zeros((1, 1)), obs(TWO_FEATS, 0, 1, 1.0))
+        np.testing.assert_allclose(g, [[1.0]])
 
     def test_one_state_vanishes_at_fixed_point(self):
-        g = td0_direction(0.5, np.array([2.0]), obs(constant_features(1), 0, 0, 1.0))
-        np.testing.assert_allclose(g, [0.0], atol=1e-15)
+        g = td0_direction(0.5, np.array([[2.0]]), obs(constant_features(1), 0, 0, 1.0))
+        np.testing.assert_allclose(g, [[0.0]], atol=1e-15)
 
     def test_hand_expansion_two_state(self):
         # phi(0) = 1, phi(1) = 0: td = r + 0.9 * phi(s') theta - phi(s) theta
-        g = td0_direction(0.9, np.array([2.0]), obs(TWO_FEATS, 0, 1, 1.0))
-        np.testing.assert_allclose(g, [1.0 + 0.9 * 0.0 - 2.0])
-        g = td0_direction(0.9, np.array([2.0]), obs(TWO_FEATS, 1, 0, 0.0))
-        np.testing.assert_allclose(g, [0.0])  # phi(1) = 0 kills the direction
+        g = td0_direction(0.9, np.array([[2.0]]), obs(TWO_FEATS, 0, 1, 1.0))
+        np.testing.assert_allclose(g, [[1.0 + 0.9 * 0.0 - 2.0]])
+        g = td0_direction(0.9, np.array([[2.0]]), obs(TWO_FEATS, 1, 0, 0.0))
+        np.testing.assert_allclose(g, [[0.0]])  # phi(1) = 0 kills the direction
 
     def test_batch_matches_scalar_calls_bitwise(self):
-        rng = generator(5)
-        thetas = rng.normal(size=(1, 50))
-        s = rng.integers(0, 2, size=50)
-        sp = rng.integers(0, 2, size=50)
-        provider = TD0Provider(TWO_MODEL)
-        batch = provider.direction(thetas, provider.observe(s, sp))
-        for i in range(50):
-            single = provider.direction(thetas[:, i],
-                                        provider.observe(int(s[i]), int(sp[i])))
-            assert np.array_equal(batch[:, i], single)
+        # a single parameter is the one-lane batch theta[:, [i]]: every
+        # provider's direction and steady map give it the bits of column i of
+        # a 50-lane batch. TD(0)'s steady map, steady_state_direction, is a
+        # BLAS product, which runs one lane as a matrix-vector call; its bits
+        # can differ from the many-lane matrix product's when K > 1, so that
+        # map is held to this at K = 1
+        models = [TWO_MODEL] + [
+            build_steady_state(random_mrp(12, 0.5, seed=70 + K),
+                               random_features(12, K, seed=80 + K))
+            for K in (3, 9)]
+        for j, model in enumerate(models):
+            rng = generator(5 + j)
+            n, K = model.mrp.n, model.K
+            thetas = rng.normal(size=(K, 50)) * 3.0
+            s = rng.integers(0, n, size=50)
+            sp = rng.integers(0, n, size=50)
+            star, noise = rng.normal(size=K), rng.normal(size=(n, K))
+            providers = [TD0Provider(model),
+                         LinearContractionProvider(star, noise, model),
+                         SaturatingMonotoneProvider(star, noise, model)]
+            for provider in providers:
+                batch = provider.direction(thetas, provider.observe(s, sp))
+                steady = provider.steady(thetas)
+                exact_steady = K == 1 or provider is not providers[0]
+                for i in range(50):
+                    lane = thetas[:, [i]]
+                    single = provider.direction(lane, provider.observe(s[[i]], sp[[i]]))
+                    assert np.array_equal(batch[:, i], single[:, 0])
+                    if exact_steady:
+                        assert np.array_equal(steady[:, i], provider.steady(lane)[:, 0])
 
     def test_batch_matches_scalar_calls_bitwise_k9(self):
         # nine features take numpy's 8-accumulator pairwise order
@@ -97,16 +119,16 @@ class TestTD0Direction:
         r = rng.uniform(-1.0, 1.0, size=40)
         batch = td0_direction(0.7, thetas, obs(feats, s, sp, r))
         for i in range(40):
-            single = td0_direction(0.7, thetas[:, i],
+            single = td0_direction(0.7, thetas[:, [i]],
                                    obs(feats, int(s[i]), int(sp[i]), float(r[i])))
-            assert np.array_equal(batch[:, i], single)
+            assert np.array_equal(batch[:, i], single[:, 0])
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.floats(-10, 10, allow_nan=False), min_size=1, max_size=1),
            st.lists(st.floats(-10, 10, allow_nan=False), min_size=1, max_size=1),
            st.floats(0.0, 1.0, allow_nan=False))
     def test_affine_consistency(self, t1, t2, lam):
-        theta1, theta2 = np.array(t1), np.array(t2)
+        theta1, theta2 = np.array(t1)[:, None], np.array(t2)[:, None]
         X = obs(TWO_FEATS, 0, 1, 1.0)
         mix = td0_direction(0.9, lam * theta1 + (1 - lam) * theta2, X)
         combo = (lam * td0_direction(0.9, theta1, X)
@@ -359,7 +381,7 @@ class TestAuditProvider:
     def test_steep_steady_map_fails_steady_lipschitz(self):
         class Steep(LinearContractionProvider):
             def steady(self, theta):
-                return 3.0 * (self.theta_star - np.asarray(theta, dtype=float))
+                return 3.0 * (self.theta_star[:, None] - theta)
 
         provider = Steep([0.3], [[1.0], [-2.0]], TWO_MODEL)
         audit = audit_provider(provider, 20_000, seed=2)
