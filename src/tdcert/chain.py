@@ -3,9 +3,9 @@
 Validation of the irreducibility/aperiodicity assumption, exact stationary
 distributions, the total-variation curve read off exact matrix powers
 (non-increasing, so the last recorded distance bounds every later step), and
-the exact table sampler of transitions. Everything here is deterministic
-given its seed; all objects are immutable after construction and safe to
-share across threads.
+the exact table samplers of transitions and start states. Everything here is
+deterministic given its seed; all objects are immutable after construction
+and safe to share across threads.
 """
 
 from dataclasses import dataclass
@@ -18,6 +18,8 @@ _MASK64 = (1 << 64) - 1
 # buffers, and the lanes ``KeyedStreams`` draws per transposed tile
 BLOCK = 512
 _LANE_CHUNK = 64
+# the most cells ``InverseCdfTable`` builds at once (whole rows, at least one)
+_TABLE_CHUNK = 1 << 16
 _ROW_SUM_TOL = 1e-9
 # below this the matrix-power differences are dominated by rounding noise, so
 # from the first step under it on the TV curve is stored as this value, its
@@ -155,20 +157,31 @@ class InverseCdfTable:
     bucket whose count (capped at n - 1) is the same at both ends answers for
     every u in it; a bucket that a CDF value splits is marked -1, and only
     the lanes that land in one make u and compare it with their row.
+
+    The table is built without a search (Chen & Asau's guide table). B is a
+    power of two, so x = cum B is exact, and bucket b's count at its left
+    edge, #{j : cum_j <= b / B}, is #{j : ceil(x_j) <= b}; just below its
+    right edge, #{j : cum_j < (b + 1) / B}, it is #{j : floor(x_j) <= b}.
+    Both marks are non-decreasing along a row, so each count row is the run
+    of count k over buckets [mark_{k-1}, mark_k): one ``repeat``. Rows go
+    ``_TABLE_CHUNK`` cells at a time, so the build's scratch memory does not
+    grow with the table.
     """
 
     def __init__(self, cum):
         cum = np.asarray(cum, dtype=float)
         m, n = cum.shape
         B = max(256, 1 << (16 * n - 1).bit_length())
-        edges = np.arange(B + 1) / B
         dtype = np.int8 if n <= 127 else np.int16 if n <= 32767 else np.int32
         table = np.empty((m, B), dtype=dtype)
-        for i, row in enumerate(cum):
-            # count at the bucket's left edge and just below its right edge
-            lo = np.minimum(np.searchsorted(row, edges[:-1], side="right"), n - 1)
-            hi = np.minimum(np.searchsorted(row, edges[1:], side="left"), n - 1)
-            table[i] = np.where(lo == hi, lo, -1)
+        counts = np.minimum(np.arange(n + 1), n - 1).astype(dtype)
+        step = max(1, _TABLE_CHUNK // B)
+        for r in range(0, m, step):
+            x = cum[r:r + step] * B
+            lo = _runs(np.ceil(x), counts, B)
+            hi = _runs(np.floor(x), counts, B)
+            lo[lo != hi] = -1
+            table[r:r + step] = lo.reshape(-1, B)
         self.cum = cum
         self.n = n
         self.B = B
@@ -191,6 +204,15 @@ class InverseCdfTable:
         return idx
 
 
+def _runs(marks, counts, B):
+    """The rows' bucket counts laid end to end: for each row of integral
+    ``marks``, B entries, ``counts[k]`` over buckets [mark_{k-1}, mark_k)
+    with mark_{-1} = 0 and mark_n = B, marks clipped to [0, B]."""
+    edges = np.clip(marks, 0, B).astype(np.intp)
+    runs = np.diff(edges, axis=1, prepend=0, append=B)
+    return np.repeat(np.tile(counts, len(edges)), runs.ravel())
+
+
 class MarkovRewardProcess:
     """A finite MRP: row-stochastic transitions, expected per-state rewards,
     and a discount factor strictly inside (0, 1).
@@ -198,9 +220,10 @@ class MarkovRewardProcess:
     Rows of the transition matrix must sum to 1 within 1e-9 on input and are
     renormalized exactly; the matrix is then frozen. ``r_bar`` is the largest
     absolute reward, recomputed at construction. Because the process is
-    immutable, its validation report, stationary law and batch transition
-    sampler are computed once, on first use (``validation``, ``pi``,
-    ``sampler``); an invalid chain raises from ``pi`` on every access.
+    immutable, its validation report, stationary law and batch samplers of
+    transitions and of start states are computed once, on first use
+    (``validation``, ``pi``, ``sampler``, ``pi_sampler``); an invalid chain
+    raises from ``pi`` (and ``pi_sampler``) on every access.
     """
 
     def __init__(self, P, R, gamma):
@@ -247,6 +270,11 @@ class MarkovRewardProcess:
     def sampler(self) -> InverseCdfTable:
         """Batch transition sampler over the rows of ``cum_P``."""
         return InverseCdfTable(self.cum_P)
+
+    @cached_property
+    def pi_sampler(self) -> InverseCdfTable:
+        """One-row sampler of the stationary law, for start states."""
+        return InverseCdfTable(np.cumsum(self.pi)[None, :])
 
     def to_dict(self):
         return {

@@ -11,10 +11,10 @@ one result: it runs the config's trials as lanes, lane i on the stream
 rerun of the same config replays every lane bit for bit. Lanes are the last
 axis of (K, trials) arrays, one column per lane. The raw words of the
 transitions and the delays are each drawn from one re-keyed Philox in
-step-major blocks (``chain.KeyedStreams``), transitions come from the
-chain's exact table sampler on those words (``mrp.sampler``), and every
-K-wide sum goes through ``rowsum``,
-which adds the K rows in the order numpy sums one vector, so a lane's bits
+step-major blocks (``chain.KeyedStreams``), transitions and start states
+come from the chain's exact table samplers on those words (``mrp.sampler``,
+``mrp.pi_sampler``), and every K-wide sum goes through ``rowsum``, which
+adds the K rows in the order numpy sums one vector, so a lane's bits
 do not depend on how many lanes run beside it. Per-step aggregation reduces
 over the trial axis in a fixed order, so results do not depend on
 scheduling; an averaging run skips those reductions and keeps only each
@@ -38,7 +38,6 @@ import numpy as np
 from .chain import (
     BLOCK,
     ChainError,
-    InverseCdfTable,
     KeyedStreams,
     derive_seed,
 )
@@ -265,8 +264,7 @@ def _simulate(config: ExperimentConfig, average: bool = False,
     # G^2 / 2, inside the guard whatever the rounding; one max over the batch
     # costs a third of the exact row sums
     safe = DIVERGENCE_GUARD / math.sqrt(2 * K)
-    pi_sampler = InverseCdfTable(np.cumsum(mrp.pi)[None, :])
-    sampler, F = mrp.sampler, provider.state_table
+    pi_sampler, sampler, F = mrp.pi_sampler, mrp.sampler, provider.state_table
     iid = config.sampling == "iid_restart"
     draws = 2 if iid else 1
 

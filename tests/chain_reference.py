@@ -1,10 +1,12 @@
-"""Plain-Python references for the chain module's seed hashing and chain
-validation, and a sampled check of the chain's D-norm contraction.
+"""Plain-Python references for the chain module's seed hashing, chain
+validation and sampler table, and a sampled check of the chain's D-norm
+contraction.
 
 ``derive_seed`` hashes Python ints one at a time with splitmix64 masked to 64
 bits, and ``validate_chain`` walks adjacency lists breadth first and folds
 the period edge by edge with ``math.gcd``; the library does both on numpy
-arrays.
+arrays. ``inverse_cdf_table`` searches each row at every bucket edge, where
+the library counts integer marks in run-length passes.
 """
 
 from math import gcd
@@ -65,6 +67,24 @@ def validate_chain(mrp) -> ValidationReport:
     period = abs(g) if g != 0 else 0
     return ValidationReport(irreducible, period == 1, period, not_reachable,
                             not_coreachable)
+
+
+def inverse_cdf_table(cum):
+    """``InverseCdfTable(cum)``'s B and flat table, two ``searchsorted``
+    calls per row: a bucket's count (capped at n - 1) at its left edge and
+    just below its right edge, or -1 where the two differ."""
+    cum = np.asarray(cum, dtype=float)
+    m, n = cum.shape
+    B = max(256, 1 << (16 * n - 1).bit_length())
+    edges = np.arange(B + 1) / B
+    dtype = np.int8 if n <= 127 else np.int16 if n <= 32767 else np.int32
+    table = np.empty((m, B), dtype=dtype)
+    for i, row in enumerate(cum):
+        # count at the bucket's left edge and just below its right edge
+        lo = np.minimum(np.searchsorted(row, edges[:-1], side="right"), n - 1)
+        hi = np.minimum(np.searchsorted(row, edges[1:], side="left"), n - 1)
+        table[i] = np.where(lo == hi, lo, -1)
+    return B, table.reshape(-1)
 
 
 def dnorm_contraction_margin(mrp, sample_count: int, seed: int) -> float:

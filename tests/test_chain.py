@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 import chain_reference
 from mixing_reference import tv_reference
+from tdcert.bundled import bundled_config, bundled_names
 from tdcert.chain import (
     _TV_CLAMP,
     BLOCK,
@@ -39,6 +42,15 @@ def full_row(cum, w):
     u = unit(np.asarray(w, dtype=np.uint64))
     rows = cum if cum.ndim == 2 else cum[None, :]
     return np.minimum((rows <= u[:, None]).sum(axis=1), cum.shape[-1] - 1)
+
+
+def assert_reference_table(table):
+    """``table`` equals the per-row search build of its rows: the same B,
+    dtype and bytes."""
+    B, ref = chain_reference.inverse_cdf_table(table.cum)
+    assert table.B == B
+    assert table.table.dtype == ref.dtype
+    assert table.table.tobytes() == ref.tobytes()
 
 
 def make(P, R=None, gamma=0.5):
@@ -433,6 +445,7 @@ class TestInverseCdfTable:
     @given(_cdf_rows(), st.data())
     def test_matches_full_row_comparison(self, cum, data):
         table = InverseCdfTable(cum)
+        assert_reference_table(table)
         m, n = cum.shape
         extra = np.array(data.draw(st.lists(st.integers(0, 2 ** 64 - 1), max_size=20)),
                          dtype=np.uint64)
@@ -452,8 +465,7 @@ class TestInverseCdfTable:
         w = np.concatenate([w, words(n, 5000)])
         s = generator(n + 1).integers(0, n, size=w.shape[0])
         assert np.array_equal(table.pick(w, s), full_row(mrp.cum_P[s], w))
-        pi_table = InverseCdfTable(np.cumsum(mrp.pi)[None, :])
-        assert np.array_equal(pi_table.pick(w), full_row(np.cumsum(mrp.pi), w))
+        assert np.array_equal(mrp.pi_sampler.pick(w), full_row(np.cumsum(mrp.pi), w))
 
     def test_bucket_is_the_top_bits_of_the_word(self):
         # floor(unit(w) * B) = w >> (64 - b) for every bucket edge and its
@@ -474,6 +486,53 @@ class TestInverseCdfTable:
     def test_chain_sampler_is_built_once(self):
         mrp = make(TWO_STATE)
         assert mrp.sampler is mrp.sampler
+        assert mrp.pi_sampler is mrp.pi_sampler
         w = words(9, 1000)
         s = np.repeat([0, 1], 500)
         assert np.array_equal(mrp.sampler.pick(w, s), full_row(mrp.cum_P[s], w))
+        assert np.array_equal(mrp.pi_sampler.pick(w), full_row(np.cumsum(mrp.pi), w))
+
+    @pytest.mark.parametrize("name", bundled_names())
+    def test_bundled_tables_match_reference_build(self, name):
+        mrp = mrp_from_dict(bundled_config(name)["instance"]["chain"])
+        assert_reference_table(mrp.sampler)
+        assert_reference_table(mrp.pi_sampler)
+
+    @pytest.mark.parametrize("n", [1, 2, 6, 150, 300])
+    def test_random_chain_tables_match_reference_build(self, n):
+        mrp = random_mrp(n, 0.3, seed=n) if n > 1 else make([[1.0]])
+        assert_reference_table(mrp.sampler)
+        assert_reference_table(mrp.pi_sampler)
+
+    @pytest.mark.parametrize("last", [1.0 - 2.0 ** -53, 1.0, 1.0 + 2.0 ** -52])
+    @pytest.mark.parametrize("n", [1, 2, 7, 17, 150, 300])
+    def test_edge_rows_match_reference_build(self, n, last):
+        # CDF values on bucket edges k/B and an ulp either side of them, runs
+        # of zero-probability cells, and a last value just below, at or just
+        # above 1
+        B = InverseCdfTable(np.ones((1, n))).B
+        rng = generator(n)
+        grid = rng.integers(0, B + 1, size=(4, n - 1)) / B
+        rows = [
+            grid[0],
+            np.repeat(grid[1][: (n + 1) // 2], 2)[: n - 1],
+            np.nextafter(grid[2], rng.choice([-1.0, 2.0], size=n - 1)),
+            np.where(rng.random(n - 1) < 0.5, grid[3], rng.random(n - 1)),
+            np.zeros(n - 1),
+            np.full(n - 1, last),
+        ]
+        cum = np.array([np.append(np.sort(np.clip(r, 0.0, last)), last) for r in rows])
+        assert_reference_table(InverseCdfTable(cum))
+
+    def test_build_memory_does_not_grow_with_the_table(self):
+        # the build holds one chunk of rows at a time: at n = 300 it peaks
+        # at most 1 MiB above the 4.9 MB table it returns
+        cum = random_mrp(300, 0.5, seed=1501).cum_P
+        tracemalloc.start()
+        try:
+            table = InverseCdfTable(cum)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.table.nbytes == 300 * 8192 * 2
+        assert table.table.nbytes <= peak <= table.table.nbytes + (1 << 20)

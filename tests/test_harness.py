@@ -12,6 +12,7 @@ from tdcert import bundled
 from tdcert.chain import (
     BLOCK,
     ChainError,
+    InverseCdfTable,
     KeyedStreams,
     MarkovRewardProcess,
     derive_seed,
@@ -418,6 +419,23 @@ class TestEstimate:
             estimate = estimate_dt_et(fast_config(trials=500, T=20, delays=delays))
             assert estimate.abort_step is None
             assert 1 <= len(built) <= 2
+
+    def test_samplers_built_once_per_chain(self, monkeypatch):
+        # the transition and start-state tables live on the chain, so runs
+        # and sweep points after the first build none
+        built = []
+        init = InverseCdfTable.__init__
+
+        def counting(table, cum):
+            built.append(cum.shape)
+            init(table, cum)
+
+        monkeypatch.setattr(InverseCdfTable, "__init__", counting)
+        mrp = MarkovRewardProcess(FAST.P, FAST.R, FAST.gamma)
+        provider = TD0Provider(build_steady_state(mrp, FAST_FEATS))
+        for sampling in ("markov", "iid_restart", "markov"):
+            _simulate(fast_config(provider=provider, T=20, trials=5, sampling=sampling))
+        assert sorted(built) == [(1, 2), (2, 2)]
 
     @pytest.mark.parametrize("start_state", [-1, 2])
     def test_start_state_out_of_range_rejected(self, start_state):
