@@ -213,9 +213,20 @@ def _runs(marks, counts, B):
     return np.repeat(np.tile(counts, len(edges)), runs.ravel())
 
 
+def finite_array(name: str, value, error: type) -> np.ndarray:
+    """value as a float array, refused (``error`` naming ``name`` and the
+    first bad index) if an entry is NaN or infinite."""
+    array = np.array(value, dtype=float)
+    bad = np.argwhere(~np.isfinite(array))
+    if bad.size:
+        index = tuple(int(i) for i in bad[0])
+        raise error(f"{name} has a non-finite entry {array[index]} at index {index}")
+    return array
+
+
 class MarkovRewardProcess:
     """A finite MRP: row-stochastic transitions, expected per-state rewards,
-    and a discount factor strictly inside (0, 1).
+    and a discount factor strictly inside (0, 1), all finite.
 
     Rows of the transition matrix must sum to 1 within 1e-9 on input and are
     renormalized exactly; the matrix is then frozen. ``r_bar`` is the largest
@@ -227,8 +238,8 @@ class MarkovRewardProcess:
     """
 
     def __init__(self, P, R, gamma):
-        P = np.array(P, dtype=float)
-        R = np.array(R, dtype=float).reshape(-1)
+        P = finite_array("transition matrix P", P, ChainError)
+        R = finite_array("reward vector R", R, ChainError).reshape(-1)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ChainError(f"transition matrix must be square, got shape {P.shape}")
         n = P.shape[0]

@@ -87,7 +87,7 @@ def _build_provider(prov_cfg: dict, model):
     if kind == "saturating":
         return SaturatingMonotoneProvider(
             prov_cfg["theta_star"], prov_cfg["noise"], model,
-            a=prov_cfg.get("a", 0.7), b=prov_cfg.get("b", 0.3))
+            **{key: prov_cfg[key] for key in ("a", "b") if key in prov_cfg})
     raise ConfigError(f"unknown provider kind {kind!r}")
 
 

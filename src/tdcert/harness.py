@@ -14,8 +14,8 @@ transitions and the delays are each drawn from one re-keyed Philox in
 step-major blocks (``chain.KeyedStreams``), transitions and start states
 come from the chain's exact table samplers on those words (``mrp.sampler``,
 ``mrp.pi_sampler``), and every K-wide sum goes through ``rowsum``, which
-adds the K rows in the order numpy sums one vector, so a lane's bits
-do not depend on how many lanes run beside it. Per-step aggregation reduces
+adds the K rows left to right, so a lane's bits do not depend on how many
+lanes run beside it. Per-step aggregation reduces
 over the trial axis in a fixed order, so results do not depend on
 scheduling; an averaging run skips those reductions and keeps only each
 lane's weighted average. Every check takes only the estimate and reads
@@ -438,10 +438,6 @@ class BoundLedger:
     slack: dict
     n_steps: int
     notes: str = ""
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
 
     def to_dict(self) -> dict:
         return asdict(self)

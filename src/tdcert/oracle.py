@@ -19,6 +19,7 @@ from .chain import (
     MarkovRewardProcess,
     generator,
     derive_seed,
+    finite_array,
 )
 
 _OMEGA_TOL = 1e-10
@@ -46,12 +47,12 @@ class CertificationError(RuntimeError):
 class FeatureMatrix:
     """Per-state feature rows phi(s), stacked into an n-by-K matrix.
 
-    Columns must be linearly independent (smallest singular value > 1e-10)
-    and every row must satisfy ||phi(s)||^2 <= 1.
+    Entries must be finite, columns linearly independent (smallest singular
+    value > 1e-10), and every row must satisfy ||phi(s)||^2 <= 1.
     """
 
     def __init__(self, Phi):
-        Phi = np.array(Phi, dtype=float)
+        Phi = finite_array("feature matrix Phi", Phi, FeatureError)
         if Phi.ndim != 2:
             raise FeatureError(f"feature matrix must be 2-D, got shape {Phi.shape}")
         n, K = Phi.shape

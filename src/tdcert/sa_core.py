@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import BLOCK, KeyedStreams, derive_seed, generator, unit
+from .chain import BLOCK, KeyedStreams, derive_seed, finite_array, generator, unit
 from .oracle import (
     MixingTimeCertificate,
     SteadyStateModel,
@@ -45,44 +45,34 @@ def fingerprint(payload: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _pairwise(x, lo, n):
-    """Sum of rows lo..lo+n-1 of x in the order of numpy's pairwise sum."""
-    if n < 8:
-        acc = x[lo]
-        for j in range(lo + 1, lo + n):
-            acc = acc + x[j]
-        return acc
-    if n <= 128:
-        part = [x[lo + j] for j in range(8)]
-        stop = lo + n - n % 8
-        for i in range(lo + 8, stop, 8):
-            part = [part[j] + x[i + j] for j in range(8)]
-        acc = ((part[0] + part[1]) + (part[2] + part[3])) + \
-              ((part[4] + part[5]) + (part[6] + part[7]))
-        for j in range(stop, lo + n):
-            acc = acc + x[j]
-        return acc
-    half = n // 2
-    half -= half % 8
-    return _pairwise(x, lo, half) + _pairwise(x, lo + half, n - half)
-
-
 def rowsum(x):
-    """The sum of the K rows of a (K, lanes) batch: each lane's K-vector
-    summed as numpy sums a contiguous vector, bit for bit
-    (``np.ascontiguousarray(x.T).sum(axis=-1)``); a (K,) vector gives its sum.
+    """The sum of the K rows of a (K, lanes) batch, added left to right:
+    each lane's sum is ((0.0 + x_0) + x_1) + ... + x_{K-1}; a (K,) vector
+    gives its sum.
 
-    numpy reduces a contiguous vector with its pairwise summation: one
-    running sum below 8 terms, else 8 interleaved accumulators added as a
-    tree (blocks of more than 128 terms are halved first), on top of the
-    identity 0.0. Adding whole rows in that order gives the same bits with a
-    few vector adds instead of one short reduction per lane. The trailing
-    ``+ 0.0`` is the identity; it only turns a -0.0 into 0.0.
+    The order is fixed, so a lane's bits do not depend on how many lanes run
+    beside it. Below 8 terms it is also numpy's order for a contiguous
+    vector. The ``+ 0.0`` is the identity; it only turns a -0.0 into 0.0.
     """
-    x = np.asarray(x)
-    if x.shape[0] == 0:
-        return x.sum(axis=0)
-    return _pairwise(x, 0, x.shape[0]) + 0.0
+    acc = x[0] + 0.0
+    for j in range(1, x.shape[0]):
+        acc += x[j]
+    return acc
+
+
+def _centered_noise(theta_star, noise_table, model):
+    """(theta_star, noise) of a generic provider as float arrays, the (n, K)
+    noise table centered under the model's pi; refused (ConfigError) unless
+    theta_star has at least one coordinate, the table matches the chain and
+    theta_star, and every entry is finite."""
+    theta_star = finite_array("theta_star", theta_star, ConfigError).reshape(-1)
+    if theta_star.size == 0:
+        raise ConfigError("theta_star needs at least one coordinate")
+    noise = finite_array("noise", noise_table, ConfigError)
+    if noise.shape != (model.mrp.n, theta_star.size):
+        raise ConfigError(f"noise table has shape {noise.shape}, expected "
+                          f"(n, K) = {(model.mrp.n, theta_star.size)}")
+    return theta_star, noise - model.mrp.pi @ noise
 
 
 def td0_direction(gamma: float, theta, X):
@@ -166,7 +156,7 @@ class UpdateDirectionProvider:
     def initial_theta(self, theta0) -> np.ndarray:
         """theta0 as a float vector of the provider's dimension (zeros if None)."""
         theta0 = (np.zeros(self.dim) if theta0 is None
-                  else np.array(theta0, dtype=float).reshape(-1))
+                  else finite_array("theta0", theta0, ConfigError).reshape(-1))
         if theta0.shape[0] != self.dim:
             raise ConfigError(f"theta0 has length {theta0.shape[0]} but the "
                               f"provider has dimension {self.dim}")
@@ -229,11 +219,7 @@ class LinearContractionProvider(UpdateDirectionProvider):
     c(s). Exactly 1-Lipschitz and 1-monotone."""
 
     def __init__(self, theta_star, noise_table, model):
-        theta_star = np.array(theta_star, dtype=float).reshape(-1)
-        noise = np.array(noise_table, dtype=float)
-        if noise.ndim != 2 or noise.shape[1] != theta_star.shape[0]:
-            raise ValueError("noise table must be n x K")
-        noise = noise - model.mrp.pi @ noise  # recenter under pi
+        theta_star, noise = _centered_noise(theta_star, noise_table, model)
         self.model = model
         self.c_table = theta_star[None, :] + noise
         self.state_table = np.ascontiguousarray(self.c_table.T)
@@ -266,18 +252,17 @@ class SaturatingMonotoneProvider(UpdateDirectionProvider):
     constant a + b."""
 
     def __init__(self, theta_star, noise_table, model, a=0.7, b=0.3):
-        if a <= 0 or b < 0:
-            raise ValueError("need a > 0 and b >= 0")
-        theta_star = np.array(theta_star, dtype=float).reshape(-1)
-        noise = np.array(noise_table, dtype=float)
-        noise = noise - model.mrp.pi @ noise
+        a, b = float(a), float(b)
+        if not (0.0 < a < math.inf and 0.0 <= b < math.inf):
+            raise ConfigError(f"need finite a > 0 and b >= 0, got a={a}, b={b}")
+        theta_star, noise = _centered_noise(theta_star, noise_table, model)
         self.model = model
         self.noise_table = noise
         self.state_table = np.ascontiguousarray(noise.T)
         self.theta_star = theta_star
         self.dim = theta_star.shape[0]
-        self.a = float(a)
-        self.b = float(b)
+        self.a = a
+        self.b = b
         self.L = max(1.0, self.a + self.b)
         self.beta = self.a
         nmax = float(np.linalg.norm(noise, axis=1).max(initial=0.0))

@@ -69,8 +69,20 @@ class TestConstruction:
         with pytest.raises(ChainError, match="lie in"):
             MarkovRewardProcess([[1.2, -0.2], [0.5, 0.5]], [0, 0], 0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_transition_rejected(self, bad):
+        # a NaN would pass the [0, 1] and row-sum checks, which it fails
+        # to compare with
+        with pytest.raises(ChainError, match=r"transition matrix P .* at index \(1, 0\)"):
+            MarkovRewardProcess([[0.5, 0.5], [bad, 1.0]], [0, 0], 0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_reward_rejected(self, bad):
+        with pytest.raises(ChainError, match=r"reward vector R .* at index \(0,\)"):
+            MarkovRewardProcess([[0.5, 0.5], [0.5, 0.5]], [bad, 1.0], 0.5)
+
     def test_gamma_strictly_inside_unit_interval(self):
-        for gamma in (0.0, 1.0, -0.1, 1.5):
+        for gamma in (0.0, 1.0, -0.1, 1.5, np.nan, np.inf):
             with pytest.raises(ChainError, match="gamma"):
                 MarkovRewardProcess([[1.0]], [1.0], gamma)
 

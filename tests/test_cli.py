@@ -325,6 +325,65 @@ class TestRunCommand:
             == EXIT_INVALID_INPUT
 
 
+TWO_STATE_CFG = {
+    "instance": {
+        "chain": {"kind": "explicit", "transitions": [[0.6, 0.4], [0.3, 0.7]],
+                  "rewards": [1.0, 0.0], "gamma": 0.5},
+        "features": {"kind": "explicit", "Phi": [[1.0], [0.5]]},
+    },
+    "experiment": {"kind": "boundedness", "T": 50, "trials": 100},
+}
+LINEAR = {"kind": "linear_contraction", "theta_star": [0.5], "noise": [[1.0], [-1.0]]}
+SATURATING = dict(LINEAR, kind="saturating")
+
+
+class TestInputRefusedWhereItEnters:
+    # each value is refused by the constructor that takes it, naming its
+    # field, so both commands exit 3 before writing anything; JSON numbers
+    # read by Python's json may be NaN or Infinity
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("instance.chain", "transitions", [[float("nan"), 1.0], [0.3, 0.7]],
+         "transition matrix P has a non-finite entry nan at index (0, 0)"),
+        ("instance.chain", "rewards", [float("nan"), 1.0],
+         "reward vector R has a non-finite entry nan at index (0,)"),
+        ("instance.features", "Phi", [[1.0], [float("nan")]],
+         "feature matrix Phi has a non-finite entry nan at index (1, 0)"),
+        ("instance", "theta0", [float("nan")],
+         "theta0 has a non-finite entry nan at index (0,)"),
+        ("provider", None, dict(LINEAR, theta_star=[float("nan")]),
+         "theta_star has a non-finite entry nan at index (0,)"),
+        ("provider", None, dict(LINEAR, noise=[[1.0], [float("inf")]]),
+         "noise has a non-finite entry inf at index (1, 0)"),
+        ("provider", None, dict(SATURATING, theta_star=[float("-inf")]),
+         "theta_star has a non-finite entry -inf at index (0,)"),
+        ("provider", None, dict(SATURATING, noise=[[float("nan")], [1.0]]),
+         "noise has a non-finite entry nan at index (0, 0)"),
+        ("provider", None, dict(SATURATING, a=float("nan")),
+         "need finite a > 0 and b >= 0"),
+        ("provider", None, dict(LINEAR, theta_star=[], noise=[[], []]),
+         "theta_star needs at least one coordinate"),
+        ("provider", None, dict(SATURATING, theta_star=[], noise=[[], []]),
+         "theta_star needs at least one coordinate"),
+    ])
+    def test_bad_value_exits_invalid(self, tmp_path, capsys, section, key, value,
+                                     message):
+        cfg = json.loads(json.dumps(TWO_STATE_CFG))
+        if key is None:
+            cfg[section] = value
+        else:
+            doc = cfg
+            for part in section.split("."):
+                doc = doc[part]
+            doc[key] = value
+        path = write_cfg(tmp_path, cfg)
+        for command in ("oracle", "run"):
+            out = tmp_path / command
+            assert main([command, "--config", path, "--out", str(out)]) \
+                == EXIT_INVALID_INPUT
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+
+
 class TestSweepCommand:
     def test_alpha_sweep_summary(self, tmp_path):
         cfg = bundled_config("theorem2_base")

@@ -306,7 +306,7 @@ class TestEstimate:
     @pytest.mark.parametrize("K", [3, 8, 9])
     @pytest.mark.parametrize("sampling", ["markov", "iid_restart"])
     def test_batch_lanes_equal_single_trials_multi_feature(self, K, sampling):
-        # K=8 and K=9 row sums take numpy's 8-accumulator pairwise order
+        # K=8 and K=9: past the K < 8 range where rowsum is numpy's order
         cfg = wide_config(K, sampling=sampling)
         paths = kernel_paths(cfg)
         for i in range(cfg.trials):

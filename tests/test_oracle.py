@@ -48,6 +48,12 @@ class TestFeatureMatrix:
         with pytest.raises(FeatureError, match="rank"):
             FeatureMatrix([[1.0, 1.0], [0.5, 0.5]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        # refused before the SVD, which would fail to converge on a NaN
+        with pytest.raises(FeatureError, match=r"feature matrix Phi .* at index \(1, 0\)"):
+            FeatureMatrix([[0.5], [bad]])
+
     def test_oversized_row_rejected(self):
         with pytest.raises(FeatureError, match="squared norm"):
             FeatureMatrix([[1.0, 0.5], [0.0, 1.0]])
