@@ -160,7 +160,7 @@ def bundled_names():
     return sorted(_REGISTRY)
 
 def bundled_config(name: str) -> dict:
-    if name not in _REGISTRY:
+    if not isinstance(name, str) or name not in _REGISTRY:
         raise KeyError(f"unknown bundled config {name!r}; "
                        f"known: {', '.join(bundled_names())}")
     return copy.deepcopy(_REGISTRY[name])

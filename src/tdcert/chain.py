@@ -8,6 +8,7 @@ deterministic given its seed; all objects are immutable after construction
 and safe to share across threads.
 """
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -214,14 +215,37 @@ def _runs(marks, counts, B):
 
 
 def finite_array(name: str, value, error: type) -> np.ndarray:
-    """value as a float array, refused (``error`` naming ``name`` and the
-    first bad index) if an entry is NaN or infinite."""
-    array = np.array(value, dtype=float)
+    """value as a float array, refused (``error`` naming ``name``) unless it
+    is a (nested) list or array of numbers, without strings, objects or bools,
+    whose entries are all finite; a bad entry is named by its first index."""
+    try:
+        array = np.asarray(value)
+    except ValueError:  # ragged rows
+        array = np.asarray(None)
+    # a bool among the numbers of a list would read as 0 or 1
+    if array.dtype.kind not in "iuf" or not isinstance(value, np.ndarray) and any(
+            isinstance(x, bool) for x in np.asarray(value, dtype=object).flat):
+        raise error(f"{name} must be an array of numbers, got {value!r:.80}")
+    array = np.array(array, dtype=float)
     bad = np.argwhere(~np.isfinite(array))
     if bad.size:
         index = tuple(int(i) for i in bad[0])
         raise error(f"{name} has a non-finite entry {array[index]} at index {index}")
     return array
+
+
+def is_number(value) -> bool:
+    """Whether value is a real number: not a string, list, object or bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def integer(name: str, value, error: type) -> int:
+    """value as an int, refused (``error`` naming ``name``) unless it is a
+    whole number: an integer other than a bool, or a float with no fraction."""
+    if (isinstance(value, float) and value.is_integer()
+            or isinstance(value, numbers.Integral) and not isinstance(value, bool)):
+        return int(value)
+    raise error(f"{name} must be an integer, got {value!r}")
 
 
 class MarkovRewardProcess:
@@ -255,8 +279,8 @@ class MarkovRewardProcess:
             raise ChainError(
                 f"row {bad[0]} of P sums to {row_sums[bad[0]]:.12g}, expected 1"
             )
-        if not (0.0 < float(gamma) < 1.0):
-            raise ChainError(f"gamma must lie strictly in (0, 1), got {gamma}")
+        if not (is_number(gamma) and 0.0 < gamma < 1.0):
+            raise ChainError(f"gamma must lie strictly in (0, 1), got {gamma!r}")
         P = np.clip(P, 0.0, None)
         P /= P.sum(axis=1, keepdims=True)
         self.P = P
@@ -448,8 +472,9 @@ def tv_mixing_profile(mrp: MarkovRewardProcess, horizon: int):
 def cycle_mrp(n: int, epsilon: float, gamma: float = 0.5, rewards=None) -> MarkovRewardProcess:
     """Lazy random walk on an n-cycle: stay with probability epsilon, step to
     each neighbour with probability (1 - epsilon)/2."""
-    if not (0.0 < epsilon < 1.0):
-        raise ChainError(f"epsilon must lie in (0, 1), got {epsilon}")
+    n = integer("n", n, ChainError)
+    if not (is_number(epsilon) and 0.0 < epsilon < 1.0):
+        raise ChainError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     P = np.zeros((n, n))
     for i in range(n):
         P[i, i] += epsilon
@@ -465,8 +490,9 @@ def random_mrp(n: int, density: float, seed: int, gamma: float = 0.5,
     """Random stochastic matrix with roughly `density` positive entries per
     row, rejection-sampled until the chain is irreducible and aperiodic.
     Rewards are drawn uniformly from [-1, 1]."""
-    if not (0.0 < density <= 1.0):
-        raise ChainError(f"density must lie in (0, 1], got {density}")
+    n, seed = integer("n", n, ChainError), integer("seed", seed, ChainError)
+    if not (is_number(density) and 0.0 < density <= 1.0):
+        raise ChainError(f"density must lie in (0, 1], got {density!r}")
     rng = generator(derive_seed(seed, 0x6D72))
     # a single positive entry per row makes every candidate deterministic,
     # which can never be both irreducible and aperiodic for n >= 2
@@ -491,23 +517,20 @@ def mrp_from_dict(cfg: dict) -> MarkovRewardProcess:
     """Build an MRP from a config mapping.
 
     Either explicit (keys: states, transitions, rewards, gamma) or generated
-    (kind: cycle | random with the generator's parameters).
+    (kind: cycle | random with the generator's parameters). Each kind asks
+    for every key it knows, given or not: its keys are the keys it asks for.
     """
     kind = cfg.get("kind", "explicit")
     if kind == "explicit":
-        P = cfg["transitions"]
-        R = cfg["rewards"]
-        gamma = cfg["gamma"]
-        if "states" in cfg and int(cfg["states"]) != len(P):
-            raise ChainError(
-                f"config declares {cfg['states']} states but has {len(P)} transition rows"
-            )
-        return MarkovRewardProcess(P, R, gamma)
+        mrp = MarkovRewardProcess(cfg["transitions"], cfg["rewards"], cfg["gamma"])
+        if "states" in cfg and integer("states", cfg["states"], ChainError) != mrp.n:
+            raise ChainError(f"config declares {cfg['states']} states but has "
+                             f"{mrp.n} transition rows")
+        return mrp
     if kind == "cycle":
-        return cycle_mrp(int(cfg["n"]), float(cfg["epsilon"]),
-                         gamma=float(cfg.get("gamma", 0.5)),
+        return cycle_mrp(cfg["n"], cfg["epsilon"], gamma=cfg.get("gamma", 0.5),
                          rewards=cfg.get("rewards"))
     if kind == "random":
-        return random_mrp(int(cfg["n"]), float(cfg["density"]), int(cfg["seed"]),
-                          gamma=float(cfg.get("gamma", 0.5)))
+        return random_mrp(cfg["n"], cfg["density"], cfg["seed"],
+                          gamma=cfg.get("gamma", 0.5))
     raise ChainError(f"unknown chain kind {kind!r}")

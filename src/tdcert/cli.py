@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .bundled import bundled_config, bundled_names
-from .chain import ChainError, mrp_from_dict
+from .chain import ChainError, integer, is_number, mrp_from_dict
 from .oracle import (
     CertificationError,
     FeatureError,
@@ -34,7 +34,6 @@ from .sa_core import (
     DelayProcess,
     StepSizeError,
     auto_horizon,
-    integer,
     resolve_step_size,
     LinearContractionProvider,
     SaturatingMonotoneProvider,
@@ -59,7 +58,7 @@ EXIT_INVALID_INPUT = 3
 def load_config(path: str) -> dict:
     with open(path) as fh:
         cfg = json.load(fh)
-    if "bundled" in cfg:
+    if isinstance(cfg, dict) and "bundled" in cfg:
         base = bundled_config(cfg["bundled"])
         for key, value in cfg.items():
             if key == "bundled":
@@ -91,142 +90,131 @@ def _build_provider(prov_cfg: dict, model):
     raise ConfigError(f"unknown provider kind {kind!r}")
 
 
-# the keys each config section may carry; step_size's mode, C and tau and
-# experiment's ceiling are legacy keys that name a derived value. A section
-# that names its kind maps each kind to its keys.
-KNOWN_KEYS = {
-    "": {"label", "instance", "step_size", "experiment", "provider"},
-    "instance": {"chain", "features", "theta0"},
-    "instance.chain": {
-        "explicit": {"kind", "states", "transitions", "rewards", "gamma"},
-        "cycle": {"kind", "n", "epsilon", "gamma", "rewards"},
-        "random": {"kind", "n", "density", "seed", "gamma"}},
-    "instance.features": {
-        "explicit": {"kind", "Phi"}, "constant": {"kind"}, "identity": {"kind"},
-        "groups": {"kind", "K"}, "random": {"kind", "K", "seed"}},
-    "provider": {
-        "td0": {"kind"}, "linear_contraction": {"kind", "theta_star", "noise"},
-        "saturating": {"kind", "theta_star", "noise", "a", "b"}},
-    "step_size": {"alpha", "alpha_scale", "mode", "C", "tau"},
-    "experiment": {"kind", "T", "trials", "master_seed", "sampling", "start_state",
-                   "delays", "averaging_grid", "ceiling"},
-    "experiment.delays": {"kind", "tau_max", "seed"},
-}
+class _Section(dict):
+    """A config section as its builder reads it: a dict that records each key
+    asked for (``get``, ``[]``, ``in``), given or not. Once the section is
+    built, ``done`` refuses a key nobody asked for, so a misspelt key cannot
+    leave its default in place and a kind's keys are the ones its builder
+    reads. A missing required key is refused naming the keys given."""
 
+    def __init__(self, path: str, doc):
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config section {path or 'top level'!r} must be an "
+                              f"object, got {doc!r}")
+        super().__init__(doc)
+        self.prefix = f"{path}." if path else ""
+        self.asked = set()
 
-def _refuse_unknown_keys(section: str, doc: dict, default_kind=None):
-    """A section that is not an object, or a key it does not know, is
-    refused, naming it, so a misspelt key cannot leave its default in place.
-    A section that names its kind (``default_kind`` if it names none) takes
-    that kind's keys; an unknown kind is left to the section's builder."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config section {section or 'top level'!r} must be an "
-                          f"object, got {doc!r}")
-    known = KNOWN_KEYS[section]
-    if default_kind is not None:
-        known = known.get(doc.get("kind", default_kind))
-        if known is None:
-            return
-    unknown = sorted(set(doc) - known)
-    if unknown:
-        name = f"{section}.{unknown[0]}" if section else unknown[0]
-        raise ConfigError(f"unknown config key {name!r} (known: "
-                          f"{', '.join(sorted(known))})")
+    def __contains__(self, key):
+        self.asked.add(key)
+        return super().__contains__(key)
 
+    def __getitem__(self, key):
+        self.asked.add(key)
+        return super().__getitem__(key)
 
-def _check_derived(section: str, doc: dict, key: str, derived):
-    """A legacy key that names a value the code derives is accepted when it
-    equals that value, and refused otherwise."""
-    given = doc.get(key)
-    if given is not None and given != derived:
-        raise ConfigError(f"{section}.{key} {given!r} does not match the "
-                          f"derived value {derived!r}")
+    def __missing__(self, key):
+        raise ConfigError(f"config key {self.prefix + key!r} is missing (given: "
+                          f"{', '.join(sorted(self)) or 'none'})")
+
+    def get(self, key, default=None):
+        self.asked.add(key)
+        return super().get(key, default)
+
+    def done(self):
+        unknown = sorted(set(self) - self.asked)
+        if unknown:
+            raise ConfigError(f"unknown config key {self.prefix + unknown[0]!r} "
+                              f"(known: {', '.join(sorted(self.asked))})")
 
 
 def _parse_instance(cfg: dict):
-    """The instance of a config document as (provider, theta0): the
-    update-direction provider built on the chain (which must pass
-    Assumption 1), its features and steady-state model, and theta0 as given
-    (None if absent)."""
-    _refuse_unknown_keys("", cfg)
-    inst = cfg.get("instance")
-    if not inst or "chain" not in inst:
-        raise ConfigError("config needs an instance with a chain")
-    _refuse_unknown_keys("instance", inst)
-    features_cfg = inst.get("features") or {"kind": "constant"}
-    prov_cfg = cfg.get("provider") or {"kind": "td0"}
-    _refuse_unknown_keys("instance.chain", inst["chain"], "explicit")
-    _refuse_unknown_keys("instance.features", features_cfg, "explicit")
-    _refuse_unknown_keys("provider", prov_cfg, "td0")
-    mrp = mrp_from_dict(inst["chain"])
-    model = build_steady_state(mrp, features_from_dict(features_cfg, mrp.n))
-    return _build_provider(prov_cfg, model), inst.get("theta0")
-
-
-def _number(name: str, value):
-    """A numeric config value as given, refused (ConfigError naming the key)
-    unless it is a finite JSON number. Keys that count are read with
-    ``sa_core.integer``, the check the library types make, under their key."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    return value
-
-
-def _parse_delays(exp: dict):
-    doc = exp.get("delays")
-    if not doc:
-        return None
-    _refuse_unknown_keys("experiment.delays", doc)
-    tau_max = integer("experiment.delays.tau_max", doc.get("tau_max", 0))
-    seed = integer("experiment.delays.seed", doc.get("seed", 0))
-    return DelayProcess(doc.get("kind", "none"), tau_max, seed)
+    """The instance of a config document as (provider, theta0, label,
+    step_size, experiment): the update-direction provider built on the chain
+    (which must pass Assumption 1), its features and steady-state model,
+    theta0 as given (None if absent), and the run's sections as given. An
+    unknown top-level key is refused before any section is built."""
+    cfg = _Section("", cfg)
+    inst = _Section("instance", cfg["instance"])
+    prov_cfg = _Section("provider", cfg.get("provider") or {"kind": "td0"})
+    run = (cfg.get("label", ""), cfg.get("step_size", {}), cfg.get("experiment", {}))
+    cfg.done()
+    theta0 = inst.get("theta0")
+    chain = _Section("instance.chain", inst["chain"])
+    feats = _Section("instance.features", inst.get("features") or {"kind": "constant"})
+    inst.done()
+    mrp = mrp_from_dict(chain)
+    chain.done()
+    features = features_from_dict(feats, mrp.n)
+    feats.done()
+    provider = _build_provider(prov_cfg, build_steady_state(mrp, features))
+    prov_cfg.done()
+    return (provider, theta0) + run
 
 
 def parse_experiment(cfg: dict, seed_override: int | None = None):
     """Turn a config document into an (ExperimentConfig, experiment kind) pair."""
-    provider, theta0 = _parse_instance(cfg)
-    step_cfg = cfg.get("step_size", {})
-    _refuse_unknown_keys("step_size", step_cfg)
-    alpha = step_cfg.get("alpha")
-    if alpha is None:  # the provider's fixed point, optionally scaled
-        scale = _number("step_size.alpha_scale", step_cfg.get("alpha_scale", 1.0))
-        alpha = resolve_step_size(provider) * float(scale)
-
-    exp = cfg.get("experiment", {})
-    _refuse_unknown_keys("experiment", exp)
+    provider, theta0, label, step_doc, exp_doc = _parse_instance(cfg)
+    # every step_size and experiment key is asked for, and an unknown one
+    # refused, before anything is derived from a default
+    step = _Section("step_size", step_doc)
+    alpha, scale = step.get("alpha"), step.get("alpha_scale", 1.0)
+    legacy = {f"step_size.{key}": step.get(key) for key in ("mode", "C", "tau")}
+    step.done()
+    exp = _Section("experiment", exp_doc)
     kind = exp.get("kind", "boundedness")
-    trials = integer("experiment.trials", exp.get("trials", 2000))
+    trials = integer("experiment.trials", exp.get("trials", 2000), ConfigError)
     if trials < 100:
         raise ConfigError(
             f"trials must be at least 100 for a ledger-producing run, got {trials}")
     T = exp.get("T", "auto")
-    if T == "auto":
-        T = auto_horizon(alpha, provider)
-    delays = _parse_delays(exp)
-    master_seed = integer("experiment.master_seed", exp.get("master_seed", 0))
+    delays = exp.get("delays") or None  # null or {} runs undelayed
+    master_seed = integer("experiment.master_seed", exp.get("master_seed", 0),
+                          ConfigError)
     if seed_override is not None:
         master_seed = seed_override
     start_state = exp.get("start_state")  # null draws the start state
     if start_state is not None:
-        start_state = integer("experiment.start_state", start_state)
+        start_state = integer("experiment.start_state", start_state, ConfigError)
     grid = exp.get("averaging_grid")
     if grid is not None:
         if not isinstance(grid, list):
             raise ConfigError(f"experiment.averaging_grid must be a list, got {grid!r}")
         for T_k in grid:
-            integer("experiment.averaging_grid entry", T_k)
+            integer("experiment.averaging_grid entry", T_k, ConfigError)
+    sampling = exp.get("sampling", "markov")
+    legacy["experiment.ceiling"] = exp.get("ceiling")
+    exp.done()
+    if delays is not None:
+        doc = _Section("experiment.delays", delays)
+        delay_kind = doc.get("kind", "none")
+        tau_max = integer("experiment.delays.tau_max", doc.get("tau_max", 0),
+                          ConfigError)
+        delay_seed = integer("experiment.delays.seed", doc.get("seed", 0), ConfigError)
+        doc.done()
+        delays = DelayProcess(delay_kind, tau_max, delay_seed)
+
+    if alpha is None:  # the provider's fixed point, optionally scaled
+        if not (is_number(scale) and math.isfinite(scale)):
+            raise ConfigError(f"step_size.alpha_scale must be a finite number, "
+                              f"got {scale!r}")
+        alpha = resolve_step_size(provider) * float(scale)
+    if T == "auto":
+        T = auto_horizon(alpha, provider)
     config = ExperimentConfig(
         provider=provider, theta0=theta0, alpha=alpha,
-        T=integer("experiment.T", T), trials=trials, master_seed=master_seed,
-        delays=delays, sampling=exp.get("sampling", "markov"),
-        start_state=start_state,
-        averaging_grid=grid, label=cfg.get("label", ""),
+        T=integer("experiment.T", T, ConfigError), trials=trials,
+        master_seed=master_seed, delays=delays, sampling=sampling,
+        start_state=start_state, averaging_grid=grid, label=label,
     )
+    # legacy keys that name a derived value are accepted when they equal it:
     # the provider picks the mode and the config certifies tau
-    for key, derived in (("mode", provider.mode), ("C", STEP_C), ("tau", config.tau)):
-        _check_derived("step_size", step_cfg, key, derived)
-    _check_derived("experiment", exp, "ceiling", CEILING)
+    derived = {"step_size.mode": provider.mode, "step_size.C": STEP_C,
+               "step_size.tau": config.tau, "experiment.ceiling": CEILING}
+    for key, given in legacy.items():
+        if given is not None and given != derived[key]:
+            raise ConfigError(f"{key} {given!r} does not match the derived value "
+                              f"{derived[key]!r}")
     return config, kind
 
 
@@ -271,7 +259,7 @@ def _write_json(path, payload):
 
 
 def cmd_oracle(cfg: dict, out_dir: str) -> int:
-    provider, theta0 = _parse_instance(cfg)
+    provider, theta0 = _parse_instance(cfg)[:2]  # the run's sections go unused
     doc = oracle_report(provider, theta0)
     os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "oracle_report.json"), doc)

@@ -40,6 +40,7 @@ from .chain import (
     ChainError,
     KeyedStreams,
     derive_seed,
+    integer,
 )
 from .oracle import SteadyStateModel
 from .sa_core import (
@@ -53,7 +54,6 @@ from .sa_core import (
     audit_provider,
     auto_horizon,
     fingerprint,
-    integer,
     positive_alpha,
     resolve_step_size,
     rowsum,
@@ -105,12 +105,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         alpha = positive_alpha(self.alpha)  # before any tau is certified
-        whole = {name: integer(name, getattr(self, name))
+        whole = {name: integer(name, getattr(self, name), ConfigError)
                  for name in ("T", "trials", "master_seed")}
         if self.start_state is not None:
-            whole["start_state"] = integer("start_state", self.start_state)
-        whole["averaging_grid"] = tuple(integer("averaging_grid entry", T_k)
-                                        for T_k in self.averaging_grid or ()) or None
+            whole["start_state"] = integer("start_state", self.start_state, ConfigError)
+        whole["averaging_grid"] = tuple(
+            integer("averaging_grid entry", T_k, ConfigError)
+            for T_k in self.averaging_grid or ()) or None
         if whole["T"] < 0:
             raise ConfigError("T must be nonnegative")
         if whole["trials"] < 1:
@@ -717,7 +718,7 @@ def run_experiment(config: ExperimentConfig, kind: str):
     every other kind runs the config's trials once and applies its checks
     from ``CHECKS``, reducing the drift in the kernel when they include it.
     """
-    if kind != "weighted_average" and kind not in CHECKS:
+    if not isinstance(kind, str) or kind != "weighted_average" and kind not in CHECKS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
     audit = audit_provider(config.provider, 20000,
                            derive_seed(config.master_seed, 0xA0D17))
@@ -748,8 +749,8 @@ def _sweep_grid(axis: str, values) -> list:
     distinct, and at least two multipliers with distinct seed indices."""
     if axis not in ("alpha", "T", "tau_max"):
         raise ConfigError(f"unknown sweep axis {axis!r} (alpha, T, tau_max)")
-    grid = ([float(mult) for mult in values] if axis == "alpha"
-            else [integer(f"sweep value {axis}", value) for value in values])
+    grid = ([float(mult) for mult in values] if axis == "alpha" else
+            [integer(f"sweep value {axis}", value, ConfigError) for value in values])
     if not grid:
         raise ConfigError("sweep grid is empty")
     for value in grid:

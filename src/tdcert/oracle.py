@@ -20,6 +20,7 @@ from .chain import (
     generator,
     derive_seed,
     finite_array,
+    integer,
 )
 
 _OMEGA_TOL = 1e-10
@@ -93,6 +94,7 @@ def identity_features(n: int) -> FeatureMatrix:
 
 def group_features(n: int, K: int) -> FeatureMatrix:
     """Indicator features over K contiguous state groups."""
+    K = integer("K", K, FeatureError)
     if not 1 <= K <= n:
         raise FeatureError(f"need 1 <= K <= n, got K={K}, n={n}")
     Phi = np.zeros((n, K))
@@ -105,6 +107,7 @@ def group_features(n: int, K: int) -> FeatureMatrix:
 def random_features(n: int, K: int, seed: int, max_tries: int = 50) -> FeatureMatrix:
     """Random features with orthonormal columns rescaled so every row has
     norm at most 1."""
+    K, seed = integer("K", K, FeatureError), integer("seed", seed, FeatureError)
     rng = generator(derive_seed(seed, 0xFEA7))
     for _ in range(max_tries):
         M = rng.normal(size=(n, K))
@@ -120,6 +123,8 @@ def random_features(n: int, K: int, seed: int, max_tries: int = 50) -> FeatureMa
 
 
 def features_from_dict(cfg: dict, n: int) -> FeatureMatrix:
+    """The features of an n-state chain from a config mapping, explicit (Phi)
+    or generated; each kind asks for every key it knows, given or not."""
     kind = cfg.get("kind", "explicit")
     if kind == "explicit":
         return FeatureMatrix(cfg["Phi"])
@@ -128,9 +133,9 @@ def features_from_dict(cfg: dict, n: int) -> FeatureMatrix:
     if kind == "identity":
         return identity_features(n)
     if kind == "groups":
-        return group_features(n, int(cfg["K"]))
+        return group_features(n, cfg["K"])
     if kind == "random":
-        return random_features(n, int(cfg["K"]), int(cfg.get("seed", 0)))
+        return random_features(n, cfg["K"], cfg.get("seed", 0))
     raise FeatureError(f"unknown feature kind {kind!r}")
 
 

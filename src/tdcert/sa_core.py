@@ -15,12 +15,20 @@ which takes an experiment and runs its trials as lanes.
 import hashlib
 import json
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import BLOCK, KeyedStreams, derive_seed, finite_array, generator, unit
+from .chain import (
+    BLOCK,
+    KeyedStreams,
+    derive_seed,
+    finite_array,
+    generator,
+    integer,
+    is_number,
+    unit,
+)
 from .oracle import (
     MixingTimeCertificate,
     SteadyStateModel,
@@ -236,11 +244,6 @@ class LinearContractionProvider(UpdateDirectionProvider):
     def steady(self, theta):
         return self.theta_star[:, None] - theta
 
-    def noise_variance(self) -> float:
-        """Stationary second moment E ||c(X) - theta_star||^2."""
-        dev = self.c_table - self.theta_star[None, :]
-        return float(self.model.mrp.pi @ (dev ** 2).sum(axis=1))
-
     def describe(self):
         return {"kind": "linear_contraction", "c": self.c_table.tolist()}
 
@@ -252,17 +255,17 @@ class SaturatingMonotoneProvider(UpdateDirectionProvider):
     constant a + b."""
 
     def __init__(self, theta_star, noise_table, model, a=0.7, b=0.3):
-        a, b = float(a), float(b)
-        if not (0.0 < a < math.inf and 0.0 <= b < math.inf):
-            raise ConfigError(f"need finite a > 0 and b >= 0, got a={a}, b={b}")
+        if not (is_number(a) and is_number(b) and 0.0 < a < math.inf
+                and 0.0 <= b < math.inf):
+            raise ConfigError(f"need finite a > 0 and b >= 0, got a={a!r}, b={b!r}")
         theta_star, noise = _centered_noise(theta_star, noise_table, model)
         self.model = model
         self.noise_table = noise
         self.state_table = np.ascontiguousarray(noise.T)
         self.theta_star = theta_star
         self.dim = theta_star.shape[0]
-        self.a = a
-        self.b = b
+        self.a = float(a)
+        self.b = float(b)
         self.L = max(1.0, self.a + self.b)
         self.beta = self.a
         nmax = float(np.linalg.norm(noise, axis=1).max(initial=0.0))
@@ -289,22 +292,9 @@ class SaturatingMonotoneProvider(UpdateDirectionProvider):
 def positive_alpha(alpha) -> float:
     """alpha as a float, refused (ConfigError) unless it is a positive finite
     number."""
-    try:
-        value = float(alpha)
-    except (TypeError, ValueError):  # a list or a word read from a config
-        value = math.nan
-    if not (math.isfinite(value) and value > 0.0):
+    if not (is_number(alpha) and 0.0 < alpha < math.inf):
         raise ConfigError(f"alpha must be a positive finite number, got {alpha!r}")
-    return value
-
-
-def integer(name: str, value) -> int:
-    """value as an int, refused (ConfigError naming ``name``) unless it is a
-    whole number: an integer other than a bool, or a float with no fraction."""
-    if (isinstance(value, float) and value.is_integer()
-            or isinstance(value, numbers.Integral) and not isinstance(value, bool)):
-        return int(value)
-    raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return float(alpha)
 
 
 def auto_horizon(alpha: float, provider: UpdateDirectionProvider) -> int:
@@ -350,7 +340,8 @@ class DelayProcess:
         if self.kind not in ("none", "constant", "uniform", "sawtooth"):
             raise ValueError(f"unknown delay kind {self.kind!r}")
         for name in ("tau_max", "seed"):
-            object.__setattr__(self, name, integer(name, getattr(self, name)))
+            value = integer(name, getattr(self, name), ConfigError)
+            object.__setattr__(self, name, value)
         if self.tau_max < 0:
             raise ValueError("tau_max must be nonnegative")
 

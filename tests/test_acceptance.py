@@ -171,7 +171,9 @@ def test_criterion_7_theorem4_nonlinear():
     config, _ = parse_experiment(bundled_config("theorem4_linear_contraction"))
     provider = config.provider
     est, ledgers = run_experiment(config, "recursion")
-    a, V = config.alpha, provider.noise_variance()
+    # the stationary noise variance V = sum_s pi(s) ||c(s) - theta_star||^2
+    dev = provider.c_table - provider.theta_star
+    a, V = config.alpha, float(provider.model.mrp.pi @ (dev ** 2).sum(axis=1))
     d = np.zeros(config.T + 1)
     d[0] = float(np.sum((config.theta0 - provider.theta_star) ** 2))
     for t in range(config.T):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -82,9 +83,30 @@ class TestConstruction:
             MarkovRewardProcess([[0.5, 0.5], [0.5, 0.5]], [bad, 1.0], 0.5)
 
     def test_gamma_strictly_inside_unit_interval(self):
-        for gamma in (0.0, 1.0, -0.1, 1.5, np.nan, np.inf):
+        for gamma in (0.0, 1.0, -0.1, 1.5, np.nan, np.inf, "0.5", True, [0.5]):
             with pytest.raises(ChainError, match="gamma"):
                 MarkovRewardProcess([[1.0]], [1.0], gamma)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: MarkovRewardProcess("ab", [0.0], 0.5),
+         "transition matrix P must be an array of numbers, got 'ab'"),
+        (lambda: MarkovRewardProcess([[0.5, "0.5"], [0.5, 0.5]], [0, 0], 0.5),
+         "transition matrix P must be an array of numbers"),
+        (lambda: MarkovRewardProcess([[0.5, 0.5], [1.0]], [0, 0], 0.5),
+         "transition matrix P must be an array of numbers"),
+        (lambda: MarkovRewardProcess([[1.0]], [True], 0.5),
+         "reward vector R must be an array of numbers, got [True]"),
+        (lambda: MarkovRewardProcess([[0.5, 0.5], [0.5, 0.5]], [1.0, False], 0.5),
+         "reward vector R must be an array of numbers, got [1.0, False]"),
+        (lambda: MarkovRewardProcess([[True, 0], [0, 1]], [0.0, 1.0], 0.5),
+         "transition matrix P must be an array of numbers"),
+        (lambda: MarkovRewardProcess([[1.0]], {"r": 1.0}, 0.5),
+         "reward vector R must be an array of numbers"),
+    ])
+    def test_array_of_wrong_type_refused_naming_its_field(self, build, message):
+        # not cast: np.array(["0.5"], dtype=float) and [True] read as numbers
+        with pytest.raises(ChainError, match=re.escape(message)):
+            build()
 
     def test_r_bar_is_max_absolute_reward(self):
         mrp = make(TWO_STATE, R=[-3.0, 2.0])
@@ -99,6 +121,34 @@ class TestConstruction:
         mrp = make(TWO_STATE)
         with pytest.raises(ValueError):
             mrp.P[0, 0] = 0.0
+
+
+class TestGeneratorArguments:
+    """A count is a whole number and a rate a number: a fractional n or seed
+    is refused, naming it, rather than truncated to another chain."""
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: cycle_mrp(4.7, 0.5), "n must be an integer, got 4.7"),
+        (lambda: cycle_mrp(4, [0.5]), "epsilon must lie in (0, 1), got [0.5]"),
+        (lambda: cycle_mrp(4, "0.5"), "epsilon must lie in (0, 1), got '0.5'"),
+        (lambda: random_mrp(6.5, 0.9, 3), "n must be an integer, got 6.5"),
+        (lambda: random_mrp(6, 0.9, 3.9), "seed must be an integer, got 3.9"),
+        (lambda: random_mrp(6, 0.9, True), "seed must be an integer, got True"),
+        (lambda: random_mrp(6, "0.9", 3), "density must lie in (0, 1], got '0.9'"),
+        (lambda: mrp_from_dict({"kind": ["cycle"]}), "unknown chain kind ['cycle']"),
+        (lambda: mrp_from_dict({"transitions": [[1.0]], "rewards": [1.0],
+                                "gamma": 0.5, "states": 1.5}),
+         "states must be an integer, got 1.5"),
+    ])
+    def test_wrong_type_refused(self, build, message):
+        with pytest.raises(ChainError, match=re.escape(message)):
+            build()
+
+    def test_whole_floats_build_the_same_chain(self):
+        assert cycle_mrp(4.0, 0.5).n == 4
+        given, plain = random_mrp(6.0, 0.9, 3.0), random_mrp(6, 0.9, 3)
+        assert given.P.tobytes() == plain.P.tobytes()
+        assert given.R.tobytes() == plain.R.tobytes()
 
 
 class TestValidateChain:

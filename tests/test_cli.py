@@ -384,6 +384,196 @@ class TestInputRefusedWhereItEnters:
             assert not out.exists()
 
 
+class TestWrongTypedValues:
+    # a value of the wrong JSON type is refused by the library function that
+    # takes it, naming its key, so both commands exit 3 before writing
+    # anything: no traceback (exit 1, a ledger failure), and no cast that runs
+    # another experiment (n = 4.7 as a 4-state chain, seed 3.9 as seed 3)
+    @pytest.mark.parametrize("name, section, key, value, message", [
+        ("theorem4_linear_contraction", "provider", "theta_star", {"x": 1},
+         "theta_star must be an array of numbers, got {'x': 1}"),
+        ("theorem4_linear_contraction", "provider", "noise", [["1"], ["2"]],
+         "noise must be an array of numbers"),
+        ("theorem4_saturating", "provider", "a", [1], "got a=[1], b=0.3"),
+        ("theorem4_saturating", "provider", "b", "0.3", "got a=0.7, b='0.3'"),
+        ("theorem1_cycle4", "instance.chain", "epsilon", [0.5],
+         "epsilon must lie in (0, 1), got [0.5]"),
+        ("theorem1_cycle4", "instance.chain", "kind", ["cycle"],
+         "unknown chain kind ['cycle']"),
+        ("theorem1_cycle4", "instance.chain", "n", 4.7, "n must be an integer, got 4.7"),
+        ("theorem1_random6", "instance.chain", "seed", 3.9,
+         "seed must be an integer, got 3.9"),
+        ("theorem1_random6", "instance.chain", "density", True,
+         "density must lie in (0, 1], got True"),
+        ("theorem1_random6", "instance.features", "K", 2.5,
+         "K must be an integer, got 2.5"),
+        ("theorem1_random6", "instance.features", "seed", "5",
+         "seed must be an integer, got '5'"),
+        ("theorem1_cycle4", "instance.chain", "gamma", "0.3",
+         "gamma must lie strictly in (0, 1), got '0.3'"),
+        ("theorem2_base", "instance.chain", "rewards", [True, False],
+         "reward vector R must be an array of numbers, got [True, False]"),
+        ("theorem2_base", "instance.chain", "transitions", [[0.5, 0.5], [1.0]],
+         "transition matrix P must be an array of numbers"),
+        ("lemma4_iid_control", "instance.features", "Phi", "ab",
+         "feature matrix Phi must be an array of numbers, got 'ab'"),
+        ("theorem2_base", "instance", "theta0", "ab",
+         "theta0 must be an array of numbers, got 'ab'"),
+        ("theorem2_base", "experiment", "kind", ["boundedness"],
+         "unknown experiment kind ['boundedness']"),
+        ("theorem2_base", "step_size", "alpha", "0.01",
+         "alpha must be a positive finite number, got '0.01'"),
+        ("theorem2_base", "", "bundled", ["theorem2_base"],
+         "unknown bundled config ['theorem2_base']"),
+    ])
+    def test_wrong_type_exits_invalid_naming_its_key(self, tmp_path, capsys, name,
+                                                     section, key, value, message):
+        cfg = bundled_config(name)
+        doc = cfg
+        for part in filter(None, section.split(".")):
+            doc = doc[part]
+        doc[key] = value
+        path = write_cfg(tmp_path, cfg)
+        for command in ("oracle", "run"):
+            if command == "oracle" and section in ("step_size", "experiment"):
+                continue  # the oracle reads the instance alone
+            out = tmp_path / command
+            assert main([command, "--config", path, "--out", str(out)]) \
+                == EXIT_INVALID_INPUT
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+
+
+# the config schema: the keys each section and kind knows. The CLI learns
+# them from the keys each builder asks for, so a builder that stops asking
+# for a key, or asks for a new one, changes the schema and shows here
+KNOWN = {
+    "": "experiment, instance, label, provider, step_size",
+    "instance": "chain, features, theta0",
+    "instance.chain explicit": "gamma, kind, rewards, states, transitions",
+    "instance.chain cycle": "epsilon, gamma, kind, n, rewards",
+    "instance.chain random": "density, gamma, kind, n, seed",
+    "instance.features explicit": "Phi, kind",
+    "instance.features constant": "kind",
+    "instance.features identity": "kind",
+    "instance.features groups": "K, kind",
+    "instance.features random": "K, kind, seed",
+    "provider td0": "kind",
+    "provider linear_contraction": "kind, noise, theta_star",
+    "provider saturating": "a, b, kind, noise, theta_star",
+    "step_size": "C, alpha, alpha_scale, mode, tau",
+    "experiment": ("T, averaging_grid, ceiling, delays, kind, master_seed, "
+                   "sampling, start_state, trials"),
+    "experiment.delays": "kind, seed, tau_max",
+}
+
+
+class TestConfigReader:
+    # each section drops the optional keys it may (a default kind included),
+    # so a builder must ask for a key it is not given to know it
+    @pytest.mark.parametrize("name, section, kind, drop", [
+        ("theorem2_base", "", None, ("label", "step_size", "experiment", "provider")),
+        ("theorem2_base", "instance", None, ("features", "theta0")),
+        ("theorem2_base", "instance.chain", "explicit", ("kind",)),
+        ("theorem1_cycle4", "instance.chain", "cycle", ("gamma",)),
+        ("theorem1_random6", "instance.chain", "random", ("gamma",)),
+        ("lemma4_iid_control", "instance.features", "explicit", ("kind",)),
+        ("theorem2_base", "instance.features", "constant", ()),
+        ("theorem1_three_state", "instance.features", "identity", ()),
+        ("theorem1_cycle4", "instance.features", "groups", ()),
+        ("theorem1_random6", "instance.features", "random", ("seed",)),
+        ("theorem2_base", "provider", "td0", ("kind",)),
+        ("theorem4_linear_contraction", "provider", "linear_contraction", ()),
+        ("theorem4_saturating", "provider", "saturating", ("a", "b")),
+        ("theorem2_base", "step_size", None, ("alpha_scale",)),
+        ("theorem2_base", "experiment", None, ("kind", "T", "trials", "master_seed")),
+        ("delayed_uniform_1", "experiment.delays", None, ("kind", "tau_max", "seed"))])
+    def test_each_kind_knows_the_keys_its_builder_reads(self, tmp_path, capsys, name,
+                                                       section, kind, drop):
+        cfg = bundled_config(name)
+        doc = cfg
+        for part in filter(None, section.split(".")):
+            doc = doc[part]
+        for key in drop:
+            del doc[key]
+        doc["zz"] = 1
+        known = KNOWN[" ".join(filter(None, (section, kind)))]
+        unknown = ".".join(filter(None, (section, "zz")))
+        path = write_cfg(tmp_path, cfg)
+        for command in ("oracle", "run"):
+            if command == "oracle" and section.startswith(("step_size", "experiment")):
+                continue  # the oracle reads the instance alone
+            assert main([command, "--config", path, "--out",
+                         str(tmp_path / command)]) == EXIT_INVALID_INPUT
+            assert (f"unknown config key {unknown!r} (known: {known})"
+                    in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("name, section, key, message", [
+        ("theorem1_cycle4", "instance.chain", "n",
+         "config key 'instance.chain.n' is missing (given: epsilon, gamma, kind, nn)"),
+        ("theorem4_saturating", "provider", "noise",
+         "config key 'provider.noise' is missing (given: a, b, kind, nnoise, "
+         "theta_star)"),
+        ("theorem2_base", "", "instance",
+         "config key 'instance' is missing (given: experiment, label, ninstance, "
+         "provider, step_size)"),
+    ])
+    def test_missing_required_key_names_the_keys_given(self, tmp_path, capsys, name,
+                                                       section, key, message):
+        # a misspelt required key reads as missing, its typo listed as given
+        cfg = bundled_config(name)
+        doc = cfg
+        for part in filter(None, section.split(".")):
+            doc = doc[part]
+        doc["n" + key] = doc.pop(key)
+        for command in ("oracle", "run"):
+            out = tmp_path / command
+            assert main([command, "--config", write_cfg(tmp_path, cfg), "--out",
+                         str(out)]) == EXIT_INVALID_INPUT
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_misspelt_section_is_named_before_its_default_is_used(self, tmp_path,
+                                                                   capsys):
+        # a td0 provider in place of the saturating one would have dimension 3
+        # and refuse theta0; the typo is refused first, by name
+        cfg = bundled_config("theorem4_saturating")
+        cfg["provder"] = cfg.pop("provider")
+        for command in ("oracle", "run"):
+            assert main([command, "--config", write_cfg(tmp_path, cfg), "--out",
+                         str(tmp_path / command)]) == EXIT_INVALID_INPUT
+            assert "unknown config key 'provder'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("delays", [{}, False])
+    def test_empty_delays_run_undelayed(self, tmp_path, delays):
+        # an empty delays section is no delay process, as null is
+        outputs = []
+        for tag, value in (("null", None), ("empty", delays)):
+            cfg = {**ONE_STATE_CFG,
+                   "experiment": {**ONE_STATE_CFG["experiment"], "delays": value}}
+            assert parse_experiment(cfg)[0].delays is None
+            out = tmp_path / tag
+            assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out",
+                         str(out)]) == EXIT_PASS
+            outputs.append([(out / name).read_bytes()
+                            for name in ("estimate.csv", "ledgers.json")])
+        assert outputs[0] == outputs[1]
+
+    def test_oracle_accepts_the_run_sections(self, tmp_path):
+        cfg = {**ONE_STATE_CFG, "label": "one state",
+               "step_size": {"alpha_scale": 0.5, "C": 8.0, "mode": "td0"}}
+        assert main(["oracle", "--config", write_cfg(tmp_path, cfg), "--out",
+                     str(tmp_path / "o")]) == EXIT_PASS
+
+    def test_run_accepts_alpha_with_alpha_scale(self, tmp_path):
+        # a given alpha bypasses resolution, so its scale is known but unused
+        cfg = {**ONE_STATE_CFG, "step_size": {"alpha": 0.01, "alpha_scale": 0.5}}
+        config, _ = parse_experiment(cfg)
+        assert config.alpha == 0.01
+        assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out",
+                     str(tmp_path / "o")]) == EXIT_PASS
+
+
 class TestSweepCommand:
     def test_alpha_sweep_summary(self, tmp_path):
         cfg = bundled_config("theorem2_base")

@@ -213,7 +213,8 @@ class TestCertifiedTau:
         with pytest.raises(TypeError, match="tau"):
             fast_config(tau=1)
 
-    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -0.1, 0.0])
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -0.1, 0.0, "0.01",
+                                       [0.01], True])
     def test_bad_alpha_refused_before_tau_is_certified(self, alpha):
         class Uncertifiable(TD0Provider):
             def certify(self, epsilon):
@@ -856,7 +857,9 @@ class TestNonlinearExperiments:
         cfg = ExperimentConfig(provider, np.zeros(1), resolve_step_size(provider),
                                T=250, trials=2000, master_seed=401)
         est, ledgers = run_experiment(cfg, "recursion")
-        a, V = cfg.alpha, provider.noise_variance()
+        # the stationary noise variance V = sum_s pi(s) ||c(s) - theta_star||^2
+        dev = provider.c_table - provider.theta_star
+        a, V = cfg.alpha, float(provider.model.mrp.pi @ (dev ** 2).sum(axis=1))
         d = np.zeros(251)
         d[0] = 0.49
         for t in range(250):

@@ -54,6 +54,18 @@ class TestFeatureMatrix:
         with pytest.raises(FeatureError, match=r"feature matrix Phi .* at index \(1, 0\)"):
             FeatureMatrix([[0.5], [bad]])
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: FeatureMatrix("ab"), "feature matrix Phi must be an array of numbers"),
+        (lambda: FeatureMatrix([[True], [False]]),
+         "feature matrix Phi must be an array of numbers"),
+        (lambda: group_features(4, 2.5), "K must be an integer, got 2.5"),
+        (lambda: random_features(6, 3, "5"), "seed must be an integer, got '5'"),
+        (lambda: random_features(6, True, 5), "K must be an integer, got True"),
+    ])
+    def test_value_of_wrong_type_refused_naming_its_field(self, build, message):
+        with pytest.raises(FeatureError, match=message):
+            build()
+
     def test_oversized_row_rejected(self):
         with pytest.raises(FeatureError, match="squared norm"):
             FeatureMatrix([[1.0, 0.5], [0.0, 1.0]])

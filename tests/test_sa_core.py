@@ -352,10 +352,18 @@ class TestProviderInput:
             cls([0.3], noise, TWO_MODEL)
 
     @pytest.mark.parametrize("a, b", [(np.nan, 0.3), (np.inf, 0.3), (0.7, np.nan),
-                                      (0.7, np.inf), (0.0, 0.3), (0.7, -0.1)])
+                                      (0.7, np.inf), (0.0, 0.3), (0.7, -0.1),
+                                      ("0.7", 0.3), (0.7, [0.3]), (True, 0.3)])
     def test_saturating_constants_must_be_finite_and_in_range(self, a, b):
         with pytest.raises(ConfigError, match="need finite a > 0 and b >= 0"):
             SaturatingMonotoneProvider([0.3], [[1.0], [-2.0]], TWO_MODEL, a=a, b=b)
+
+    @pytest.mark.parametrize("cls", GENERIC_PROVIDERS)
+    def test_tables_must_be_numbers(self, cls):
+        with pytest.raises(ConfigError, match="theta_star must be an array of numbers"):
+            cls({"x": 1}, [[1.0], [-2.0]], TWO_MODEL)
+        with pytest.raises(ConfigError, match="noise must be an array of numbers"):
+            cls([0.3], [["1"], ["-2"]], TWO_MODEL)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_theta0_rejected(self, bad):
