@@ -473,6 +473,8 @@ def cycle_mrp(n: int, epsilon: float, gamma: float = 0.5, rewards=None) -> Marko
     """Lazy random walk on an n-cycle: stay with probability epsilon, step to
     each neighbour with probability (1 - epsilon)/2."""
     n = integer("n", n, ChainError)
+    if n < 1:
+        raise ChainError(f"n must be at least 1, got {n}")
     if not (is_number(epsilon) and 0.0 < epsilon < 1.0):
         raise ChainError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     P = np.zeros((n, n))
@@ -481,7 +483,7 @@ def cycle_mrp(n: int, epsilon: float, gamma: float = 0.5, rewards=None) -> Marko
         P[i, (i + 1) % n] += (1.0 - epsilon) / 2.0
         P[i, (i - 1) % n] += (1.0 - epsilon) / 2.0
     if rewards is None:
-        rewards = np.cos(2.0 * np.pi * np.arange(n) / max(n, 1))
+        rewards = np.cos(2.0 * np.pi * np.arange(n) / n)
     return MarkovRewardProcess(P, rewards, gamma)
 
 
@@ -491,6 +493,8 @@ def random_mrp(n: int, density: float, seed: int, gamma: float = 0.5,
     row, rejection-sampled until the chain is irreducible and aperiodic.
     Rewards are drawn uniformly from [-1, 1]."""
     n, seed = integer("n", n, ChainError), integer("seed", seed, ChainError)
+    if n < 1:
+        raise ChainError(f"n must be at least 1, got {n}")
     if not (is_number(density) and 0.0 < density <= 1.0):
         raise ChainError(f"density must lie in (0, 1], got {density!r}")
     rng = generator(derive_seed(seed, 0x6D72))

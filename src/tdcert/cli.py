@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .bundled import bundled_config, bundled_names
-from .chain import ChainError, integer, is_number, mrp_from_dict
+from .chain import ChainError, is_number, mrp_from_dict
 from .oracle import (
     CertificationError,
     FeatureError,
@@ -163,36 +163,20 @@ def parse_experiment(cfg: dict, seed_override: int | None = None):
     step.done()
     exp = _Section("experiment", exp_doc)
     kind = exp.get("kind", "boundedness")
-    trials = integer("experiment.trials", exp.get("trials", 2000), ConfigError)
-    if trials < 100:
-        raise ConfigError(
-            f"trials must be at least 100 for a ledger-producing run, got {trials}")
-    T = exp.get("T", "auto")
+    trials, T = exp.get("trials", 2000), exp.get("T", "auto")
     delays = exp.get("delays") or None  # null or {} runs undelayed
-    master_seed = integer("experiment.master_seed", exp.get("master_seed", 0),
-                          ConfigError)
+    master_seed = exp.get("master_seed", 0)
     if seed_override is not None:
         master_seed = seed_override
     start_state = exp.get("start_state")  # null draws the start state
-    if start_state is not None:
-        start_state = integer("experiment.start_state", start_state, ConfigError)
-    grid = exp.get("averaging_grid")
-    if grid is not None:
-        if not isinstance(grid, list):
-            raise ConfigError(f"experiment.averaging_grid must be a list, got {grid!r}")
-        for T_k in grid:
-            integer("experiment.averaging_grid entry", T_k, ConfigError)
-    sampling = exp.get("sampling", "markov")
+    grid, sampling = exp.get("averaging_grid"), exp.get("sampling", "markov")
     legacy["experiment.ceiling"] = exp.get("ceiling")
     exp.done()
     if delays is not None:
         doc = _Section("experiment.delays", delays)
-        delay_kind = doc.get("kind", "none")
-        tau_max = integer("experiment.delays.tau_max", doc.get("tau_max", 0),
-                          ConfigError)
-        delay_seed = integer("experiment.delays.seed", doc.get("seed", 0), ConfigError)
+        args = doc.get("kind", "none"), doc.get("tau_max", 0), doc.get("seed", 0)
         doc.done()
-        delays = DelayProcess(delay_kind, tau_max, delay_seed)
+        delays = DelayProcess(*args)
 
     if alpha is None:  # the provider's fixed point, optionally scaled
         if not (is_number(scale) and math.isfinite(scale)):
@@ -202,8 +186,7 @@ def parse_experiment(cfg: dict, seed_override: int | None = None):
     if T == "auto":
         T = auto_horizon(alpha, provider)
     config = ExperimentConfig(
-        provider=provider, theta0=theta0, alpha=alpha,
-        T=integer("experiment.T", T, ConfigError), trials=trials,
+        provider=provider, theta0=theta0, alpha=alpha, T=T, trials=trials,
         master_seed=master_seed, delays=delays, sampling=sampling,
         start_state=start_state, averaging_grid=grid, label=label,
     )
@@ -229,8 +212,10 @@ def _verdict_exit(ledgers: dict) -> int:
 
 def _manifest(config: ExperimentConfig, cfg_doc: dict, out_dir: str,
               started: float, exit_code: int) -> dict:
+    # the document with the seed that ran, so a --seed run's manifest reruns it
+    experiment = dict(cfg_doc.get("experiment") or {}, master_seed=config.master_seed)
     return {
-        "config": cfg_doc,
+        "config": dict(cfg_doc, experiment=experiment),
         "resolved": {
             "omega": config.model.omega,
             "tau": config.tau,

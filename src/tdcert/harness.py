@@ -73,6 +73,23 @@ class AuditError(RuntimeError):
         self.audit = audit
 
 
+def _averaging_grid(grid) -> tuple | None:
+    """The horizons as given, or None for none (a repeated one would rerun
+    its derived seed and count twice in the tail slope)."""
+    if not isinstance(grid, (list, tuple, type(None))):
+        raise ConfigError(f"averaging_grid must be a list, got {grid!r}")
+    horizons = tuple(integer("averaging_grid entry", T_k, ConfigError)
+                     for T_k in grid or ())
+    ordered = sorted(horizons)
+    if len(set(ordered)) < len(ordered):
+        raise ConfigError(f"averaging grid repeats a horizon: {ordered}")
+    if len(ordered) == 1:
+        raise ConfigError("averaging grid needs at least two horizons")
+    if ordered and ordered[0] < 1:
+        raise ConfigError(f"averaging horizon T={ordered[0]} must be at least 1")
+    return horizons or None
+
+
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     """Everything one Monte Carlo experiment needs, deterministically.
@@ -85,9 +102,10 @@ class ExperimentConfig:
     restate the mixing time it is certified at. Derive variants with
     ``dataclasses.replace``, which certifies a new alpha again. Counted
     fields (T, trials, master_seed, start_state, averaging_grid entries) are
-    refused unless whole numbers, and stored as ints. theta0 is stored
-    read-only and the averaging grid as a tuple, so the fingerprint, computed
-    once on first use, cannot go stale.
+    refused unless whole numbers, and stored as ints; a grid needs two or
+    more distinct horizons of at least 1, and the label is a string. theta0
+    is stored read-only and the grid as a tuple, so the fingerprint,
+    computed once on first use, cannot go stale.
     """
 
     provider: UpdateDirectionProvider
@@ -109,15 +127,15 @@ class ExperimentConfig:
                  for name in ("T", "trials", "master_seed")}
         if self.start_state is not None:
             whole["start_state"] = integer("start_state", self.start_state, ConfigError)
-        whole["averaging_grid"] = tuple(
-            integer("averaging_grid entry", T_k, ConfigError)
-            for T_k in self.averaging_grid or ()) or None
+        whole["averaging_grid"] = _averaging_grid(self.averaging_grid)
         if whole["T"] < 0:
             raise ConfigError("T must be nonnegative")
         if whole["trials"] < 1:
             raise ConfigError("need at least one trial")
         if self.sampling not in ("markov", "iid_restart"):
             raise ConfigError(f"unknown sampling mode {self.sampling!r}")
+        if not isinstance(self.label, str):
+            raise ConfigError(f"label must be a string, got {self.label!r}")
         normalized = dict(
             theta0=self.provider.initial_theta(self.theta0),
             alpha=alpha, tau=self.provider.certify(alpha).tau, **whole)
@@ -444,19 +462,20 @@ class BoundLedger:
         return asdict(self)
 
 
-def _require_ledger_grade(estimate: MonteCarloEstimate):
-    if estimate.config.trials < 100:
+def _require_ledger_grade(config: ExperimentConfig):
+    if config.trials < 100:
         raise ConfigError(
             f"ledger-producing runs need at least 100 trials, got "
-            f"{estimate.config.trials} (confidence intervals are meaningless below)")
+            f"{config.trials} (confidence intervals are meaningless below)")
 
 
 def _refused(estimate: MonteCarloEstimate, theorem_id: str, n_steps: int,
              notes: str) -> BoundLedger | None:
     """The ledger of a check that claims nothing, or None if it may go on:
     out-of-contract (the step-size hypothesis is violated) before invalid
-    (trials hit the divergence guard)."""
+    (trials hit the divergence guard); below 100 trials it raises instead."""
     config = estimate.config
+    _require_ledger_grade(config)
     if not config.in_contract():
         verdict, margin, step = "out-of-contract", float("nan"), -1
         notes += " (step-size hypothesis violated; no claim checked)"
@@ -477,7 +496,6 @@ def check_boundedness(estimate: MonteCarloEstimate) -> BoundLedger:
 
     B comes from the configured theta0 and the provider's scale constant.
     """
-    _require_ledger_grade(estimate)
     config = estimate.config
     B = config.B
     refused = _refused(estimate, "theorem1-boundedness", estimate.T + 1,
@@ -508,7 +526,6 @@ def check_recursion(estimate: MonteCarloEstimate) -> BoundLedger:
     TD(0)). Before tau the disturbance is checked against its coarse 8B bound
     instead.
     """
-    _require_ledger_grade(estimate)
     config = estimate.config
     alpha, tau, B = config.alpha, config.tau, config.B
     rate = 1.0 - alpha * config.provider.beta
@@ -561,7 +578,6 @@ def check_iid_noise(estimate: MonteCarloEstimate) -> BoundLedger:
     keeps the nominal 3-SE false-fail rate; a band at every step would fail
     some step of a long run by chance alone. ``fitted`` records the pooled
     z-score and the number of steps pooled."""
-    _require_ledger_grade(estimate)
     config = estimate.config
     if config.sampling != "iid_restart":
         raise ConfigError("the i.i.d. control check needs sampling='iid_restart'")
@@ -589,7 +605,6 @@ def check_drift(estimate: MonteCarloEstimate) -> BoundLedger:
     """Fit the smallest c with E ||theta_t - theta_{t-tau}||^2 <= c alpha^2
     tau^2 B over t >= tau, with 3-SE slack, from the drift the kernel
     reduced over the lanes (``drift_hat``, ``drift_se``)."""
-    _require_ledger_grade(estimate)
     if estimate.drift_hat is None:
         raise ConfigError("the drift check needs an estimate run with drift=True")
     config = estimate.config
@@ -654,13 +669,8 @@ def weighted_average_experiment(config: ExperimentConfig) -> BoundLedger:
                           f"{config.provider.describe()['kind']}")
     if not config.averaging_grid:
         raise ConfigError("config has no averaging grid")
+    _require_ledger_grade(config)
     grid = sorted(config.averaging_grid)
-    if len(set(grid)) < len(grid):
-        raise ConfigError(f"averaging grid repeats a horizon: {grid}")
-    if len(grid) < 2:
-        raise ConfigError("averaging grid needs at least two horizons")
-    if grid[0] < 1:
-        raise ConfigError(f"averaging horizon T={grid[0]} must be at least 1")
     model = config.model
     rows = []
     for T in grid:
@@ -712,14 +722,15 @@ CHECKS["nonlinear"] = CHECKS["recursion"]
 def run_experiment(config: ExperimentConfig, kind: str):
     """One experiment of the given kind as (estimate, ledgers by name).
 
-    Whatever the kind, the provider is first audited against its declared
-    constants, and the experiment refuses to run (``AuditError``) on failure.
+    Whatever the kind, it first refuses fewer than 100 trials and audits the
+    provider against its declared constants (``AuditError`` on failure).
     ``weighted_average`` runs its horizon grid and has no estimate (None);
     every other kind runs the config's trials once and applies its checks
     from ``CHECKS``, reducing the drift in the kernel when they include it.
     """
     if not isinstance(kind, str) or kind != "weighted_average" and kind not in CHECKS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
+    _require_ledger_grade(config)
     audit = audit_provider(config.provider, 20000,
                            derive_seed(config.master_seed, 0xA0D17))
     if not audit.ok:

@@ -108,11 +108,12 @@ def random_features(n: int, K: int, seed: int, max_tries: int = 50) -> FeatureMa
     """Random features with orthonormal columns rescaled so every row has
     norm at most 1."""
     K, seed = integer("K", K, FeatureError), integer("seed", seed, FeatureError)
+    if not 1 <= K <= n:
+        raise FeatureError(f"need 1 <= K <= n, got K={K}, n={n}")
     rng = generator(derive_seed(seed, 0xFEA7))
     for _ in range(max_tries):
         M = rng.normal(size=(n, K))
         Q, _ = np.linalg.qr(M)
-        Q = Q[:, :K]
         scale = float(np.sqrt((Q ** 2).sum(axis=1).max()))
         Phi = Q / (scale * (1.0 + 1e-12))
         try:

@@ -338,12 +338,13 @@ class DelayProcess:
 
     def __post_init__(self):
         if self.kind not in ("none", "constant", "uniform", "sawtooth"):
-            raise ValueError(f"unknown delay kind {self.kind!r}")
+            raise ConfigError(f"unknown delay kind {self.kind!r}")
+        # the chain and the features have a seed too, so the key is qualified
         for name in ("tau_max", "seed"):
-            value = integer(name, getattr(self, name), ConfigError)
+            value = integer(f"delays.{name}", getattr(self, name), ConfigError)
             object.__setattr__(self, name, value)
         if self.tau_max < 0:
-            raise ValueError("tau_max must be nonnegative")
+            raise ConfigError(f"delays.tau_max must be nonnegative, got {self.tau_max}")
 
     def sequence(self, T: int) -> np.ndarray:
         """This one lane's int64 delays tau_0..tau_{T-1}, from ``blocks``."""

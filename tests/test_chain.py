@@ -135,6 +135,11 @@ class TestGeneratorArguments:
         (lambda: random_mrp(6, 0.9, 3.9), "seed must be an integer, got 3.9"),
         (lambda: random_mrp(6, 0.9, True), "seed must be an integer, got True"),
         (lambda: random_mrp(6, "0.9", 3), "density must lie in (0, 1], got '0.9'"),
+        # not numpy's "negative dimensions are not allowed", which names no key
+        (lambda: cycle_mrp(-3, 0.5), "n must be at least 1, got -3"),
+        (lambda: cycle_mrp(0, 0.5), "n must be at least 1, got 0"),
+        (lambda: random_mrp(-2, 0.9, 3), "n must be at least 1, got -2"),
+        (lambda: random_mrp(0.0, 0.9, 3), "n must be at least 1, got 0"),
         (lambda: mrp_from_dict({"kind": ["cycle"]}), "unknown chain kind ['cycle']"),
         (lambda: mrp_from_dict({"transitions": [[1.0]], "rewards": [1.0],
                                 "gamma": 0.5, "states": 1.5}),

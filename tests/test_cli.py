@@ -145,6 +145,24 @@ class TestRunCommand:
         assert code == EXIT_PASS
         assert (out1 / "estimate.csv").read_bytes() == (out2 / "estimate.csv").read_bytes()
 
+    @pytest.mark.parametrize("command, extra", [
+        ("run", []), ("sweep", ["--sweep", "alpha=1,0.5"])])
+    def test_seed_override_is_rerun_by_its_manifest(self, tmp_path, command, extra):
+        # the manifest's document records the seed that ran, not the
+        # document's own (110), so it reruns the run it describes
+        cfg = write_cfg(tmp_path, {"bundled": "theorem1_near_uniform",
+                                   "experiment": {"trials": 100}})
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        main([command, "--config", cfg, "--out", str(out1), "--seed", "7"] + extra)
+        main([command, "--manifest", str(out1 / "manifest.json"),
+              "--out", str(out2)] + extra)
+        manifest = json.loads((out1 / "manifest.json").read_text())
+        assert manifest["config"]["experiment"]["master_seed"] == 7
+        written = sorted(p.name for p in out1.iterdir() if p.name != "manifest.json")
+        assert "ledgers.json" in written and any(n.startswith("estimate") for n in written)
+        for name in written:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
     def test_unknown_sampling_exits_invalid(self, tmp_path, capsys):
         cfg = bundled_config("theorem1_near_uniform")
         cfg["experiment"]["sampling"] = "bogus"
@@ -198,32 +216,37 @@ class TestRunCommand:
                                            value):
         # a value no number (or no whole number, where one is counted) can be
         # read from is an input error (exit 3) that names its key, not a
-        # traceback with the ledger-failure exit code
+        # traceback with the ledger-failure exit code. The experiment's keys
+        # are named by ExperimentConfig and DelayProcess, which read them
         cfg = bundled_config("delayed_uniform_1")
-        name = f"{section}.{key}"
         if section == "delays":
             cfg["experiment"]["delays"][key] = value
-            name = f"experiment.delays.{key}"
+            message = f"delays.{key} must be an integer, got {value!r}"
         else:
             cfg[section][key] = value
+            message = f"{key} must be an integer, got {value!r}"
+        if key == "alpha_scale":
+            message = f"step_size.alpha_scale must be a finite number, got {value!r}"
         out = tmp_path / "o"
         assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) \
             == EXIT_INVALID_INPUT
-        kind = "a finite number" if key == "alpha_scale" else "an integer"
-        assert f"{name} must be {kind}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("grid, message", [
-        (64, "experiment.averaging_grid must be a list"),
-        ([64, "128"], "experiment.averaging_grid entry must be an integer"),
-        ([64, 128.5], "experiment.averaging_grid entry must be an integer")])
+        (64, "averaging_grid must be a list, got 64"),
+        ([64, "128"], "averaging_grid entry must be an integer, got '128'"),
+        ([64, 128.5], "averaging_grid entry must be an integer, got 128.5")])
     def test_malformed_averaging_grid_exits_invalid(self, tmp_path, capsys, grid,
                                                     message):
+        # refused by ExperimentConfig, the one place the grid rule is written
         cfg = bundled_config("theorem3_averaging")
         cfg["experiment"]["averaging_grid"] = grid
+        out = tmp_path / "o"
         assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out",
-                     str(tmp_path / "o")]) == EXIT_INVALID_INPUT
-        assert message in capsys.readouterr().err
+                     str(out)]) == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("name, section, key", [
         ("theorem2_base", "", "lable"), ("theorem2_base", "instance", "theta_0"),
@@ -425,6 +448,13 @@ class TestWrongTypedValues:
          "alpha must be a positive finite number, got '0.01'"),
         ("theorem2_base", "", "bundled", ["theorem2_base"],
          "unknown bundled config ['theorem2_base']"),
+        # counts are at least 1, and random features no wider than the chain
+        ("theorem1_cycle4", "instance.chain", "n", -3, "n must be at least 1, got -3"),
+        ("theorem1_random6", "instance.chain", "n", -2, "n must be at least 1, got -2"),
+        ("theorem1_random6", "instance.features", "K", -2,
+         "need 1 <= K <= n, got K=-2, n=6"),
+        ("theorem1_random6", "instance.features", "K", 7,
+         "need 1 <= K <= n, got K=7, n=6"),
     ])
     def test_wrong_type_exits_invalid_naming_its_key(self, tmp_path, capsys, name,
                                                      section, key, value, message):
@@ -442,6 +472,29 @@ class TestWrongTypedValues:
                 == EXIT_INVALID_INPUT
             assert message in capsys.readouterr().err
             assert not out.exists()
+
+
+    @pytest.mark.parametrize("label", [None, 7])
+    def test_label_of_wrong_type_exits_invalid(self, tmp_path, capsys, label):
+        # the label goes into the fingerprint; the oracle does not read it
+        cfg = bundled_config("theorem1_cycle4")
+        cfg["label"] = label
+        out = tmp_path / "o"
+        assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) \
+            == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err == f"error: label must be a string, got {label!r}\n"
+        assert not out.exists()
+
+    def test_weighted_average_below_the_trial_floor_exits_invalid(self, tmp_path,
+                                                                   capsys):
+        cfg = bundled_config("theorem3_averaging")
+        cfg["experiment"]["trials"] = 5
+        out = tmp_path / "o"
+        assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) \
+            == EXIT_INVALID_INPUT
+        assert "ledger-producing runs need at least 100 trials, got 5" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
 
 # the config schema: the keys each section and kind knows. The CLI learns

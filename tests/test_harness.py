@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ import pytest
 
 from mixing_reference import generic_tau
 from scalar_reference import kernel_paths, reference_sa
-from tdcert import bundled
+from tdcert import bundled, harness
 from tdcert.chain import (
     BLOCK,
     ChainError,
@@ -231,9 +232,9 @@ class TestWholeNumberFields:
     an averaging horizon of 64.5 run as 64)."""
 
     @pytest.mark.parametrize("field, build", [
-        ("tau_max", lambda: DelayProcess("uniform", 1.5, 77)),
-        ("seed", lambda: DelayProcess("uniform", 2, 7.5)),
-        ("tau_max", lambda: DelayProcess("constant", True, 0)),
+        ("delays.tau_max", lambda: DelayProcess("uniform", 1.5, 77)),
+        ("delays.seed", lambda: DelayProcess("uniform", 2, 7.5)),
+        ("delays.tau_max", lambda: DelayProcess("constant", True, 0)),
         ("trials", lambda: fast_config(trials=100.5)),
         ("T", lambda: fast_config(T=300.5)),
         ("master_seed", lambda: fast_config(master_seed=0.5)),
@@ -254,6 +255,56 @@ class TestWholeNumberFields:
                             averaging_grid=[64, 128])
         assert given.fingerprint() == plain.fingerprint()
         assert given.delays.sequence(50).tobytes() == plain.delays.sequence(50).tobytes()
+
+
+class TestExperimentRules:
+    """Each experiment value has one check, in the type that owns it: the
+    averaging grid and the label in ExperimentConfig, the trial floor before
+    any ledger-producing run simulates or audits anything."""
+
+    @pytest.mark.parametrize("grid, message", [
+        (64, "averaging_grid must be a list, got 64"),
+        ({"T": 64}, "averaging_grid must be a list, got {'T': 64}"),
+        ([64, 64, 128], "averaging grid repeats a horizon: [64, 64, 128]"),
+        ([128, 64, 128.0], "averaging grid repeats a horizon: [64, 128, 128]"),
+        ([64], "averaging grid needs at least two horizons"),
+        ([64, 0], "averaging horizon T=0 must be at least 1"),
+        ([-4, 64], "averaging horizon T=-4 must be at least 1")])
+    def test_averaging_grid_refused_at_construction(self, grid, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            fast_config(averaging_grid=grid)
+
+    def test_grid_kept_in_the_given_order(self):
+        # the fingerprint payload carries the grid as given; an empty one is none
+        assert fast_config(averaging_grid=[256, 64.0]).averaging_grid == (256, 64)
+        assert fast_config(averaging_grid=[]).averaging_grid is None
+
+    @pytest.mark.parametrize("label", [None, 3, ["a"]])
+    def test_label_must_be_a_string(self, label):
+        with pytest.raises(ConfigError, match=f"^label must be a string, got "
+                                              f"{re.escape(repr(label))}$"):
+            fast_config(label=label)
+
+    @pytest.fixture
+    def nothing_runs(self, monkeypatch):
+        def fail(*args, **kwargs):
+            pytest.fail("ran before the trial floor was checked")
+
+        for name in ("_simulate", "audit_provider", "tune_weighted_average"):
+            monkeypatch.setattr(harness, name, fail)
+
+    @pytest.mark.parametrize("kind", ["boundedness", "recursion", "iid_control",
+                                      "weighted_average"])
+    def test_trial_floor_refused_before_the_audit(self, nothing_runs, kind):
+        config = fast_config(trials=50, sampling="iid_restart",
+                             averaging_grid=[64, 128])
+        with pytest.raises(ConfigError, match="need at least 100 trials, got 50"):
+            run_experiment(config, kind)
+
+    def test_weighted_average_floor_refused_before_any_horizon(self, nothing_runs):
+        config = one_state_config(trials=5)
+        with pytest.raises(ConfigError, match="need at least 100 trials, got 5"):
+            weighted_average_experiment(replace(config, averaging_grid=[50, 100]))
 
 
 class TestEstimate:

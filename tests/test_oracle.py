@@ -61,6 +61,11 @@ class TestFeatureMatrix:
         (lambda: group_features(4, 2.5), "K must be an integer, got 2.5"),
         (lambda: random_features(6, 3, "5"), "seed must be an integer, got '5'"),
         (lambda: random_features(6, True, 5), "K must be an integer, got True"),
+        # K > n would silently run n columns (the QR of an n-row matrix has
+        # at most n), another experiment than the one stated
+        (lambda: random_features(6, 7, 5), "need 1 <= K <= n, got K=7, n=6"),
+        (lambda: random_features(6, -2, 5), "need 1 <= K <= n, got K=-2, n=6"),
+        (lambda: random_features(6, 0, 5), "need 1 <= K <= n, got K=0, n=6"),
     ])
     def test_value_of_wrong_type_refused_naming_its_field(self, build, message):
         with pytest.raises(FeatureError, match=message):

@@ -268,6 +268,18 @@ class TestDelays:
         with pytest.raises(ValueError, match="delay kind"):
             DelayProcess("weird", 2, 0)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: DelayProcess("weird", 2, 0), "unknown delay kind 'weird'"),
+        (lambda: DelayProcess("uniform", -1, 0),
+         "delays.tau_max must be nonnegative, got -1")],
+        ids=["kind", "tau_max"])
+    def test_refused_as_a_config_error_naming_the_delays_key(self, build, message):
+        # the chain and the features have a seed too, so the delays' keys are
+        # qualified
+        with pytest.raises(ConfigError) as info:
+            build()
+        assert str(info.value) == message
+
     def test_zero_delay_reproduces_the_undelayed_run_bitwise(self):
         cfg = one_lane(TWO_MODEL, 300, seed=12)
         plain = kernel_paths(cfg)[0]
