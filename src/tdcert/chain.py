@@ -19,8 +19,10 @@ _MASK64 = (1 << 64) - 1
 # buffers, and the lanes ``KeyedStreams`` draws per transposed tile
 BLOCK = 512
 _LANE_CHUNK = 64
-# the most cells ``InverseCdfTable`` builds at once (whole rows, at least one)
+# the most cells ``InverseCdfTable`` builds at once (whole rows, at least
+# one), and the most cells a small chain's n-row table fills
 _TABLE_CHUNK = 1 << 16
+_TABLE_CELLS = 1 << 18
 _ROW_SUM_TOL = 1e-9
 # below this the matrix-power differences are dominated by rounding noise, so
 # from the first step under it on the TV curve is stored as this value, its
@@ -152,12 +154,19 @@ class InverseCdfTable:
     each lane, with u = ``unit(word)`` the double ``Generator.random`` makes
     of the word: the same index as comparing that u with its whole row. Each
     row's count of cells at or below u is a step function of u; the table
-    records it per bucket of [0, 1), cut into B = 2^b = 2^ceil(log2 16n) (at
-    least 256) equal buckets. The bucket that holds u, floor(u B), is the
-    word's top b bits, ``word >> (64 - b)``, so no lane converts its word. A
-    bucket whose count (capped at n - 1) is the same at both ends answers for
-    every u in it; a bucket that a CDF value splits is marked -1, and only
-    the lanes that land in one make u and compare it with their row.
+    records it per bucket of [0, 1), cut into B = 2^b equal buckets. The
+    bucket that holds u, floor(u B), is the word's top b bits,
+    ``word >> (64 - b)``, so no lane converts its word. A bucket whose count
+    (capped at n - 1) is the same at both ends answers for every u in it; a
+    bucket that a CDF value splits is marked -1, and only lanes that land in
+    one (one ``min`` tells) make u and compare it with their row.
+
+    A row has at most n - 1 split buckets, so L lanes resolve about
+    L (n - 1) / B a step. B is the larger of 2^ceil(log2 16n) and the most
+    buckets whose n rows fit in ``_TABLE_CELLS`` = 2^18 cells (n = 6:
+    B = 32768), so a chain's n-row transition table costs at most 256 KiB
+    of int8 counts and its one-row stationary table 1/n of that; from
+    n = 128 on, 16n buckets fill the budget.
 
     The table is built without a search (Chen & Asau's guide table). B is a
     power of two, so x = cum B is exact, and bucket b's count at its left
@@ -172,7 +181,8 @@ class InverseCdfTable:
     def __init__(self, cum):
         cum = np.asarray(cum, dtype=float)
         m, n = cum.shape
-        B = max(256, 1 << (16 * n - 1).bit_length())
+        c = (n - 1).bit_length()  # ceil(log2 n)
+        B = max(16 << c, _TABLE_CELLS >> c)
         dtype = np.int8 if n <= 127 else np.int16 if n <= 32767 else np.int32
         table = np.empty((m, B), dtype=dtype)
         counts = np.minimum(np.arange(n + 1), n - 1).astype(dtype)
@@ -197,8 +207,8 @@ class InverseCdfTable:
         if rows is not None:
             cell += rows * self.B
         idx = self.table.take(cell).astype(np.intp)
-        split = np.flatnonzero(idx < 0)
-        if split.size:
+        if idx.size and idx.min() < 0:
+            split = np.flatnonzero(idx < 0)
             cum = self.cum[0] if rows is None else self.cum.take(rows.take(split), axis=0)
             count = (cum <= unit(words.take(split))[:, None]).sum(axis=1)
             idx[split] = np.minimum(count, self.n - 1)

@@ -37,7 +37,6 @@ import numpy as np
 
 from .chain import (
     BLOCK,
-    ChainError,
     KeyedStreams,
     derive_seed,
     integer,
@@ -102,10 +101,11 @@ class ExperimentConfig:
     restate the mixing time it is certified at. Derive variants with
     ``dataclasses.replace``, which certifies a new alpha again. Counted
     fields (T, trials, master_seed, start_state, averaging_grid entries) are
-    refused unless whole numbers, and stored as ints; a grid needs two or
-    more distinct horizons of at least 1, and the label is a string. theta0
-    is stored read-only and the grid as a tuple, so the fingerprint,
-    computed once on first use, cannot go stale.
+    refused unless whole numbers, and stored as ints; start_state must be a
+    state of the chain, a grid needs two or more distinct horizons of at
+    least 1, and the label is a string. theta0 is stored read-only and the
+    grid as a tuple, so the fingerprint, computed once on first use, cannot
+    go stale.
     """
 
     provider: UpdateDirectionProvider
@@ -126,7 +126,10 @@ class ExperimentConfig:
         whole = {name: integer(name, getattr(self, name), ConfigError)
                  for name in ("T", "trials", "master_seed")}
         if self.start_state is not None:
-            whole["start_state"] = integer("start_state", self.start_state, ConfigError)
+            start = whole["start_state"] = integer("start_state", self.start_state, ConfigError)
+            if not 0 <= start < self.model.mrp.n:
+                raise ConfigError(f"start_state must be a state in 0..{self.model.mrp.n - 1}"
+                                  f", got {start}")
         whole["averaging_grid"] = _averaging_grid(self.averaging_grid)
         if whole["T"] < 0:
             raise ConfigError("T must be nonnegative")
@@ -238,11 +241,11 @@ def _mean_se(curve, count):
 
 def _mean_and_dev(vals, trials):
     """Cross-trial mean (``sum / trials`` is ``np.mean`` bit for bit) and
-    centered sum of squared deviations."""
+    centered sum of squared deviations, overwriting ``vals`` with them."""
     mean = vals.sum() / trials
-    dev = vals - mean
-    dev *= dev
-    return mean, dev.sum()
+    vals -= mean
+    vals *= vals
+    return mean, vals.sum()
 
 
 def _simulate(config: ExperimentConfig, average: bool = False,
@@ -275,6 +278,10 @@ def _simulate(config: ExperimentConfig, average: bool = False,
     keeps each lane's last tau iterates in a (K, tau * trials) ring and
     reduces the drift ||theta_t - theta_{t-tau}||^2 over the lanes for
     t = tau..T, as d_t is reduced.
+
+    A step's temporaries go to scratch allocated once per run: ``diff``
+    (theta - theta*) and ``work`` (products, g - gbar, alpha g, the gaps),
+    both (K, trials), and ``row``, (trials,), for each lane sum reduced.
     """
     provider, mrp, delays = config.provider, config.model.mrp, config.delays
     alpha, T, trials, K = config.alpha, config.T, config.trials, provider.dim
@@ -293,6 +300,7 @@ def _simulate(config: ExperimentConfig, average: bool = False,
     lead = not iid and start_state is None  # the start state's word leads
     words = np.empty((min(BLOCK, T) * draws + lead, trials), dtype=np.uint64)
     theta = np.tile(config.theta0[:, None], (1, trials))
+    work, row = np.empty((K, trials)), np.empty(trials)
 
     if average:
         S = theta.copy()
@@ -302,6 +310,7 @@ def _simulate(config: ExperimentConfig, average: bool = False,
         # theta* as full (K, trials) rows: subtracting a (K, 1) column runs
         # about 2x slower than a whole-array op
         star = np.tile(provider.theta_star[:, None], (1, trials))
+        diff = np.empty((K, trials))
         # per-step cross-trial mean and centered squared deviation (the
         # centered form keeps a deterministic instance's variance at rounding
         # level: the mean of identical lanes can miss them by an ulp)
@@ -332,8 +341,6 @@ def _simulate(config: ExperimentConfig, average: bool = False,
         lanes = np.arange(trials)
 
     if not iid and not lead:
-        if not 0 <= start_state < mrp.n:
-            raise ChainError(f"start_state {start_state} out of range")
         s = np.full(trials, start_state, dtype=np.int64)
         F_s = F.take(s, axis=1)
 
@@ -357,8 +364,9 @@ def _simulate(config: ExperimentConfig, average: bool = False,
         for j in range(L):
             step = t0 + j
             if not average:
-                diff = theta - star
-                d[0, step], d[1, step] = _mean_and_dev(rowsum(diff * diff), trials)
+                np.subtract(theta, star, out=diff)
+                d[0, step], d[1, step] = _mean_and_dev(
+                    rowsum(np.multiply(diff, diff, out=work), row), trials)
 
             if iid:
                 s = pi_sampler.pick(W[2 * j])
@@ -371,15 +379,15 @@ def _simulate(config: ExperimentConfig, average: bool = False,
 
             g = provider.direction(theta, X)
             if not average:
-                gbar = provider.steady(theta)
-                e[0, step], e[1, step] = _mean_and_dev(
-                    rowsum(diff * (g - gbar)), trials)
+                np.subtract(g, provider.steady(theta), out=work)
+                work *= diff
+                e[0, step], e[1, step] = _mean_and_dev(rowsum(work, row), trials)
 
             if use_delays:
                 slot = step % m * trials
                 ring[:, slot:slot + trials] = g
-                g = ring.take(idx[j], axis=1)
-            theta += alpha * g
+                g = ring.take(idx[j], axis=1, out=work, mode="clip")
+            theta += np.multiply(alpha, g, out=work)
 
             # NaN fails every comparison, so this is the finite check as well
             if not np.abs(theta).max() <= safe:
@@ -394,22 +402,22 @@ def _simulate(config: ExperimentConfig, average: bool = False,
                 back = t % tau * trials
                 past = lag[:, back:back + trials]
                 if t >= tau:
-                    gap = theta - past
+                    np.subtract(theta, past, out=work)
                     drifts[0, t - tau], drifts[1, t - tau] = _mean_and_dev(
-                        rowsum(gap * gap), trials)
+                        rowsum(np.multiply(work, work, out=work), row), trials)
                 past[...] = theta
             if average:
                 v = v * wrate + 1.0
-                gap = theta - S
-                gap /= v
-                S += gap
+                np.subtract(theta, S, out=work)
+                work /= v
+                S += work
             if not iid:
                 s, F_s = sp, F_sp
         t0 += L
 
     if not average and abort_step is None:
-        diff = theta - star
-        d[0, T], d[1, T] = _mean_and_dev(rowsum(diff * diff), trials)
+        np.subtract(theta, star, out=diff)
+        d[:, T] = _mean_and_dev(rowsum(np.multiply(diff, diff, out=work), row), trials)
     d_hat, d_se = _mean_se(d, trials)
     e_hat, e_se = _mean_se(e, trials)
     drift_hat, drift_se = _mean_se(drifts, trials)

@@ -53,16 +53,16 @@ def fingerprint(payload: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def rowsum(x):
+def rowsum(x, out=None):
     """The sum of the K rows of a (K, lanes) batch, added left to right:
-    each lane's sum is ((0.0 + x_0) + x_1) + ... + x_{K-1}; a (K,) vector
-    gives its sum.
+    each lane's sum is ((0.0 + x_0) + x_1) + ... + x_{K-1}, written to
+    ``out`` (a (lanes,) float array) when given; a (K,) vector gives its sum.
 
     The order is fixed, so a lane's bits do not depend on how many lanes run
     beside it. Below 8 terms it is also numpy's order for a contiguous
     vector. The ``+ 0.0`` is the identity; it only turns a -0.0 into 0.0.
     """
-    acc = x[0] + 0.0
+    acc = np.add(x[0], 0.0, out=out)
     for j in range(1, x.shape[0]):
         acc += x[j]
     return acc
@@ -92,8 +92,12 @@ def td0_direction(gamma: float, theta, X):
     """
     F_s, F_sp = X
     phi_s = F_s[:-1]
-    td = (F_s[-1] + gamma * rowsum(F_sp[:-1] * theta)
-          - rowsum(phi_s * theta))
+    # in one row, with the sum's bits (IEEE * and + commute)
+    prod = F_sp[:-1] * theta
+    td = rowsum(prod)
+    td *= gamma
+    np.add(F_s[-1], td, out=td)
+    td -= rowsum(np.multiply(phi_s, theta, out=prod))
     return td * phi_s
 
 

@@ -72,10 +72,14 @@ def validate_chain(mrp) -> ValidationReport:
 def inverse_cdf_table(cum):
     """``InverseCdfTable(cum)``'s B and flat table, two ``searchsorted``
     calls per row: a bucket's count (capped at n - 1) at its left edge and
-    just below its right edge, or -1 where the two differ."""
+    just below its right edge, or -1 where the two differ. B is the larger
+    of the first power of two at or above 16n and the largest power of two
+    whose n rows fit in 2^18 cells."""
     cum = np.asarray(cum, dtype=float)
     m, n = cum.shape
-    B = max(256, 1 << (16 * n - 1).bit_length())
+    B = 1
+    while B < 16 * n or n * 2 * B <= 1 << 18:
+        B *= 2
     edges = np.arange(B + 1) / B
     dtype = np.int8 if n <= 127 else np.int16 if n <= 32767 else np.int32
     table = np.empty((m, B), dtype=dtype)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import chain_reference
 from mixing_reference import tv_reference
+from tdcert import chain
 from tdcert.bundled import bundled_config, bundled_names
 from tdcert.chain import (
     _TV_CLAMP,
@@ -38,11 +39,14 @@ def words(seed, count):
 
 def full_row(cum, w):
     """The sampled cell of each word by comparing its double with the whole
-    CDF row (one row, or one row per word)."""
+    CDF row (one row, or one row per word). One row is nondecreasing, so its
+    values at or below a double are a prefix, counted by binary search."""
     cum = np.asarray(cum)
     u = unit(np.asarray(w, dtype=np.uint64))
-    rows = cum if cum.ndim == 2 else cum[None, :]
-    return np.minimum((rows <= u[:, None]).sum(axis=1), cum.shape[-1] - 1)
+    if cum.ndim == 1:
+        assert np.all(np.diff(cum) >= 0)
+        return np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
+    return np.minimum((cum <= u[:, None]).sum(axis=1), cum.shape[-1] - 1)
 
 
 def assert_reference_table(table):
@@ -534,21 +538,54 @@ class TestInverseCdfTable:
         assert np.array_equal(table.pick(w, s), full_row(mrp.cum_P[s], w))
         assert np.array_equal(mrp.pi_sampler.pick(w), full_row(np.cumsum(mrp.pi), w))
 
-    def test_bucket_is_the_top_bits_of_the_word(self):
+    @pytest.mark.parametrize("n, B", [(100, 2048), (6, 2 ** 15), (512, 8192),
+                                      (1, 2 ** 18)])
+    def test_bucket_is_the_top_bits_of_the_word(self, n, B):
         # floor(unit(w) * B) = w >> (64 - b) for every bucket edge and its
-        # neighbours
-        for B in (256, 4096, 8192):
-            table = InverseCdfTable(np.ones((1, B // 16)))
-            assert table.B == B
-            w = _critical_words(np.ones(1), B)
-            assert np.array_equal(w >> np.uint64(table.shift),
-                                  np.floor(unit(w) * B).astype(np.uint64))
+        # neighbours, up to the most buckets the cell budget gives
+        table = InverseCdfTable(np.ones((1, n)))
+        assert table.B == B
+        w = _critical_words(np.ones(1), B)
+        assert np.array_equal(w >> np.uint64(table.shift),
+                              np.floor(unit(w) * B).astype(np.uint64))
 
     def test_bucket_count_scales_with_states(self):
-        assert InverseCdfTable(np.ones((1, 1))).B == 256
-        assert InverseCdfTable(np.ones((1, 16))).B == 256
-        assert InverseCdfTable(np.ones((1, 17))).B == 512
-        assert InverseCdfTable(np.ones((1, 150))).B == 4096
+        # the larger of 2^ceil(log2 16n) and the most buckets whose n rows
+        # fit in 2^18 cells, whatever the table's own row count
+        for n, B in {1: 2 ** 18, 2: 2 ** 17, 6: 2 ** 15, 16: 2 ** 14, 17: 8192,
+                     64: 4096, 65: 2048, 128: 2048, 129: 4096, 150: 4096,
+                     300: 8192, 17000: 2 ** 19}.items():
+            for m in (1, 3):
+                assert InverseCdfTable(np.ones((m, n))).B == B, (m, n)
+
+    @pytest.mark.parametrize("n, B", [(150, 4096), (300, 8192)])
+    def test_large_chain_tables_keep_their_size(self, n, B):
+        # from n = 128 on, 16n buckets per row already fill the cell budget
+        mrp = random_mrp(n, 0.3, seed=n)
+        assert (mrp.sampler.B, mrp.sampler.table.nbytes) == (B, n * B * 2)
+        assert (mrp.pi_sampler.B, mrp.pi_sampler.table.nbytes) == (B, B * 2)
+
+    def test_pick_without_a_split_lane_skips_the_resolve(self, monkeypatch):
+        mrp = random_mrp(6, 0.3, seed=6)
+        table = mrp.sampler
+        w = words(11, 20000)
+        s = generator(12).integers(0, 6, size=w.shape[0])
+        clear = table.table[(w >> np.uint64(table.shift)).astype(np.intp) + s * table.B] >= 0
+        w, s = w[clear], s[clear]
+        assert w.size > 19000
+        monkeypatch.setattr(chain, "unit", None)  # the resolve path would call it
+        assert np.array_equal(table.pick(w, s), full_row(mrp.cum_P[s], w))
+
+    def test_pick_with_every_lane_split(self):
+        mrp = random_mrp(6, 0.3, seed=6)
+        table = mrp.sampler
+        rows, cells = np.divmod(np.flatnonzero(table.table < 0), table.B)
+        assert rows.size >= 6
+        # every split bucket, at random words inside it
+        low = words(13, rows.size) >> np.uint64(64 - table.shift)
+        w = cells.astype(np.uint64) << np.uint64(table.shift) | low
+        assert np.all(table.table[cells + rows * table.B] < 0)
+        assert np.array_equal(table.pick(w, rows), full_row(mrp.cum_P[rows], w))
 
     def test_chain_sampler_is_built_once(self):
         mrp = make(TWO_STATE)

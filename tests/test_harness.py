@@ -12,7 +12,6 @@ from scalar_reference import kernel_paths, reference_sa
 from tdcert import bundled, harness
 from tdcert.chain import (
     BLOCK,
-    ChainError,
     InverseCdfTable,
     KeyedStreams,
     MarkovRewardProcess,
@@ -288,7 +287,7 @@ class TestExperimentRules:
     @pytest.fixture
     def nothing_runs(self, monkeypatch):
         def fail(*args, **kwargs):
-            pytest.fail("ran before the trial floor was checked")
+            pytest.fail("ran before the config was refused")
 
         for name in ("_simulate", "audit_provider", "tune_weighted_average"):
             monkeypatch.setattr(harness, name, fail)
@@ -305,6 +304,49 @@ class TestExperimentRules:
         config = one_state_config(trials=5)
         with pytest.raises(ConfigError, match="need at least 100 trials, got 5"):
             weighted_average_experiment(replace(config, averaging_grid=[50, 100]))
+
+    def test_start_state_out_of_range_refused_before_the_audit(self, nothing_runs):
+        cfg = bundled.bundled_config("theorem1_random6")
+        cfg["experiment"]["start_state"] = 9
+        with pytest.raises(ConfigError, match="^start_state must be a state in 0..5, got 9$"):
+            run_experiment(*parse_experiment(cfg))
+
+
+class TestScratchBuffers:
+    """The kernel's scratch is allocated per run and never reaches a result:
+    a second run on the same config returns equal curves sharing no memory
+    with the first, and d_t is the cross-lane reduction of single trials."""
+
+    @pytest.mark.parametrize("delays", [None, DelayProcess("uniform", 4, seed=8)])
+    def test_back_to_back_runs_are_equal_and_keep_their_curves(self, delays):
+        config = wide_config(3, trials=50, delays=delays)
+        first = estimate_dt_et(config)
+        curves = ("d_hat", "e_hat", "d_se", "e_se")
+        kept = [getattr(first, name).copy() for name in curves]
+        second = estimate_dt_et(config)
+        for name, value in zip(curves, kept):
+            a, b = getattr(first, name), getattr(second, name)
+            assert np.array_equal(a, value) and np.array_equal(b, value), name
+            assert not np.shares_memory(a, b), name
+
+    @pytest.mark.parametrize("K", [1, 3, 8])
+    def test_lanes_and_d_curve_equal_single_trial_runs(self, K):
+        cfg = fast_config(trials=6, T=80) if K == 1 else wide_config(K)
+        refs = np.stack([reference_sa(cfg.provider, cfg.model.mrp, cfg.theta0, cfg.alpha,
+                                      cfg.T, seed=derive_seed(cfg.master_seed, i))
+                         for i in range(cfg.trials)])
+        assert np.array_equal(kernel_paths(cfg), refs)
+        # each lane's ||theta_t - theta*||^2 added left to right, then its
+        # cross-lane mean and standard error as numpy computes them
+        sq = (refs - cfg.provider.theta_star) ** 2
+        lane_d = 0.0
+        for k in range(K):
+            lane_d = lane_d + sq[..., k]
+        mean = np.array([np.mean(col) for col in lane_d.T])
+        dev = np.array([np.sum((col - m) * (col - m)) for col, m in zip(lane_d.T, mean)])
+        estimate = estimate_dt_et(cfg)
+        assert np.array_equal(estimate.d_hat, mean)
+        assert np.array_equal(estimate.d_se, np.sqrt(dev / (cfg.trials - 1) / cfg.trials))
 
 
 class TestEstimate:
@@ -491,8 +533,8 @@ class TestEstimate:
 
     @pytest.mark.parametrize("start_state", [-1, 2])
     def test_start_state_out_of_range_rejected(self, start_state):
-        with pytest.raises(ChainError, match="start_state"):
-            estimate_dt_et(fast_config(trials=3, T=10, start_state=start_state))
+        with pytest.raises(ConfigError, match=f"start_state must be a state in 0..1, got {start_state}"):
+            fast_config(trials=3, T=10, start_state=start_state)
 
     def test_divergence_marks_estimate_invalid_with_abort_count(self):
         cfg = fast_config(alpha=1e8, trials=150, T=2000, theta0=[1.0])

@@ -15,7 +15,6 @@ from scalar_reference import (
 )
 from tdcert.chain import (
     BLOCK,
-    ChainError,
     MarkovRewardProcess,
     derive_seed,
     generator,
@@ -248,8 +247,8 @@ class TestRunSA:
 
     @pytest.mark.parametrize("start_state", [-1, 2])
     def test_start_state_out_of_range_rejected(self, start_state):
-        with pytest.raises(ChainError, match="start_state"):
-            estimate_dt_et(one_lane(TWO_MODEL, 10, seed=6, start_state=start_state))
+        with pytest.raises(ConfigError, match="start_state must be a state in 0..1"):
+            one_lane(TWO_MODEL, 10, seed=6, start_state=start_state)
 
     def test_unknown_sampling_rejected(self):
         with pytest.raises(ConfigError, match="sampling"):
