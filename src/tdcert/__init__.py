@@ -36,7 +36,6 @@ from .oracle import (
 )
 from .sa_core import (
     DelayProcess,
-    LinearContractionProvider,
     ProviderAudit,
     SaturatingMonotoneProvider,
     StepSizeError,

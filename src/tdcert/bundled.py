@@ -25,14 +25,6 @@ TWO_STATE_SLOW = {
     "gamma": 0.5,
 }
 
-# The classic worked example: pi = [2/3, 1/3], single-feature value estimate.
-TWO_STATE_ORACLE = {
-    "kind": "explicit",
-    "transitions": [[0.9, 0.1], [0.2, 0.8]],
-    "rewards": [1.0, 0.0],
-    "gamma": 0.9,
-}
-
 UNIFORM_TWO_STATE = {
     "kind": "explicit",
     "transitions": [[0.5, 0.5], [0.5, 0.5]],  # mixes in one step

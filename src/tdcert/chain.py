@@ -28,6 +28,7 @@ _ROW_SUM_TOL = 1e-9
 # from the first step under it on the TV curve is stored as this value, its
 # upper bound
 _TV_CLAMP = 1e-13
+_MRP_TRIES = 500  # the candidates ``random_mrp`` draws before it gives up
 
 
 class ChainError(ValueError):
@@ -67,13 +68,8 @@ def derive_seed(master_seed, *indices):
 
 def generator(seed: int) -> np.random.Generator:
     """Counter-based generator for the given stream seed: Philox keyed by
-    ``stream_key(seed)``, its counter at zero."""
-    return np.random.Generator(np.random.Philox(key=stream_key(seed)))
-
-
-def stream_key(seed: int) -> int:
-    """The Philox key of the stream ``generator(seed)``."""
-    return int(seed) & _MASK64
+    the seed modulo 2^64, its counter at zero."""
+    return np.random.Generator(np.random.Philox(key=_word(seed)))
 
 
 def unit(words, out=None):
@@ -110,7 +106,7 @@ class KeyedStreams:
     """
 
     def __init__(self, seeds):
-        self.keys = [stream_key(seed) for seed in seeds]
+        self.keys = [_word(seed) for seed in seeds]
         self.bitgen = generator(0).bit_generator
         self.state = {"bit_generator": "Philox",
                       "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
@@ -497,8 +493,8 @@ def cycle_mrp(n: int, epsilon: float, gamma: float = 0.5, rewards=None) -> Marko
     return MarkovRewardProcess(P, rewards, gamma)
 
 
-def random_mrp(n: int, density: float, seed: int, gamma: float = 0.5,
-               max_tries: int = 500) -> MarkovRewardProcess:
+def random_mrp(n: int, density: float, seed: int,
+               gamma: float = 0.5) -> MarkovRewardProcess:
     """Random stochastic matrix with roughly `density` positive entries per
     row, rejection-sampled until the chain is irreducible and aperiodic.
     Rewards are drawn uniformly from [-1, 1]."""
@@ -511,7 +507,7 @@ def random_mrp(n: int, density: float, seed: int, gamma: float = 0.5,
     # a single positive entry per row makes every candidate deterministic,
     # which can never be both irreducible and aperiodic for n >= 2
     m = min(n, max(2, int(round(density * n)))) if n >= 2 else 1
-    for _ in range(max_tries):
+    for _ in range(_MRP_TRIES):
         P = np.zeros((n, n))
         for i in range(n):
             cols = rng.permutation(n)[:m]
@@ -522,7 +518,7 @@ def random_mrp(n: int, density: float, seed: int, gamma: float = 0.5,
         if mrp.validation.ok:
             return mrp
     raise ChainError(
-        f"no irreducible aperiodic chain found in {max_tries} tries "
+        f"no irreducible aperiodic chain found in {_MRP_TRIES} tries "
         f"(n={n}, density={density})"
     )
 

@@ -35,7 +35,6 @@ from .sa_core import (
     StepSizeError,
     auto_horizon,
     resolve_step_size,
-    LinearContractionProvider,
     SaturatingMonotoneProvider,
     TD0Provider,
 )
@@ -80,9 +79,9 @@ def _build_provider(prov_cfg: dict, model):
     kind = prov_cfg.get("kind", "td0")
     if kind == "td0":
         return TD0Provider(model)
-    if kind == "linear_contraction":
-        return LinearContractionProvider(prov_cfg["theta_star"],
-                                         prov_cfg["noise"], model)
+    if kind == "linear_contraction":  # the saturating operator at a = 1, b = 0
+        return SaturatingMonotoneProvider(prov_cfg["theta_star"], prov_cfg["noise"],
+                                          model, a=1.0, b=0.0)
     if kind == "saturating":
         return SaturatingMonotoneProvider(
             prov_cfg["theta_star"], prov_cfg["noise"], model,

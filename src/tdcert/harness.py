@@ -102,10 +102,10 @@ class ExperimentConfig:
     ``dataclasses.replace``, which certifies a new alpha again. Counted
     fields (T, trials, master_seed, start_state, averaging_grid entries) are
     refused unless whole numbers, and stored as ints; start_state must be a
-    state of the chain, a grid needs two or more distinct horizons of at
-    least 1, and the label is a string. theta0 is stored read-only and the
-    grid as a tuple, so the fingerprint, computed once on first use, cannot
-    go stale.
+    state of the chain and is refused under iid_restart sampling, which
+    never reads it; a grid needs two or more distinct horizons of at least 1,
+    and the label is a string. theta0 is stored read-only and the grid as a
+    tuple, so the fingerprint, computed once on first use, cannot go stale.
     """
 
     provider: UpdateDirectionProvider
@@ -137,6 +137,9 @@ class ExperimentConfig:
             raise ConfigError("need at least one trial")
         if self.sampling not in ("markov", "iid_restart"):
             raise ConfigError(f"unknown sampling mode {self.sampling!r}")
+        if self.sampling == "iid_restart" and self.start_state is not None:
+            raise ConfigError("start_state is never read under sampling "
+                              "'iid_restart', which draws every state from pi")
         if not isinstance(self.label, str):
             raise ConfigError(f"label must be a string, got {self.label!r}")
         normalized = dict(
@@ -325,7 +328,7 @@ def _simulate(config: ExperimentConfig, average: bool = False,
         lag[:, :trials] = theta
         drifts = np.full((2, max(T + 1 - tau, 0)), np.nan)
 
-    use_delays = delays is not None and delays.kind != "none" and delays.tau_max > 0
+    use_delays = delays is not None and delays.tau_max > 0
     if use_delays:
         m = delays.tau_max + 1
         # the directions of the last m steps; lane i's slot-b direction is
@@ -803,7 +806,8 @@ def sweep(config: ExperimentConfig, axis: str, values) -> dict:
       ``derive_seed(master_seed, int(mult * 1e6))``; ``floor_slope`` is the
       log-log slope of the asymptotic floor against alpha.
     - ``tau_max``: the provider's step size over 1 + tau_max, under the
-      config's delay kind and seed (uniform and 77 if it has none).
+      config's delay kind and seed (uniform and 77 if it has none, or kind
+      none).
     - ``T``: the horizons of one weighted-average experiment, whose table
       rows are the points; ``tail_slope`` is its ledger's.
 
@@ -818,7 +822,8 @@ def sweep(config: ExperimentConfig, axis: str, values) -> dict:
         return {**result, "points": fitted["table"], "tail_slope": fitted["tail_slope"]}
     if axis == "tau_max":
         base = resolve_step_size(config.provider)
-        kind, seed = ((config.delays.kind, config.delays.seed) if config.delays
+        delays = config.delays
+        kind, seed = ((delays.kind, delays.seed) if delays and delays.kind != "none"
                       else ("uniform", 77))
     points = result["points"] = []
     for i, value in enumerate(grid):

@@ -31,6 +31,7 @@ MAX_HORIZON = 1 << 16  # the longest horizon a mixing-time search doubles to
 # the bounds cost more than the SVDs they save (K = 1 and 2 break even at
 # n = 50-80, K = 3 near 20, K = 8 below 16).
 _PRUNE_ROWS = 128
+_FEATURE_TRIES = 50  # the draws ``random_features`` makes before it gives up
 
 
 class FeatureError(ValueError):
@@ -104,14 +105,14 @@ def group_features(n: int, K: int) -> FeatureMatrix:
     return FeatureMatrix(Phi)
 
 
-def random_features(n: int, K: int, seed: int, max_tries: int = 50) -> FeatureMatrix:
+def random_features(n: int, K: int, seed: int) -> FeatureMatrix:
     """Random features with orthonormal columns rescaled so every row has
     norm at most 1."""
     K, seed = integer("K", K, FeatureError), integer("seed", seed, FeatureError)
     if not 1 <= K <= n:
         raise FeatureError(f"need 1 <= K <= n, got K={K}, n={n}")
     rng = generator(derive_seed(seed, 0xFEA7))
-    for _ in range(max_tries):
+    for _ in range(_FEATURE_TRIES):
         M = rng.normal(size=(n, K))
         Q, _ = np.linalg.qr(M)
         scale = float(np.sqrt((Q ** 2).sum(axis=1).max()))

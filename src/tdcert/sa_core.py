@@ -68,21 +68,6 @@ def rowsum(x, out=None):
     return acc
 
 
-def _centered_noise(theta_star, noise_table, model):
-    """(theta_star, noise) of a generic provider as float arrays, the (n, K)
-    noise table centered under the model's pi; refused (ConfigError) unless
-    theta_star has at least one coordinate, the table matches the chain and
-    theta_star, and every entry is finite."""
-    theta_star = finite_array("theta_star", theta_star, ConfigError).reshape(-1)
-    if theta_star.size == 0:
-        raise ConfigError("theta_star needs at least one coordinate")
-    noise = finite_array("noise", noise_table, ConfigError)
-    if noise.shape != (model.mrp.n, theta_star.size):
-        raise ConfigError(f"noise table has shape {noise.shape}, expected "
-                          f"(n, K) = {(model.mrp.n, theta_star.size)}")
-    return theta_star, noise - model.mrp.pi @ noise
-
-
 def td0_direction(gamma: float, theta, X):
     """The TD(0) update direction (r + gamma <phi(s'), theta> - <phi(s), theta>) phi(s).
 
@@ -225,44 +210,33 @@ class TD0Provider(UpdateDirectionProvider):
                 "Phi": self.model.features.Phi.tolist()}
 
 
-class LinearContractionProvider(UpdateDirectionProvider):
-    """g(theta; X) = -theta + c(s) with the state table c centered so that its
-    mean under the model's pi is theta_star; ``state_table`` holds the columns
-    c(s). Exactly 1-Lipschitz and 1-monotone."""
-
-    def __init__(self, theta_star, noise_table, model):
-        theta_star, noise = _centered_noise(theta_star, noise_table, model)
-        self.model = model
-        self.c_table = theta_star[None, :] + noise
-        self.state_table = np.ascontiguousarray(self.c_table.T)
-        self.theta_star = theta_star
-        self.dim = theta_star.shape[0]
-        self.L = 1.0
-        self.beta = 1.0
-        self.sigma_const = float(max(1.0, np.linalg.norm(self.c_table, axis=1).max(),
-                                     np.linalg.norm(theta_star)))
-
-    def direction(self, theta, X):
-        return -theta + X[0]
-
-    def steady(self, theta):
-        return self.theta_star[:, None] - theta
-
-    def describe(self):
-        return {"kind": "linear_contraction", "c": self.c_table.tolist()}
-
-
 class SaturatingMonotoneProvider(UpdateDirectionProvider):
-    """A nonlinear monotone operator: -(a u + b tanh(u)) plus state noise
+    """A strongly monotone operator: -(a u + b tanh(u)) plus state noise n(s)
     centered under the model's pi, where u = theta - theta_star; ``state_table``
     holds the noise columns. Strong monotonicity modulus a, Lipschitz
-    constant a + b."""
+    constant L = max(1, a + b). At a = 1, b = 0 it is the linear contraction
+    -theta + c(s) with c(s) = theta_star + n(s), exactly 1-Lipschitz and
+    1-monotone.
+
+    sigma = max(1, ||theta_star||, (max_s ||a theta_star + n(s)|| + b sqrt(K))
+    / L), so ||g(theta; X)|| <= a ||theta|| + ||a theta_star + n(s)|| +
+    b sqrt(K) <= L (||theta|| + sigma). Refused (ConfigError) unless a > 0
+    and b >= 0 are finite, theta_star has at least one coordinate, the (n, K)
+    noise table matches the chain and theta_star, and every entry is finite.
+    """
 
     def __init__(self, theta_star, noise_table, model, a=0.7, b=0.3):
         if not (is_number(a) and is_number(b) and 0.0 < a < math.inf
                 and 0.0 <= b < math.inf):
             raise ConfigError(f"need finite a > 0 and b >= 0, got a={a!r}, b={b!r}")
-        theta_star, noise = _centered_noise(theta_star, noise_table, model)
+        theta_star = finite_array("theta_star", theta_star, ConfigError).reshape(-1)
+        if theta_star.size == 0:
+            raise ConfigError("theta_star needs at least one coordinate")
+        noise = finite_array("noise", noise_table, ConfigError)
+        if noise.shape != (model.mrp.n, theta_star.size):
+            raise ConfigError(f"noise table has shape {noise.shape}, expected "
+                              f"(n, K) = {(model.mrp.n, theta_star.size)}")
+        noise = noise - model.mrp.pi @ noise
         self.model = model
         self.noise_table = noise
         self.state_table = np.ascontiguousarray(noise.T)
@@ -272,10 +246,9 @@ class SaturatingMonotoneProvider(UpdateDirectionProvider):
         self.b = float(b)
         self.L = max(1.0, self.a + self.b)
         self.beta = self.a
-        nmax = float(np.linalg.norm(noise, axis=1).max(initial=0.0))
-        raw = (self.a * np.linalg.norm(theta_star)
-               + self.b * np.sqrt(self.dim) + nmax) / self.L
-        self.sigma_const = float(max(1.0, np.linalg.norm(theta_star), raw))
+        offset = np.linalg.norm(self.a * theta_star + noise, axis=1).max()
+        self.sigma_const = float(max(1.0, np.linalg.norm(theta_star),
+                                     (offset + self.b * np.sqrt(self.dim)) / self.L))
 
     def _drift(self, theta):
         u = theta - self.theta_star[:, None]
@@ -332,8 +305,9 @@ def resolve_step_size(provider: UpdateDirectionProvider) -> float:
 class DelayProcess:
     """Bounded staleness generator: emits 0 <= tau_t <= min(t, tau_max).
 
-    Kinds: none, constant (always the max allowed), uniform (i.i.d. on
-    [0, tau_max], clamped early), and an adversarial sawtooth sweep.
+    Kinds: none (tau_max 0 only), constant (always the max allowed), uniform
+    (i.i.d. on [0, tau_max], clamped early), and an adversarial sawtooth
+    sweep. Any kind at tau_max 0 runs undelayed.
     """
 
     kind: str = "none"
@@ -349,6 +323,9 @@ class DelayProcess:
             object.__setattr__(self, name, value)
         if self.tau_max < 0:
             raise ConfigError(f"delays.tau_max must be nonnegative, got {self.tau_max}")
+        if self.kind == "none" and self.tau_max > 0:
+            raise ConfigError(f"delays.tau_max {self.tau_max} needs a delay kind "
+                              f"(constant, uniform or sawtooth), got kind 'none'")
 
     def sequence(self, T: int) -> np.ndarray:
         """This one lane's int64 delays tau_0..tau_{T-1}, from ``blocks``."""
@@ -382,7 +359,7 @@ class DelayProcess:
         for t0 in range(0, T, BLOCK):
             block = out[:min(BLOCK, T - t0)]
             L = len(block)
-            if self.kind == "none" or cap == 0:
+            if cap == 0:
                 block.fill(0)
             elif self.kind == "constant":
                 block[:] = np.minimum(cap, np.arange(t0, t0 + L))[:, None]

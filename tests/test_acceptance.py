@@ -171,8 +171,8 @@ def test_criterion_7_theorem4_nonlinear():
     config, _ = parse_experiment(bundled_config("theorem4_linear_contraction"))
     provider = config.provider
     est, ledgers = run_experiment(config, "recursion")
-    # the stationary noise variance V = sum_s pi(s) ||c(s) - theta_star||^2
-    dev = provider.c_table - provider.theta_star
+    # the stationary noise variance V = sum_s pi(s) ||n(s)||^2
+    dev = provider.noise_table
     a, V = config.alpha, float(provider.model.mrp.pi @ (dev ** 2).sum(axis=1))
     d = np.zeros(config.T + 1)
     d[0] = float(np.sum((config.theta0 - provider.theta_star) ** 2))

@@ -7,6 +7,7 @@ from mixing_reference import generic_tau
 from tdcert import harness
 from tdcert.bundled import bundled_config, bundled_names, THEOREM1_NAMES
 from tdcert.harness import ConfigError
+from tdcert.sa_core import SaturatingMonotoneProvider
 from tdcert.cli import (
     EXIT_FAIL,
     EXIT_INVALID_INPUT,
@@ -287,6 +288,23 @@ class TestRunCommand:
         assert ("unknown config key 'provider.aa' (known: a, b, kind, noise, "
                 "theta_star)") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["a", "b"])
+    def test_linear_contraction_is_the_saturating_operator_at_a1_b0(self, tmp_path,
+                                                                   capsys, key):
+        cfg = bundled_config("theorem4_linear_contraction")
+        provider = parse_experiment(cfg)[0].provider
+        assert type(provider) is SaturatingMonotoneProvider
+        assert (provider.a, provider.b, provider.L, provider.beta) == (1.0, 0.0, 1.0, 1.0)
+        # its constants are fixed, so the kind reads neither
+        cfg["provider"][key] = 1.0
+        for command in ("oracle", "run"):
+            out = tmp_path / command
+            assert main([command, "--config", write_cfg(tmp_path, cfg), "--out",
+                         str(out)]) == EXIT_INVALID_INPUT
+            assert (f"unknown config key 'provider.{key}' (known: kind, noise, "
+                    f"theta_star)") in capsys.readouterr().err
+            assert not out.exists()
+
     def test_unknown_kind_is_left_to_its_builder(self, tmp_path, capsys):
         cfg = bundled_config("theorem2_base")
         cfg["instance"]["chain"] = {"kind": "ring", "n": 4}
@@ -333,6 +351,29 @@ class TestRunCommand:
         path = write_cfg(tmp_path, cfg)
         assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) \
             == EXIT_INVALID_INPUT
+
+    def test_start_state_under_iid_restart_exits_invalid(self, tmp_path, capsys):
+        # iid_restart draws every state from pi, so a start state would only
+        # change the fingerprint
+        cfg = bundled_config("lemma4_iid_control")
+        cfg["experiment"]["start_state"] = 1
+        out = tmp_path / "o"
+        assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) \
+            == EXIT_INVALID_INPUT
+        err = capsys.readouterr().err
+        assert "start_state" in err and "sampling 'iid_restart'" in err
+        assert not out.exists()
+
+    def test_delay_bound_without_a_kind_exits_invalid(self, tmp_path, capsys):
+        # kind none is the undelayed process, so it takes no tau_max > 0
+        cfg = bundled_config("delayed_uniform_1")
+        cfg["experiment"]["delays"] = {"tau_max": 5, "seed": 7}
+        out = tmp_path / "o"
+        assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) \
+            == EXIT_INVALID_INPUT
+        assert ("error: delays.tau_max 5 needs a delay kind (constant, uniform or "
+                "sawtooth), got kind 'none'\n") == capsys.readouterr().err
+        assert not out.exists()
 
     def test_weighted_average_of_a_generic_provider_exits_invalid(self, tmp_path):
         cfg = bundled_config("theorem4_linear_contraction")

@@ -29,7 +29,6 @@ from tdcert.oracle import (
 from tdcert.sa_core import (
     STEP_C,
     DelayProcess,
-    LinearContractionProvider,
     SaturatingMonotoneProvider,
     TD0Provider,
     auto_horizon,
@@ -92,7 +91,7 @@ def generic_provider(kind, K=3):
     noise = generator(4).normal(size=(WIDE.n, K))
     theta_star = [0.5, -0.2, 0.1][:K]
     if kind == "linear_contraction":
-        return LinearContractionProvider(theta_star, noise, WIDE_MODELS[K])
+        return SaturatingMonotoneProvider(theta_star, noise, WIDE_MODELS[K], a=1.0, b=0.0)
     return SaturatingMonotoneProvider(theta_star, noise, WIDE_MODELS[K], a=0.6, b=0.4)
 
 
@@ -191,7 +190,8 @@ class TestCertifiedTau:
     def test_misstated_tau_cannot_put_a_run_in_contract(self):
         # at alpha = 0.1 the provider certifies tau = 6, whose cap is 1/48;
         # a tau of 1 (cap 1/8) would have put this run in contract
-        provider = LinearContractionProvider([0.3], [[1.0], [-2.0]], FAST_MODEL)
+        provider = SaturatingMonotoneProvider([0.3], [[1.0], [-2.0]], FAST_MODEL,
+                                              a=1.0, b=0.0)
         config = ExperimentConfig(provider, None, 0.1, T=300, trials=200,
                                   master_seed=3)
         assert config.tau == provider.certify(0.1).tau == 6
@@ -536,6 +536,12 @@ class TestEstimate:
         with pytest.raises(ConfigError, match=f"start_state must be a state in 0..1, got {start_state}"):
             fast_config(trials=3, T=10, start_state=start_state)
 
+    def test_start_state_refused_under_iid_restart(self):
+        # iid_restart draws every state from pi and never reads a start state
+        with pytest.raises(ConfigError, match="^start_state is never read under "
+                                              "sampling 'iid_restart'"):
+            fast_config(trials=3, T=10, sampling="iid_restart", start_state=1)
+
     def test_divergence_marks_estimate_invalid_with_abort_count(self):
         cfg = fast_config(alpha=1e8, trials=150, T=2000, theta0=[1.0])
         est = estimate_dt_et(cfg)
@@ -819,7 +825,7 @@ class TestDrift:
         assert list(ledgers) == ["boundedness"]
         assert est.drift_hat is None and est.drift_se is None
 
-    LINEAR = LinearContractionProvider([0.3], [[1.0], [-2.0]], FAST_MODEL)
+    LINEAR = SaturatingMonotoneProvider([0.3], [[1.0], [-2.0]], FAST_MODEL, a=1.0, b=0.0)
 
     def _linear_paths(self, alpha):
         return drift_run(fast_config(alpha=alpha, provider=self.LINEAR,
@@ -946,12 +952,12 @@ class TestNonlinearExperiments:
         uniform = MarkovRewardProcess([[0.5, 0.5], [0.5, 0.5]], [1.0, -0.5], 0.3)
         feats = constant_features(2)
         model = build_steady_state(uniform, feats)
-        provider = LinearContractionProvider([0.7], [[0.6], [-0.6]], model)
+        provider = SaturatingMonotoneProvider([0.7], [[0.6], [-0.6]], model, a=1.0, b=0.0)
         cfg = ExperimentConfig(provider, np.zeros(1), resolve_step_size(provider),
                                T=250, trials=2000, master_seed=401)
         est, ledgers = run_experiment(cfg, "recursion")
-        # the stationary noise variance V = sum_s pi(s) ||c(s) - theta_star||^2
-        dev = provider.c_table - provider.theta_star
+        # the stationary noise variance V = sum_s pi(s) ||n(s)||^2
+        dev = provider.noise_table
         a, V = cfg.alpha, float(provider.model.mrp.pi @ (dev ** 2).sum(axis=1))
         d = np.zeros(251)
         d[0] = 0.49
@@ -1051,6 +1057,20 @@ class TestSweeps:
         assert result["estimates"]["tau_max_1"].config.delays == \
             DelayProcess("sawtooth", 1, 9)
         assert "floor_slope" not in result and "tail_slope" not in result
+
+    def test_tau_max_axis_reads_kind_none_as_undelayed(self):
+        # kind none takes tau_max 0 alone, so its points draw uniform delays
+        # on seed 77 as an undelayed config's do, and those delays act
+        none = sweep(fast_config(trials=100, delays=DelayProcess("none", 0, 9)),
+                     "tau_max", (0, 3))
+        plain = sweep(fast_config(trials=100), "tau_max", (0, 3))
+        delayed = none["estimates"]["tau_max_3"]
+        assert delayed.config.delays == DelayProcess("uniform", 3, 77)
+        assert delayed.config.delays.tau_max > 0
+        for tag, est in none["estimates"].items():
+            assert np.array_equal(est.d_hat, plain["estimates"][tag].d_hat)
+        undelayed = estimate_dt_et(replace(delayed.config, delays=None))
+        assert not np.array_equal(delayed.d_hat, undelayed.d_hat)
 
     def test_T_axis_is_one_averaging_experiment(self):
         config = one_state_config(T=400, trials=100)

@@ -1,10 +1,12 @@
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mixing_reference import generic_tau
 from scalar_reference import (
@@ -13,11 +15,13 @@ from scalar_reference import (
     reference_delays,
     reference_sa,
 )
+from tdcert.bundled import bundled_config, bundled_names
 from tdcert.chain import (
     BLOCK,
     MarkovRewardProcess,
     derive_seed,
     generator,
+    mrp_from_dict,
     random_mrp,
 )
 from tdcert.harness import (
@@ -33,7 +37,6 @@ from tdcert.oracle import (
 )
 from tdcert.sa_core import (
     DelayProcess,
-    LinearContractionProvider,
     SaturatingMonotoneProvider,
     TD0Provider,
     audit_provider,
@@ -48,6 +51,9 @@ TWO_FEATS = FeatureMatrix([[1.0], [0.0]])
 
 ONE_MODEL = build_steady_state(ONE_STATE, constant_features(1))
 TWO_MODEL = build_steady_state(TWO_STATE, TWO_FEATS)
+# the linear contraction -theta + theta_star + n(s), the saturating operator at
+# a = 1, b = 0
+linear_contraction = partial(SaturatingMonotoneProvider, a=1.0, b=0.0)
 
 
 def obs(features, s, sp, r):
@@ -96,7 +102,7 @@ class TestTD0Direction:
             sp = rng.integers(0, n, size=50)
             star, noise = rng.normal(size=K), rng.normal(size=(n, K))
             providers = [TD0Provider(model),
-                         LinearContractionProvider(star, noise, model),
+                         linear_contraction(star, noise, model),
                          SaturatingMonotoneProvider(star, noise, model)]
             for provider in providers:
                 batch = provider.direction(thetas, provider.observe(s, sp))
@@ -258,8 +264,9 @@ class TestRunSA:
 class TestDelays:
     def test_emitted_delays_within_bounds(self):
         t = np.arange(200)
-        for kind in ("none", "constant", "uniform", "sawtooth"):
-            seq = DelayProcess(kind, 5, seed=3).sequence(200)
+        for kind, tau_max in (("none", 0), ("constant", 5), ("uniform", 5),
+                              ("sawtooth", 5)):
+            seq = DelayProcess(kind, tau_max, seed=3).sequence(200)
             assert np.all(seq >= 0)
             assert np.all(seq <= np.minimum(t, 5))
 
@@ -270,8 +277,11 @@ class TestDelays:
     @pytest.mark.parametrize("build, message", [
         (lambda: DelayProcess("weird", 2, 0), "unknown delay kind 'weird'"),
         (lambda: DelayProcess("uniform", -1, 0),
-         "delays.tau_max must be nonnegative, got -1")],
-        ids=["kind", "tau_max"])
+         "delays.tau_max must be nonnegative, got -1"),
+        (lambda: DelayProcess("none", 5, 7),
+         "delays.tau_max 5 needs a delay kind (constant, uniform or sawtooth), "
+         "got kind 'none'")],
+        ids=["kind", "tau_max", "tau_max_without_kind"])
     def test_refused_as_a_config_error_naming_the_delays_key(self, build, message):
         # the chain and the features have a seed too, so the delays' keys are
         # qualified
@@ -323,6 +333,8 @@ class TestDelays:
         # lane's own process, drawn from one generator per lane in the
         # reference
         T, trials = BLOCK + 1, 70
+        if kind == "none":
+            tau_max = 0  # the one tau_max kind none takes
         process = DelayProcess(kind, tau_max, seed=77)
         buffer = np.empty((BLOCK, trials), dtype=np.int64)
         schedule = np.concatenate([block.copy() for _, block in process.blocks(T, buffer)])
@@ -335,7 +347,9 @@ class TestDelays:
         assert np.array_equal(process.sequence(T), reference_delays(process, T))
 
 
-GENERIC_PROVIDERS = [LinearContractionProvider, SaturatingMonotoneProvider]
+GENERIC_PROVIDERS = [pytest.param(linear_contraction, id="linear_contraction"),
+                     pytest.param(SaturatingMonotoneProvider,
+                                  id="SaturatingMonotoneProvider")]
 
 
 class TestProviderInput:
@@ -425,7 +439,7 @@ class TestAuditProvider:
         assert audit.witness["theta1"] is not None
 
     def test_linear_contraction_is_exactly_one_monotone(self):
-        provider = LinearContractionProvider([0.3], [[1.0], [-2.0]], TWO_MODEL)
+        provider = linear_contraction([0.3], [[1.0], [-2.0]], TWO_MODEL)
         audit = audit_provider(provider, 20_000, seed=2)
         assert audit.ok
         assert audit.min_monotone_ratio == pytest.approx(1.0, abs=1e-9)
@@ -439,11 +453,11 @@ class TestAuditProvider:
         assert audit.min_monotone_ratio >= 0.7 - 1e-9
 
     def test_steep_steady_map_fails_steady_lipschitz(self):
-        class Steep(LinearContractionProvider):
+        class Steep(SaturatingMonotoneProvider):
             def steady(self, theta):
                 return 3.0 * (self.theta_star[:, None] - theta)
 
-        provider = Steep([0.3], [[1.0], [-2.0]], TWO_MODEL)
+        provider = Steep([0.3], [[1.0], [-2.0]], TWO_MODEL, a=1.0, b=0.0)
         audit = audit_provider(provider, 20_000, seed=2)
         assert not audit.ok
         assert audit.witness["check"] == "steady_lipschitz"
@@ -470,10 +484,61 @@ class TestAuditProvider:
 
     def test_centered_noise_means_steady_zero_at_fixed_point(self):
         # the table is centered under the stationary law of its model's chain
-        provider = LinearContractionProvider([0.3], [[1.0], [-2.0]], TWO_MODEL)
+        provider = linear_contraction([0.3], [[1.0], [-2.0]], TWO_MODEL)
         pi = provider.model.mrp.pi
-        np.testing.assert_allclose(pi @ provider.c_table, provider.theta_star,
-                                   atol=1e-14)
+        np.testing.assert_allclose(pi @ provider.noise_table, 0.0, atol=1e-14)
+        assert np.array_equal(provider.steady(provider.theta_star[:, None]), [[0.0]])
+
+
+# the distinct chains of the bundled configs, each with constant features
+_CHAINS = {repr(chain): chain for chain in (bundled_config(name)["instance"]["chain"]
+                                            for name in bundled_names())}
+BUNDLED_MODELS = [build_steady_state(mrp, constant_features(mrp.n))
+                  for mrp in map(mrp_from_dict, _CHAINS.values())]
+
+
+class TestSaturatingFamily:
+    """The linear contraction is the saturating operator at a = 1, b = 0, and
+    one envelope sigma = max(1, ||theta*||, (max_s ||a theta* + n(s)|| +
+    b sqrt(K)) / L) serves the whole family."""
+
+    def test_linear_sigma_is_the_largest_state_offset(self):
+        # pi = (2/3, 1/3) centers this table to itself; the offsets theta* +
+        # n(s) are (1, 1) and (4, -2), so max_s ||theta* + n(s)|| = sqrt(20)
+        # is below ||theta*|| + max_s ||n(s)|| = 2 + sqrt(8)
+        star, noise = [2.0, 0.0], [[-1.0, 1.0], [2.0, -2.0]]
+        provider = linear_contraction(star, noise, TWO_MODEL)
+        offsets = np.linalg.norm(provider.theta_star + provider.noise_table, axis=1)
+        assert provider.sigma_const == max(1.0, 2.0, offsets.max())
+        assert provider.sigma_const == pytest.approx(math.sqrt(20.0), rel=1e-15)
+        assert provider.sigma_const < 2.0 + np.linalg.norm(
+            provider.noise_table, axis=1).max()
+        assert (provider.L, provider.beta, provider.norm_offset) == (
+            1.0, 1.0, provider.sigma_const)
+        assert audit_provider(provider, 20_000, seed=5).ok
+
+    def test_linear_update_is_minus_theta_plus_the_state_offset(self):
+        provider = linear_contraction([0.3], [[1.0], [-2.0]], TWO_MODEL)
+        theta = generator(6).normal(size=(1, 40)) * 5.0
+        s = generator(7).integers(0, 2, size=40)
+        c = provider.theta_star[:, None] + provider.noise_table.T[:, s]
+        np.testing.assert_allclose(
+            provider.direction(theta, provider.observe(s, s)), c - theta,
+            rtol=0, atol=1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(BUNDLED_MODELS), st.integers(1, 3), st.data(),
+           st.floats(0.05, 5.0), st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+           st.integers(0, 2 ** 32 - 1))
+    def test_audit_passes_for_every_instance(self, model, K, data, a, b, seed):
+        # the audit checks ||g(theta; X)|| <= L (||theta|| + sigma) at sampled
+        # theta and states, so a sigma below some state's offset fails it
+        entries = st.floats(-10.0, 10.0)
+        star = data.draw(arrays(float, K, elements=entries))
+        noise = data.draw(arrays(float, (model.mrp.n, K), elements=entries))
+        provider = SaturatingMonotoneProvider(star, noise, model, a=a, b=b)
+        audit = audit_provider(provider, 2000, seed=seed)
+        assert audit.ok, audit.witness
 
 
 def _bits(x):
