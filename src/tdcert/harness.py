@@ -5,8 +5,8 @@ stream per trial), estimates the mean-square error path d_t and the Markov-
 noise disturbance e_t with standard errors, and turns the finite-time
 statements into pass/fail ledgers with explicit 3-standard-error slack.
 
-``_simulate(config)`` is the one SA kernel and ``MonteCarloEstimate`` its
-one result: it runs the config's trials as lanes, lane i on the stream
+``_simulate(config, parts)`` is the one SA kernel and ``MonteCarloEstimate``
+its one result: it runs the config's trials as lanes, lane i on the stream
 ``derive_seed(master_seed, i)`` with the delays ``delays.spawn(i)``, and a
 rerun of the same config replays every lane bit for bit. Lanes are the last
 axis of (K, trials) arrays, one column per lane. The raw words of the
@@ -15,18 +15,18 @@ step-major blocks (``chain.KeyedStreams``), transitions and start states
 come from the chain's exact table samplers on those words (``mrp.sampler``,
 ``mrp.pi_sampler``), and every K-wide sum goes through ``rowsum``, which
 adds the K rows left to right, so a lane's bits do not depend on how many
-lanes run beside it. Per-step aggregation reduces
-over the trial axis in a fixed order, so results do not depend on
-scheduling; an averaging run skips those reductions and keeps only each
-lane's weighted average. Every check takes only the estimate and reads
-alpha, tau, the provider (its instance and theorem) and B from
-``estimate.config``, whose tau is certified for its alpha and cannot be
-restated, so a ledger checks the hypothesis it reports; one that checks no
-claim (out of contract, or aborted trials) comes from ``_refused``. The bars
-a ledger is held to (``CEILING``, ``SLOPE_THRESHOLD``, ``SLACK_MULTIPLIER``)
-are module constants, not settings. ``run_experiment(config, kind)`` audits
-the provider and runs the checks of one experiment kind, and
-``sweep(config, axis, values)`` runs one along an alpha, tau_max or T grid.
+lanes run beside it. A run's parts (``_Curves`` d_t/e_t, ``_Drift`` the
+tau-step drift, ``_Average`` each lane's weighted average) are its per-step
+reductions over the trial axis, in a fixed order, so results do not depend
+on scheduling. Every check takes only the estimate and reads alpha, tau, the
+provider (its instance and theorem) and B from ``estimate.config``, whose
+tau is certified for its alpha and cannot be restated, so a ledger checks
+the hypothesis it reports; one that checks no claim (out of contract, or
+aborted trials) comes from ``_refused``. The bars a ledger is held to
+(``CEILING``, ``SLOPE_THRESHOLD``, ``SLACK_MULTIPLIER``) are module
+constants, not settings. ``run_experiment(config, kind)`` audits the
+provider and runs the checks of one experiment kind, and ``sweep(config,
+axis, values)`` runs one along an alpha, tau_max or T grid.
 """
 
 import math
@@ -200,15 +200,16 @@ class ExperimentConfig:
 
 @dataclass
 class MonteCarloEstimate:
-    """Per-step cross-trial estimates of d_t and e_t with standard errors.
+    """What one kernel run reduced over its lanes.
 
     ``config`` is the experiment the lanes ran; ``abort_step`` is None unless
     ``abort_count`` lanes hit the divergence guard, which stops the run at
-    that step. ``theta_bar`` holds each lane's weighted average when one was
-    requested, and ``drift_hat``/``drift_se`` the tau-step drift
-    ||theta_t - theta_{t-tau}||^2 at t = tau..T (entry t - tau) when it was
-    reduced. An averaging run computes only its averages: its d_t/e_t curves
-    are None.
+    that step. The rest are filled by the run's parts and are None for a
+    part that did not run: the per-step cross-trial d_t/e_t curves with
+    standard errors (``_Curves``), the tau-step drift ``drift_hat``/
+    ``drift_se`` of ||theta_t - theta_{t-tau}||^2 at t = tau..T, entry
+    t - tau (``_Drift``), and each lane's weighted average ``theta_bar``
+    (``_Average``).
     """
 
     abort_count: int
@@ -231,9 +232,7 @@ def _mean_se(curve, count):
     """A reduced curve's (2, n) block of per-step cross-trial means and
     centered sums of squares as (mean, standard error of the mean), the SE
     computed in place in the second row, so the run's peak holds no second
-    copy of its curves; (None, None) for a curve the run did not keep."""
-    if curve is None:
-        return None, None
+    copy of its curves."""
     mean, sq_dev_total = curve
     if count > 1:
         sq_dev_total /= count - 1
@@ -242,20 +241,98 @@ def _mean_se(curve, count):
     return mean, np.zeros_like(sq_dev_total)
 
 
-def _mean_and_dev(vals, trials):
-    """Cross-trial mean (``sum / trials`` is ``np.mean`` bit for bit) and
-    centered sum of squared deviations, overwriting ``vals`` with them."""
+def _mean_and_dev(curve, t, vals, trials):
+    """Column t of the (2, n) block ``curve``: the cross-trial mean of ``vals``
+    (``np.mean`` bit for bit) and its centered sum of squares, overwriting ``vals``."""
     mean = vals.sum() / trials
     vals -= mean
     vals *= vals
-    return mean, vals.sum()
+    curve[0, t], curve[1, t] = mean, vals.sum()
 
 
-def _simulate(config: ExperimentConfig, average: bool = False,
-              drift: bool = False) -> MonteCarloEstimate:
+class _Curves:
+    """d_t = E ||theta_t - theta*||^2 at t = 0..T and the disturbance
+    e_t = E <g_t - gbar(theta_t), theta_t - theta*> at t = 0..T-1, g_t the
+    direction of the step's own sample, each as a (2, n) block of per-step
+    cross-trial means and centered sums of squares (the centered form keeps
+    a deterministic instance's variance at rounding level). The only part
+    that calls ``provider.steady``."""
+
+    def __init__(self, config, work, row):
+        provider, trials = config.provider, config.trials
+        self.steady, self.work, self.row, self.trials = provider.steady, work, row, trials
+        # theta* as full (K, trials) rows: subtracting a (K, 1) column runs
+        # about 2x slower than a whole-array op
+        self.star = np.tile(provider.theta_star[:, None], (1, trials))
+        self.diff = np.empty((provider.dim, trials))
+        self.d = np.full((2, config.T + 1), np.nan)
+        self.e = np.full((2, config.T), np.nan)
+
+    def step(self, t, theta, g):
+        diff, work, row, trials = self.diff, self.work, self.row, self.trials
+        np.subtract(theta, self.star, out=diff)
+        _mean_and_dev(self.d, t, rowsum(np.multiply(diff, diff, out=work), row), trials)
+        if g is not None:
+            np.subtract(g, self.steady(theta), out=work)
+            work *= diff
+            _mean_and_dev(self.e, t, rowsum(work, row), trials)
+
+    def result(self):
+        d_hat, d_se = _mean_se(self.d, self.trials)
+        e_hat, e_se = _mean_se(self.e, self.trials)
+        return {"d_hat": d_hat, "d_se": d_se, "e_hat": e_hat, "e_se": e_se}
+
+
+class _Drift:
+    """The tau-step drift ||theta_t - theta_{t-tau}||^2 reduced over the lanes
+    at t = tau..T as d_t is; lane i's theta_{t-tau} is
+    ``lag[:, (t mod tau) * trials + i]`` until theta_t replaces it."""
+
+    def __init__(self, config, work, row):
+        self.tau, self.trials, self.work, self.row = config.tau, config.trials, work, row
+        self.lag = np.empty((config.provider.dim, self.tau * self.trials))
+        self.drifts = np.full((2, max(config.T + 1 - self.tau, 0)), np.nan)
+
+    def step(self, t, theta, g):
+        tau, trials, work = self.tau, self.trials, self.work
+        back = t % tau * trials
+        past = self.lag[:, back:back + trials]
+        if t >= tau:
+            np.subtract(theta, past, out=work)
+            _mean_and_dev(self.drifts, t - tau,
+                          rowsum(np.multiply(work, work, out=work), self.row), trials)
+        past[...] = theta
+
+    def result(self):
+        drift_hat, drift_se = _mean_se(self.drifts, self.trials)
+        return {"drift_hat": drift_hat, "drift_se": drift_se}
+
+
+class _Average:
+    """Each lane's average of theta_0..theta_T with weights (1 - alpha
+    A)^-(t+1), A = ``AVERAGE_SHARE`` times the provider's contraction, as
+    S += (theta_t - S) / v_t, v_t = v_{t-1} (1 - alpha A) + 1, from S = theta_0."""
+
+    def __init__(self, config, work, row):
+        self.work, self.v = work, 1.0
+        self.S = np.tile(config.theta0[:, None], (1, config.trials))
+        self.wrate = 1.0 - config.alpha * (AVERAGE_SHARE * config.provider.contraction)
+
+    def step(self, t, theta, g):
+        if t:
+            self.v = self.v * self.wrate + 1.0
+            np.subtract(theta, self.S, out=self.work)
+            self.work /= self.v
+            self.S += self.work
+
+    def result(self):
+        return {"theta_bar": np.ascontiguousarray(self.S.T)}
+
+
+def _simulate(config: ExperimentConfig, parts=(_Curves,)) -> MonteCarloEstimate:
     """The SA recursion theta_{t+1} = theta_t + alpha g(theta_{t-d_t}; X_{t-d_t})
-    for the config's trials as a batch of lanes; the only code that advances
-    theta.
+    for the config's trials as a batch of lanes, reduced by ``parts``; the
+    only code that advances theta.
 
     Lane i draws from the stream ``derive_seed(master_seed, i)`` and takes
     its delays from ``delays.spawn(i)``. Both are drawn ``BLOCK`` steps at a
@@ -266,29 +343,23 @@ def _simulate(config: ExperimentConfig, average: bool = False,
     ``start_state`` is None, which rides in the first block beside its
     BLOCK steps, so a run fills ceil(T / BLOCK) times; iid_restart draws the
     state fresh from pi and then its successor, two words per step. Each
-    step samples every lane's
-    transition, gathers s' 's column of ``provider.state_table`` (in markov
-    sampling also the next step's F_s), calls ``provider.direction`` once on
-    the whole (K, trials) batch, and updates. A delayed lane applies the
-    direction its kernel computed d_t steps earlier, which is
-    g(theta_{t-d_t}; X_{t-d_t}) bit for bit, read with one gather from a
-    flat ring of the last tau_max + 1 directions.
+    step samples every lane's transition, gathers s' 's column of
+    ``provider.state_table`` (in markov sampling also the next step's F_s),
+    calls ``provider.direction`` once on the whole (K, trials) batch, and
+    updates. A delayed lane applies the direction its kernel computed d_t
+    steps earlier, which is g(theta_{t-d_t}; X_{t-d_t}) bit for bit, read
+    with one gather from a flat ring of the last tau_max + 1 directions.
 
-    By default each step also calls ``provider.steady`` and reduces d_t and
-    e_t over the lanes. ``average`` instead keeps only each lane's weighted
-    average, with weight rate 1 - alpha A, A = ``AVERAGE_SHARE`` times the
-    provider's contraction, and the estimate has no curves. ``drift`` also
-    keeps each lane's last tau iterates in a (K, tau * trials) ring and
-    reduces the drift ||theta_t - theta_{t-tau}||^2 over the lanes for
-    t = tau..T, as d_t is reduced.
-
-    A step's temporaries go to scratch allocated once per run: ``diff``
-    (theta - theta*) and ``work`` (products, g - gbar, alpha g, the gaps),
-    both (K, trials), and ``row``, (trials,), for each lane sum reduced.
+    A part is one per-step reduction, like ``_Curves`` and the classes beside
+    it, built once per run as ``part(config, work, row)`` on the run's scratch
+    ``work``, (K, trials), and ``row``, (trials,), free to overwrite within a
+    call. In the order given, each part's ``step(t, theta_t, g_t)`` sees every
+    step's iterate and undelayed direction g(theta_t; X_t) before the update;
+    ``step(T, theta_T, None)`` comes once after the last step, only when no
+    lane aborted; ``result()`` gives the estimate fields the part fills.
     """
     provider, mrp, delays = config.provider, config.model.mrp, config.delays
     alpha, T, trials, K = config.alpha, config.T, config.trials, provider.dim
-    d = e = drifts = None
     # with no coordinate above this, every lane's sum of squares is about
     # G^2 / 2, inside the guard whatever the rounding; one max over the batch
     # costs a third of the exact row sums
@@ -304,29 +375,7 @@ def _simulate(config: ExperimentConfig, average: bool = False,
     words = np.empty((min(BLOCK, T) * draws + lead, trials), dtype=np.uint64)
     theta = np.tile(config.theta0[:, None], (1, trials))
     work, row = np.empty((K, trials)), np.empty(trials)
-
-    if average:
-        S = theta.copy()
-        wrate = 1.0 - alpha * (AVERAGE_SHARE * provider.contraction)
-        v = 1.0
-    else:
-        # theta* as full (K, trials) rows: subtracting a (K, 1) column runs
-        # about 2x slower than a whole-array op
-        star = np.tile(provider.theta_star[:, None], (1, trials))
-        diff = np.empty((K, trials))
-        # per-step cross-trial mean and centered squared deviation (the
-        # centered form keeps a deterministic instance's variance at rounding
-        # level: the mean of identical lanes can miss them by an ulp)
-        d = np.full((2, T + 1), np.nan)
-        e = np.full((2, T), np.nan)
-
-    if drift:
-        # lane i's theta_{t-tau} is lag[:, (t mod tau) * trials + i] until
-        # theta_t replaces it
-        tau = config.tau
-        lag = np.empty((K, tau * trials))
-        lag[:, :trials] = theta
-        drifts = np.full((2, max(T + 1 - tau, 0)), np.nan)
+    parts = [part(config, work, row) for part in parts]
 
     use_delays = delays is not None and delays.tau_max > 0
     if use_delays:
@@ -347,8 +396,7 @@ def _simulate(config: ExperimentConfig, average: bool = False,
         s = np.full(trials, start_state, dtype=np.int64)
         F_s = F.take(s, axis=1)
 
-    abort_count, abort_step = 0, None
-    t0 = 0
+    abort_count, abort_step, t0 = 0, None, 0
     while t0 < T and abort_step is None:
         L = min(BLOCK, T - t0)
         W = words[:L * draws + lead]
@@ -366,11 +414,6 @@ def _simulate(config: ExperimentConfig, average: bool = False,
             idx += lanes
         for j in range(L):
             step = t0 + j
-            if not average:
-                np.subtract(theta, star, out=diff)
-                d[0, step], d[1, step] = _mean_and_dev(
-                    rowsum(np.multiply(diff, diff, out=work), row), trials)
-
             if iid:
                 s = pi_sampler.pick(W[2 * j])
                 F_s = F.take(s, axis=1)
@@ -378,13 +421,10 @@ def _simulate(config: ExperimentConfig, average: bool = False,
             else:
                 sp = sampler.pick(W[j], s)
             F_sp = F.take(sp, axis=1)
-            X = (F_s, F_sp)
 
-            g = provider.direction(theta, X)
-            if not average:
-                np.subtract(g, provider.steady(theta), out=work)
-                work *= diff
-                e[0, step], e[1, step] = _mean_and_dev(rowsum(work, row), trials)
+            g = provider.direction(theta, (F_s, F_sp))
+            for part in parts:
+                part.step(step, theta, g)
 
             if use_delays:
                 slot = step % m * trials
@@ -399,45 +439,21 @@ def _simulate(config: ExperimentConfig, average: bool = False,
                     abort_count = trials - int(np.count_nonzero(inside))
                     abort_step = step + 1
                     break
-
-            if drift:
-                t = step + 1  # theta is theta_t
-                back = t % tau * trials
-                past = lag[:, back:back + trials]
-                if t >= tau:
-                    np.subtract(theta, past, out=work)
-                    drifts[0, t - tau], drifts[1, t - tau] = _mean_and_dev(
-                        rowsum(np.multiply(work, work, out=work), row), trials)
-                past[...] = theta
-            if average:
-                v = v * wrate + 1.0
-                np.subtract(theta, S, out=work)
-                work /= v
-                S += work
             if not iid:
                 s, F_s = sp, F_sp
         t0 += L
 
-    if not average and abort_step is None:
-        np.subtract(theta, star, out=diff)
-        d[:, T] = _mean_and_dev(rowsum(np.multiply(diff, diff, out=work), row), trials)
-    d_hat, d_se = _mean_se(d, trials)
-    e_hat, e_se = _mean_se(e, trials)
-    drift_hat, drift_se = _mean_se(drifts, trials)
-    return MonteCarloEstimate(
-        abort_count=abort_count, abort_step=abort_step, config=config,
-        d_hat=d_hat, d_se=d_se, e_hat=e_hat, e_se=e_se,
-        theta_bar=np.ascontiguousarray(S.T) if average else None,
-        drift_hat=drift_hat, drift_se=drift_se)
+    fields = {}
+    for part in parts:
+        if abort_step is None:
+            part.step(T, theta, None)
+        fields.update(part.result())
+    return MonteCarloEstimate(abort_count=abort_count, abort_step=abort_step,
+                              config=config, **fields)
 
 
 def estimate_dt_et(config: ExperimentConfig) -> MonteCarloEstimate:
-    """Estimate d_t = E ||theta_t - theta*||^2 and the disturbance inner
-    product e_t across `trials` independent trajectories.
-
-    The e_t terms use the same sampled observation that produced each step,
-    accumulated during the run rather than by replay.
-    """
+    """The d_t and e_t curves (``_Curves``) of the config's trials."""
     return _simulate(config)
 
 
@@ -617,7 +633,8 @@ def check_drift(estimate: MonteCarloEstimate) -> BoundLedger:
     tau^2 B over t >= tau, with 3-SE slack, from the drift the kernel
     reduced over the lanes (``drift_hat``, ``drift_se``)."""
     if estimate.drift_hat is None:
-        raise ConfigError("the drift check needs an estimate run with drift=True")
+        raise ConfigError("the drift check needs an estimate whose kernel run "
+                          "reduced the drift (the _Drift part)")
     config = estimate.config
     T, tau, alpha = estimate.T, config.tau, config.alpha
     if T < tau + 1:
@@ -688,7 +705,7 @@ def weighted_average_experiment(config: ExperimentConfig) -> BoundLedger:
         alpha, lam, case = tune_weighted_average(config.provider, T)
         sub = replace(config, T=T, alpha=alpha,
                       master_seed=derive_seed(config.master_seed, T))
-        sim = _simulate(sub, average=True)
+        sim = _simulate(sub, (_Average,))
         if sim.abort_step is not None:
             raise ConfigError(f"averaging run at T={T} hit the divergence guard")
         errs = model.value_error_D(sim.theta_bar)
@@ -749,7 +766,7 @@ def run_experiment(config: ExperimentConfig, kind: str):
     if kind == "weighted_average":
         return None, {"weighted_average": weighted_average_experiment(config)}
     checks = CHECKS[kind]
-    estimate = _simulate(config, drift="drift" in checks)
+    estimate = _simulate(config, (_Curves, _Drift) if "drift" in checks else (_Curves,))
     return estimate, {name: check(estimate) for name, check in checks.items()}
 
 

@@ -8,8 +8,9 @@ bounded delay processes. A provider is the instance: it carries its model
 (chain and features), its theorem's constants (TD(0)'s or generic SA's), its
 tau certificate and its step-size cap at a given tau. A step-size is alpha
 alone; its tau is always ``provider.certify(alpha).tau``. The recursion
-itself runs in one place, the harness's batch kernel ``_simulate(config)``,
-which takes an experiment and runs its trials as lanes.
+itself runs in one place, the harness's batch kernel ``_simulate(config,
+parts)``, which runs an experiment's trials as lanes and hands each step to
+the per-step reductions it was given.
 """
 
 import hashlib

@@ -9,18 +9,16 @@ provider's ``state_table``; without delays d_t = 0. The provider is called
 on one-lane batches: (K, 1) theta and (rows, 1) X. The delays come from
 ``reference_delays``, one generator per process.
 
-``kernel_paths`` records the iterates the batch kernel itself computes, so
-tests can compare them with this loop.
+``kernel_paths`` records the iterates the batch kernel itself computes, with
+a recording part passed to the kernel, so tests can compare them with this
+loop.
 """
-
-import copy
-from dataclasses import replace
 
 import numpy as np
 
 from chain_reference import derive_seed
 from tdcert.chain import generator
-from tdcert.harness import estimate_dt_et
+from tdcert.harness import _simulate
 from tdcert.sa_core import DIVERGENCE_GUARD, DelayProcess
 
 
@@ -89,20 +87,23 @@ def reference_sa(provider, mrp, theta0, alpha, T, seed, sampling="markov",
 
 def kernel_paths(config) -> np.ndarray:
     """Every lane's iterates theta_0..theta_T as the batch kernel computes
-    them, as a (trials, T + 1, K) array: the theta each step passes to
-    ``provider.direction``, recorded over a run one step longer (a lane's
-    words and delays are prefix-stable, so its first T steps are the
-    config's). Raises ReferenceDivergence if a lane leaves the divergence
-    guard by step T."""
-    provider = copy.copy(config.provider)
-    direction, seen = provider.direction, []
+    them, as a (trials, T + 1, K) array: the theta each step hands its parts,
+    recorded by a part of its own, whose final call supplies theta_T.
+    Raises ReferenceDivergence if the run aborts (a lane leaves the
+    divergence guard by step T)."""
+    seen = []
 
-    def recording(theta, X):
-        seen.append(theta.T.copy())
-        return direction(theta, X)
+    class Recording:
+        def __init__(self, config, work, row):
+            pass
 
-    provider.direction = recording
-    estimate = estimate_dt_et(replace(config, provider=provider, T=config.T + 1))
-    if estimate.abort_step is not None and estimate.abort_step <= config.T:
+        def step(self, t, theta, g):
+            seen.append(theta.T.copy())
+
+        def result(self):
+            return {}
+
+    estimate = _simulate(config, (Recording,))
+    if estimate.abort_step is not None:
         raise ReferenceDivergence(estimate.abort_step)
     return np.stack(seen, axis=1)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -36,6 +37,9 @@ from tdcert.sa_core import (
     resolve_step_size,
 )
 from tdcert.harness import (
+    _Average,
+    _Curves,
+    _Drift,
     _simulate,
     AuditError,
     BoundLedger,
@@ -114,17 +118,19 @@ def assert_peak_flat_in_T(config, drift=False):
     drift), the only memory that may depend on T; a drift run's ring of the
     last tau iterates (K tau trials doubles) does not."""
 
+    parts = (_Curves, _Drift) if drift else (_Curves,)
+
     def peak(T):
         cfg = replace(config, T=T, trials=2000)
         tracemalloc.start()
         try:
-            _simulate(cfg, drift=drift)
+            _simulate(cfg, parts)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     # one warm-up run, so first-use allocations land in neither peak
-    _simulate(replace(config, T=2, trials=2000), drift=drift)
+    _simulate(replace(config, T=2, trials=2000), parts)
     curves = (6 if drift else 4) * 8 * (8 * BLOCK + 1)
     assert peak(8 * BLOCK) - peak(BLOCK + 1) < curves
 
@@ -666,7 +672,7 @@ class TestRefusals:
 
     def _invalid(self):
         # a drift run, so the drift check reads the same estimate
-        est = _simulate(fast_config(T=50, trials=100), drift=True)
+        est = _simulate(fast_config(T=50, trials=100), (_Curves, _Drift))
         return replace(est, abort_count=3, abort_step=7)
 
     def test_boundedness_out_of_contract_record(self):
@@ -689,7 +695,7 @@ class TestRefusals:
     def test_drift_out_of_contract_record(self):
         # alpha = 1 is far past the cap but stable; its certified tau is 2,
         # so the steps t = 2..50 are counted
-        est = _simulate(fast_config(alpha=1.0, T=50, trials=100), drift=True)
+        est = _simulate(fast_config(alpha=1.0, T=50, trials=100), (_Curves, _Drift))
         assert _ledger_json(check_drift(est)) == _ledger_json(BoundLedger(
             theorem_id="lemma3-drift", hypothesis=dict(self.OUT, alpha=1.0, tau=2),
             verdict="out-of-contract", worst_margin=float("nan"), worst_step=-1,
@@ -732,6 +738,61 @@ class TestRefusals:
             notes="3 trials hit the divergence guard"))
 
 
+class TestParts:
+    """The kernel's reductions are parts: any set of them reduces one run,
+    each exactly as it does alone, and none sees a step past an abort."""
+
+    PARTS = (_Curves, _Drift, _Average)
+    FIELDS = {_Curves: ("d_hat", "d_se", "e_hat", "e_se"),
+              _Drift: ("drift_hat", "drift_se"), _Average: ("theta_bar",)}
+
+    @pytest.mark.parametrize("kw", [{"delays": DelayProcess("uniform", 4, seed=8)},
+                                    {"sampling": "iid_restart"}],
+                             ids=["uniform_delays", "iid_restart"])
+    def test_every_subset_equals_each_part_alone(self, kw):
+        cfg = wide_config(3, **kw)
+        alone = {part: _simulate(cfg, (part,)) for part in self.PARTS}
+        for r in (1, 2, 3):
+            for subset in itertools.combinations(self.PARTS, r):
+                for order in (subset, subset[::-1]):
+                    estimate = _simulate(cfg, order)
+                    assert estimate.abort_step is None
+                    for part, names in self.FIELDS.items():
+                        for name in names:
+                            got = getattr(estimate, name)
+                            if part not in subset:
+                                assert got is None
+                            else:
+                                assert got.tobytes() == getattr(alone[part], name).tobytes()
+
+    def test_no_final_call_after_an_abort(self):
+        # (1 - a alpha) = -2 doubles the gap each step, so the lanes leave the
+        # guard; the last call is the aborting step's, with its direction
+        calls = []
+
+        class Spy:
+            def __init__(self, config, work, row):
+                pass
+
+            def step(self, t, theta, g):
+                calls.append((t, g is None))
+
+            def result(self):
+                return {}
+
+        provider = SaturatingMonotoneProvider([0.3], [[1.0], [-2.0]], FAST_MODEL,
+                                              a=3.0, b=0.0)
+        cfg = fast_config(provider=provider, alpha=1.0, T=200, trials=20)
+        estimate = _simulate(cfg, (_Curves, Spy, _Drift, _Average))
+        abort = estimate.abort_step
+        assert abort is not None and abort < cfg.T
+        assert calls == [(t, False) for t in range(abort)]
+        assert not np.isnan(estimate.d_hat[:abort]).any()
+        assert np.isnan(estimate.d_hat[abort:]).all()
+        assert not np.isnan(estimate.drift_hat[:abort - cfg.tau]).any()
+        assert np.isnan(estimate.drift_hat[abort - cfg.tau:]).all()
+
+
 def drift_of(paths, tau):
     """Cross-lane mean and SE of ||theta_t - theta_{t-tau}||^2 at t = tau..T
     from whole (trials, T + 1, K) paths."""
@@ -740,7 +801,7 @@ def drift_of(paths, tau):
 
 
 def drift_run(config):
-    return _simulate(config, drift=True)
+    return _simulate(config, (_Curves, _Drift))
 
 
 class TestDrift:
@@ -809,7 +870,7 @@ class TestDrift:
     def test_needs_a_drift_run(self):
         est = estimate_dt_et(fast_config(trials=100, T=60))
         assert est.drift_hat is None
-        with pytest.raises(ConfigError, match="drift=True"):
+        with pytest.raises(ConfigError, match="reduced the drift"):
             check_drift(est)
 
     def test_recursion_experiment_reduces_a_passing_drift(self):
@@ -859,7 +920,7 @@ class TestWeightedAveraging:
         else:
             cfg = wide_config(3, sampling=sampling, delays=delays)
         weight_A = 0.5 * cfg.provider.contraction
-        averaged = _simulate(cfg, average=True)
+        averaged = _simulate(cfg, (_Average,))
         path = kernel_paths(cfg)
         wrate = 1.0 - cfg.alpha * weight_A
         v, S = 1.0, path[:, 0].copy()
@@ -877,7 +938,7 @@ class TestWeightedAveraging:
                 raise AssertionError("steady called on an averaging run")
 
         cfg = fast_config(provider=NoSteady(FAST_MODEL), trials=50, T=40)
-        estimate = _simulate(cfg, average=True)
+        estimate = _simulate(cfg, (_Average,))
         assert (estimate.d_hat, estimate.d_se, estimate.e_hat, estimate.e_se) == \
             (None, None, None, None)
         assert estimate.T == cfg.T == 40
