@@ -4,8 +4,8 @@ Validation of the irreducibility/aperiodicity assumption, exact stationary
 distributions, the total-variation curve read off exact matrix powers
 (non-increasing, so the last recorded distance bounds every later step), and
 the exact table samplers of transitions and start states. Everything here is
-deterministic given its seed; all objects are immutable after construction
-and safe to share across threads.
+deterministic given its seed; all objects but ``ChainPowers`` are immutable
+after construction.
 """
 
 import numbers
@@ -434,8 +434,7 @@ class ChainPowers:
     ``_TV_CLAMP``, their upper bound; the powers keep advancing for callers
     that need them (the mixing oracle reads P^(k-1) before each step). Only
     the current power is held. Reading ``mrp.pi`` refuses a chain that fails
-    Assumption 1. Unlike the other objects here it is mutable; the oracle
-    serialises its use.
+    Assumption 1. Unlike the other objects here it is mutable.
     """
 
     def __init__(self, mrp: MarkovRewardProcess):

@@ -292,7 +292,7 @@ def cmd_sweep(cfg: dict, out_dir: str, sweep_arg: str, seed_override=None) -> in
     started = time.time()
     axis, values = _parse_axis(sweep_arg)
     config, kind = parse_experiment(cfg, seed_override)
-    if axis == "T" and not config.averaging_grid and kind != "weighted_average":
+    if axis == "T" and kind != "weighted_average":
         raise ConfigError("a T sweep needs a weighted_average experiment")
     summary = sweep(config, axis, values)
     ledgers, estimates = summary.pop("ledgers"), summary.pop("estimates")

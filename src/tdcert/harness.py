@@ -21,11 +21,12 @@ reductions over the trial axis, in a fixed order, so results do not depend
 on scheduling. Every check takes only the estimate and reads alpha, tau, the
 provider (its instance and theorem) and B from ``estimate.config``, whose
 tau is certified for its alpha and cannot be restated, so a ledger checks
-the hypothesis it reports; one that checks no claim (out of contract, or
-aborted trials) comes from ``_refused``. The bars a ledger is held to
-(``CEILING``, ``SLOPE_THRESHOLD``, ``SLACK_MULTIPLIER``) are module
-constants, not settings. ``run_experiment(config, kind)`` audits the
-provider and runs the checks of one experiment kind, and ``sweep(config,
+the hypothesis it reports. Every check's ledger comes from ``_ledger``,
+which records one that checks no claim (out of contract, or aborted trials)
+without fitting it. The bars a ledger is held to (``CEILING``,
+``SLOPE_THRESHOLD``, ``SLACK_MULTIPLIER``) are module constants, not
+settings. ``run_experiment(config, kind)`` audits the provider and runs the
+parts and checks of one experiment kind (``KINDS``), and ``sweep(config,
 axis, values)`` runs one along an alpha, tau_max or T grid.
 """
 
@@ -348,7 +349,8 @@ def _simulate(config: ExperimentConfig, parts=(_Curves,)) -> MonteCarloEstimate:
     calls ``provider.direction`` once on the whole (K, trials) batch, and
     updates. A delayed lane applies the direction its kernel computed d_t
     steps earlier, which is g(theta_{t-d_t}; X_{t-d_t}) bit for bit, read
-    with one gather from a flat ring of the last tau_max + 1 directions.
+    with one gather from a flat ring of the last min(tau_max, T) + 1
+    directions.
 
     A part is one per-step reduction, like ``_Curves`` and the classes beside
     it, built once per run as ``part(config, work, row)`` on the run's scratch
@@ -379,17 +381,19 @@ def _simulate(config: ExperimentConfig, parts=(_Curves,)) -> MonteCarloEstimate:
 
     use_delays = delays is not None and delays.tau_max > 0
     if use_delays:
-        m = delays.tau_max + 1
-        # the directions of the last m steps; lane i's slot-b direction is
-        # ring[:, b * trials + i]. Each block's delays d_t are drawn into one
-        # reused buffer and turned there into the index rows
+        # no delay exceeds min(t, tau_max) <= T - 1, so the ring holds the
+        # directions of the last m = cap + 1 steps; lane i's slot-b direction
+        # is ring[:, b * trials + i]. Each block's delays d_t are drawn into
+        # one reused buffer and turned there into the index rows
         # ((t - d_t) mod m) * trials + i, looked up in ``wrap`` at
-        # (t mod m) - d_t + tau_max, in [0, 2 tau_max], in place of a
-        # division per lane-step (always in range, so ``take`` needs no
-        # checked copy: mode="clip")
+        # (t mod m) - d_t + cap, in [0, 2 cap], in place of a division per
+        # lane-step (always in range, so ``take`` needs no checked copy:
+        # mode="clip")
+        cap = min(delays.tau_max, T)
+        m = cap + 1
         ring = np.zeros((K, m * trials))
         slots = delays.blocks(T, np.empty((min(BLOCK, T), trials), dtype=np.int64))
-        wrap = np.arange(-delays.tau_max, m) % m * trials
+        wrap = np.arange(-cap, m) % m * trials
         lanes = np.arange(trials)
 
     if not iid and not lead:
@@ -408,7 +412,7 @@ def _simulate(config: ExperimentConfig, parts=(_Curves,)) -> MonteCarloEstimate:
             lead = False
         if use_delays:
             _, idx = next(slots)
-            phase = np.arange(t0, t0 + L)[:, None] % m + delays.tau_max
+            phase = np.arange(t0, t0 + L)[:, None] % m + cap
             np.subtract(phase, idx, out=idx)
             wrap.take(idx, out=idx, mode="clip")
             idx += lanes
@@ -496,26 +500,30 @@ def _require_ledger_grade(config: ExperimentConfig):
             f"{config.trials} (confidence intervals are meaningless below)")
 
 
-def _refused(estimate: MonteCarloEstimate, theorem_id: str, n_steps: int,
-             notes: str) -> BoundLedger | None:
-    """The ledger of a check that claims nothing, or None if it may go on:
-    out-of-contract (the step-size hypothesis is violated) before invalid
-    (trials hit the divergence guard); below 100 trials it raises instead."""
+def _ledger(estimate: MonteCarloEstimate, theorem_id: str, n_steps: int, fit,
+            notes: str = "") -> BoundLedger:
+    """The ledger of one check over ``n_steps`` steps; below 100 trials it
+    raises. A check that claims nothing is recorded without calling ``fit``:
+    out-of-contract (the step-size hypothesis is violated), its ``notes``
+    followed by the refusal, before invalid (trials hit the divergence
+    guard). Otherwise ``fit()`` gives (passed, worst margin, worst step,
+    fitted, slack width); the hypothesis and the multiplier are added here."""
     config = estimate.config
     _require_ledger_grade(config)
+    slack = {"multiplier": SLACK_MULTIPLIER}
     if not config.in_contract():
-        verdict, margin, step = "out-of-contract", float("nan"), -1
+        verdict, margin, step, fitted = "out-of-contract", float("nan"), -1, {}
         notes += " (step-size hypothesis violated; no claim checked)"
     elif estimate.abort_step is not None:
-        verdict, margin, step = "invalid", float("-inf"), estimate.abort_step
+        verdict, margin, step, fitted = "invalid", float("-inf"), estimate.abort_step, {}
         notes = f"{estimate.abort_count} trials hit the divergence guard"
     else:
-        return None
+        passed, margin, step, fitted, slack["max_width"] = fit()
+        verdict, notes = "pass" if passed else "fail", ""
     return BoundLedger(
         theorem_id=theorem_id, hypothesis=config.hypothesis(), verdict=verdict,
-        worst_margin=margin, worst_step=step, fitted={},
-        slack={"multiplier": SLACK_MULTIPLIER}, n_steps=n_steps, notes=notes,
-    )
+        worst_margin=margin, worst_step=step, fitted=fitted, slack=slack,
+        n_steps=n_steps, notes=notes)
 
 
 def check_boundedness(estimate: MonteCarloEstimate) -> BoundLedger:
@@ -523,24 +531,16 @@ def check_boundedness(estimate: MonteCarloEstimate) -> BoundLedger:
 
     B comes from the configured theta0 and the provider's scale constant.
     """
-    config = estimate.config
-    B = config.B
-    refused = _refused(estimate, "theorem1-boundedness", estimate.T + 1,
-                       f"B={B:.6g}")
-    if refused is not None:
-        return refused
-    lower = estimate.d_hat - SLACK_MULTIPLIER * estimate.d_se
-    margin = B - lower
-    worst = int(np.argmin(margin))
-    verdict = "pass" if margin[worst] >= 0.0 else "fail"
-    return BoundLedger(
-        theorem_id="theorem1-boundedness", hypothesis=config.hypothesis(),
-        verdict=verdict, worst_margin=float(margin[worst]), worst_step=worst,
-        fitted={"B": B, "max_d_hat": float(np.max(estimate.d_hat))},
-        slack={"multiplier": SLACK_MULTIPLIER,
-               "max_width": float(np.max(SLACK_MULTIPLIER * estimate.d_se))},
-        n_steps=estimate.T + 1,
-    )
+    B = estimate.config.B
+
+    def fit():
+        margin = B - (estimate.d_hat - SLACK_MULTIPLIER * estimate.d_se)
+        worst = int(np.argmin(margin))
+        return (margin[worst] >= 0.0, float(margin[worst]), worst,
+                {"B": B, "max_d_hat": float(np.max(estimate.d_hat))},
+                float(np.max(SLACK_MULTIPLIER * estimate.d_se)))
+
+    return _ledger(estimate, "theorem1-boundedness", estimate.T + 1, fit, f"B={B:.6g}")
 
 
 def check_recursion(estimate: MonteCarloEstimate) -> BoundLedger:
@@ -554,45 +554,36 @@ def check_recursion(estimate: MonteCarloEstimate) -> BoundLedger:
     instead.
     """
     config = estimate.config
-    alpha, tau, B = config.alpha, config.tau, config.B
-    rate = 1.0 - alpha * config.provider.beta
-    L2 = config.provider.recursion_L2
-    perturb_scale = alpha ** 2 * L2 * tau * B
-    e_scale = alpha * L2 * tau * B
-    refused = _refused(estimate, "theorem2-recursion", estimate.T, "")
-    if refused is not None:
-        return refused
-    T = estimate.T
-    if T <= tau + 1:
-        raise ConfigError(f"horizon T={T} leaves no steps at or beyond tau={tau}")
-    t = np.arange(tau, T)
-    slack_rec = SLACK_MULTIPLIER * (estimate.d_se[t + 1] + rate * estimate.d_se[t])
-    needed_c = (estimate.d_hat[t + 1] - slack_rec
-                - rate * estimate.d_hat[t]) / perturb_scale
-    c = float(max(needed_c.max(), 0.0))
+    alpha, tau, B, T = config.alpha, config.tau, config.B, estimate.T
 
-    needed_cp = (estimate.e_hat[t] - SLACK_MULTIPLIER * estimate.e_se[t]) / e_scale
-    c_prime = float(max(needed_cp.max(), 0.0))
+    def fit():
+        if T <= tau + 1:
+            raise ConfigError(f"horizon T={T} leaves no steps at or beyond tau={tau}")
+        rate = 1.0 - alpha * config.provider.beta
+        L2 = config.provider.recursion_L2
+        perturb_scale = alpha ** 2 * L2 * tau * B
+        e_scale = alpha * L2 * tau * B
+        t = np.arange(tau, T)
+        slack_rec = SLACK_MULTIPLIER * (estimate.d_se[t + 1] + rate * estimate.d_se[t])
+        needed_c = (estimate.d_hat[t + 1] - slack_rec
+                    - rate * estimate.d_hat[t]) / perturb_scale
+        c = float(max(needed_c.max(), 0.0))
 
-    pre = np.arange(0, min(tau, T))
-    pre_margin = 8.0 * B - (estimate.e_hat[pre]
-                            - SLACK_MULTIPLIER * estimate.e_se[pre])
-    pre_tau_ok = bool(np.all(pre_margin >= 0.0)) if pre.size else True
+        needed_cp = (estimate.e_hat[t] - SLACK_MULTIPLIER * estimate.e_se[t]) / e_scale
+        c_prime = float(max(needed_cp.max(), 0.0))
 
-    worst = int(np.argmax(needed_c))
-    ok = c <= CEILING and c_prime <= CEILING and pre_tau_ok
-    return BoundLedger(
-        theorem_id="theorem2-recursion", hypothesis=config.hypothesis(),
-        verdict="pass" if ok else "fail",
-        worst_margin=float(CEILING - max(c, c_prime)),
-        worst_step=int(t[worst]),
-        fitted={"c": c, "c_prime": c_prime, "rate": rate,
-                "perturb_scale": perturb_scale, "e_scale": e_scale,
-                "pre_tau_ok": pre_tau_ok, "ceiling": CEILING},
-        slack={"multiplier": SLACK_MULTIPLIER,
-               "max_width": float(np.max(slack_rec))},
-        n_steps=T - tau,
-    )
+        pre = np.arange(0, min(tau, T))
+        pre_margin = 8.0 * B - (estimate.e_hat[pre]
+                                - SLACK_MULTIPLIER * estimate.e_se[pre])
+        pre_tau_ok = bool(np.all(pre_margin >= 0.0)) if pre.size else True
+        return (c <= CEILING and c_prime <= CEILING and pre_tau_ok,
+                float(CEILING - max(c, c_prime)), int(t[np.argmax(needed_c)]),
+                {"c": c, "c_prime": c_prime, "rate": rate,
+                 "perturb_scale": perturb_scale, "e_scale": e_scale,
+                 "pre_tau_ok": pre_tau_ok, "ceiling": CEILING},
+                float(np.max(slack_rec)))
+
+    return _ledger(estimate, "theorem2-recursion", max(T - tau, 0), fit)
 
 
 def check_iid_noise(estimate: MonteCarloEstimate) -> BoundLedger:
@@ -605,27 +596,21 @@ def check_iid_noise(estimate: MonteCarloEstimate) -> BoundLedger:
     keeps the nominal 3-SE false-fail rate; a band at every step would fail
     some step of a long run by chance alone. ``fitted`` records the pooled
     z-score and the number of steps pooled."""
-    config = estimate.config
-    if config.sampling != "iid_restart":
+    if estimate.config.sampling != "iid_restart":
         raise ConfigError("the i.i.d. control check needs sampling='iid_restart'")
     if estimate.T < 2:
         raise ConfigError("the control needs a horizon of at least 2 steps")
-    refused = _refused(estimate, "lemma4-iid-control", estimate.T - 1, "")
-    if refused is not None:
-        return refused
     steps = estimate.T - 1
-    total = float(estimate.e_hat[1:].sum())
-    se = math.sqrt(float(np.sum(estimate.e_se[1:] ** 2)))
-    margin = SLACK_MULTIPLIER * se - abs(total)
-    return BoundLedger(
-        theorem_id="lemma4-iid-control", hypothesis=config.hypothesis(),
-        verdict="pass" if margin >= 0.0 else "fail", worst_margin=margin,
-        worst_step=-1,
-        fitted={"z": total / se if se > 0.0 else float("nan"),
-                "steps_pooled": steps},
-        slack={"multiplier": SLACK_MULTIPLIER, "max_width": SLACK_MULTIPLIER * se},
-        n_steps=steps,
-    )
+
+    def fit():
+        total = float(estimate.e_hat[1:].sum())
+        se = math.sqrt(float(np.sum(estimate.e_se[1:] ** 2)))
+        margin = SLACK_MULTIPLIER * se - abs(total)
+        return (margin >= 0.0, margin, -1,
+                {"z": total / se if se > 0.0 else float("nan"), "steps_pooled": steps},
+                SLACK_MULTIPLIER * se)
+
+    return _ledger(estimate, "lemma4-iid-control", steps, fit)
 
 
 def check_drift(estimate: MonteCarloEstimate) -> BoundLedger:
@@ -639,23 +624,17 @@ def check_drift(estimate: MonteCarloEstimate) -> BoundLedger:
     T, tau, alpha = estimate.T, config.tau, config.alpha
     if T < tau + 1:
         raise ConfigError(f"horizon {T} too short for tau={tau}")
-    refused = _refused(estimate, "lemma3-drift", T + 1 - tau, "")
-    if refused is not None:
-        return refused
-    scale = alpha ** 2 * tau ** 2 * config.B
-    needed = (estimate.drift_hat - SLACK_MULTIPLIER * estimate.drift_se) / scale
-    c = float(max(needed.max(), 0.0))
-    worst = int(np.argmax(needed)) + tau
-    return BoundLedger(
-        theorem_id="lemma3-drift", hypothesis=config.hypothesis(),
-        verdict="pass" if c <= CEILING else "fail",
-        worst_margin=float(CEILING - c), worst_step=worst,
-        fitted={"c": c, "scale": scale, "ceiling": CEILING,
-                "max_drift": float(estimate.drift_hat.max())},
-        slack={"multiplier": SLACK_MULTIPLIER,
-               "max_width": float(np.max(SLACK_MULTIPLIER * estimate.drift_se))},
-        n_steps=T + 1 - tau,
-    )
+
+    def fit():
+        scale = alpha ** 2 * tau ** 2 * config.B
+        needed = (estimate.drift_hat - SLACK_MULTIPLIER * estimate.drift_se) / scale
+        c = float(max(needed.max(), 0.0))
+        return (c <= CEILING, float(CEILING - c), int(np.argmax(needed)) + tau,
+                {"c": c, "scale": scale, "ceiling": CEILING,
+                 "max_drift": float(estimate.drift_hat.max())},
+                float(np.max(SLACK_MULTIPLIER * estimate.drift_se)))
+
+    return _ledger(estimate, "lemma3-drift", T + 1 - tau, fit)
 
 
 # ---------------------------------------------------------------------------
@@ -736,15 +715,15 @@ def weighted_average_experiment(config: ExperimentConfig) -> BoundLedger:
 # ---------------------------------------------------------------------------
 # Experiments and sweeps
 
-# the ledgers of each experiment kind that checks one estimate, by name;
-# "nonlinear" is a legacy name for "recursion"
-CHECKS = {
-    "boundedness": {"boundedness": check_boundedness},
-    "recursion": {"boundedness": check_boundedness, "recursion": check_recursion,
-                  "drift": check_drift},
-    "iid_control": {"iid_control": check_iid_noise},
+# each experiment kind that checks one estimate: the parts its kernel run
+# reduces and its ledgers by name; "nonlinear" is a legacy name for "recursion"
+KINDS = {
+    "boundedness": ((_Curves,), {"boundedness": check_boundedness}),
+    "recursion": ((_Curves, _Drift), {"boundedness": check_boundedness,
+                                      "recursion": check_recursion, "drift": check_drift}),
+    "iid_control": ((_Curves,), {"iid_control": check_iid_noise}),
 }
-CHECKS["nonlinear"] = CHECKS["recursion"]
+KINDS["nonlinear"] = KINDS["recursion"]
 
 
 def run_experiment(config: ExperimentConfig, kind: str):
@@ -753,10 +732,10 @@ def run_experiment(config: ExperimentConfig, kind: str):
     Whatever the kind, it first refuses fewer than 100 trials and audits the
     provider against its declared constants (``AuditError`` on failure).
     ``weighted_average`` runs its horizon grid and has no estimate (None);
-    every other kind runs the config's trials once and applies its checks
-    from ``CHECKS``, reducing the drift in the kernel when they include it.
+    every other kind runs the config's trials once, reduced by the parts of
+    its ``KINDS`` row, and applies the row's checks.
     """
-    if not isinstance(kind, str) or kind != "weighted_average" and kind not in CHECKS:
+    if not isinstance(kind, str) or kind != "weighted_average" and kind not in KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
     _require_ledger_grade(config)
     audit = audit_provider(config.provider, 20000,
@@ -765,8 +744,8 @@ def run_experiment(config: ExperimentConfig, kind: str):
         raise AuditError(audit)
     if kind == "weighted_average":
         return None, {"weighted_average": weighted_average_experiment(config)}
-    checks = CHECKS[kind]
-    estimate = _simulate(config, (_Curves, _Drift) if "drift" in checks else (_Curves,))
+    parts, checks = KINDS[kind]
+    estimate = _simulate(config, parts)
     return estimate, {name: check(estimate) for name, check in checks.items()}
 
 

@@ -7,7 +7,6 @@ All computations are dense linear algebra on the exact chain; nothing here is
 Monte Carlo.
 """
 
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -341,7 +340,6 @@ class MixingOracle:
         self._G_tail = float(max((phi_norms * np.linalg.norm(M, axis=1)).max(),
                                  (phi_norms * np.abs(mrp.R)).max()))
         self._dev = []
-        self._lock = threading.Lock()
 
     def _deviation(self, Q) -> float:
         """max(||Phi^T (D_k - D)(gamma P - I) Phi||_op, ||Phi^T (D_k - D) R||)
@@ -358,11 +356,10 @@ class MixingOracle:
     def _curves(self, H: int):
         """The deviation curve for k = 1..H, and ``ChainPowers.curve(H)``:
         d(0..H) and whether d(H) is clamped."""
-        with self._lock:
-            while len(self._dev) < H:
-                self._dev.append(self._deviation(self._powers.power))
-                self._powers.step()
-            return (np.array(self._dev[:H]), *self._powers.curve(H))
+        while len(self._dev) < H:
+            self._dev.append(self._deviation(self._powers.power))
+            self._powers.step()
+        return (np.array(self._dev[:H]), *self._powers.curve(H))
 
     def certify(self, epsilon: float) -> "MixingTimeCertificate":
         """Smallest certified tau(epsilon) of linear TD; see ``mixing_time``."""

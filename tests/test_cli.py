@@ -755,6 +755,16 @@ class TestSweepCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()  # refused before any output is written
 
+    def test_T_sweep_of_a_boundedness_config_exits_invalid(self, tmp_path, capsys):
+        # a grid in the config does not make it a weighted_average experiment
+        cfg = bundled_config("theorem1_two_state_fast")
+        cfg["experiment"]["averaging_grid"] = [64, 128]
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", write_cfg(tmp_path, cfg), "--out", str(out),
+                     "--sweep", "T=64,128,256,512"]) == EXIT_INVALID_INPUT
+        assert "a T sweep needs a weighted_average experiment" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_grid_rejected(self, tmp_path):
         path = write_cfg(tmp_path, bundled_config("theorem2_base"))
         assert main(["sweep", "--config", path, "--out", str(tmp_path / "o"),

@@ -107,9 +107,21 @@ BLOCK_TURN_CASES = {
     "iid_restart": {"sampling": "iid_restart"},
     "constant_delay": {"delays": DelayProcess("constant", 3)},
     "uniform_delay": {"delays": DelayProcess("uniform", 4, seed=8)},
+    # the ring holds min(tau_max, T) + 1 directions, not tau_max + 1
+    "uniform_delay_far_past_T": {"delays": DelayProcess("uniform", 10 ** 5, seed=8)},
     "linear_contraction": {"provider": "linear_contraction"},
     "saturating_iid": {"provider": "saturating", "sampling": "iid_restart"},
 }
+
+
+def traced_peak(config, parts=(_Curves,)):
+    """The tracemalloc peak of one kernel run of ``config``, in bytes."""
+    tracemalloc.start()
+    try:
+        _simulate(config, parts)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def assert_peak_flat_in_T(config, drift=False):
@@ -121,13 +133,7 @@ def assert_peak_flat_in_T(config, drift=False):
     parts = (_Curves, _Drift) if drift else (_Curves,)
 
     def peak(T):
-        cfg = replace(config, T=T, trials=2000)
-        tracemalloc.start()
-        try:
-            _simulate(cfg, parts)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(replace(config, T=T, trials=2000), parts)
 
     # one warm-up run, so first-use allocations land in neither peak
     _simulate(replace(config, T=2, trials=2000), parts)
@@ -456,6 +462,17 @@ class TestEstimate:
         assert config.delays.kind == "uniform" and config.delays.tau_max == 5
         assert_peak_flat_in_T(config)
 
+    def test_delay_ring_is_sized_by_the_delays_a_run_can_draw(self):
+        # no delay exceeds min(t, tau_max) <= T - 1, so tau_max = 10^5 at
+        # T = 300 costs what tau_max = T costs, not a 10^5-slot ring (80 MB
+        # at 100 lanes)
+        def peak(tau_max):
+            delays = DelayProcess("uniform", tau_max, seed=8)
+            return traced_peak(fast_config(T=300, trials=100, delays=delays))
+
+        peak(300)  # warm-up, so first-use allocations land in neither peak
+        assert peak(10 ** 5) <= 1.1 * peak(300)
+
     def test_memory_is_flat_in_T_with_the_drift(self):
         # the drift reads theta_{t-tau} from a ring of the last tau iterates,
         # so no (trials, T + 1, K) path array exists
@@ -689,7 +706,7 @@ class TestRefusals:
             _ledger_json(BoundLedger(
                 theorem_id="theorem2-recursion", hypothesis=self.OUT,
                 verdict="out-of-contract", worst_margin=float("nan"),
-                worst_step=-1, fitted={}, slack={"multiplier": 3.0}, n_steps=50,
+                worst_step=-1, fitted={}, slack={"multiplier": 3.0}, n_steps=49,
                 notes=self.REFUSED))
 
     def test_drift_out_of_contract_record(self):
@@ -715,7 +732,7 @@ class TestRefusals:
         assert _ledger_json(led) == _ledger_json(BoundLedger(
             theorem_id="theorem2-recursion", hypothesis=self.IN,
             verdict="invalid", worst_margin=float("-inf"), worst_step=7,
-            fitted={}, slack={"multiplier": 3.0}, n_steps=50,
+            fitted={}, slack={"multiplier": 3.0}, n_steps=41,
             notes="3 trials hit the divergence guard"))
 
     def test_iid_control_invalid_record(self):
