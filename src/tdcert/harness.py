@@ -48,12 +48,12 @@ from .sa_core import (
     STEP_C,
     ConfigError,
     DelayProcess,
-    StepSizeError,
     TD0Provider,
     UpdateDirectionProvider,
     audit_provider,
     auto_horizon,
     fingerprint,
+    fixed_step_size,
     positive_alpha,
     resolve_step_size,
     rowsum,
@@ -159,6 +159,10 @@ class ExperimentConfig:
         return self.provider.bound_B(self.theta0)
 
     def in_contract(self) -> bool:
+        """alpha within the undelayed cap ``provider.step_cap(tau)``; it does
+        not read ``delays.tau_max``. A delayed config gets its 1 / (1 + tau_max)
+        from ``step_size.alpha_scale`` (as the bundled delayed configs set it)
+        or from the tau_max sweep's division."""
         return self.alpha <= self.provider.step_cap(self.tau) * (1.0 + 1e-12)
 
     def hypothesis(self) -> dict:
@@ -645,21 +649,19 @@ def tune_weighted_average(provider: UpdateDirectionProvider, T: int):
     (1 - alpha A)^-(t+1), A = ``AVERAGE_SHARE`` * contraction, as (alpha,
     lambda, case): alpha = ln(lambda)/(A (T+1)) with lambda = max(e,
     A (T+1)^2 / tau) when that obeys the mixing cap (case 1), otherwise the
-    cap itself (case 2), iterated until the mixing time
-    ``provider.certify(alpha)`` certifies is the tau it was tuned at, so
-    alpha always satisfies the cap and boundedness applies."""
+    cap itself (case 2), at the tau ``provider.certify(alpha)`` certifies
+    (``fixed_step_size`` from ``resolve_step_size``), so alpha always
+    satisfies the cap and boundedness applies."""
     A = AVERAGE_SHARE * provider.contraction
-    tau = provider.certify(resolve_step_size(provider)).tau
-    for _ in range(50):
+
+    def spec(tau):
         lam = max(math.e, A * (T + 1) ** 2 / tau)
-        alpha_case1 = math.log(lam) / (A * (T + 1))
-        cap = provider.step_cap(tau)
-        case = 1 if alpha_case1 <= cap else 2
-        alpha = alpha_case1 if case == 1 else cap
-        tau_hat, tau = tau, provider.certify(alpha).tau
-        if tau == tau_hat:
-            return alpha, lam, case
-    raise StepSizeError("weighted-average tuning did not stabilize")
+        alpha, cap = math.log(lam) / (A * (T + 1)), provider.step_cap(tau)
+        return (alpha, lam, 1) if alpha <= cap else (cap, lam, 2)
+
+    alpha = fixed_step_size(provider, lambda tau: spec(tau)[0],
+                            resolve_step_size(provider))
+    return spec(provider.certify(alpha).tau)
 
 
 def weighted_average_experiment(config: ExperimentConfig) -> BoundLedger:

@@ -281,18 +281,14 @@ def auto_horizon(alpha: float, provider: UpdateDirectionProvider) -> int:
     return int(math.ceil(10.0 / (positive_alpha(alpha) * provider.beta)))
 
 
-def resolve_step_size(provider: UpdateDirectionProvider) -> float:
-    """Solve the circular constraint alpha <= contraction / (C tau(alpha)) for
-    the provider's instance and theorem, with C = ``STEP_C``.
-
-    Starts from alpha = contraction / C and alternates with the provider's
-    certified mixing time (read off its model's mixing oracle) until alpha is
-    the cap at its own tau. tau is integer-valued and non-increasing in
-    alpha, so the iteration terminates.
-    """
-    alpha = provider.contraction / STEP_C
+def fixed_step_size(provider: UpdateDirectionProvider, rule, alpha: float) -> float:
+    """The alpha with alpha = rule(tau(alpha)), tau(alpha) =
+    ``provider.certify(alpha).tau``: iterates alpha <- rule(tau(alpha)) from
+    the given alpha until the rule returns the alpha it was given. tau is
+    integer-valued and non-increasing in alpha, so a rule non-increasing in
+    tau stops; StepSizeError after 100 steps."""
     for _ in range(100):
-        candidate = provider.step_cap(provider.certify(alpha).tau)
+        candidate = rule(provider.certify(alpha).tau)
         if candidate == alpha:
             return alpha
         alpha = candidate
@@ -300,6 +296,12 @@ def resolve_step_size(provider: UpdateDirectionProvider) -> float:
         "no self-consistent (alpha, tau) pair within 100 iterations; "
         "the mixing input looks pathological"
     )
+
+
+def resolve_step_size(provider: UpdateDirectionProvider) -> float:
+    """The alpha at the cap of its own tau, alpha = step_cap(tau(alpha)) with
+    C = ``STEP_C``: ``fixed_step_size`` from alpha = contraction / C."""
+    return fixed_step_size(provider, provider.step_cap, provider.contraction / STEP_C)
 
 
 @dataclass(frozen=True)

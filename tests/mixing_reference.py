@@ -2,8 +2,11 @@
 
 Every power P^k is its own ``np.linalg.matrix_power`` call rather than the
 oracle's running product, and tau is read off the whole recorded curve
-rather than searched with a horizon and a tail bound.
+rather than searched with a horizon and a tail bound. ``AlternatingTau`` is
+a mixing input whose tau never settles.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -67,3 +70,22 @@ def rechecks(cert):
     return bool(cert.tau >= 1
                 and np.all(cert.margin_curve[cert.tau - 1:] <= cert.epsilon)
                 and cert.tail_bound <= cert.epsilon)
+
+
+class AlternatingTau:
+    """A pathological mixing input: just enough of a provider for the
+    step-size fixed point (contraction 1, cap 1 / (8 tau)), whose certified
+    tau alternates between 1 and 2 call by call, starting at ``first``.
+    ``calls`` counts the certificates handed out."""
+
+    contraction = 1.0
+
+    def __init__(self, first):
+        self.first, self.calls = first, 0
+
+    def step_cap(self, tau):
+        return 1.0 / (8.0 * tau)
+
+    def certify(self, epsilon):
+        self.calls += 1
+        return SimpleNamespace(tau=self.first if self.calls % 2 else 3 - self.first)

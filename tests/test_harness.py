@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mixing_reference import generic_tau
+from mixing_reference import AlternatingTau, generic_tau
 from scalar_reference import kernel_paths, reference_sa
 from tdcert import bundled, harness
 from tdcert.chain import (
@@ -31,6 +31,7 @@ from tdcert.sa_core import (
     STEP_C,
     DelayProcess,
     SaturatingMonotoneProvider,
+    StepSizeError,
     TD0Provider,
     auto_horizon,
     fingerprint,
@@ -991,6 +992,28 @@ class TestWeightedAveraging:
         config = fast_config(provider=provider, alpha=alpha, T=T)
         assert config.tau == provider.certify(alpha).tau
         assert config.in_contract()
+
+    def test_tuned_alpha_is_the_horizon_rule_at_its_own_tau(self):
+        # on every horizon of the bundled grid, alpha = rule(tau(alpha)) and
+        # (lambda, case) are the rule's at that tau
+        config, _ = parse_experiment(bundled.bundled_config("theorem3_averaging"))
+        provider = config.provider
+        A = harness.AVERAGE_SHARE * provider.contraction
+        for T in config.averaging_grid:
+            tuned = tune_weighted_average(provider, T)
+            tau = provider.certify(tuned[0]).tau
+            lam = max(math.e, A * (T + 1) ** 2 / tau)
+            alpha, cap = math.log(lam) / (A * (T + 1)), provider.step_cap(tau)
+            assert tuned == ((alpha, lam, 1) if alpha <= cap else (cap, lam, 2))
+
+    def test_tuning_refuses_a_tau_that_never_settles(self):
+        # resolve_step_size settles on the first call (tau 1 gives back its
+        # start, 1/8); the horizon rule then sees tau 2, 1, 2, ... and stops
+        # at the one 100-step cap
+        provider = AlternatingTau(first=1)
+        with pytest.raises(StepSizeError, match="within 100 iterations"):
+            tune_weighted_average(provider, 1000)
+        assert provider.calls == 1 + 100
 
     def test_one_state_average_converges_geometrically(self):
         cfg = one_state_config(T=400, trials=100)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mixing_reference import generic_tau
+from mixing_reference import AlternatingTau, generic_tau
 from scalar_reference import (
     ReferenceDivergence,
     kernel_paths,
@@ -38,6 +38,7 @@ from tdcert.oracle import (
 from tdcert.sa_core import (
     DelayProcess,
     SaturatingMonotoneProvider,
+    StepSizeError,
     TD0Provider,
     audit_provider,
     resolve_step_size,
@@ -188,6 +189,16 @@ class TestResolveStepSize:
         tau = provider.certify(alpha).tau
         assert tau == generic_tau(ONE_STATE, 2.5 * provider.sigma_const, alpha, 64)[0]
         assert alpha == provider.contraction / (8.0 * tau) < 1.0 / (8.0 * tau)
+
+    def test_refuses_a_tau_that_never_settles(self):
+        # tau 2, 1, 2, ... sends alpha between 1/16 and 1/8 until the one
+        # 100-step cap
+        provider = AlternatingTau(first=2)
+        with pytest.raises(StepSizeError, match="within 100 iterations"):
+            resolve_step_size(provider)
+        assert provider.calls == 100
+        # tau 1 first gives back the start contraction / C = 1/8 at once
+        assert resolve_step_size(AlternatingTau(first=1)) == 1.0 / 8.0
 
 
 def one_lane(model, T, seed=0, alpha=None, theta0=None, **kw):
