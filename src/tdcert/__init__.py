@@ -6,7 +6,7 @@ The package holds the README's library entry points; every other name is
 imported from its module (``tdcert.chain``, ``oracle``, ``sa_core``,
 ``harness``, ``bundled``, ``cli``)."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .chain import MarkovRewardProcess
 from .oracle import FeatureMatrix, build_steady_state

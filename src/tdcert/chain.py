@@ -16,9 +16,8 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 # the steps per refill of the Monte Carlo kernel's reused word and delay
-# buffers, and the lanes ``KeyedStreams`` draws per transposed tile
-BLOCK = 512
-_LANE_CHUNK = 64
+# buffers
+BLOCK = 64
 # the most cells ``InverseCdfTable`` builds at once (whole rows, at least
 # one), and the most cells a small chain's n-row table fills
 _TABLE_CHUNK = 1 << 16
@@ -84,62 +83,46 @@ def unit(words, out=None):
 
 
 class KeyedStreams:
-    """The streams ``generator(seed)`` of many lanes, drawn as raw 64-bit
-    words from one re-keyed Philox in step-major blocks.
+    """Raw 64-bit Philox4x64-10 words for many lanes under one key, drawn in
+    step-major blocks with the lane in the counter (Salmon et al., "Parallel
+    random numbers: as easy as 1, 2, 3", SC 2011).
 
-    Philox is counter-based: a stream is a key and a position, four 64-bit
-    words per counter step, and ``random`` turns one word into one double
-    (``unit``). All lanes stand at the same position ``pos``, so a lane's
-    words come from writing its key and the counter ``pos // 4`` into the
-    public state and dropping ``pos % 4`` words: no generator (nor a seed
-    sequence pulled from OS entropy) is built per lane, and a caller whose
-    blocks are multiples of 4 words never drops one. ``fill(out)`` writes
-    every lane's next ``len(out)`` words into a caller's (rows, lanes)
-    uint64 buffer, so row j holds every lane's j-th word and a step reads one
-    contiguous row; lanes are drawn ``_LANE_CHUNK`` at a time into a
-    lane-major tile and copied in as one transposed tile, about twice as fast
-    as writing one strided column per lane. ``tiles`` hands out those tiles
-    for a caller that writes its own layout. The tile is allocated once, at
-    the widest count drawn, and reused by every later draw. The state is
-    re-keyed as a dict of plain-int lists, which the setter reads at about
-    half the cost of the uint64 arrays the getter returns.
+    Lane i's word p is word p mod 4 of the Philox block at the 256-bit
+    counter i + 2^64 floor(p / 4): the lane sits in counter word 0 and the
+    4-word block in word 1, so a lane's words depend only on (key, i, p),
+    never on how many lanes run beside it. ``random`` turns one word into
+    one double (``unit``). All lanes stand at the same position ``pos``, and
+    ``fill(out)`` writes every lane's next ``len(out)`` words into a caller's
+    (rows, lanes) uint64 buffer, so row j holds every lane's j-th word and a
+    step reads one contiguous row. Block b of every lane is one call: the
+    counter is set once, to lane 0's counter minus 1 (numpy increments it
+    before each block), and ``random_raw(4 * lanes)`` walks the lanes; the
+    (lanes, 4) words go in transposed, the ones before the fill's start
+    dropped. The state is set as a dict of plain ints, which the setter
+    reads at about half the cost of the uint64 arrays the getter returns.
     """
 
-    def __init__(self, seeds):
-        self.keys = [_word(seed) for seed in seeds]
+    def __init__(self, key, lanes: int):
+        self.lanes = lanes
         self.bitgen = generator(0).bit_generator
         self.state = {"bit_generator": "Philox",
-                      "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+                      "state": {"counter": [0, 0, 0, 0], "key": [_word(key), 0]},
                       "buffer": [0, 0, 0, 0], "buffer_pos": 4,
                       "has_uint32": 0, "uinteger": 0}
         self.pos = 0
-        self._tile = np.empty((min(_LANE_CHUNK, len(self.keys)), 0), dtype=np.uint64)
-
-    def tiles(self, count: int):
-        """Every lane's next ``count`` words, ``_LANE_CHUNK`` lanes at a
-        time: yields (lo, tile) where tile[k] holds lane lo + k's words. The
-        tile's memory is reused, so each one is consumed before the next."""
-        if self._tile.shape[1] < count:
-            self._tile = np.empty((self._tile.shape[0], count), dtype=np.uint64)
-        tile = self._tile[:, :count]
-        bitgen, state = self.bitgen, self.state
-        key = state["state"]["key"]
-        state["state"]["counter"][0] = self.pos // 4
-        skip = self.pos % 4
-        self.pos += count
-        for lo in range(0, len(self.keys), _LANE_CHUNK):
-            keys = self.keys[lo:lo + _LANE_CHUNK]
-            for row, k in zip(tile, keys):
-                key[0] = k
-                bitgen.state = state
-                row[:] = bitgen.random_raw(skip + count)[skip:]
-            yield lo, tile[:len(keys)]
 
     def fill(self, out: np.ndarray):
         """Write every lane's next ``len(out)`` words into the (rows, lanes)
         uint64 array ``out``."""
-        for lo, tile in self.tiles(len(out)):
-            out[:, lo:lo + len(tile)] = tile.T
+        bitgen, state, lanes = self.bitgen, self.state, self.lanes
+        start, self.pos = self.pos, self.pos + len(out)
+        for b in range(start // 4, -(-self.pos // 4)):
+            # lane 0's counter 2^64 b minus 1, modulo 2^256
+            state["state"]["counter"] = [_MASK64, b - 1, 0, 0] if b else [_MASK64] * 4
+            bitgen.state = state
+            lo, hi = max(start - 4 * b, 0), min(self.pos - 4 * b, 4)
+            out[4 * b + lo - start:4 * b + hi - start] = (
+                bitgen.random_raw(4 * lanes).reshape(lanes, 4)[:, lo:hi].T)
 
 
 class InverseCdfTable:

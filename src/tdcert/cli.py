@@ -334,7 +334,13 @@ def main(argv=None) -> int:
     try:
         if args.manifest:
             with open(args.manifest) as fh:
-                cfg = json.load(fh)["config"]
+                manifest = json.load(fh)
+            cfg = manifest["config"]
+            if args.command != "oracle" and manifest.get("version") != __version__:
+                print(f"warning: the manifest was written by tdcert "
+                      f"{manifest.get('version')} and this is {__version__}; the "
+                      f"Monte Carlo outputs will not match the old run's bytes",
+                      file=sys.stderr)
         elif args.config:
             cfg = load_config(args.config)
         elif args.bundled:

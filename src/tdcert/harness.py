@@ -6,13 +6,13 @@ noise disturbance e_t with standard errors, and turns the finite-time
 statements into pass/fail ledgers with explicit 3-standard-error slack.
 
 ``_simulate(config, parts)`` is the one SA kernel and ``MonteCarloEstimate``
-its one result: it runs the config's trials as lanes, lane i on the stream
-``derive_seed(master_seed, i)`` with the delays ``delays.spawn(i)``, and a
-rerun of the same config replays every lane bit for bit. Lanes are the last
-axis of (K, trials) arrays, one column per lane. The raw words of the
-transitions and the delays are each drawn from one re-keyed Philox in
-step-major blocks (``chain.KeyedStreams``), transitions and start states
-come from the chain's exact table samplers on those words (``mrp.sampler``,
+its one result: it runs the config's trials as lanes, lane i on its words
+under the key ``derive_seed(master_seed)`` and its delays, and a rerun of
+the same config replays every lane bit for bit. Lanes are the last axis of
+(K, trials) arrays, one column per lane. Transition and delay words each
+come under one Philox key, the lane in its counter, in step-major blocks
+(``chain.KeyedStreams``); transitions and start states come from the
+chain's exact table samplers on those words (``mrp.sampler``,
 ``mrp.pi_sampler``), and every K-wide sum goes through ``rowsum``, which
 adds the K rows left to right, so a lane's bits do not depend on how many
 lanes run beside it. A run's parts (``_Curves`` d_t/e_t, ``_Drift`` the
@@ -339,10 +339,11 @@ def _simulate(config: ExperimentConfig, parts=(_Curves,)) -> MonteCarloEstimate:
     for the config's trials as a batch of lanes, reduced by ``parts``; the
     only code that advances theta.
 
-    Lane i draws from the stream ``derive_seed(master_seed, i)`` and takes
-    its delays from ``delays.spawn(i)``. Both are drawn ``BLOCK`` steps at a
-    time into reused buffers, so memory does not grow with T: the raw words
-    into one (BLOCK * draws + 1, trials) uint64 buffer, the delays into one
+    Lane i draws lane i's words of the key ``derive_seed(master_seed)``
+    (``KeyedStreams``) and takes lane i's delays, so its bits do not depend
+    on the lanes beside it. Both are drawn ``BLOCK`` steps at a time into
+    reused buffers, so memory does not grow with T: the raw words into one
+    (BLOCK * draws + 1, trials) uint64 buffer, the delays into one
     (BLOCK, trials) int64 buffer (``DelayProcess.blocks``). markov sampling
     draws one word per step, plus one for the start state when
     ``start_state`` is None, which rides in the first block beside its
@@ -374,7 +375,7 @@ def _simulate(config: ExperimentConfig, parts=(_Curves,)) -> MonteCarloEstimate:
     iid = config.sampling == "iid_restart"
     draws = 2 if iid else 1
 
-    streams = KeyedStreams(derive_seed(config.master_seed, np.arange(trials)))
+    streams = KeyedStreams(derive_seed(config.master_seed), trials)
     s = F_s = None
     start_state = config.start_state
     lead = not iid and start_state is None  # the start state's word leads
@@ -580,8 +581,10 @@ def check_recursion(estimate: MonteCarloEstimate) -> BoundLedger:
         pre_margin = 8.0 * B - (estimate.e_hat[pre]
                                 - SLACK_MULTIPLIER * estimate.e_se[pre])
         pre_tau_ok = bool(np.all(pre_margin >= 0.0)) if pre.size else True
+        # the worst step is that of the fit that sets the margin
+        worst = needed_c if c >= c_prime else needed_cp
         return (c <= CEILING and c_prime <= CEILING and pre_tau_ok,
-                float(CEILING - max(c, c_prime)), int(t[np.argmax(needed_c)]),
+                float(CEILING - max(c, c_prime)), int(t[np.argmax(worst)]),
                 {"c": c, "c_prime": c_prime, "rate": rate,
                  "perturb_scale": perturb_scale, "e_scale": e_scale,
                  "pre_tau_ok": pre_tau_ok, "ceiling": CEILING},

@@ -331,59 +331,47 @@ class DelayProcess:
                               f"(constant, uniform or sawtooth), got kind 'none'")
 
     def sequence(self, T: int) -> np.ndarray:
-        """This one lane's int64 delays tau_0..tau_{T-1}, from ``blocks``."""
+        """Lane 0's int64 delays tau_0..tau_{T-1}, from ``blocks``."""
         out = np.empty(T, dtype=np.int64)
         buffer = np.empty((min(BLOCK, T), 1), dtype=np.int64)
-        for t0, block in self.blocks(T, buffer, self.seed):
+        for t0, block in self.blocks(T, buffer):
             out[t0:t0 + len(block)] = block[:, 0]
         return out
 
-    def blocks(self, T: int, out: np.ndarray, seeds=None):
+    def blocks(self, T: int, out: np.ndarray):
         """The delays of steps 0..T-1, ``BLOCK`` steps at a time, written
         into the reused (BLOCK, lanes) int64 buffer ``out``: yields (t0,
         block) where block = out[:L] holds the delays of steps t0..t0+L-1,
-        consumed before the next. Lane i is ``spawn(i)``, or the process
-        whose seed is ``seeds`` (an int for one lane, or a uint64 array) when
-        given; memory does not grow with T.
+        consumed before the next; memory does not grow with T.
 
-        A uniform lane floors its stream ``generator(derive_seed(seed,
-        0xDE1A))`` times tau_max + 1 (so the stream is chunk-stable), every
-        lane drawn through one ``KeyedStreams`` in 64-lane word tiles that
-        are made doubles (``unit``) in one reused float tile; all kinds clamp
-        to min(t, tau_max). The floor, the caps and the cast run on that tile
-        in place, as trunc(min(x, c)) = min(trunc(x), c) for an integer c and
-        x >= 0, and the tile is written straight into the block."""
+        A uniform lane i floors its words' doubles (``unit``) times tau_max
+        + 1: its words are lane i's of one ``KeyedStreams`` keyed by
+        ``derive_seed(seed, 0xDE1A)``, so they are chunk-stable and lane 0's
+        are ``sequence``'s. The words are drawn into the block itself, made
+        doubles 8 steps at a time in one reused (8, lanes) tile, scaled there
+        and cast back (a floor, as x >= 0). Every kind is then clamped to
+        min(t, tau_max) on the integers: trunc(min(x, c)) = min(trunc(x), c)
+        for an integer c."""
         cap = self.tau_max
-        if seeds is None:
-            seeds = derive_seed(self.seed, np.arange(out.shape[1]), 0xDE1A7)
         if self.kind == "uniform" and cap > 0:
-            streams = KeyedStreams(np.atleast_1d(derive_seed(seeds, 0xDE1A)))
-            tile = None
+            streams = KeyedStreams(derive_seed(self.seed, 0xDE1A), out.shape[1])
+            tile = np.empty((8, out.shape[1]))
         for t0 in range(0, T, BLOCK):
             block = out[:min(BLOCK, T - t0)]
-            L = len(block)
-            if cap == 0:
-                block.fill(0)
-            elif self.kind == "constant":
-                block[:] = np.minimum(cap, np.arange(t0, t0 + L))[:, None]
-            elif self.kind == "sawtooth":
-                block[:] = (np.arange(t0, t0 + L) % (cap + 1))[:, None]
+            steps = np.arange(t0, t0 + len(block))
+            if self.kind == "sawtooth":
+                block[:] = (steps % (cap + 1))[:, None]
+            elif self.kind != "uniform" or cap == 0:
+                block.fill(cap)
             else:
-                for lo, words in streams.tiles(L):
-                    if tile is None:
-                        tile = np.empty(words.shape)
-                    u = unit(words, out=tile[:len(words), :L])
+                words = block.view(np.uint64)
+                streams.fill(words)
+                for r in range(0, len(block), len(tile)):
+                    u = unit(words[r:r + len(tile)], out=tile[:len(block) - r])
                     u *= cap + 1
-                    np.minimum(u, cap, out=u)
-                    early = u[:, :max(0, cap - t0)]
-                    np.minimum(early, np.arange(t0, t0 + early.shape[1]), out=early)
-                    np.copyto(block[:, lo:lo + len(u)], u.T, casting="unsafe")
+                    np.copyto(block[r:r + len(tile)], u, casting="unsafe")
+            np.minimum(block, np.minimum(steps, cap)[:, None], out=block)
             yield t0, block
-
-    def spawn(self, trial_index: int) -> "DelayProcess":
-        """Per-trial replica with an independently derived stream."""
-        return DelayProcess(self.kind, self.tau_max,
-                            derive_seed(self.seed, trial_index, 0xDE1A7))
 
     def to_dict(self):
         return {"kind": self.kind, "tau_max": self.tau_max, "seed": self.seed}

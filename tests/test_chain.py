@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import chain_reference
 from mixing_reference import tv_reference
+from scalar_reference import lane_words
 from tdcert import chain
 from tdcert.bundled import bundled_config, bundled_names
 from tdcert.chain import (
@@ -362,41 +363,82 @@ class TestSampling:
         assert np.array_equal(unit(w[4:]), g.random(4095))
 
 
-# 133 lanes fill two 64-lane tiles and part of a third
-_LANE_SEEDS = [derive_seed(3, i) for i in range(130)] + [0, 2 ** 64 - 1, -7]
+# keys at both ends of the 64-bit range beside a hashed one
+_KEYS = [derive_seed(3), 0, 2 ** 64 - 1]
+
+
+def drawn(key, lanes, counts):
+    """Every lane's words from one ``KeyedStreams``, filled ``counts`` rows
+    at a time into fresh buffers, as one (sum(counts), lanes) array."""
+    streams = KeyedStreams(key, lanes)
+    parts = [np.empty((count, lanes), dtype=np.uint64) for count in counts]
+    for out in parts:
+        streams.fill(out)
+    return np.concatenate(parts)
 
 
 class TestKeyedStreams:
-    """Every lane's raw words are its own stream ``generator(seed)``, word
-    for word, at any position and across the kernel's block turns."""
+    """Lane i's word p under a key is word p mod 4 of the Philox block at the
+    counter i + 2^64 floor(p / 4), as the reference draws it one fresh
+    Philox per block (``scalar_reference.lane_words``), at any position and
+    across the kernel's block turns."""
 
     @pytest.mark.parametrize("offset", range(8))
-    def test_words_are_each_lanes_doubles_at_any_offset(self, offset):
-        streams = KeyedStreams(_LANE_SEEDS)
-        buffer = np.empty((BLOCK, len(_LANE_SEEDS)), dtype=np.uint64)
+    def test_words_are_each_lanes_reference_at_any_offset(self, offset):
+        streams = KeyedStreams(_KEYS[0], 133)
+        buffer = np.empty((BLOCK, 133), dtype=np.uint64)
         streams.fill(buffer[:offset])
-        drawn = buffer[:offset].copy()
+        words = buffer[:offset].copy()
         for count in (BLOCK - offset, BLOCK, 3):  # the buffer is reused
             streams.fill(buffer[:count])
-            drawn = np.concatenate([drawn, buffer[:count]])
-        for i, seed in enumerate(_LANE_SEEDS):
-            assert np.array_equal(unit(drawn[:, i]), generator(seed).random(len(drawn)))
+            words = np.concatenate([words, buffer[:count]])
+        for i in range(133):
+            assert np.array_equal(unit(words[:, i]),
+                                  unit(lane_words(_KEYS[0], i, len(words))))
 
+    @pytest.mark.parametrize("key", _KEYS)
     @pytest.mark.parametrize("blocks", [[BLOCK, BLOCK, 7], [1, BLOCK - 1, BLOCK, 5],
                                         [2 * BLOCK, 2 * BLOCK, 14],
                                         [BLOCK + 1, BLOCK, BLOCK, 7]],
                              ids=["markov", "markov_start", "iid_restart",
                                   "markov_start_word"])
-    def test_kernel_blocks_equal_per_lane_generators(self, blocks):
-        streams = KeyedStreams(_LANE_SEEDS)
-        parts = []
-        for count in blocks:
-            out = np.empty((count, len(_LANE_SEEDS)), dtype=np.uint64)
-            streams.fill(out)
-            parts.append(out)
-        drawn = np.concatenate(parts)
-        for i, seed in enumerate(_LANE_SEEDS):
-            assert np.array_equal(drawn[:, i], words(seed, sum(blocks)))
+    def test_kernel_blocks_equal_reference(self, blocks, key):
+        words = drawn(key, 70, blocks)
+        for i in range(70):
+            assert np.array_equal(words[:, i], lane_words(key, i, sum(blocks)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(key=st.integers(0, 2 ** 64 - 1), lanes=st.integers(1, 300),
+           counts=st.lists(st.integers(1, 13), min_size=1, max_size=6))
+    def test_lane_words_depend_on_key_lane_and_position_only(self, key, lanes, counts):
+        # any lane count and any split into fills, 1-row fills and fills of
+        # no multiple of 4 among them, gives lane i the reference's words
+        words = drawn(key, lanes, counts)
+        for i in range(lanes):
+            assert np.array_equal(words[:, i], lane_words(key, i, sum(counts)))
+
+    def test_one_draw_per_four_words(self):
+        # each 4-word block of every lane is one random_raw call, the fill's
+        # start and end inside a block included
+        calls = []
+
+        class Counting:
+            def __init__(self, bitgen):
+                self.bitgen = bitgen
+
+            state = property(lambda self: self.bitgen.state,
+                             lambda self, state: setattr(self.bitgen, "state", state))
+
+            def random_raw(self, size):
+                calls.append(size)
+                return self.bitgen.random_raw(size)
+
+        streams = KeyedStreams(5, 2000)
+        streams.bitgen = Counting(streams.bitgen)
+        for count, blocks in ((BLOCK + 1, BLOCK // 4 + 1), (BLOCK, BLOCK // 4 + 1), (2, 1)):
+            calls.clear()
+            streams.fill(np.empty((count, 2000), dtype=np.uint64))
+            assert calls == [4 * 2000] * blocks
 
 
 class TestGeneratorsAndConfig:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mixing_reference import generic_tau
-from tdcert import harness
+from tdcert import __version__, harness
 from tdcert.bundled import bundled_config, bundled_names, THEOREM1_NAMES
 from tdcert.harness import ConfigError
 from tdcert.sa_core import SaturatingMonotoneProvider
@@ -145,6 +145,27 @@ class TestRunCommand:
                      "--out", str(out2)])
         assert code == EXIT_PASS
         assert (out1 / "estimate.csv").read_bytes() == (out2 / "estimate.csv").read_bytes()
+
+    @pytest.mark.parametrize("command, extra", [
+        ("run", []), ("sweep", ["--sweep", "alpha=1,0.5"])])
+    def test_manifest_of_another_version_warns_on_stderr(self, tmp_path, capsys,
+                                                         command, extra):
+        # a 0.1.0 manifest drew other Monte Carlo streams: its rerun says so
+        # in one stderr line naming both versions, and exits as the run does
+        cfg = write_cfg(tmp_path, {"bundled": "theorem1_near_uniform",
+                                   "experiment": {"trials": 100}})
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "a")] + extra)
+        manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        assert manifest["version"] == __version__ == "0.2.0"
+        capsys.readouterr()
+        assert main([command, "--manifest", str(tmp_path / "a" / "manifest.json"),
+                     "--out", str(tmp_path / "b")] + extra) == code
+        assert capsys.readouterr().err == ""
+        old = write_cfg(tmp_path, dict(manifest, version="0.1.0"), "old.json")
+        assert main([command, "--manifest", old, "--out", str(tmp_path / "c")] + extra) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "0.1.0" in err[0] and "0.2.0" in err[0] and "Monte Carlo" in err[0]
 
     @pytest.mark.parametrize("command, extra", [
         ("run", []), ("sweep", ["--sweep", "alpha=1,0.5"])])

@@ -4,6 +4,7 @@ import math
 import re
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -346,7 +347,7 @@ class TestScratchBuffers:
     def test_lanes_and_d_curve_equal_single_trial_runs(self, K):
         cfg = fast_config(trials=6, T=80) if K == 1 else wide_config(K)
         refs = np.stack([reference_sa(cfg.provider, cfg.model.mrp, cfg.theta0, cfg.alpha,
-                                      cfg.T, seed=derive_seed(cfg.master_seed, i))
+                                      cfg.T, cfg.master_seed, lane=i)
                          for i in range(cfg.trials)])
         assert np.array_equal(kernel_paths(cfg), refs)
         # each lane's ||theta_t - theta*||^2 added left to right, then its
@@ -385,7 +386,7 @@ class TestEstimate:
         provider = TD0Provider(FAST_MODEL)
         for i in range(cfg.trials):
             assert np.array_equal(paths[i], reference_sa(
-                provider, FAST, np.zeros(1), FAST_ALPHA, 80, seed=derive_seed(11, i)))
+                provider, FAST, np.zeros(1), FAST_ALPHA, 80, 11, lane=i))
 
     def test_delayed_batch_lanes_equal_single_trials(self):
         delays = DelayProcess("sawtooth", 3, seed=5)
@@ -394,8 +395,8 @@ class TestEstimate:
         provider = TD0Provider(FAST_MODEL)
         for i in range(cfg.trials):
             assert np.array_equal(paths[i], reference_sa(
-                provider, FAST, np.zeros(1), FAST_ALPHA, 70, seed=derive_seed(11, i),
-                delays=delays.spawn(i)))
+                provider, FAST, np.zeros(1), FAST_ALPHA, 70, 11, lane=i,
+                delays=delays))
 
     @pytest.mark.parametrize("tau_max", [3, 32768])
     def test_delays_past_int16_range_match_single_trial(self, tau_max):
@@ -405,7 +406,7 @@ class TestEstimate:
         cfg = fast_config(trials=1, T=T, delays=delays)
         estimate = estimate_dt_et(cfg)
         reference = reference_sa(TD0Provider(FAST_MODEL), FAST, np.zeros(1), FAST_ALPHA,
-                                 T, seed=derive_seed(11, 0), delays=delays.spawn(0))
+                                 T, 11, delays=delays)
         assert np.array_equal(kernel_paths(cfg)[0], reference)
         d = ((reference - FAST_MODEL.theta_star) ** 2).sum(axis=1)
         assert np.array_equal(estimate.d_hat, d)
@@ -419,7 +420,7 @@ class TestEstimate:
         for i in range(cfg.trials):
             assert np.array_equal(paths[i], reference_sa(
                 cfg.provider, cfg.model.mrp, cfg.theta0, cfg.alpha, cfg.T,
-                seed=derive_seed(cfg.master_seed, i), sampling=sampling))
+                cfg.master_seed, lane=i, sampling=sampling))
 
     @pytest.mark.parametrize("K", [8, 9])
     def test_constant_delay_lanes_equal_reference_8_accumulators(self, K):
@@ -429,7 +430,7 @@ class TestEstimate:
         for i in range(cfg.trials):
             assert np.array_equal(paths[i], reference_sa(
                 cfg.provider, cfg.model.mrp, cfg.theta0, cfg.alpha, cfg.T,
-                seed=derive_seed(cfg.master_seed, i), delays=delays.spawn(i)))
+                cfg.master_seed, lane=i, delays=delays))
 
     @pytest.mark.parametrize("T", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 2])
     @pytest.mark.parametrize("case", list(BLOCK_TURN_CASES))
@@ -443,11 +444,38 @@ class TestEstimate:
         cfg = wide_config(3, T=T, trials=2, **kw)
         paths = kernel_paths(cfg)
         for i in range(cfg.trials):
-            delays = cfg.delays.spawn(i) if cfg.delays else None
             assert np.array_equal(paths[i], reference_sa(
                 cfg.provider, cfg.model.mrp, cfg.theta0, cfg.alpha, cfg.T,
-                seed=derive_seed(cfg.master_seed, i), sampling=cfg.sampling,
-                start_state=cfg.start_state, delays=delays))
+                cfg.master_seed, lane=i, sampling=cfg.sampling,
+                start_state=cfg.start_state, delays=cfg.delays))
+
+    @pytest.mark.parametrize("K", [1, 3])
+    @pytest.mark.parametrize("delays", [None, DelayProcess("uniform", 4, seed=8)],
+                             ids=["undelayed", "uniform_delay"])
+    def test_one_trial_run_is_lane_0_of_a_wider_run(self, K, delays):
+        # lane i's words depend on the key, i and the position alone, so a
+        # lane's iterates do not depend on the lanes beside it
+        wide = (fast_config if K == 1 else partial(wide_config, 3))(
+            T=2 * BLOCK + 5, trials=37, delays=delays)
+        assert np.array_equal(kernel_paths(replace(wide, trials=1))[0],
+                              kernel_paths(wide)[0])
+
+    def test_word_and_delay_buffers_stay_small_at_2000_lanes(self, monkeypatch):
+        # a BLOCK-step refill: (BLOCK + 1) words a lane for markov with a
+        # drawn start state, BLOCK delays a lane, 8 bytes each; both are
+        # filled whole on the first block
+        sizes = []
+        fill = KeyedStreams.fill
+
+        def recording(streams, out):
+            sizes.append(out.nbytes)
+            return fill(streams, out)
+
+        monkeypatch.setattr(KeyedStreams, "fill", recording)
+        estimate_dt_et(fast_config(T=3 * BLOCK, trials=2000,
+                                   delays=DelayProcess("uniform", 5, 77)))
+        assert {8 * (BLOCK + 1) * 2000, 8 * BLOCK * 2000} <= set(sizes)
+        assert max(sizes) <= 1.1e6
 
     def test_memory_is_flat_in_T(self):
         # the word buffer is reused
@@ -508,7 +536,7 @@ class TestEstimate:
         for i in range(cfg.trials):
             assert np.array_equal(paths[i], reference_sa(
                 cfg.provider, cfg.model.mrp, cfg.theta0, cfg.alpha, cfg.T,
-                seed=derive_seed(cfg.master_seed, i), delays=delays.spawn(i)))
+                cfg.master_seed, lane=i, delays=delays))
 
     @pytest.mark.parametrize("kind", ["linear_contraction", "saturating"])
     def test_generic_provider_lanes_equal_single_trials(self, kind):
@@ -518,12 +546,12 @@ class TestEstimate:
         for i in range(cfg.trials):
             assert np.array_equal(paths[i], reference_sa(
                 provider, WIDE, cfg.theta0, cfg.alpha, cfg.T,
-                seed=derive_seed(cfg.master_seed, i)))
+                cfg.master_seed, lane=i))
 
     def test_one_bit_generator_per_run(self, monkeypatch):
-        # re-keying replaces one Philox (and its entropy-seeded seed
-        # sequence) per lane, for the transitions and for the uniform delay
-        # schedule; 500 lanes must not build 500 of them
+        # the lane sits in the counter, so one Philox (and one entropy-seeded
+        # seed sequence) serves every lane, for the transitions and for the
+        # uniform delay schedule; 500 lanes must not build 500 of them
         built = []
         philox = np.random.Philox
 
@@ -631,6 +659,33 @@ class TestRecursion:
         assert led.fitted["c"] <= 100.0
         assert 0.0 <= led.fitted["c_prime"] <= 100.0
         assert led.fitted["pre_tau_ok"]
+
+    @pytest.mark.parametrize("spike", ["d", "e"])
+    def test_worst_step_is_that_of_the_fit_that_sets_the_margin(self, spike):
+        # d_t exactly geometric fits c = 0 up to rounding; a bump in d at
+        # step 40 makes c = 2 at t = 39, a bump in e at step 30 makes
+        # c' = 1 at t = 30, and the ledger names the step of the larger
+        config = fast_config(T=60, trials=100)
+        T, alpha, tau, B = config.T, config.alpha, config.tau, config.B
+        rate = 1.0 - alpha * config.provider.beta
+        d_hat, e_hat = rate ** np.arange(T + 1.0), np.zeros(T)
+        if spike == "d":
+            d_hat[40] += 2.0 * alpha ** 2 * tau * B
+        else:
+            e_hat[30] = alpha * tau * B
+        est = harness.MonteCarloEstimate(0, None, config, d_hat=d_hat,
+                                         d_se=np.zeros(T + 1), e_hat=e_hat,
+                                         e_se=np.zeros(T))
+        led = check_recursion(est)
+        fitted = led.fitted
+        assert led.verdict == "pass"
+        assert led.worst_margin == 100.0 - max(fitted["c"], fitted["c_prime"])
+        if spike == "d":
+            assert fitted["c"] == pytest.approx(2.0) and fitted["c_prime"] == 0.0
+            assert led.worst_step == 39
+        else:
+            assert fitted["c_prime"] == pytest.approx(1.0) and fitted["c"] < 1e-9
+            assert led.worst_step == 30
 
     def test_iid_restart_control_noise_vanishes(self):
         cfg = ExperimentConfig(TD0Provider(SLOW_MODEL), None, SLOW_ALPHA, T=200,

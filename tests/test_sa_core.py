@@ -237,7 +237,7 @@ class TestRunSA:
         est = estimate_dt_et(cfg)
         with pytest.raises(ReferenceDivergence) as exc:
             reference_sa(TD0Provider(TWO_MODEL), TWO_STATE, np.array([1.0]), bad,
-                         10_000, seed=derive_seed(2, 0))
+                         10_000, 2)
         assert est.abort_step is not None
         assert est.abort_count == 1
         assert est.abort_step == exc.value.step
@@ -251,7 +251,7 @@ class TestRunSA:
         assert thetas.shape == (101, 1)
         assert np.array_equal(thetas, reference_sa(
             cfg.provider, TWO_STATE, np.zeros(1), cfg.alpha, 100,
-            seed=derive_seed(4, 0), sampling="iid_restart"))
+            4, sampling="iid_restart"))
 
     def test_fixed_start_state(self):
         cfg = one_lane(TWO_MODEL, 50, seed=6, start_state=1)
@@ -260,7 +260,7 @@ class TestRunSA:
         assert np.array_equal(a, b)
         assert np.array_equal(a, reference_sa(
             cfg.provider, TWO_STATE, np.zeros(1), cfg.alpha, 50,
-            seed=derive_seed(6, 0), start_state=1))
+            6, start_state=1))
 
     @pytest.mark.parametrize("start_state", [-1, 2])
     def test_start_state_out_of_range_rejected(self, start_state):
@@ -308,8 +308,8 @@ class TestDelays:
             delayed = kernel_paths(replace(cfg, delays=delays))[0]
             assert np.array_equal(plain, delayed)
             reference = reference_sa(cfg.provider, TWO_STATE, np.zeros(1), cfg.alpha,
-                                     300, seed=derive_seed(12, 0),
-                                     delays=delays.spawn(0))
+                                     300, 12,
+                                     delays=delays)
             assert np.array_equal(plain, reference)
 
     def test_constant_delay_one_state_two_term_recursion(self):
@@ -330,19 +330,19 @@ class TestDelays:
         assert np.max(np.abs(np.linalg.eigvals(companion))) < 1.0
         assert abs(thetas[-1, 0] - 2.0) < 1e-3
 
-    def test_spawned_streams_differ(self):
+    def test_lanes_draw_different_streams(self):
         dp = DelayProcess("uniform", 4, seed=10)
-        s0 = dp.spawn(0).sequence(100)
-        s1 = dp.spawn(1).sequence(100)
-        assert not np.array_equal(s0, s1)
+        buffer = np.empty((BLOCK, 2), dtype=np.int64)
+        schedule = np.concatenate([block.copy() for _, block in dp.blocks(100, buffer)])
+        assert not np.array_equal(schedule[:, 0], schedule[:, 1])
 
     @pytest.mark.parametrize("tau_max", [5, 40000], ids=["int16", "past_int16"])
     @pytest.mark.parametrize("kind", ["none", "constant", "uniform", "sawtooth"])
-    def test_schedule_columns_are_the_spawned_sequences(self, kind, tau_max):
+    def test_schedule_columns_are_the_lanes_reference_delays(self, kind, tau_max):
         # the kernel's delays, gathered from its BLOCK-step blocks: T crosses
-        # a block turn and 70 lanes cross a 64-lane tile; each column is its
-        # lane's own process, drawn from one generator per lane in the
-        # reference
+        # a block turn and ends inside a 4-word Philox block; column i is
+        # lane i's delays, drawn one fresh Philox per block in the reference,
+        # and column 0 is the process's own sequence
         T, trials = BLOCK + 1, 70
         if kind == "none":
             tau_max = 0  # the one tau_max kind none takes
@@ -351,11 +351,8 @@ class TestDelays:
         schedule = np.concatenate([block.copy() for _, block in process.blocks(T, buffer)])
         assert schedule.shape == (T, trials)
         for i in range(trials):
-            lane = process.spawn(i)
-            expected = reference_delays(lane, T)
-            assert np.array_equal(schedule[:, i], expected)
-            assert np.array_equal(lane.sequence(T), expected)
-        assert np.array_equal(process.sequence(T), reference_delays(process, T))
+            assert np.array_equal(schedule[:, i], reference_delays(process, T, i))
+        assert np.array_equal(process.sequence(T), schedule[:, 0])
 
 
 GENERIC_PROVIDERS = [pytest.param(linear_contraction, id="linear_contraction"),
