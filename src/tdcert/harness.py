@@ -343,11 +343,12 @@ def _simulate(config: ExperimentConfig, parts=(_Curves,)) -> MonteCarloEstimate:
     (``KeyedStreams``) and takes lane i's delays, so its bits do not depend
     on the lanes beside it. Both are drawn ``BLOCK`` steps at a time into
     reused buffers, so memory does not grow with T: the raw words into one
-    (BLOCK * draws + 1, trials) uint64 buffer, the delays into one
+    (BLOCK * draws + 4, trials) uint64 buffer, the delays into one
     (BLOCK, trials) int64 buffer (``DelayProcess.blocks``). markov sampling
-    draws one word per step, plus one for the start state when
-    ``start_state`` is None, which rides in the first block beside its
-    BLOCK steps, so a run fills ceil(T / BLOCK) times; iid_restart draws the
+    draws one word per step; when ``start_state`` is None the start state is
+    word 0 of a 4-word block of its own (words 1-3 unused) that rides in the
+    first fill beside its BLOCK steps, so a run fills ceil(T / BLOCK) times,
+    each fill on a Philox block boundary; iid_restart draws the
     state fresh from pi and then its successor, two words per step. Each
     step samples every lane's transition, gathers s' 's column of
     ``provider.state_table`` (in markov sampling also the next step's F_s),
@@ -378,7 +379,7 @@ def _simulate(config: ExperimentConfig, parts=(_Curves,)) -> MonteCarloEstimate:
     streams = KeyedStreams(derive_seed(config.master_seed), trials)
     s = F_s = None
     start_state = config.start_state
-    lead = not iid and start_state is None  # the start state's word leads
+    lead = 4 if not iid and start_state is None else 0  # the start state's block
     words = np.empty((min(BLOCK, T) * draws + lead, trials), dtype=np.uint64)
     theta = np.tile(config.theta0[:, None], (1, trials))
     work, row = np.empty((K, trials)), np.empty(trials)
@@ -413,8 +414,8 @@ def _simulate(config: ExperimentConfig, parts=(_Curves,)) -> MonteCarloEstimate:
         if lead:
             s = pi_sampler.pick(W[0])
             F_s = F.take(s, axis=1)
-            W = W[1:]
-            lead = False
+            W = W[lead:]
+            lead = 0
         if use_delays:
             _, idx = next(slots)
             phase = np.arange(t0, t0 + L)[:, None] % m + cap

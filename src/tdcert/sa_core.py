@@ -326,6 +326,8 @@ class DelayProcess:
             object.__setattr__(self, name, value)
         if self.tau_max < 0:
             raise ConfigError(f"delays.tau_max must be nonnegative, got {self.tau_max}")
+        if self.tau_max >= 2 ** 63:  # delays and their clamps are int64
+            raise ConfigError(f"delays.tau_max must be below 2^63, got {self.tau_max}")
         if self.kind == "none" and self.tau_max > 0:
             raise ConfigError(f"delays.tau_max {self.tau_max} needs a delay kind "
                               f"(constant, uniform or sawtooth), got kind 'none'")

@@ -1,8 +1,9 @@
 """Reference scalar SA loop that the batch kernel is compared against.
 
 One trajectory, one draw at a time, with the full-row inverse CDF: the
-markov chain draws one uniform per step (plus one for a start state drawn
-from pi), iid_restart draws the state from pi and then its successor. A ring
+markov chain draws one uniform per step, after a start state drawn from pi
+by word 0 of a 4-word block of its own (words 1-3 unused), iid_restart
+draws the state from pi and then its successor. A ring
 buffer of the last tau_max + 1 iterates and observations supplies the stale
 direction g(theta_{t-d_t}; X_{t-d_t}), X the states' columns of the
 provider's ``state_table``; without delays d_t = 0. The provider is called
@@ -93,6 +94,7 @@ def reference_sa(provider, mrp, theta0, alpha, T, master_seed, lane=0,
     s = start_state
     if sampling == "markov" and start_state is None:
         s = _inv_cdf(cum_pi, next(uniforms))
+        uniforms = itertools.islice(uniforms, 3, None)
     delays = delays if delays is not None else DelayProcess()
     dseq = reference_delays(delays, T, lane)
     m = delays.tau_max + 1

@@ -396,6 +396,18 @@ class TestRunCommand:
                 "sawtooth), got kind 'none'\n") == capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["constant", "uniform", "sawtooth"])
+    def test_delay_bound_past_int64_exits_invalid(self, tmp_path, capsys, kind):
+        # delays are int64, so a bound they cannot hold is refused up front
+        cfg = bundled_config("delayed_uniform_1")
+        cfg["experiment"]["delays"] = {"kind": kind, "tau_max": 1e19, "seed": 7}
+        out = tmp_path / "o"
+        assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) \
+            == EXIT_INVALID_INPUT
+        assert ("error: delays.tau_max must be below 2^63, got "
+                "10000000000000000000\n") == capsys.readouterr().err
+        assert not out.exists()
+
     def test_weighted_average_of_a_generic_provider_exits_invalid(self, tmp_path):
         cfg = bundled_config("theorem4_linear_contraction")
         cfg["experiment"].update(kind="weighted_average", trials=200,

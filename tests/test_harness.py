@@ -461,9 +461,8 @@ class TestEstimate:
                               kernel_paths(wide)[0])
 
     def test_word_and_delay_buffers_stay_small_at_2000_lanes(self, monkeypatch):
-        # a BLOCK-step refill: (BLOCK + 1) words a lane for markov with a
-        # drawn start state, BLOCK delays a lane, 8 bytes each; both are
-        # filled whole on the first block
+        # a BLOCK-step refill: BLOCK + 4 words a lane on the first block of
+        # markov with a drawn start state, BLOCK delays a lane, 8 bytes each
         sizes = []
         fill = KeyedStreams.fill
 
@@ -474,8 +473,37 @@ class TestEstimate:
         monkeypatch.setattr(KeyedStreams, "fill", recording)
         estimate_dt_et(fast_config(T=3 * BLOCK, trials=2000,
                                    delays=DelayProcess("uniform", 5, 77)))
-        assert {8 * (BLOCK + 1) * 2000, 8 * BLOCK * 2000} <= set(sizes)
+        assert {8 * (BLOCK + 4) * 2000, 8 * BLOCK * 2000} <= set(sizes)
         assert max(sizes) <= 1.1e6
+
+    @pytest.mark.parametrize("kw", [{}, {"start_state": 1},
+                                    {"sampling": "iid_restart"}])
+    def test_every_refill_starts_on_a_block_boundary(self, monkeypatch, kw):
+        # a drawn start state has a 4-word block of its own, so each refill
+        # is BLOCK * draws / 4 random_raw calls and the first one more
+        draws = 2 if kw.get("sampling") == "iid_restart" else 1
+        calls, fill = [], KeyedStreams.fill
+
+        class Counting:
+            def __init__(self, bitgen):
+                self.bitgen = bitgen
+
+            state = property(lambda self: self.bitgen.state,
+                             lambda self, state: setattr(self.bitgen, "state", state))
+
+            def random_raw(self, size):
+                calls[-1] += 1
+                return self.bitgen.random_raw(size)
+
+        def counting(streams, out):
+            calls.append(0)
+            streams.bitgen = Counting(getattr(streams.bitgen, "bitgen", streams.bitgen))
+            return fill(streams, out)
+
+        monkeypatch.setattr(KeyedStreams, "fill", counting)
+        estimate_dt_et(fast_config(T=3 * BLOCK, trials=7, **kw))
+        first = BLOCK * draws // 4 + (not kw)
+        assert calls == [first] + [BLOCK * draws // 4] * 2
 
     def test_memory_is_flat_in_T(self):
         # the word buffer is reused

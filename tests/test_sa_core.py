@@ -289,10 +289,12 @@ class TestDelays:
         (lambda: DelayProcess("weird", 2, 0), "unknown delay kind 'weird'"),
         (lambda: DelayProcess("uniform", -1, 0),
          "delays.tau_max must be nonnegative, got -1"),
+        (lambda: DelayProcess("uniform", 2 ** 63, 0),
+         "delays.tau_max must be below 2^63, got 9223372036854775808"),
         (lambda: DelayProcess("none", 5, 7),
          "delays.tau_max 5 needs a delay kind (constant, uniform or sawtooth), "
          "got kind 'none'")],
-        ids=["kind", "tau_max", "tau_max_without_kind"])
+        ids=["kind", "tau_max", "tau_max_past_int64", "tau_max_without_kind"])
     def test_refused_as_a_config_error_naming_the_delays_key(self, build, message):
         # the chain and the features have a seed too, so the delays' keys are
         # qualified
